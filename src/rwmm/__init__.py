@@ -19,7 +19,6 @@ from .geometry import Cell, GridSpec, Path, PathAlphabet, PathFamily, build_alph
 from .location import JointTrace, LocationTrace, encode_paths, encode_sequence
 from .processes import (
     CylinderEvent,
-    MeasureValue,
     WaypointProcessSpec,
     channel_cylinder_prob,
     channel_total_mass,
@@ -40,7 +39,6 @@ __all__ = [
     "GridSpec",
     "JointTrace",
     "LocationTrace",
-    "MeasureValue",
     "Path",
     "PathAlphabet",
     "PathFamily",

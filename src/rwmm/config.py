@@ -24,19 +24,15 @@ DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
 
-@dataclass(frozen=True)
-class RawConfig:
-    """Parsed but unvalidated key=value pairs, each with its source line."""
-
-    entries: dict[str, tuple[str, int]]
-    digest: str
-
-
 def config_digest(text: str) -> str:
     """sha256 of the canonical key=value form (comments and order ignored)."""
     entries, errors = _scan(text)
     if errors:
         raise ConfigurationError("; ".join(errors))
+    return _digest(entries)
+
+
+def _digest(entries: dict[str, tuple[str, int]]) -> str:
     canonical = "\n".join(f"{k}={v}" for k, (v, _) in sorted(entries.items()))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -63,24 +59,6 @@ def _scan(text: str) -> tuple[dict[str, tuple[str, int]], list[str]]:
             continue
         entries[key] = (value, lineno)
     return entries, errors
-
-
-def parse_raw(text: str) -> RawConfig:
-    """Scan a config into raw entries; syntax errors only (no schema)."""
-    entries, errors = _scan(text)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    canonical = "\n".join(f"{k}={v}" for k, (v, _) in sorted(entries.items()))
-    return RawConfig(entries=entries, digest=hashlib.sha256(canonical.encode()).hexdigest())
-
-
-def _parse_int(value: str) -> int:
-    return int(value)
-
-
-def _parse_float(value: str) -> float:
-    out = float(value)
-    return out
 
 
 def _parse_speeds(value: str) -> tuple[Fraction, ...]:
@@ -152,23 +130,23 @@ class ContinuousConfig:
 
 _DISCRETE_FIELDS: dict[str, tuple[Callable, bool]] = {
     # key -> (parser, required)
-    "grid_width": (_parse_int, True),
-    "grid_height": (_parse_int, True),
+    "grid_width": (int, True),
+    "grid_height": (int, True),
     "speeds": (_parse_speeds, True),
-    "horizon": (_parse_int, True),
-    "nodes": (_parse_int, False),
+    "horizon": (int, True),
+    "nodes": (int, False),
     "waypoints": (_parse_waypoints, False),
 }
 
 _CONTINUOUS_FIELDS: dict[str, tuple[Callable, bool]] = {
-    "area_width": (_parse_float, True),
-    "area_height": (_parse_float, True),
-    "min_speed": (_parse_float, True),
-    "max_speed": (_parse_float, True),
-    "duration": (_parse_float, True),
-    "time_step": (_parse_float, True),
-    "nodes": (_parse_int, False),
-    "pause_time": (_parse_float, False),
+    "area_width": (float, True),
+    "area_height": (float, True),
+    "min_speed": (float, True),
+    "max_speed": (float, True),
+    "duration": (float, True),
+    "time_step": (float, True),
+    "nodes": (int, False),
+    "pause_time": (float, False),
 }
 
 
@@ -191,8 +169,7 @@ def _validate(
             errors.append(f"missing required key {key!r}")
     if errors:
         raise ConfigurationError("; ".join(errors))
-    canonical = "\n".join(f"{k}={v}" for k, (v, _) in sorted(entries.items()))
-    return values, hashlib.sha256(canonical.encode()).hexdigest()
+    return values, _digest(entries)
 
 
 def load_discrete_config(text: str) -> DiscreteConfig:

@@ -129,9 +129,10 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
         chunk = chunk[order]
         if not np.array_equal(chunk[:, 1], np.arange(steps)):
             raise ConfigurationError(f"node {node} is missing steps")
-        for x, y in chunk[:, 2:]:
-            if not (0 <= x < grid.width and 0 <= y < grid.height):
-                raise ConfigurationError(f"cell ({x}, {y}) outside {grid}")
+        outside = ((chunk[:, 2:] < 0) | (chunk[:, 2:] >= (grid.width, grid.height))).any(axis=1)
+        if outside.any():
+            x, y = chunk[int(np.argmax(outside)), 2:]
+            raise ConfigurationError(f"cell ({x}, {y}) outside {grid}")
         ids[node] = chunk[:, 3] * grid.width + chunk[:, 2]
     return JointTrace(grid, ids), header
 
@@ -163,7 +164,11 @@ def save_positions(
 def load_positions(
     path: FsPath | str,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
-    """Read sampled positions back as (times, positions[nodes, steps, 2], header)."""
+    """Read sampled positions back as (times, positions[nodes, steps, 2], header).
+
+    Rows must be node-major and time-sorted, and sample k of every node must
+    lie at time ``k * time-step`` (to the 9 significant digits written).
+    """
     header, body = _split_trace_text(FsPath(path).read_text())
     if header.get("kind") != KIND_POSITIONS:
         raise ConfigurationError(
@@ -179,9 +184,27 @@ def load_positions(
     steps = len(data) // nodes
     if steps * nodes != len(data):
         raise ConfigurationError("ragged position trace: unequal steps per node")
-    times = data[:steps, 1]
+    if not np.array_equal(data[:, 0], np.repeat(np.arange(nodes), steps)):
+        raise ConfigurationError("position trace rows must be node-major, nodes 0, 1, ... in turn")
+    times = data[:, 1].reshape(nodes, steps)
+    if np.any(np.diff(times, axis=1) <= 0):
+        raise ConfigurationError("position trace rows must be sorted by time within each node")
+    try:
+        time_step = float(header["time-step"])
+    except (KeyError, ValueError):
+        raise ConfigurationError(
+            f"bad time-step header: {header.get('time-step')!r}"
+        ) from None
+    expected = np.arange(steps) * time_step
+    off_grid = np.abs(times - expected) > 1e-7 * np.maximum(expected, time_step)
+    if off_grid.any():
+        node, step = np.argwhere(off_grid)[0]
+        raise ConfigurationError(
+            f"node {node} sample {step} at time {_format_float(times[node, step])} "
+            f"is off the time grid of step {_format_float(time_step)}"
+        )
     positions = data[:, 2:].reshape(nodes, steps, 2)
-    return times, positions, header
+    return times[0], positions, header
 
 
 def export_ns2(path: FsPath | str, trace: ContinuousTrace) -> None:

@@ -19,9 +19,6 @@ import numpy as np
 from .errors import CapacityError, ConfigurationError, enumeration_cap
 from .geometry import Cell, GridSpec, PathAlphabet
 
-# Exact probability: arbitrary-precision numerator/denominator in lowest terms.
-MeasureValue = Fraction
-
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 IID_UNIFORM = "iid-uniform"
@@ -232,9 +229,9 @@ def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> F
 
 
 def _channel_factor(alphabet: PathAlphabet, w_from: Cell, w_to: Cell, path_id: int) -> Fraction:
-    if not 0 <= path_id < len(alphabet.all_paths):
+    if not 0 <= path_id < len(alphabet.path_lengths):
         raise ValueError(
-            f"path id {path_id} outside alphabet of {len(alphabet.all_paths)} paths"
+            f"path id {path_id} outside alphabet of {len(alphabet.path_lengths)} paths"
         )
     members = alphabet.family_id_set(w_from, w_to)
     if path_id not in members:
@@ -526,8 +523,8 @@ def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLik
     pair_ids = ids[:-1] * alphabet.grid.size + ids[1:]
     sizes = alphabet.family_sizes[pair_ids]
     picks = rng.integers(0, sizes)
-    path_ids = alphabet.family_members[alphabet.family_offsets[pair_ids] + picks]
-    return PathTrace(alphabet, path_ids.astype(np.int64), waypoints.node_id)
+    path_ids = alphabet.family_offsets[pair_ids] + picks
+    return PathTrace(alphabet, path_ids, waypoints.node_id)
 
 
 def uniform_prefix(grid: GridSpec, length: int, rng: np.random.Generator) -> tuple[Cell, ...]:

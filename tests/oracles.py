@@ -1,9 +1,12 @@
 """Independent reference computations used to freeze expected test values.
 
-Two deliberately separate routes from first principles:
+Three deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
+* a per-pair path alphabet that digitizes every ordered cell pair on its own
+  and interns the paths one by one, to check the displacement-keyed tables
+  of ``rwmm.geometry.build_alphabet``;
 * an explicit finite Markov chain on (path, within-path offset) states,
   solved exactly with GTH elimination over ``Fraction``, giving the
   stationary cell-occupancy distribution that long-run simulated frequencies
@@ -13,10 +16,12 @@ Two deliberately separate routes from first principles:
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import sympy as sp
 
-from rwmm.geometry import Cell, GridSpec, PathAlphabet
+from rwmm.geometry import Cell, GridSpec, Path, PathAlphabet, enumerate_paths, normalize_speeds
 from rwmm.processes import IID_UNIFORM, WaypointProcessSpec
 
 
@@ -47,6 +52,53 @@ def _round_half_down(value: sp.Expr) -> int:
     f = sp.floor(value)
     frac = sp.simplify(value - f)
     return int(f) + (1 if frac > sp.Rational(1, 2) else 0)
+
+
+def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
+    """Path-alphabet tables built pair by pair, with no displacement sharing.
+
+    Every ordered cell pair, in pair-id order, is digitized at each speed on
+    its own with ``enumerate_paths``; the distinct paths are sorted by
+    (length, cells) here and interned in that order. Returns
+    the path tuple, ``max_path_length``, the per-pair member ids
+    (``family_members`` flattened, located by ``family_offsets`` and
+    ``family_sizes``) and the per-path tables.
+    """
+    speed_set = normalize_speeds(speeds)
+    index: dict[Path, int] = {}
+    sizes: list[int] = []
+    offsets: list[int] = []
+    members: list[int] = []
+    for src in grid.cells():
+        for dst in grid.cells():
+            distinct = {enumerate_paths(grid, src, dst, (v,)).paths[0] for v in speed_set}
+            family = sorted(distinct, key=lambda p: (p.length, [(c.x, c.y) for c in p.cells]))
+            offsets.append(len(members))
+            sizes.append(len(family))
+            for path in family:
+                members.append(index.setdefault(path, len(index)))
+    paths = tuple(index)
+    emit_offsets: list[int] = []
+    emit_cells: list[int] = []
+    for path in paths:
+        emit_offsets.append(len(emit_cells))
+        emit_cells.extend(grid.cell_id(c) for c in path.cells[:-1])
+
+    def table(values) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    return SimpleNamespace(
+        all_paths=paths,
+        max_path_length=max(p.length for p in paths),
+        family_sizes=table(sizes),
+        family_offsets=table(offsets),
+        family_members=table(members),
+        path_lengths=table([p.length for p in paths]),
+        path_sources=table([grid.cell_id(p.source) for p in paths]),
+        path_dests=table([grid.cell_id(p.dest) for p in paths]),
+        emit_offsets=table(emit_offsets),
+        emit_cells=table(emit_cells),
+    )
 
 
 def gth_stationary(rows: list[dict[int, Fraction]], size: int) -> list[Fraction]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hashlib import sha256
 
 from rwmm.cli import main
 from rwmm.config import (
@@ -126,6 +127,20 @@ class TestConfigParsing:
         assert changed != base
 
 
+def rewrite_body(path, edit):
+    """Apply ``edit`` to a trace's body rows (header row excluded) and re-sign the body."""
+    lines = path.read_text().splitlines()
+    split = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    rows = lines[split + 1 :]
+    edit(rows)
+    body = "\n".join([lines[split], *rows]) + "\n"
+    header = [
+        f"# body: {sha256(body.encode()).hexdigest()}" if line.startswith("# body:") else line
+        for line in lines[:split]
+    ]
+    path.write_text("\n".join(header) + "\n" + body)
+
+
 class TestTraceFiles:
     def test_locations_round_trip(self, tmp_path):
         grid = GridSpec(3, 2)
@@ -174,6 +189,60 @@ class TestTraceFiles:
         assert header["kind"] == "continuous-positions"
         assert np.allclose(times, trace.times)
         assert np.allclose(positions, trace.positions, atol=1e-6)
+
+    def test_late_out_of_grid_cell_named(self, tmp_path):
+        grid = GridSpec(3, 2)
+        path = tmp_path / "t.trace"
+        save_locations(path, JointTrace(grid, np.zeros((2, 50), dtype=np.int64)))
+
+        def edit(rows):
+            # node 1, steps 47 and 49 leave the grid; step 49's row comes first
+            rows[97] = "1,47,3,0"
+            rows[99] = "1,49,0,2"
+            rows[97], rows[99] = rows[99], rows[97]
+
+        rewrite_body(path, edit)
+        with pytest.raises(ConfigurationError, match=r"cell \(3, 0\) outside GridSpec"):
+            load_locations(path)
+
+    def _positions(self, tmp_path):
+        from rwmm.continuous import ContinuousAreaSpec
+
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
+        path = tmp_path / "c.trace"
+        save_positions(path, trace, seed=3)
+        return path
+
+    def test_positions_reject_interleaved_nodes(self, tmp_path):
+        path = self._positions(tmp_path)
+
+        def edit(rows):
+            rows[10], rows[11] = rows[11], rows[10]  # last row of node 0, first of node 1
+
+        rewrite_body(path, edit)
+        with pytest.raises(ConfigurationError, match="node-major"):
+            load_positions(path)
+
+    def test_positions_reject_unsorted_times(self, tmp_path):
+        path = self._positions(tmp_path)
+
+        def edit(rows):
+            rows[2], rows[3] = rows[3], rows[2]
+
+        rewrite_body(path, edit)
+        with pytest.raises(ConfigurationError, match="sorted by time"):
+            load_positions(path)
+
+    def test_positions_reject_off_grid_time(self, tmp_path):
+        path = self._positions(tmp_path)
+
+        def edit(rows):
+            node, _, x, y = rows[14].split(",")
+            rows[14] = f"{node},1.75,{x},{y}"  # node 1's sample 3 belongs at 1.5
+
+        rewrite_body(path, edit)
+        with pytest.raises(ConfigurationError, match="node 1 sample 3 at time 1.75"):
+            load_positions(path)
 
     def test_kind_mismatch(self, tmp_path):
         grid = GridSpec(2, 2)

@@ -10,19 +10,30 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwmm.errors import CapacityError
 from rwmm.geometry import (
     Cell,
     GridSpec,
     Path,
-    PathAlphabet,
     build_alphabet,
     enumerate_paths,
     normalize_speeds,
 )
 
-from oracles import sympy_digitize
+from oracles import per_pair_alphabet, sympy_digitize
+
+TABLES = (
+    "family_sizes",
+    "family_offsets",
+    "path_lengths",
+    "path_sources",
+    "path_dests",
+    "emit_offsets",
+    "emit_cells",
+)
 
 
 def family_cells(grid, source, dest, speeds):
@@ -193,10 +204,15 @@ class TestAlphabet:
             seen |= members
         assert seen == set(range(len(alpha.all_paths)))
 
-    def test_path_index_round_trip(self):
+    def test_path_id_round_trip(self):
         alpha = build_alphabet(GridSpec(2, 2), (Fraction(1),))
         for pid, path in enumerate(alpha.all_paths):
-            assert alpha.path_index[path] == pid
+            assert alpha.path_id(path) == pid
+
+    def test_path_id_rejects_foreign_path(self):
+        alpha = build_alphabet(GridSpec(3, 1), (Fraction(1),))
+        with pytest.raises(ValueError):
+            alpha.path_id(Path((Cell(0, 0), Cell(2, 0))))
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -211,4 +227,87 @@ class TestAlphabet:
         a = build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)))
         b = build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)))
         assert a.all_paths == b.all_paths
-        assert np.array_equal(a.family_members, b.family_members)
+        for name in TABLES:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestAlphabetTables:
+    """The displacement-keyed build against the per-pair oracle."""
+
+    @pytest.mark.parametrize(
+        "width, height, speeds",
+        [
+            (1, 2, (1,)),
+            (3, 3, (Fraction(1, 2), 1, Fraction(7, 3))),
+            (7, 5, (1, Fraction(3, 2), 2, Fraction(7, 3))),
+            (6, 6, (1, Fraction(4, 3), Fraction(3, 2), 2, Fraction(5, 2), 3)),
+        ],
+    )
+    def test_tables_equal_per_pair_oracle(self, width, height, speeds):
+        grid = GridSpec(width, height)
+        alpha = build_alphabet(grid, speeds)
+        oracle = per_pair_alphabet(grid, speeds)
+        for name in TABLES:
+            assert np.array_equal(getattr(alpha, name), getattr(oracle, name)), name
+        # path ids are pair-major, so every family's ids are contiguous
+        assert np.array_equal(oracle.family_members, np.arange(len(oracle.all_paths)))
+        assert alpha.max_path_length == oracle.max_path_length
+        assert alpha.all_paths == oracle.all_paths
+
+    def test_all_paths_is_a_read_only_view(self):
+        grid = GridSpec(3, 2)
+        alpha = build_alphabet(grid, (1, 2))
+        paths = per_pair_alphabet(grid, (1, 2)).all_paths
+        assert len(alpha.all_paths) == len(paths)
+        assert alpha.all_paths[-1] == paths[-1]
+        assert alpha.all_paths[np.int64(3)] == paths[3]
+        assert list(alpha.all_paths) == list(paths)
+        assert alpha.all_paths != paths[:-1]
+        with pytest.raises(IndexError):
+            alpha.all_paths[len(paths)]
+        with pytest.raises(TypeError):
+            alpha.all_paths[0] = paths[0]
+
+
+def _translate(cells, tx, ty):
+    return tuple(Cell(c.x + tx, c.y + ty) for c in cells)
+
+
+@st.composite
+def trips(draw):
+    """A grid, a trip inside it, and a translation that keeps the trip inside."""
+    width = draw(st.integers(1, 8))
+    height = draw(st.integers(1, 8))
+    dx = draw(st.integers(1 - width, width - 1))
+    dy = draw(st.integers(1 - height, height - 1))
+    source = Cell(
+        draw(st.integers(max(0, -dx), min(width, width - dx) - 1)),
+        draw(st.integers(max(0, -dy), min(height, height - dy) - 1)),
+    )
+    dest = Cell(source.x + dx, source.y + dy)
+    tx = draw(st.integers(-min(source.x, dest.x), width - 1 - max(source.x, dest.x)))
+    ty = draw(st.integers(-min(source.y, dest.y), height - 1 - max(source.y, dest.y)))
+    return GridSpec(width, height), source, dest, tx, ty
+
+
+# half-integer speeds put samples of axis-aligned trips exactly on cell
+# borders, the tie cases of the rounding rule
+speeds_st = st.builds(Fraction, st.integers(1, 7), st.integers(1, 2))
+
+
+class TestDigitizerProperties:
+    @settings(max_examples=200)
+    @given(trips(), st.lists(speeds_st, min_size=1, max_size=4))
+    def test_translation_invariant(self, trip, speeds):
+        grid, source, dest, tx, ty = trip
+        family = enumerate_paths(grid, source, dest, speeds)
+        moved = enumerate_paths(
+            grid, Cell(source.x + tx, source.y + ty), Cell(dest.x + tx, dest.y + ty), speeds
+        )
+        assert [_translate(p.cells, tx, ty) for p in family] == [p.cells for p in moved]
+
+    @given(trips(), speeds_st)
+    def test_matches_symbolic_reference(self, trip, speed):
+        grid, source, dest, _, _ = trip
+        family = enumerate_paths(grid, source, dest, (speed,))
+        assert family.paths[0].cells == tuple(sympy_digitize(source, dest, speed))
