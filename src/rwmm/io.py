@@ -129,10 +129,9 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
         chunk = chunk[order]
         if not np.array_equal(chunk[:, 1], np.arange(steps)):
             raise ConfigurationError(f"node {node} is missing steps")
-        outside = ((chunk[:, 2:] < 0) | (chunk[:, 2:] >= (grid.width, grid.height))).any(axis=1)
-        if outside.any():
-            x, y = chunk[int(np.argmax(outside)), 2:]
-            raise ConfigurationError(f"cell ({x}, {y}) outside {grid}")
+        for x, y in chunk[:, 2:]:
+            if not (0 <= x < grid.width and 0 <= y < grid.height):
+                raise ConfigurationError(f"cell ({x}, {y}) outside {grid}")
         ids[node] = chunk[:, 3] * grid.width + chunk[:, 2]
     return JointTrace(grid, ids), header
 
