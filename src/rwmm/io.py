@@ -83,15 +83,18 @@ def save_locations(
     else:
         joint = trace
     grid = joint.grid
-    rows = ["node,step,x,y"]
+    labels = [f"{c % grid.width},{c // grid.width}" for c in range(grid.size)]
+    # one string per node: the row strings are freed node by node, which
+    # keeps the peak memory of a large trace down
+    parts = ["node,step,x,y\n"]
     for node in range(joint.node_count):
-        ids = joint.ids[node]
-        xs = ids % grid.width
-        ys = ids // grid.width
-        rows.extend(
-            f"{node},{step},{x},{y}" for step, (x, y) in enumerate(zip(xs, ys))
+        parts.append(
+            "".join(
+                f"{node},{step},{labels[c]}\n"
+                for step, c in enumerate(joint.ids[node].tolist())
+            )
         )
-    body = "\n".join(rows) + "\n"
+    body = "".join(parts)
     header = {
         "kind": KIND_LOCATIONS,
         "grid": f"{grid.width}x{grid.height}",
@@ -143,13 +146,16 @@ def save_positions(
     config_digest: str | None = None,
 ) -> None:
     """Write sampled continuous positions as node,time,x,y rows (%.9g)."""
-    rows = ["node,time,x,y"]
+    times = [_format_float(t) for t in trace.times.tolist()]
+    parts = ["node,time,x,y\n"]  # one string per node, as in save_locations
     for node in range(trace.node_count):
-        for t, (x, y) in zip(trace.times, trace.positions[node]):
-            rows.append(
-                f"{node},{_format_float(t)},{_format_float(x)},{_format_float(y)}"
+        parts.append(
+            "".join(
+                f"{node},{t},{x:.9g},{y:.9g}\n"
+                for t, (x, y) in zip(times, trace.positions[node].tolist())
             )
-    body = "\n".join(rows) + "\n"
+        )
+    body = "".join(parts)
     header = {
         "kind": KIND_POSITIONS,
         "area": f"{_format_float(trace.area.width)}x{_format_float(trace.area.height)}",

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -140,6 +142,33 @@ class WaypointProcessSpec:
             raise ConfigurationError("markov waypoint chain must be irreducible")
         if not _check_aperiodic(adjacency):
             raise ConfigurationError("markov waypoint chain must be aperiodic")
+
+    @cached_property
+    def sampling_rows(self) -> tuple[int, list[list[int]], list[list[int]]]:
+        """Integer sampling tables ``(D, succ, cum)`` of a markov chain.
+
+        ``D`` is the lcm of the denominators of the initial distribution and
+        every transition row. Rows 0..n-1 are the transition rows and row n
+        the initial distribution, so a walk from state n begins with the
+        initial draw. Row ``r`` keeps its nonzero entries in ``succ[r]`` and
+        the running sums of their weights ``p·D``, the full total left off,
+        in ``cum[r]``: a draw ``u`` uniform on ``[0, D)`` then selects
+        ``succ[r][bisect_right(cum[r], u)]`` with probability exactly ``p``.
+        Built once per spec.
+        """
+        assert self.transition is not None and self.initial is not None
+        rows = self.transition + (self.initial,)
+        denominator = math.lcm(*(p.denominator for row in rows for p in row))
+        succ: list[list[int]] = []
+        cum: list[list[int]] = []
+        for row in rows:
+            states = [j for j, p in enumerate(row) if p]
+            bounds = itertools.accumulate(
+                row[j].numerator * (denominator // row[j].denominator) for j in states
+            )
+            succ.append(states)
+            cum.append(list(bounds)[:-1])
+        return denominator, succ, cum
 
     @classmethod
     def iid_uniform(cls, grid: GridSpec) -> "WaypointProcessSpec":
@@ -483,13 +512,26 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _walk(
+    succ: list[list[int]], cum: list[list[int]], state: int, draws: list[int]
+) -> list[int]:
+    """The states visited from ``state`` when draw k selects step k's successor."""
+    return [state := succ[state][bisect_right(cum[state], u)] for u in draws]
+
+
 def sample_waypoints(
     spec: WaypointProcessSpec,
     count: int,
     seed: SeedLike,
     node_id: int = 0,
 ) -> WaypointTrace:
-    """Draw a reproducible waypoint sequence of ``count`` symbols."""
+    """Draw a reproducible waypoint sequence of ``count`` symbols.
+
+    Markov waypoints are drawn exactly from the spec's ``Fraction`` matrix:
+    each step draws an integer uniform on ``[0, D)`` for the common
+    denominator ``D`` of the initial distribution and all rows, which must
+    be below 2^63 (:class:`ConfigurationError` otherwise).
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = _rng(seed)
@@ -497,21 +539,15 @@ def sample_waypoints(
     if spec.kind == IID_UNIFORM:
         ids = rng.integers(0, n, size=count, dtype=np.int64)
         return WaypointTrace(spec.grid, ids, node_id)
-    assert spec.transition is not None and spec.initial is not None
-    cumulative = np.cumsum(
-        np.array([[float(p) for p in row] for row in spec.transition]), axis=1
-    )
-    start_cum = np.cumsum([float(p) for p in spec.initial])
-    draws = rng.random(count)
-    ids = np.empty(count, dtype=np.int64)
-    state = int(np.searchsorted(start_cum, draws[0], side="right"))
-    state = min(state, n - 1)
-    ids[0] = state
-    for k in range(1, count):
-        state = int(np.searchsorted(cumulative[state], draws[k], side="right"))
-        state = min(state, n - 1)
-        ids[k] = state
-    return WaypointTrace(spec.grid, ids, node_id)
+    denominator, succ, cum = spec.sampling_rows
+    if denominator >= 2**63:
+        raise ConfigurationError(
+            f"markov waypoint sampling needs a common denominator below 2^63, "
+            f"this chain's is {denominator}"
+        )
+    draws = rng.integers(0, denominator, size=count, dtype=np.int64).tolist()
+    states = _walk(succ, cum, n, draws)
+    return WaypointTrace(spec.grid, np.array(states, dtype=np.int64), node_id)
 
 
 def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLike) -> PathTrace:

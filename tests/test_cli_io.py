@@ -190,6 +190,34 @@ class TestTraceFiles:
         assert np.allclose(times, trace.times)
         assert np.allclose(positions, trace.positions, atol=1e-6)
 
+    def test_locations_text(self, tmp_path):
+        path = tmp_path / "t.trace"
+        ids = np.array([[0, 1, 5], [3, 3, 2]], dtype=np.int64)
+        save_locations(path, JointTrace(GridSpec(3, 2), ids))
+        body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert body == [
+            "node,step,x,y",
+            "0,0,0,0", "0,1,1,0", "0,2,2,1",
+            "1,0,0,1", "1,1,0,1", "1,2,2,0",
+        ]
+
+    def test_positions_text(self, tmp_path):
+        from rwmm.continuous import ContinuousAreaSpec
+
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2, 1), 2, 10, 0.5, seed=3)
+        path = tmp_path / "c.trace"
+        save_positions(path, trace)
+        body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        def g(value):
+            return format(float(value), ".9g")
+
+        assert body == ["node,time,x,y"] + [
+            f"{node},{g(t)},{g(x)},{g(y)}"
+            for node in range(2)
+            for t, (x, y) in zip(trace.times, trace.positions[node])
+        ]
+
     def test_late_out_of_grid_cell_named(self, tmp_path):
         grid = GridSpec(3, 2)
         path = tmp_path / "t.trace"
@@ -363,6 +391,20 @@ class TestCli:
             ["simulate-discrete", "--config", str(bad), "--seed", "1", "--out", "x"]
         ) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_sampling_denominator_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "walk.cfg"
+        cfg.write_text(
+            DISCRETE_CFG.replace(
+                "waypoints = iid-uniform", "waypoints = lazy-walk:1/10000000000000000000"
+            )
+        )
+        out = tmp_path / "out.trace"
+        assert main(
+            ["simulate-discrete", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+        ) == 2
+        assert "common denominator" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_code(self):
         assert main(

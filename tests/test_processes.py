@@ -7,17 +7,21 @@ cross-checked against a full enumeration of the path-symbol space on an
 instance small enough to brute-force.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rwmm.errors import CapacityError, ConfigurationError
 from rwmm.geometry import Cell, GridSpec, build_alphabet
 from rwmm.processes import (
     CylinderEvent,
     WaypointProcessSpec,
+    _walk,
     channel_cylinder_prob,
     channel_total_mass,
     check_channel_stationarity,
@@ -301,3 +305,81 @@ class TestSamplers:
         prefix = uniform_prefix(grid, 50, rng)
         assert len(prefix) == 50
         assert all(grid.contains(c) for c in prefix)
+
+
+# the lazy walks whose float cumulative rows end short of 1 (see below)
+GAP_WALKS = [((6, 6), Fraction(1, 2)), ((10, 10), Fraction(1, 3))]
+
+
+def _rows(spec):
+    """The spec's distributions in the sampler's row order: transitions, then initial."""
+    return spec.transition + (spec.initial,)
+
+
+class TestExactMarkovSampler:
+    @pytest.mark.parametrize("size,stay", GAP_WALKS)
+    def test_top_draw_stays_in_support(self, size, stay):
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(*size), stay)
+        # a float draw of 1 - 2^-53 lies above these rows' float cumulative
+        # sums, and searching them sends the node to cell n-1
+        gap_rows = [
+            row for row in spec.transition
+            if np.cumsum([float(p) for p in row])[-1] <= 1 - 2**-53
+        ]
+        assert gap_rows
+        denominator, succ, cum = spec.sampling_rows
+        for state, row in enumerate(_rows(spec)):
+            (top,) = _walk(succ, cum, state, [denominator - 1])
+            assert row[top] > 0
+
+    @pytest.mark.parametrize("size,stay", GAP_WALKS)
+    def test_every_draw_counts_exactly(self, size, stay):
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(*size), stay)
+        denominator, succ, cum = spec.sampling_rows
+        for state, row in enumerate(_rows(spec)):
+            counts = Counter(
+                _walk(succ, cum, state, [u])[0] for u in range(denominator)
+            )
+            assert [counts[j] for j in range(len(row))] == [p * denominator for p in row]
+
+    def test_first_waypoint_drawn_from_initial(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        spec = WaypointProcessSpec.markov(
+            GridSpec(1, 3),
+            [[half, half, 0], [third, third, third], [0, half, half]],
+            [0, 0, 1],
+        )
+        assert {int(sample_waypoints(spec, 2, seed).ids[0]) for seed in range(20)} == {2}
+
+    def test_tables_built_once_per_spec(self):
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(3, 3))
+        assert spec.sampling_rows is spec.sampling_rows
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(2, 30).flatmap(
+            lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_lazy_walk_moves_only_along_the_matrix(self, width, height, stay, seed):
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(width, height), stay)
+        ids = sample_waypoints(spec, 300, seed).ids.tolist()
+        assert spec.initial[ids[0]] > 0
+        assert all(spec.transition[a][b] > 0 for a, b in zip(ids, ids[1:]))
+
+    def test_denominator_limit(self):
+        grid = GridSpec(1, 2)
+
+        def chain(p):
+            return WaypointProcessSpec.markov(grid, [[p, 1 - p], [1 - p, p]], [p, 1 - p])
+
+        largest = chain(Fraction(1, 2**63 - 1))
+        assert len(sample_waypoints(largest, 50, seed=1)) == 50
+        too_large = chain(Fraction(1, 2**63))
+        assert waypoint_cylinder_prob(too_large, CylinderEvent(0, (A, B))) == Fraction(
+            2**63 - 1, 2**126
+        )
+        with pytest.raises(ConfigurationError, match=f"denominator .*{2**63}"):
+            sample_waypoints(too_large, 50, seed=1)
