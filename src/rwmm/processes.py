@@ -230,15 +230,22 @@ def _validate_cells(spec_grid: GridSpec, symbols: Sequence) -> list[int]:
 
 
 def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> list[Fraction]:
-    """Exact symbol distribution at a given time index (initial @ P^index)."""
+    """Exact symbol distribution at a given time index (initial @ P^index).
+
+    Each step pushes every state's mass only along its row's nonzero
+    successors, so a step costs O(nonzero entries) rather than O(n²).
+    """
     assert spec.transition is not None and spec.initial is not None
+    _, succ, _ = spec.sampling_rows
     dist = list(spec.initial)
-    n = len(dist)
     for _ in range(index):
-        dist = [
-            sum(dist[i] * spec.transition[i][j] for i in range(n) if dist[i])
-            for j in range(n)
-        ]
+        nxt = [Fraction(0)] * len(dist)
+        for i, mass in enumerate(dist):
+            if mass:
+                row = spec.transition[i]
+                for j in succ[i]:
+                    nxt[j] += mass * row[j]
+        dist = nxt
     return dist
 
 
@@ -440,36 +447,44 @@ def path_process_prob(
     alphabet: PathAlphabet,
     event: CylinderEvent,
     horizon: int | None = None,
-    cap: int | None = None,
 ) -> Fraction:
     """Exact unconditional probability of a path cylinder.
 
-    Marginalizes the channel over every waypoint prefix long enough to cover
-    the event (``event.end + 2`` waypoints; a longer ``horizon`` gives the
-    same value since the extra coordinates integrate out). Raises
-    :class:`CapacityError` when ``|cells|^horizon`` exceeds the cap.
+    Every path fixes its own source and destination, so for path ids
+    ``p_0..p_k`` the event is the waypoint cylinder through their endpoints:
+    the value is 0 unless ``dest(p_i) == source(p_i+1)`` for every i, and
+    otherwise ``waypoint_cylinder_prob`` of
+    ``(source p_0, dest p_0, ..., dest p_k)`` at ``event.start`` times
+    ``1 / |family(source p_i, dest p_i)|`` for each path. Endpoints and
+    family sizes are read from the alphabet's tables, so nothing is
+    enumerated and the cost is O(event length) plus that of the waypoint
+    marginal at ``event.start``.
+
+    Raises ``ValueError`` when the spec and the alphabet use different
+    grids, when a path id is outside the alphabet, or when ``horizon`` (the
+    waypoint prefix length marginalized over) is shorter than the
+    ``event.end + 2`` waypoints the event needs; a longer ``horizon`` gives
+    the same value, since the extra coordinates integrate out.
     """
-    if spec.grid is not alphabet.grid and spec.grid != alphabet.grid:
+    grid = alphabet.grid
+    if spec.grid is not grid and spec.grid != grid:
         raise ValueError("waypoint process and alphabet use different grids")
     needed = event.end + 2
-    span = needed if horizon is None else horizon
-    if span < needed:
-        raise ValueError(f"horizon {span} shorter than the {needed} waypoints needed")
-    limit = enumeration_cap() if cap is None else cap
-    count = spec.grid.size ** span
-    if count > limit:
-        raise CapacityError(
-            f"path marginalization would enumerate {count} waypoint prefixes, cap {limit}"
-        )
-    total = Fraction(0)
-    for prefix in itertools.product(*[list(spec.grid.cells())] * span):
-        weight = waypoint_cylinder_prob(spec, CylinderEvent(0, prefix))
-        if not weight:
-            continue
-        conditional = channel_cylinder_prob(alphabet, prefix, event)
-        if conditional:
-            total += weight * conditional
-    return total
+    if horizon is not None and horizon < needed:
+        raise ValueError(f"horizon {horizon} shorter than the {needed} waypoints needed")
+    count = len(alphabet.path_lengths)
+    for path_id in event.symbols:
+        if not 0 <= path_id < count:
+            raise ValueError(f"path id {path_id} outside alphabet of {count} paths")
+    sources = [int(alphabet.path_sources[pid]) for pid in event.symbols]
+    dests = [int(alphabet.path_dests[pid]) for pid in event.symbols]
+    if dests[:-1] != sources[1:]:
+        return Fraction(0)
+    cells = tuple(grid.cell_at(c) for c in sources[:1] + dests)
+    prob = waypoint_cylinder_prob(spec, CylinderEvent(event.start, cells))
+    for src, dst in zip(sources, dests):
+        prob /= int(alphabet.family_sizes[src * grid.size + dst])
+    return prob
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,15 @@
 """Independent reference computations used to freeze expected test values.
 
-Three deliberately separate routes from first principles:
+Four deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
 * a per-pair path alphabet that digitizes every ordered cell pair on its own
   and interns the paths one by one, to check the displacement-keyed tables
   of ``rwmm.geometry.build_alphabet``;
+* a forward sum over waypoint states that marginalizes the path channel over
+  every waypoint prefix, to check the closed form of
+  ``rwmm.processes.path_process_prob`` (it never reads a path's endpoints);
 * an explicit finite Markov chain on (path, within-path offset) states,
   solved exactly with GTH elimination over ``Fraction``, giving the
   stationary cell-occupancy distribution that long-run simulated frequencies
@@ -99,6 +102,63 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
         emit_offsets=table(emit_offsets),
         emit_cells=table(emit_cells),
     )
+
+
+def dense_markov_distribution(spec: WaypointProcessSpec, index: int) -> list[Fraction]:
+    """Markov waypoint distribution at ``index``: the initial row times P^index."""
+    assert spec.transition is not None and spec.initial is not None
+    n = spec.grid.size
+    dist = list(spec.initial)
+    for _ in range(index):
+        dist = [
+            sum((dist[i] * spec.transition[i][j] for i in range(n)), Fraction(0))
+            for j in range(n)
+        ]
+    return dist
+
+
+def marginal_path_prob(
+    spec: WaypointProcessSpec, grid: GridSpec, speeds, event, span: int
+) -> Fraction:
+    """Probability of a path cylinder, marginalized over every waypoint prefix.
+
+    ``event`` fixes path ids ``event.symbols`` from index ``event.start``;
+    ``span`` waypoints (at least ``event.end + 2``) are summed out by a
+    forward pass over waypoint states,
+    ``a_{i+1}(w') = sum_w a_i(w) P(w -> w') [p_i in F(w, w')] / |F(w, w')|``,
+    where the bracket is 1 at unconstrained indices. This is the sum over
+    all ``|S|^span`` prefixes of waypoint weight times channel probability,
+    in O(span·|S|²) steps; families come from :func:`per_pair_alphabet`.
+    """
+    if span < event.end + 2:
+        raise ValueError(f"span {span} shorter than the {event.end + 2} waypoints needed")
+    n = grid.size
+    tables = per_pair_alphabet(grid, speeds)
+    families = [
+        frozenset(tables.family_members[start : start + size].tolist())
+        for start, size in zip(tables.family_offsets.tolist(), tables.family_sizes.tolist())
+    ]
+    if spec.kind == IID_UNIFORM:
+        step = [[Fraction(1, n)] * n for _ in range(n)]
+        weights = [Fraction(1, n)] * n
+    else:
+        assert spec.transition is not None and spec.initial is not None
+        step = spec.transition
+        weights = list(spec.initial)
+    fixed = {event.start + k: pid for k, pid in enumerate(event.symbols)}
+    for index in range(span - 1):
+        nxt = [Fraction(0)] * n
+        for w, mass in enumerate(weights):
+            if not mass:
+                continue
+            for v in range(n):
+                factor = mass * step[w][v]
+                if index in fixed:
+                    family = families[w * n + v]
+                    factor = factor / len(family) if fixed[index] in family else Fraction(0)
+                nxt[v] += factor
+        weights = nxt
+    return sum(weights, Fraction(0))
 
 
 def gth_stationary(rows: list[dict[int, Fraction]], size: int) -> list[Fraction]:

@@ -4,7 +4,9 @@ Expected probabilities were worked out by hand from the defining products
 (waypoint marginals times per-pair uniform path choices) before being frozen
 here; the support-restricted enumeration used by the stationarity check is
 cross-checked against a full enumeration of the path-symbol space on an
-instance small enough to brute-force.
+instance small enough to brute-force. The closed-form path-cylinder
+probability is checked against ``oracles.marginal_path_prob``, which sums the
+channel over every waypoint prefix.
 """
 
 from collections import Counter
@@ -21,6 +23,7 @@ from rwmm.geometry import Cell, GridSpec, build_alphabet
 from rwmm.processes import (
     CylinderEvent,
     WaypointProcessSpec,
+    _markov_distribution_at,
     _walk,
     channel_cylinder_prob,
     channel_total_mass,
@@ -32,6 +35,8 @@ from rwmm.processes import (
     uniform_prefix,
     waypoint_cylinder_prob,
 )
+
+from oracles import dense_markov_distribution, marginal_path_prob
 
 A, B = Cell(0, 0), Cell(0, 1)
 
@@ -248,12 +253,136 @@ class TestPathProcess:
             spec, alpha, event, horizon=4
         )
 
-    def test_capacity_guard(self):
-        grid = GridSpec(3, 3)
-        alpha = build_alphabet(grid, (Fraction(1),))
+    def test_family_of_the_ordered_pair(self):
+        # ties round toward the smaller coordinate, so at these speeds the trip
+        # from (0, 2) to (0, 0) has two paths and the trip back has one
+        grid = GridSpec(1, 3)
+        speeds = (Fraction(1), Fraction(3, 2))
+        alpha = build_alphabet(grid, speeds)
         spec = WaypointProcessSpec.iid_uniform(grid)
-        with pytest.raises(CapacityError):
-            path_process_prob(spec, alpha, CylinderEvent(0, (0, 1, 2, 3, 4, 5)))
+        s, d = Cell(0, 2), Cell(0, 0)
+        down, up = min(alpha.family_id_set(s, d)), min(alpha.family_id_set(d, s))
+        # each trip's two waypoints have probability 1/9; its family has 2 or 1 paths
+        for event, value in [
+            (CylinderEvent(0, (down,)), Fraction(1, 18)),
+            (CylinderEvent(0, (up,)), Fraction(1, 9)),
+        ]:
+            assert path_process_prob(spec, alpha, event) == value
+            assert marginal_path_prob(spec, grid, speeds, event, 2) == value
+
+    def test_capacity_guard(self):
+        # both events once needed more waypoint prefixes than the enumeration
+        # cap allows (9^8 and 25^8); the closed form enumerates none
+        grid = GridSpec(3, 3)
+        speeds = (Fraction(1),)
+        alpha = build_alphabet(grid, speeds)
+        spec = WaypointProcessSpec.iid_uniform(grid)
+        event = CylinderEvent(0, (0, 1, 2, 3, 4, 5))
+        assert path_process_prob(spec, alpha, event) == marginal_path_prob(
+            spec, grid, speeds, event, event.end + 2
+        )
+
+        grid = GridSpec(5, 5)
+        speeds = (Fraction(1), Fraction(2))
+        alpha = build_alphabet(grid, speeds)
+        spec = WaypointProcessSpec.lazy_walk(grid)
+        a, b, c = grid.cell_id(Cell(1, 1)), grid.cell_id(Cell(1, 2)), grid.cell_id(Cell(2, 2))
+        first = int(alpha.family_offsets[a * grid.size + b])
+        second = int(alpha.family_offsets[b * grid.size + c])
+        event = CylinderEvent(5, (first, second))
+        value = path_process_prob(spec, alpha, event)
+        assert value > 0
+        assert value == marginal_path_prob(spec, grid, speeds, event, event.end + 2)
+
+    def test_rejects_path_id_outside_alphabet(self, two_cell):
+        grid, alpha = two_cell
+        spec = WaypointProcessSpec.iid_uniform(grid)
+        for pid in (-1, len(alpha.path_lengths)):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                path_process_prob(spec, alpha, CylinderEvent(0, (0, pid)))
+
+    def test_rejects_alphabet_on_another_grid(self, two_cell):
+        grid, alpha = two_cell
+        spec = WaypointProcessSpec.iid_uniform(GridSpec(2, 1))
+        with pytest.raises(ValueError, match="different grids"):
+            path_process_prob(spec, alpha, CylinderEvent(0, (0,)))
+
+    def test_rejects_horizon_shorter_than_event(self, two_cell):
+        grid, alpha = two_cell
+        spec = WaypointProcessSpec.iid_uniform(grid)
+        event = CylinderEvent(1, (0, 1))
+        with pytest.raises(ValueError, match="horizon"):
+            path_process_prob(spec, alpha, event, horizon=event.end + 1)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sets(st.integers(1, 6), min_size=1, max_size=3),
+        st.booleans(),
+        st.integers(2, 4).flatmap(
+            lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+        ),
+        st.integers(0, 3),
+        st.sampled_from(["chained", "unchained", "random"]),
+        st.integers(0, 2),
+        st.randoms(use_true_random=False),
+    )
+    def test_closed_form_equals_marginal_oracle(
+        self, width, height, halves, walk, stay, start, kind, extra, rnd
+    ):
+        grid = GridSpec(width, height)
+        speeds = tuple(Fraction(h, 2) for h in sorted(halves))
+        alpha = build_alphabet(grid, speeds)
+        if walk:
+            spec = WaypointProcessSpec.lazy_walk(grid, stay)
+        else:
+            spec = WaypointProcessSpec.iid_uniform(grid)
+        n = grid.size
+        length = rnd.randint(1, 3)
+
+        def member(a, b):
+            pair = a * n + b
+            return int(alpha.family_offsets[pair]) + rnd.randrange(int(alpha.family_sizes[pair]))
+
+        if kind == "chained":
+            cells = [rnd.randrange(n) for _ in range(length + 1)]
+            ids = [member(a, b) for a, b in zip(cells, cells[1:])]
+        elif kind == "unchained":
+            ids = [member(rnd.randrange(n), rnd.randrange(n)) for _ in range(length)]
+        else:
+            ids = [rnd.randrange(len(alpha.path_lengths)) for _ in range(length)]
+        event = CylinderEvent(start, tuple(ids))
+        span = event.end + 2 + extra
+        horizon = span if extra else None
+        assert path_process_prob(spec, alpha, event, horizon=horizon) == marginal_path_prob(
+            spec, grid, speeds, event, span
+        )
+
+
+class TestMarkovDistribution:
+    @pytest.mark.parametrize("start", range(7))
+    def test_lazy_walk_equals_matrix_power(self, start):
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(3, 3), Fraction(1, 3))
+        assert _markov_distribution_at(spec, start) == dense_markov_distribution(spec, start)
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=9, max_size=9),
+        st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+    )
+    def test_random_chain_equals_matrix_power(self, weights, initial):
+        # the cycle 0 -> 1 -> 2 -> 0 and the self loop at 0 make every such
+        # chain irreducible and aperiodic; other entries may be zero
+        for i, j in ((0, 0), (0, 1), (1, 2), (2, 0)):
+            weights[3 * i + j] += 1
+        rows = [
+            [Fraction(w, sum(weights[3 * i : 3 * i + 3])) for w in weights[3 * i : 3 * i + 3]]
+            for i in range(3)
+        ]
+        spec = WaypointProcessSpec.markov(
+            GridSpec(1, 3), rows, [Fraction(w, sum(initial)) for w in initial]
+        )
+        for start in range(7):
+            assert _markov_distribution_at(spec, start) == dense_markov_distribution(spec, start)
 
 
 class TestSamplers:
