@@ -11,6 +11,7 @@ pairs), so reordering lines or editing comments does not change identity.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -66,6 +67,13 @@ def _parse_speeds(value: str) -> tuple[Fraction, ...]:
     if not any(parts):
         raise ValueError("empty speed list")
     return normalize_speeds(tuple(Fraction(p) for p in parts if p))
+
+
+def _parse_finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_waypoints(value: str) -> tuple[str, Fraction | None]:
@@ -139,14 +147,14 @@ _DISCRETE_FIELDS: dict[str, tuple[Callable, bool]] = {
 }
 
 _CONTINUOUS_FIELDS: dict[str, tuple[Callable, bool]] = {
-    "area_width": (float, True),
-    "area_height": (float, True),
-    "min_speed": (float, True),
-    "max_speed": (float, True),
-    "duration": (float, True),
-    "time_step": (float, True),
+    "area_width": (_parse_finite, True),
+    "area_height": (_parse_finite, True),
+    "min_speed": (_parse_finite, True),
+    "max_speed": (_parse_finite, True),
+    "duration": (_parse_finite, True),
+    "time_step": (_parse_finite, True),
     "nodes": (int, False),
-    "pause_time": (float, False),
+    "pause_time": (_parse_finite, False),
 }
 
 

@@ -33,6 +33,9 @@ class ContinuousAreaSpec:
     pause_time: float = 0.0
 
     def __post_init__(self) -> None:
+        values = (self.width, self.height, self.min_speed, self.max_speed, self.pause_time)
+        if not all(map(math.isfinite, values)):
+            raise ConfigurationError(f"area values must be finite, got {self}")
         if self.width <= 0 or self.height <= 0:
             raise ConfigurationError(
                 f"area must have positive extent, got {self.width} x {self.height}"
@@ -99,12 +102,29 @@ class ContinuousTrace:
 
 
 def _sample_legs(legs: Sequence[Leg], times: np.ndarray) -> np.ndarray:
-    ends = np.array([leg.end_time for leg in legs])
-    idx = np.searchsorted(ends, times, side="left")
+    """Positions at ``times``, equal bit for bit to ``Leg.position_at``.
+
+    A time at a leg's end belongs to that leg, and times past the last leg
+    clamp to it. The interpolation repeats ``position_at``'s float
+    operations in the same order, vectorized over all samples.
+    """
+    table = np.array(
+        [(leg.start_time, leg.duration, leg.x0, leg.y0, leg.x1, leg.y1) for leg in legs]
+    )
+    start, duration = table[:, 0], table[:, 1]
+    idx = np.searchsorted(start + duration, times, side="left")
     idx = np.minimum(idx, len(legs) - 1)
-    out = np.empty((len(times), 2))
-    for k, (t, i) in enumerate(zip(times, idx)):
-        out[k] = legs[int(i)].position_at(float(t))
+    span = duration[idx]
+    still = span == 0
+    # in place, so that few per-sample temporaries are alive at once
+    a = times - start[idx]
+    np.divide(a, span, out=a, where=~still)
+    np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
+    p0, p1 = table[idx, 2:4], table[idx, 4:6]
+    out = p1 - p0
+    out *= a[:, None]
+    out += p0  # x0 + a * (x1 - x0): IEEE + and * are exactly commutative
+    out[still] = p1[still]
     return out
 
 
@@ -124,8 +144,10 @@ def simulate_continuous(
     """
     if node_count < 1:
         raise ConfigurationError(f"node count must be >= 1, got {node_count}")
-    if duration <= 0 or time_step <= 0:
-        raise ConfigurationError("duration and time step must be > 0")
+    if not (0 < duration < math.inf and 0 < time_step < math.inf):
+        raise ConfigurationError(
+            f"duration and time step must be finite and > 0, got {duration} and {time_step}"
+        )
     root = (
         seed
         if isinstance(seed, np.random.SeedSequence)
@@ -289,9 +311,9 @@ def traffic_proxy(
     """Score delivery of constant-bitrate flows with disk connectivity.
 
     In each sampling interval a flow delivers ``bitrate * dt`` when sender
-    and receiver are within ``reach`` of each other, and nothing otherwise
-    (no queueing, no relaying). ``bitrate`` may be a per-step array — e.g. a
-    ramp — or a single flat number.
+    and receiver are within ``reach`` (finite, >= 0) of each other, and
+    nothing otherwise (no queueing, no relaying). ``bitrate`` may be a
+    per-step array — e.g. a ramp — or a single flat number.
     """
     if not flows:
         raise ConfigurationError("traffic proxy needs at least one flow")
@@ -304,6 +326,8 @@ def traffic_proxy(
     rate = np.broadcast_to(np.asarray(bitrate, dtype=np.float64), (steps,))
     if (rate < 0).any():
         raise ConfigurationError("bitrate must be nonnegative")
+    if not (math.isfinite(reach) and reach >= 0):
+        raise ConfigurationError(f"reach must be a finite number >= 0, got {reach}")
     dt = trace.time_step
     connected = np.zeros(steps)
     for a, b in flows:

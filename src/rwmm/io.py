@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import repeat
 from pathlib import Path as FsPath
 from typing import Iterable, Sequence
 
@@ -149,11 +150,12 @@ def save_positions(
     times = [_format_float(t) for t in trace.times.tolist()]
     parts = ["node,time,x,y\n"]  # one string per node, as in save_locations
     for node in range(trace.node_count):
+        xs, ys = (
+            map(format, column, repeat(".9g"))
+            for column in trace.positions[node].T.tolist()
+        )
         parts.append(
-            "".join(
-                f"{node},{t},{x:.9g},{y:.9g}\n"
-                for t, (x, y) in zip(times, trace.positions[node].tolist())
-            )
+            "".join(f"{node},{t},{x},{y}\n" for t, x, y in zip(times, xs, ys))
         )
     body = "".join(parts)
     header = {

@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Four deliberately separate routes from first principles:
+Five deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -13,7 +13,10 @@ Four deliberately separate routes from first principles:
 * an explicit finite Markov chain on (path, within-path offset) states,
   solved exactly with GTH elimination over ``Fraction``, giving the
   stationary cell-occupancy distribution that long-run simulated frequencies
-  must approach.
+  must approach;
+* a per-sample resampler of continuous legs, one ``Leg.position_at`` call
+  per sample time, to check the vectorized interpolation in
+  ``rwmm.continuous``.
 """
 
 from __future__ import annotations
@@ -249,4 +252,20 @@ def stationary_cell_distribution(
         cell = alphabet.all_paths[pid].cells[off]
         cid = grid.cell_id(cell)
         out[cid] = out.get(cid, Fraction(0)) + weight
+    return out
+
+
+def sample_legs_per_step(legs, times) -> np.ndarray:
+    """Positions of one node's legs at ascending ``times``, one sample at a time.
+
+    Each time goes to the first leg whose end is at or after it (so a time at
+    a leg's end stays on that leg), or to the last leg once the legs run out,
+    and that leg's own ``position_at`` gives the position.
+    """
+    out = np.empty((len(times), 2))
+    i = 0
+    for k, t in enumerate(np.asarray(times, dtype=float).tolist()):
+        while i < len(legs) - 1 and legs[i].end_time < t:
+            i += 1
+        out[k] = legs[i].position_at(t)
     return out

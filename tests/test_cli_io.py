@@ -1,5 +1,7 @@
 """Config parsing, trace file, and command-line behavior tests."""
 
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -44,6 +46,18 @@ duration = 30
 time_step = 0.5
 nodes = 2
 pause_time = 0.5
+"""
+
+# Small continuous config with pauses whose output bytes are pinned below.
+PINNED_CFG = """\
+area_width = 200
+area_height = 100
+min_speed = 1
+max_speed = 5
+duration = 50
+time_step = 0.5
+nodes = 3
+pause_time = 2
 """
 
 
@@ -405,6 +419,49 @@ class TestCli:
         ) == 2
         assert "common denominator" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "duration = nan",
+            "duration = inf",
+            "time_step = nan",
+            "min_speed = nan",
+            "area_width = inf",
+        ],
+    )
+    def test_non_finite_continuous_value_exit_code(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        text, count = re.subn(rf"^{key} = .*$", line, CONTINUOUS_CFG, flags=re.MULTILINE)
+        assert count == 1
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.pos"
+        assert main(
+            ["simulate-continuous", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}'" in err
+        assert not out.exists()
+
+    def test_continuous_output_bytes_pinned(self, tmp_path):
+        # digests of both outputs as written by the per-sample leg sampler and
+        # the per-row position formatter, before either was vectorized
+        cfg = tmp_path / "pinned.cfg"
+        cfg.write_text(PINNED_CFG)
+        positions, script = tmp_path / "p.trace", tmp_path / "m.tcl"
+        assert main(
+            ["simulate-continuous", "--config", str(cfg), "--seed", "11", "--out", str(positions)]
+        ) == 0
+        assert main(
+            ["export", "--config", str(cfg), "--seed", "11", "--format", "ns2", "--out", str(script)]
+        ) == 0
+        assert sha256(positions.read_bytes()).hexdigest() == (
+            "400b83be15e72893defed9d8481dfeddbb57f5b619a331355f56ad7882eb2490"
+        )
+        assert sha256(script.read_bytes()).hexdigest() == (
+            "97c632dbec694b6c516b57655a442fa765544393326c69dbf9beee27cf73587d"
+        )
 
     def test_missing_config_exit_code(self):
         assert main(

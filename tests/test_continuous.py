@@ -2,18 +2,24 @@
 
 Discretization and traffic expectations are asserted on hand-built legs and
 position arrays where every number can be checked on paper; the simulator
-itself is tested for shape, determinism, and structural invariants.
+itself is tested for shape, determinism, and structural invariants, and its
+sampled positions are held bit for bit to ``oracles.sample_legs_per_step``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import sample_legs_per_step
 from rwmm.continuous import (
     ContinuousAreaSpec,
     ContinuousTrace,
     Leg,
+    _sample_legs,
     discretize,
     mean_speeds,
     simulate_continuous,
@@ -29,12 +35,7 @@ def build_trace(area, legs_per_node, time_step=1.0, steps=None):
     if steps is None:
         steps = int(math.floor(duration / time_step)) + 1
     times = np.arange(steps) * time_step
-    positions = np.empty((len(legs_per_node), steps, 2))
-    for node, legs in enumerate(legs_per_node):
-        ends = np.array([leg.end_time for leg in legs])
-        for k, t in enumerate(times):
-            idx = min(int(np.searchsorted(ends, t, side="left")), len(legs) - 1)
-            positions[node, k] = legs[idx].position_at(float(t))
+    positions = np.stack([sample_legs_per_step(legs, times) for legs in legs_per_node])
     return ContinuousTrace(
         area=area,
         time_step=time_step,
@@ -60,6 +61,14 @@ class TestAreaSpec:
     def test_negative_pause_rejected(self):
         with pytest.raises(ConfigurationError):
             ContinuousAreaSpec(10, 10, min_speed=1, max_speed=2, pause_time=-1)
+
+    @pytest.mark.parametrize("field", ["width", "height", "min_speed", "max_speed", "pause_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        values = dict(width=10, height=10, min_speed=1, max_speed=2, pause_time=0)
+        values[field] = value
+        with pytest.raises(ConfigurationError, match=f"must be finite, got .*{field}={value}"):
+            ContinuousAreaSpec(**values)
 
 
 class TestLeg:
@@ -121,6 +130,81 @@ class TestSimulate:
             simulate_continuous(self.AREA, 0, 10, 1, seed=0)
         with pytest.raises(ConfigurationError):
             simulate_continuous(self.AREA, 1, 0, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "duration, time_step",
+        [(math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf)],
+    )
+    def test_non_finite_duration_or_step(self, duration, time_step):
+        with pytest.raises(ConfigurationError, match="finite"):
+            simulate_continuous(self.AREA, 1, duration, time_step, seed=0)
+
+    @given(
+        st.floats(1.0, 1000.0),
+        st.floats(1.0, 1000.0),
+        st.floats(0.1, 20.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+        st.floats(0.5, 200.0),
+        st.floats(0.05, 5.0),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_positions_equal_per_sample_oracle(
+        self, width, height, min_speed, spread, pause, duration, time_step, nodes, seed
+    ):
+        # spread 0 is a fixed speed; pause 0 leaves out pause legs
+        area = ContinuousAreaSpec(width, height, min_speed, min_speed + spread, pause)
+        trace = simulate_continuous(area, nodes, duration, time_step, seed)
+        expected = np.stack([sample_legs_per_step(legs, trace.times) for legs in trace.legs])
+        assert np.array_equal(trace.positions, expected)
+
+
+class TestSampleLegs:
+    """``_sample_legs`` on hand-built legs, by hand and against the oracle."""
+
+    @staticmethod
+    def sample(legs, times):
+        times = np.array(times, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a divide by a zero duration
+            got = _sample_legs(legs, times)
+        assert np.array_equal(got, sample_legs_per_step(legs, times))
+        return got.tolist()
+
+    def test_time_at_leg_end_uses_earlier_leg(self):
+        # the legs do not chain, so the two candidates at t = 2 differ
+        legs = [
+            Leg(0.0, 2.0, 0, 0, 4, 0, speed=2.0),
+            Leg(2.0, 2.0, 10, 10, 10, 14, speed=2.0),
+        ]
+        assert self.sample(legs, [1.0, 2.0, 3.0]) == [[2, 0], [4, 0], [10, 12]]
+
+    def test_zero_duration_leg_gives_its_end_point(self):
+        # 3.0 + 1.0 * (0.1 - 3.0) is not 0.1, so interpolating at a = 1 is caught
+        lone = [Leg(1.0, 0.0, 3.0, 3.0, 0.1, 0.2, speed=1.0)]
+        assert self.sample(lone, [0.0, 1.0, 5.0]) == [[0.1, 0.2]] * 3
+        first = [
+            Leg(0.0, 0.0, 3.0, 3.0, 0.1, 0.2, speed=1.0),
+            Leg(0.0, 2.0, 0.1, 0.2, 2.1, 0.2, speed=1.0),
+        ]
+        assert self.sample(first, [0.0, 1.0]) == [[0.1, 0.2], [1.1, 0.2]]
+
+    def test_pause_leg_holds_position(self):
+        legs = [
+            Leg(0.0, 2.0, 0, 0, 4, 0, speed=2.0),
+            Leg(2.0, 3.0, 4, 0, 4, 0, speed=0.0),
+            Leg(5.0, 1.0, 4, 0, 4, 1, speed=1.0),
+        ]
+        assert self.sample(legs, range(7)) == [
+            [0, 0], [2, 0], [4, 0], [4, 0], [4, 0], [4, 0], [4, 1]
+        ]
+
+    def test_times_outside_the_legs_clamp(self):
+        legs = [Leg(1.0, 2.0, 0, 0, 4, 2, speed=math.sqrt(5))]
+        assert self.sample(legs, [0.0, 2.0, 3.0, 4.0, 100.0]) == [
+            [0, 0], [2, 1], [4, 2], [4, 2], [4, 2]
+        ]
 
 
 class TestMeanSpeeds:
@@ -247,3 +331,18 @@ class TestTrafficProxy:
             traffic_proxy(trace, flows=[(0, 7)], bitrate=1.0, reach=1.0)
         with pytest.raises(ConfigurationError):
             traffic_proxy(trace, flows=[(0, 1)], bitrate=-1.0, reach=1.0)
+
+    def test_negative_reach_rejected(self):
+        # reach * reach would make -2 behave like 2
+        with pytest.raises(ConfigurationError, match="reach"):
+            traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=4.0, reach=-2.0)
+
+    @pytest.mark.parametrize("reach", [math.nan, math.inf])
+    def test_non_finite_reach_rejected(self, reach):
+        # NaN would silently deliver nothing
+        with pytest.raises(ConfigurationError, match="reach"):
+            traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=4.0, reach=reach)
+
+    def test_zero_reach_needs_coincident_nodes(self):
+        report = traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=4.0, reach=0.0)
+        assert report.delivered.tolist() == [0.0, 0.0, 0.0]
