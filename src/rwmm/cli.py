@@ -3,8 +3,10 @@
 Subcommands: ``simulate-discrete``, ``simulate-continuous``,
 ``verify-channel``, ``analyze``, ``export``. Every run is a pure function of
 config file + seed; outputs are byte-identical across repeats. Exit codes:
-0 success, 2 bad configuration or arguments, 3 enumeration capacity
-exceeded, 4 a verification check failed.
+0 success, 2 bad configuration or arguments, 3 the path alphabet would
+exceed the enumeration cap (the alphabet build is the only step that
+enumerates; ``verify-channel`` works at any horizon), 4 a verification
+check failed.
 """
 
 from __future__ import annotations

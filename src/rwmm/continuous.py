@@ -21,6 +21,10 @@ from .location import LocationTrace, encode_paths
 
 _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 
+# Most samples (nodes × samples per node) one run may hold; the positions
+# alone take 16 bytes a sample, 1.6 GB at the limit.
+MAX_SAMPLES = 10**8
+
 
 @dataclass(frozen=True)
 class ContinuousAreaSpec:
@@ -141,6 +145,8 @@ def simulate_continuous(
     of dt that is <= duration. Waypoints (and the initial position) are
     uniform over the rectangle; each trip's speed is uniform over the
     configured range; every arrival is followed by the configured pause.
+    Runs of more than ``MAX_SAMPLES`` samples in all are refused with
+    :class:`ConfigurationError` before anything is allocated.
     """
     if node_count < 1:
         raise ConfigurationError(f"node count must be >= 1, got {node_count}")
@@ -153,7 +159,14 @@ def simulate_continuous(
         if isinstance(seed, np.random.SeedSequence)
         else np.random.SeedSequence(seed)
     )
-    steps = int(math.floor(duration / time_step * (1 + _EDGE_NUDGE))) + 1
+    ratio = duration / time_step * (1 + _EDGE_NUDGE)
+    # the float test comes first: an overflowed ratio is inf, and floor(inf) raises
+    if ratio >= MAX_SAMPLES or node_count * (math.floor(ratio) + 1) > MAX_SAMPLES:
+        raise ConfigurationError(
+            f"{node_count} node(s) x {ratio + 1:.6g} samples each exceeds the "
+            f"limit of {MAX_SAMPLES} samples per run"
+        )
+    steps = math.floor(ratio) + 1
     times = np.arange(steps) * time_step
     all_positions = np.empty((node_count, steps, 2))
     all_legs: list[tuple[Leg, ...]] = []

@@ -21,9 +21,10 @@ class VerificationError(RuntimeError):
 def enumeration_cap() -> int:
     """Current enumeration cap; the RWMM_ENUM_CAP env var overrides the default.
 
-    Operations that enumerate cylinders or waypoint prefixes fail loudly with
-    :class:`CapacityError` instead of silently sampling once this many items
-    would be visited.
+    Only the path-alphabet build enumerates: it fails loudly with
+    :class:`CapacityError`, before digitizing anything, when its bound on the
+    path count exceeds this many. The exact channel and path-process
+    measures are closed forms and never consult the cap.
     """
     raw = os.environ.get(ENUMERATION_CAP_ENV)
     if raw is None:

@@ -58,16 +58,14 @@ class JointTrace:
         return LocationTrace(self.grid, self.ids[node_id], node_id)
 
 
-def encode_path(path: Path) -> tuple[Cell, ...]:
-    """The cells a path contributes to the location stream: its first l(p)."""
-    return path.cells[: path.length]
-
-
 def encode_paths(paths: Sequence[Path], grid: GridSpec, node_id: int = 0) -> LocationTrace:
-    """Encode an explicit path sequence (no alphabet needed)."""
+    """Encode an explicit path sequence (no alphabet needed).
+
+    Each path contributes its first l(p) cells, all but its last.
+    """
     ids: list[int] = []
     for path in paths:
-        ids.extend(grid.cell_id(c) for c in encode_path(path))
+        ids.extend(grid.cell_id(c) for c in path.cells[: path.length])
     return LocationTrace(grid, np.asarray(ids, dtype=np.int64), node_id)
 
 

@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Five deliberately separate routes from first principles:
+Six deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -10,6 +10,10 @@ Five deliberately separate routes from first principles:
 * a forward sum over waypoint states that marginalizes the path channel over
   every waypoint prefix, to check the closed form of
   ``rwmm.processes.path_process_prob`` (it never reads a path's endpoints);
+* cylinder-by-cylinder enumerations of the channel's stationarity gap and
+  total mass over products of path families, to check the per-coordinate
+  closed forms of ``rwmm.processes.check_channel_stationarity`` and
+  ``channel_total_mass``;
 * an explicit finite Markov chain on (path, within-path offset) states,
   solved exactly with GTH elimination over ``Fraction``, giving the
   stationary cell-occupancy distribution that long-run simulated frequencies
@@ -21,6 +25,7 @@ Five deliberately separate routes from first principles:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,7 +33,7 @@ import numpy as np
 import sympy as sp
 
 from rwmm.geometry import Cell, GridSpec, Path, PathAlphabet, enumerate_paths, normalize_speeds
-from rwmm.processes import IID_UNIFORM, WaypointProcessSpec
+from rwmm.processes import IID_UNIFORM, CylinderEvent, WaypointProcessSpec, channel_cylinder_prob
 
 
 def sympy_digitize(source: Cell, dest: Cell, speed: Fraction) -> list[Cell]:
@@ -162,6 +167,57 @@ def marginal_path_prob(
                 nxt[v] += factor
         weights = nxt
     return sum(weights, Fraction(0))
+
+
+def enumerated_stationarity_gap(alphabet: PathAlphabet, waypoints, horizon: int) -> Fraction:
+    """Stationarity gap, one path cylinder at a time.
+
+    Both sides vanish outside their per-coordinate support sets, so the
+    maximum over the whole cylinder space is attained on the product of the
+    per-coordinate support unions, which is enumerated.
+    """
+    shifted = list(waypoints[1:])
+    supports = []
+    for i in range(horizon):
+        side_a = alphabet.family_id_set(shifted[i], shifted[i + 1])
+        side_b = alphabet.family_id_set(waypoints[i + 1], waypoints[i + 2])
+        supports.append(sorted(side_a | side_b))
+    worst = Fraction(0)
+    for combo in itertools.product(*supports):
+        lhs = channel_cylinder_prob(alphabet, shifted, CylinderEvent(0, combo))
+        rhs = channel_cylinder_prob(alphabet, waypoints, CylinderEvent(1, combo))
+        gap = abs(lhs - rhs)
+        if gap > worst:
+            worst = gap
+    return worst
+
+
+def enumerated_total_mass(alphabet: PathAlphabet, waypoints, horizon: int) -> Fraction:
+    """Channel measure summed over the product of the per-coordinate families."""
+    supports = [
+        sorted(alphabet.family_id_set(waypoints[i], waypoints[i + 1])) for i in range(horizon)
+    ]
+    total = Fraction(0)
+    for combo in itertools.product(*supports):
+        total += channel_cylinder_prob(alphabet, waypoints, CylinderEvent(0, combo))
+    return total
+
+
+def enumerated_product_gap(pairs) -> Fraction:
+    """Max of ``|prod a_i(p_i) - prod b_i(p_i)|`` over every tuple of ids.
+
+    ``pairs[i] = (A_i, B_i)`` are two id sets at coordinate i; ``a_i(p)`` is
+    ``1/|A_i|`` for p in ``A_i`` and 0 otherwise, ``b_i`` likewise. Tuples run
+    over the product of the unions ``A_i | B_i``; the gap is 0 off them.
+    """
+    worst = Fraction(0)
+    for combo in itertools.product(*(sorted(a | b) for a, b in pairs)):
+        lhs = rhs = Fraction(1)
+        for pid, (side_a, side_b) in zip(combo, pairs):
+            lhs *= Fraction(1, len(side_a)) if pid in side_a else 0
+            rhs *= Fraction(1, len(side_b)) if pid in side_b else 0
+        worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 def gth_stationary(rows: list[dict[int, Fraction]], size: int) -> list[Fraction]:

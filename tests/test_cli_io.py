@@ -48,6 +48,16 @@ nodes = 2
 pause_time = 0.5
 """
 
+# The benchmark's walk-exact config: 6x6 lazy walk with six speeds.
+WALK_CFG = """\
+grid_width = 6
+grid_height = 6
+speeds = 1, 4/3, 3/2, 2, 5/2, 3
+horizon = 100000
+nodes = 4
+waypoints = lazy-walk
+"""
+
 # Small continuous config with pauses whose output bytes are pinned below.
 PINNED_CFG = """\
 area_width = 200
@@ -398,6 +408,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("horizon", ["2", "3"])
+    def test_verify_channel_output_pinned(self, tmp_path, capsys, horizon):
+        # digest of the output of the enumerating checks; both horizons draw
+        # the same six-waypoint prefixes and print the same lines
+        cfg = tmp_path / "walk.cfg"
+        cfg.write_text(WALK_CFG)
+        argv = ["verify-channel", "--config", str(cfg), "--seed", "7", "--horizon", horizon]
+        assert main(argv + ["--prefixes", "20"]) == 0
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "77dede0d8b4359310c1b08828d0becc3ad5d0d9ee459aec2748b8d10ca16cf88"
+        )
+
+    def test_verify_channel_long_horizon(self, tmp_path, capsys):
+        cfg = tmp_path / "walk.cfg"
+        cfg.write_text(WALK_CFG)
+        assert main(
+            ["verify-channel", "--config", str(cfg), "--horizon", "50", "--prefixes", "20"]
+        ) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid_width = 3\n")
@@ -443,6 +473,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"'{key}'" in err
         assert not out.exists()
+
+    def test_continuous_sample_limit_exit_code(self, tmp_path, capsys):
+        # duration / time_step overflows to inf
+        text = CONTINUOUS_CFG.replace("duration = 30", "duration = 1e300")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text.replace("time_step = 0.5", "time_step = 1e-10"))
+        out = tmp_path / "out.pos"
+        for command in ("simulate-continuous", "export"):
+            assert main(
+                [command, "--config", str(cfg), "--seed", "1", "--out", str(out)]
+            ) == 2
+            assert "samples per run" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_continuous_output_bytes_pinned(self, tmp_path):
         # digests of both outputs as written by the per-sample leg sampler and

@@ -15,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import sample_legs_per_step
+from rwmm import continuous
 from rwmm.continuous import (
+    MAX_SAMPLES,
     ContinuousAreaSpec,
     ContinuousTrace,
     Leg,
@@ -138,6 +140,35 @@ class TestSimulate:
     def test_non_finite_duration_or_step(self, duration, time_step):
         with pytest.raises(ConfigurationError, match="finite"):
             simulate_continuous(self.AREA, 1, duration, time_step, seed=0)
+
+    @pytest.mark.parametrize(
+        "duration, time_step",
+        [(1e300, 1e-10), (1e12, 1.0), (1.0, 1e-8), (float(MAX_SAMPLES), 1.0)],
+    )
+    def test_sample_limit_refused_before_allocating(self, monkeypatch, duration, time_step):
+        # 1e300 / 1e-10 overflows to inf; the others are finite but too many
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the sample limit was checked")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(ConfigurationError, match="limit"):
+            simulate_continuous(self.AREA, 1, duration, time_step, seed=0)
+
+    @pytest.mark.parametrize(
+        "nodes, duration, allowed", [(2, 9.0, True), (2, 10.0, False), (3, 9.0, False)]
+    )
+    def test_sample_limit_counts_nodes_times_samples(
+        self, monkeypatch, nodes, duration, allowed
+    ):
+        # 10 samples per node at duration 9 and step 1, 11 at duration 10
+        monkeypatch.setattr(continuous, "MAX_SAMPLES", 20)
+        if allowed:
+            trace = simulate_continuous(self.AREA, nodes, duration, 1.0, seed=0)
+            assert trace.positions.shape[:2] == (nodes, 10)
+        else:
+            with pytest.raises(ConfigurationError, match="limit of 20"):
+                simulate_continuous(self.AREA, nodes, duration, 1.0, seed=0)
 
     @given(
         st.floats(1.0, 1000.0),

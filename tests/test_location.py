@@ -16,7 +16,6 @@ from rwmm.location import (
     JointTrace,
     LocationTrace,
     complete_trips,
-    encode_path,
     encode_paths,
     encode_sequence,
     joint_process,
@@ -37,10 +36,14 @@ def sampled():
 
 
 def test_encode_path_emits_all_but_last():
-    p = Path((Cell(0, 0), Cell(1, 0), Cell(2, 0)))
-    assert encode_path(p) == (Cell(0, 0), Cell(1, 0))
-    pause = Path((Cell(1, 1), Cell(1, 1)))
-    assert encode_path(pause) == (Cell(1, 1),)
+    grid = GridSpec(3, 2)
+
+    def cells(path):
+        trace = encode_paths([path], grid)
+        return [trace.cell(i) for i in range(len(trace))]
+
+    assert cells(Path((Cell(0, 0), Cell(1, 0), Cell(2, 0)))) == [Cell(0, 0), Cell(1, 0)]
+    assert cells(Path((Cell(1, 1), Cell(1, 1)))) == [Cell(1, 1)]
 
 
 def test_encode_paths_concatenates():

@@ -2,11 +2,13 @@
 
 Expected probabilities were worked out by hand from the defining products
 (waypoint marginals times per-pair uniform path choices) before being frozen
-here; the support-restricted enumeration used by the stationarity check is
-cross-checked against a full enumeration of the path-symbol space on an
-instance small enough to brute-force. The closed-form path-cylinder
-probability is checked against ``oracles.marginal_path_prob``, which sums the
-channel over every waypoint prefix.
+here. The per-coordinate stationarity gap and total mass are checked against
+the cylinder-by-cylinder enumerations in ``oracles``, on real alphabets and on
+unequal id sets where the gap is nonzero, and the stationarity check against
+a full enumeration of the path-symbol space on an instance small enough to
+brute-force. The closed-form path-cylinder probability is checked against
+``oracles.marginal_path_prob``, which sums the channel over every waypoint
+prefix.
 """
 
 from collections import Counter
@@ -18,12 +20,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwmm.errors import CapacityError, ConfigurationError
+from rwmm.errors import ConfigurationError
 from rwmm.geometry import Cell, GridSpec, build_alphabet
 from rwmm.processes import (
     CylinderEvent,
     WaypointProcessSpec,
     _markov_distribution_at,
+    _stationarity_gap,
     _walk,
     channel_cylinder_prob,
     channel_total_mass,
@@ -36,7 +39,13 @@ from rwmm.processes import (
     waypoint_cylinder_prob,
 )
 
-from oracles import dense_markov_distribution, marginal_path_prob
+from oracles import (
+    dense_markov_distribution,
+    enumerated_product_gap,
+    enumerated_stationarity_gap,
+    enumerated_total_mass,
+    marginal_path_prob,
+)
 
 A, B = Cell(0, 0), Cell(0, 1)
 
@@ -154,12 +163,6 @@ class TestChannelMeasures:
             w = uniform_prefix(grid, 5, rng)
             assert check_channel_stationarity(alpha, w, 3) == 0
 
-    def test_stationarity_capacity_guard(self, row_three):
-        grid, alpha = row_three
-        w = [Cell(0, 0), Cell(0, 2), Cell(0, 0), Cell(0, 2), Cell(0, 0)]
-        with pytest.raises(CapacityError):
-            check_channel_stationarity(alpha, w, 3, cap=2)
-
     def test_support_enumeration_matches_full_enumeration(self, two_cell):
         # brute force over the whole symbol space: every cylinder outside the
         # support product must carry zero measure on both sides, so the
@@ -180,6 +183,77 @@ class TestChannelMeasures:
                 mass_lhs += lhs
             assert mass_lhs == 1  # nothing lives outside the support
             assert worst == check_channel_stationarity(alpha, w, n)
+
+
+def _ids(*groups):
+    return [tuple(frozenset(g) for g in pair) for pair in groups]
+
+
+class TestChannelClosedForms:
+    """Per-coordinate gap and mass against the cylinder-by-cylinder oracles."""
+
+    @pytest.mark.parametrize(
+        "pairs,gap",
+        [
+            # both sides' families equal: every cylinder has the same measure
+            (_ids(({0, 1}, {0, 1}), ({2}, {2})), Fraction(0)),
+            # only the shared tuples count, 1 - 1/4 beats the A-only 1/4
+            (_ids(({0, 1, 2, 3}, {0}),), Fraction(3, 4)),
+            # the A-only tuples win: 1/2 against |1/2 - 1/3| and B-only 1/3
+            (_ids(({0, 1}, {1, 2, 3}),), Fraction(1, 2)),
+            # the B-only tuples win: 1/3 against |1/2 - 1/3| and no A-only
+            (_ids(({0, 1}, {0, 1, 2}),), Fraction(1, 3)),
+            # nothing shared at coordinate 1; one side alone gives 1/2 · 1
+            (_ids(({0, 1}, {0, 1}), ({4}, {5})), Fraction(1, 2)),
+            # over two coordinates: shared |1/4 - 1/9| = 5/36 beats B-only 1/9
+            (_ids(({0, 1}, {0, 1, 2}), ({3, 4}, {3, 4, 5})), Fraction(5, 36)),
+            # A-only 1/4 beats shared |1/4 - 1/6| and B-only 1/6
+            (_ids(({0, 1}, {0, 5, 6}), ({3, 4}, {3, 4})), Fraction(1, 4)),
+            # an empty family leaves only the other side's tuples, or none
+            (_ids((set(), {0, 1}), ({2}, {2})), Fraction(1, 2)),
+            (_ids((set(), set()), ({2}, {3})), Fraction(0)),
+        ],
+    )
+    def test_gap_on_fixed_families(self, pairs, gap):
+        assert _stationarity_gap(pairs) == gap
+        assert enumerated_product_gap(pairs) == gap
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.frozensets(st.integers(0, 4), max_size=4),
+                st.frozensets(st.integers(0, 4), max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_gap_equals_enumeration_on_unequal_families(self, pairs):
+        assert _stationarity_gap(pairs) == enumerated_product_gap(pairs)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sets(st.integers(1, 6), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_checks_equal_enumeration(self, width, height, halves, horizon, rnd):
+        grid = GridSpec(width, height)
+        alpha = build_alphabet(grid, tuple(Fraction(h, 2) for h in sorted(halves)))
+        cells = list(grid.cells())
+        w = [rnd.choice(cells) for _ in range(horizon + 2)]
+        assert check_channel_stationarity(alpha, w, horizon) == enumerated_stationarity_gap(
+            alpha, w, horizon
+        )
+        assert channel_total_mass(alpha, w, horizon) == enumerated_total_mass(alpha, w, horizon)
+        # families of two unrelated prefixes: real, unequal id sets
+        v = [rnd.choice(cells) for _ in range(horizon + 1)]
+        pairs = [
+            (alpha.family_id_set(w[i], w[i + 1]), alpha.family_id_set(v[i], v[i + 1]))
+            for i in range(horizon)
+        ]
+        assert _stationarity_gap(pairs) == enumerated_product_gap(pairs)
 
 
 class TestOutputMixing:
