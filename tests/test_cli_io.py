@@ -506,6 +506,35 @@ class TestCli:
             "97c632dbec694b6c516b57655a442fa765544393326c69dbf9beee27cf73587d"
         )
 
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                DISCRETE_CFG.replace("horizon = 500", "horizon = 2000"),
+                "3d69c67e171c84acd89015711c1193d5791bf1e7916c1c304eb3d1dd6d8c91f2",
+            ),
+            (
+                # slow mixing: 2 of the 24 cells are still unconverged
+                "grid_width = 4\ngrid_height = 3\nspeeds = 1, 3/2\n"
+                "horizon = 3000\nnodes = 2\nwaypoints = lazy-walk\n",
+                "b5a7963839a926d16362fefd44bfa755afa027aef77ae14b76be8283f94a962c",
+            ),
+        ],
+        ids=["iid", "lazy-walk"],
+    )
+    def test_analyze_report_pinned(self, tmp_path, config, digest):
+        # digests of the reports written by one time_average per (node, cell)
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(config)
+        trace, report = tmp_path / "t.trace", tmp_path / "r.csv"
+        assert main(
+            ["simulate-discrete", "--config", str(cfg), "--seed", "5", "--out", str(trace)]
+        ) == 0
+        assert main(
+            ["analyze", "--trace", str(trace), "--config", str(cfg), "--out", str(report)]
+        ) == 0
+        assert sha256(report.read_bytes()).hexdigest() == digest
+
     def test_missing_config_exit_code(self):
         assert main(
             ["simulate-discrete", "--config", "/no/such/file", "--seed", "1", "--out", "x"]
