@@ -129,27 +129,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"trace was produced by config {stored[:12]}.., "
                 f"given config digests to {digest[:12]}.."
             )
-    grid = trace.grid
-    hist = analysis.location_histogram(trace)
-    rows = []
-    for node in range(trace.node_count):
-        node_trace = trace.node(node)
-        for cell in grid.cells():
-            indicator = analysis.CellIndicator(grid, cell)
-            report = analysis.time_average(indicator, node_trace)
-            rows.append(
-                (
-                    node,
-                    cell.x,
-                    cell.y,
-                    int(hist.per_node[node][grid.cell_id(cell)])
-                    if hist.per_node is not None
-                    else int(hist.counts[grid.cell_id(cell)]),
-                    report.final_value,
-                    report.cauchy_width,
-                    report.converged,
-                )
-            )
+    averages = analysis.cell_time_averages(trace)
+    node, cell = np.divmod(np.arange(averages.visits.size), trace.grid.size)
+    columns = (
+        node,
+        cell % trace.grid.width,
+        cell // trace.grid.width,
+        averages.visits,
+        averages.final_values,
+        averages.cauchy_widths,
+        averages.converged,
+    )
+    rows = zip(*(column.ravel().tolist() for column in columns))
     io.export_csv_report(
         args.out,
         ("node", "x", "y", "visits", "frequency", "cauchy_width", "converged"),

@@ -10,11 +10,13 @@ digest and refuse silently corrupted files.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from hashlib import sha256
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path as FsPath
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -32,44 +34,78 @@ def _format_float(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _body_digest(body: str) -> str:
-    return sha256(body.encode()).hexdigest()
+def _write_trace(path: FsPath | str, header: dict[str, str], parts: list[str]) -> None:
+    """Write the ``#`` header, ending with the body's digest, then the body parts.
+
+    The parts are hashed and written one by one, so no joined copy of the
+    body is ever built.
+    """
+    digest = sha256()
+    for part in parts:
+        digest.update(part.encode())
+    lines = [f"# {FORMAT_TAG}", *(f"# {key}: {value}" for key, value in header.items())]
+    lines.append(f"# body: {digest.hexdigest()}")
+    with FsPath(path).open("w") as out:
+        out.write("\n".join(lines) + "\n")
+        out.writelines(parts)
 
 
-def _render(header: dict[str, str], body: str) -> str:
-    lines = [f"# {FORMAT_TAG}"]
-    for key, value in header.items():
-        lines.append(f"# {key}: {value}")
-    lines.append(f"# body: {_body_digest(body)}")
-    return "\n".join(lines) + "\n" + body
+@contextmanager
+def _open_trace(path: FsPath | str) -> Iterator[tuple[dict[str, str], TextIO]]:
+    """Open a trace file; yield its header and the file positioned at the body.
+
+    The body digest is checked before anything is yielded. The body is read
+    in chunks for it, so no copy of the whole file is held.
+    """
+    with FsPath(path).open() as fh:
+        if fh.readline().strip() != f"# {FORMAT_TAG}":
+            raise ConfigurationError(f"not a trace file (expected '# {FORMAT_TAG}' first)")
+        header: dict[str, str] = {}
+        for lineno in count(2):
+            body_start = fh.tell()
+            line = fh.readline()
+            if not line.startswith("#"):
+                break
+            stripped = line[1:].strip()
+            if ":" not in stripped:
+                raise ConfigurationError(f"malformed header line {lineno}: {line.strip()!r}")
+            key, value = (part.strip() for part in stripped.split(":", 1))
+            header[key] = value
+        expected = header.get("body")
+        if expected is None:
+            raise ConfigurationError("trace header missing body digest")
+        fh.seek(body_start)
+        digest = sha256()
+        for chunk in iter(partial(fh.read, 1 << 20), ""):
+            digest.update(chunk.encode())
+        actual = digest.hexdigest()
+        if actual != expected:
+            raise VerificationError(
+                f"trace body digest mismatch: header says {expected[:12]}.., "
+                f"content is {actual[:12]}.."
+            )
+        fh.seek(body_start)
+        yield header, fh
 
 
-def _split_trace_text(text: str) -> tuple[dict[str, str], str]:
-    lines = text.splitlines(keepends=True)
-    if not lines or lines[0].strip() != f"# {FORMAT_TAG}":
-        raise ConfigurationError(f"not a trace file (expected '# {FORMAT_TAG}' first)")
-    header: dict[str, str] = {}
-    body_start = len(lines)
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        stripped = line[1:].strip()
-        if ":" not in stripped:
-            raise ConfigurationError(f"malformed header line {i + 1}: {line.strip()!r}")
-        key, value = (part.strip() for part in stripped.split(":", 1))
-        header[key] = value
-    body = "".join(lines[body_start:])
-    expected = header.get("body")
-    if expected is None:
-        raise ConfigurationError("trace header missing body digest")
-    actual = _body_digest(body)
-    if actual != expected:
-        raise VerificationError(
-            f"trace body digest mismatch: header says {expected[:12]}.., "
-            f"content is {actual[:12]}.."
-        )
-    return header, body
+def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> np.ndarray:
+    """Parse a body's CSV rows, after its ``columns`` line, in one pass.
+
+    Rows have four columns, the first a node id, which is never negative.
+    """
+    if body.readline().rstrip("\n") != columns:
+        raise ConfigurationError(f"{kind} trace body must start with {columns}")
+    try:
+        data = np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(f"malformed {kind} trace row: {exc}") from None
+    if data.size == 0:
+        raise ConfigurationError(f"empty {kind} trace")
+    if data.shape[1] != 4:
+        raise ConfigurationError(f"{kind} trace rows must have 4 columns: {columns}")
+    if data[:, 0].min() < 0:
+        raise ConfigurationError(f"negative node id {data[:, 0].min():g}")
+    return data
 
 
 def save_locations(
@@ -95,49 +131,57 @@ def save_locations(
                 for step, c in enumerate(joint.ids[node].tolist())
             )
         )
-    body = "".join(parts)
     header = {
         "kind": KIND_LOCATIONS,
         "grid": f"{grid.width}x{grid.height}",
         "seed": "none" if seed is None else str(seed),
         "config": config_digest or "none",
     }
-    FsPath(path).write_text(_render(header, body))
+    _write_trace(path, header, parts)
 
 
 def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
-    """Read a grid location trace; verifies the body digest."""
-    header, body = _split_trace_text(FsPath(path).read_text())
-    if header.get("kind") != KIND_LOCATIONS:
-        raise ConfigurationError(
-            f"expected a {KIND_LOCATIONS} trace, got {header.get('kind')!r}"
-        )
-    match = re.fullmatch(r"(\d+)x(\d+)", header.get("grid", ""))
-    if not match:
-        raise ConfigurationError(f"bad grid header: {header.get('grid')!r}")
-    grid = GridSpec(int(match.group(1)), int(match.group(2)))
-    lines = body.splitlines()
-    if not lines or lines[0] != "node,step,x,y":
-        raise ConfigurationError("location trace body must start with node,step,x,y")
-    data = np.loadtxt(lines[1:], delimiter=",", dtype=np.int64, ndmin=2)
-    if data.size == 0:
-        raise ConfigurationError("empty location trace")
-    nodes = int(data[:, 0].max()) + 1
+    """Read a grid location trace; verifies the body digest.
+
+    Rows may come in any order, but every (node, step) must appear exactly
+    once and every cell must lie in the grid. Of several faults, the error
+    names the lowest faulty node: missing steps first, then its first cell
+    outside the grid in step order.
+    """
+    with _open_trace(path) as (header, body):
+        if header.get("kind") != KIND_LOCATIONS:
+            raise ConfigurationError(
+                f"expected a {KIND_LOCATIONS} trace, got {header.get('kind')!r}"
+            )
+        match = re.fullmatch(r"(\d+)x(\d+)", header.get("grid", ""))
+        if not match:
+            raise ConfigurationError(f"bad grid header: {header.get('grid')!r}")
+        grid = GridSpec(int(match.group(1)), int(match.group(2)))
+        data = _load_rows(body, "location", "node,step,x,y", np.int64)
+    node, step, x, y = data.T
+    nodes = int(node.max()) + 1
     steps = len(data) // nodes
     if steps * nodes != len(data):
         raise ConfigurationError("ragged location trace: unequal steps per node")
-    ids = np.empty((nodes, steps), dtype=np.int64)
-    for node in range(nodes):
-        chunk = data[data[:, 0] == node]
-        order = np.argsort(chunk[:, 1])
-        chunk = chunk[order]
-        if not np.array_equal(chunk[:, 1], np.arange(steps)):
-            raise ConfigurationError(f"node {node} is missing steps")
-        for x, y in chunk[:, 2:]:
-            if not (0 <= x < grid.width and 0 <= y < grid.height):
-                raise ConfigurationError(f"cell ({x}, {y}) outside {grid}")
-        ids[node] = chunk[:, 3] * grid.width + chunk[:, 2]
-    return JointTrace(grid, ids), header
+    # a node is missing steps unless its rows hold each step 0 .. steps-1 once
+    in_range = (step >= 0) & (step < steps)
+    key = node * steps + step
+    per_key = np.bincount(key[in_range], minlength=nodes * steps)
+    missing = (per_key.reshape(nodes, steps) != 1).any(axis=1)
+    missing[node[~in_range]] = True
+    outside = (x < 0) | (x >= grid.width) | (y < 0) | (y >= grid.height)
+    faulty = missing.copy()
+    faulty[node[outside]] = True
+    if faulty.any():
+        first = int(np.argmax(faulty))
+        if missing[first]:
+            raise ConfigurationError(f"node {first} is missing steps")
+        rows = np.flatnonzero(outside & (node == first))
+        row = rows[np.argmin(step[rows])]
+        raise ConfigurationError(f"cell ({x[row]}, {y[row]}) outside {grid}")
+    ids = np.empty(nodes * steps, dtype=np.int64)
+    ids[key] = y * grid.width + x
+    return JointTrace(grid, ids.reshape(nodes, steps)), header
 
 
 def save_positions(
@@ -157,7 +201,6 @@ def save_positions(
         parts.append(
             "".join(f"{node},{t},{x},{y}\n" for t, x, y in zip(times, xs, ys))
         )
-    body = "".join(parts)
     header = {
         "kind": KIND_POSITIONS,
         "area": f"{_format_float(trace.area.width)}x{_format_float(trace.area.height)}",
@@ -165,7 +208,7 @@ def save_positions(
         "seed": "none" if seed is None else str(seed),
         "config": config_digest or "none",
     }
-    FsPath(path).write_text(_render(header, body))
+    _write_trace(path, header, parts)
 
 
 def load_positions(
@@ -176,17 +219,12 @@ def load_positions(
     Rows must be node-major and time-sorted, and sample k of every node must
     lie at time ``k * time-step`` (to the 9 significant digits written).
     """
-    header, body = _split_trace_text(FsPath(path).read_text())
-    if header.get("kind") != KIND_POSITIONS:
-        raise ConfigurationError(
-            f"expected a {KIND_POSITIONS} trace, got {header.get('kind')!r}"
-        )
-    lines = body.splitlines()
-    if not lines or lines[0] != "node,time,x,y":
-        raise ConfigurationError("position trace body must start with node,time,x,y")
-    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise ConfigurationError("empty position trace")
+    with _open_trace(path) as (header, body):
+        if header.get("kind") != KIND_POSITIONS:
+            raise ConfigurationError(
+                f"expected a {KIND_POSITIONS} trace, got {header.get('kind')!r}"
+            )
+        data = _load_rows(body, "position", "node,time,x,y", np.float64)
     nodes = int(data[:, 0].max()) + 1
     steps = len(data) // nodes
     if steps * nodes != len(data):

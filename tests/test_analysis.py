@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rwmm.analysis import (
+    DEFAULT_CHECKPOINT_COUNT,
     CellIndicator,
     ConvergenceReport,
     CylinderIndicator,
     PairWithinRange,
     TableObservable,
+    cell_time_averages,
     cesaro_measure,
     ergodicity_check,
     location_histogram,
@@ -167,3 +171,48 @@ class TestHistogram:
         assert hist.counts.tolist() == [3, 1]
         assert hist.per_node is not None
         assert hist.per_node.tolist() == [[2, 0], [1, 1]]
+
+
+@st.composite
+def sticky_joint_traces(draw):
+    """Joint traces on grids up to 4x4 whose nodes stay put for random runs.
+
+    Lengths up to twice the checkpoint count are drawn as often as longer
+    ones, so traces with fewer steps than checkpoints or tail are covered;
+    long stays leave some cells unconverged.
+    """
+    grid = GridSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    nodes = draw(st.integers(1, 3))
+    steps = draw(
+        st.one_of(st.integers(1, 2 * DEFAULT_CHECKPOINT_COUNT), st.integers(1, 600))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stay = draw(st.sampled_from([0.0, 0.9, 0.99]))
+    moves = rng.random((nodes, steps)) >= stay
+    moves[:, 0] = True
+    fresh = rng.integers(0, grid.size, size=(nodes, steps))
+    last_move = np.maximum.accumulate(np.where(moves, np.arange(steps), 0), axis=1)
+    return JointTrace(grid, np.take_along_axis(fresh, last_move, axis=1))
+
+
+class TestCellTimeAverages:
+    @given(sticky_joint_traces())
+    def test_matches_time_average_per_cell(self, trace):
+        averages = cell_time_averages(trace)
+        hist = location_histogram(trace)
+        assert np.array_equal(averages.visits, hist.per_node)
+        for node in range(trace.node_count):
+            for cell in trace.grid.cells():
+                cid = trace.grid.cell_id(cell)
+                report = time_average(CellIndicator(trace.grid, cell), trace.node(node))
+                assert averages.final_values[node, cid] == report.final_value
+                assert averages.cauchy_widths[node, cid] == report.cauchy_width
+                assert averages.converged[node, cid] == report.converged
+
+    def test_unconverged_cell_reported(self):
+        # the first half in one cell, the second in the other
+        trace = JointTrace(GRID2, np.repeat([[0, 1]], 500, axis=1))
+        averages = cell_time_averages(trace)
+        assert averages.visits.tolist() == [[500, 500]]
+        assert averages.final_values.tolist() == [[0.5, 0.5]]
+        assert not averages.converged.any()

@@ -1,11 +1,15 @@
 """Config parsing, trace file, and command-line behavior tests."""
 
+import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from fractions import Fraction
 from hashlib import sha256
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rwmm.cli import main
 from rwmm.config import (
@@ -257,6 +261,77 @@ class TestTraceFiles:
         with pytest.raises(ConfigurationError, match=r"cell \(3, 0\) outside GridSpec"):
             load_locations(path)
 
+    def _edited_locations(self, tmp_path, edit):
+        # 3x2 grid, 2 nodes x 50 steps, every node at cell (0, 0); row
+        # ``50 * node + step`` holds that node's step
+        path = tmp_path / "t.trace"
+        save_locations(path, JointTrace(GridSpec(3, 2), np.zeros((2, 50), dtype=np.int64)))
+        rewrite_body(path, edit)
+        return path
+
+    @pytest.mark.parametrize(
+        "row, text, error",
+        [
+            (53, "1,2,0,0", "node 1 is missing steps"),  # step 2 twice, step 3 never
+            (53, "1,50,0,0", "node 1 is missing steps"),  # a step past the end
+            (99, "0,50,0,0", "node 0 is missing steps"),  # node 1 is short, but 0 first
+            (53, "1,-3,0,0", "node 1 is missing steps"),
+            (5, "0,5,-1,0", r"cell \(-1, 0\) outside GridSpec"),
+            (5, "0,5,1,2", r"cell \(1, 2\) outside GridSpec"),  # x in range, y not
+            (53, "-1,3,0,0", "negative node id -1"),
+            (53, "1,3,0", "malformed location trace row"),
+            (53, "1,3,0,x", "malformed location trace row"),
+        ],
+    )
+    def test_locations_reject_bad_row(self, tmp_path, row, text, error):
+        def edit(rows):
+            rows[row] = text
+
+        path = self._edited_locations(tmp_path, edit)
+        with pytest.raises(ConfigurationError, match=error):
+            load_locations(path)
+
+    def test_locations_reject_three_columns(self, tmp_path):
+        def edit(rows):
+            rows[:] = [row.rsplit(",", 1)[0] for row in rows]
+
+        with pytest.raises(ConfigurationError, match="must have 4 columns"):
+            load_locations(self._edited_locations(tmp_path, edit))
+
+    def test_locations_reject_duplicated_row(self, tmp_path):
+        def edit(rows):
+            rows[99] = rows[0]  # node 0's step 0 again, in place of node 1's last
+
+        with pytest.raises(ConfigurationError, match="node 0 is missing steps"):
+            load_locations(self._edited_locations(tmp_path, edit))
+
+    def test_lowest_faulty_node_named_first(self, tmp_path):
+        def edit(rows):
+            rows[60] = "1,49,0,0"  # node 1 is missing step 10
+            rows[10] = "0,10,3,0"  # node 0 leaves the grid
+
+        with pytest.raises(ConfigurationError, match=r"cell \(3, 0\) outside GridSpec"):
+            load_locations(self._edited_locations(tmp_path, edit))
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.randoms(use_true_random=False),
+    )
+    def test_locations_load_rows_in_any_order(self, width, height, nodes, steps, rnd):
+        grid = GridSpec(width, height)
+        ids = np.array(
+            [[rnd.randrange(grid.size) for _ in range(steps)] for _ in range(nodes)]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "t.trace"
+            save_locations(path, JointTrace(grid, ids))
+            rewrite_body(path, rnd.shuffle)
+            loaded, _ = load_locations(path)
+        assert np.array_equal(loaded.ids, ids)
+
     def _positions(self, tmp_path):
         from rwmm.continuous import ContinuousAreaSpec
 
@@ -294,6 +369,16 @@ class TestTraceFiles:
 
         rewrite_body(path, edit)
         with pytest.raises(ConfigurationError, match="node 1 sample 3 at time 1.75"):
+            load_positions(path)
+
+    def test_positions_reject_negative_node(self, tmp_path):
+        path = self._positions(tmp_path)
+
+        def edit(rows):
+            rows[:] = [row.replace("0,", "-1,", 1) for row in rows[:11]]  # node 0 only
+
+        rewrite_body(path, edit)
+        with pytest.raises(ConfigurationError, match="negative node id -1"):
             load_positions(path)
 
     def test_kind_mismatch(self, tmp_path):
