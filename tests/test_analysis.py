@@ -208,11 +208,3 @@ class TestCellTimeAverages:
                 assert averages.final_values[node, cid] == report.final_value
                 assert averages.cauchy_widths[node, cid] == report.cauchy_width
                 assert averages.converged[node, cid] == report.converged
-
-    def test_unconverged_cell_reported(self):
-        # the first half in one cell, the second in the other
-        trace = JointTrace(GRID2, np.repeat([[0, 1]], 500, axis=1))
-        averages = cell_time_averages(trace)
-        assert averages.visits.tolist() == [[500, 500]]
-        assert averages.final_values.tolist() == [[0.5, 0.5]]
-        assert not averages.converged.any()

@@ -275,6 +275,7 @@ class TestTraceFiles:
             (53, "1,2,0,0", "node 1 is missing steps"),  # step 2 twice, step 3 never
             (53, "1,50,0,0", "node 1 is missing steps"),  # a step past the end
             (99, "0,50,0,0", "node 0 is missing steps"),  # node 1 is short, but 0 first
+            (99, "0,0,0,0", "node 0 is missing steps"),  # node 0's step 0 duplicated
             (53, "1,-3,0,0", "node 1 is missing steps"),
             (5, "0,5,-1,0", r"cell \(-1, 0\) outside GridSpec"),
             (5, "0,5,1,2", r"cell \(1, 2\) outside GridSpec"),  # x in range, y not
@@ -296,13 +297,6 @@ class TestTraceFiles:
             rows[:] = [row.rsplit(",", 1)[0] for row in rows]
 
         with pytest.raises(ConfigurationError, match="must have 4 columns"):
-            load_locations(self._edited_locations(tmp_path, edit))
-
-    def test_locations_reject_duplicated_row(self, tmp_path):
-        def edit(rows):
-            rows[99] = rows[0]  # node 0's step 0 again, in place of node 1's last
-
-        with pytest.raises(ConfigurationError, match="node 0 is missing steps"):
             load_locations(self._edited_locations(tmp_path, edit))
 
     def test_lowest_faulty_node_named_first(self, tmp_path):
