@@ -3,10 +3,11 @@
 Subcommands: ``simulate-discrete``, ``simulate-continuous``,
 ``verify-channel``, ``analyze``, ``export``. Every run is a pure function of
 config file + seed; outputs are byte-identical across repeats. Exit codes:
-0 success, 2 bad configuration or arguments, 3 the path alphabet would
-exceed the enumeration cap (the alphabet build is the only step that
-enumerates; ``verify-channel`` works at any horizon), 4 a verification
-check failed.
+0 success, 2 bad configuration or arguments (including a continuous run
+past its sample or leg limit), 3 the path-alphabet build would digitize
+more than the enumeration cap's worth of paths, (2W-1)(2H-1)·|speeds|
+(the build is the only step that enumerates; ``verify-channel`` works at
+any horizon), 4 a verification check failed.
 """
 
 from __future__ import annotations

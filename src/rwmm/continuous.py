@@ -25,6 +25,10 @@ _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 # alone take 16 bytes a sample, 1.6 GB at the limit.
 MAX_SAMPLES = 10**8
 
+# Most legs (over all nodes) one run may build, however few its samples; a
+# Leg takes about 280 bytes, 1.4 GB at the limit.
+MAX_LEGS = 5 * 10**6
+
 
 @dataclass(frozen=True)
 class ContinuousAreaSpec:
@@ -146,7 +150,8 @@ def simulate_continuous(
     uniform over the rectangle; each trip's speed is uniform over the
     configured range; every arrival is followed by the configured pause.
     Runs of more than ``MAX_SAMPLES`` samples in all are refused with
-    :class:`ConfigurationError` before anything is allocated.
+    :class:`ConfigurationError` before anything is allocated, and runs that
+    build more than ``MAX_LEGS`` legs in all as soon as they pass the limit.
     """
     if node_count < 1:
         raise ConfigurationError(f"node count must be >= 1, got {node_count}")
@@ -170,6 +175,7 @@ def simulate_continuous(
     times = np.arange(steps) * time_step
     all_positions = np.empty((node_count, steps, 2))
     all_legs: list[tuple[Leg, ...]] = []
+    built = 0  # legs of the nodes already simulated
     for node_id, child in enumerate(root.spawn(node_count)):
         rng = np.random.default_rng(child)
         x = rng.uniform(0.0, area.width)
@@ -207,6 +213,11 @@ def simulate_continuous(
                 )
                 clock += area.pause_time
             x, y = nx, ny
+            if built + len(legs) > MAX_LEGS:
+                raise ConfigurationError(
+                    f"{node_count} node(s) exceed the limit of {MAX_LEGS} legs per run"
+                )
+        built += len(legs)
         all_positions[node_id] = _sample_legs(legs, times)
         all_legs.append(tuple(legs))
     seed_val = seed if isinstance(seed, int) else None

@@ -22,9 +22,10 @@ def enumeration_cap() -> int:
     """Current enumeration cap; the RWMM_ENUM_CAP env var overrides the default.
 
     Only the path-alphabet build enumerates: it fails loudly with
-    :class:`CapacityError`, before digitizing anything, when its bound on the
-    path count exceeds this many. The exact channel and path-process
-    measures are closed forms and never consult the cap.
+    :class:`CapacityError`, before digitizing anything, when the paths it
+    would digitize, one per displacement and speed, (2W-1)(2H-1)·|speeds|,
+    exceed this many. The exact channel and path-process measures are
+    closed forms and never consult the cap.
     """
     raw = os.environ.get(ENUMERATION_CAP_ENV)
     if raw is None:

@@ -6,8 +6,9 @@ rounding every sample to the nearest cell, the last sample being forced onto
 the destination. Different speeds can produce different cell sequences for
 the same waypoint pair; collecting the distinct sequences for every ordered
 pair of cells yields a finite path alphabet. A digitized trip depends only on
-its displacement, so the alphabet is built from one family per displacement,
-(2W-1)(2H-1) of them, rather than one per cell pair.
+its displacement, so the alphabet stores one family per displacement,
+(2W-1)(2H-1) of them, rather than one per cell pair, and a path id names a
+source cell and a displacement member (see :class:`PathAlphabet`).
 
 All sampling arithmetic is exact. Sample offsets from the source have the
 form ``k*v*span / sqrt(d2)`` with rational ``k*v`` and integer ``span`` and
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -248,145 +249,157 @@ def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PathSequence(Sequence):
-    """Read-only view of an alphabet's paths by id; each is built on access.
+class _PathMapping(Mapping):
+    """Read-only view of an alphabet's paths by id; each is built on access."""
 
-    It holds the tables rather than the alphabet, so that the two form no
-    reference cycle and an alphabet is freed as soon as it is dropped.
-    """
-
-    def __init__(self, grid: GridSpec, lengths, dests, emit_offsets, emit_cells):
-        self._grid = grid
-        self._lengths = lengths
-        self._dests = dests
-        self._emit_offsets = emit_offsets
-        self._emit_cells = emit_cells
+    def __init__(self, alphabet: "PathAlphabet"):
+        self._alphabet = alphabet
 
     def __len__(self) -> int:
-        return len(self._lengths)
+        return self._alphabet._path_count
 
-    def __getitem__(self, index) -> Path:
-        count = len(self)
-        pid = operator.index(index)
-        if pid < 0:
-            pid += count
-        if not 0 <= pid < count:
-            raise IndexError(f"path id {index} outside alphabet of {count} paths")
-        start = int(self._emit_offsets[pid])
-        ids = self._emit_cells[start : start + int(self._lengths[pid])].tolist()
-        ids.append(int(self._dests[pid]))
-        return Path(tuple(self._grid.cell_at(c) for c in ids))
+    def __iter__(self) -> Iterator[int]:
+        alphabet = self._alphabet
+        members = np.arange(len(alphabet._lengths), dtype=np.int64)
+        for source in range(alphabet.grid.size):
+            ids = source * len(members) + members
+            yield from ids[alphabet._decode(ids)[2]].tolist()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _PathSequence)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
+    def __getitem__(self, key) -> Path:
+        alphabet = self._alphabet
+        try:
+            ids = [operator.index(key)]
+            _, dests = alphabet.endpoints(ids)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(key) from None
+        cells = alphabet.emitted_cells(ids).tolist() + dests.tolist()
+        return Path(tuple(map(alphabet.grid.cell_at, cells)))
 
 
 class PathAlphabet:
-    """Every digitized path of a grid, as flat tables built from displacement families.
+    """Every digitized path of a grid, stored once per displacement.
 
     A path's cells depend only on its trip's displacement ``(dx, dy)``, so
-    the alphabet is built from one family per displacement (cells relative
-    to the source) and translated to every ordered cell pair with numpy
-    gathers.
+    the alphabet keeps one family per displacement, with cells relative to
+    the source, and translates it to a source on access. A path's id names
+    its source and its member: ``source_id * M + m``, where ``m`` indexes
+    the ``M`` members of all displacement families (displacements by
+    ``(dy, dx)``, each family's members by (length, cell sequence)). So the
+    family of ``(source, dest)`` is one contiguous id range, and an id whose
+    member's displacement leaves the grid from its source names no path.
+    Only this class knows that format: callers go through
+    :meth:`family_ranges`, :meth:`lengths`, :meth:`endpoints`,
+    :meth:`emitted_cells` and :attr:`all_paths`.
 
     Attributes
     ----------
     grid            : the underlying grid (waypoint alphabet equals its cells)
-    all_paths       : every path by id, a read-only sequence built on access
     max_path_length : largest path length over the whole alphabet
 
-    The numpy tables index paths and ordered cell pairs by id
-    (``pair_id = source_id * grid.size + dest_id``):
-
-    family_sizes / family_offsets
-        pair p owns the contiguous path ids ``family_offsets[p]`` to
-        ``family_offsets[p] + family_sizes[p] - 1``, ordered by (length,
-        cell sequence); ids follow pair-id order
-    path_lengths, path_sources, path_dests
-        per-path metadata
-    emit_offsets / emit_cells
-        per-path emitted cell ids (the first ``length`` cells of the path,
-        the destination being emitted by the next trip), flattened
+    The numpy tables hold O((2W-1)(2H-1)·|speeds|) members and their
+    emissions, never one entry per cell pair or per path.
     """
 
-    def __init__(self, grid: GridSpec, families: Mapping[tuple[int, int], Sequence[Offsets]]):
-        """Build the tables from ``families[(dx, dy)]`` for every displacement."""
+    def __init__(self, grid: GridSpec, speeds: tuple[Fraction, ...]):
+        """Digitize every displacement of the grid at the normalized ``speeds``."""
         self.grid = grid
-        width, height, size = grid.width, grid.height, grid.size
-        disp_sizes: list[int] = []
-        member_lengths: list[int] = []
-        member_emits: list[int] = []  # emitted cells relative to the source id
+        width, height = grid.width, grid.height
+        sizes: list[int] = []
+        lengths: list[int] = []
+        dxs: list[int] = []
+        dys: list[int] = []
+        emits: list[int] = []  # emitted cells as offsets ox + oy * width from the source
         for dy in range(1 - height, height):
             for dx in range(1 - width, width):
-                if (dx, dy) not in families:
-                    raise ValueError(f"missing path family for displacement {(dx, dy)}")
-                members = families[(dx, dy)]
-                disp_sizes.append(len(members))
+                members = _displacement_family(dx, dy, speeds)
+                sizes.append(len(members))
                 for cells in members:
-                    member_lengths.append(len(cells) - 1)
-                    member_emits.extend(ox + oy * width for ox, oy in cells[:-1])
-        lengths = np.array(member_lengths, dtype=np.int64)
-        self.max_path_length = int(lengths.max())
+                    lengths.append(len(cells) - 1)
+                    dxs.append(dx)
+                    dys.append(dy)
+                    emits.extend(ox + oy * width for ox, oy in cells[:-1])
+        # per displacement, in (dy, dx) order
+        self._family_sizes = np.array(sizes, dtype=np.int64)
+        self._family_starts = _exclusive_cumsum(self._family_sizes)
+        # per member
+        self._lengths = np.array(lengths, dtype=np.int64)
+        self._dx = np.array(dxs, dtype=np.int64)
+        self._dy = np.array(dys, dtype=np.int64)
+        self._emit_starts = _exclusive_cumsum(self._lengths)
+        self._emits = np.array(emits, dtype=np.int64)
+        self.max_path_length = int(self._lengths.max())
+        # a member is a path from each of the (W - |dx|)(H - |dy|) sources it fits
+        fits = (width - np.abs(self._dx)) * (height - np.abs(self._dy))
+        self._path_count = int(fits.sum())
 
-        # displacement index of every ordered pair, in pair-id order
-        xs = np.arange(size, dtype=np.int64) % width
-        ys = np.arange(size, dtype=np.int64) // width
-        disp = (
-            (ys[None, :] - ys[:, None] + height - 1) * (2 * width - 1)
-            + (xs[None, :] - xs[:, None] + width - 1)
-        ).ravel()
-        disp_sizes_arr = np.array(disp_sizes, dtype=np.int64)
-        self.family_sizes = disp_sizes_arr[disp]
-        self.family_offsets = _exclusive_cumsum(self.family_sizes)
+    @property
+    def all_paths(self) -> Mapping[int, Path]:
+        """Every path by id, in id order; an id that names no path raises ``KeyError``."""
+        return _PathMapping(self)
 
-        # each path's pair, and its member index in the displacement tables
-        count = int(self.family_sizes.sum())
-        pairs = np.repeat(np.arange(size * size, dtype=np.int64), self.family_sizes)
-        member = np.repeat(
-            _exclusive_cumsum(disp_sizes_arr)[disp] - self.family_offsets, self.family_sizes
-        ) + np.arange(count, dtype=np.int64)
-        self.path_sources = pairs // size
-        self.path_dests = pairs % size
-        self.path_lengths = lengths[member]
-        self.emit_offsets = _exclusive_cumsum(self.path_lengths)
+    def family_ranges(self, sources, dests) -> tuple[np.ndarray, np.ndarray]:
+        """First path id and size of the family of each ``(source, dest)`` pair.
 
-        # each emitted cell's index in member_emits, then translated to its
-        # source; in place, so that at most two emission-sized arrays are alive
-        index = np.repeat(
-            _exclusive_cumsum(lengths)[member] - self.emit_offsets, self.path_lengths
+        ``sources`` and ``dests`` are cell ids, as ints or integer arrays.
+        """
+        width, height = self.grid.width, self.grid.height
+        sy, sx = divmod(sources, width)
+        ty, tx = divmod(dests, width)
+        disp = (ty - sy + height - 1) * (2 * width - 1) + (tx - sx + width - 1)
+        return sources * len(self._lengths) + self._family_starts[disp], self._family_sizes[disp]
+
+    def _decode(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Source cell id, destination cell id and validity of each path id."""
+        width, height = self.grid.width, self.grid.height
+        sources, members = np.divmod(ids, len(self._lengths))
+        y, x = np.divmod(sources, width)
+        x += self._dx[members]
+        y += self._dy[members]
+        valid = (
+            (sources >= 0) & (sources < self.grid.size)
+            & (x >= 0) & (x < width) & (y >= 0) & (y < height)
         )
-        index += np.arange(len(index), dtype=np.int64)
-        self.emit_cells = np.array(member_emits, dtype=np.int64)[index]
-        del index
-        self.emit_cells += np.repeat(self.path_sources, self.path_lengths)
+        return sources, y * width + x, valid
 
-        self.all_paths: Sequence[Path] = _PathSequence(
-            grid, self.path_lengths, self.path_dests, self.emit_offsets, self.emit_cells
-        )
-        self._member_sets: dict[int, frozenset[int]] = {}
+    def endpoints(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Source and destination cell ids of each path id.
 
-    def pair_id(self, source: Cell, dest: Cell) -> int:
-        return self.grid.cell_id(source) * self.grid.size + self.grid.cell_id(dest)
+        Raises ``ValueError`` for an id that names no path.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        sources, dests, valid = self._decode(ids)
+        if not valid.all():
+            raise ValueError(
+                f"path id {ids[~valid].flat[0]} outside alphabet of {self._path_count} paths"
+            )
+        return sources, dests
+
+    def lengths(self, ids) -> np.ndarray:
+        """Length of each path id (ids are not validated)."""
+        return self._lengths[np.asarray(ids, dtype=np.int64) % len(self._lengths)]
+
+    def emitted_cells(self, ids) -> np.ndarray:
+        """The emitted cells (all but the last) of each path id, concatenated.
+
+        Ids are not validated.
+        """
+        sources, members = np.divmod(np.asarray(ids, dtype=np.int64), len(self._lengths))
+        lengths = self._lengths[members]
+        # emission k of the concatenation is member emission k - (block start - emit start)
+        index = np.arange(int(lengths.sum()), dtype=np.int64)
+        index -= np.repeat(np.cumsum(lengths) - lengths - self._emit_starts[members], lengths)
+        cells = self._emits[index]
+        cells += np.repeat(sources, lengths)
+        return cells
 
     def family_id_set(self, source: Cell, dest: Cell) -> frozenset[int]:
-        """Member path ids of one family, as a set (built once per pair)."""
-        pair = self.pair_id(source, dest)
-        members = self._member_sets.get(pair)
-        if members is None:
-            start = int(self.family_offsets[pair])
-            members = frozenset(range(start, start + int(self.family_sizes[pair])))
-            self._member_sets[pair] = members
-        return members
+        """Member path ids of one family, as a set."""
+        first, size = self.family_ranges(self.grid.cell_id(source), self.grid.cell_id(dest))
+        return frozenset(range(int(first), int(first + size)))
 
     def path_id(self, path: Path) -> int:
-        """The id of a path, searched within its pair's id range."""
-        pair = self.pair_id(path.source, path.dest)
-        start = int(self.family_offsets[pair])
-        for pid in range(start, start + int(self.family_sizes[pair])):
+        """The id of a path, searched within its pair's family."""
+        for pid in sorted(self.family_id_set(path.source, path.dest)):
             if self.all_paths[pid] == path:
                 return pid
         raise ValueError(f"{path} is not in the alphabet")
@@ -399,21 +412,18 @@ def build_alphabet(
 ) -> PathAlphabet:
     """Digitize every displacement of the grid and build the path alphabet.
 
-    Raises :class:`CapacityError` before enumerating when
-    ``|S|^2 * |speeds|`` (an upper bound on the total path count, since each
-    speed contributes at most one path per pair) exceeds the cap.
+    The build digitizes each of the (2W-1)(2H-1) displacements once per
+    speed, so it raises :class:`CapacityError`, before digitizing anything,
+    when that many digitized paths, ``(2W-1)(2H-1) * |speeds|``, exceed the
+    cap.
     """
     speed_set = normalize_speeds(speeds)
     limit = enumeration_cap() if cap is None else cap
-    bound = grid.size * grid.size * len(speed_set)
+    spans = (2 * grid.width - 1, 2 * grid.height - 1)
+    bound = spans[0] * spans[1] * len(speed_set)
     if bound > limit:
         raise CapacityError(
-            f"path enumeration bound {bound} (= {grid.size}^2 pairs x "
+            f"path enumeration bound {bound} (= {spans[0]}x{spans[1]} displacements x "
             f"{len(speed_set)} speeds) exceeds cap {limit}"
         )
-    families = {
-        (dx, dy): _displacement_family(dx, dy, speed_set)
-        for dy in range(1 - grid.height, grid.height)
-        for dx in range(1 - grid.width, grid.width)
-    }
-    return PathAlphabet(grid, families)
+    return PathAlphabet(grid, speed_set)

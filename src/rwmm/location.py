@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Cell, GridSpec, Path, PathAlphabet
+from .geometry import Cell, GridSpec, Path
 from .processes import PathTrace
 
 logger = logging.getLogger(__name__)
@@ -72,22 +72,10 @@ def encode_paths(paths: Sequence[Path], grid: GridSpec, node_id: int = 0) -> Loc
 def encode_sequence(trace: PathTrace) -> LocationTrace:
     """Vectorized encoding of a sampled path sequence into locations.
 
-    Gathers each path's emitted cells from the alphabet's flattened emission
-    table: repeat each path's emission offset by its length, add within-path
-    ramps, and index once.
+    Gathers every path's emitted cells from the alphabet in one pass.
     """
     alphabet = trace.alphabet
-    path_ids = trace.ids
-    lengths = alphabet.path_lengths[path_ids]
-    total = int(lengths.sum())
-    if total == 0:
-        return LocationTrace(alphabet.grid, np.empty(0, dtype=np.int64), trace.node_id)
-    starts = np.repeat(alphabet.emit_offsets[path_ids], lengths)
-    # ramp 0,1,..,l_k-1 within each path, concatenated
-    boundaries = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    ramp = np.arange(total, dtype=np.int64) - boundaries
-    cells = alphabet.emit_cells[starts + ramp]
-    return LocationTrace(alphabet.grid, cells.astype(np.int64), trace.node_id)
+    return LocationTrace(alphabet.grid, alphabet.emitted_cells(trace.ids), trace.node_id)
 
 
 def trip_times(lengths: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -124,7 +112,7 @@ def variable_length_shift(trace: PathTrace, count: int) -> tuple[PathTrace, int]
     """
     if not 0 <= count <= len(trace.ids):
         raise ValueError(f"cannot shift {count} of {len(trace.ids)} paths")
-    dropped = int(trace.alphabet.path_lengths[trace.ids[:count]].sum())
+    dropped = int(trace.alphabet.lengths(trace.ids[:count]).sum())
     shifted = PathTrace(trace.alphabet, trace.ids[count:], trace.node_id)
     return shifted, dropped
 

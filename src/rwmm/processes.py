@@ -31,8 +31,8 @@ MARKOV = "markov"
 class CylinderEvent:
     """The event fixing a sequence's symbols on indices start..start+len-1.
 
-    Symbols are cells for waypoint or location events and path ids (indexes
-    into a :class:`~rwmm.geometry.PathAlphabet`) for path events.
+    Symbols are cells for waypoint or location events and path ids (keys of
+    a :class:`~rwmm.geometry.PathAlphabet`'s ``all_paths``) for path events.
     """
 
     start: int
@@ -265,14 +265,11 @@ def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> F
 
 
 def _channel_factor(alphabet: PathAlphabet, w_from: Cell, w_to: Cell, path_id: int) -> Fraction:
-    if not 0 <= path_id < len(alphabet.path_lengths):
-        raise ValueError(
-            f"path id {path_id} outside alphabet of {len(alphabet.path_lengths)} paths"
-        )
     members = alphabet.family_id_set(w_from, w_to)
-    if path_id not in members:
-        return Fraction(0)
-    return Fraction(1, len(members))
+    if path_id in members:
+        return Fraction(1, len(members))
+    alphabet.endpoints([path_id])  # raises for an id that names no path
+    return Fraction(0)
 
 
 def _constrained_channel_prob(
@@ -459,10 +456,11 @@ def path_process_prob(
     marginal at ``event.start``.
 
     Raises ``ValueError`` when the spec and the alphabet use different
-    grids, when a path id is outside the alphabet, or when ``horizon`` (the
-    waypoint prefix length marginalized over) is shorter than the
-    ``event.end + 2`` waypoints the event needs; a longer ``horizon`` gives
-    the same value, since the extra coordinates integrate out.
+    grids, when a path id names no path of the alphabet, or when
+    ``horizon`` (the waypoint prefix length marginalized over) is shorter
+    than the ``event.end + 2`` waypoints the event needs; a longer
+    ``horizon`` gives the same value, since the extra coordinates integrate
+    out.
     """
     grid = alphabet.grid
     if spec.grid is not grid and spec.grid != grid:
@@ -470,18 +468,13 @@ def path_process_prob(
     needed = event.end + 2
     if horizon is not None and horizon < needed:
         raise ValueError(f"horizon {horizon} shorter than the {needed} waypoints needed")
-    count = len(alphabet.path_lengths)
-    for path_id in event.symbols:
-        if not 0 <= path_id < count:
-            raise ValueError(f"path id {path_id} outside alphabet of {count} paths")
-    sources = [int(alphabet.path_sources[pid]) for pid in event.symbols]
-    dests = [int(alphabet.path_dests[pid]) for pid in event.symbols]
-    if dests[:-1] != sources[1:]:
+    sources, dests = alphabet.endpoints(event.symbols)
+    if (dests[:-1] != sources[1:]).any():
         return Fraction(0)
-    cells = tuple(grid.cell_at(c) for c in sources[:1] + dests)
+    cells = tuple(map(grid.cell_at, [int(sources[0]), *dests.tolist()]))
     prob = waypoint_cylinder_prob(spec, CylinderEvent(event.start, cells))
-    for src, dst in zip(sources, dests):
-        prob /= int(alphabet.family_sizes[src * grid.size + dst])
+    for size in alphabet.family_ranges(sources, dests)[1].tolist():
+        prob /= size
     return prob
 
 
@@ -513,10 +506,7 @@ class PathTrace:
 
     @property
     def lengths(self) -> np.ndarray:
-        return self.alphabet.path_lengths[self.ids]
-
-    def path(self, index: int):
-        return self.alphabet.all_paths[int(self.ids[index])]
+        return self.alphabet.lengths(self.ids)
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
@@ -568,11 +558,8 @@ def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLik
     if len(waypoints) < 2:
         raise ValueError("need at least two waypoints to sample a path")
     rng = _rng(seed)
-    ids = waypoints.ids
-    pair_ids = ids[:-1] * alphabet.grid.size + ids[1:]
-    sizes = alphabet.family_sizes[pair_ids]
-    picks = rng.integers(0, sizes)
-    path_ids = alphabet.family_offsets[pair_ids] + picks
+    first, sizes = alphabet.family_ranges(waypoints.ids[:-1], waypoints.ids[1:])
+    path_ids = first + rng.integers(0, sizes)
     return PathTrace(alphabet, path_ids, waypoints.node_id)
 
 

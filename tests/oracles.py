@@ -5,8 +5,8 @@ Six deliberately separate routes from first principles:
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
 * a per-pair path alphabet that digitizes every ordered cell pair on its own
-  and interns the paths one by one, to check the displacement-keyed tables
-  of ``rwmm.geometry.build_alphabet``;
+  and interns the paths one by one, with its own pair-major ids, to check
+  the displacement-keyed tables of ``rwmm.geometry.build_alphabet``;
 * a forward sum over waypoint states that marginalizes the path channel over
   every waypoint prefix, to check the closed form of
   ``rwmm.processes.path_process_prob`` (it never reads a path's endpoints);
@@ -130,7 +130,8 @@ def marginal_path_prob(
 ) -> Fraction:
     """Probability of a path cylinder, marginalized over every waypoint prefix.
 
-    ``event`` fixes path ids ``event.symbols`` from index ``event.start``;
+    ``event`` fixes path ids ``event.symbols`` from index ``event.start``,
+    numbered as in :func:`per_pair_alphabet`, not as in the library;
     ``span`` waypoints (at least ``event.end + 2``) are summed out by a
     forward pass over waypoint states,
     ``a_{i+1}(w') = sum_w a_i(w) P(w -> w') [p_i in F(w, w')] / |F(w, w')|``,
@@ -266,7 +267,7 @@ def build_location_chain(
     grid = alphabet.grid
     states: list[tuple[int, int]] = []
     index: dict[tuple[int, int], int] = {}
-    for pid, path in enumerate(alphabet.all_paths):
+    for pid, path in alphabet.all_paths.items():
         for off in range(path.length):
             index[(pid, off)] = len(states)
             states.append((pid, off))

@@ -11,6 +11,7 @@ from hashlib import sha256
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rwmm import continuous
 from rwmm.cli import main
 from rwmm.config import (
     config_digest,
@@ -564,6 +565,18 @@ class TestCli:
                 [command, "--config", str(cfg), "--seed", "1", "--out", str(out)]
             ) == 2
             assert "samples per run" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_continuous_leg_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(continuous, "MAX_LEGS", 2)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(CONTINUOUS_CFG)
+        out = tmp_path / "out.pos"
+        for command in ("simulate-continuous", "export"):
+            assert main(
+                [command, "--config", str(cfg), "--seed", "1", "--out", str(out)]
+            ) == 2
+            assert "limit of 2 legs per run" in capsys.readouterr().err
             assert not out.exists()
 
     def test_continuous_output_bytes_pinned(self, tmp_path):

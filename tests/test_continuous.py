@@ -170,6 +170,16 @@ class TestSimulate:
             with pytest.raises(ConfigurationError, match="limit of 20"):
                 simulate_continuous(self.AREA, nodes, duration, 1.0, seed=0)
 
+    @pytest.mark.parametrize("pause", [0.0, 1.0])
+    def test_leg_limit_counts_every_node(self, monkeypatch, pause):
+        area = ContinuousAreaSpec(300, 200, min_speed=2, max_speed=8, pause_time=pause)
+        legs = sum(map(len, simulate_continuous(area, 3, 500.0, 100.0, seed=4).legs))
+        monkeypatch.setattr(continuous, "MAX_LEGS", legs)
+        simulate_continuous(area, 3, 500.0, 100.0, seed=4)
+        monkeypatch.setattr(continuous, "MAX_LEGS", legs - 1)
+        with pytest.raises(ConfigurationError, match=f"limit of {legs - 1} legs"):
+            simulate_continuous(area, 3, 500.0, 100.0, seed=4)
+
     @given(
         st.floats(1.0, 1000.0),
         st.floats(1.0, 1000.0),

@@ -25,15 +25,9 @@ from rwmm.geometry import (
 
 from oracles import per_pair_alphabet, sympy_digitize
 
-TABLES = (
-    "family_sizes",
-    "family_offsets",
-    "path_lengths",
-    "path_sources",
-    "path_dests",
-    "emit_offsets",
-    "emit_cells",
-)
+
+def numpy_tables(alphabet):
+    return {name: v for name, v in vars(alphabet).items() if isinstance(v, np.ndarray)}
 
 
 def family_cells(grid, source, dest, speeds):
@@ -182,12 +176,12 @@ class TestAlphabet:
     def test_tables_agree_with_paths(self):
         grid = GridSpec(3, 3)
         alpha = build_alphabet(grid, (Fraction(1), Fraction(2)))
-        for pid, path in enumerate(alpha.all_paths):
-            assert alpha.path_lengths[pid] == path.length
-            assert alpha.path_sources[pid] == grid.cell_id(path.source)
-            assert alpha.path_dests[pid] == grid.cell_id(path.dest)
-            start = alpha.emit_offsets[pid]
-            emitted = alpha.emit_cells[start : start + path.length]
+        for pid, path in alpha.all_paths.items():
+            assert alpha.lengths([pid]).tolist() == [path.length]
+            sources, dests = alpha.endpoints([pid])
+            assert sources.tolist() == [grid.cell_id(path.source)]
+            assert dests.tolist() == [grid.cell_id(path.dest)]
+            emitted = alpha.emitted_cells([pid])
             assert [grid.cell_at(int(c)) for c in emitted] == list(
                 path.cells[: path.length]
             )
@@ -202,11 +196,11 @@ class TestAlphabet:
             fam = enumerate_paths(grid, source, dest, speeds)
             assert {alpha.all_paths[i] for i in members} == set(fam.paths)
             seen |= members
-        assert seen == set(range(len(alpha.all_paths)))
+        assert seen == set(alpha.all_paths)
 
     def test_path_id_round_trip(self):
         alpha = build_alphabet(GridSpec(2, 2), (Fraction(1),))
-        for pid, path in enumerate(alpha.all_paths):
+        for pid, path in alpha.all_paths.items():
             assert alpha.path_id(path) == pid
 
     def test_path_id_rejects_foreign_path(self):
@@ -223,12 +217,31 @@ class TestAlphabet:
         with pytest.raises(CapacityError):
             build_alphabet(GridSpec(3, 3), (Fraction(1),))
 
+    def test_capacity_bound_counts_displacements(self, monkeypatch):
+        # 49 x 49 displacements x 3 speeds = 7,203 digitized paths; the old
+        # bound of 625^2 pairs x 3 speeds = 1,171,875 refused this grid
+        monkeypatch.delenv("RWMM_ENUM_CAP", raising=False)
+        grid = GridSpec(25, 25)
+        alpha = build_alphabet(grid, (1, Fraction(3, 2), 2))
+        corner = enumerate_paths(grid, Cell(24, 0), Cell(0, 24), (1, Fraction(3, 2), 2))
+        members = sorted(alpha.family_id_set(Cell(24, 0), Cell(0, 24)))
+        assert [alpha.all_paths[pid] for pid in members] == list(corner.paths)
+        with pytest.raises(CapacityError, match="7203"):
+            build_alphabet(grid, (1, Fraction(3, 2), 2), cap=7202)
+
+    def test_tables_stay_per_displacement(self):
+        # 472,020 paths and 3.85M emitted cells: the per-pair tables took 48 MB
+        alpha = build_alphabet(GridSpec(20, 20), (1, Fraction(3, 2), 2))
+        assert len(alpha.all_paths) == 472_020
+        assert sum(table.nbytes for table in numpy_tables(alpha).values()) < 10**6
+
     def test_deterministic_ordering(self):
         a = build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)))
         b = build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)))
         assert a.all_paths == b.all_paths
-        for name in TABLES:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        tables = numpy_tables(b)
+        for name, table in numpy_tables(a).items():
+            assert np.array_equal(table, tables[name]), name
 
 
 class TestAlphabetTables:
@@ -247,24 +260,44 @@ class TestAlphabetTables:
         grid = GridSpec(width, height)
         alpha = build_alphabet(grid, speeds)
         oracle = per_pair_alphabet(grid, speeds)
-        for name in TABLES:
-            assert np.array_equal(getattr(alpha, name), getattr(oracle, name)), name
-        # path ids are pair-major, so every family's ids are contiguous
-        assert np.array_equal(oracle.family_members, np.arange(len(oracle.all_paths)))
+        # every pair's family, member by member, in the oracle's order
+        for pair, (source, dest) in enumerate(product(grid.cells(), repeat=2)):
+            ids = sorted(alpha.family_id_set(source, dest))
+            assert ids == list(range(ids[0], ids[0] + len(ids)))  # contiguous
+            start, size = oracle.family_offsets[pair], oracle.family_sizes[pair]
+            expected = [oracle.all_paths[i] for i in oracle.family_members[start : start + size]]
+            assert [alpha.all_paths[p] for p in ids] == expected, (source, dest)
+        # every id's tables, against the oracle's row of the same path
+        ids = np.array(list(alpha.all_paths), dtype=np.int64)
+        assert len(ids) == len(alpha.all_paths) == len(oracle.all_paths)
+        index = {path: i for i, path in enumerate(oracle.all_paths)}
+        rows = np.array([index[alpha.all_paths[p]] for p in ids.tolist()], dtype=np.int64)
+        assert sorted(rows.tolist()) == list(range(len(oracle.all_paths)))
+        assert np.array_equal(alpha.lengths(ids), oracle.path_lengths[rows])
+        sources, dests = alpha.endpoints(ids)
+        assert np.array_equal(sources, oracle.path_sources[rows])
+        assert np.array_equal(dests, oracle.path_dests[rows])
+        starts = oracle.emit_offsets[rows]
+        ends = starts + oracle.path_lengths[rows]
+        emitted = [oracle.emit_cells[a:b] for a, b in zip(starts, ends)]
+        assert np.array_equal(alpha.emitted_cells(ids), np.concatenate(emitted))
         assert alpha.max_path_length == oracle.max_path_length
-        assert alpha.all_paths == oracle.all_paths
 
     def test_all_paths_is_a_read_only_view(self):
         grid = GridSpec(3, 2)
         alpha = build_alphabet(grid, (1, 2))
         paths = per_pair_alphabet(grid, (1, 2)).all_paths
-        assert len(alpha.all_paths) == len(paths)
-        assert alpha.all_paths[-1] == paths[-1]
-        assert alpha.all_paths[np.int64(3)] == paths[3]
-        assert list(alpha.all_paths) == list(paths)
-        assert alpha.all_paths != paths[:-1]
-        with pytest.raises(IndexError):
-            alpha.all_paths[len(paths)]
+        ids = list(alpha.all_paths)
+        assert len(alpha.all_paths) == len(ids) == len(paths)
+        assert ids == sorted(ids)
+        assert {alpha.all_paths[np.int64(p)] for p in ids} == set(paths)
+        # ids are sparse: a source's members whose displacement leaves the
+        # grid name no path, and neither does any id past the last source
+        unnamed = [p for p in range(max(ids)) if p not in alpha.all_paths]
+        assert unnamed
+        for key in (-1, *unnamed, max(ids) + 1, 10**30, "0"):
+            with pytest.raises(KeyError):
+                alpha.all_paths[key]
         with pytest.raises(TypeError):
             alpha.all_paths[0] = paths[0]
 

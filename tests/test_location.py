@@ -1,8 +1,9 @@
 """Encoder and trip-timing tests.
 
-The vectorized encoder is checked against a plain per-path Python loop, and
-the structural identities (waypoint at each trip start, summed lengths,
-shift alignment) are asserted on sampled traces.
+The vectorized encoder is checked against a plain per-path Python loop on
+random grids, speed sets and seeds, and the structural identities (waypoint
+at each trip start, summed lengths, shift alignment) are asserted on sampled
+traces.
 """
 
 import logging
@@ -10,6 +11,8 @@ import logging
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwmm.geometry import Cell, GridSpec, Path, build_alphabet
 from rwmm.location import (
@@ -61,11 +64,22 @@ def test_encode_paths_concatenates():
     ]
 
 
-def test_vectorized_encoder_matches_loop(sampled):
-    grid, alpha, w, p = sampled
-    fast = encode_sequence(p)
-    slow = encode_paths([alpha.all_paths[int(i)] for i in p.ids], grid)
-    assert np.array_equal(fast.ids, slow.ids)
+@settings(deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sets(st.integers(1, 8), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_vectorized_encoder_matches_loop(width, height, halves, seed):
+    grid = GridSpec(width, height)
+    alpha = build_alphabet(grid, tuple(Fraction(h, 2) for h in halves))
+    w = sample_waypoints(WaypointProcessSpec.iid_uniform(grid), 60, seed=seed)
+    p = sample_paths(alpha, w, seed=seed + 1)
+    paths = [alpha.all_paths[pid] for pid in p.ids]
+    assert [grid.cell_id(path.source) for path in paths] == w.ids[:-1].tolist()
+    assert [grid.cell_id(path.dest) for path in paths] == w.ids[1:].tolist()
+    assert np.array_equal(encode_sequence(p).ids, encode_paths(paths, grid).ids)
 
 
 def test_waypoints_sit_at_trip_starts(sampled):

@@ -45,9 +45,18 @@ from oracles import (
     enumerated_stationarity_gap,
     enumerated_total_mass,
     marginal_path_prob,
+    per_pair_alphabet,
 )
 
 A, B = Cell(0, 0), Cell(0, 1)
+
+
+def oracle_prob(spec, alpha, speeds, event, span):
+    """``marginal_path_prob`` of the event, its library ids mapped to the oracle's ids."""
+    grid = alpha.grid
+    index = {path: i for i, path in enumerate(per_pair_alphabet(grid, speeds).all_paths)}
+    symbols = tuple(index[alpha.all_paths[pid]] for pid in event.symbols)
+    return marginal_path_prob(spec, grid, speeds, CylinderEvent(event.start, symbols), span)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +179,7 @@ class TestChannelMeasures:
         grid, alpha = two_cell
         rng = np.random.default_rng(5)
         n = 2
-        all_ids = range(len(alpha.all_paths))
+        all_ids = list(alpha.all_paths)
         for _ in range(5):
             w = uniform_prefix(grid, n + 2, rng)
             shifted = w[1:]
@@ -297,7 +306,7 @@ class TestPathProcess:
     def test_single_symbol(self, two_cell):
         grid, alpha = two_cell
         spec = WaypointProcessSpec.iid_uniform(grid)
-        for pid in range(len(alpha.all_paths)):
+        for pid in alpha.all_paths:
             assert path_process_prob(spec, alpha, CylinderEvent(0, (pid,))) == Fraction(1, 4)
 
     def test_two_symbols(self, two_cell):
@@ -314,7 +323,7 @@ class TestPathProcess:
         spec = WaypointProcessSpec.iid_uniform(grid)
         s, d = Cell(0, 0), Cell(0, 2)
         direct = next(
-            pid for pid in alpha.family_id_set(s, d) if alpha.path_lengths[pid] == 1
+            pid for pid in alpha.family_id_set(s, d) if alpha.all_paths[pid].length == 1
         )
         # P(w0=s, w1=d) * 1/2 = (1/9) * (1/2)
         assert path_process_prob(spec, alpha, CylinderEvent(0, (direct,))) == Fraction(1, 18)
@@ -322,7 +331,7 @@ class TestPathProcess:
     def test_longer_horizon_same_value(self, two_cell):
         grid, alpha = two_cell
         spec = WaypointProcessSpec.iid_uniform(grid)
-        event = CylinderEvent(0, (0,))
+        event = CylinderEvent(0, (min(alpha.all_paths),))
         assert path_process_prob(spec, alpha, event) == path_process_prob(
             spec, alpha, event, horizon=4
         )
@@ -342,7 +351,7 @@ class TestPathProcess:
             (CylinderEvent(0, (up,)), Fraction(1, 9)),
         ]:
             assert path_process_prob(spec, alpha, event) == value
-            assert marginal_path_prob(spec, grid, speeds, event, 2) == value
+            assert oracle_prob(spec, alpha, speeds, event, 2) == value
 
     def test_capacity_guard(self):
         # both events once needed more waypoint prefixes than the enumeration
@@ -351,29 +360,39 @@ class TestPathProcess:
         speeds = (Fraction(1),)
         alpha = build_alphabet(grid, speeds)
         spec = WaypointProcessSpec.iid_uniform(grid)
-        event = CylinderEvent(0, (0, 1, 2, 3, 4, 5))
-        assert path_process_prob(spec, alpha, event) == marginal_path_prob(
-            spec, grid, speeds, event, event.end + 2
+        # the first six paths in pair order
+        first_six = per_pair_alphabet(grid, speeds).all_paths[:6]
+        event = CylinderEvent(0, tuple(alpha.path_id(path) for path in first_six))
+        assert path_process_prob(spec, alpha, event) == oracle_prob(
+            spec, alpha, speeds, event, event.end + 2
         )
 
         grid = GridSpec(5, 5)
         speeds = (Fraction(1), Fraction(2))
         alpha = build_alphabet(grid, speeds)
         spec = WaypointProcessSpec.lazy_walk(grid)
-        a, b, c = grid.cell_id(Cell(1, 1)), grid.cell_id(Cell(1, 2)), grid.cell_id(Cell(2, 2))
-        first = int(alpha.family_offsets[a * grid.size + b])
-        second = int(alpha.family_offsets[b * grid.size + c])
+        a, b, c = Cell(1, 1), Cell(1, 2), Cell(2, 2)
+        first = min(alpha.family_id_set(a, b))
+        second = min(alpha.family_id_set(b, c))
         event = CylinderEvent(5, (first, second))
         value = path_process_prob(spec, alpha, event)
         assert value > 0
-        assert value == marginal_path_prob(spec, grid, speeds, event, event.end + 2)
+        assert value == oracle_prob(spec, alpha, speeds, event, event.end + 2)
 
     def test_rejects_path_id_outside_alphabet(self, two_cell):
         grid, alpha = two_cell
         spec = WaypointProcessSpec.iid_uniform(grid)
-        for pid in (-1, len(alpha.path_lengths)):
+        ids = list(alpha.all_paths)
+        # an id below the last one that names no path: its member's
+        # displacement leaves the grid from its source
+        unnamed = next(p for p in range(max(ids)) if p not in ids)
+        for pid in (-1, unnamed, max(ids) + 1):
             with pytest.raises(ValueError, match="outside alphabet"):
-                path_process_prob(spec, alpha, CylinderEvent(0, (0, pid)))
+                path_process_prob(spec, alpha, CylinderEvent(0, (ids[0], pid)))
+            with pytest.raises(ValueError, match="outside alphabet"):
+                channel_cylinder_prob(alpha, [A, B], CylinderEvent(0, (pid,)))
+            with pytest.raises(KeyError):
+                alpha.all_paths[pid]
 
     def test_rejects_alphabet_on_another_grid(self, two_cell):
         grid, alpha = two_cell
@@ -411,25 +430,24 @@ class TestPathProcess:
             spec = WaypointProcessSpec.lazy_walk(grid, stay)
         else:
             spec = WaypointProcessSpec.iid_uniform(grid)
-        n = grid.size
+        cells = list(grid.cells())
         length = rnd.randint(1, 3)
 
         def member(a, b):
-            pair = a * n + b
-            return int(alpha.family_offsets[pair]) + rnd.randrange(int(alpha.family_sizes[pair]))
+            return rnd.choice(sorted(alpha.family_id_set(a, b)))
 
         if kind == "chained":
-            cells = [rnd.randrange(n) for _ in range(length + 1)]
-            ids = [member(a, b) for a, b in zip(cells, cells[1:])]
+            walk = [rnd.choice(cells) for _ in range(length + 1)]
+            ids = [member(a, b) for a, b in zip(walk, walk[1:])]
         elif kind == "unchained":
-            ids = [member(rnd.randrange(n), rnd.randrange(n)) for _ in range(length)]
+            ids = [member(rnd.choice(cells), rnd.choice(cells)) for _ in range(length)]
         else:
-            ids = [rnd.randrange(len(alpha.path_lengths)) for _ in range(length)]
+            ids = [rnd.choice(list(alpha.all_paths)) for _ in range(length)]
         event = CylinderEvent(start, tuple(ids))
         span = event.end + 2 + extra
         horizon = span if extra else None
-        assert path_process_prob(spec, alpha, event, horizon=horizon) == marginal_path_prob(
-            spec, grid, speeds, event, span
+        assert path_process_prob(spec, alpha, event, horizon=horizon) == oracle_prob(
+            spec, alpha, speeds, event, span
         )
 
 
@@ -475,9 +493,9 @@ class TestSamplers:
         w = sample_waypoints(spec, 500, seed=11)
         p = sample_paths(alpha, w, seed=12)
         assert len(p) == 499
-        for k in range(len(p)):
-            assert alpha.path_sources[p.ids[k]] == w.ids[k]
-            assert alpha.path_dests[p.ids[k]] == w.ids[k + 1]
+        sources, dests = alpha.endpoints(p.ids)
+        assert np.array_equal(sources, w.ids[:-1])
+        assert np.array_equal(dests, w.ids[1:])
 
     def test_markov_sampler_tracks_matrix(self):
         grid = GridSpec(1, 2)
