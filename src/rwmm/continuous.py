@@ -253,9 +253,10 @@ def mean_speeds(trace: ContinuousTrace) -> tuple[float, float]:
     return arithmetic, weighted
 
 
-def _nearest_cell(grid: GridSpec, x: float, y: float, cell_size: float) -> Cell:
-    # Cell i covers [i*cell_size, (i+1)*cell_size); the tie at an exact
-    # boundary goes to the smaller index, matching the exact digitizer.
+def _containing_cell(grid: GridSpec, x: float, y: float, cell_size: float) -> Cell:
+    # Cell i covers the half-open [i*cell_size, (i+1)*cell_size), so a sample
+    # on a boundary goes to the larger index; samples past the area's edges
+    # are clamped into the first or last cell.
     cx = min(int(math.floor(x / cell_size)), grid.width - 1) if x > 0 else 0
     cy = min(int(math.floor(y / cell_size)), grid.height - 1) if y > 0 else 0
     return Cell(cx, cy)
@@ -287,8 +288,8 @@ def discretize(
         )
     paths: list[Path] = []
     for leg in trace.legs[node_id]:
-        start = _nearest_cell(grid, leg.x0, leg.y0, cell_w)
-        end = _nearest_cell(grid, leg.x1, leg.y1, cell_w)
+        start = _containing_cell(grid, leg.x0, leg.y0, cell_w)
+        end = _containing_cell(grid, leg.x1, leg.y1, cell_w)
         if leg.speed == 0.0:  # pause: one pause path per sample interval
             count = max(1, int(math.ceil(leg.duration / dt * (1 - _EDGE_NUDGE))))
             paths.extend(Path((end, end)) for _ in range(count))
@@ -297,7 +298,7 @@ def discretize(
         cells = [start]
         for k in range(1, samples):
             x, y = leg.position_at(leg.start_time + k * dt)
-            cells.append(_nearest_cell(grid, x, y, cell_w))
+            cells.append(_containing_cell(grid, x, y, cell_w))
         cells.append(end)
         paths.append(Path(tuple(cells)))
     return paths, encode_paths(paths, grid, node_id)

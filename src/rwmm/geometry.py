@@ -10,12 +10,13 @@ its displacement, so the alphabet stores one family per displacement,
 (2W-1)(2H-1) of them, rather than one per cell pair, and a path id names a
 source cell and a displacement member (see :class:`PathAlphabet`).
 
-All sampling arithmetic is exact. Sample offsets from the source have the
-form ``k*v*span / sqrt(d2)`` with rational ``k*v`` and integer ``span`` and
-``d2``, so rounding decisions reduce, after scaling by the denominator of
-``k*v``, to sign tests of ``a*sqrt(d2) - b`` with integer ``a`` and ``b``,
-which are decided by comparing squares. Half-integer ties round toward the smaller coordinate,
-deterministically on every platform.
+All sampling arithmetic is in integers. At speed ``p/q`` a trip of
+displacement ``(dx, dy)`` covers ``sqrt(S) / q`` with ``S = q^2 (dx^2 + dy^2)``,
+so it takes ``ceil(sqrt(S / p^2))`` steps. Sample ``k`` lies ``a / sqrt(S)``
+half-cells from the source along an axis of span ``d``, with ``a = 2kpd``,
+and rounds to ``ceil(a / sqrt(S)) // 2``: the nearest cell, half-integer ties
+toward the smaller coordinate. ``math.isqrt`` gives both ceilings in closed
+form, deterministically on every platform.
 """
 
 from __future__ import annotations
@@ -141,52 +142,17 @@ def normalize_speeds(speeds: Iterable[SpeedLike]) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def _sqrt_ge(coeff: int, rhs: int, radicand: int) -> bool:
-    """Exact test of ``coeff * sqrt(radicand) >= rhs`` (radicand >= 0)."""
-    if coeff >= 0:
-        if rhs <= 0:
-            return True
-        return coeff * coeff * radicand >= rhs * rhs
-    # left side <= 0 here
-    if rhs > 0:
-        return False
-    return coeff * coeff * radicand <= rhs * rhs
+def _ceil_sqrt(n: int, d: int) -> int:
+    """Exact ``ceil(sqrt(n / d))`` for integers ``n > 0`` and ``d > 0``."""
+    return math.isqrt((n - 1) // d) + 1
 
 
-def _step_count(radicand: int, speed: Fraction) -> int:
-    """Smallest l >= 1 with ``l * speed >= sqrt(radicand)``."""
-    if radicand == 0:
-        return 1
-    steps = max(1, math.ceil(math.sqrt(radicand) / float(speed) - 1e-9))
-    while (steps * speed) ** 2 < radicand:
-        steps += 1
-    while steps > 1 and ((steps - 1) * speed) ** 2 >= radicand:
-        steps -= 1
-    return steps
+def _nearest(a: int, b: int) -> int:
+    """Nearest integer to ``a / (2 * sqrt(b))``, ties to the smaller one.
 
-
-def _round_coordinate(span: int, travelled: Fraction, radicand: int) -> int:
-    """Nearest integer to ``travelled * span / sqrt(radicand)``.
-
-    Half-integer ties go to the smaller value, i.e. the result is the
-    smallest integer n with ``n + 1/2 >= coordinate``. A float estimate is
-    corrected by exact comparisons, so the tie rule is honored even when the
-    coordinate is exactly half-integral. The comparisons are scaled by
-    ``2 * travelled.denominator`` so that they run on integers.
+    That is ``ceil(a / sqrt(b)) // 2``: the smallest n with ``2n + 1 >= a / sqrt(b)``.
     """
-    scale = travelled.denominator
-    rhs = 2 * travelled.numerator * span
-    estimate = float(travelled) * span / math.sqrt(radicand)
-    n = math.floor(estimate + 0.5)
-
-    def at_least_coordinate(m: int) -> bool:
-        return _sqrt_ge((2 * m + 1) * scale, rhs, radicand)
-
-    while not at_least_coordinate(n):
-        n += 1
-    while at_least_coordinate(n - 1):
-        n -= 1
-    return n
+    return (_ceil_sqrt(a * a, b) if a > 0 else -math.isqrt(a * a // b)) // 2
 
 
 def _displacement_family(dx: int, dy: int, speeds: tuple[Fraction, ...]) -> tuple[Offsets, ...]:
@@ -197,19 +163,15 @@ def _displacement_family(dx: int, dy: int, speeds: tuple[Fraction, ...]) -> tupl
     """
     if dx == 0 and dy == 0:
         return (((0, 0), (0, 0)),)
-    radicand = dx * dx + dy * dy
     distinct: dict[Offsets, None] = {}
     for speed in speeds:
-        steps = _step_count(radicand, speed)
+        p, q = speed.numerator, speed.denominator
+        # at speed p/q the trip covers sqrt(dx^2 + dy^2) = sqrt(scaled) / q
+        scaled = q * q * (dx * dx + dy * dy)
+        steps = _ceil_sqrt(scaled, p * p)
         cells = [(0, 0)]
         for k in range(1, steps):
-            travelled = k * speed
-            cells.append(
-                (
-                    _round_coordinate(dx, travelled, radicand),
-                    _round_coordinate(dy, travelled, radicand),
-                )
-            )
+            cells.append((_nearest(2 * k * p * dx, scaled), _nearest(2 * k * p * dy, scaled)))
         cells.append((dx, dy))
         distinct.setdefault(tuple(cells))
     return tuple(sorted(distinct, key=lambda cells: (len(cells), cells)))

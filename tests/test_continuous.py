@@ -313,6 +313,7 @@ class TestDiscretize:
         trace = build_trace(area, [[leg]], time_step=1.0)
         paths, _ = discretize(trace, GridSpec(2, 2))
         assert paths[0].length == 2
+        assert paths[0].cells == (Cell(0, 0), Cell(1, 0), Cell(1, 0))
 
     def test_grid_must_be_square_cells(self):
         leg = Leg(0.0, 1.0, 0.1, 0.1, 1.5, 0.5, speed=1.0)

@@ -5,8 +5,11 @@ and an exhaustive sweep against the symbolic reference in ``oracles.py``
 (sympy radicals, no custom integer sign tests).
 """
 
+import ast
+import hashlib
 from fractions import Fraction
 from itertools import product
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -100,6 +103,11 @@ class TestDigitization:
         # sample lands exactly on x = 1/2 -> belongs to the smaller cell
         cells = family_cells(GridSpec(2, 1), Cell(0, 0), Cell(1, 0), (Fraction(1, 2),))
         assert cells == [(Cell(0, 0), Cell(0, 0), Cell(1, 0))]
+        # in the negative direction the smaller cell is the destination's
+        cells = family_cells(GridSpec(2, 1), Cell(1, 0), Cell(0, 0), (Fraction(1, 2),))
+        assert cells == [(Cell(1, 0), Cell(0, 0), Cell(0, 0))]
+        cells = family_cells(GridSpec(1, 2), Cell(0, 1), Cell(0, 0), (Fraction(1, 2),))
+        assert cells == [(Cell(0, 1), Cell(0, 0), Cell(0, 0))]
 
     def test_diagonal(self):
         cells = family_cells(GridSpec(2, 2), Cell(0, 0), Cell(1, 1), (1,))
@@ -119,7 +127,10 @@ class TestDigitization:
     def test_step_count_bounds(self):
         # l is minimal with l * v >= distance
         grid = GridSpec(6, 6)
-        for speed in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)):
+        for speed in (
+            Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+            Fraction(7, 3), Fraction(1, 10),
+        ):
             for dest in (Cell(5, 0), Cell(3, 4), Cell(5, 5), Cell(1, 2)):
                 fam = enumerate_paths(grid, Cell(0, 0), dest, (speed,))
                 dist2 = dest.x**2 + dest.y**2
@@ -235,6 +246,30 @@ class TestAlphabet:
         assert len(alpha.all_paths) == 472_020
         assert sum(table.nbytes for table in numpy_tables(alpha).values()) < 10**6
 
+    @pytest.mark.parametrize(
+        "width, height, speeds, digest",
+        [
+            (
+                20, 20, (1, Fraction(3, 2), 2),
+                "97d7f6e2ab15b586fecc5f54438ee92b321634513cc5b4dc98833fb40aba0f3b",
+            ),
+            (
+                15, 11, (Fraction(1, 3), Fraction(5, 7), Fraction(7, 3), Fraction(13, 9)),
+                "1be8d905c25afcc133db73fba47fc1adfe8cad0d110b31e6e972b70631506559",
+            ),
+        ],
+        ids=["20x20", "15x11-fine-speeds"],
+    )
+    def test_alphabet_pinned(self, width, height, speeds, digest):
+        # sha256 of every path's id, length, endpoints and emitted cells: any
+        # change to a step count or a rounding decision shows here
+        alpha = build_alphabet(GridSpec(width, height), speeds)
+        ids = np.fromiter(alpha.all_paths, np.int64, count=len(alpha.all_paths))
+        h = hashlib.sha256()
+        for table in (ids, alpha.lengths(ids), *alpha.endpoints(ids), alpha.emitted_cells(ids)):
+            h.update(np.asarray(table, dtype="<i8").tobytes())
+        assert h.hexdigest() == digest
+
     def test_deterministic_ordering(self):
         a = build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)))
         b = build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)))
@@ -326,6 +361,11 @@ def trips(draw):
 # half-integer speeds put samples of axis-aligned trips exactly on cell
 # borders, the tie cases of the rounding rule
 speeds_st = st.builds(Fraction, st.integers(1, 7), st.integers(1, 2))
+# p/q with q in 1..7 and p in q..7q: the digitizer scales the squared
+# distance by q^2, so denominators past 2 must be drawn too
+fine_speeds_st = st.integers(1, 7).flatmap(
+    lambda q: st.builds(Fraction, st.integers(q, 7 * q), st.just(q))
+)
 
 
 class TestDigitizerProperties:
@@ -339,8 +379,20 @@ class TestDigitizerProperties:
         )
         assert [_translate(p.cells, tx, ty) for p in family] == [p.cells for p in moved]
 
-    @given(trips(), speeds_st)
+    @given(trips(), st.one_of(speeds_st, fine_speeds_st))
     def test_matches_symbolic_reference(self, trip, speed):
         grid, source, dest, _, _ = trip
         family = enumerate_paths(grid, source, dest, (speed,))
         assert family.paths[0].cells == tuple(sympy_digitize(source, dest, speed))
+
+
+def test_digitizer_source_has_no_float_arithmetic():
+    # the digitizer decides every rounding in integers: no math.sqrt, no float
+    source = FilePath(__file__).parents[1] / "src" / "rwmm" / "geometry.py"
+    offending = [
+        node.lineno
+        for node in ast.walk(ast.parse(source.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "sqrt")
+        or (isinstance(node, ast.Name) and node.id in ("float", "sqrt"))
+    ]
+    assert offending == []
