@@ -237,6 +237,13 @@ class _PathMapping(Mapping):
         cells = alphabet.emitted_cells(ids).tolist() + dests.tolist()
         return Path(tuple(map(alphabet.grid.cell_at, cells)))
 
+    def __contains__(self, key) -> bool:
+        try:
+            ids = np.array([operator.index(key)], dtype=np.int64)
+        except (TypeError, OverflowError):
+            return False
+        return bool(self._alphabet._decode(ids)[2][0])
+
 
 class PathAlphabet:
     """Every digitized path of a grid, stored once per displacement.

@@ -91,7 +91,7 @@ def _open_trace(path: FsPath | str) -> Iterator[tuple[dict[str, str], TextIO]]:
 def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> np.ndarray:
     """Parse a body's CSV rows, after its ``columns`` line, in one pass.
 
-    Rows have four columns, the first a node id, which is never negative.
+    Rows have four finite columns, the first a node id, which is never negative.
     """
     if body.readline().rstrip("\n") != columns:
         raise ConfigurationError(f"{kind} trace body must start with {columns}")
@@ -103,6 +103,8 @@ def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> np.ndarray:
         raise ConfigurationError(f"empty {kind} trace")
     if data.shape[1] != 4:
         raise ConfigurationError(f"{kind} trace rows must have 4 columns: {columns}")
+    if not np.isfinite(data).all():
+        raise ConfigurationError(f"non-finite value in {kind} trace")
     if data[:, 0].min() < 0:
         raise ConfigurationError(f"negative node id {data[:, 0].min():g}")
     return data
@@ -276,10 +278,9 @@ def export_ns2(path: FsPath | str, trace: ContinuousTrace) -> None:
     FsPath(path).write_text("\n".join(out) + "\n")
 
 
-_NS2_INITIAL = re.compile(r"^\$node_\((\d+)\) set ([XYZ])_ (-?[\d.]+)$")
-_NS2_MOVE = re.compile(
-    r'^\$ns_ at (-?[\d.]+) "\$node_\((\d+)\) setdest (-?[\d.]+) (-?[\d.]+) (-?[\d.]+)"$'
-)
+_NUM = r"(-?\d+(?:\.\d+)?)"
+_NS2_INITIAL = re.compile(rf"^\$node_\((\d+)\) set ([XYZ])_ {_NUM}$")
+_NS2_MOVE = re.compile(rf'^\$ns_ at {_NUM} "\$node_\((\d+)\) setdest {_NUM} {_NUM} {_NUM}"$')
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -53,11 +53,7 @@ class CylinderEvent:
         return self.start + len(self.symbols) - 1
 
 
-def _as_fraction_matrix(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def _check_strongly_connected(adjacency: list[list[int]]) -> bool:
+def _check_strongly_connected(adjacency: Sequence[Iterable[int]]) -> bool:
     n = len(adjacency)
     reverse: list[list[int]] = [[] for _ in range(n)]
     for u, outs in enumerate(adjacency):
@@ -78,7 +74,7 @@ def _check_strongly_connected(adjacency: list[list[int]]) -> bool:
     return True
 
 
-def _check_aperiodic(adjacency: list[list[int]]) -> bool:
+def _check_aperiodic(adjacency: Sequence[Iterable[int]]) -> bool:
     # For a strongly connected digraph the period is gcd over all edges of
     # depth[u] + 1 - depth[v], with depths from any BFS tree.
     n = len(adjacency)
@@ -105,15 +101,16 @@ class WaypointProcessSpec:
     """Distribution of the per-node waypoint sequence over a grid's cells.
 
     ``iid-uniform`` draws every waypoint independently with probability
-    1/|cells|. ``markov`` evolves an exact row-stochastic transition matrix
-    from an initial distribution; the chain must be irreducible and aperiodic
-    so that long-run time averages over the induced movement exist and are
-    seed-independent.
+    1/|cells|. ``markov`` evolves an exact Markov chain from ``initial``, a
+    dense tuple of n ``Fraction``s; ``transition[i]`` maps each successor of
+    state ``i``, ids ascending, to its positive ``Fraction`` probability.
+    The chain must be irreducible and aperiodic so that long-run time
+    averages over the induced movement exist and are seed-independent.
     """
 
     grid: GridSpec
     kind: str
-    transition: tuple[tuple[Fraction, ...], ...] | None = None
+    transition: tuple[dict[int, Fraction], ...] | None = None
     initial: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -126,21 +123,20 @@ class WaypointProcessSpec:
         n = self.grid.size
         if self.transition is None or self.initial is None:
             raise ConfigurationError("markov waypoint process needs matrix and initial")
-        if len(self.transition) != n or any(len(r) != n for r in self.transition):
+        if len(self.transition) != n:
             raise ConfigurationError(f"transition matrix must be {n}x{n}")
         if len(self.initial) != n:
             raise ConfigurationError(f"initial distribution must have {n} entries")
         for row in self.transition:
-            if any(p < 0 for p in row) or sum(row) != 1:
-                raise ConfigurationError("transition rows must be nonnegative and sum to 1")
+            if list(row) != sorted(row) or not all(0 <= j < n for j in row):
+                raise ConfigurationError(f"transition rows must list ascending ids below {n}")
+            if any(p <= 0 for p in row.values()) or sum(row.values()) != 1:
+                raise ConfigurationError("transition rows must be positive and sum to 1")
         if any(p < 0 for p in self.initial) or sum(self.initial) != 1:
             raise ConfigurationError("initial distribution must be nonnegative and sum to 1")
-        adjacency = [
-            [j for j, p in enumerate(row) if p > 0] for row in self.transition
-        ]
-        if not _check_strongly_connected(adjacency):
+        if not _check_strongly_connected(self.transition):
             raise ConfigurationError("markov waypoint chain must be irreducible")
-        if not _check_aperiodic(adjacency):
+        if not _check_aperiodic(self.transition):
             raise ConfigurationError("markov waypoint chain must be aperiodic")
 
     @cached_property
@@ -157,18 +153,13 @@ class WaypointProcessSpec:
         Built once per spec.
         """
         assert self.transition is not None and self.initial is not None
-        rows = self.transition + (self.initial,)
-        denominator = math.lcm(*(p.denominator for row in rows for p in row))
-        succ: list[list[int]] = []
-        cum: list[list[int]] = []
-        for row in rows:
-            states = [j for j, p in enumerate(row) if p]
-            bounds = itertools.accumulate(
-                row[j].numerator * (denominator // row[j].denominator) for j in states
-            )
-            succ.append(states)
-            cum.append(list(bounds)[:-1])
-        return denominator, succ, cum
+        rows = [*self.transition, {j: p for j, p in enumerate(self.initial) if p}]
+        denominator = math.lcm(*(p.denominator for row in rows for p in row.values()))
+        cum = [
+            list(itertools.accumulate(int(p * denominator) for p in row.values()))[:-1]
+            for row in rows
+        ]
+        return denominator, [list(row) for row in rows], cum
 
     @classmethod
     def iid_uniform(cls, grid: GridSpec) -> "WaypointProcessSpec":
@@ -181,10 +172,16 @@ class WaypointProcessSpec:
         transition: Sequence[Sequence],
         initial: Sequence,
     ) -> "WaypointProcessSpec":
+        """A chain from a dense n×n transition matrix, stored as sparse rows."""
+        n = grid.size
+        if len(transition) != n or any(len(row) != n for row in transition):
+            raise ConfigurationError(f"transition matrix must be {n}x{n}")
         return cls(
             grid=grid,
             kind=MARKOV,
-            transition=_as_fraction_matrix(transition),
+            transition=tuple(
+                {j: p for j, p in enumerate(map(Fraction, row)) if p} for row in transition
+            ),
             initial=tuple(Fraction(v) for v in initial),
         )
 
@@ -206,18 +203,15 @@ class WaypointProcessSpec:
         rows = []
         for cell in grid.cells():
             neighbors = [
-                Cell(cell.x + dx, cell.y + dy)
+                grid.cell_id(Cell(cell.x + dx, cell.y + dy))
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
                 if grid.contains(Cell(cell.x + dx, cell.y + dy))
             ]
-            row = [Fraction(0)] * n
-            row[grid.cell_id(cell)] = stay
-            share = (1 - stay) / len(neighbors)
-            for nb in neighbors:
-                row[grid.cell_id(nb)] += share
-            rows.append(row)
-        uniform = [Fraction(1, n)] * n
-        return cls.markov(grid, rows, uniform)
+            row = dict.fromkeys(neighbors, (1 - stay) / len(neighbors))
+            if stay:
+                row[grid.cell_id(cell)] = stay
+            rows.append(dict(sorted(row.items())))
+        return cls(grid=grid, kind=MARKOV, transition=tuple(rows), initial=(Fraction(1, n),) * n)
 
 
 def _validate_cells(spec_grid: GridSpec, symbols: Sequence) -> list[int]:
@@ -236,15 +230,13 @@ def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> list[Fract
     successors, so a step costs O(nonzero entries) rather than O(n²).
     """
     assert spec.transition is not None and spec.initial is not None
-    _, succ, _ = spec.sampling_rows
     dist = list(spec.initial)
     for _ in range(index):
         nxt = [Fraction(0)] * len(dist)
-        for i, mass in enumerate(dist):
+        for mass, row in zip(dist, spec.transition):
             if mass:
-                row = spec.transition[i]
-                for j in succ[i]:
-                    nxt[j] += mass * row[j]
+                for j, p in row.items():
+                    nxt[j] += mass * p
         dist = nxt
     return dist
 
@@ -260,7 +252,7 @@ def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> F
     for a, b in zip(ids, ids[1:]):
         if not prob:
             return Fraction(0)
-        prob *= spec.transition[a][b]
+        prob *= spec.transition[a].get(b, 0)
     return prob
 
 
@@ -530,7 +522,7 @@ def sample_waypoints(
 ) -> WaypointTrace:
     """Draw a reproducible waypoint sequence of ``count`` symbols.
 
-    Markov waypoints are drawn exactly from the spec's ``Fraction`` matrix:
+    Markov waypoints are drawn exactly from the spec's ``Fraction`` rows:
     each step draws an integer uniform on ``[0, D)`` for the common
     denominator ``D`` of the initial distribution and all rows, which must
     be below 2^63 (:class:`ConfigurationError` otherwise).

@@ -1,12 +1,15 @@
 """Independent reference computations used to freeze expected test values.
 
-Six deliberately separate routes from first principles:
+Seven deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
 * a per-pair path alphabet that digitizes every ordered cell pair on its own
   and interns the paths one by one, with its own pair-major ids, to check
   the displacement-keyed tables of ``rwmm.geometry.build_alphabet``;
+* a dense lazy-walk matrix whose neighbors are the cells at Manhattan
+  distance 1, to check the sparse rows of
+  ``rwmm.processes.WaypointProcessSpec.lazy_walk``;
 * a forward sum over waypoint states that marginalizes the path channel over
   every waypoint prefix, to check the closed form of
   ``rwmm.processes.path_process_prob`` (it never reads a path's endpoints);
@@ -112,16 +115,41 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
     )
 
 
+def dense_transition(spec: WaypointProcessSpec) -> list[list[Fraction]]:
+    """A markov spec's sparse transition rows expanded to an n×n matrix."""
+    assert spec.transition is not None
+    n = spec.grid.size
+    return [[row.get(j, Fraction(0)) for j in range(n)] for row in spec.transition]
+
+
+def dense_lazy_walk(grid: GridSpec, stay: Fraction) -> list[list[Fraction]]:
+    """The lazy walk's n×n matrix, neighbors found as cells at Manhattan distance 1.
+
+    A single cell stays put with probability 1; otherwise each cell keeps
+    ``stay`` and splits the rest evenly over its neighbors.
+    """
+    cells = list(grid.cells())
+    if len(cells) == 1:
+        return [[Fraction(1)]]
+    stay = Fraction(stay)
+    matrix = []
+    for a in cells:
+        near = [abs(a.x - b.x) + abs(a.y - b.y) == 1 for b in cells]
+        share = (1 - stay) / sum(near)
+        matrix.append(
+            [stay if a == b else share * is_near for b, is_near in zip(cells, near)]
+        )
+    return matrix
+
+
 def dense_markov_distribution(spec: WaypointProcessSpec, index: int) -> list[Fraction]:
     """Markov waypoint distribution at ``index``: the initial row times P^index."""
-    assert spec.transition is not None and spec.initial is not None
+    assert spec.initial is not None
     n = spec.grid.size
+    step = dense_transition(spec)
     dist = list(spec.initial)
     for _ in range(index):
-        dist = [
-            sum((dist[i] * spec.transition[i][j] for i in range(n)), Fraction(0))
-            for j in range(n)
-        ]
+        dist = [sum((dist[i] * step[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
     return dist
 
 
@@ -151,8 +179,8 @@ def marginal_path_prob(
         step = [[Fraction(1, n)] * n for _ in range(n)]
         weights = [Fraction(1, n)] * n
     else:
-        assert spec.transition is not None and spec.initial is not None
-        step = spec.transition
+        assert spec.initial is not None
+        step = dense_transition(spec)
         weights = list(spec.initial)
     fixed = {event.start + k: pid for k, pid in enumerate(event.symbols)}
     for index in range(span - 1):
@@ -273,6 +301,7 @@ def build_location_chain(
             states.append((pid, off))
     rows: list[dict[int, Fraction]] = []
     n_cells = grid.size
+    step = None if spec.kind == IID_UNIFORM else dense_transition(spec)
     for pid, off in states:
         path = alphabet.all_paths[pid]
         if off + 1 < path.length:
@@ -281,11 +310,10 @@ def build_location_chain(
         here = path.dest
         row: dict[int, Fraction] = {}
         for nxt in grid.cells():
-            if spec.kind == IID_UNIFORM:
+            if step is None:
                 w_prob = Fraction(1, n_cells)
             else:
-                assert spec.transition is not None
-                w_prob = spec.transition[grid.cell_id(here)][grid.cell_id(nxt)]
+                w_prob = step[grid.cell_id(here)][grid.cell_id(nxt)]
             if not w_prob:
                 continue
             members = sorted(alphabet.family_id_set(here, nxt))

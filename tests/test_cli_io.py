@@ -376,6 +376,19 @@ class TestTraceFiles:
         with pytest.raises(ConfigurationError, match="negative node id -1"):
             load_positions(path)
 
+    @pytest.mark.parametrize("column", [0, 1, 2])  # node id, time, x
+    def test_positions_reject_non_finite_values(self, tmp_path, column):
+        path = self._positions(tmp_path)
+
+        def edit(rows):
+            fields = rows[3].split(",")
+            fields[column] = "nan"
+            rows[3] = ",".join(fields)
+
+        rewrite_body(path, edit)
+        with pytest.raises(ConfigurationError, match="non-finite value in position trace"):
+            load_positions(path)
+
     def test_kind_mismatch(self, tmp_path):
         grid = GridSpec(2, 2)
         path = tmp_path / "t.trace"
@@ -412,9 +425,18 @@ class TestNs2:
                 assert x == pytest.approx(leg.x1, abs=1e-6)
                 assert speed == pytest.approx(leg.speed, abs=1e-6)
 
-    def test_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            parse_ns2("$node_(0) set X_ 1.0\nwhat is this\n")
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "what is this",
+            "$node_(0) set Y_ 1.2.3",
+            '$ns_ at 1.. "$node_(0) setdest 1.0 2.0 3.0"',
+        ],
+        ids=["words", "two-point-number", "trailing-points"],
+    )
+    def test_rejects_garbage(self, line):
+        with pytest.raises(ConfigurationError, match="unrecognized movement line 2"):
+            parse_ns2(f"$node_(0) set X_ 1.0\n{line}\n")
 
 
 class TestCsvReport:

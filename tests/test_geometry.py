@@ -333,6 +333,8 @@ class TestAlphabetTables:
         for key in (-1, *unnamed, max(ids) + 1, 10**30, "0"):
             with pytest.raises(KeyError):
                 alpha.all_paths[key]
+        assert all(p in alpha.all_paths for p in ids)
+        assert not any(key in alpha.all_paths for key in (-1, 10**30, "0", 1.5))
         with pytest.raises(TypeError):
             alpha.all_paths[0] = paths[0]
 

@@ -40,7 +40,9 @@ from rwmm.processes import (
 )
 
 from oracles import (
+    dense_lazy_walk,
     dense_markov_distribution,
+    dense_transition,
     enumerated_product_gap,
     enumerated_stationarity_gap,
     enumerated_total_mass,
@@ -124,15 +126,32 @@ class TestWaypointMeasures:
                 [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]],
                 [Fraction(3, 4), Fraction(3, 4)],
             )  # initial must sum to 1
+        with pytest.raises(ConfigurationError, match="must be 2x2"):
+            WaypointProcessSpec.markov(grid, [[Fraction(1, 2), Fraction(1, 2)], [1]], [1, 0])
 
     def test_lazy_walk_rows(self):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(2, 2), stay=Fraction(1, 2))
         assert spec.transition is not None
-        corner = spec.transition[0]  # (0,0): neighbors (1,0) and (0,1)
+        corner = dense_transition(spec)[0]  # (0,0): neighbors (1,0) and (0,1)
         assert corner[0] == Fraction(1, 2)
         assert corner[1] == Fraction(1, 4)
         assert corner[2] == Fraction(1, 4)
         assert corner[3] == 0
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(2, 30).flatmap(
+            lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+        ),
+    )
+    def test_lazy_walk_rows_match_dense_oracle(self, width, height, stay):
+        grid = GridSpec(width, height)
+        spec = WaypointProcessSpec.lazy_walk(grid, stay)
+        assert dense_transition(spec) == dense_lazy_walk(grid, stay)
+        for row in spec.transition:
+            assert list(row) == sorted(row)
+            assert all(p > 0 for p in row.values())
 
 
 class TestChannelMeasures:
@@ -534,7 +553,7 @@ GAP_WALKS = [((6, 6), Fraction(1, 2)), ((10, 10), Fraction(1, 3))]
 
 def _rows(spec):
     """The spec's distributions in the sampler's row order: transitions, then initial."""
-    return spec.transition + (spec.initial,)
+    return [*dense_transition(spec), list(spec.initial)]
 
 
 class TestExactMarkovSampler:
@@ -544,7 +563,7 @@ class TestExactMarkovSampler:
         # a float draw of 1 - 2^-53 lies above these rows' float cumulative
         # sums, and searching them sends the node to cell n-1
         gap_rows = [
-            row for row in spec.transition
+            row for row in dense_transition(spec)
             if np.cumsum([float(p) for p in row])[-1] <= 1 - 2**-53
         ]
         assert gap_rows
