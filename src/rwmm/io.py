@@ -9,6 +9,7 @@ digest and refuse silently corrupted files.
 
 from __future__ import annotations
 
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -116,23 +117,33 @@ def save_locations(
     seed: int | None = None,
     config_digest: str | None = None,
 ) -> None:
-    """Write a grid location trace (single node or joint) as node,step,x,y rows."""
+    """Write a grid location trace (single node or joint) as node,step,x,y rows.
+
+    Rows are built in bulk from one ``step,`` string per step and one
+    ``x,y`` label (with its newline) per cell, shared by every node. A
+    trace with no samples or with a cell id outside the grid is refused
+    with ``ValueError`` before the file is opened, since the loader could
+    not read it back.
+    """
     if isinstance(trace, LocationTrace):
         joint = JointTrace(trace.grid, trace.ids[None, :])
     else:
         joint = trace
     grid = joint.grid
-    labels = [f"{c % grid.width},{c // grid.width}" for c in range(grid.size)]
+    if joint.ids.size == 0:
+        raise ValueError("cannot write an empty location trace")
+    outside = (joint.ids < 0) | (joint.ids >= grid.size)
+    if outside.any():
+        raise ValueError(f"cell id {joint.ids[outside][0]} outside {grid}")
+    steps = [f"{step}," for step in range(len(joint))]
+    labels = [f"{c % grid.width},{c // grid.width}\n" for c in range(grid.size)]
     # one string per node: the row strings are freed node by node, which
     # keeps the peak memory of a large trace down
     parts = ["node,step,x,y\n"]
     for node in range(joint.node_count):
-        parts.append(
-            "".join(
-                f"{node},{step},{labels[c]}\n"
-                for step, c in enumerate(joint.ids[node].tolist())
-            )
-        )
+        head = f"{node},"
+        cells = map(labels.__getitem__, joint.ids[node].tolist())
+        parts.append(head + head.join(map(operator.add, steps, cells)))
     header = {
         "kind": KIND_LOCATIONS,
         "grid": f"{grid.width}x{grid.height}",

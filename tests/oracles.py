@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Seven deliberately separate routes from first principles:
+Nine deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -23,7 +23,13 @@ Seven deliberately separate routes from first principles:
   must approach;
 * a per-sample resampler of continuous legs, one ``Leg.position_at`` call
   per sample time, to check the vectorized interpolation in
-  ``rwmm.continuous``.
+  ``rwmm.continuous``;
+* a location stream that concatenates every drawn path's cells but its
+  last, to check that ``rwmm.simulate.simulate_node`` encodes only the
+  paths covering its horizon;
+* a per-row formatter of location trace bodies, one f-string per
+  ``(node, step)``, to check the bulk row writer of
+  ``rwmm.io.save_locations``.
 """
 
 from __future__ import annotations
@@ -354,3 +360,20 @@ def sample_legs_per_step(legs, times) -> np.ndarray:
             i += 1
         out[k] = legs[i].position_at(t)
     return out
+
+
+def concatenated_locations(alphabet: PathAlphabet, path_ids, horizon: int) -> list[Cell]:
+    """The first ``horizon`` cells of every listed path's cells but its last, in turn."""
+    cells = [cell for pid in path_ids for cell in alphabet.all_paths[int(pid)].cells[:-1]]
+    return cells[:horizon]
+
+
+def per_row_location_body(joint) -> str:
+    """A location trace body: the column line, then one row per (node, step)."""
+    width = joint.grid.width
+    rows = (
+        f"{node},{step},{c % width},{c // width}\n"
+        for node in range(joint.ids.shape[0])
+        for step, c in enumerate(joint.ids[node].tolist())
+    )
+    return "node,step,x,y\n" + "".join(rows)

@@ -32,6 +32,8 @@ from rwmm.io import (
 )
 from rwmm.location import JointTrace, LocationTrace
 
+from oracles import per_row_location_body
+
 DISCRETE_CFG = """\
 # comment line
 grid_width = 3
@@ -229,6 +231,45 @@ class TestTraceFiles:
             "0,0,0,0", "0,1,1,0", "0,2,2,1",
             "1,0,0,1", "1,1,0,1", "1,2,2,0",
         ]
+
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_locations_body_matches_per_row_oracle(self, width, height, nodes, steps, seed):
+        # up to 12 nodes and 12 columns, so node ids and x reach two digits
+        grid = GridSpec(width, height)
+        ids = np.random.default_rng(seed).integers(0, grid.size, (nodes, steps))
+        joint = JointTrace(grid, ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "t.trace"
+            save_locations(path, joint)
+            lines = path.read_bytes().splitlines(keepends=True)
+        split = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+        body = b"".join(lines[split:])
+        expected = per_row_location_body(joint).encode()
+        assert body == expected
+        assert lines[split - 1] == f"# body: {sha256(expected).hexdigest()}\n".encode()
+
+    @pytest.mark.parametrize(
+        "ids, error",
+        [
+            ([[0, -1, 2]], "cell id -1 outside"),
+            ([[0, 1, 2], [3, 6, 2]], "cell id 6 outside"),
+            (np.zeros((2, 0), dtype=np.int64), "empty location trace"),
+        ],
+        ids=["negative", "past-grid", "zero-steps"],
+    )
+    def test_locations_writer_refuses_unreadable_trace(self, tmp_path, ids, error):
+        # each would be written as a file that load_locations misreads or refuses
+        path = tmp_path / "t.trace"
+        joint = JointTrace(GridSpec(3, 2), np.asarray(ids, dtype=np.int64))
+        with pytest.raises(ValueError, match=error):
+            save_locations(path, joint)
+        assert not path.exists()
 
     def test_positions_text(self, tmp_path):
         from rwmm.continuous import ContinuousAreaSpec
@@ -552,6 +593,19 @@ class TestCli:
         assert "common denominator" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("waypoints", ["iid-uniform", "lazy-walk"])
+    def test_discrete_sample_limit_exit_code(self, tmp_path, capsys, waypoints):
+        # 1e11 samples would need 745 GiB of waypoint ids alone
+        text = DISCRETE_CFG.replace("horizon = 500", "horizon = 100000000000")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(text.replace("waypoints = iid-uniform", f"waypoints = {waypoints}"))
+        out = tmp_path / "out.trace"
+        assert main(
+            ["simulate-discrete", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+        ) == 2
+        assert "samples per run" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -648,6 +702,28 @@ class TestCli:
             ["analyze", "--trace", str(trace), "--config", str(cfg), "--out", str(report)]
         ) == 0
         assert sha256(report.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "waypoints, digest",
+        [
+            ("iid-uniform", "5e67589c66cefff7dc9d097b129338c9daf1cc17f05ddd31949a16bcacb3dabe"),
+            ("lazy-walk", "2651b912b9ea14ffbd60f4d1d09e5b121c468c68de4602a95c65deafda446f0d"),
+        ],
+    )
+    def test_simulate_discrete_trace_pinned(self, tmp_path, waypoints, digest):
+        # digests of traces written by the per-row writer from every drawn
+        # path's encoding; 11 nodes on a 12-wide grid give two-digit node ids
+        # and coordinates
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(
+            "grid_width = 12\ngrid_height = 11\nspeeds = 1, 3/2, 2\n"
+            f"horizon = 1500\nnodes = 11\nwaypoints = {waypoints}\n"
+        )
+        trace = tmp_path / "t.trace"
+        assert main(
+            ["simulate-discrete", "--config", str(cfg), "--seed", "5", "--out", str(trace)]
+        ) == 0
+        assert sha256(trace.read_bytes()).hexdigest() == digest
 
     def test_missing_config_exit_code(self):
         assert main(
