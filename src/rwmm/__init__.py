@@ -15,7 +15,7 @@ Layers, bottom to top:
 """
 
 from .errors import CapacityError, ConfigurationError, VerificationError
-from .geometry import Cell, GridSpec, Path, PathAlphabet, PathFamily, build_alphabet, enumerate_paths
+from .geometry import Cell, GridSpec, Path, PathAlphabet, build_alphabet
 from .location import JointTrace, LocationTrace, encode_paths, encode_sequence
 from .processes import (
     CylinderEvent,
@@ -27,7 +27,7 @@ from .processes import (
     path_process_prob,
     waypoint_cylinder_prob,
 )
-from .simulate import simulate_joint, simulate_locations, simulate_node
+from .simulate import simulate_joint, simulate_node
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "LocationTrace",
     "Path",
     "PathAlphabet",
-    "PathFamily",
     "VerificationError",
     "WaypointProcessSpec",
     "build_alphabet",
@@ -51,10 +50,8 @@ __all__ = [
     "check_output_mixing",
     "encode_paths",
     "encode_sequence",
-    "enumerate_paths",
     "path_process_prob",
     "simulate_joint",
-    "simulate_locations",
     "simulate_node",
     "waypoint_cylinder_prob",
 ]

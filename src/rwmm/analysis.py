@@ -144,17 +144,14 @@ def _geometric_checkpoints(total: int, count: int) -> np.ndarray:
 
 
 def _convergence_from_running(
-    running_mean: np.ndarray,
-    tolerance: float | None,
-    checkpoint_count: int,
-    tail: int,
+    running_mean: np.ndarray, tolerance: float | None
 ) -> ConvergenceReport:
     total = len(running_mean)
     if tolerance is None:
         tolerance = 3.0 / math.sqrt(total)
-    checkpoints = _geometric_checkpoints(total, checkpoint_count)
+    checkpoints = _geometric_checkpoints(total, DEFAULT_CHECKPOINT_COUNT)
     partials = running_mean[checkpoints - 1]
-    tail = min(tail, len(partials))
+    tail = min(DEFAULT_TAIL, len(partials))
     tail_values = partials[-tail:]
     width = float(tail_values.max() - tail_values.min())
     return ConvergenceReport(
@@ -172,8 +169,6 @@ def time_average(
     observable: Observable,
     trace,
     tolerance: float | None = None,
-    checkpoint_count: int = DEFAULT_CHECKPOINT_COUNT,
-    tail: int = DEFAULT_TAIL,
 ) -> ConvergenceReport:
     """Birkhoff running average of the observable along one trace.
 
@@ -184,7 +179,7 @@ def time_average(
     if len(values) == 0:
         raise ValueError("trace too short for this observable's window")
     running = np.cumsum(values) / np.arange(1, len(values) + 1)
-    return _convergence_from_running(running, tolerance, checkpoint_count, tail)
+    return _convergence_from_running(running, tolerance)
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class CellAverages:
 
     Each array is indexed [node, cell id], and each entry equals what
     ``time_average(CellIndicator(grid, cell), trace.node(node))`` reports
-    with its default checkpoints, tail and tolerance, bit for bit.
+    with its default tolerance, bit for bit.
     """
 
     visits: np.ndarray  # int64 occupancy counts over the whole trace
@@ -240,8 +235,6 @@ def cesaro_measure(
     simulate: Callable[[object], object],
     seeds: Sequence,
     tolerance: float | None = None,
-    checkpoint_count: int = DEFAULT_CHECKPOINT_COUNT,
-    tail: int = DEFAULT_TAIL,
 ) -> ConvergenceReport:
     """Cesàro average of ensemble frequencies across independent runs.
 
@@ -265,7 +258,7 @@ def cesaro_measure(
     assert total is not None
     frequency = total / len(seeds)
     running = np.cumsum(frequency) / np.arange(1, len(frequency) + 1)
-    return _convergence_from_running(running, tolerance, checkpoint_count, tail)
+    return _convergence_from_running(running, tolerance)
 
 
 @dataclass(frozen=True)

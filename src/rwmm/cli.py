@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from .config import (
 from .continuous import simulate_continuous
 from .errors import CapacityError, ConfigurationError, VerificationError
 from .geometry import build_alphabet
-from .location import LocationTrace
 from .processes import (
     channel_total_mass,
     check_channel_stationarity,

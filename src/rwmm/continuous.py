@@ -95,7 +95,6 @@ class ContinuousTrace:
     times: np.ndarray  # (steps,)
     positions: np.ndarray  # (nodes, steps, 2)
     legs: tuple[tuple[Leg, ...], ...]  # per node
-    seed: int | None = None
 
     @property
     def node_count(self) -> int:
@@ -104,9 +103,6 @@ class ContinuousTrace:
     @property
     def step_count(self) -> int:
         return int(self.positions.shape[1])
-
-    def node_positions(self, node_id: int) -> np.ndarray:
-        return self.positions[node_id]
 
 
 def _sample_legs(legs: Sequence[Leg], times: np.ndarray) -> np.ndarray:
@@ -220,14 +216,12 @@ def simulate_continuous(
         built += len(legs)
         all_positions[node_id] = _sample_legs(legs, times)
         all_legs.append(tuple(legs))
-    seed_val = seed if isinstance(seed, int) else None
     return ContinuousTrace(
         area=area,
         time_step=time_step,
         times=times,
         positions=all_positions,
         legs=tuple(all_legs),
-        seed=seed_val,
     )
 
 
@@ -301,7 +295,7 @@ def discretize(
             cells.append(_containing_cell(grid, x, y, cell_w))
         cells.append(end)
         paths.append(Path(tuple(cells)))
-    return paths, encode_paths(paths, grid, node_id)
+    return paths, encode_paths(paths, grid)
 
 
 @dataclass(frozen=True)

@@ -110,28 +110,6 @@ class Path:
         return self.cells[-1]
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    """The distinct digitized paths for one ordered waypoint pair."""
-
-    source: Cell
-    dest: Cell
-    paths: tuple[Path, ...]
-
-    def __post_init__(self) -> None:
-        if not self.paths:
-            raise ValueError(f"empty path family for {self.source} -> {self.dest}")
-        for p in self.paths:
-            if p.source != self.source or p.dest != self.dest:
-                raise ValueError(f"path {p} does not join {self.source} -> {self.dest}")
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self) -> Iterator[Path]:
-        return iter(self.paths)
-
-
 def normalize_speeds(speeds: Iterable[SpeedLike]) -> tuple[Fraction, ...]:
     """Validate and canonicalize a speed set to sorted positive Fractions."""
     values = sorted({Fraction(v) for v in speeds})
@@ -159,7 +137,9 @@ def _displacement_family(dx: int, dy: int, speeds: tuple[Fraction, ...]) -> tupl
     """Distinct digitized paths of the trip from (0, 0) to (dx, dy).
 
     Every speed contributes one path; a zero displacement yields the single
-    pause path. Paths are ordered by (length, cell sequence).
+    pause path. Paths are ordered by (length, cell sequence). The trip from
+    any source is this family translated: rounding ``source + offset`` with
+    an integer source commutes with translation, which keeps the order.
     """
     if dx == 0 and dy == 0:
         return (((0, 0), (0, 0)),)
@@ -175,33 +155,6 @@ def _displacement_family(dx: int, dy: int, speeds: tuple[Fraction, ...]) -> tupl
         cells.append((dx, dy))
         distinct.setdefault(tuple(cells))
     return tuple(sorted(distinct, key=lambda cells: (len(cells), cells)))
-
-
-def enumerate_paths(
-    grid: GridSpec,
-    source: Cell,
-    dest: Cell,
-    speeds: Iterable[SpeedLike],
-) -> PathFamily:
-    """Digitize the source->dest trip at every speed and collect distinct paths.
-
-    A same-cell trip yields the single pause path ``[source, source]`` of
-    length 1 regardless of the speed set. Paths are ordered by (length,
-    cell sequence), so identical inputs always produce identical families.
-    The family is the translate of its displacement's family: rounding
-    ``source + offset`` with an integer source commutes with translation,
-    and translation keeps the order.
-    """
-    speed_set = normalize_speeds(speeds)
-    for cell in (source, dest):
-        if not grid.contains(cell):
-            raise ValueError(f"{cell} outside {grid.width}x{grid.height} grid")
-    family = _displacement_family(dest.x - source.x, dest.y - source.y, speed_set)
-    paths = tuple(
-        Path(tuple(Cell(source.x + ox, source.y + oy) for ox, oy in cells))
-        for cells in family
-    )
-    return PathFamily(source, dest, paths)
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -366,28 +319,17 @@ class PathAlphabet:
         first, size = self.family_ranges(self.grid.cell_id(source), self.grid.cell_id(dest))
         return frozenset(range(int(first), int(first + size)))
 
-    def path_id(self, path: Path) -> int:
-        """The id of a path, searched within its pair's family."""
-        for pid in sorted(self.family_id_set(path.source, path.dest)):
-            if self.all_paths[pid] == path:
-                return pid
-        raise ValueError(f"{path} is not in the alphabet")
 
-
-def build_alphabet(
-    grid: GridSpec,
-    speeds: Iterable[SpeedLike],
-    cap: int | None = None,
-) -> PathAlphabet:
+def build_alphabet(grid: GridSpec, speeds: Iterable[SpeedLike]) -> PathAlphabet:
     """Digitize every displacement of the grid and build the path alphabet.
 
     The build digitizes each of the (2W-1)(2H-1) displacements once per
     speed, so it raises :class:`CapacityError`, before digitizing anything,
     when that many digitized paths, ``(2W-1)(2H-1) * |speeds|``, exceed the
-    cap.
+    cap (:func:`~rwmm.errors.enumeration_cap`).
     """
     speed_set = normalize_speeds(speeds)
-    limit = enumeration_cap() if cap is None else cap
+    limit = enumeration_cap()
     spans = (2 * grid.width - 1, 2 * grid.height - 1)
     bound = spans[0] * spans[1] * len(speed_set)
     if bound > limit:

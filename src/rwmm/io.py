@@ -9,6 +9,7 @@ digest and refuse silently corrupted files.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from contextlib import contextmanager
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .continuous import ContinuousTrace, Leg
+from .continuous import ContinuousTrace
 from .errors import ConfigurationError, VerificationError
 from .geometry import GridSpec
 from .location import JointTrace, LocationTrace
@@ -203,7 +204,16 @@ def save_positions(
     seed: int | None = None,
     config_digest: str | None = None,
 ) -> None:
-    """Write sampled continuous positions as node,time,x,y rows (%.9g)."""
+    """Write sampled continuous positions as node,time,x,y rows (%.9g).
+
+    A trace with a time step that is not finite and positive, or with a
+    non-finite time or position, is refused with ``ValueError`` before the
+    file is opened, since the loader could not read it back.
+    """
+    if not 0 < trace.time_step < math.inf:
+        raise ValueError(f"time step must be finite and > 0, got {trace.time_step}")
+    if not (np.isfinite(trace.times).all() and np.isfinite(trace.positions).all()):
+        raise ValueError("cannot write non-finite times or positions")
     times = [_format_float(t) for t in trace.times.tolist()]
     parts = ["node,time,x,y\n"]  # one string per node, as in save_locations
     for node in range(trace.node_count):
@@ -229,13 +239,23 @@ def load_positions(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
     """Read sampled positions back as (times, positions[nodes, steps, 2], header).
 
-    Rows must be node-major and time-sorted, and sample k of every node must
-    lie at time ``k * time-step`` (to the 9 significant digits written).
+    The time-step header must be a finite number > 0. Rows must be
+    node-major and time-sorted, and sample k of every node must lie at time
+    ``k * time-step`` (to the 9 significant digits written).
     """
     with _open_trace(path) as (header, body):
         if header.get("kind") != KIND_POSITIONS:
             raise ConfigurationError(
                 f"expected a {KIND_POSITIONS} trace, got {header.get('kind')!r}"
+            )
+        try:
+            time_step = float(header["time-step"])
+        except (KeyError, ValueError):
+            time_step = math.nan
+        if not 0 < time_step < math.inf:
+            raise ConfigurationError(
+                f"bad time-step header: {header.get('time-step')!r} "
+                "(must be a finite number > 0)"
             )
         data = _load_rows(body, "position", "node,time,x,y", np.float64)
     nodes = int(data[:, 0].max()) + 1
@@ -247,12 +267,6 @@ def load_positions(
     times = data[:, 1].reshape(nodes, steps)
     if np.any(np.diff(times, axis=1) <= 0):
         raise ConfigurationError("position trace rows must be sorted by time within each node")
-    try:
-        time_step = float(header["time-step"])
-    except (KeyError, ValueError):
-        raise ConfigurationError(
-            f"bad time-step header: {header.get('time-step')!r}"
-        ) from None
     expected = np.arange(steps) * time_step
     off_grid = np.abs(times - expected) > 1e-7 * np.maximum(expected, time_step)
     if off_grid.any():

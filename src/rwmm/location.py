@@ -26,7 +26,6 @@ class LocationTrace:
 
     grid: GridSpec
     ids: np.ndarray
-    node_id: int = 0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -37,7 +36,7 @@ class LocationTrace:
     def prefix(self, count: int) -> "LocationTrace":
         if count > len(self.ids):
             raise ValueError(f"prefix of {count} from trace of length {len(self.ids)}")
-        return LocationTrace(self.grid, self.ids[:count], self.node_id)
+        return LocationTrace(self.grid, self.ids[:count])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +54,10 @@ class JointTrace:
         return int(self.ids.shape[1])
 
     def node(self, node_id: int) -> LocationTrace:
-        return LocationTrace(self.grid, self.ids[node_id], node_id)
+        return LocationTrace(self.grid, self.ids[node_id])
 
 
-def encode_paths(paths: Sequence[Path], grid: GridSpec, node_id: int = 0) -> LocationTrace:
+def encode_paths(paths: Sequence[Path], grid: GridSpec) -> LocationTrace:
     """Encode an explicit path sequence (no alphabet needed).
 
     Each path contributes its first l(p) cells, all but its last.
@@ -66,7 +65,7 @@ def encode_paths(paths: Sequence[Path], grid: GridSpec, node_id: int = 0) -> Loc
     ids: list[int] = []
     for path in paths:
         ids.extend(grid.cell_id(c) for c in path.cells[: path.length])
-    return LocationTrace(grid, np.asarray(ids, dtype=np.int64), node_id)
+    return LocationTrace(grid, np.asarray(ids, dtype=np.int64))
 
 
 def encode_sequence(trace: PathTrace) -> LocationTrace:
@@ -75,7 +74,7 @@ def encode_sequence(trace: PathTrace) -> LocationTrace:
     Gathers every path's emitted cells from the alphabet in one pass.
     """
     alphabet = trace.alphabet
-    return LocationTrace(alphabet.grid, alphabet.emitted_cells(trace.ids), trace.node_id)
+    return LocationTrace(alphabet.grid, alphabet.emitted_cells(trace.ids))
 
 
 def trip_times(lengths: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -113,7 +112,7 @@ def variable_length_shift(trace: PathTrace, count: int) -> tuple[PathTrace, int]
     if not 0 <= count <= len(trace.ids):
         raise ValueError(f"cannot shift {count} of {len(trace.ids)} paths")
     dropped = int(trace.alphabet.lengths(trace.ids[:count]).sum())
-    shifted = PathTrace(trace.alphabet, trace.ids[count:], trace.node_id)
+    shifted = PathTrace(trace.alphabet, trace.ids[count:])
     return shifted, dropped
 
 

@@ -476,7 +476,6 @@ class WaypointTrace:
 
     grid: GridSpec
     ids: np.ndarray
-    node_id: int = 0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -491,7 +490,6 @@ class PathTrace:
 
     alphabet: PathAlphabet
     ids: np.ndarray
-    node_id: int = 0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -518,7 +516,6 @@ def sample_waypoints(
     spec: WaypointProcessSpec,
     count: int,
     seed: SeedLike,
-    node_id: int = 0,
 ) -> WaypointTrace:
     """Draw a reproducible waypoint sequence of ``count`` symbols.
 
@@ -533,7 +530,7 @@ def sample_waypoints(
     n = spec.grid.size
     if spec.kind == IID_UNIFORM:
         ids = rng.integers(0, n, size=count, dtype=np.int64)
-        return WaypointTrace(spec.grid, ids, node_id)
+        return WaypointTrace(spec.grid, ids)
     denominator, succ, cum = spec.sampling_rows
     if denominator >= 2**63:
         raise ConfigurationError(
@@ -542,17 +539,23 @@ def sample_waypoints(
         )
     draws = rng.integers(0, denominator, size=count, dtype=np.int64).tolist()
     states = _walk(succ, cum, n, draws)
-    return WaypointTrace(spec.grid, np.array(states, dtype=np.int64), node_id)
+    return WaypointTrace(spec.grid, np.array(states, dtype=np.int64))
 
 
 def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLike) -> PathTrace:
-    """Draw one path per consecutive waypoint pair, uniform within its family."""
+    """Draw one path per consecutive waypoint pair, uniform within its family.
+
+    Raises ``ValueError`` when the waypoints and the alphabet use different
+    grids, since the waypoint ids would then be read as the wrong cells.
+    """
+    if waypoints.grid != alphabet.grid:
+        raise ValueError("waypoint process and alphabet use different grids")
     if len(waypoints) < 2:
         raise ValueError("need at least two waypoints to sample a path")
     rng = _rng(seed)
     first, sizes = alphabet.family_ranges(waypoints.ids[:-1], waypoints.ids[1:])
     path_ids = first + rng.integers(0, sizes)
-    return PathTrace(alphabet, path_ids, waypoints.node_id)
+    return PathTrace(alphabet, path_ids)
 
 
 def uniform_prefix(grid: GridSpec, length: int, rng: np.random.Generator) -> tuple[Cell, ...]:

@@ -55,7 +55,6 @@ def simulate_node(
     alphabet: PathAlphabet,
     horizon: int,
     seed,
-    node_id: int = 0,
 ) -> NodeRun:
     """Simulate one node for ``horizon`` location steps.
 
@@ -71,24 +70,11 @@ def simulate_node(
     _check_samples(1, horizon)
     root = _seed_sequence(seed)
     wp_seed, path_seed = root.spawn(2)
-    waypoints = sample_waypoints(spec, horizon + 1, np.random.default_rng(wp_seed), node_id)
+    waypoints = sample_waypoints(spec, horizon + 1, np.random.default_rng(wp_seed))
     paths = sample_paths(alphabet, waypoints, np.random.default_rng(path_seed))
     covering = int(np.searchsorted(np.cumsum(paths.lengths), horizon)) + 1
-    locations = encode_sequence(
-        PathTrace(alphabet, paths.ids[:covering], paths.node_id)
-    ).prefix(horizon)
+    locations = encode_sequence(PathTrace(alphabet, paths.ids[:covering])).prefix(horizon)
     return NodeRun(waypoints=waypoints, paths=paths, locations=locations)
-
-
-def simulate_locations(
-    spec: WaypointProcessSpec,
-    alphabet: PathAlphabet,
-    horizon: int,
-    seed,
-    node_id: int = 0,
-) -> LocationTrace:
-    """One node's location trace of exactly ``horizon`` steps."""
-    return simulate_node(spec, alphabet, horizon, seed, node_id).locations
 
 
 def simulate_joint(
@@ -110,8 +96,5 @@ def simulate_joint(
     _check_samples(node_count, horizon)
     root = _seed_sequence(seed)
     children = root.spawn(node_count)
-    traces = [
-        simulate_node(spec, alphabet, horizon, child, node_id).locations
-        for node_id, child in enumerate(children)
-    ]
+    traces = [simulate_node(spec, alphabet, horizon, child).locations for child in children]
     return joint_process(traces)

@@ -4,9 +4,12 @@ Nine deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
-* a per-pair path alphabet that digitizes every ordered cell pair on its own
-  and interns the paths one by one, with its own pair-major ids, to check
-  the displacement-keyed tables of ``rwmm.geometry.build_alphabet``;
+* a per-pair path alphabet that digitizes every ordered cell pair on its
+  own, translating the digitized displacement to the pair, and interns the
+  paths one by one, with its own pair-major ids, to check the
+  displacement-keyed tables and id ranges of
+  ``rwmm.geometry.build_alphabet`` (the digitizer itself is checked by the
+  symbolic route above);
 * a dense lazy-walk matrix whose neighbors are the cells at Manhattan
   distance 1, to check the sparse rows of
   ``rwmm.processes.WaypointProcessSpec.lazy_walk``;
@@ -14,8 +17,9 @@ Nine deliberately separate routes from first principles:
   every waypoint prefix, to check the closed form of
   ``rwmm.processes.path_process_prob`` (it never reads a path's endpoints);
 * cylinder-by-cylinder enumerations of the channel's stationarity gap and
-  total mass over products of path families, to check the per-coordinate
-  closed forms of ``rwmm.processes.check_channel_stationarity`` and
+  total mass over products of path families, each cylinder's probability
+  taken from the family id sets here, to check the per-coordinate closed
+  forms of ``rwmm.processes.check_channel_stationarity`` and
   ``channel_total_mass``;
 * an explicit finite Markov chain on (path, within-path offset) states,
   solved exactly with GTH elimination over ``Fraction``, giving the
@@ -41,8 +45,15 @@ from types import SimpleNamespace
 import numpy as np
 import sympy as sp
 
-from rwmm.geometry import Cell, GridSpec, Path, PathAlphabet, enumerate_paths, normalize_speeds
-from rwmm.processes import IID_UNIFORM, CylinderEvent, WaypointProcessSpec, channel_cylinder_prob
+from rwmm.geometry import (
+    Cell,
+    GridSpec,
+    Path,
+    PathAlphabet,
+    _displacement_family,
+    normalize_speeds,
+)
+from rwmm.processes import IID_UNIFORM, WaypointProcessSpec
 
 
 def sympy_digitize(source: Cell, dest: Cell, speed: Fraction) -> list[Cell]:
@@ -78,7 +89,8 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
     """Path-alphabet tables built pair by pair, with no displacement sharing.
 
     Every ordered cell pair, in pair-id order, is digitized at each speed on
-    its own with ``enumerate_paths``; the distinct paths are sorted by
+    its own: the pair's displacement is digitized from the origin and
+    translated to the pair's source. The distinct paths are sorted by
     (length, cells) here and interned in that order. Returns
     the path tuple, ``max_path_length``, the per-pair member ids
     (``family_members`` flattened, located by ``family_offsets`` and
@@ -91,7 +103,11 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
     members: list[int] = []
     for src in grid.cells():
         for dst in grid.cells():
-            distinct = {enumerate_paths(grid, src, dst, (v,)).paths[0] for v in speed_set}
+            distinct = {
+                Path(tuple(Cell(src.x + ox, src.y + oy) for ox, oy in offsets))
+                for v in speed_set
+                for offsets in _displacement_family(dst.x - src.x, dst.y - src.y, (v,))
+            }
             family = sorted(distinct, key=lambda p: (p.length, [(c.x, c.y) for c in p.cells]))
             offsets.append(len(members))
             sizes.append(len(family))
@@ -204,37 +220,48 @@ def marginal_path_prob(
     return sum(weights, Fraction(0))
 
 
+def _families(alphabet: PathAlphabet, waypoints, start: int, horizon: int) -> list[frozenset]:
+    """The path family of each waypoint pair ``(w[start + i], w[start + i + 1])``."""
+    return [
+        alphabet.family_id_set(waypoints[start + i], waypoints[start + i + 1])
+        for i in range(horizon)
+    ]
+
+
+def _cylinder_prob(families, combo) -> Fraction:
+    """Channel probability of fixing path ``combo[i]`` at coordinate i.
+
+    The channel draws coordinate i uniformly from ``families[i]``: the
+    product of ``1/|families[i]|`` when every path lies in its family, else 0.
+    """
+    prob = Fraction(1)
+    for pid, family in zip(combo, families):
+        if pid not in family:
+            return Fraction(0)
+        prob /= len(family)
+    return prob
+
+
 def enumerated_stationarity_gap(alphabet: PathAlphabet, waypoints, horizon: int) -> Fraction:
     """Stationarity gap, one path cylinder at a time.
 
-    Both sides vanish outside their per-coordinate support sets, so the
-    maximum over the whole cylinder space is attained on the product of the
-    per-coordinate support unions, which is enumerated.
+    The shifted-input measure fixes ``[p_0..p_{n-1}]`` on the prefix
+    ``w[1:]`` from index 0; its shift preimage fixes the same symbols on
+    ``w`` from index 1. Both vanish outside their per-coordinate families,
+    so the maximum over the whole cylinder space is attained on the product
+    of the per-coordinate family unions, which is enumerated.
     """
-    shifted = list(waypoints[1:])
-    supports = []
-    for i in range(horizon):
-        side_a = alphabet.family_id_set(shifted[i], shifted[i + 1])
-        side_b = alphabet.family_id_set(waypoints[i + 1], waypoints[i + 2])
-        supports.append(sorted(side_a | side_b))
-    worst = Fraction(0)
-    for combo in itertools.product(*supports):
-        lhs = channel_cylinder_prob(alphabet, shifted, CylinderEvent(0, combo))
-        rhs = channel_cylinder_prob(alphabet, waypoints, CylinderEvent(1, combo))
-        gap = abs(lhs - rhs)
-        if gap > worst:
-            worst = gap
-    return worst
+    shifted = _families(alphabet, waypoints[1:], 0, horizon)
+    original = _families(alphabet, waypoints, 1, horizon)
+    return enumerated_product_gap(list(zip(shifted, original)))
 
 
 def enumerated_total_mass(alphabet: PathAlphabet, waypoints, horizon: int) -> Fraction:
     """Channel measure summed over the product of the per-coordinate families."""
-    supports = [
-        sorted(alphabet.family_id_set(waypoints[i], waypoints[i + 1])) for i in range(horizon)
-    ]
+    families = _families(alphabet, waypoints, 0, horizon)
     total = Fraction(0)
-    for combo in itertools.product(*supports):
-        total += channel_cylinder_prob(alphabet, waypoints, CylinderEvent(0, combo))
+    for combo in itertools.product(*(sorted(family) for family in families)):
+        total += _cylinder_prob(families, combo)
     return total
 
 
@@ -245,13 +272,12 @@ def enumerated_product_gap(pairs) -> Fraction:
     ``1/|A_i|`` for p in ``A_i`` and 0 otherwise, ``b_i`` likewise. Tuples run
     over the product of the unions ``A_i | B_i``; the gap is 0 off them.
     """
+    sides_a = [side_a for side_a, _ in pairs]
+    sides_b = [side_b for _, side_b in pairs]
     worst = Fraction(0)
     for combo in itertools.product(*(sorted(a | b) for a, b in pairs)):
-        lhs = rhs = Fraction(1)
-        for pid, (side_a, side_b) in zip(combo, pairs):
-            lhs *= Fraction(1, len(side_a)) if pid in side_a else 0
-            rhs *= Fraction(1, len(side_b)) if pid in side_b else 0
-        worst = max(worst, abs(lhs - rhs))
+        gap = abs(_cylinder_prob(sides_a, combo) - _cylinder_prob(sides_b, combo))
+        worst = max(worst, gap)
     return worst
 
 

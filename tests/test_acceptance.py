@@ -39,7 +39,7 @@ from rwmm.processes import (
     sample_waypoints,
     uniform_prefix,
 )
-from rwmm.simulate import simulate_locations
+from rwmm.simulate import simulate_node
 
 HORIZON = 100_000
 CONVERGENCE_TOL = 3 / np.sqrt(HORIZON)  # trailing Cauchy spread bound
@@ -166,7 +166,7 @@ def _convergence_body(spec: WaypointProcessSpec, failures: list[str]) -> None:
     alphabet = build_alphabet(CONVERGENCE_GRID, (Fraction(1), Fraction(2)))
 
     def run(seed):
-        return simulate_locations(spec, alphabet, HORIZON, seed)
+        return simulate_node(spec, alphabet, HORIZON, seed).locations
 
     for cell in CONVERGENCE_CELLS:
         report = ergodicity_check(
@@ -215,7 +215,7 @@ def test_criterion_05_exact_chain_oracle_agreement(capsys):
             if exact[grid.cell_id(Cell(x, y))] != value:
                 failures.append(f"oracle drifted at cell ({x}, {y})")
         for seed in (101, 202, 303):
-            trace = simulate_locations(spec, alphabet, HORIZON, seed)
+            trace = simulate_node(spec, alphabet, HORIZON, seed).locations
             freq = location_histogram(trace).frequencies
             for cid in range(grid.size):
                 diff = abs(freq[cid] - float(exact[cid]))
@@ -242,9 +242,9 @@ def test_criterion_07_cesaro_matches_time_average(capsys):
         spec = WaypointProcessSpec.iid_uniform(grid)
 
         def run(seed):
-            return simulate_locations(spec, alphabet, 10_000, seed)
+            return simulate_node(spec, alphabet, 10_000, seed).locations
 
-        long_trace = simulate_locations(spec, alphabet, HORIZON, 999)
+        long_trace = simulate_node(spec, alphabet, HORIZON, 999).locations
         events = (
             CellIndicator(grid, Cell(0, 0)),
             CylinderIndicator(grid, (Cell(0, 0), Cell(1, 1))),

@@ -22,7 +22,7 @@ from rwmm.analysis import (
 from rwmm.geometry import Cell, GridSpec, build_alphabet
 from rwmm.location import JointTrace, LocationTrace
 from rwmm.processes import WaypointProcessSpec
-from rwmm.simulate import simulate_locations
+from rwmm.simulate import simulate_node
 
 GRID2 = GridSpec(2, 1)
 
@@ -115,7 +115,7 @@ class TestCesaro:
         spec = WaypointProcessSpec.iid_uniform(grid)
 
         def run(seed):
-            return simulate_locations(spec, alpha, 200, seed)
+            return simulate_node(spec, alpha, 200, seed).locations
 
         report = cesaro_measure(CellIndicator(grid, Cell(0, 0)), run, seeds=range(5))
         assert report.final_value == 1.0
@@ -127,7 +127,7 @@ class TestCesaro:
         spec = WaypointProcessSpec.iid_uniform(grid)
 
         def run(seed):
-            return simulate_locations(spec, alpha, 2000, seed)
+            return simulate_node(spec, alpha, 2000, seed).locations
 
         report = cesaro_measure(
             CellIndicator(grid, Cell(0, 0)), run, seeds=range(40), tolerance=0.05
@@ -147,7 +147,7 @@ class TestErgodicity:
         spec = WaypointProcessSpec.iid_uniform(grid)
 
         def run(seed):
-            return simulate_locations(spec, alpha, 20_000, seed)
+            return simulate_node(spec, alpha, 20_000, seed).locations
 
         report = ergodicity_check(CellIndicator(grid, Cell(0, 0)), run, seeds=range(6))
         assert report.all_converged

@@ -417,6 +417,43 @@ class TestTraceFiles:
         with pytest.raises(ConfigurationError, match="negative node id -1"):
             load_positions(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    def test_positions_reject_bad_time_step(self, tmp_path, value):
+        path = self._positions(tmp_path)
+        text = path.read_text()
+        assert "# time-step: 0.5\n" in text
+        path.write_text(text.replace("# time-step: 0.5\n", f"# time-step: {value}\n"))
+        with pytest.raises(ConfigurationError, match=f"bad time-step header: '{value}'"):
+            load_positions(path)
+
+    @pytest.mark.parametrize(
+        "field, index",
+        [("times", (3,)), ("positions", (1, 4, 0)), ("positions", (0, 2, 1))],
+        ids=["time", "x", "y"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_positions_writer_refuses_non_finite_values(self, tmp_path, field, index, value):
+        from rwmm.continuous import ContinuousAreaSpec
+
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
+        getattr(trace, field)[index] = value
+        path = tmp_path / "c.trace"
+        with pytest.raises(ValueError, match="non-finite times or positions"):
+            save_positions(path, trace)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("time_step", [np.nan, np.inf, 0.0, -0.5])
+    def test_positions_writer_refuses_bad_time_step(self, tmp_path, time_step):
+        from dataclasses import replace
+
+        from rwmm.continuous import ContinuousAreaSpec
+
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
+        path = tmp_path / "c.trace"
+        with pytest.raises(ValueError, match="time step must be finite and > 0"):
+            save_positions(path, replace(trace, time_step=time_step))
+        assert not path.exists()
+
     @pytest.mark.parametrize("column", [0, 1, 2])  # node id, time, x
     def test_positions_reject_non_finite_values(self, tmp_path, column):
         path = self._positions(tmp_path)

@@ -8,6 +8,7 @@ and an exhaustive sweep against the symbolic reference in ``oracles.py``
 import ast
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path as FilePath
 
@@ -22,7 +23,6 @@ from rwmm.geometry import (
     GridSpec,
     Path,
     build_alphabet,
-    enumerate_paths,
     normalize_speeds,
 )
 
@@ -33,9 +33,19 @@ def numpy_tables(alphabet):
     return {name: v for name, v in vars(alphabet).items() if isinstance(v, np.ndarray)}
 
 
+@lru_cache(maxsize=64)
+def _alphabet(grid, speeds):
+    return build_alphabet(grid, speeds)
+
+
+def family(grid, source, dest, speeds):
+    """The paths of one (source, dest) family, read from the alphabet's id range."""
+    alpha = _alphabet(grid, normalize_speeds(speeds))
+    return [alpha.all_paths[i] for i in sorted(alpha.family_id_set(source, dest))]
+
+
 def family_cells(grid, source, dest, speeds):
-    fam = enumerate_paths(grid, source, dest, normalize_speeds(speeds))
-    return [p.cells for p in fam.paths]
+    return [p.cells for p in family(grid, source, dest, speeds)]
 
 
 class TestGridSpec:
@@ -119,10 +129,10 @@ class TestDigitization:
         assert cells == [(Cell(0, 0), Cell(2, 0), Cell(3, 0))]
 
     def test_pause_is_a_single_unit_path(self):
-        fam = enumerate_paths(GridSpec(3, 3), Cell(1, 1), Cell(1, 1), (Fraction(1),))
-        assert len(fam.paths) == 1
-        assert fam.paths[0].cells == (Cell(1, 1), Cell(1, 1))
-        assert fam.paths[0].length == 1
+        fam = family(GridSpec(3, 3), Cell(1, 1), Cell(1, 1), (Fraction(1),))
+        assert len(fam) == 1
+        assert fam[0].cells == (Cell(1, 1), Cell(1, 1))
+        assert fam[0].length == 1
 
     def test_step_count_bounds(self):
         # l is minimal with l * v >= distance
@@ -132,9 +142,8 @@ class TestDigitization:
             Fraction(7, 3), Fraction(1, 10),
         ):
             for dest in (Cell(5, 0), Cell(3, 4), Cell(5, 5), Cell(1, 2)):
-                fam = enumerate_paths(grid, Cell(0, 0), dest, (speed,))
                 dist2 = dest.x**2 + dest.y**2
-                for p in fam.paths:
+                for p in family(grid, Cell(0, 0), dest, (speed,)):
                     length = p.length
                     assert (length * speed) ** 2 >= dist2
                     if length > 1:
@@ -149,8 +158,9 @@ class TestDigitization:
                 continue
             for speed in speeds:
                 expected = tuple(sympy_digitize(source, dest, speed))
-                fam = enumerate_paths(grid, source, dest, (speed,))
-                assert fam.paths[0].cells == expected, (source, dest, speed)
+                assert family_cells(grid, source, dest, (speed,)) == [expected], (
+                    source, dest, speed
+                )
 
     def test_matches_symbolic_reference_long_vectors(self):
         grid = GridSpec(9, 5)
@@ -161,8 +171,7 @@ class TestDigitization:
             (Cell(5, 4), Fraction(1, 2)),
         ]:
             expected = tuple(sympy_digitize(Cell(0, 0), dest, speed))
-            fam = enumerate_paths(grid, Cell(0, 0), dest, (speed,))
-            assert fam.paths[0].cells == expected, (dest, speed)
+            assert family_cells(grid, Cell(0, 0), dest, (speed,)) == [expected], (dest, speed)
 
 
 class TestPath:
@@ -204,24 +213,19 @@ class TestAlphabet:
         seen = set()
         for source, dest in product(grid.cells(), repeat=2):
             members = alpha.family_id_set(source, dest)
-            fam = enumerate_paths(grid, source, dest, speeds)
-            assert {alpha.all_paths[i] for i in members} == set(fam.paths)
+            digitized = {Path(tuple(sympy_digitize(source, dest, v))) for v in speeds}
+            assert {alpha.all_paths[i] for i in members} == digitized
             seen |= members
         assert seen == set(alpha.all_paths)
 
-    def test_path_id_round_trip(self):
-        alpha = build_alphabet(GridSpec(2, 2), (Fraction(1),))
-        for pid, path in alpha.all_paths.items():
-            assert alpha.path_id(path) == pid
-
-    def test_path_id_rejects_foreign_path(self):
-        alpha = build_alphabet(GridSpec(3, 1), (Fraction(1),))
-        with pytest.raises(ValueError):
-            alpha.path_id(Path((Cell(0, 0), Cell(2, 0))))
-
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)), cap=10)
+    def test_capacity_guard(self, monkeypatch):
+        # 5 x 5 displacements x 2 speeds = 50 digitized paths, at most the cap
+        speeds = (Fraction(1), Fraction(2))
+        monkeypatch.setenv("RWMM_ENUM_CAP", "50")
+        build_alphabet(GridSpec(3, 3), speeds)
+        monkeypatch.setenv("RWMM_ENUM_CAP", "49")
+        with pytest.raises(CapacityError, match="bound 50"):
+            build_alphabet(GridSpec(3, 3), speeds)
 
     def test_capacity_env_override(self, monkeypatch):
         monkeypatch.setenv("RWMM_ENUM_CAP", "10")
@@ -233,12 +237,17 @@ class TestAlphabet:
         # bound of 625^2 pairs x 3 speeds = 1,171,875 refused this grid
         monkeypatch.delenv("RWMM_ENUM_CAP", raising=False)
         grid = GridSpec(25, 25)
-        alpha = build_alphabet(grid, (1, Fraction(3, 2), 2))
-        corner = enumerate_paths(grid, Cell(24, 0), Cell(0, 24), (1, Fraction(3, 2), 2))
-        members = sorted(alpha.family_id_set(Cell(24, 0), Cell(0, 24)))
-        assert [alpha.all_paths[pid] for pid in members] == list(corner.paths)
+        speeds = (Fraction(1), Fraction(3, 2), Fraction(2))
+        alpha = build_alphabet(grid, speeds)
+        source, dest = Cell(24, 0), Cell(0, 24)
+        corner = {tuple(sympy_digitize(source, dest, v)) for v in speeds}
+        members = sorted(alpha.family_id_set(source, dest))
+        assert [alpha.all_paths[pid].cells for pid in members] == sorted(
+            corner, key=lambda cells: (len(cells), cells)
+        )
+        monkeypatch.setenv("RWMM_ENUM_CAP", "7202")
         with pytest.raises(CapacityError, match="7203"):
-            build_alphabet(grid, (1, Fraction(3, 2), 2), cap=7202)
+            build_alphabet(grid, speeds)
 
     def test_tables_stay_per_displacement(self):
         # 472,020 paths and 3.85M emitted cells: the per-pair tables took 48 MB
@@ -375,17 +384,17 @@ class TestDigitizerProperties:
     @given(trips(), st.lists(speeds_st, min_size=1, max_size=4))
     def test_translation_invariant(self, trip, speeds):
         grid, source, dest, tx, ty = trip
-        family = enumerate_paths(grid, source, dest, speeds)
-        moved = enumerate_paths(
+        cells = family_cells(grid, source, dest, speeds)
+        moved = family_cells(
             grid, Cell(source.x + tx, source.y + ty), Cell(dest.x + tx, dest.y + ty), speeds
         )
-        assert [_translate(p.cells, tx, ty) for p in family] == [p.cells for p in moved]
+        assert [_translate(path, tx, ty) for path in cells] == moved
 
     @given(trips(), st.one_of(speeds_st, fine_speeds_st))
     def test_matches_symbolic_reference(self, trip, speed):
         grid, source, dest, _, _ = trip
-        family = enumerate_paths(grid, source, dest, (speed,))
-        assert family.paths[0].cells == tuple(sympy_digitize(source, dest, speed))
+        expected = tuple(sympy_digitize(source, dest, speed))
+        assert family_cells(grid, source, dest, (speed,)) == [expected]
 
 
 def test_digitizer_source_has_no_float_arithmetic():

@@ -132,8 +132,8 @@ def test_prefix():
 class TestJointProcess:
     def test_stacks_equal_lengths(self):
         grid = GridSpec(2, 1)
-        a = LocationTrace(grid, np.array([0, 1, 0]), 0)
-        b = LocationTrace(grid, np.array([1, 1, 1]), 1)
+        a = LocationTrace(grid, np.array([0, 1, 0]))
+        b = LocationTrace(grid, np.array([1, 1, 1]))
         joint = joint_process([a, b])
         assert joint.node_count == 2
         assert len(joint) == 3
@@ -141,16 +141,16 @@ class TestJointProcess:
 
     def test_truncates_with_warning(self, caplog):
         grid = GridSpec(2, 1)
-        a = LocationTrace(grid, np.array([0, 1, 0, 1]), 0)
-        b = LocationTrace(grid, np.array([1, 1]), 1)
+        a = LocationTrace(grid, np.array([0, 1, 0, 1]))
+        b = LocationTrace(grid, np.array([1, 1]))
         with caplog.at_level(logging.WARNING, logger="rwmm.location"):
             joint = joint_process([a, b])
         assert len(joint) == 2
         assert any("truncating" in r.message for r in caplog.records)
 
     def test_rejects_mixed_grids(self):
-        a = LocationTrace(GridSpec(2, 1), np.array([0, 1]), 0)
-        b = LocationTrace(GridSpec(3, 1), np.array([0, 1]), 1)
+        a = LocationTrace(GridSpec(2, 1), np.array([0, 1]))
+        b = LocationTrace(GridSpec(3, 1), np.array([0, 1]))
         with pytest.raises(ValueError):
             joint_process([a, b])
 

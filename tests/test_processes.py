@@ -381,7 +381,8 @@ class TestPathProcess:
         spec = WaypointProcessSpec.iid_uniform(grid)
         # the first six paths in pair order
         first_six = per_pair_alphabet(grid, speeds).all_paths[:6]
-        event = CylinderEvent(0, tuple(alpha.path_id(path) for path in first_six))
+        ids = {path: pid for pid, path in alpha.all_paths.items()}
+        event = CylinderEvent(0, tuple(ids[path] for path in first_six))
         assert path_process_prob(spec, alpha, event) == oracle_prob(
             spec, alpha, speeds, event, event.end + 2
         )

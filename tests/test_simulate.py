@@ -1,4 +1,5 @@
-"""Seeded simulation tests: the covering-prefix encoder and the sample limit.
+"""Seeded simulation tests: the covering-prefix encoder, the sample limit and
+the refusal of a waypoint spec and an alphabet on different grids.
 
 ``simulate_node`` encodes only the paths that cover its horizon; its
 locations are checked against a concatenation of every drawn path's cells.
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from rwmm import simulate
 from rwmm.errors import ConfigurationError
 from rwmm.geometry import GridSpec, build_alphabet
-from rwmm.processes import WaypointProcessSpec
+from rwmm.processes import WaypointProcessSpec, sample_paths, sample_waypoints
 from rwmm.simulate import simulate_joint, simulate_node
 
 from oracles import concatenated_locations
@@ -70,3 +71,18 @@ def test_joint_sample_limit_counts_nodes_times_horizon(monkeypatch, nodes, horiz
         _refuse_draws(monkeypatch)
         with pytest.raises(ConfigurationError, match="limit of 20 samples"):
             simulate_joint(SPECS["iid"], ALPHABET, horizon, nodes, seed=2)
+
+
+# smaller grids' ids would be read as 3x3 cells; larger ones would index past the tables
+@pytest.mark.parametrize("width, height", [(2, 2), (9, 1), (4, 4), (3, 4)])
+def test_spec_on_another_grid_than_the_alphabet_is_refused(width, height):
+    alphabet = build_alphabet(GridSpec(3, 3), (Fraction(1), Fraction(2)))
+    spec = WaypointProcessSpec.iid_uniform(GridSpec(width, height))
+    waypoints = sample_waypoints(spec, 10, seed=3)
+    for run in (
+        lambda: sample_paths(alphabet, waypoints, seed=4),
+        lambda: simulate_node(spec, alphabet, 10, seed=5),
+        lambda: simulate_joint(spec, alphabet, 10, 2, seed=6),
+    ):
+        with pytest.raises(ValueError, match="different grids"):
+            run()
