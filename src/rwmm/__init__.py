@@ -16,7 +16,7 @@ Layers, bottom to top:
 
 from .errors import CapacityError, ConfigurationError, VerificationError
 from .geometry import Cell, GridSpec, Path, PathAlphabet, build_alphabet
-from .location import JointTrace, LocationTrace, encode_paths, encode_sequence
+from .location import JointTrace, LocationTrace, encode_sequence
 from .processes import (
     CylinderEvent,
     WaypointProcessSpec,
@@ -48,7 +48,6 @@ __all__ = [
     "channel_total_mass",
     "check_channel_stationarity",
     "check_output_mixing",
-    "encode_paths",
     "encode_sequence",
     "path_process_prob",
     "simulate_joint",

@@ -73,6 +73,10 @@ def _cmd_simulate_continuous(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_channel(args: argparse.Namespace) -> int:
+    if args.horizon < 1 or args.prefixes < 1:
+        raise ConfigurationError(
+            f"--horizon and --prefixes must be >= 1, got {args.horizon} and {args.prefixes}"
+        )
     cfg = load_discrete_config(_read_config(args.config))
     grid = cfg.grid()
     alphabet = build_alphabet(grid, cfg.speeds)
@@ -92,18 +96,14 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
         )
         if not ok:
             failures += 1
-        # decoupling at and beyond the second event's span
-        fam0 = sorted(alphabet.family_id_set(prefix[0], prefix[1]))
-        fam1 = sorted(alphabet.family_id_set(prefix[1], prefix[2]))
-        event_b = [fam0[0], fam1[0]]
+        # decoupling at and beyond the second event's span, with the first
+        # path of each family: first[i] is the first id of prefix[i] -> prefix[i+1]
+        ids = np.array([grid.cell_id(cell) for cell in prefix])
+        first = alphabet.family_ranges(ids[:-1], ids[1:])[0].tolist()
+        event_b = first[:2]
         span = len(event_b)
         for shift in range(span, span + 3):
-            event_a_fam = sorted(
-                alphabet.family_id_set(prefix[shift], prefix[shift + 1])
-            )
-            check = check_output_mixing(
-                alphabet, prefix, [event_a_fam[0]], event_b, shift
-            )
+            check = check_output_mixing(alphabet, prefix, [first[shift]], event_b, shift)
             tag = "ok" if check.discrepancy == 0 else "FAIL"
             print(
                 f"prefix {k}: decoupling at shift {shift} = {check.discrepancy} -> {tag}"
@@ -158,10 +158,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     trace = simulate_continuous(
         cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed
     )
-    if args.format == "ns2":
-        io.export_ns2(args.out, trace)
-    else:
-        io.save_positions(args.out, trace, seed=args.seed, config_digest=cfg.digest)
+    io.export_ns2(args.out, trace)
     print(f"exported {args.format} movement for {cfg.nodes} node(s) to {args.out}")
     return EXIT_OK
 
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--config", required=True)
     export.add_argument("--seed", type=int, required=True)
-    export.add_argument("--format", choices=("ns2", "csv"), default="ns2")
+    export.add_argument("--format", choices=("ns2",), default="ns2")
     export.add_argument("--out", required=True)
     export.set_defaults(func=_cmd_export)
 

@@ -14,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable
 
 from .continuous import ContinuousAreaSpec
 from .errors import ConfigurationError
@@ -96,10 +96,10 @@ class DiscreteConfig:
     grid_height: int
     speeds: tuple[Fraction, ...]
     horizon: int
-    nodes: int
-    waypoints: str
-    stay: Fraction | None
     digest: str
+    nodes: int = 1
+    waypoints: str = "iid-uniform"
+    stay: Fraction | None = None
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_width, self.grid_height)
@@ -122,9 +122,9 @@ class ContinuousConfig:
     max_speed: float
     duration: float
     time_step: float
-    nodes: int
-    pause_time: float
     digest: str
+    nodes: int = 1
+    pause_time: float = 0.0
 
     def area(self) -> ContinuousAreaSpec:
         return ContinuousAreaSpec(
@@ -160,9 +160,9 @@ _CONTINUOUS_FIELDS: dict[str, tuple[Callable, bool]] = {
 
 def _validate(
     text: str, fields: dict[str, tuple[Callable, bool]]
-) -> tuple[dict[str, object], str]:
+) -> tuple[dict[str, Any], str]:
     entries, errors = _scan(text)
-    values: dict[str, object] = {}
+    values: dict[str, Any] = {}
     for key, (value, lineno) in entries.items():
         if key not in fields:
             errors.append(f"line {lineno}: unknown key {key!r}")
@@ -182,47 +182,26 @@ def _validate(
 
 def load_discrete_config(text: str) -> DiscreteConfig:
     values, digest = _validate(text, _DISCRETE_FIELDS)
-    extra: list[str] = []
-    grid_width = int(values["grid_width"])  # type: ignore[arg-type]
-    grid_height = int(values["grid_height"])  # type: ignore[arg-type]
-    horizon = int(values["horizon"])  # type: ignore[arg-type]
-    nodes = int(values.get("nodes", 1))  # type: ignore[arg-type]
-    if grid_width < 1 or grid_height < 1:
-        extra.append(f"grid must be at least 1x1, got {grid_width}x{grid_height}")
-    if horizon < 1:
-        extra.append(f"horizon must be >= 1, got {horizon}")
-    if nodes < 1:
-        extra.append(f"nodes must be >= 1, got {nodes}")
-    kind, stay = values.get("waypoints", ("iid-uniform", None))  # type: ignore[misc]
-    if stay is not None and not 0 <= stay < 1:
-        extra.append(f"lazy-walk stay probability must be in [0, 1), got {stay}")
-    if extra:
-        raise ConfigurationError("; ".join(extra))
-    return DiscreteConfig(
-        grid_width=grid_width,
-        grid_height=grid_height,
-        speeds=values["speeds"],  # type: ignore[arg-type]
-        horizon=horizon,
-        nodes=nodes,
-        waypoints=kind,
-        stay=stay,
-        digest=digest,
-    )
+    if "waypoints" in values:  # parsed as (kind, stay)
+        values["waypoints"], values["stay"] = values["waypoints"]
+    cfg = DiscreteConfig(**values, digest=digest)
+    errors: list[str] = []
+    if cfg.grid_width < 1 or cfg.grid_height < 1:
+        errors.append(f"grid must be at least 1x1, got {cfg.grid_width}x{cfg.grid_height}")
+    if cfg.horizon < 1:
+        errors.append(f"horizon must be >= 1, got {cfg.horizon}")
+    if cfg.nodes < 1:
+        errors.append(f"nodes must be >= 1, got {cfg.nodes}")
+    if cfg.stay is not None and not 0 <= cfg.stay < 1:
+        errors.append(f"lazy-walk stay probability must be in [0, 1), got {cfg.stay}")
+    if errors:
+        raise ConfigurationError("; ".join(errors))
+    return cfg
 
 
 def load_continuous_config(text: str) -> ContinuousConfig:
     values, digest = _validate(text, _CONTINUOUS_FIELDS)
-    cfg = ContinuousConfig(
-        area_width=float(values["area_width"]),  # type: ignore[arg-type]
-        area_height=float(values["area_height"]),  # type: ignore[arg-type]
-        min_speed=float(values["min_speed"]),  # type: ignore[arg-type]
-        max_speed=float(values["max_speed"]),  # type: ignore[arg-type]
-        duration=float(values["duration"]),  # type: ignore[arg-type]
-        time_step=float(values["time_step"]),  # type: ignore[arg-type]
-        nodes=int(values.get("nodes", 1)),  # type: ignore[arg-type]
-        pause_time=float(values.get("pause_time", 0.0)),  # type: ignore[arg-type]
-        digest=digest,
-    )
+    cfg = ContinuousConfig(**values, digest=digest)
     if cfg.nodes < 1:
         raise ConfigurationError(f"nodes must be >= 1, got {cfg.nodes}")
     cfg.area()  # surface range/degeneracy problems as ConfigurationError now

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Cell, GridSpec, Path
-from .location import LocationTrace, encode_paths
+from .location import LocationTrace
+from .processes import _seed_sequence
 
 _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 
@@ -155,11 +156,7 @@ def simulate_continuous(
         raise ConfigurationError(
             f"duration and time step must be finite and > 0, got {duration} and {time_step}"
         )
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
+    root = _seed_sequence(seed)
     ratio = duration / time_step * (1 + _EDGE_NUDGE)
     # the float test comes first: an overflowed ratio is inf, and floor(inf) raises
     if ratio >= MAX_SAMPLES or node_count * (math.floor(ratio) + 1) > MAX_SAMPLES:
@@ -268,11 +265,18 @@ def discretize(
     units (the trace's own step by default), each sample mapped to the cell
     containing it, with the final sample tied down to the destination's cell.
     Pauses become repeated single-step pause paths. The returned location
-    trace is the concatenated encoding of those paths.
+    trace is the concatenated encoding of those paths: every cell of each
+    path but its last. A ``node_id`` outside ``[0, node_count)`` and a time
+    step that is not finite and > 0 are refused with
+    :class:`ConfigurationError`.
     """
+    if not 0 <= node_id < trace.node_count:
+        raise ConfigurationError(
+            f"node id {node_id} outside [0, {trace.node_count}) for this trace"
+        )
     dt = trace.time_step if time_step is None else time_step
-    if dt <= 0:
-        raise ConfigurationError(f"time step must be > 0, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ConfigurationError(f"time step must be finite and > 0, got {dt}")
     cell_w = trace.area.width / grid.width
     cell_h = trace.area.height / grid.height
     if not math.isclose(cell_w, cell_h, rel_tol=1e-9):
@@ -281,21 +285,23 @@ def discretize(
             f"({cell_w} vs {cell_h})"
         )
     paths: list[Path] = []
+    emitted: list[int] = []
     for leg in trace.legs[node_id]:
         start = _containing_cell(grid, leg.x0, leg.y0, cell_w)
         end = _containing_cell(grid, leg.x1, leg.y1, cell_w)
         if leg.speed == 0.0:  # pause: one pause path per sample interval
             count = max(1, int(math.ceil(leg.duration / dt * (1 - _EDGE_NUDGE))))
             paths.extend(Path((end, end)) for _ in range(count))
+            emitted.extend([grid.cell_id(end)] * count)
             continue
         samples = max(1, int(math.ceil(leg.duration / dt * (1 - _EDGE_NUDGE))))
         cells = [start]
         for k in range(1, samples):
             x, y = leg.position_at(leg.start_time + k * dt)
             cells.append(_containing_cell(grid, x, y, cell_w))
-        cells.append(end)
-        paths.append(Path(tuple(cells)))
-    return paths, encode_paths(paths, grid)
+        paths.append(Path((*cells, end)))
+        emitted.extend(map(grid.cell_id, cells))
+    return paths, LocationTrace(grid, np.array(emitted, dtype=np.int64))
 
 
 @dataclass(frozen=True)

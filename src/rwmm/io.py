@@ -90,10 +90,12 @@ def _open_trace(path: FsPath | str) -> Iterator[tuple[dict[str, str], TextIO]]:
         yield header, fh
 
 
-def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> np.ndarray:
+def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> tuple[np.ndarray, int, int]:
     """Parse a body's CSV rows, after its ``columns`` line, in one pass.
 
-    Rows have four finite columns, the first a node id, which is never negative.
+    Rows have four finite columns, the first a node id, which is never
+    negative. They come node-major, nodes 0, 1, ... in turn, the same
+    number of rows per node. Returns ``(rows, nodes, steps)``.
     """
     if body.readline().rstrip("\n") != columns:
         raise ConfigurationError(f"{kind} trace body must start with {columns}")
@@ -109,7 +111,13 @@ def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> np.ndarray:
         raise ConfigurationError(f"non-finite value in {kind} trace")
     if data[:, 0].min() < 0:
         raise ConfigurationError(f"negative node id {data[:, 0].min():g}")
-    return data
+    nodes = int(data[:, 0].max()) + 1
+    steps = len(data) // nodes
+    if steps * nodes != len(data):
+        raise ConfigurationError(f"ragged {kind} trace: unequal steps per node")
+    if not (data[:, 0].reshape(nodes, steps) == np.arange(nodes)[:, None]).all():
+        raise ConfigurationError(f"{kind} trace rows must be node-major, nodes 0, 1, ... in turn")
+    return data, nodes, steps
 
 
 def save_locations(
@@ -157,10 +165,10 @@ def save_locations(
 def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
     """Read a grid location trace; verifies the body digest.
 
-    Rows may come in any order, but every (node, step) must appear exactly
-    once and every cell must lie in the grid. Of several faults, the error
-    names the lowest faulty node: missing steps first, then its first cell
-    outside the grid in step order.
+    Rows must be node-major, and each node's rows must read steps
+    0 .. steps-1 in turn, the layout ``save_locations`` writes. Every cell
+    must lie in the grid; of several cells outside it, the first in file
+    order is named, which is the lowest faulty node's first bad step.
     """
     with _open_trace(path) as (header, body):
         if header.get("kind") != KIND_LOCATIONS:
@@ -171,31 +179,19 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
         if not match:
             raise ConfigurationError(f"bad grid header: {header.get('grid')!r}")
         grid = GridSpec(int(match.group(1)), int(match.group(2)))
-        data = _load_rows(body, "location", "node,step,x,y", np.int64)
-    node, step, x, y = data.T
-    nodes = int(node.max()) + 1
-    steps = len(data) // nodes
-    if steps * nodes != len(data):
-        raise ConfigurationError("ragged location trace: unequal steps per node")
-    # a node is missing steps unless its rows hold each step 0 .. steps-1 once
-    in_range = (step >= 0) & (step < steps)
-    key = node * steps + step
-    per_key = np.bincount(key[in_range], minlength=nodes * steps)
-    missing = (per_key.reshape(nodes, steps) != 1).any(axis=1)
-    missing[node[~in_range]] = True
+        data, nodes, steps = _load_rows(body, "location", "node,step,x,y", np.int64)
+    _, step, x, y = data.T
+    misplaced = (step.reshape(nodes, steps) != np.arange(steps)).any(axis=1)
+    if misplaced.any():
+        raise ConfigurationError(
+            f"node {np.argmax(misplaced)} is missing steps or holds them out of order "
+            f"(its rows must read steps 0 .. {steps - 1} in turn)"
+        )
     outside = (x < 0) | (x >= grid.width) | (y < 0) | (y >= grid.height)
-    faulty = missing.copy()
-    faulty[node[outside]] = True
-    if faulty.any():
-        first = int(np.argmax(faulty))
-        if missing[first]:
-            raise ConfigurationError(f"node {first} is missing steps")
-        rows = np.flatnonzero(outside & (node == first))
-        row = rows[np.argmin(step[rows])]
+    if outside.any():
+        row = np.argmax(outside)
         raise ConfigurationError(f"cell ({x[row]}, {y[row]}) outside {grid}")
-    ids = np.empty(nodes * steps, dtype=np.int64)
-    ids[key] = y * grid.width + x
-    return JointTrace(grid, ids.reshape(nodes, steps)), header
+    return JointTrace(grid, (y * grid.width + x).reshape(nodes, steps)), header
 
 
 def save_positions(
@@ -257,13 +253,7 @@ def load_positions(
                 f"bad time-step header: {header.get('time-step')!r} "
                 "(must be a finite number > 0)"
             )
-        data = _load_rows(body, "position", "node,time,x,y", np.float64)
-    nodes = int(data[:, 0].max()) + 1
-    steps = len(data) // nodes
-    if steps * nodes != len(data):
-        raise ConfigurationError("ragged position trace: unequal steps per node")
-    if not np.array_equal(data[:, 0], np.repeat(np.arange(nodes), steps)):
-        raise ConfigurationError("position trace rows must be node-major, nodes 0, 1, ... in turn")
+        data, nodes, steps = _load_rows(body, "position", "node,time,x,y", np.float64)
     times = data[:, 1].reshape(nodes, steps)
     if np.any(np.diff(times, axis=1) <= 0):
         raise ConfigurationError("position trace rows must be sorted by time within each node")

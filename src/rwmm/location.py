@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Cell, GridSpec, Path
+from .geometry import Cell, GridSpec
 from .processes import PathTrace
 
 logger = logging.getLogger(__name__)
@@ -55,17 +55,6 @@ class JointTrace:
 
     def node(self, node_id: int) -> LocationTrace:
         return LocationTrace(self.grid, self.ids[node_id])
-
-
-def encode_paths(paths: Sequence[Path], grid: GridSpec) -> LocationTrace:
-    """Encode an explicit path sequence (no alphabet needed).
-
-    Each path contributes its first l(p) cells, all but its last.
-    """
-    ids: list[int] = []
-    for path in paths:
-        ids.extend(grid.cell_id(c) for c in path.cells[: path.length])
-    return LocationTrace(grid, np.asarray(ids, dtype=np.int64))
 
 
 def encode_sequence(trace: PathTrace) -> LocationTrace:

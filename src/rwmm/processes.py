@@ -44,9 +44,6 @@ class CylinderEvent:
         if not self.symbols:
             raise ValueError("cylinder events need at least one symbol")
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
     @property
     def end(self) -> int:
         """Last constrained index (inclusive)."""
@@ -359,7 +356,6 @@ class MixingCheck(NamedTuple):
 
     discrepancy: Fraction
     premise_met: bool  # shift >= second event's length, where decoupling is exact
-    shift: int
     decoupling_threshold: int
 
 
@@ -381,25 +377,17 @@ def check_output_mixing(
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     a = {shift + i: pid for i, pid in enumerate(event_a)}
-    b = {i: pid for i, pid in enumerate(event_b)}
-    merged = dict(b)
-    conflict = False
-    for idx, pid in a.items():
-        if idx in merged and merged[idx] != pid:
-            conflict = True
-            break
-        merged[idx] = pid
-    if conflict:
+    b = dict(enumerate(event_b))
+    if any(b.get(i, pid) != pid for i, pid in a.items()):
         joint = Fraction(0)
     else:
-        joint = _constrained_channel_prob(alphabet, waypoints, merged)
+        joint = _constrained_channel_prob(alphabet, waypoints, {**b, **a})
     split = _constrained_channel_prob(alphabet, waypoints, a) * _constrained_channel_prob(
         alphabet, waypoints, b
     )
     return MixingCheck(
         discrepancy=abs(joint - split),
         premise_met=shift >= len(event_b),
-        shift=shift,
         decoupling_threshold=len(event_b),
     )
 
@@ -480,9 +468,6 @@ class WaypointTrace:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def cell(self, index: int) -> Cell:
-        return self.grid.cell_at(int(self.ids[index]))
-
 
 @dataclass(frozen=True, eq=False)
 class PathTrace:
@@ -503,6 +488,12 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
 def _walk(

@@ -18,6 +18,7 @@ from .processes import (
     PathTrace,
     WaypointProcessSpec,
     WaypointTrace,
+    _seed_sequence,
     sample_paths,
     sample_waypoints,
 )
@@ -34,12 +35,6 @@ class NodeRun:
     waypoints: WaypointTrace
     paths: PathTrace
     locations: LocationTrace
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def _check_samples(node_count: int, horizon: int) -> None:

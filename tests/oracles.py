@@ -28,9 +28,11 @@ Nine deliberately separate routes from first principles:
 * a per-sample resampler of continuous legs, one ``Leg.position_at`` call
   per sample time, to check the vectorized interpolation in
   ``rwmm.continuous``;
-* a location stream that concatenates every drawn path's cells but its
-  last, to check that ``rwmm.simulate.simulate_node`` encodes only the
-  paths covering its horizon;
+* a per-path encoder that concatenates every path's cells but its last,
+  path after path, to check the vectorized ``rwmm.location.encode_sequence``
+  and the cells ``rwmm.continuous.discretize`` emits, and, over drawn path
+  ids, that ``rwmm.simulate.simulate_node`` encodes only the paths
+  covering its horizon;
 * a per-row formatter of location trace bodies, one f-string per
   ``(node, step)``, to check the bulk row writer of
   ``rwmm.io.save_locations``.
@@ -388,10 +390,14 @@ def sample_legs_per_step(legs, times) -> np.ndarray:
     return out
 
 
+def encode_paths(paths) -> list[Cell]:
+    """Every cell of each path but its last, path after path."""
+    return [cell for path in paths for cell in path.cells[:-1]]
+
+
 def concatenated_locations(alphabet: PathAlphabet, path_ids, horizon: int) -> list[Cell]:
-    """The first ``horizon`` cells of every listed path's cells but its last, in turn."""
-    cells = [cell for pid in path_ids for cell in alphabet.all_paths[int(pid)].cells[:-1]]
-    return cells[:horizon]
+    """The first ``horizon`` cells of the listed paths' encoding."""
+    return encode_paths(alphabet.all_paths[int(pid)] for pid in path_ids)[:horizon]
 
 
 def per_row_location_body(joint) -> str:

@@ -138,6 +138,44 @@ class TestConfigParsing:
         message = str(err.value)
         assert "grid" in message and "horizon" in message and "nodes" in message
 
+    @pytest.mark.parametrize(
+        "load, edit, error",
+        [
+            (load_discrete_config, lambda cfg: cfg + "= 1\n", "line 8: empty key"),
+            (
+                load_discrete_config,
+                lambda cfg: cfg.replace("speeds = 1, 2", "speeds = , ,"),
+                "'speeds': empty speed list",
+            ),
+            (
+                load_discrete_config,
+                lambda cfg: cfg.replace("iid-uniform", "brownian"),
+                "expected 'iid-uniform', 'lazy-walk', or 'lazy-walk:<stay>', got 'brownian'",
+            ),
+            (
+                load_discrete_config,
+                lambda cfg: cfg.replace("iid-uniform", "lazy-walk:3/2"),
+                r"stay probability must be in \[0, 1\), got 3/2",
+            ),
+            (
+                load_continuous_config,
+                lambda cfg: cfg.replace("nodes = 2", "nodes = 0"),
+                "nodes must be >= 1, got 0",
+            ),
+            (
+                load_continuous_config,
+                lambda cfg: cfg.replace("duration = 30", "duration = -1"),
+                "duration and time_step must be > 0",
+            ),
+        ],
+        ids=["empty-key", "empty-speeds", "unknown-waypoints", "stay-3/2", "nodes-0",
+             "negative-duration"],
+    )
+    def test_refused_values(self, load, edit, error):
+        text = edit(DISCRETE_CFG if load is load_discrete_config else CONTINUOUS_CFG)
+        with pytest.raises(ConfigurationError, match=error):
+            load(text)
+
     def test_continuous_happy_path(self):
         cfg = load_continuous_config(CONTINUOUS_CFG)
         assert cfg.area().pause_time == 0.5
@@ -158,18 +196,23 @@ class TestConfigParsing:
         assert changed != base
 
 
+def resign(text):
+    """A trace's text with its ``# body:`` header line set to its body's digest."""
+    lines = text.splitlines(keepends=True)
+    split = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    digest = sha256("".join(lines[split:]).encode()).hexdigest()
+    return "".join(
+        f"# body: {digest}\n" if line.startswith("# body:") else line for line in lines[:split]
+    ) + "".join(lines[split:])
+
+
 def rewrite_body(path, edit):
     """Apply ``edit`` to a trace's body rows (header row excluded) and re-sign the body."""
     lines = path.read_text().splitlines()
     split = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     rows = lines[split + 1 :]
     edit(rows)
-    body = "\n".join([lines[split], *rows]) + "\n"
-    header = [
-        f"# body: {sha256(body.encode()).hexdigest()}" if line.startswith("# body:") else line
-        for line in lines[:split]
-    ]
-    path.write_text("\n".join(header) + "\n" + body)
+    path.write_text(resign("\n".join([*lines[: split + 1], *rows]) + "\n"))
 
 
 class TestTraceFiles:
@@ -294,10 +337,9 @@ class TestTraceFiles:
         save_locations(path, JointTrace(grid, np.zeros((2, 50), dtype=np.int64)))
 
         def edit(rows):
-            # node 1, steps 47 and 49 leave the grid; step 49's row comes first
+            # node 1, steps 47 and 49 leave the grid; step 47's row comes first
             rows[97] = "1,47,3,0"
             rows[99] = "1,49,0,2"
-            rows[97], rows[99] = rows[99], rows[97]
 
         rewrite_body(path, edit)
         with pytest.raises(ConfigurationError, match=r"cell \(3, 0\) outside GridSpec"):
@@ -316,8 +358,8 @@ class TestTraceFiles:
         [
             (53, "1,2,0,0", "node 1 is missing steps"),  # step 2 twice, step 3 never
             (53, "1,50,0,0", "node 1 is missing steps"),  # a step past the end
-            (99, "0,50,0,0", "node 0 is missing steps"),  # node 1 is short, but 0 first
-            (99, "0,0,0,0", "node 0 is missing steps"),  # node 0's step 0 duplicated
+            (99, "0,50,0,0", "must be node-major"),  # a node 0 row among node 1's
+            (99, "0,0,0,0", "must be node-major"),  # node 0's step 0 again, at the end
             (53, "1,-3,0,0", "node 1 is missing steps"),
             (5, "0,5,-1,0", r"cell \(-1, 0\) outside GridSpec"),
             (5, "0,5,1,2", r"cell \(1, 2\) outside GridSpec"),  # x in range, y not
@@ -343,8 +385,8 @@ class TestTraceFiles:
 
     def test_lowest_faulty_node_named_first(self, tmp_path):
         def edit(rows):
-            rows[60] = "1,49,0,0"  # node 1 is missing step 10
-            rows[10] = "0,10,3,0"  # node 0 leaves the grid
+            rows[53] = "1,3,0,2"  # node 1 leaves the grid at step 3
+            rows[10] = "0,10,3,0"  # node 0 leaves the grid at step 10
 
         with pytest.raises(ConfigurationError, match=r"cell \(3, 0\) outside GridSpec"):
             load_locations(self._edited_locations(tmp_path, edit))
@@ -356,7 +398,7 @@ class TestTraceFiles:
         st.integers(1, 40),
         st.randoms(use_true_random=False),
     )
-    def test_locations_load_rows_in_any_order(self, width, height, nodes, steps, rnd):
+    def test_locations_refuse_shuffled_rows(self, width, height, nodes, steps, rnd):
         grid = GridSpec(width, height)
         ids = np.array(
             [[rnd.randrange(grid.size) for _ in range(steps)] for _ in range(nodes)]
@@ -364,9 +406,48 @@ class TestTraceFiles:
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "t.trace"
             save_locations(path, JointTrace(grid, ids))
-            rewrite_body(path, rnd.shuffle)
-            loaded, _ = load_locations(path)
-        assert np.array_equal(loaded.ids, ids)
+            order = list(range(nodes * steps))
+            rnd.shuffle(order)
+
+            def shuffle(rows):
+                rows[:] = [rows[i] for i in order]
+
+            rewrite_body(path, shuffle)
+            if order == sorted(order):
+                loaded, _ = load_locations(path)
+                assert np.array_equal(loaded.ids, ids)
+            else:
+                with pytest.raises(ConfigurationError, match="node-major|out of order"):
+                    load_locations(path)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda text: text.replace("# grid: 3x2", "# grid 3x2"), "malformed header line 3"),
+            (lambda text: re.sub(r"# body: \w+\n", "", text), "missing body digest"),
+            (
+                lambda text: text.replace("grid-locations", "continuous-positions"),
+                "expected a grid-locations trace, got 'continuous-positions'",
+            ),
+            (lambda text: text.replace("# grid: 3x2", "# grid: 3x-2"), "bad grid header: '3x-2'"),
+            (
+                lambda text: resign(text.replace("node,step,x,y", "node,time,x,y")),
+                "body must start with node,step,x,y",
+            ),
+            pytest.param(
+                lambda text: resign(text.split("node,step,x,y\n")[0] + "node,step,x,y\n"),
+                "empty location trace",
+                marks=pytest.mark.filterwarnings("ignore:loadtxt. input contained no data"),
+            ),
+            (lambda text: resign(text.removesuffix("1,49,0,0\n")), "ragged location trace"),
+        ],
+        ids=["header-line", "no-digest", "kind", "grid", "columns", "empty-body", "ragged"],
+    )
+    def test_locations_reject_bad_file(self, tmp_path, edit, error):
+        path = self._edited_locations(tmp_path, lambda rows: None)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ConfigurationError, match=error):
+            load_locations(path)
 
     def _positions(self, tmp_path):
         from rwmm.continuous import ContinuousAreaSpec
@@ -384,6 +465,12 @@ class TestTraceFiles:
 
         rewrite_body(path, edit)
         with pytest.raises(ConfigurationError, match="node-major"):
+            load_positions(path)
+
+    def test_positions_reject_ragged_rows(self, tmp_path):
+        path = self._positions(tmp_path)
+        rewrite_body(path, list.pop)  # node 1 loses its last sample
+        with pytest.raises(ConfigurationError, match="ragged position trace"):
             load_positions(path)
 
     def test_positions_reject_unsorted_times(self, tmp_path):
@@ -600,6 +687,26 @@ class TestCli:
             "77dede0d8b4359310c1b08828d0becc3ad5d0d9ee459aec2748b8d10ca16cf88"
         )
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--horizon", "0"), ("--prefixes", "0"), ("--prefixes", "-3")]
+    )
+    def test_verify_channel_refuses_bad_counts(self, tmp_path, capsys, monkeypatch, flag, value):
+        # a cap this low refuses the alphabet (exit 3), so exit 2 shows that
+        # the arguments are refused before it is built
+        d, _ = self.write_cfgs(tmp_path)
+        monkeypatch.setenv("RWMM_ENUM_CAP", "5")
+        assert main(["verify-channel", "--config", str(d), flag, value]) == 2
+        assert "--horizon and --prefixes must be >= 1" in capsys.readouterr().err
+
+    def test_verify_channel_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        d, _ = self.write_cfgs(tmp_path)
+        monkeypatch.setattr("rwmm.cli.channel_total_mass", lambda *args: 2)
+        assert main(["verify-channel", "--config", str(d), "--prefixes", "3"]) == 4
+        captured = capsys.readouterr()
+        assert "prefix 0: stationarity gap = 0, total mass = 2 -> FAIL" in captured.out
+        assert "all checks passed" not in captured.out
+        assert "3 channel check(s) failed" in captured.err
+
     def test_verify_channel_long_horizon(self, tmp_path, capsys):
         cfg = tmp_path / "walk.cfg"
         cfg.write_text(WALK_CFG)
@@ -789,6 +896,18 @@ class TestCli:
             ["analyze", "--trace", str(trace), "--out", str(tmp_path / "r.csv")]
         ) == 4
         assert "verification failed" in capsys.readouterr().err
+
+    def test_analyze_refuses_reordered_rows(self, tmp_path, capsys):
+        d, _ = self.write_cfgs(tmp_path)
+        trace = tmp_path / "out.trace"
+        main(["simulate-discrete", "--config", str(d), "--seed", "3", "--out", str(trace)])
+
+        def swap(rows):
+            rows[1], rows[2] = rows[2], rows[1]  # node 0's steps 1 and 2
+
+        rewrite_body(trace, swap)
+        assert main(["analyze", "--trace", str(trace), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "node 0 is missing steps or holds them out of order" in capsys.readouterr().err
 
     def test_analyze_rejects_mismatched_config(self, tmp_path, capsys):
         d, _ = self.write_cfgs(tmp_path)

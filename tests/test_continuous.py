@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sample_legs_per_step
+from oracles import encode_paths, sample_legs_per_step
 from rwmm import continuous
 from rwmm.continuous import (
     MAX_SAMPLES,
@@ -321,6 +321,20 @@ class TestDiscretize:
         with pytest.raises(ConfigurationError):
             discretize(trace, GridSpec(2, 2))  # 1x0.5 cells
 
+    @pytest.mark.parametrize("node_id", [-1, 2])
+    def test_refuses_missing_node(self, node_id):
+        leg = Leg(0.0, 1.5, 0.2, 0.3, 1.7, 0.3, speed=1.0)
+        trace = build_trace(self.AREA, [[leg], [leg]], time_step=0.5)
+        with pytest.raises(ConfigurationError, match=rf"node id {node_id} outside \[0, 2\)"):
+            discretize(trace, GridSpec(2, 1), node_id=node_id)
+
+    @pytest.mark.parametrize("time_step", [math.nan, math.inf, 0.0, -0.5])
+    def test_refuses_bad_time_step(self, time_step):
+        leg = Leg(0.0, 1.5, 0.2, 0.3, 1.7, 0.3, speed=1.0)
+        trace = build_trace(self.AREA, [[leg]], time_step=0.5)
+        with pytest.raises(ConfigurationError, match="time step must be finite and > 0"):
+            discretize(trace, GridSpec(2, 1), time_step=time_step)
+
     def test_round_trip_through_simulator(self):
         area = ContinuousAreaSpec(100, 100, 1, 5)
         trace = simulate_continuous(area, 2, 50, 0.5, seed=9)
@@ -328,6 +342,7 @@ class TestDiscretize:
         for node in range(2):
             paths, locations = discretize(trace, grid, node_id=node)
             assert sum(p.length for p in paths) == len(locations)
+            assert locations.ids.tolist() == list(map(grid.cell_id, encode_paths(paths)))
             for p in paths:
                 assert all(grid.contains(c) for c in p.cells)
 

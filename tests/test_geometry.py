@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwmm.errors import CapacityError
+from rwmm.errors import CapacityError, ConfigurationError
 from rwmm.geometry import (
     Cell,
     GridSpec,
@@ -230,6 +230,14 @@ class TestAlphabet:
     def test_capacity_env_override(self, monkeypatch):
         monkeypatch.setenv("RWMM_ENUM_CAP", "10")
         with pytest.raises(CapacityError):
+            build_alphabet(GridSpec(3, 3), (Fraction(1),))
+
+    @pytest.mark.parametrize(
+        "value, error", [("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0")]
+    )
+    def test_capacity_env_refuses_bad_value(self, monkeypatch, value, error):
+        monkeypatch.setenv("RWMM_ENUM_CAP", value)
+        with pytest.raises(ConfigurationError, match=f"RWMM_ENUM_CAP {error}"):
             build_alphabet(GridSpec(3, 3), (Fraction(1),))
 
     def test_capacity_bound_counts_displacements(self, monkeypatch):

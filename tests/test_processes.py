@@ -129,6 +129,30 @@ class TestWaypointMeasures:
         with pytest.raises(ConfigurationError, match="must be 2x2"):
             WaypointProcessSpec.markov(grid, [[Fraction(1, 2), Fraction(1, 2)], [1]], [1, 0])
 
+    HALVES = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+
+    @pytest.mark.parametrize(
+        "kind, transition, initial, error",
+        [
+            ("iid-uniform", (HALVES, HALVES), None, "iid-uniform takes no transition matrix"),
+            ("brownian", None, None, "unknown waypoint process kind 'brownian'"),
+            ("markov", None, (Fraction(1, 2),) * 2, "needs matrix and initial"),
+            ("markov", (HALVES,), (Fraction(1, 2),) * 2, "transition matrix must be 2x2"),
+            ("markov", (HALVES, HALVES), (Fraction(1),), "initial distribution must have 2"),
+            (
+                "markov",
+                (dict(reversed(HALVES.items())), HALVES),
+                (Fraction(1, 2),) * 2,
+                "ascending ids below 2",
+            ),
+        ],
+        ids=["iid-with-matrix", "unknown-kind", "no-matrix", "short-matrix", "short-initial",
+             "descending-row"],
+    )
+    def test_spec_built_directly_is_validated(self, kind, transition, initial, error):
+        with pytest.raises(ConfigurationError, match=error):
+            WaypointProcessSpec(GridSpec(1, 2), kind, transition, initial)
+
     def test_lazy_walk_rows(self):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(2, 2), stay=Fraction(1, 2))
         assert spec.transition is not None

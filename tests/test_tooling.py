@@ -2,15 +2,22 @@
 
 No module of the package imports a name it never uses, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")`` still
-exists, so deleting API cannot silently break a traced benchmark run. Both
-checks parse the files with ``ast`` and edit nothing.
+exists, so deleting API cannot silently break a traced benchmark run. Every
+name in ``rwmm.__all__`` resolves, and every ``rwmm`` command in the
+README's code blocks parses, so the documented API and CLI cannot drift
+from the code. The checks read the files and edit nothing.
 """
 
 import ast
 import importlib
+import re
+import shlex
 from pathlib import Path as FilePath
 
 import pytest
+
+import rwmm
+from rwmm.cli import build_parser
 
 ROOT = FilePath(__file__).parents[1]
 PACKAGE = sorted((ROOT / "src" / "rwmm").glob("*.py"))
@@ -80,3 +87,30 @@ def test_benchmark_targets_resolve():
         if not callable(getattr(importlib.import_module(f"rwmm.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_public_names_resolve():
+    assert rwmm.__all__
+    assert [name for name in rwmm.__all__ if not hasattr(rwmm, name)] == []
+
+
+def _readme_commands() -> list[str]:
+    """Each line of the README's code blocks that runs ``rwmm``."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    return [
+        line.strip()
+        for block in blocks
+        for line in block.splitlines()
+        if line.strip().startswith("rwmm ")
+    ]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("command", _readme_commands(), ids=lambda command: command.split()[1])
+def test_readme_command_parses(command):
+    # optional arguments are shown in brackets; parse them as given
+    argv = shlex.split(command.replace("[", "").replace("]", ""))[1:]
+    build_parser().parse_args(argv)
