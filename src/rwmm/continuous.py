@@ -23,7 +23,9 @@ from .processes import _seed_sequence
 _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 
 # Most samples (nodes × samples per node) one run may hold; the positions
-# alone take 16 bytes a sample, 1.6 GB at the limit.
+# alone take 16 bytes a sample, 1.6 GB at the limit, and io.save_positions
+# also holds every node's text until the file is written, about 29 bytes a
+# sample, 2.9 GB at the limit.
 MAX_SAMPLES = 10**8
 
 # Most legs (over all nodes) one run may build, however few its samples; a

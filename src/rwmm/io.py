@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from hashlib import sha256
-from itertools import count, repeat
+from itertools import count
 from pathlib import Path as FsPath
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -96,15 +96,21 @@ def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> tuple[np.ndarray
     Rows have four finite columns, the first a node id, which is never
     negative. They come node-major, nodes 0, 1, ... in turn, the same
     number of rows per node. Returns ``(rows, nodes, steps)``.
+
+    A row must follow the ``columns`` line at once. It is looked for before
+    ``np.loadtxt`` runs, which would warn on a body with no rows; ``#``
+    lines are not comments in a body, so any other line is a malformed row.
     """
     if body.readline().rstrip("\n") != columns:
         raise ConfigurationError(f"{kind} trace body must start with {columns}")
+    start = body.tell()
+    if body.readline() in ("", "\n"):
+        raise ConfigurationError(f"empty {kind} trace: no row after the {columns} line")
+    body.seek(start)
     try:
-        data = np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=2)
+        data = np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=2, comments=None)
     except ValueError as exc:
         raise ConfigurationError(f"malformed {kind} trace row: {exc}") from None
-    if data.size == 0:
-        raise ConfigurationError(f"empty {kind} trace")
     if data.shape[1] != 4:
         raise ConfigurationError(f"{kind} trace rows must have 4 columns: {columns}")
     if not np.isfinite(data).all():
@@ -202,24 +208,30 @@ def save_positions(
 ) -> None:
     """Write sampled continuous positions as node,time,x,y rows (%.9g).
 
-    A trace with a time step that is not finite and positive, or with a
-    non-finite time or position, is refused with ``ValueError`` before the
-    file is opened, since the loader could not read it back.
+    Rows are built from one ``,time,%.9g,%.9g`` template per step, shared
+    by every node: each node's part is the templates joined by its id,
+    filled by a single ``%`` with the node's positions. A trace with no
+    samples, with positions not shaped ``(nodes, len(times), 2)``, with a
+    time step that is not finite and positive, or with a non-finite time or
+    position, is refused with ``ValueError`` before the file is opened,
+    since the loader could not read it back.
     """
+    if trace.positions.size == 0:
+        raise ValueError("cannot write an empty position trace")
+    if trace.positions.shape != (trace.node_count, len(trace.times), 2):
+        raise ValueError(
+            f"positions of shape {trace.positions.shape} do not match "
+            f"{len(trace.times)} times (expected (nodes, {len(trace.times)}, 2))"
+        )
     if not 0 < trace.time_step < math.inf:
         raise ValueError(f"time step must be finite and > 0, got {trace.time_step}")
     if not (np.isfinite(trace.times).all() and np.isfinite(trace.positions).all()):
         raise ValueError("cannot write non-finite times or positions")
-    times = [_format_float(t) for t in trace.times.tolist()]
+    rows = [f",{_format_float(t)},%.9g,%.9g\n" for t in trace.times.tolist()]
     parts = ["node,time,x,y\n"]  # one string per node, as in save_locations
     for node in range(trace.node_count):
-        xs, ys = (
-            map(format, column, repeat(".9g"))
-            for column in trace.positions[node].T.tolist()
-        )
-        parts.append(
-            "".join(f"{node},{t},{x},{y}\n" for t, x, y in zip(times, xs, ys))
-        )
+        head = str(node)
+        parts.append((head + head.join(rows)) % tuple(trace.positions[node].ravel().tolist()))
     header = {
         "kind": KIND_POSITIONS,
         "area": f"{_format_float(trace.area.width)}x{_format_float(trace.area.height)}",

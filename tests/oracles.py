@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Nine deliberately separate routes from first principles:
+Ten deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -35,7 +35,10 @@ Nine deliberately separate routes from first principles:
   covering its horizon;
 * a per-row formatter of location trace bodies, one f-string per
   ``(node, step)``, to check the bulk row writer of
-  ``rwmm.io.save_locations``.
+  ``rwmm.io.save_locations``;
+* a per-row formatter of position trace bodies, one f-string per
+  ``(node, step)`` with each float formatted on its own, to check the
+  shared row templates of ``rwmm.io.save_positions``.
 """
 
 from __future__ import annotations
@@ -409,3 +412,13 @@ def per_row_location_body(joint) -> str:
         for step, c in enumerate(joint.ids[node].tolist())
     )
     return "node,step,x,y\n" + "".join(rows)
+
+
+def per_row_position_body(trace) -> str:
+    """A position trace body: the column line, then one row per (node, step)."""
+    rows = (
+        f"{node},{format(t, '.9g')},{format(x, '.9g')},{format(y, '.9g')}\n"
+        for node in range(trace.positions.shape[0])
+        for t, (x, y) in zip(trace.times.tolist(), trace.positions[node].tolist())
+    )
+    return "node,time,x,y\n" + "".join(rows)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from hashlib import sha256
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rwmm import continuous
 from rwmm.cli import main
@@ -18,7 +19,7 @@ from rwmm.config import (
     load_continuous_config,
     load_discrete_config,
 )
-from rwmm.continuous import simulate_continuous
+from rwmm.continuous import ContinuousAreaSpec, ContinuousTrace, simulate_continuous
 from rwmm.errors import ConfigurationError, VerificationError
 from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
@@ -32,7 +33,19 @@ from rwmm.io import (
 )
 from rwmm.location import JointTrace, LocationTrace
 
-from oracles import per_row_location_body
+from oracles import per_row_location_body, per_row_position_body
+
+
+@st.composite
+def position_columns(draw):
+    """Times and positions of 1-12 nodes x 1-20 steps, any finite floats."""
+    nodes, steps = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return (
+        draw(arrays(np.float64, steps, elements=finite)),
+        draw(arrays(np.float64, (nodes, steps, 2), elements=finite)),
+    )
+
 
 DISCRETE_CFG = """\
 # comment line
@@ -420,6 +433,31 @@ class TestTraceFiles:
                 with pytest.raises(ConfigurationError, match="node-major|out of order"):
                     load_locations(path)
 
+    @given(position_columns())
+    @example(
+        (
+            np.array([-0.0, 1e-05, 1e9]),
+            np.array(
+                [[[-0.0, 5e-324], [2.225e-308, -9.99999999e-05], [1e9, -1.797e308]]] * 11
+            ),
+        )
+    )
+    def test_positions_body_matches_per_row_oracle(self, columns):
+        # up to 12 nodes, so node ids reach two digits; any finite float, with
+        # -0.0, subnormals and the magnitudes where %.9g turns to exponent
+        # form (below 1e-4, from 1e9) pinned by the example
+        times, positions = columns
+        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), 1.0, times, positions, ())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "c.trace"
+            save_positions(path, trace)
+            lines = path.read_bytes().splitlines(keepends=True)
+        split = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+        body = b"".join(lines[split:])
+        expected = per_row_position_body(trace).encode()
+        assert body == expected
+        assert lines[split - 1] == f"# body: {sha256(expected).hexdigest()}\n".encode()
+
     @pytest.mark.parametrize(
         "edit, error",
         [
@@ -434,10 +472,9 @@ class TestTraceFiles:
                 lambda text: resign(text.replace("node,step,x,y", "node,time,x,y")),
                 "body must start with node,step,x,y",
             ),
-            pytest.param(
+            (
                 lambda text: resign(text.split("node,step,x,y\n")[0] + "node,step,x,y\n"),
                 "empty location trace",
-                marks=pytest.mark.filterwarnings("ignore:loadtxt. input contained no data"),
             ),
             (lambda text: resign(text.removesuffix("1,49,0,0\n")), "ragged location trace"),
         ],
@@ -471,6 +508,12 @@ class TestTraceFiles:
         path = self._positions(tmp_path)
         rewrite_body(path, list.pop)  # node 1 loses its last sample
         with pytest.raises(ConfigurationError, match="ragged position trace"):
+            load_positions(path)
+
+    def test_positions_reject_empty_body(self, tmp_path):
+        path = self._positions(tmp_path)
+        rewrite_body(path, list.clear)
+        with pytest.raises(ConfigurationError, match="empty position trace"):
             load_positions(path)
 
     def test_positions_reject_unsorted_times(self, tmp_path):
@@ -539,6 +582,38 @@ class TestTraceFiles:
         path = tmp_path / "c.trace"
         with pytest.raises(ValueError, match="time step must be finite and > 0"):
             save_positions(path, replace(trace, time_step=time_step))
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "nodes, steps", [(slice(0), slice(None)), (slice(None), slice(0))], ids=["nodes", "steps"]
+    )
+    def test_positions_writer_refuses_empty_trace(self, tmp_path, nodes, steps):
+        from dataclasses import replace
+
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
+        empty = replace(trace, times=trace.times[steps], positions=trace.positions[nodes, steps])
+        path = tmp_path / "c.trace"
+        with pytest.raises(ValueError, match="cannot write an empty position trace"):
+            save_positions(path, empty)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda p: p[:, :-1],  # one step fewer than the times
+            lambda p: np.concatenate([p, p[:, :1]], axis=1),  # one step more
+            lambda p: p[..., :1],  # x only
+            lambda p: p[:, :, 0],  # no coordinate axis
+        ],
+        ids=["fewer-steps", "more-steps", "one-coordinate", "two-dimensional"],
+    )
+    def test_positions_writer_refuses_misshapen_positions(self, tmp_path, cut):
+        from dataclasses import replace
+
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
+        path = tmp_path / "c.trace"
+        with pytest.raises(ValueError, match="do not match 11 times"):
+            save_positions(path, replace(trace, positions=cut(trace.positions)))
         assert not path.exists()
 
     @pytest.mark.parametrize("column", [0, 1, 2])  # node id, time, x
