@@ -82,7 +82,14 @@ class PairWithinRange:
     radius: float
     window: int = field(default=1, init=False)
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
+
     def values(self, trace: JointTrace) -> np.ndarray:
+        for node in (self.node_a, self.node_b):
+            if not 0 <= node < trace.node_count:
+                raise ValueError(f"node id {node} outside [0, {trace.node_count}) for this trace")
         a = trace.ids[self.node_a]
         b = trace.ids[self.node_b]
         ax, ay = a % self.grid.width, a // self.grid.width

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable
 
 from .continuous import ContinuousAreaSpec
@@ -88,17 +89,22 @@ def _parse_waypoints(value: str) -> tuple[str, Fraction | None]:
     )
 
 
+def _key(parse: Callable[[str], Any], default: Any = MISSING) -> Any:
+    """A config key: a field read from the file by ``parse``, required without a default."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class DiscreteConfig:
     """Validated parameters for a grid-model run."""
 
-    grid_width: int
-    grid_height: int
-    speeds: tuple[Fraction, ...]
-    horizon: int
+    grid_width: int = _key(int)
+    grid_height: int = _key(int)
+    speeds: tuple[Fraction, ...] = _key(_parse_speeds)
+    horizon: int = _key(int)
     digest: str
-    nodes: int = 1
-    waypoints: str = "iid-uniform"
+    nodes: int = _key(int, default=1)
+    waypoints: str = _key(_parse_waypoints, default="iid-uniform")  # parsed as (kind, stay)
     stay: Fraction | None = None
 
     def grid(self) -> GridSpec:
@@ -116,15 +122,15 @@ class DiscreteConfig:
 class ContinuousConfig:
     """Validated parameters for a continuous-space run."""
 
-    area_width: float
-    area_height: float
-    min_speed: float
-    max_speed: float
-    duration: float
-    time_step: float
+    area_width: float = _key(_parse_finite)
+    area_height: float = _key(_parse_finite)
+    min_speed: float = _key(_parse_finite)
+    max_speed: float = _key(_parse_finite)
+    duration: float = _key(_parse_finite)
+    time_step: float = _key(_parse_finite)
     digest: str
-    nodes: int = 1
-    pause_time: float = 0.0
+    nodes: int = _key(int, default=1)
+    pause_time: float = _key(_parse_finite, default=0.0)
 
     def area(self) -> ContinuousAreaSpec:
         return ContinuousAreaSpec(
@@ -136,43 +142,27 @@ class ContinuousConfig:
         )
 
 
-_DISCRETE_FIELDS: dict[str, tuple[Callable, bool]] = {
-    # key -> (parser, required)
-    "grid_width": (int, True),
-    "grid_height": (int, True),
-    "speeds": (_parse_speeds, True),
-    "horizon": (int, True),
-    "nodes": (int, False),
-    "waypoints": (_parse_waypoints, False),
-}
-
-_CONTINUOUS_FIELDS: dict[str, tuple[Callable, bool]] = {
-    "area_width": (_parse_finite, True),
-    "area_height": (_parse_finite, True),
-    "min_speed": (_parse_finite, True),
-    "max_speed": (_parse_finite, True),
-    "duration": (_parse_finite, True),
-    "time_step": (_parse_finite, True),
-    "nodes": (int, False),
-    "pause_time": (_parse_finite, False),
-}
+@cache
+def _keys(cls: type) -> dict[str, tuple[Callable[[str], Any], bool]]:
+    """Each config key of ``cls``, in field order: its parser and whether it is required."""
+    keys = (f for f in fields(cls) if "parse" in f.metadata)
+    return {f.name: (f.metadata["parse"], f.default is MISSING) for f in keys}
 
 
-def _validate(
-    text: str, fields: dict[str, tuple[Callable, bool]]
-) -> tuple[dict[str, Any], str]:
+def _validate(text: str, cls: type) -> tuple[dict[str, Any], str]:
+    keys = _keys(cls)
     entries, errors = _scan(text)
     values: dict[str, Any] = {}
     for key, (value, lineno) in entries.items():
-        if key not in fields:
+        if key not in keys:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        parser, _ = fields[key]
+        parser, _ = keys[key]
         try:
             values[key] = parser(value)
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
-    for key, (_, required) in fields.items():
+    for key, (_, required) in keys.items():
         if required and key not in entries:
             errors.append(f"missing required key {key!r}")
     if errors:
@@ -181,8 +171,8 @@ def _validate(
 
 
 def load_discrete_config(text: str) -> DiscreteConfig:
-    values, digest = _validate(text, _DISCRETE_FIELDS)
-    if "waypoints" in values:  # parsed as (kind, stay)
+    values, digest = _validate(text, DiscreteConfig)
+    if "waypoints" in values:
         values["waypoints"], values["stay"] = values["waypoints"]
     cfg = DiscreteConfig(**values, digest=digest)
     errors: list[str] = []
@@ -200,11 +190,17 @@ def load_discrete_config(text: str) -> DiscreteConfig:
 
 
 def load_continuous_config(text: str) -> ContinuousConfig:
-    values, digest = _validate(text, _CONTINUOUS_FIELDS)
+    values, digest = _validate(text, ContinuousConfig)
     cfg = ContinuousConfig(**values, digest=digest)
+    errors: list[str] = []
     if cfg.nodes < 1:
-        raise ConfigurationError(f"nodes must be >= 1, got {cfg.nodes}")
-    cfg.area()  # surface range/degeneracy problems as ConfigurationError now
+        errors.append(f"nodes must be >= 1, got {cfg.nodes}")
+    try:
+        cfg.area()  # surface range/degeneracy problems as ConfigurationError now
+    except ConfigurationError as exc:
+        errors.append(str(exc))
     if cfg.duration <= 0 or cfg.time_step <= 0:
-        raise ConfigurationError("duration and time_step must be > 0")
+        errors.append("duration and time_step must be > 0")
+    if errors:
+        raise ConfigurationError("; ".join(errors))
     return cfg

@@ -10,7 +10,6 @@ digest and refuse silently corrupted files.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from functools import partial
 from hashlib import sha256
 from itertools import count
 from pathlib import Path as FsPath
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -36,12 +35,28 @@ def _format_float(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _write_trace(path: FsPath | str, header: dict[str, str], parts: list[str]) -> None:
-    """Write the ``#`` header, ending with the body's digest, then the body parts.
+def _write_trace(
+    path: FsPath | str,
+    header: dict[str, str],
+    columns: str,
+    rows: list[str],
+    node_count: int,
+    node_values: Callable[[int], tuple],
+) -> None:
+    """Write the ``#`` header, ending with the body's digest, then the body.
 
-    The parts are hashed and written one by one, so no joined copy of the
-    body is ever built.
+    The body is the ``columns`` line, then each node's rows: the per-step
+    row templates, shared by every node, joined by the node's id and filled
+    by a single ``%`` with ``node_values(node)``. The parts are hashed and
+    written one by one, so no joined copy of the body is ever built.
     """
+    # one string per node, its values made by one call (not a generator, which
+    # would hold the last node's values), so each node's values and row strings
+    # are freed before the next node's are built: that keeps the peak memory down
+    parts = [f"{columns}\n"]
+    for node in range(node_count):
+        head = str(node)
+        parts.append((head + head.join(rows)) % node_values(node))
     digest = sha256()
     for part in parts:
         digest.update(part.encode())
@@ -53,11 +68,11 @@ def _write_trace(path: FsPath | str, header: dict[str, str], parts: list[str]) -
 
 
 @contextmanager
-def _open_trace(path: FsPath | str) -> Iterator[tuple[dict[str, str], TextIO]]:
-    """Open a trace file; yield its header and the file positioned at the body.
+def _open_trace(path: FsPath | str, kind: str) -> Iterator[tuple[dict[str, str], TextIO]]:
+    """Open a trace file of ``kind``; yield its header and the file positioned at the body.
 
-    The body digest is checked before anything is yielded. The body is read
-    in chunks for it, so no copy of the whole file is held.
+    The body digest, then the kind, is checked before anything is yielded.
+    The body is read in chunks, so no copy of the whole file is held.
     """
     with FsPath(path).open() as fh:
         if fh.readline().strip() != f"# {FORMAT_TAG}":
@@ -86,6 +101,8 @@ def _open_trace(path: FsPath | str) -> Iterator[tuple[dict[str, str], TextIO]]:
                 f"trace body digest mismatch: header says {expected[:12]}.., "
                 f"content is {actual[:12]}.."
             )
+        if header.get("kind") != kind:
+            raise ConfigurationError(f"expected a {kind} trace, got {header.get('kind')!r}")
         fh.seek(body_start)
         yield header, fh
 
@@ -134,8 +151,8 @@ def save_locations(
 ) -> None:
     """Write a grid location trace (single node or joint) as node,step,x,y rows.
 
-    Rows are built in bulk from one ``step,`` string per step and one
-    ``x,y`` label (with its newline) per cell, shared by every node. A
+    Rows are filled from one ``,step,%s`` template per step and one ``x,y``
+    label (with its newline) per cell, both shared by every node. A
     trace with no samples or with a cell id outside the grid is refused
     with ``ValueError`` before the file is opened, since the loader could
     not read it back.
@@ -150,22 +167,19 @@ def save_locations(
     outside = (joint.ids < 0) | (joint.ids >= grid.size)
     if outside.any():
         raise ValueError(f"cell id {joint.ids[outside][0]} outside {grid}")
-    steps = [f"{step}," for step in range(len(joint))]
+    rows = [f",{step},%s" for step in range(len(joint))]
     labels = [f"{c % grid.width},{c // grid.width}\n" for c in range(grid.size)]
-    # one string per node: the row strings are freed node by node, which
-    # keeps the peak memory of a large trace down
-    parts = ["node,step,x,y\n"]
-    for node in range(joint.node_count):
-        head = f"{node},"
-        cells = map(labels.__getitem__, joint.ids[node].tolist())
-        parts.append(head + head.join(map(operator.add, steps, cells)))
     header = {
         "kind": KIND_LOCATIONS,
         "grid": f"{grid.width}x{grid.height}",
         "seed": "none" if seed is None else str(seed),
         "config": config_digest or "none",
     }
-    _write_trace(path, header, parts)
+
+    def cells(node: int) -> tuple[str, ...]:
+        return tuple(map(labels.__getitem__, joint.ids[node].tolist()))
+
+    _write_trace(path, header, "node,step,x,y", rows, joint.node_count, cells)
 
 
 def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
@@ -176,11 +190,7 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
     must lie in the grid; of several cells outside it, the first in file
     order is named, which is the lowest faulty node's first bad step.
     """
-    with _open_trace(path) as (header, body):
-        if header.get("kind") != KIND_LOCATIONS:
-            raise ConfigurationError(
-                f"expected a {KIND_LOCATIONS} trace, got {header.get('kind')!r}"
-            )
+    with _open_trace(path, KIND_LOCATIONS) as (header, body):
         match = re.fullmatch(r"(\d+)x(\d+)", header.get("grid", ""))
         if not match:
             raise ConfigurationError(f"bad grid header: {header.get('grid')!r}")
@@ -208,9 +218,8 @@ def save_positions(
 ) -> None:
     """Write sampled continuous positions as node,time,x,y rows (%.9g).
 
-    Rows are built from one ``,time,%.9g,%.9g`` template per step, shared
-    by every node: each node's part is the templates joined by its id,
-    filled by a single ``%`` with the node's positions. A trace with no
+    Rows are filled from one ``,time,%.9g,%.9g`` template per step, shared
+    by every node, with the node's positions. A trace with no
     samples, with positions not shaped ``(nodes, len(times), 2)``, with a
     time step that is not finite and positive, or with a non-finite time or
     position, is refused with ``ValueError`` before the file is opened,
@@ -228,10 +237,6 @@ def save_positions(
     if not (np.isfinite(trace.times).all() and np.isfinite(trace.positions).all()):
         raise ValueError("cannot write non-finite times or positions")
     rows = [f",{_format_float(t)},%.9g,%.9g\n" for t in trace.times.tolist()]
-    parts = ["node,time,x,y\n"]  # one string per node, as in save_locations
-    for node in range(trace.node_count):
-        head = str(node)
-        parts.append((head + head.join(rows)) % tuple(trace.positions[node].ravel().tolist()))
     header = {
         "kind": KIND_POSITIONS,
         "area": f"{_format_float(trace.area.width)}x{_format_float(trace.area.height)}",
@@ -239,7 +244,11 @@ def save_positions(
         "seed": "none" if seed is None else str(seed),
         "config": config_digest or "none",
     }
-    _write_trace(path, header, parts)
+
+    def positions(node: int) -> tuple[float, ...]:
+        return tuple(trace.positions[node].ravel().tolist())
+
+    _write_trace(path, header, "node,time,x,y", rows, trace.node_count, positions)
 
 
 def load_positions(
@@ -251,11 +260,7 @@ def load_positions(
     node-major and time-sorted, and sample k of every node must lie at time
     ``k * time-step`` (to the 9 significant digits written).
     """
-    with _open_trace(path) as (header, body):
-        if header.get("kind") != KIND_POSITIONS:
-            raise ConfigurationError(
-                f"expected a {KIND_POSITIONS} trace, got {header.get('kind')!r}"
-            )
+    with _open_trace(path, KIND_POSITIONS) as (header, body):
         try:
             time_step = float(header["time-step"])
         except (KeyError, ValueError):

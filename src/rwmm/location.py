@@ -34,7 +34,7 @@ class LocationTrace:
         return self.grid.cell_at(int(self.ids[index]))
 
     def prefix(self, count: int) -> "LocationTrace":
-        if count > len(self.ids):
+        if not 0 <= count <= len(self.ids):
             raise ValueError(f"prefix of {count} from trace of length {len(self.ids)}")
         return LocationTrace(self.grid, self.ids[:count])
 

@@ -1,5 +1,7 @@
 """Observable and diagnostic tests, mostly on hand-built traces."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -64,6 +66,23 @@ class TestObservables:
         joint = JointTrace(grid, ids)
         obs = PairWithinRange(grid, 0, 1, radius=1.0)
         assert obs.values(joint).tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("radius", [-1.5, math.nan, math.inf, -math.inf])
+    def test_pair_within_range_rejects_bad_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and >= 0"):
+            PairWithinRange(GridSpec(3, 1), 0, 1, radius=radius)
+
+    def test_pair_within_range_accepts_zero_radius(self):
+        joint = JointTrace(GridSpec(3, 1), np.array([[0, 1, 2], [0, 2, 2]]))
+        obs = PairWithinRange(joint.grid, 0, 1, radius=0.0)
+        assert obs.values(joint).tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("node_a, node_b", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_pair_within_range_rejects_bad_node(self, node_a, node_b):
+        joint = JointTrace(GridSpec(3, 1), np.array([[0, 0, 0], [1, 2, 0]]))
+        obs = PairWithinRange(joint.grid, node_a, node_b, radius=1.0)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\) for this trace"):
+            obs.values(joint)
 
 
 class TestTimeAverage:

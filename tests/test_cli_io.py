@@ -194,6 +194,19 @@ class TestConfigParsing:
         assert cfg.area().pause_time == 0.5
         assert cfg.nodes == 2
 
+    def test_continuous_range_errors_reported_together(self):
+        text = (
+            CONTINUOUS_CFG.replace("nodes = 2", "nodes = 0")
+            .replace("min_speed = 1", "min_speed = 0")
+            .replace("duration = 30", "duration = -1")
+        )
+        with pytest.raises(ConfigurationError) as err:
+            load_continuous_config(text)
+        assert str(err.value) == (
+            "nodes must be >= 1, got 0; minimum speed must be > 0, got 0.0; "
+            "duration and time_step must be > 0"
+        )
+
     def test_continuous_degenerate_speed(self):
         with pytest.raises(ConfigurationError):
             load_continuous_config(CONTINUOUS_CFG.replace("min_speed = 1", "min_speed = 0"))

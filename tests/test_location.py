@@ -119,6 +119,13 @@ def test_prefix():
         trace.prefix(9)
 
 
+def test_prefix_refuses_negative_count():
+    trace = LocationTrace(GridSpec(2, 1), np.array([0, 1, 0, 1]))
+    assert trace.prefix(0).ids.tolist() == []
+    with pytest.raises(ValueError, match="prefix of -1 from trace of length 4"):
+        trace.prefix(-1)
+
+
 class TestJointProcess:
     def test_stacks_equal_lengths(self):
         grid = GridSpec(2, 1)

@@ -3,12 +3,14 @@
 No module of the package imports a name it never uses, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")`` still
 exists, so deleting API cannot silently break a traced benchmark run. Every
-name in ``rwmm.__all__`` resolves, and every ``rwmm`` command in the
-README's code blocks parses, so the documented API and CLI cannot drift
-from the code. The checks read the files and edit nothing.
+name in ``rwmm.__all__`` resolves, every ``rwmm`` command in the README's
+code blocks parses, and each README config loads and sets every key of its
+config class, so the documented API, CLI and configs cannot drift from the
+code. The checks read the files and edit nothing.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 import shlex
@@ -18,6 +20,12 @@ import pytest
 
 import rwmm
 from rwmm.cli import build_parser
+from rwmm.config import (
+    ContinuousConfig,
+    DiscreteConfig,
+    load_continuous_config,
+    load_discrete_config,
+)
 
 ROOT = FilePath(__file__).parents[1]
 PACKAGE = sorted((ROOT / "src" / "rwmm").glob("*.py"))
@@ -114,3 +122,26 @@ def test_readme_command_parses(command):
     # optional arguments are shown in brackets; parse them as given
     argv = shlex.split(command.replace("[", "").replace("]", ""))[1:]
     build_parser().parse_args(argv)
+
+
+def _readme_configs() -> dict[str, str]:
+    """Each ``ini`` block of the README, keyed by the file name on its first line."""
+    text = (ROOT / "README.md").read_text()
+    return dict(re.findall(r"^```ini\n# (\S+)\n(.*?)^```", text, re.M | re.S))
+
+
+@pytest.mark.parametrize(
+    "name, load, config",
+    [
+        ("discrete.cfg", load_discrete_config, DiscreteConfig),
+        ("continuous.cfg", load_continuous_config, ContinuousConfig),
+    ],
+    ids=["discrete", "continuous"],
+)
+def test_readme_config_sets_every_key(name, load, config):
+    text = _readme_configs()[name]
+    load(text)
+    lines = (line.split("#", 1)[0] for line in text.splitlines())
+    set_keys = {line.split("=", 1)[0].strip() for line in lines if "=" in line}
+    keys = {field.name for field in dataclasses.fields(config) if "parse" in field.metadata}
+    assert set_keys == keys
