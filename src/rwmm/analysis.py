@@ -23,13 +23,22 @@ DEFAULT_TAIL = 10
 
 
 class Observable(Protocol):
-    """Real-valued, finite-window function of a location (or joint) trace."""
+    """Real-valued, finite-window function of a location (or joint) trace.
+
+    The observables here read cell ids on their own grid, so each refuses,
+    with ``ValueError``, a trace on another grid.
+    """
 
     window: int
 
     def values(self, trace) -> np.ndarray:
         """f(T^n x) for n = 0 .. len(trace) - window, as float64."""
         ...
+
+
+def _check_grid(grid: GridSpec, trace: LocationTrace | JointTrace) -> None:
+    if trace.grid != grid:
+        raise ValueError(f"trace is on {trace.grid}, the observable on {grid}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,7 @@ class CellIndicator:
     window: int = field(default=1, init=False)
 
     def values(self, trace: LocationTrace) -> np.ndarray:
+        _check_grid(self.grid, trace)
         target = self.grid.cell_id(self.cell)
         return (trace.ids == target).astype(np.float64)
 
@@ -61,6 +71,7 @@ class CylinderIndicator:
         return len(self.cells)
 
     def values(self, trace: LocationTrace) -> np.ndarray:
+        _check_grid(self.grid, trace)
         ids = trace.ids
         w = self.window
         if len(ids) < w:
@@ -87,6 +98,7 @@ class PairWithinRange:
             raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
 
     def values(self, trace: JointTrace) -> np.ndarray:
+        _check_grid(self.grid, trace)
         for node in (self.node_a, self.node_b):
             if not 0 <= node < trace.node_count:
                 raise ValueError(f"node id {node} outside [0, {trace.node_count}) for this trace")
@@ -117,6 +129,7 @@ class TableObservable:
         object.__setattr__(self, "table", table)
 
     def values(self, trace: LocationTrace) -> np.ndarray:
+        _check_grid(self.grid, trace)
         return self.table[trace.ids]
 
 

@@ -19,11 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, io
-from .config import (
-    config_digest,
-    load_continuous_config,
-    load_discrete_config,
-)
+from .config import load_continuous_config, load_discrete_config
 from .continuous import simulate_continuous
 from .errors import CapacityError, ConfigurationError, VerificationError
 from .geometry import build_alphabet
@@ -121,12 +117,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"trace file not found: {args.trace}")
     trace, header = io.load_locations(args.trace)
     if args.config is not None:
-        digest = config_digest(_read_config(args.config))
+        cfg = load_discrete_config(_read_config(args.config))
         stored = header.get("config", "none")
-        if stored not in ("none", digest):
+        if stored not in ("none", cfg.digest):
             raise ConfigurationError(
                 f"trace was produced by config {stored[:12]}.., "
-                f"given config digests to {digest[:12]}.."
+                f"given config digests to {cfg.digest[:12]}.."
+            )
+        if trace.grid != cfg.grid():
+            raise ConfigurationError(
+                f"trace is on a {trace.grid.width}x{trace.grid.height} grid, "
+                f"the config's grid is {cfg.grid_width}x{cfg.grid_height}"
             )
     averages = analysis.cell_time_averages(trace)
     node, cell = np.divmod(np.arange(averages.visits.size), trace.grid.size)
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--trace", required=True)
     analyze.add_argument("--out", required=True)
     analyze.add_argument(
-        "--config", help="cross-check the trace against this config's digest"
+        "--config", help="cross-check the trace against this config's digest and grid"
     )
     analyze.set_defaults(func=_cmd_analyze)
 

@@ -26,14 +26,6 @@ DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
 
-def config_digest(text: str) -> str:
-    """sha256 of the canonical key=value form (comments and order ignored)."""
-    entries, errors = _scan(text)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    return _digest(entries)
-
-
 def _digest(entries: dict[str, tuple[str, int]]) -> str:
     canonical = "\n".join(f"{k}={v}" for k, (v, _) in sorted(entries.items()))
     return hashlib.sha256(canonical.encode()).hexdigest()

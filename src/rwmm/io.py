@@ -10,6 +10,7 @@ digest and refuse silently corrupted files.
 from __future__ import annotations
 
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from functools import partial
 from hashlib import sha256
 from itertools import count
 from pathlib import Path as FsPath
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .location import JointTrace, LocationTrace
 FORMAT_TAG = "rwmm-trace v1"
 KIND_LOCATIONS = "grid-locations"
 KIND_POSITIONS = "continuous-positions"
+_BLOCK_BYTES = 1 << 20  # bytes read at a time, to hash a body and to parse location rows
 
 
 def _format_float(value: float) -> str:
@@ -68,22 +70,26 @@ def _write_trace(
 
 
 @contextmanager
-def _open_trace(path: FsPath | str, kind: str) -> Iterator[tuple[dict[str, str], TextIO]]:
+def _open_trace(path: FsPath | str, kind: str) -> Iterator[tuple[dict[str, str], BinaryIO]]:
     """Open a trace file of ``kind``; yield its header and the file positioned at the body.
 
-    The body digest, then the kind, is checked before anything is yielded.
-    The body is read in chunks, so no copy of the whole file is held.
+    The file is read in binary mode, so the digest covers the body's bytes as
+    stored. The body digest, then the kind, is checked before anything is
+    yielded. The body is read in chunks, so no copy of the whole file is held.
     """
-    with FsPath(path).open() as fh:
-        if fh.readline().strip() != f"# {FORMAT_TAG}":
+    with FsPath(path).open("rb") as fh:
+        if fh.readline().strip() != f"# {FORMAT_TAG}".encode():
             raise ConfigurationError(f"not a trace file (expected '# {FORMAT_TAG}' first)")
         header: dict[str, str] = {}
         for lineno in count(2):
             body_start = fh.tell()
             line = fh.readline()
-            if not line.startswith("#"):
+            if not line.startswith(b"#"):
                 break
-            stripped = line[1:].strip()
+            try:
+                stripped = line[1:].decode().strip()
+            except UnicodeDecodeError:
+                stripped = ""
             if ":" not in stripped:
                 raise ConfigurationError(f"malformed header line {lineno}: {line.strip()!r}")
             key, value = (part.strip() for part in stripped.split(":", 1))
@@ -93,8 +99,8 @@ def _open_trace(path: FsPath | str, kind: str) -> Iterator[tuple[dict[str, str],
             raise ConfigurationError("trace header missing body digest")
         fh.seek(body_start)
         digest = sha256()
-        for chunk in iter(partial(fh.read, 1 << 20), ""):
-            digest.update(chunk.encode())
+        for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+            digest.update(chunk)
         actual = digest.hexdigest()
         if actual != expected:
             raise VerificationError(
@@ -107,40 +113,149 @@ def _open_trace(path: FsPath | str, kind: str) -> Iterator[tuple[dict[str, str],
         yield header, fh
 
 
-def _load_rows(body: TextIO, kind: str, columns: str, dtype) -> tuple[np.ndarray, int, int]:
-    """Parse a body's CSV rows, after its ``columns`` line, in one pass.
+def _start_body(body: BinaryIO, kind: str, columns: str) -> None:
+    """Read the body's ``columns`` line and check that a row follows it.
 
-    Rows have four finite columns, the first a node id, which is never
-    negative. They come node-major, nodes 0, 1, ... in turn, the same
-    number of rows per node. Returns ``(rows, nodes, steps)``.
-
-    A row must follow the ``columns`` line at once. It is looked for before
-    ``np.loadtxt`` runs, which would warn on a body with no rows; ``#``
-    lines are not comments in a body, so any other line is a malformed row.
+    ``#`` lines are not comments in a body, so any line but a row there is
+    a malformed row.
     """
-    if body.readline().rstrip("\n") != columns:
+    if body.readline().rstrip(b"\n") != columns.encode():
         raise ConfigurationError(f"{kind} trace body must start with {columns}")
     start = body.tell()
-    if body.readline() in ("", "\n"):
+    if body.readline() in (b"", b"\n"):
         raise ConfigurationError(f"empty {kind} trace: no row after the {columns} line")
     body.seek(start)
-    try:
-        data = np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise ConfigurationError(f"malformed {kind} trace row: {exc}") from None
-    if data.shape[1] != 4:
-        raise ConfigurationError(f"{kind} trace rows must have 4 columns: {columns}")
-    if not np.isfinite(data).all():
-        raise ConfigurationError(f"non-finite value in {kind} trace")
-    if data[:, 0].min() < 0:
-        raise ConfigurationError(f"negative node id {data[:, 0].min():g}")
-    nodes = int(data[:, 0].max()) + 1
-    steps = len(data) // nodes
-    if steps * nodes != len(data):
+
+
+def _node_layout(node: np.ndarray, kind: str) -> tuple[int, int]:
+    """Check a body's node column; returns ``(nodes, steps)``.
+
+    Node ids are never negative, and rows come node-major, nodes 0, 1, ...
+    in turn, the same number of rows per node.
+    """
+    if node.min() < 0:
+        raise ConfigurationError(f"negative node id {node.min():g}")
+    nodes = int(node.max()) + 1
+    steps = len(node) // nodes
+    if steps * nodes != len(node):
         raise ConfigurationError(f"ragged {kind} trace: unequal steps per node")
-    if not (data[:, 0].reshape(nodes, steps) == np.arange(nodes)[:, None]).all():
+    if not (node.reshape(nodes, steps) == np.arange(nodes)[:, None]).all():
         raise ConfigurationError(f"{kind} trace rows must be node-major, nodes 0, 1, ... in turn")
-    return data, nodes, steps
+    return nodes, steps
+
+
+# byte - ord("0") as uint8: a digit reads 0 .. 9, and every other byte wraps above 9
+_COMMA, _NEWLINE, _MINUS = ((ord(c) - ord("0")) % 256 for c in ",\n-")
+_ROW_MARKS = np.array([_COMMA, _COMMA, _COMMA, _NEWLINE], dtype=np.uint8)
+# one row per digit place: a (1,) array, not a scalar, keeps the product
+# of uint8 digits and a place value int32 under any numpy casting rules
+_PLACE_VALUES = 10 ** np.arange(9, dtype=np.int32).reshape(9, 1)
+
+
+def _parse_location_rows(block: bytes, first_row: int) -> np.ndarray:
+    """The ``(4, rows)`` int32 values of ``block``, whole rows ending in a newline.
+
+    A row is four fields ``-?[0-9]{1,9}``, comma-separated, ending in
+    ``\\n``. The bytes are parsed by whole-array passes: one finds every
+    non-digit byte, whose kinds must repeat ``,,,\\n`` row after row once
+    the ``-`` leading a field are set aside; the field lengths are the gaps
+    between them; and each column is summed with one gather per digit place.
+    ``first_row`` is the number of rows before the block, for error messages.
+    """
+    codes = np.frombuffer(block, np.uint8) - np.uint8(ord("0"))
+    marks = np.flatnonzero(codes > 9).astype(np.int32)
+    kinds = codes[marks]
+    minus = kinds == _MINUS
+    signed = minus.any()
+    if signed:
+        signs = marks[minus]
+        marks, kinds = marks[~minus], kinds[~minus]
+    lengths = np.empty_like(marks)
+    lengths[0] = marks[0]
+    np.subtract(marks[1:], marks[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    strays = marks[:0]
+    if signed:
+        starts = marks - lengths
+        strays = signs[~np.isin(signs, starts)]  # the - that lead no field
+        negative = codes[starts] == _MINUS
+        lengths -= negative
+    rows, extra = divmod(marks.size, 4)
+    if (
+        extra
+        or strays.size
+        or not (kinds.view(np.uint32) == _ROW_MARKS.view(np.uint32)).all()
+        or lengths.min() < 1
+        or lengths.max() > 9
+    ):
+        raise _malformed_row(block, first_row, marks, kinds, lengths, strays)
+    values = np.empty((4, rows), dtype=np.int32)
+    columns = zip(values, marks.reshape(rows, 4).T.copy(), lengths.reshape(rows, 4).T.copy())
+    for column, end, length in columns:
+        end -= 1
+        column[:] = codes[end]
+        shortest = length.min()
+        for place in range(1, length.max()):
+            end -= 1
+            digits = codes.take(end, mode="clip")  # clip: the block's first field
+            if place >= shortest:  # some fields have no digit at this place
+                digits = np.where(length > place, digits, np.uint8(0))
+            column += digits * _PLACE_VALUES[place]
+    if signed:
+        values[negative.reshape(rows, 4).T] *= -1
+    return values
+
+
+def _malformed_row(
+    block: bytes,
+    first_row: int,
+    marks: np.ndarray,
+    kinds: np.ndarray,
+    lengths: np.ndarray,
+    strays: np.ndarray,
+) -> ConfigurationError:
+    """The error naming the first row of ``block`` that breaks the row grammar.
+
+    ``marks`` are the separators' offsets, ``kinds`` their bytes less
+    ``ord("0")``, ``lengths`` the field lengths they end, and ``strays``
+    the offsets of the ``-`` that lead no field.
+    """
+    pattern = np.resize(_ROW_MARKS, kinds.size)
+    bad = marks[(kinds != pattern) | (lengths < 1) | (lengths > 9)]
+    at = min(bad.min(initial=len(block)), strays.min(initial=len(block)))
+    start = block.rfind(b"\n", 0, at) + 1
+    row = first_row + block.count(b"\n", 0, start) + 1
+    line = block[start : block.index(b"\n", at)]
+    if row == 1 and line.count(b",") != 3:
+        return ConfigurationError("location trace rows must have 4 columns: node,step,x,y")
+    return ConfigurationError(f"malformed location trace row {row}: {line!r}")
+
+
+def _read_location_rows(body: BinaryIO) -> np.ndarray:
+    """The ``(4, rows)`` int32 values of a location body's rows, read in blocks.
+
+    Each block of about ``_BLOCK_BYTES`` is cut at its last newline; the
+    rest starts the next block. Every row, the last included, must end in
+    a newline.
+    """
+    # every row holds at least 8 bytes, so the body's size bounds the row
+    # count; the pages past the rows read are never touched
+    values = np.empty((4, (os.fstat(body.fileno()).st_size - body.tell()) // 8), np.int32)
+    rows, rest = 0, b""
+    for chunk in iter(partial(body.read, _BLOCK_BYTES), b""):
+        block = rest + chunk
+        cut = block.rfind(b"\n") + 1
+        rest = block[cut:]
+        if not cut:
+            break
+        parsed = _parse_location_rows(block[:cut], rows)
+        values[:, rows : rows + parsed.shape[1]] = parsed
+        rows += parsed.shape[1]
+    if rest:
+        raise ConfigurationError(
+            f"malformed location trace row {rows + 1}: {rest[:40]!r} does not end in a newline"
+        )
+    return values[:, :rows]
 
 
 def save_locations(
@@ -195,8 +310,9 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
         if not match:
             raise ConfigurationError(f"bad grid header: {header.get('grid')!r}")
         grid = GridSpec(int(match.group(1)), int(match.group(2)))
-        data, nodes, steps = _load_rows(body, "location", "node,step,x,y", np.int64)
-    _, step, x, y = data.T
+        _start_body(body, "location", "node,step,x,y")
+        node, step, x, y = _read_location_rows(body)
+    nodes, steps = _node_layout(node, "location")
     misplaced = (step.reshape(nodes, steps) != np.arange(steps)).any(axis=1)
     if misplaced.any():
         raise ConfigurationError(
@@ -207,7 +323,10 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
     if outside.any():
         row = np.argmax(outside)
         raise ConfigurationError(f"cell ({x[row]}, {y[row]}) outside {grid}")
-    return JointTrace(grid, (y * grid.width + x).reshape(nodes, steps)), header
+    ids = y.astype(np.int64)  # cell ids are int64 in every trace
+    ids *= grid.width
+    ids += x
+    return JointTrace(grid, ids.reshape(nodes, steps)), header
 
 
 def save_positions(
@@ -270,7 +389,16 @@ def load_positions(
                 f"bad time-step header: {header.get('time-step')!r} "
                 "(must be a finite number > 0)"
             )
-        data, nodes, steps = _load_rows(body, "position", "node,time,x,y", np.float64)
+        _start_body(body, "position", "node,time,x,y")
+        try:
+            data = np.loadtxt(body, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ConfigurationError(f"malformed position trace row: {exc}") from None
+    if data.shape[1] != 4:
+        raise ConfigurationError("position trace rows must have 4 columns: node,time,x,y")
+    if not np.isfinite(data).all():
+        raise ConfigurationError("non-finite value in position trace")
+    nodes, steps = _node_layout(data[:, 0], "position")
     times = data[:, 1].reshape(nodes, steps)
     if np.any(np.diff(times, axis=1) <= 0):
         raise ConfigurationError("position trace rows must be sorted by time within each node")

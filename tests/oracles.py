@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Ten deliberately separate routes from first principles:
+Eleven deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -38,11 +38,15 @@ Ten deliberately separate routes from first principles:
   ``rwmm.io.save_locations``;
 * a per-row formatter of position trace bodies, one f-string per
   ``(node, step)`` with each float formatted on its own, to check the
-  shared row templates of ``rwmm.io.save_positions``.
+  shared row templates of ``rwmm.io.save_positions``;
+* a location trace body reader built on ``np.loadtxt``, followed by the
+  layout checks written out one by one, to check the block parser of
+  ``rwmm.io.load_locations``.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -58,6 +62,7 @@ from rwmm.geometry import (
     _displacement_family,
     normalize_speeds,
 )
+from rwmm.errors import ConfigurationError
 from rwmm.processes import IID_UNIFORM, WaypointProcessSpec
 
 
@@ -422,3 +427,47 @@ def per_row_position_body(trace) -> str:
         for t, (x, y) in zip(trace.times.tolist(), trace.positions[node].tolist())
     )
     return "node,time,x,y\n" + "".join(rows)
+
+
+def loadtxt_location_ids(body: bytes, grid: GridSpec) -> np.ndarray:
+    """The ``(nodes, steps)`` cell ids of a location trace body, read by ``np.loadtxt``.
+
+    ``body`` is the column line and the rows. ``np.loadtxt`` reads the rows
+    as int64 and is more lenient than the block parser: it takes ``+1``,
+    `` 1``, blank lines and a last row with no newline. The layout checks
+    follow: node ids not negative, the same number of rows per node, rows
+    node-major, each node's steps 0 .. steps-1 in turn, every cell on the
+    grid. Raises ``ConfigurationError``.
+    """
+    columns, _, rows = body.decode().partition("\n")
+    if columns != "node,step,x,y":
+        raise ConfigurationError("location trace body must start with node,step,x,y")
+    if rows[:1] in ("", "\n"):
+        raise ConfigurationError("empty location trace: no row after the node,step,x,y line")
+    try:
+        data = np.loadtxt(io.StringIO(rows), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ConfigurationError(f"malformed location trace row: {exc}") from None
+    if data.shape[1] != 4:
+        raise ConfigurationError("location trace rows must have 4 columns: node,step,x,y")
+    node, step, x, y = (column.tolist() for column in data.T)
+    if min(node) < 0:
+        raise ConfigurationError(f"negative node id {min(node)}")
+    nodes = max(node) + 1
+    steps = len(node) // nodes
+    if steps * nodes != len(node):
+        raise ConfigurationError("ragged location trace: unequal steps per node")
+    for row in range(len(node)):
+        if node[row] != row // steps:
+            raise ConfigurationError(
+                "location trace rows must be node-major, nodes 0, 1, ... in turn"
+            )
+    for row in range(len(node)):
+        if step[row] != row % steps:
+            raise ConfigurationError(
+                f"node {node[row]} is missing steps or holds them out of order"
+            )
+    for row in range(len(node)):
+        if not (0 <= x[row] < grid.width and 0 <= y[row] < grid.height):
+            raise ConfigurationError(f"cell ({x[row]}, {y[row]}) outside {grid}")
+    return (data[:, 3] * grid.width + data[:, 2]).reshape(nodes, steps)

@@ -85,6 +85,28 @@ class TestObservables:
             obs.values(joint)
 
 
+    def test_pair_within_range_refuses_trace_on_another_grid(self):
+        # read with the 3x1 grid's width, these cells gave [0, 0, 0]
+        joint = JointTrace(GridSpec(10, 10), np.array([[0, 11, 99], [5, 50, 98]]))
+        with pytest.raises(ValueError, match=r"trace is on GridSpec\(width=10, height=10\)"):
+            PairWithinRange(GridSpec(3, 1), 0, 1, 1.0).values(joint)
+        assert PairWithinRange(joint.grid, 0, 1, 1.0).values(joint).tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            CellIndicator(GRID2, Cell(0, 0)),
+            CylinderIndicator(GRID2, (Cell(0, 0), Cell(1, 0))),
+            TableObservable(GRID2, np.array([2.0, -1.0])),
+        ],
+        ids=["cell", "cylinder", "table"],
+    )
+    def test_observables_refuse_trace_on_another_grid(self, observable):
+        # a 1x2 trace has the same cell ids as a 2x1 one, on other cells
+        with pytest.raises(ValueError, match="the observable on GridSpec"):
+            observable.values(make_trace([0, 1, 0], grid=GridSpec(1, 2)))
+
+
 class TestTimeAverage:
     def test_constant_observable_converges_immediately(self):
         trace = make_trace([1] * 1000)

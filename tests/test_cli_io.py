@@ -8,21 +8,18 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from hashlib import sha256
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rwmm import continuous
 from rwmm.cli import main
-from rwmm.config import (
-    config_digest,
-    load_continuous_config,
-    load_discrete_config,
-)
+from rwmm.config import load_continuous_config, load_discrete_config
 from rwmm.continuous import ContinuousAreaSpec, ContinuousTrace, simulate_continuous
 from rwmm.errors import ConfigurationError, VerificationError
 from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
+    _BLOCK_BYTES,
     export_csv_report,
     export_ns2,
     load_locations,
@@ -33,7 +30,7 @@ from rwmm.io import (
 )
 from rwmm.location import JointTrace, LocationTrace
 
-from oracles import per_row_location_body, per_row_position_body
+from oracles import loadtxt_location_ids, per_row_location_body, per_row_position_body
 
 
 @st.composite
@@ -45,6 +42,17 @@ def position_columns(draw):
         draw(arrays(np.float64, steps, elements=finite)),
         draw(arrays(np.float64, (nodes, steps, 2), elements=finite)),
     )
+
+
+@st.composite
+def location_traces(draw, max_cells=50_000, max_rows=3000):
+    """Joint location traces whose node ids, steps, x and y reach several digits."""
+    width = draw(st.integers(1, 1200))
+    grid = GridSpec(width, draw(st.integers(1, max(1, max_cells // width))))
+    nodes = draw(st.integers(1, 150))
+    steps = draw(st.integers(1, max(1, max_rows // nodes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return JointTrace(grid, rng.integers(0, grid.size, (nodes, steps)))
 
 
 DISCRETE_CFG = """\
@@ -212,13 +220,15 @@ class TestConfigParsing:
             load_continuous_config(CONTINUOUS_CFG.replace("min_speed = 1", "min_speed = 0"))
 
     def test_digest_ignores_comments_and_order(self):
-        base = config_digest(DISCRETE_CFG)
-        reordered = config_digest(
+        base = load_discrete_config(DISCRETE_CFG).digest
+        reordered = load_discrete_config(
             "waypoints = iid-uniform\nnodes = 2\nhorizon = 500\n"
             "speeds = 1, 2\ngrid_height = 3\ngrid_width = 3\n# different comment\n"
-        )
+        ).digest
         assert base == reordered
-        changed = config_digest(DISCRETE_CFG.replace("horizon = 500", "horizon = 501"))
+        changed = load_discrete_config(
+            DISCRETE_CFG.replace("horizon = 500", "horizon = 501")
+        ).digest
         assert changed != base
 
 
@@ -392,6 +402,13 @@ class TestTraceFiles:
             (53, "-1,3,0,0", "negative node id -1"),
             (53, "1,3,0", "malformed location trace row"),
             (53, "1,3,0,x", "malformed location trace row"),
+            (53, "", "malformed location trace row 54: b''"),  # a blank line
+            (53, "+1,3,0,0", "malformed location trace row 54"),
+            (53, " 1,3,0,0", "malformed location trace row 54"),
+            (53, "1.0,3,0,0", "malformed location trace row 54"),
+            (53, "--1,3,0,0", "malformed location trace row 54"),
+            (53, "1-2,3,0,0", "malformed location trace row 54"),
+            (53, "1,0000000003,0,0", "malformed location trace row 54"),  # 10 digits
         ],
     )
     def test_locations_reject_bad_row(self, tmp_path, row, text, error):
@@ -490,12 +507,110 @@ class TestTraceFiles:
                 "empty location trace",
             ),
             (lambda text: resign(text.removesuffix("1,49,0,0\n")), "ragged location trace"),
+            (
+                lambda text: resign(text.removesuffix("\n")),
+                "malformed location trace row 100: b'1,49,0,0' does not end in a newline",
+            ),
+            (
+                # every row, not the column line, ends in CRLF
+                lambda text: resign(text.replace(",0\n", ",0\r\n")),
+                r"malformed location trace row 1: b'0,0,0,0\\r'",
+            ),
         ],
-        ids=["header-line", "no-digest", "kind", "grid", "columns", "empty-body", "ragged"],
+        ids=[
+            "header-line", "no-digest", "kind", "grid", "columns", "empty-body", "ragged",
+            "no-final-newline", "crlf-rows",
+        ],
     )
     def test_locations_reject_bad_file(self, tmp_path, edit, error):
         path = self._edited_locations(tmp_path, lambda rows: None)
         path.write_text(edit(path.read_text()))
+        with pytest.raises(ConfigurationError, match=error):
+            load_locations(path)
+
+    def test_locations_reject_undecodable_header(self, tmp_path):
+        path = self._edited_locations(tmp_path, lambda rows: None)
+        path.write_bytes(path.read_bytes().replace(b"# grid: 3x2", b"# grid: 3x2\xff"))
+        with pytest.raises(ConfigurationError, match="malformed header line 3"):
+            load_locations(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("1,3,0,0\n", "1,3,0\n"),
+            lambda text: text.replace("\n", "\r\n"),
+        ],
+        ids=["malformed-row", "crlf-file"],
+    )
+    def test_locations_unsigned_edit_fails_digest_first(self, tmp_path, edit):
+        # the digest covers the bytes as stored, and is checked before any row
+        path = self._edited_locations(tmp_path, lambda rows: None)
+        path.write_bytes(edit(path.read_text()).encode())
+        with pytest.raises(VerificationError, match="trace body digest mismatch"):
+            load_locations(path)
+
+    @given(location_traces())
+    def test_locations_load_as_loadtxt_oracle(self, joint):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "t.trace"
+            save_locations(path, joint)
+            loaded, _ = load_locations(path)
+            data = path.read_bytes()
+        body = data[data.index(b"node,step,x,y\n") :]
+        assert loaded.grid == joint.grid
+        assert loaded.ids.dtype == np.int64
+        assert np.array_equal(loaded.ids, loadtxt_location_ids(body, joint.grid))
+        assert np.array_equal(loaded.ids, joint.ids)
+
+    @settings(max_examples=300)
+    @given(
+        location_traces(max_cells=200, max_rows=60),
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.one_of(st.sampled_from(b"0123456789,-\n\r +.#x"), st.integers(0, 255)),
+        st.randoms(use_true_random=False),
+    )
+    def test_locations_edited_byte_loads_as_oracle_or_fails(self, joint, edit, byte, rnd):
+        # one byte of the rows replaced, inserted or deleted, and the body re-signed
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "t.trace"
+            save_locations(path, joint)
+            text = path.read_bytes()
+            split = text.index(b"node,step,x,y\n")
+            at = rnd.randrange(split + len(b"node,step,x,y\n"), len(text))
+            kept = at + (edit != "insert")
+            body = text[split:at] + (b"" if edit == "delete" else bytes([byte])) + text[kept:]
+            header = re.sub(
+                rb"# body: \w+", b"# body: " + sha256(body).hexdigest().encode(), text[:split]
+            )
+            path.write_bytes(header + body)
+            try:
+                loaded, _ = load_locations(path)
+            except ConfigurationError:
+                return
+        assert np.array_equal(loaded.ids, loadtxt_location_ids(body, joint.grid))
+
+    def test_locations_row_across_block_boundary(self, tmp_path):
+        # 2 nodes x 60,000 steps on 100x100 give a body of about 1.5 MiB
+        grid = GridSpec(100, 100)
+        ids = np.random.default_rng(3).integers(0, grid.size, (2, 60_000))
+        path = tmp_path / "t.trace"
+        save_locations(path, JointTrace(grid, ids))
+        data = path.read_bytes()
+        first = data.index(b"node,step,x,y\n") + len(b"node,step,x,y\n")
+        boundary = first + _BLOCK_BYTES  # where the first read block ends
+        assert data[boundary - 1 : boundary + 1].isdigit()  # inside a row
+        loaded, _ = load_locations(path)
+        assert np.array_equal(loaded.ids, ids)
+        assert np.array_equal(loaded.ids, loadtxt_location_ids(data[first - 14 :], grid))
+        # rows are numbered on from block to block: the row after the one
+        # cut by the boundary is row ``whole + 2``
+        whole = data.count(b"\n", first, boundary)
+
+        def edit(rows):
+            rows[whole + 1] = "x" + rows[whole + 1]
+
+        rewrite_body(path, edit)
+        error = f"malformed location trace row {whole + 2}: b'x"
         with pytest.raises(ConfigurationError, match=error):
             load_locations(path)
 
@@ -1011,6 +1126,21 @@ class TestCli:
                 "--out", str(tmp_path / "r.csv"),
             ]
         ) == 2
+
+    @pytest.mark.parametrize("source", ["config-none", "edited-header"])
+    def test_analyze_rejects_trace_on_another_grid(self, tmp_path, capsys, source):
+        d, _ = self.write_cfgs(tmp_path)  # a 3x3 grid
+        trace = tmp_path / "out.trace"
+        if source == "config-none":  # no config digest to cross-check
+            save_locations(trace, JointTrace(GridSpec(4, 3), np.zeros((2, 10), dtype=np.int64)))
+        else:  # the digest matches; the header's grid was edited by hand
+            main(["simulate-discrete", "--config", str(d), "--seed", "3", "--out", str(trace)])
+            trace.write_text(trace.read_text().replace("# grid: 3x3\n", "# grid: 4x3\n"))
+        report = tmp_path / "r.csv"
+        assert main(
+            ["analyze", "--trace", str(trace), "--config", str(d), "--out", str(report)]
+        ) == 2
+        assert "trace is on a 4x3 grid, the config's grid is 3x3" in capsys.readouterr().err
 
     def test_export_ns2_deterministic(self, tmp_path):
         _, c = self.write_cfgs(tmp_path)
