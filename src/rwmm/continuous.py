@@ -339,8 +339,8 @@ def traffic_proxy(
 
     In each sampling interval a flow delivers ``bitrate * dt`` when sender
     and receiver are within ``reach`` (finite, >= 0) of each other, and
-    nothing otherwise (no queueing, no relaying). ``bitrate`` may be a
-    per-step array — e.g. a ramp — or a single flat number.
+    nothing otherwise (no queueing, no relaying). ``bitrate`` (finite,
+    >= 0) may be a per-step array — e.g. a ramp — or a single flat number.
     """
     if not flows:
         raise ConfigurationError("traffic proxy needs at least one flow")
@@ -351,8 +351,8 @@ def traffic_proxy(
             raise ConfigurationError(f"flow ({a}, {b}) sends to itself")
     steps = trace.step_count
     rate = np.broadcast_to(np.asarray(bitrate, dtype=np.float64), (steps,))
-    if (rate < 0).any():
-        raise ConfigurationError("bitrate must be nonnegative")
+    if not (np.isfinite(rate) & (rate >= 0)).all():
+        raise ConfigurationError("bitrate must be finite and >= 0")
     if not (math.isfinite(reach) and reach >= 0):
         raise ConfigurationError(f"reach must be a finite number >= 0, got {reach}")
     dt = trace.time_step

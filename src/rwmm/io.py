@@ -74,8 +74,9 @@ def _open_trace(path: FsPath | str, kind: str) -> Iterator[tuple[dict[str, str],
     """Open a trace file of ``kind``; yield its header and the file positioned at the body.
 
     The file is read in binary mode, so the digest covers the body's bytes as
-    stored. The body digest, then the kind, is checked before anything is
-    yielded. The body is read in chunks, so no copy of the whole file is held.
+    stored. A header key may appear once. The body digest, then the kind, is
+    checked before anything is yielded. The body is read in chunks, so no
+    copy of the whole file is held.
     """
     with FsPath(path).open("rb") as fh:
         if fh.readline().strip() != f"# {FORMAT_TAG}".encode():
@@ -93,6 +94,8 @@ def _open_trace(path: FsPath | str, kind: str) -> Iterator[tuple[dict[str, str],
             if ":" not in stripped:
                 raise ConfigurationError(f"malformed header line {lineno}: {line.strip()!r}")
             key, value = (part.strip() for part in stripped.split(":", 1))
+            if key in header:
+                raise ConfigurationError(f"duplicate header key {key!r} on line {lineno}")
             header[key] = value
         expected = header.get("body")
         if expected is None:
@@ -267,10 +270,10 @@ def save_locations(
     """Write a grid location trace (single node or joint) as node,step,x,y rows.
 
     Rows are filled from one ``,step,%s`` template per step and one ``x,y``
-    label (with its newline) per cell, both shared by every node. A
-    trace with no samples or with a cell id outside the grid is refused
-    with ``ValueError`` before the file is opened, since the loader could
-    not read it back.
+    label (with its newline) per cell that occurs, both shared by every
+    node. A trace with no samples or with a cell id outside the grid is
+    refused with ``ValueError`` before the file is opened, since the loader
+    could not read it back.
     """
     if isinstance(trace, LocationTrace):
         joint = JointTrace(trace.grid, trace.ids[None, :])
@@ -283,7 +286,11 @@ def save_locations(
     if outside.any():
         raise ValueError(f"cell id {joint.ids[outside][0]} outside {grid}")
     rows = [f",{step},%s" for step in range(len(joint))]
-    labels = [f"{c % grid.width},{c // grid.width}\n" for c in range(grid.size)]
+    present = np.zeros(grid.size, dtype=bool)
+    present[joint.ids] = True
+    labels = {
+        c: f"{c % grid.width},{c // grid.width}\n" for c in np.flatnonzero(present).tolist()
+    }
     header = {
         "kind": KIND_LOCATIONS,
         "grid": f"{grid.width}x{grid.height}",

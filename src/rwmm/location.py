@@ -54,6 +54,8 @@ class JointTrace:
         return int(self.ids.shape[1])
 
     def node(self, node_id: int) -> LocationTrace:
+        if not 0 <= node_id < self.node_count:
+            raise ValueError(f"node id {node_id} outside [0, {self.node_count}) for this trace")
         return LocationTrace(self.grid, self.ids[node_id])
 
 

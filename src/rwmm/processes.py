@@ -50,47 +50,38 @@ class CylinderEvent:
         return self.start + len(self.symbols) - 1
 
 
-def _check_strongly_connected(adjacency: Sequence[Iterable[int]]) -> bool:
-    n = len(adjacency)
-    reverse: list[list[int]] = [[] for _ in range(n)]
+def _bfs_depths(adjacency: Sequence[Iterable[int]]) -> list[int]:
+    """Breadth-first depth of each state from state 0; -1 for a state not reached."""
+    depth = [-1] * len(adjacency)
+    depth[0] = 0
+    queue = [0]
+    for u in queue:  # grows as it is read: states in BFS order
+        for v in adjacency[u]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return depth
+
+
+def _check_irreducible_aperiodic(adjacency: Sequence[Iterable[int]]) -> None:
+    """Refuse a chain whose transition digraph is not strongly connected, or is periodic.
+
+    One forward BFS gives the depths, one pass over the edges builds the
+    reverse graph, and a reverse BFS checks that every state reaches state 0.
+    For a strongly connected digraph the period is the gcd over all edges of
+    ``depth[u] + 1 - depth[v]``, with depths from any BFS tree.
+    """
+    depth = _bfs_depths(adjacency)
+    reverse: list[list[int]] = [[] for _ in adjacency]
+    period = 0
     for u, outs in enumerate(adjacency):
         for v in outs:
             reverse[v].append(u)
-    for adj in (adjacency, reverse):
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        if not all(seen):
-            return False
-    return True
-
-
-def _check_aperiodic(adjacency: Sequence[Iterable[int]]) -> bool:
-    # For a strongly connected digraph the period is gcd over all edges of
-    # depth[u] + 1 - depth[v], with depths from any BFS tree.
-    n = len(adjacency)
-    depth = [-1] * n
-    depth[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adjacency[u]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    g = 0
-    for u, outs in enumerate(adjacency):
-        for v in outs:
-            g = math.gcd(g, abs(depth[u] + 1 - depth[v]))
-    return g == 1
+            period = math.gcd(period, depth[u] + 1 - depth[v])
+    if min(depth) < 0 or min(_bfs_depths(reverse)) < 0:
+        raise ConfigurationError("markov waypoint chain must be irreducible")
+    if period != 1:
+        raise ConfigurationError("markov waypoint chain must be aperiodic")
 
 
 @dataclass(frozen=True)
@@ -131,10 +122,7 @@ class WaypointProcessSpec:
                 raise ConfigurationError("transition rows must be positive and sum to 1")
         if any(p < 0 for p in self.initial) or sum(self.initial) != 1:
             raise ConfigurationError("initial distribution must be nonnegative and sum to 1")
-        if not _check_strongly_connected(self.transition):
-            raise ConfigurationError("markov waypoint chain must be irreducible")
-        if not _check_aperiodic(self.transition):
-            raise ConfigurationError("markov waypoint chain must be aperiodic")
+        _check_irreducible_aperiodic(self.transition)
 
     @cached_property
     def sampling_rows(self) -> tuple[int, list[list[int]], list[list[int]]]:
@@ -211,15 +199,6 @@ class WaypointProcessSpec:
         return cls(grid=grid, kind=MARKOV, transition=tuple(rows), initial=(Fraction(1, n),) * n)
 
 
-def _validate_cells(spec_grid: GridSpec, symbols: Sequence) -> list[int]:
-    ids = []
-    for sym in symbols:
-        if not isinstance(sym, Cell):
-            raise ValueError(f"waypoint cylinder symbols must be cells, got {sym!r}")
-        ids.append(spec_grid.cell_id(sym))
-    return ids
-
-
 def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> list[Fraction]:
     """Exact symbol distribution at a given time index (initial @ P^index).
 
@@ -240,11 +219,20 @@ def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> list[Fract
 
 def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> Fraction:
     """Exact probability that the waypoint sequence matches the cylinder."""
-    ids = _validate_cells(spec.grid, event.symbols)
+    ids = []
+    for sym in event.symbols:
+        if not isinstance(sym, Cell):
+            raise ValueError(f"waypoint cylinder symbols must be cells, got {sym!r}")
+        ids.append(spec.grid.cell_id(sym))
+    return _waypoint_ids_prob(spec, event.start, ids)
+
+
+def _waypoint_ids_prob(spec: WaypointProcessSpec, start: int, ids: Sequence[int]) -> Fraction:
+    """Probability that the waypoints from index ``start`` are the cell ids ``ids``."""
     if spec.kind == IID_UNIFORM:
         return Fraction(1, spec.grid.size ** len(ids))
     assert spec.transition is not None
-    dist = _markov_distribution_at(spec, event.start)
+    dist = _markov_distribution_at(spec, start)
     prob = dist[ids[0]]
     for a, b in zip(ids, ids[1:]):
         if not prob:
@@ -253,10 +241,21 @@ def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> F
     return prob
 
 
-def _channel_factor(alphabet: PathAlphabet, w_from: Cell, w_to: Cell, path_id: int) -> Fraction:
-    members = alphabet.family_id_set(w_from, w_to)
-    if path_id in members:
-        return Fraction(1, len(members))
+def _family(alphabet: PathAlphabet, w_from: Cell, w_to: Cell) -> range:
+    """The path ids of the family of one waypoint pair.
+
+    Ids are ``source * M + member``, so two waypoint pairs' families are
+    disjoint id ranges.
+    """
+    grid = alphabet.grid
+    first, size = alphabet.family_ranges(grid.cell_id(w_from), grid.cell_id(w_to))
+    return range(int(first), int(first + size))
+
+
+def _channel_factor(alphabet: PathAlphabet, family: range, path_id: int) -> Fraction:
+    """Channel probability of ``path_id`` on a coordinate drawn from ``family``."""
+    if path_id in family:
+        return Fraction(1, len(family))
     alphabet.endpoints([path_id])  # raises for an id that names no path
     return Fraction(0)
 
@@ -276,10 +275,10 @@ def _constrained_channel_prob(
     for index, path_id in sorted(constraints.items()):
         if index + 1 >= len(waypoints):
             raise ValueError(
-                f"waypoint prefix of length {len(waypoints)} too short for "
-                f"path index {index}"
+                f"waypoint prefix of length {len(waypoints)} too short for path index {index}"
             )
-        prob *= _channel_factor(alphabet, waypoints[index], waypoints[index + 1], path_id)
+        family = _family(alphabet, waypoints[index], waypoints[index + 1])
+        prob *= _channel_factor(alphabet, family, path_id)
         if not prob:
             return Fraction(0)
     return prob
@@ -301,24 +300,21 @@ def channel_cylinder_prob(
     return _constrained_channel_prob(alphabet, waypoints, constraints)
 
 
-def _stationarity_gap(pairs: Sequence[tuple[frozenset, frozenset]]) -> Fraction:
+def _stationarity_gap(pairs: Sequence[tuple[range, range]]) -> Fraction:
     """Max over path tuples of ``|prod a_i(p_i) - prod b_i(p_i)|``.
 
-    ``pairs[i] = (A_i, B_i)``, with ``a_i = 1/|A_i|`` on ``A_i`` and 0 off it
-    (``b_i`` alike). Tuples inside every ``A_i ∩ B_i`` give
-    ``|prod 1/|A_i| - prod 1/|B_i||``; tuples inside every ``A_i`` but
-    outside some ``B_i`` give ``prod 1/|A_i|`` (B alike); all others give 0.
-    Where some ``A_i ∩ B_i`` is empty, the first value is at most one of the
-    other two, so it needs no condition of its own.
+    ``pairs[i] = (A_i, B_i)`` are two families, with ``a_i = 1/|A_i|`` on
+    ``A_i`` and 0 off it (``b_i`` alike). Two families are equal or disjoint
+    id ranges (:func:`_family`). If every ``A_i`` is ``B_i`` the measures
+    agree and the gap is 0. Otherwise every tuple inside all ``A_i`` lies
+    outside some ``B_i`` and gives ``prod 1/|A_i|``, B alike, and the gap is
+    the larger of the two.
     """
-    weight_a = weight_b = Fraction(1)
-    a_only = b_only = False
-    for side_a, side_b in pairs:
-        weight_a *= Fraction(1, len(side_a)) if side_a else 0
-        weight_b *= Fraction(1, len(side_b)) if side_b else 0
-        a_only = a_only or not side_a <= side_b
-        b_only = b_only or not side_b <= side_a
-    return max(abs(weight_a - weight_b), weight_a * a_only, weight_b * b_only)
+    if all(side_a == side_b for side_a, side_b in pairs):
+        return Fraction(0)
+    sizes_a = math.prod(len(side_a) for side_a, _ in pairs)
+    sizes_b = math.prod(len(side_b) for _, side_b in pairs)
+    return Fraction(1, min(sizes_a, sizes_b))
 
 
 def check_channel_stationarity(
@@ -337,15 +333,10 @@ def check_channel_stationarity(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if len(waypoints) < horizon + 2:
-        raise ValueError(
-            f"need at least {horizon + 2} waypoints, got {len(waypoints)}"
-        )
-    shifted = list(waypoints[1:])
+        raise ValueError(f"need at least {horizon + 2} waypoints, got {len(waypoints)}")
+    shifted = waypoints[1:]
     pairs = [
-        (
-            alphabet.family_id_set(shifted[i], shifted[i + 1]),
-            alphabet.family_id_set(waypoints[i + 1], waypoints[i + 2]),
-        )
+        (_family(alphabet, *shifted[i : i + 2]), _family(alphabet, *waypoints[i + 1 : i + 3]))
         for i in range(horizon)
     ]
     return _stationarity_gap(pairs)
@@ -409,11 +400,8 @@ def channel_total_mass(
         raise ValueError(f"need at least {horizon + 1} waypoints, got {len(waypoints)}")
     total = Fraction(1)
     for w_from, w_to in zip(waypoints[:horizon], waypoints[1 : horizon + 1]):
-        factors = (
-            _channel_factor(alphabet, w_from, w_to, pid)
-            for pid in alphabet.family_id_set(w_from, w_to)
-        )
-        total *= sum(factors, Fraction(0))
+        family = _family(alphabet, w_from, w_to)
+        total *= sum((_channel_factor(alphabet, family, pid) for pid in family), Fraction(0))
     return total
 
 
@@ -442,8 +430,7 @@ def path_process_prob(
     ``horizon`` gives the same value, since the extra coordinates integrate
     out.
     """
-    grid = alphabet.grid
-    if spec.grid is not grid and spec.grid != grid:
+    if spec.grid != alphabet.grid:
         raise ValueError("waypoint process and alphabet use different grids")
     needed = event.end + 2
     if horizon is not None and horizon < needed:
@@ -451,8 +438,7 @@ def path_process_prob(
     sources, dests = alphabet.endpoints(event.symbols)
     if (dests[:-1] != sources[1:]).any():
         return Fraction(0)
-    cells = tuple(map(grid.cell_at, [int(sources[0]), *dests.tolist()]))
-    prob = waypoint_cylinder_prob(spec, CylinderEvent(event.start, cells))
+    prob = _waypoint_ids_prob(spec, event.start, [int(sources[0]), *dests.tolist()])
     for size in alphabet.family_ranges(sources, dests)[1].tolist():
         prob /= size
     return prob

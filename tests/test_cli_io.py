@@ -3,6 +3,7 @@
 import pathlib
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,20 @@ class TestTraceFiles:
             save_locations(path, joint)
         assert not path.exists()
 
+    def test_locations_writer_memory_follows_the_trace(self, tmp_path):
+        # one label per cell that occurs: a label for each of this grid's
+        # 4e6 cells took about 300 MB to write one row
+        grid = GridSpec(2000, 2000)
+        path = tmp_path / "t.trace"
+        tracemalloc.start()
+        try:
+            save_locations(path, JointTrace(grid, np.array([[grid.size - 1]])))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert path.read_text().endswith("\nnode,step,x,y\n0,0,1999,1999\n")
+
     def test_positions_text(self, tmp_path):
         from rwmm.continuous import ContinuousAreaSpec
 
@@ -516,10 +531,14 @@ class TestTraceFiles:
                 lambda text: resign(text.replace(",0\n", ",0\r\n")),
                 r"malformed location trace row 1: b'0,0,0,0\\r'",
             ),
+            (
+                lambda text: text.replace("# grid: 3x2\n", "# grid: 3x2\n# grid: 4x2\n"),
+                "duplicate header key 'grid' on line 4",
+            ),
         ],
         ids=[
             "header-line", "no-digest", "kind", "grid", "columns", "empty-body", "ragged",
-            "no-final-newline", "crlf-rows",
+            "no-final-newline", "crlf-rows", "repeated-key",
         ],
     )
     def test_locations_reject_bad_file(self, tmp_path, edit, error):
@@ -682,6 +701,13 @@ class TestTraceFiles:
         assert "# time-step: 0.5\n" in text
         path.write_text(text.replace("# time-step: 0.5\n", f"# time-step: {value}\n"))
         with pytest.raises(ConfigurationError, match=f"bad time-step header: '{value}'"):
+            load_positions(path)
+
+    def test_positions_reject_repeated_header_key(self, tmp_path):
+        path = self._positions(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace("# time-step: 0.5\n", "# time-step: 0.5\n# time-step: 0.25\n"))
+        with pytest.raises(ConfigurationError, match="duplicate header key 'time-step' on line 5"):
             load_positions(path)
 
     @pytest.mark.parametrize(

@@ -400,6 +400,14 @@ class TestTrafficProxy:
         with pytest.raises(ConfigurationError, match="reach"):
             traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=4.0, reach=reach)
 
+    @pytest.mark.parametrize(
+        "bitrate", [math.nan, math.inf, np.array([4.0, math.nan, 4.0])], ids=["nan", "inf", "ramp"]
+    )
+    def test_non_finite_bitrate_rejected(self, bitrate):
+        # NaN would deliver nothing with no error, and inf would give a NaN ratio
+        with pytest.raises(ConfigurationError, match="bitrate must be finite"):
+            traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=bitrate, reach=2.0)
+
     def test_zero_reach_needs_coincident_nodes(self):
         report = traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=4.0, reach=0.0)
         assert report.delivered.tolist() == [0.0, 0.0, 0.0]

@@ -215,6 +215,7 @@ class TestAlphabet:
             members = alpha.family_id_set(source, dest)
             digitized = {Path(tuple(sympy_digitize(source, dest, v))) for v in speeds}
             assert {alpha.all_paths[i] for i in members} == digitized
+            assert seen.isdisjoint(members)
             seen |= members
         assert seen == set(alpha.all_paths)
 

@@ -136,6 +136,14 @@ class TestJointProcess:
         assert len(joint) == 3
         assert joint.node(1).ids.tolist() == [1, 1, 1]
 
+    @pytest.mark.parametrize("node", [-1, 2])
+    def test_node_refuses_id_outside_trace(self, node):
+        # -1 would otherwise read the last node
+        grid = GridSpec(2, 1)
+        joint = joint_process([LocationTrace(grid, np.array([0, 1]))] * 2)
+        with pytest.raises(ValueError, match=rf"node id {node} outside \[0, 2\)"):
+            joint.node(node)
+
     def test_truncates_with_warning(self, caplog):
         grid = GridSpec(2, 1)
         a = LocationTrace(grid, np.array([0, 1, 0, 1]))

@@ -4,11 +4,11 @@ Expected probabilities were worked out by hand from the defining products
 (waypoint marginals times per-pair uniform path choices) before being frozen
 here. The per-coordinate stationarity gap and total mass are checked against
 the cylinder-by-cylinder enumerations in ``oracles``, on real alphabets and on
-unequal id sets where the gap is nonzero, and the stationarity check against
-a full enumeration of the path-symbol space on an instance small enough to
-brute-force. The closed-form path-cylinder probability is checked against
-``oracles.marginal_path_prob``, which sums the channel over every waypoint
-prefix.
+disjoint family ranges where the gap is nonzero, and the stationarity check
+against a full enumeration of the path-symbol space on an instance small
+enough to brute-force. The closed-form path-cylinder probability is checked
+against ``oracles.marginal_path_prob``, which sums the channel over every
+waypoint prefix.
 """
 
 from collections import Counter
@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rwmm.errors import ConfigurationError
@@ -129,6 +129,32 @@ class TestWaypointMeasures:
         with pytest.raises(ConfigurationError, match="must be 2x2"):
             WaypointProcessSpec.markov(grid, [[Fraction(1, 2), Fraction(1, 2)], [1]], [1, 0])
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_chain_shape_matches_matrix_powers(self, edges):
+        # irreducible iff (I + A)^(n-1) > 0; an irreducible chain is aperiodic
+        # iff A^(n^2 - 2n + 2) > 0 (Wielandt); reducibility is reported first
+        assume(all(any(row) for row in edges))
+        n = len(edges)
+        adjacency = np.array(edges, dtype=np.int64)
+        steps = np.eye(n, dtype=np.int64) + adjacency
+        irreducible = (np.linalg.matrix_power(steps, n - 1) > 0).all()
+        aperiodic = (np.linalg.matrix_power(adjacency, n * n - 2 * n + 2) > 0).all()
+        rows = [[Fraction(int(edge), sum(row)) for edge in row] for row in edges]
+        error = None if aperiodic else "must be aperiodic"
+        if not irreducible:
+            error = "must be irreducible"
+        if error is None:
+            WaypointProcessSpec.markov(GridSpec(1, n), rows, [Fraction(1, n)] * n)
+        else:
+            with pytest.raises(ConfigurationError, match=error):
+                WaypointProcessSpec.markov(GridSpec(1, n), rows, [Fraction(1, n)] * n)
+
     HALVES = {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
     @pytest.mark.parametrize(
@@ -237,8 +263,9 @@ class TestChannelMeasures:
             assert worst == check_channel_stationarity(alpha, w, n)
 
 
-def _ids(*groups):
-    return [tuple(frozenset(g) for g in pair) for pair in groups]
+def _sets(pairs):
+    """The id sets of the families of each pair, as the oracle takes them."""
+    return [(frozenset(side_a), frozenset(side_b)) for side_a, side_b in pairs]
 
 
 class TestChannelClosedForms:
@@ -248,40 +275,43 @@ class TestChannelClosedForms:
         "pairs,gap",
         [
             # both sides' families equal: every cylinder has the same measure
-            (_ids(({0, 1}, {0, 1}), ({2}, {2})), Fraction(0)),
-            # only the shared tuples count, 1 - 1/4 beats the A-only 1/4
-            (_ids(({0, 1, 2, 3}, {0}),), Fraction(3, 4)),
-            # the A-only tuples win: 1/2 against |1/2 - 1/3| and B-only 1/3
-            (_ids(({0, 1}, {1, 2, 3}),), Fraction(1, 2)),
-            # the B-only tuples win: 1/3 against |1/2 - 1/3| and no A-only
-            (_ids(({0, 1}, {0, 1, 2}),), Fraction(1, 3)),
+            ([(range(0, 2), range(0, 2)), (range(2, 3), range(2, 3))], Fraction(0)),
+            # one coordinate differs: the A tuples' 1/2 beats the B tuples' 1/3
+            ([(range(0, 2), range(2, 5))], Fraction(1, 2)),
+            # the B tuples win: 1/2 against 1/4
+            ([(range(0, 4), range(4, 6))], Fraction(1, 2)),
+            # equal sizes tie
+            ([(range(0, 2), range(2, 4))], Fraction(1, 2)),
             # nothing shared at coordinate 1; one side alone gives 1/2 · 1
-            (_ids(({0, 1}, {0, 1}), ({4}, {5})), Fraction(1, 2)),
-            # over two coordinates: shared |1/4 - 1/9| = 5/36 beats B-only 1/9
-            (_ids(({0, 1}, {0, 1, 2}), ({3, 4}, {3, 4, 5})), Fraction(5, 36)),
-            # A-only 1/4 beats shared |1/4 - 1/6| and B-only 1/6
-            (_ids(({0, 1}, {0, 5, 6}), ({3, 4}, {3, 4})), Fraction(1, 4)),
-            # an empty family leaves only the other side's tuples, or none
-            (_ids((set(), {0, 1}), ({2}, {2})), Fraction(1, 2)),
-            (_ids((set(), set()), ({2}, {3})), Fraction(0)),
+            ([(range(0, 2), range(0, 2)), (range(4, 5), range(5, 6))], Fraction(1, 2)),
+            # two differing coordinates: 1/4 against 1/9
+            ([(range(0, 2), range(2, 5)), (range(5, 7), range(7, 10))], Fraction(1, 4)),
+            # an equal coordinate scales both sides: 1/3 · 1 against 1/3 · 1/2
+            ([(range(0, 3), range(0, 3)), (range(3, 4), range(4, 6))], Fraction(1, 3)),
+            # the products decide, not one coordinate: 1/5 against 1/3
+            ([(range(0, 1), range(1, 4)), (range(4, 9), range(9, 10))], Fraction(1, 3)),
+            # two disjoint single paths
+            ([(range(0, 1), range(1, 2))], Fraction(1)),
         ],
     )
     def test_gap_on_fixed_families(self, pairs, gap):
         assert _stationarity_gap(pairs) == gap
-        assert enumerated_product_gap(pairs) == gap
+        assert enumerated_product_gap(_sets(pairs)) == gap
 
     @given(
         st.lists(
-            st.tuples(
-                st.frozensets(st.integers(0, 4), max_size=4),
-                st.frozensets(st.integers(0, 4), max_size=4),
-            ),
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()),
             min_size=1,
             max_size=4,
         )
     )
-    def test_gap_equals_enumeration_on_unequal_families(self, pairs):
-        assert _stationarity_gap(pairs) == enumerated_product_gap(pairs)
+    def test_gap_equals_enumeration_on_unequal_families(self, coordinates):
+        # at each coordinate the two families are one range or two disjoint ones
+        pairs = [
+            (range(0, size_a), range(0, size_a) if same else range(size_a, size_a + size_b))
+            for size_a, size_b, same in coordinates
+        ]
+        assert _stationarity_gap(pairs) == enumerated_product_gap(_sets(pairs))
 
     @given(
         st.integers(1, 3),
@@ -301,11 +331,12 @@ class TestChannelClosedForms:
         assert channel_total_mass(alpha, w, horizon) == enumerated_total_mass(alpha, w, horizon)
         # families of two unrelated prefixes: real, unequal id sets
         v = [rnd.choice(cells) for _ in range(horizon + 1)]
-        pairs = [
-            (alpha.family_id_set(w[i], w[i + 1]), alpha.family_id_set(v[i], v[i + 1]))
-            for i in range(horizon)
-        ]
-        assert _stationarity_gap(pairs) == enumerated_product_gap(pairs)
+        def family(a, b):
+            first, size = alpha.family_ranges(grid.cell_id(a), grid.cell_id(b))
+            return range(int(first), int(first + size))
+
+        pairs = [(family(w[i], w[i + 1]), family(v[i], v[i + 1])) for i in range(horizon)]
+        assert _stationarity_gap(pairs) == enumerated_product_gap(_sets(pairs))
 
 
 class TestOutputMixing:

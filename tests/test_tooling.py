@@ -3,10 +3,11 @@
 No module of the package imports a name it never uses, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")`` still
 exists, so deleting API cannot silently break a traced benchmark run. Every
-name in ``rwmm.__all__`` resolves, every ``rwmm`` command in the README's
-code blocks parses, and each README config loads and sets every key of its
-config class, so the documented API, CLI and configs cannot drift from the
-code. The checks read the files and edit nothing.
+name in ``rwmm.__all__`` resolves, the README's python quick start runs,
+every ``rwmm`` command in the README's code blocks parses, and each README
+config loads and sets every key of its config class, so the documented API,
+CLI and configs cannot drift from the code. The checks read the files and
+edit nothing.
 """
 
 import ast
@@ -100,6 +101,12 @@ def test_benchmark_targets_resolve():
 def test_public_names_resolve():
     assert rwmm.__all__
     assert [name for name in rwmm.__all__ if not hasattr(rwmm, name)] == []
+
+
+def test_readme_python_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def _readme_commands() -> list[str]:
