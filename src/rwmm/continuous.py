@@ -5,6 +5,12 @@ travel in a straight line, optionally pause, repeat. Positions are sampled on
 a fixed time step. ``discretize`` resamples a continuous run onto a grid so
 the exact-measure machinery can be applied to it, and ``traffic_proxy`` scores
 constant-bitrate delivery over a disk connectivity model.
+
+A node's legs are one ``(legs, 7)`` float64 table, one row per leg in the
+order the node drives them, with the columns ``START``, ``DURATION``, ``X0``,
+``Y0``, ``X1``, ``Y1`` and ``SPEED``: the leg runs from ``(X0, Y0)`` at time
+``START`` to ``(X1, Y1)`` at ``START + DURATION``. A pause is a row with
+speed 0 whose end point is its start point.
 """
 
 from __future__ import annotations
@@ -28,9 +34,15 @@ _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 # sample, 2.9 GB at the limit.
 MAX_SAMPLES = 10**8
 
-# Most legs (over all nodes) one run may build, however few its samples; a
-# Leg takes about 280 bytes, 1.4 GB at the limit.
+# Most legs (over all nodes) one run may build, however few its samples. A
+# built leg is one 56-byte table row, 280 MB at the limit; the node being
+# simulated also holds its legs as tuples, about 220 bytes a leg, until its
+# table is built, so a one-node run peaks near 1.4 GB at the limit.
 MAX_LEGS = 5 * 10**6
+
+# The columns of a leg table.
+START, DURATION, X0, Y0, X1, Y1, SPEED = range(7)
+_FROM, _TO = slice(X0, Y0 + 1), slice(X1, Y1 + 1)
 
 
 @dataclass(frozen=True)
@@ -66,29 +78,6 @@ class ContinuousAreaSpec:
             raise ConfigurationError(f"pause time must be >= 0, got {self.pause_time}")
 
 
-@dataclass(frozen=True)
-class Leg:
-    """One straight trip (or pause, when start == end and speed == 0)."""
-
-    start_time: float
-    duration: float
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-    speed: float
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
-    def position_at(self, t: float) -> tuple[float, float]:
-        if self.duration == 0:
-            return self.x1, self.y1
-        a = min(max((t - self.start_time) / self.duration, 0.0), 1.0)
-        return self.x0 + a * (self.x1 - self.x0), self.y0 + a * (self.y1 - self.y0)
-
-
 @dataclass(frozen=True, eq=False)
 class ContinuousTrace:
     """Sampled positions of all nodes plus the legs that produced them."""
@@ -97,7 +86,7 @@ class ContinuousTrace:
     time_step: float
     times: np.ndarray  # (steps,)
     positions: np.ndarray  # (nodes, steps, 2)
-    legs: tuple[tuple[Leg, ...], ...]  # per node
+    legs: tuple[np.ndarray, ...]  # per node, a (legs, 7) leg table
 
     @property
     def node_count(self) -> int:
@@ -108,31 +97,35 @@ class ContinuousTrace:
         return int(self.positions.shape[1])
 
 
-def _sample_legs(legs: Sequence[Leg], times: np.ndarray) -> np.ndarray:
-    """Positions at ``times``, equal bit for bit to ``Leg.position_at``.
+def _interpolate(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Position on leg ``rows[i]`` at ``times[i]``, clamped to the leg.
 
-    A time at a leg's end belongs to that leg, and times past the last leg
-    clamp to it. The interpolation repeats ``position_at``'s float
-    operations in the same order, vectorized over all samples.
+    A zero-duration leg gives its end point. The float operations and their
+    order are those of the scalar ``x0 + a * (x1 - x0)`` with
+    ``a = min(max((t - start) / duration, 0.0), 1.0)``, vectorized.
     """
-    table = np.array(
-        [(leg.start_time, leg.duration, leg.x0, leg.y0, leg.x1, leg.y1) for leg in legs]
-    )
-    start, duration = table[:, 0], table[:, 1]
-    idx = np.searchsorted(start + duration, times, side="left")
-    idx = np.minimum(idx, len(legs) - 1)
-    span = duration[idx]
+    span = rows[:, DURATION]
     still = span == 0
     # in place, so that few per-sample temporaries are alive at once
-    a = times - start[idx]
+    a = times - rows[:, START]
     np.divide(a, span, out=a, where=~still)
     np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
-    p0, p1 = table[idx, 2:4], table[idx, 4:6]
+    p0, p1 = rows[:, _FROM], rows[:, _TO]
     out = p1 - p0
     out *= a[:, None]
     out += p0  # x0 + a * (x1 - x0): IEEE + and * are exactly commutative
     out[still] = p1[still]
     return out
+
+
+def _sample_legs(legs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Positions on a leg table at ascending ``times``.
+
+    A time at a leg's end belongs to that leg, and times past the last leg
+    clamp to it.
+    """
+    idx = np.searchsorted(legs[:, START] + legs[:, DURATION], times, side="left")
+    return _interpolate(legs[np.minimum(idx, len(legs) - 1)], times)
 
 
 def simulate_continuous(
@@ -169,43 +162,23 @@ def simulate_continuous(
     steps = math.floor(ratio) + 1
     times = np.arange(steps) * time_step
     all_positions = np.empty((node_count, steps, 2))
-    all_legs: list[tuple[Leg, ...]] = []
+    all_legs: list[np.ndarray] = []
     built = 0  # legs of the nodes already simulated
     for node_id, child in enumerate(root.spawn(node_count)):
         rng = np.random.default_rng(child)
         x = rng.uniform(0.0, area.width)
         y = rng.uniform(0.0, area.height)
         clock = 0.0
-        legs: list[Leg] = []
+        legs: list[tuple[float, ...]] = []  # rows of the leg table
         while clock <= duration:
             nx = rng.uniform(0.0, area.width)
             ny = rng.uniform(0.0, area.height)
             speed = rng.uniform(area.min_speed, area.max_speed)
             travel = math.hypot(nx - x, ny - y) / speed
-            legs.append(
-                Leg(
-                    start_time=clock,
-                    duration=travel,
-                    x0=x,
-                    y0=y,
-                    x1=nx,
-                    y1=ny,
-                    speed=speed,
-                )
-            )
+            legs.append((clock, travel, x, y, nx, ny, speed))
             clock += travel
             if area.pause_time > 0 and clock <= duration:
-                legs.append(
-                    Leg(
-                        start_time=clock,
-                        duration=area.pause_time,
-                        x0=nx,
-                        y0=ny,
-                        x1=nx,
-                        y1=ny,
-                        speed=0.0,
-                    )
-                )
+                legs.append((clock, area.pause_time, nx, ny, nx, ny, 0.0))
                 clock += area.pause_time
             x, y = nx, ny
             if built + len(legs) > MAX_LEGS:
@@ -213,8 +186,9 @@ def simulate_continuous(
                     f"{node_count} node(s) exceed the limit of {MAX_LEGS} legs per run"
                 )
         built += len(legs)
-        all_positions[node_id] = _sample_legs(legs, times)
-        all_legs.append(tuple(legs))
+        table = np.array(legs)
+        all_positions[node_id] = _sample_legs(table, times)
+        all_legs.append(table)
     return ContinuousTrace(
         area=area,
         time_step=time_step,
@@ -232,27 +206,26 @@ def mean_speeds(trace: ContinuousTrace) -> tuple[float, float]:
     last longer, and further down by pauses. The gap between the two numbers
     is the classic decay trap when speeds are drawn close to zero.
     """
-    drawn: list[float] = []
-    distance = 0.0
-    elapsed = 0.0
-    for legs in trace.legs:
-        for leg in legs:
-            if leg.speed > 0:
-                drawn.append(leg.speed)
-                distance += leg.speed * leg.duration
-            elapsed += leg.duration
-    arithmetic = float(np.mean(drawn)) if drawn else 0.0
-    weighted = distance / elapsed if elapsed > 0 else 0.0
-    return arithmetic, weighted
+    table = np.concatenate(trace.legs)
+    moving = table[:, SPEED] > 0
+    drawn = table[moving, SPEED]
+    if not drawn.size:
+        return 0.0, 0.0
+    # running sums in leg order, as a scalar loop over the legs adds them
+    distance = np.cumsum(drawn * table[moving, DURATION])[-1]
+    elapsed = np.cumsum(table[:, DURATION])[-1]
+    weighted = float(distance / elapsed) if elapsed > 0 else 0.0
+    return float(np.mean(drawn)), weighted
 
 
-def _containing_cell(grid: GridSpec, x: float, y: float, cell_size: float) -> Cell:
-    # Cell i covers the half-open [i*cell_size, (i+1)*cell_size), so a sample
-    # on a boundary goes to the larger index; samples past the area's edges
+def _containing_cells(grid: GridSpec, points: np.ndarray, cell_size: float) -> np.ndarray:
+    """The ``(x, y)`` cell of each point of an ``(n, 2)`` array, as int64 columns."""
+    # Cell i covers the half-open [i*cell_size, (i+1)*cell_size), so a point
+    # on a boundary goes to the larger index; points past the area's edges
     # are clamped into the first or last cell.
-    cx = min(int(math.floor(x / cell_size)), grid.width - 1) if x > 0 else 0
-    cy = min(int(math.floor(y / cell_size)), grid.height - 1) if y > 0 else 0
-    return Cell(cx, cy)
+    index = np.floor(points / cell_size)
+    np.clip(index, 0, [grid.width - 1, grid.height - 1], out=index)
+    return index.astype(np.int64)
 
 
 def discretize(
@@ -268,9 +241,10 @@ def discretize(
     containing it, with the final sample tied down to the destination's cell.
     Pauses become repeated single-step pause paths. The returned location
     trace is the concatenated encoding of those paths: every cell of each
-    path but its last. A ``node_id`` outside ``[0, node_count)`` and a time
-    step that is not finite and > 0 are refused with
-    :class:`ConfigurationError`.
+    path but its last. A ``node_id`` outside ``[0, node_count)``, a time
+    step that is not finite and > 0, and a run of more than ``MAX_SAMPLES``
+    samples are refused with :class:`ConfigurationError`, the last before
+    any sample is allocated.
     """
     if not 0 <= node_id < trace.node_count:
         raise ConfigurationError(
@@ -286,24 +260,34 @@ def discretize(
             "grid cells must be square: area/grid aspect ratios differ "
             f"({cell_w} vs {cell_h})"
         )
+    legs = trace.legs[node_id]
+    counts = np.maximum(np.ceil(legs[:, DURATION] / dt * (1 - _EDGE_NUDGE)), 1.0)
+    total = counts.sum()
+    if total > MAX_SAMPLES:
+        raise ConfigurationError(
+            f"node {node_id} at time step {dt} needs {total:.6g} samples, over the "
+            f"limit of {MAX_SAMPLES} samples per run"
+        )
+    counts = counts.astype(np.int64)
+    first = np.cumsum(counts) - counts  # each leg's first sample
+    # sample k of a leg is at start + k * dt; the first is the leg's start
+    # point, and every sample of a pause is its end point
+    rows = np.repeat(legs, counts, axis=0)
+    k = np.arange(len(rows)) - np.repeat(first, counts)
+    points = _interpolate(rows, rows[:, START] + k * dt)
+    points[first] = legs[:, _FROM]
+    pause = rows[:, SPEED] == 0.0
+    points[pause] = rows[pause, _TO]
+    xy = _containing_cells(grid, points, cell_w)
+    cells = list(map(Cell, *xy.T.tolist()))
+    ends = map(Cell, *_containing_cells(grid, legs[:, _TO], cell_w).T.tolist())
     paths: list[Path] = []
-    emitted: list[int] = []
-    for leg in trace.legs[node_id]:
-        start = _containing_cell(grid, leg.x0, leg.y0, cell_w)
-        end = _containing_cell(grid, leg.x1, leg.y1, cell_w)
-        if leg.speed == 0.0:  # pause: one pause path per sample interval
-            count = max(1, int(math.ceil(leg.duration / dt * (1 - _EDGE_NUDGE))))
-            paths.extend(Path((end, end)) for _ in range(count))
-            emitted.extend([grid.cell_id(end)] * count)
-            continue
-        samples = max(1, int(math.ceil(leg.duration / dt * (1 - _EDGE_NUDGE))))
-        cells = [start]
-        for k in range(1, samples):
-            x, y = leg.position_at(leg.start_time + k * dt)
-            cells.append(_containing_cell(grid, x, y, cell_w))
-        paths.append(Path((*cells, end)))
-        emitted.extend(map(grid.cell_id, cells))
-    return paths, LocationTrace(grid, np.array(emitted, dtype=np.int64))
+    for lo, count, end, speed in zip(first.tolist(), counts.tolist(), ends, legs[:, SPEED]):
+        if speed == 0.0:  # pause: one pause path per sample interval
+            paths.extend([Path((end, end))] * count)
+        else:
+            paths.append(Path((*cells[lo : lo + count], end)))
+    return paths, LocationTrace(grid, xy[:, 1] * grid.width + xy[:, 0])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .continuous import ContinuousTrace
+from .continuous import SPEED, START, X0, X1, Y0, Y1, ContinuousTrace
 from .errors import ConfigurationError, VerificationError
 from .geometry import GridSpec
 from .location import JointTrace, LocationTrace
@@ -430,18 +430,15 @@ def export_ns2(path: FsPath | str, trace: ContinuousTrace) -> None:
     """
     out: list[str] = []
     for node, legs in enumerate(trace.legs):
-        first = legs[0]
-        out.append(f"$node_({node}) set X_ {first.x0:.6f}")
-        out.append(f"$node_({node}) set Y_ {first.y0:.6f}")
+        out.append(f"$node_({node}) set X_ {legs[0, X0]:.6f}")
+        out.append(f"$node_({node}) set Y_ {legs[0, Y0]:.6f}")
         out.append(f"$node_({node}) set Z_ 0.000000")
     for node, legs in enumerate(trace.legs):
-        for leg in legs:
-            if leg.speed == 0.0:
-                continue
-            out.append(
-                f'$ns_ at {leg.start_time:.6f} "$node_({node}) setdest '
-                f'{leg.x1:.6f} {leg.y1:.6f} {leg.speed:.6f}"'
-            )
+        moves = legs[legs[:, SPEED] != 0.0][:, [START, X1, Y1, SPEED]]
+        out.extend(
+            f'$ns_ at {start:.6f} "$node_({node}) setdest {x:.6f} {y:.6f} {speed:.6f}"'
+            for start, x, y, speed in moves.tolist()
+        )
     FsPath(path).write_text("\n".join(out) + "\n")
 
 

@@ -31,6 +31,8 @@ class LocationTrace:
         return len(self.ids)
 
     def cell(self, index: int) -> Cell:
+        if not 0 <= index < len(self.ids):
+            raise ValueError(f"index {index} outside [0, {len(self.ids)}) for this trace")
         return self.grid.cell_at(int(self.ids[index]))
 
     def prefix(self, count: int) -> "LocationTrace":

@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Eleven deliberately separate routes from first principles:
+Twelve deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -25,9 +25,12 @@ Eleven deliberately separate routes from first principles:
   solved exactly with GTH elimination over ``Fraction``, giving the
   stationary cell-occupancy distribution that long-run simulated frequencies
   must approach;
-* a per-sample resampler of continuous legs, one ``Leg.position_at`` call
-  per sample time, to check the vectorized interpolation in
+* a per-sample resampler of continuous legs, one scalar interpolation on a
+  leg-table row per sample time, to check the vectorized interpolation in
   ``rwmm.continuous``;
+* a per-sample discretizer of continuous legs, leg after leg, that maps
+  each sample to its cell on its own, to check the one-pass sampling of
+  ``rwmm.continuous.discretize``;
 * a per-path encoder that concatenates every path's cells but its last,
   path after path, to check the vectorized ``rwmm.location.encode_sequence``
   and the cells ``rwmm.continuous.discretize`` emits, and, over drawn path
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -382,20 +386,67 @@ def stationary_cell_distribution(
     return out
 
 
+def position_on_leg(row, t: float) -> tuple[float, float]:
+    """Position at time ``t`` on one leg-table row, clamped to the leg.
+
+    A row is ``(start, duration, x0, y0, x1, y1, speed)``; a zero-duration
+    leg is at its end point.
+    """
+    start, duration, x0, y0, x1, y1, _ = row
+    if duration == 0:
+        return x1, y1
+    a = min(max((t - start) / duration, 0.0), 1.0)
+    return x0 + a * (x1 - x0), y0 + a * (y1 - y0)
+
+
 def sample_legs_per_step(legs, times) -> np.ndarray:
-    """Positions of one node's legs at ascending ``times``, one sample at a time.
+    """Positions on one node's leg table at ascending ``times``, one at a time.
 
     Each time goes to the first leg whose end is at or after it (so a time at
-    a leg's end stays on that leg), or to the last leg once the legs run out,
-    and that leg's own ``position_at`` gives the position.
+    a leg's end stays on that leg), or to the last leg once the legs run out.
     """
+    rows = np.asarray(legs, dtype=float).tolist()
     out = np.empty((len(times), 2))
     i = 0
     for k, t in enumerate(np.asarray(times, dtype=float).tolist()):
-        while i < len(legs) - 1 and legs[i].end_time < t:
+        while i < len(rows) - 1 and rows[i][0] + rows[i][1] < t:
             i += 1
-        out[k] = legs[i].position_at(t)
+        out[k] = position_on_leg(rows[i], t)
     return out
+
+
+def discretize_per_sample(legs, grid: GridSpec, cell_size: float, dt: float):
+    """One node's legs resampled onto ``grid`` every ``dt``, sample by sample.
+
+    A leg of duration d takes ``max(1, ceil(d / dt * (1 - 1e-12)))`` samples,
+    sample k at ``start + k * dt``; the 1e-12 keeps a duration that is a
+    whole number of steps from gaining one. A travel leg becomes one path:
+    its start point's cell, the cells of samples 1 and on, then its end
+    point's cell. A pause becomes one ``(end, end)`` path per sample. A
+    point's cell is ``floor(coordinate / cell_size)`` clamped into the
+    grid. Returns the paths and the cell ids of every path's cells but its
+    last.
+    """
+
+    def containing(x: float, y: float) -> Cell:
+        cx = min(max(math.floor(x / cell_size), 0), grid.width - 1)
+        cy = min(max(math.floor(y / cell_size), 0), grid.height - 1)
+        return Cell(cx, cy)
+
+    paths = []
+    for row in np.asarray(legs, dtype=float).tolist():
+        start, duration, x0, y0, x1, y1, speed = row
+        samples = max(1, math.ceil(duration / dt * (1 - 1e-12)))
+        end = containing(x1, y1)
+        if speed == 0:
+            paths.extend(Path((end, end)) for _ in range(samples))
+            continue
+        cells = [containing(x0, y0)]
+        for k in range(1, samples):
+            cells.append(containing(*position_on_leg(row, start + k * dt)))
+        paths.append(Path((*cells, end)))
+    ids = [cell.y * grid.width + cell.x for cell in encode_paths(paths)]
+    return paths, ids
 
 
 def encode_paths(paths) -> list[Cell]:

@@ -793,7 +793,7 @@ class TestTraceFiles:
 
 class TestNs2:
     def test_round_trip(self, tmp_path):
-        from rwmm.continuous import ContinuousAreaSpec
+        from rwmm.continuous import SPEED, START, X0, X1, Y0, ContinuousAreaSpec
 
         area = ContinuousAreaSpec(300, 300, 1, 5, pause_time=1.0)
         trace = simulate_continuous(area, 3, 40, 1.0, seed=4)
@@ -802,22 +802,20 @@ class TestNs2:
         script = parse_ns2(path.read_text())
         assert set(script.initial) == {0, 1, 2}
         for node, legs in enumerate(trace.legs):
-            assert script.initial[node][0] == pytest.approx(legs[0].x0, abs=1e-6)
-            assert script.initial[node][1] == pytest.approx(legs[0].y0, abs=1e-6)
-        travel_legs = sum(
-            1 for legs in trace.legs for leg in legs if leg.speed > 0
-        )
+            assert script.initial[node][0] == pytest.approx(legs[0, X0], abs=1e-6)
+            assert script.initial[node][1] == pytest.approx(legs[0, Y0], abs=1e-6)
+        travel_legs = sum(int((legs[:, SPEED] > 0).sum()) for legs in trace.legs)
         assert len(script.moves) == travel_legs
         by_node = {}
         for t, node, x, y, speed in script.moves:
             by_node.setdefault(node, []).append((t, x, y, speed))
         for node, legs in enumerate(trace.legs):
-            moving = [leg for leg in legs if leg.speed > 0]
+            moving = legs[legs[:, SPEED] > 0]
             assert len(by_node[node]) == len(moving)
             for (t, x, y, speed), leg in zip(by_node[node], moving):
-                assert t == pytest.approx(leg.start_time, abs=1e-6)
-                assert x == pytest.approx(leg.x1, abs=1e-6)
-                assert speed == pytest.approx(leg.speed, abs=1e-6)
+                assert t == pytest.approx(leg[START], abs=1e-6)
+                assert x == pytest.approx(leg[X1], abs=1e-6)
+                assert speed == pytest.approx(leg[SPEED], abs=1e-6)
 
     @pytest.mark.parametrize(
         "line",

@@ -14,13 +14,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import encode_paths, sample_legs_per_step
+from oracles import discretize_per_sample, encode_paths, sample_legs_per_step
 from rwmm import continuous
 from rwmm.continuous import (
+    DURATION,
     MAX_SAMPLES,
+    SPEED,
+    START,
+    X0,
+    X1,
+    Y0,
+    Y1,
     ContinuousAreaSpec,
     ContinuousTrace,
-    Leg,
     _sample_legs,
     discretize,
     mean_speeds,
@@ -31,9 +37,14 @@ from rwmm.errors import ConfigurationError
 from rwmm.geometry import Cell, GridSpec
 
 
+def table(*rows):
+    """A leg table: one ``(start, duration, x0, y0, x1, y1, speed)`` row per leg."""
+    return np.array(rows, dtype=float)
+
+
 def build_trace(area, legs_per_node, time_step=1.0, steps=None):
-    """Assemble a ContinuousTrace from explicit legs (positions resampled)."""
-    duration = max(leg.end_time for legs in legs_per_node for leg in legs)
+    """Assemble a ContinuousTrace from explicit leg tables (positions resampled)."""
+    duration = max((legs[:, START] + legs[:, DURATION]).max() for legs in legs_per_node)
     if steps is None:
         steps = int(math.floor(duration / time_step)) + 1
     times = np.arange(steps) * time_step
@@ -43,7 +54,7 @@ def build_trace(area, legs_per_node, time_step=1.0, steps=None):
         time_step=time_step,
         times=times,
         positions=positions,
-        legs=tuple(tuple(legs) for legs in legs_per_node),
+        legs=tuple(legs_per_node),
     )
 
 
@@ -74,16 +85,17 @@ class TestAreaSpec:
 
 
 class TestLeg:
+    """One leg-table row sampled through ``_sample_legs``."""
+
     def test_position_interpolates(self):
-        leg = Leg(start_time=1.0, duration=2.0, x0=0, y0=0, x1=4, y1=2, speed=2.5)
-        assert leg.position_at(1.0) == (0, 0)
-        assert leg.position_at(2.0) == (2, 1)
-        assert leg.position_at(3.0) == (4, 2)
-        assert leg.position_at(99.0) == (4, 2)  # clamped
+        leg = table((1.0, 2.0, 0, 0, 4, 2, 2.5))
+        positions = _sample_legs(leg, np.array([1.0, 2.0, 3.0, 99.0])).tolist()
+        assert positions[:3] == [[0, 0], [2, 1], [4, 2]]
+        assert positions[3] == [4, 2]  # clamped
 
     def test_zero_duration(self):
-        leg = Leg(start_time=0, duration=0, x0=1, y0=1, x1=1, y1=1, speed=0)
-        assert leg.position_at(0) == (1, 1)
+        leg = table((0, 0, 1, 1, 1, 1, 0))
+        assert _sample_legs(leg, np.array([0.0])).tolist() == [[1, 1]]
 
 
 class TestSimulate:
@@ -109,23 +121,24 @@ class TestSimulate:
     def test_legs_cover_duration_and_chain(self):
         trace = simulate_continuous(self.AREA, 2, 40, 1.0, seed=2)
         for legs in trace.legs:
-            assert legs[0].start_time == 0
-            assert legs[-1].end_time > 40
-            for prev, nxt in zip(legs, legs[1:]):
-                assert nxt.start_time == pytest.approx(prev.end_time)
-                assert (nxt.x0, nxt.y0) == (prev.x1, prev.y1)
-            for leg in legs:
-                if leg.speed > 0:
-                    assert self.AREA.min_speed <= leg.speed <= self.AREA.max_speed
+            assert legs.shape[1] == 7
+            end = legs[:, START] + legs[:, DURATION]
+            assert legs[0, START] == 0
+            assert end[-1] > 40
+            assert legs[1:, START] == pytest.approx(end[:-1])
+            assert np.array_equal(legs[1:, [X0, Y0]], legs[:-1, [X1, Y1]])
+            speeds = legs[legs[:, SPEED] > 0, SPEED]
+            assert ((self.AREA.min_speed <= speeds) & (speeds <= self.AREA.max_speed)).all()
 
     def test_pause_legs_present_when_configured(self):
         area = ContinuousAreaSpec(100, 100, 1, 5, pause_time=2.0)
         trace = simulate_continuous(area, 1, 50, 1.0, seed=3)
-        pauses = [leg for leg in trace.legs[0] if leg.speed == 0]
-        assert pauses
-        assert all(leg.duration == 2.0 for leg in pauses)
+        legs = trace.legs[0]
+        pauses = legs[legs[:, SPEED] == 0]
+        assert len(pauses)
+        assert (pauses[:, DURATION] == 2.0).all()
         no_pause = simulate_continuous(self.AREA, 1, 50, 1.0, seed=3)
-        assert all(leg.speed > 0 for leg in no_pause.legs[0])
+        assert (no_pause.legs[0][:, SPEED] > 0).all()
 
     def test_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -215,34 +228,34 @@ class TestSampleLegs:
 
     def test_time_at_leg_end_uses_earlier_leg(self):
         # the legs do not chain, so the two candidates at t = 2 differ
-        legs = [
-            Leg(0.0, 2.0, 0, 0, 4, 0, speed=2.0),
-            Leg(2.0, 2.0, 10, 10, 10, 14, speed=2.0),
-        ]
+        legs = table(
+            (0.0, 2.0, 0, 0, 4, 0, 2.0),
+            (2.0, 2.0, 10, 10, 10, 14, 2.0),
+        )
         assert self.sample(legs, [1.0, 2.0, 3.0]) == [[2, 0], [4, 0], [10, 12]]
 
     def test_zero_duration_leg_gives_its_end_point(self):
         # 3.0 + 1.0 * (0.1 - 3.0) is not 0.1, so interpolating at a = 1 is caught
-        lone = [Leg(1.0, 0.0, 3.0, 3.0, 0.1, 0.2, speed=1.0)]
+        lone = table((1.0, 0.0, 3.0, 3.0, 0.1, 0.2, 1.0))
         assert self.sample(lone, [0.0, 1.0, 5.0]) == [[0.1, 0.2]] * 3
-        first = [
-            Leg(0.0, 0.0, 3.0, 3.0, 0.1, 0.2, speed=1.0),
-            Leg(0.0, 2.0, 0.1, 0.2, 2.1, 0.2, speed=1.0),
-        ]
+        first = table(
+            (0.0, 0.0, 3.0, 3.0, 0.1, 0.2, 1.0),
+            (0.0, 2.0, 0.1, 0.2, 2.1, 0.2, 1.0),
+        )
         assert self.sample(first, [0.0, 1.0]) == [[0.1, 0.2], [1.1, 0.2]]
 
     def test_pause_leg_holds_position(self):
-        legs = [
-            Leg(0.0, 2.0, 0, 0, 4, 0, speed=2.0),
-            Leg(2.0, 3.0, 4, 0, 4, 0, speed=0.0),
-            Leg(5.0, 1.0, 4, 0, 4, 1, speed=1.0),
-        ]
+        legs = table(
+            (0.0, 2.0, 0, 0, 4, 0, 2.0),
+            (2.0, 3.0, 4, 0, 4, 0, 0.0),
+            (5.0, 1.0, 4, 0, 4, 1, 1.0),
+        )
         assert self.sample(legs, range(7)) == [
             [0, 0], [2, 0], [4, 0], [4, 0], [4, 0], [4, 0], [4, 1]
         ]
 
     def test_times_outside_the_legs_clamp(self):
-        legs = [Leg(1.0, 2.0, 0, 0, 4, 2, speed=math.sqrt(5))]
+        legs = table((1.0, 2.0, 0, 0, 4, 2, math.sqrt(5)))
         assert self.sample(legs, [0.0, 2.0, 3.0, 4.0, 100.0]) == [
             [0, 0], [2, 1], [4, 2], [4, 2], [4, 2]
         ]
@@ -251,10 +264,10 @@ class TestSampleLegs:
 class TestMeanSpeeds:
     def test_slow_trips_drag_the_time_weighted_mean(self):
         area = ContinuousAreaSpec(10, 10, 1, 3)
-        legs = [
-            Leg(0.0, 3.0, 0, 0, 3, 0, speed=1.0),  # 3 distance in 3 time
-            Leg(3.0, 1.0, 3, 0, 6, 0, speed=3.0),  # 3 distance in 1 time
-        ]
+        legs = table(
+            (0.0, 3.0, 0, 0, 3, 0, 1.0),  # 3 distance in 3 time
+            (3.0, 1.0, 3, 0, 6, 0, 3.0),  # 3 distance in 1 time
+        )
         trace = build_trace(area, [legs])
         arithmetic, weighted = mean_speeds(trace)
         assert arithmetic == pytest.approx(2.0)
@@ -263,11 +276,11 @@ class TestMeanSpeeds:
 
     def test_pauses_drag_it_further(self):
         area = ContinuousAreaSpec(10, 10, 1, 3, pause_time=2.0)
-        legs = [
-            Leg(0.0, 3.0, 0, 0, 3, 0, speed=1.0),
-            Leg(3.0, 2.0, 3, 0, 3, 0, speed=0.0),
-            Leg(5.0, 1.0, 3, 0, 6, 0, speed=3.0),
-        ]
+        legs = table(
+            (0.0, 3.0, 0, 0, 3, 0, 1.0),
+            (3.0, 2.0, 3, 0, 3, 0, 0.0),
+            (5.0, 1.0, 3, 0, 6, 0, 3.0),
+        )
         _, weighted = mean_speeds(build_trace(area, [legs]))
         assert weighted == pytest.approx(6 / 6)
 
@@ -283,8 +296,8 @@ class TestDiscretize:
     AREA = ContinuousAreaSpec(2, 1, 1, 1)
 
     def test_single_leg_by_hand(self):
-        leg = Leg(0.0, 1.5, 0.2, 0.3, 1.7, 0.3, speed=1.0)
-        trace = build_trace(self.AREA, [[leg]], time_step=0.5)
+        leg = (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0)
+        trace = build_trace(self.AREA, [table(leg)], time_step=0.5)
         paths, locations = discretize(trace, GridSpec(2, 1))
         assert len(paths) == 1
         assert paths[0].cells == (Cell(0, 0), Cell(0, 0), Cell(1, 0), Cell(1, 0))
@@ -295,10 +308,10 @@ class TestDiscretize:
         ]
 
     def test_pause_becomes_pause_paths(self):
-        legs = [
-            Leg(0.0, 1.5, 0.2, 0.3, 1.7, 0.3, speed=1.0),
-            Leg(1.5, 1.0, 1.7, 0.3, 1.7, 0.3, speed=0.0),
-        ]
+        legs = table(
+            (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0),
+            (1.5, 1.0, 1.7, 0.3, 1.7, 0.3, 0.0),
+        )
         trace = build_trace(self.AREA, [legs], time_step=0.5)
         paths, locations = discretize(trace, GridSpec(2, 1))
         assert len(paths) == 3
@@ -308,32 +321,76 @@ class TestDiscretize:
 
     def test_integer_travel_time_no_extra_step(self):
         # exactly 2 time units at dt = 1 must give 2 samples, not 3
-        leg = Leg(0.0, 2.0, 0.0, 0.0, 2.0, 0.0, speed=1.0)
+        leg = (0.0, 2.0, 0.0, 0.0, 2.0, 0.0, 1.0)
         area = ContinuousAreaSpec(2, 2, 1, 1)
-        trace = build_trace(area, [[leg]], time_step=1.0)
+        trace = build_trace(area, [table(leg)], time_step=1.0)
         paths, _ = discretize(trace, GridSpec(2, 2))
         assert paths[0].length == 2
         assert paths[0].cells == (Cell(0, 0), Cell(1, 0), Cell(1, 0))
 
     def test_grid_must_be_square_cells(self):
-        leg = Leg(0.0, 1.0, 0.1, 0.1, 1.5, 0.5, speed=1.0)
-        trace = build_trace(self.AREA, [[leg]], time_step=0.5)
+        leg = (0.0, 1.0, 0.1, 0.1, 1.5, 0.5, 1.0)
+        trace = build_trace(self.AREA, [table(leg)], time_step=0.5)
         with pytest.raises(ConfigurationError):
             discretize(trace, GridSpec(2, 2))  # 1x0.5 cells
 
     @pytest.mark.parametrize("node_id", [-1, 2])
     def test_refuses_missing_node(self, node_id):
-        leg = Leg(0.0, 1.5, 0.2, 0.3, 1.7, 0.3, speed=1.0)
-        trace = build_trace(self.AREA, [[leg], [leg]], time_step=0.5)
+        leg = (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0)
+        trace = build_trace(self.AREA, [table(leg), table(leg)], time_step=0.5)
         with pytest.raises(ConfigurationError, match=rf"node id {node_id} outside \[0, 2\)"):
             discretize(trace, GridSpec(2, 1), node_id=node_id)
 
     @pytest.mark.parametrize("time_step", [math.nan, math.inf, 0.0, -0.5])
     def test_refuses_bad_time_step(self, time_step):
-        leg = Leg(0.0, 1.5, 0.2, 0.3, 1.7, 0.3, speed=1.0)
-        trace = build_trace(self.AREA, [[leg]], time_step=0.5)
+        leg = (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0)
+        trace = build_trace(self.AREA, [table(leg)], time_step=0.5)
         with pytest.raises(ConfigurationError, match="time step must be finite and > 0"):
             discretize(trace, GridSpec(2, 1), time_step=time_step)
+
+    def test_sample_limit_refused_before_allocating(self, monkeypatch):
+        # 100 time units at a step of 1e-9 are 1e11 samples a leg
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the sample limit was checked")
+
+        legs = table(
+            (0.0, 100.0, 1.7, 0.3, 1.7, 0.3, 0.0),
+            (100.0, 100.0, 1.7, 0.3, 0.2, 0.3, 0.015),
+        )
+        trace = build_trace(self.AREA, [legs], time_step=1.0)
+        monkeypatch.setattr(continuous, "Path", refuse)
+        monkeypatch.setattr(np, "repeat", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ConfigurationError, match=f"limit of {MAX_SAMPLES} samples"):
+            discretize(trace, GridSpec(2, 1), time_step=1e-9)
+
+    @pytest.mark.parametrize("limit, allowed", [(5, True), (4, False)])
+    def test_sample_limit_counts_every_leg(self, monkeypatch, limit, allowed):
+        # 3 samples of travel and 2 of pause at a step of 0.5
+        legs = table(
+            (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0),
+            (1.5, 1.0, 1.7, 0.3, 1.7, 0.3, 0.0),
+        )
+        trace = build_trace(self.AREA, [legs], time_step=0.5)
+        monkeypatch.setattr(continuous, "MAX_SAMPLES", limit)
+        if allowed:
+            assert len(discretize(trace, GridSpec(2, 1))[1]) == 5
+        else:
+            with pytest.raises(ConfigurationError, match="needs 5 samples, over the limit of 4"):
+                discretize(trace, GridSpec(2, 1))
+
+    @pytest.mark.parametrize("pause", [0.0, 3.0], ids=["travel", "pauses"])
+    @pytest.mark.parametrize("scale", [1.0, 1 / 3, 2.5], ids=["dt", "dt/3", "2.5dt"])
+    def test_equals_per_sample_oracle(self, pause, scale):
+        area = ContinuousAreaSpec(100, 100, 1, 5, pause_time=pause)
+        trace = simulate_continuous(area, 2, 80, 0.5, seed=11)
+        grid = GridSpec(5, 5)
+        dt = trace.time_step * scale
+        for node in range(2):
+            paths, locations = discretize(trace, grid, node_id=node, time_step=dt)
+            expected_paths, expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, dt)
+            assert paths == expected_paths
+            assert locations.ids.tolist() == expected_ids
 
     def test_round_trip_through_simulator(self):
         area = ContinuousAreaSpec(100, 100, 1, 5)
@@ -352,11 +409,11 @@ class TestTrafficProxy:
 
     def two_node_trace(self):
         # node 1 swings out of range in the middle step
-        legs0 = [Leg(0.0, 2.0, 0, 0, 0, 0, speed=0.0)]
-        legs1 = [
-            Leg(0.0, 1.0, 1, 0, 5, 0, speed=4.0),
-            Leg(1.0, 1.0, 5, 0, 0.5, 0, speed=4.5),
-        ]
+        legs0 = table((0.0, 2.0, 0, 0, 0, 0, 0.0))
+        legs1 = table(
+            (0.0, 1.0, 1, 0, 5, 0, 4.0),
+            (1.0, 1.0, 5, 0, 0.5, 0, 4.5),
+        )
         trace = build_trace(self.AREA, [legs0, legs1], time_step=1.0, steps=3)
         return trace
 

@@ -126,6 +126,19 @@ def test_prefix_refuses_negative_count():
         trace.prefix(-1)
 
 
+def test_cell_reads_each_step():
+    trace = LocationTrace(GridSpec(3, 1), np.array([0, 1, 2]))
+    assert [trace.cell(i) for i in range(3)] == [Cell(0, 0), Cell(1, 0), Cell(2, 0)]
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_cell_refuses_index_outside_trace(index):
+    # -1 would otherwise read the last step, and 3 raise a bare IndexError
+    trace = LocationTrace(GridSpec(3, 1), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match=rf"index {index} outside \[0, 3\)"):
+        trace.cell(index)
+
+
 class TestJointProcess:
     def test_stacks_equal_lengths(self):
         grid = GridSpec(2, 1)

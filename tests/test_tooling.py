@@ -2,7 +2,9 @@
 
 No module of the package imports a name it never uses, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")`` still
-exists, so deleting API cannot silently break a traced benchmark run. Every
+exists, so deleting API cannot silently break a traced benchmark run, and a
+tiny continuous run traced through those targets counts the legs it built,
+so a change of representation cannot break the benchmark's hooks. Every
 name in ``rwmm.__all__`` resolves, the README's python quick start runs,
 every ``rwmm`` command in the README's code blocks parses, and each README
 config loads and sets every key of its config class, so the documented API,
@@ -20,6 +22,7 @@ from pathlib import Path as FilePath
 import pytest
 
 import rwmm
+from rwmm import cli
 from rwmm.cli import build_parser
 from rwmm.config import (
     ContinuousConfig,
@@ -27,6 +30,7 @@ from rwmm.config import (
     load_continuous_config,
     load_discrete_config,
 )
+from rwmm.continuous import simulate_continuous
 
 ROOT = FilePath(__file__).parents[1]
 PACKAGE = sorted((ROOT / "src" / "rwmm").glob("*.py"))
@@ -96,6 +100,30 @@ def test_benchmark_targets_resolve():
         if not callable(getattr(importlib.import_module(f"rwmm.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_traced_continuous_run_counts_legs(tmp_path, monkeypatch):
+    # perfbench's modules import each other by bare name, as its scripts run them
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    text = (
+        "area_width = 100\narea_height = 100\nmin_speed = 1\nmax_speed = 5\n"
+        "pause_time = 2\nnodes = 2\nduration = 60\ntime_step = 1\n"
+    )
+    config = tmp_path / "c.cfg"
+    config.write_text(text)
+    common = ["--config", str(config), "--seed", "3", "--out"]
+    tracer = layers.tracer()
+    with tracer.active("run"):
+        assert cli.main(["simulate-continuous", *common, str(tmp_path / "p.txt")]) == 0
+        assert cli.main(["export", "--format", "ns2", *common, str(tmp_path / "m.tcl")]) == 0
+    cfg = load_continuous_config(text)
+    trace = simulate_continuous(cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, 3)
+    metrics = layers.per_layer_metrics(tracer)
+    # both commands simulate the run once
+    assert metrics["continuous.simulate_continuous.legs"]["value"] == 2 * sum(map(len, trace.legs))
+    assert metrics["continuous.simulate_continuous.samples"]["value"] == 2 * 2 * 61
+    assert metrics["io.export_ns2.bytes"]["value"] == (tmp_path / "m.tcl").stat().st_size
 
 
 def test_public_names_resolve():
