@@ -10,7 +10,7 @@ across seeds, and it matches the Cesàro limit of ensemble frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -29,10 +29,8 @@ class Observable(Protocol):
     with ``ValueError``, a trace on another grid.
     """
 
-    window: int
-
     def values(self, trace) -> np.ndarray:
-        """f(T^n x) for n = 0 .. len(trace) - window, as float64."""
+        """f(T^n x) for each n whose window of samples fits in the trace, as float64."""
         ...
 
 
@@ -47,7 +45,6 @@ class CellIndicator:
 
     grid: GridSpec
     cell: Cell
-    window: int = field(default=1, init=False)
 
     def values(self, trace: LocationTrace) -> np.ndarray:
         _check_grid(self.grid, trace)
@@ -66,14 +63,10 @@ class CylinderIndicator:
         if not self.cells:
             raise ValueError("cylinder indicator needs at least one cell")
 
-    @property
-    def window(self) -> int:
-        return len(self.cells)
-
     def values(self, trace: LocationTrace) -> np.ndarray:
         _check_grid(self.grid, trace)
         ids = trace.ids
-        w = self.window
+        w = len(self.cells)
         if len(ids) < w:
             return np.empty(0, dtype=np.float64)
         hits = np.ones(len(ids) - w + 1, dtype=bool)
@@ -91,7 +84,6 @@ class PairWithinRange:
     node_a: int
     node_b: int
     radius: float
-    window: int = field(default=1, init=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.radius < math.inf:
@@ -102,10 +94,8 @@ class PairWithinRange:
         for node in (self.node_a, self.node_b):
             if not 0 <= node < trace.node_count:
                 raise ValueError(f"node id {node} outside [0, {trace.node_count}) for this trace")
-        a = trace.ids[self.node_a]
-        b = trace.ids[self.node_b]
-        ax, ay = a % self.grid.width, a // self.grid.width
-        bx, by = b % self.grid.width, b // self.grid.width
+        ax, ay = self.grid.xy(trace.ids[self.node_a])
+        bx, by = self.grid.xy(trace.ids[self.node_b])
         dist2 = (ax - bx) ** 2 + (ay - by) ** 2
         return (dist2 <= self.radius**2).astype(np.float64)
 
@@ -116,7 +106,6 @@ class TableObservable:
 
     grid: GridSpec
     table: np.ndarray
-    window: int = field(default=1, init=False)
 
     def __post_init__(self) -> None:
         table = np.asarray(self.table, dtype=np.float64)

@@ -133,8 +133,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     node, cell = np.divmod(np.arange(averages.visits.size), trace.grid.size)
     columns = (
         node,
-        cell % trace.grid.width,
-        cell // trace.grid.width,
+        *trace.grid.xy(cell),
         averages.visits,
         averages.final_values,
         averages.cauchy_widths,

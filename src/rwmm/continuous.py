@@ -29,10 +29,14 @@ from .processes import _seed_sequence
 _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 
 # Most samples (nodes × samples per node) one run may hold; the positions
-# alone take 16 bytes a sample, 1.6 GB at the limit, and io.save_positions
-# also holds every node's text until the file is written, about 29 bytes a
-# sample, 2.9 GB at the limit.
+# take 16 bytes a sample, 1.6 GB at the limit, the sample times 8 bytes a
+# step, and io.save_positions also holds every node's text until the file is
+# written, about 29 bytes a sample, 2.9 GB at the limit.
 MAX_SAMPLES = 10**8
+
+# Samples interpolated at once: the interpolation's temporaries, about 120
+# bytes a sample, are bounded by this block (about 8 MB), not by the run.
+_BLOCK_SAMPLES = 2**16
 
 # Most legs (over all nodes) one run may build, however few its samples. A
 # built leg is one 56-byte table row, 280 MB at the limit; the node being
@@ -84,7 +88,6 @@ class ContinuousTrace:
 
     area: ContinuousAreaSpec
     time_step: float
-    times: np.ndarray  # (steps,)
     positions: np.ndarray  # (nodes, steps, 2)
     legs: tuple[np.ndarray, ...]  # per node, a (legs, 7) leg table
 
@@ -95,6 +98,12 @@ class ContinuousTrace:
     @property
     def step_count(self) -> int:
         return int(self.positions.shape[1])
+
+    @property
+    def times(self) -> np.ndarray:
+        """Sample k's time, ``k * time_step``; a huge step overflows to ``inf``."""
+        with np.errstate(over="ignore"):
+            return np.arange(self.step_count) * self.time_step
 
 
 def _interpolate(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -118,14 +127,21 @@ def _interpolate(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_legs(legs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Positions on a leg table at ascending ``times``.
+def _sample_legs(
+    legs: np.ndarray, times: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Positions on a leg table at ascending ``times``, written to ``out`` if given.
 
     A time at a leg's end belongs to that leg, and times past the last leg
-    clamp to it.
+    clamp to it. The times are interpolated ``_BLOCK_SAMPLES`` at a time.
     """
-    idx = np.searchsorted(legs[:, START] + legs[:, DURATION], times, side="left")
-    return _interpolate(legs[np.minimum(idx, len(legs) - 1)], times)
+    ends = legs[:, START] + legs[:, DURATION]
+    out = np.empty((len(times), 2)) if out is None else out
+    for lo in range(0, len(times), _BLOCK_SAMPLES):
+        block = times[lo : lo + _BLOCK_SAMPLES]
+        idx = np.searchsorted(ends, block, side="left")
+        out[lo : lo + _BLOCK_SAMPLES] = _interpolate(legs[np.minimum(idx, len(legs) - 1)], block)
+    return out
 
 
 def simulate_continuous(
@@ -187,14 +203,10 @@ def simulate_continuous(
                 )
         built += len(legs)
         table = np.array(legs)
-        all_positions[node_id] = _sample_legs(table, times)
+        _sample_legs(table, times, all_positions[node_id])
         all_legs.append(table)
     return ContinuousTrace(
-        area=area,
-        time_step=time_step,
-        times=times,
-        positions=all_positions,
-        legs=tuple(all_legs),
+        area=area, time_step=time_step, positions=all_positions, legs=tuple(all_legs)
     )
 
 
@@ -287,7 +299,7 @@ def discretize(
             paths.extend([Path((end, end))] * count)
         else:
             paths.append(Path((*cells[lo : lo + count], end)))
-    return paths, LocationTrace(grid, xy[:, 1] * grid.width + xy[:, 0])
+    return paths, LocationTrace(grid, grid.ids(xy[:, 0], xy[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -348,7 +360,7 @@ def traffic_proxy(
     offered = rate * dt * len(flows)
     delivered = rate * dt * connected
     return TrafficReport(
-        times=trace.times.copy(),
+        times=trace.times,
         offered=offered,
         delivered=delivered,
         connected_fraction=connected / len(flows),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,7 @@ class Cell:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular grid of ``width * height`` cells, indexed row-major by y."""
+    """Grid of ``width * height`` cells, ids row-major by y (see :meth:`xy`, :meth:`ids`)."""
 
     width: int
     height: int
@@ -66,15 +67,26 @@ class GridSpec:
     def contains(self, cell: Cell) -> bool:
         return 0 <= cell.x < self.width and 0 <= cell.y < self.height
 
+    def xy(self, ids):
+        """The ``(x, y)`` of each cell id, as ints or arrays like ``ids``; unchecked."""
+        y, x = divmod(ids, self.width)
+        return x, y
+
+    def ids(self, x, y) -> np.ndarray:
+        """The int64 cell id of each ``(x, y)``, ints or integer arrays; unchecked."""
+        out = y * np.int64(self.width)  # int64, with no int64 copy of an int32 ``y``
+        out += x  # in place, so an array call makes one full-size array
+        return out
+
     def cell_id(self, cell: Cell) -> int:
         if not self.contains(cell):
             raise ValueError(f"{cell} outside {self.width}x{self.height} grid")
-        return cell.y * self.width + cell.x
+        return int(self.ids(cell.x, cell.y))
 
     def cell_at(self, cell_id: int) -> Cell:
         if not 0 <= cell_id < self.size:
             raise ValueError(f"cell id {cell_id} outside grid of size {self.size}")
-        return Cell(cell_id % self.width, cell_id // self.width)
+        return Cell(*self.xy(cell_id))
 
     def cells(self) -> Iterator[Cell]:
         """All cells in id order."""
@@ -226,29 +238,27 @@ class PathAlphabet:
         """Digitize every displacement of the grid at the normalized ``speeds``."""
         self.grid = grid
         width, height = grid.width, grid.height
-        sizes: list[int] = []
-        lengths: list[int] = []
-        dxs: list[int] = []
-        dys: list[int] = []
-        emits: list[int] = []  # emitted cells as offsets ox + oy * width from the source
+        # machine integers, so that the build holds one copy of each table
+        sizes = array("q")
+        lengths = array("q")
+        emits = array("q")  # emitted cells as offsets ox + oy * width from the source
         for dy in range(1 - height, height):
             for dx in range(1 - width, width):
                 members = _displacement_family(dx, dy, speeds)
                 sizes.append(len(members))
                 for cells in members:
                     lengths.append(len(cells) - 1)
-                    dxs.append(dx)
-                    dys.append(dy)
-                    emits.extend(ox + oy * width for ox, oy in cells[:-1])
+                    emits.extend([ox + oy * width for ox, oy in cells[:-1]])
         # per displacement, in (dy, dx) order
-        self._family_sizes = np.array(sizes, dtype=np.int64)
+        self._family_sizes = np.frombuffer(sizes, dtype=np.int64)
         self._family_starts = _exclusive_cumsum(self._family_sizes)
+        dy, dx = np.divmod(np.arange(len(sizes), dtype=np.int64), 2 * width - 1)
         # per member
-        self._lengths = np.array(lengths, dtype=np.int64)
-        self._dx = np.array(dxs, dtype=np.int64)
-        self._dy = np.array(dys, dtype=np.int64)
+        self._lengths = np.frombuffer(lengths, dtype=np.int64)
+        self._dx = np.repeat(dx - (width - 1), self._family_sizes)
+        self._dy = np.repeat(dy - (height - 1), self._family_sizes)
         self._emit_starts = _exclusive_cumsum(self._lengths)
-        self._emits = np.array(emits, dtype=np.int64)
+        self._emits = np.frombuffer(emits, dtype=np.int64)
         self.max_path_length = int(self._lengths.max())
         # a member is a path from each of the (W - |dx|)(H - |dy|) sources it fits
         fits = (width - np.abs(self._dx)) * (height - np.abs(self._dy))
@@ -265,23 +275,23 @@ class PathAlphabet:
         ``sources`` and ``dests`` are cell ids, as ints or integer arrays.
         """
         width, height = self.grid.width, self.grid.height
-        sy, sx = divmod(sources, width)
-        ty, tx = divmod(dests, width)
+        sx, sy = self.grid.xy(sources)
+        tx, ty = self.grid.xy(dests)
         disp = (ty - sy + height - 1) * (2 * width - 1) + (tx - sx + width - 1)
         return sources * len(self._lengths) + self._family_starts[disp], self._family_sizes[disp]
 
     def _decode(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Source cell id, destination cell id and validity of each path id."""
-        width, height = self.grid.width, self.grid.height
+        grid = self.grid
         sources, members = np.divmod(ids, len(self._lengths))
-        y, x = np.divmod(sources, width)
+        x, y = grid.xy(sources)
         x += self._dx[members]
         y += self._dy[members]
         valid = (
-            (sources >= 0) & (sources < self.grid.size)
-            & (x >= 0) & (x < width) & (y >= 0) & (y < height)
+            (sources >= 0) & (sources < grid.size)
+            & (x >= 0) & (x < grid.width) & (y >= 0) & (y < grid.height)
         )
-        return sources, y * width + x, valid
+        return sources, grid.ids(x, y), valid
 
     def endpoints(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination cell ids of each path id.

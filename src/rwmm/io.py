@@ -288,8 +288,10 @@ def save_locations(
     rows = [f",{step},%s" for step in range(len(joint))]
     present = np.zeros(grid.size, dtype=bool)
     present[joint.ids] = True
+    occurring = np.flatnonzero(present)
     labels = {
-        c: f"{c % grid.width},{c // grid.width}\n" for c in np.flatnonzero(present).tolist()
+        c: f"{x},{y}\n"
+        for c, x, y in zip(occurring.tolist(), *(a.tolist() for a in grid.xy(occurring)))
     }
     header = {
         "kind": KIND_LOCATIONS,
@@ -330,9 +332,7 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
     if outside.any():
         row = np.argmax(outside)
         raise ConfigurationError(f"cell ({x[row]}, {y[row]}) outside {grid}")
-    ids = y.astype(np.int64)  # cell ids are int64 in every trace
-    ids *= grid.width
-    ids += x
+    ids = grid.ids(x, y)  # int64, as in every trace
     return JointTrace(grid, ids.reshape(nodes, steps)), header
 
 
@@ -345,24 +345,23 @@ def save_positions(
     """Write sampled continuous positions as node,time,x,y rows (%.9g).
 
     Rows are filled from one ``,time,%.9g,%.9g`` template per step, shared
-    by every node, with the node's positions. A trace with no
-    samples, with positions not shaped ``(nodes, len(times), 2)``, with a
-    time step that is not finite and positive, or with a non-finite time or
-    position, is refused with ``ValueError`` before the file is opened,
-    since the loader could not read it back.
+    by every node, with the node's positions; the times are the trace's
+    ``k * time_step``. A trace with no samples, with positions not shaped
+    ``(nodes, steps, 2)``, with a time step that is not finite and
+    positive, or with a non-finite time or position, is refused with
+    ``ValueError`` before the file is opened, since the loader could not
+    read it back.
     """
+    if trace.positions.ndim != 3 or trace.positions.shape[2] != 2:
+        raise ValueError(f"positions of shape {trace.positions.shape} are not (nodes, steps, 2)")
     if trace.positions.size == 0:
         raise ValueError("cannot write an empty position trace")
-    if trace.positions.shape != (trace.node_count, len(trace.times), 2):
-        raise ValueError(
-            f"positions of shape {trace.positions.shape} do not match "
-            f"{len(trace.times)} times (expected (nodes, {len(trace.times)}, 2))"
-        )
     if not 0 < trace.time_step < math.inf:
         raise ValueError(f"time step must be finite and > 0, got {trace.time_step}")
-    if not (np.isfinite(trace.times).all() and np.isfinite(trace.positions).all()):
+    times = trace.times
+    if not (np.isfinite(times).all() and np.isfinite(trace.positions).all()):
         raise ValueError("cannot write non-finite times or positions")
-    rows = [f",{_format_float(t)},%.9g,%.9g\n" for t in trace.times.tolist()]
+    rows = [f",{_format_float(t)},%.9g,%.9g\n" for t in times.tolist()]
     header = {
         "kind": KIND_POSITIONS,
         "area": f"{_format_float(trace.area.width)}x{_format_float(trace.area.height)}",

@@ -23,9 +23,6 @@ from .geometry import Cell, GridSpec, PathAlphabet
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
-IID_UNIFORM = "iid-uniform"
-MARKOV = "markov"
-
 
 @dataclass(frozen=True)
 class CylinderEvent:
@@ -88,29 +85,25 @@ def _check_irreducible_aperiodic(adjacency: Sequence[Iterable[int]]) -> None:
 class WaypointProcessSpec:
     """Distribution of the per-node waypoint sequence over a grid's cells.
 
-    ``iid-uniform`` draws every waypoint independently with probability
-    1/|cells|. ``markov`` evolves an exact Markov chain from ``initial``, a
-    dense tuple of n ``Fraction``s; ``transition[i]`` maps each successor of
-    state ``i``, ids ascending, to its positive ``Fraction`` probability.
-    The chain must be irreducible and aperiodic so that long-run time
-    averages over the induced movement exist and are seed-independent.
+    Without ``transition`` rows every waypoint is drawn independently with
+    probability 1/|cells| (iid uniform). With them the spec is an exact
+    Markov chain started from ``initial``, a dense tuple of n ``Fraction``s;
+    ``transition[i]`` maps each successor of state ``i``, ids ascending, to
+    its positive ``Fraction`` probability. The chain must be irreducible and
+    aperiodic so that long-run time averages over the induced movement exist
+    and are seed-independent.
     """
 
     grid: GridSpec
-    kind: str
     transition: tuple[dict[int, Fraction], ...] | None = None
     initial: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == IID_UNIFORM:
-            if self.transition is not None or self.initial is not None:
-                raise ConfigurationError("iid-uniform takes no transition matrix")
-            return
-        if self.kind != MARKOV:
-            raise ConfigurationError(f"unknown waypoint process kind {self.kind!r}")
-        n = self.grid.size
-        if self.transition is None or self.initial is None:
+        if (self.transition is None) != (self.initial is None):
             raise ConfigurationError("markov waypoint process needs matrix and initial")
+        if self.transition is None:
+            return
+        n = self.grid.size
         if len(self.transition) != n:
             raise ConfigurationError(f"transition matrix must be {n}x{n}")
         if len(self.initial) != n:
@@ -148,7 +141,7 @@ class WaypointProcessSpec:
 
     @classmethod
     def iid_uniform(cls, grid: GridSpec) -> "WaypointProcessSpec":
-        return cls(grid=grid, kind=IID_UNIFORM)
+        return cls(grid=grid)
 
     @classmethod
     def markov(
@@ -163,7 +156,6 @@ class WaypointProcessSpec:
             raise ConfigurationError(f"transition matrix must be {n}x{n}")
         return cls(
             grid=grid,
-            kind=MARKOV,
             transition=tuple(
                 {j: p for j, p in enumerate(map(Fraction, row)) if p} for row in transition
             ),
@@ -196,7 +188,7 @@ class WaypointProcessSpec:
             if stay:
                 row[grid.cell_id(cell)] = stay
             rows.append(dict(sorted(row.items())))
-        return cls(grid=grid, kind=MARKOV, transition=tuple(rows), initial=(Fraction(1, n),) * n)
+        return cls(grid=grid, transition=tuple(rows), initial=(Fraction(1, n),) * n)
 
 
 def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> list[Fraction]:
@@ -229,9 +221,8 @@ def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> F
 
 def _waypoint_ids_prob(spec: WaypointProcessSpec, start: int, ids: Sequence[int]) -> Fraction:
     """Probability that the waypoints from index ``start`` are the cell ids ``ids``."""
-    if spec.kind == IID_UNIFORM:
+    if spec.transition is None:
         return Fraction(1, spec.grid.size ** len(ids))
-    assert spec.transition is not None
     dist = _markov_distribution_at(spec, start)
     prob = dist[ids[0]]
     for a, b in zip(ids, ids[1:]):
@@ -347,7 +338,6 @@ class MixingCheck(NamedTuple):
 
     discrepancy: Fraction
     premise_met: bool  # shift >= second event's length, where decoupling is exact
-    decoupling_threshold: int
 
 
 def check_output_mixing(
@@ -376,11 +366,7 @@ def check_output_mixing(
     split = _constrained_channel_prob(alphabet, waypoints, a) * _constrained_channel_prob(
         alphabet, waypoints, b
     )
-    return MixingCheck(
-        discrepancy=abs(joint - split),
-        premise_met=shift >= len(event_b),
-        decoupling_threshold=len(event_b),
-    )
+    return MixingCheck(discrepancy=abs(joint - split), premise_met=shift >= len(event_b))
 
 
 def channel_total_mass(
@@ -505,7 +491,7 @@ def sample_waypoints(
         raise ValueError(f"count must be >= 1, got {count}")
     rng = _rng(seed)
     n = spec.grid.size
-    if spec.kind == IID_UNIFORM:
+    if spec.transition is None:
         ids = rng.integers(0, n, size=count, dtype=np.int64)
         return WaypointTrace(spec.grid, ids)
     denominator, succ, cum = spec.sampling_rows

@@ -67,7 +67,7 @@ from rwmm.geometry import (
     normalize_speeds,
 )
 from rwmm.errors import ConfigurationError
-from rwmm.processes import IID_UNIFORM, WaypointProcessSpec
+from rwmm.processes import WaypointProcessSpec
 
 
 def sympy_digitize(source: Cell, dest: Cell, speed: Fraction) -> list[Cell]:
@@ -211,7 +211,7 @@ def marginal_path_prob(
         frozenset(tables.family_members[start : start + size].tolist())
         for start, size in zip(tables.family_offsets.tolist(), tables.family_sizes.tolist())
     ]
-    if spec.kind == IID_UNIFORM:
+    if spec.transition is None:
         step = [[Fraction(1, n)] * n for _ in range(n)]
         weights = [Fraction(1, n)] * n
     else:
@@ -347,7 +347,7 @@ def build_location_chain(
             states.append((pid, off))
     rows: list[dict[int, Fraction]] = []
     n_cells = grid.size
-    step = None if spec.kind == IID_UNIFORM else dense_transition(spec)
+    step = None if spec.transition is None else dense_transition(spec)
     for pid, off in states:
         path = alphabet.all_paths[pid]
         if off + 1 < path.length:

@@ -38,12 +38,10 @@ class TestObservables:
         trace = make_trace([0, 1, 1, 0])
         ind = CellIndicator(GRID2, Cell(1, 0))
         assert ind.values(trace).tolist() == [0.0, 1.0, 1.0, 0.0]
-        assert ind.window == 1
 
     def test_cylinder_indicator_counts_runs(self):
         trace = make_trace([0, 1, 1, 0, 1, 1])
         ind = CylinderIndicator(GRID2, (Cell(1, 0), Cell(1, 0)))
-        assert ind.window == 2
         assert ind.values(trace).tolist() == [0.0, 1.0, 0.0, 0.0, 1.0]
 
     def test_cylinder_indicator_short_trace(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from hashlib import sha256
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,13 +36,27 @@ from oracles import loadtxt_location_ids, per_row_location_body, per_row_positio
 
 @st.composite
 def position_columns(draw):
-    """Times and positions of 1-12 nodes x 1-20 steps, any finite floats."""
+    """A time step > 0 and positions of 1-12 nodes x 1-20 steps, any finite floats."""
     nodes, steps = draw(st.integers(1, 12)), draw(st.integers(1, 20))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return (
-        draw(arrays(np.float64, steps, elements=finite)),
+        draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         draw(arrays(np.float64, (nodes, steps, 2), elements=finite)),
     )
+
+
+def printed(values: np.ndarray) -> np.ndarray:
+    """The values as a position trace stores them: %.9g, read back as floats."""
+    return np.array([float(format(v, ".9g")) for v in values.ravel().tolist()]).reshape(
+        values.shape
+    )
+
+
+# 11 nodes x 3 steps, so node ids reach two digits: -0.0, subnormals, and
+# magnitudes where %.9g turns to exponent form (below 1e-4, from 1e9)
+PINNED_POSITIONS = np.array(
+    [[[-0.0, 5e-324], [2.225e-308, -9.99999999e-05], [1e9, -1.797e308]]] * 11
+)
 
 
 @st.composite
@@ -479,20 +493,14 @@ class TestTraceFiles:
                     load_locations(path)
 
     @given(position_columns())
-    @example(
-        (
-            np.array([-0.0, 1e-05, 1e9]),
-            np.array(
-                [[[-0.0, 5e-324], [2.225e-308, -9.99999999e-05], [1e9, -1.797e308]]] * 11
-            ),
-        )
-    )
+    @example((1e-05, PINNED_POSITIONS))
+    @example((5e8, PINNED_POSITIONS))
     def test_positions_body_matches_per_row_oracle(self, columns):
         # up to 12 nodes, so node ids reach two digits; any finite float, with
-        # -0.0, subnormals and the magnitudes where %.9g turns to exponent
-        # form (below 1e-4, from 1e9) pinned by the example
-        times, positions = columns
-        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), 1.0, times, positions, ())
+        # the pinned positions and times 2e-05 and 1e9 in %.9g's exponent form
+        time_step, positions = columns
+        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, positions, ())
+        assume(np.isfinite(trace.times).all())  # else refused, as the next test checks
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "c.trace"
             save_positions(path, trace)
@@ -502,6 +510,29 @@ class TestTraceFiles:
         expected = per_row_position_body(trace).encode()
         assert body == expected
         assert lines[split - 1] == f"# body: {sha256(expected).hexdigest()}\n".encode()
+
+    @given(position_columns())
+    @example((5e-324, PINNED_POSITIONS))
+    @example((2.2e-308, PINNED_POSITIONS))
+    @example((1 / 3, PINNED_POSITIONS))
+    @example((1e300, PINNED_POSITIONS))
+    def test_positions_written_are_read_back(self, columns):
+        # the writer takes the times from the time step, so every trace it
+        # writes is on the loader's time grid; it refuses only times that
+        # overflow to inf
+        time_step, positions = columns
+        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, positions, ())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "c.trace"
+            if not np.isfinite(trace.times).all():
+                with pytest.raises(ValueError, match="non-finite times"):
+                    save_positions(path, trace)
+                return
+            save_positions(path, trace)
+            times, loaded, header = load_positions(path)
+        assert float(header["time-step"]) == float(format(time_step, ".9g"))
+        assert np.array_equal(times, printed(trace.times))
+        assert np.array_equal(loaded, printed(positions))
 
     @pytest.mark.parametrize(
         "edit, error",
@@ -712,15 +743,20 @@ class TestTraceFiles:
 
     @pytest.mark.parametrize(
         "field, index",
-        [("times", (3,)), ("positions", (1, 4, 0)), ("positions", (0, 2, 1))],
+        [("times", None), ("positions", (1, 4, 0)), ("positions", (0, 2, 1))],
         ids=["time", "x", "y"],
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_positions_writer_refuses_non_finite_values(self, tmp_path, field, index, value):
-        from rwmm.continuous import ContinuousAreaSpec
+        from dataclasses import replace
 
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
-        getattr(trace, field)[index] = value
+        if field == "times":
+            # times are k * time_step, so whatever the value, the only
+            # non-finite time is one that overflows: 2 * 1e308 is inf
+            trace = replace(trace, time_step=1e308)
+        else:
+            trace.positions[index] = value
         path = tmp_path / "c.trace"
         with pytest.raises(ValueError, match="non-finite times or positions"):
             save_positions(path, trace)
@@ -745,7 +781,7 @@ class TestTraceFiles:
         from dataclasses import replace
 
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
-        empty = replace(trace, times=trace.times[steps], positions=trace.positions[nodes, steps])
+        empty = replace(trace, positions=trace.positions[nodes, steps])
         path = tmp_path / "c.trace"
         with pytest.raises(ValueError, match="cannot write an empty position trace"):
             save_positions(path, empty)
@@ -754,19 +790,17 @@ class TestTraceFiles:
     @pytest.mark.parametrize(
         "cut",
         [
-            lambda p: p[:, :-1],  # one step fewer than the times
-            lambda p: np.concatenate([p, p[:, :1]], axis=1),  # one step more
             lambda p: p[..., :1],  # x only
             lambda p: p[:, :, 0],  # no coordinate axis
         ],
-        ids=["fewer-steps", "more-steps", "one-coordinate", "two-dimensional"],
+        ids=["one-coordinate", "two-dimensional"],
     )
     def test_positions_writer_refuses_misshapen_positions(self, tmp_path, cut):
         from dataclasses import replace
 
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
         path = tmp_path / "c.trace"
-        with pytest.raises(ValueError, match="do not match 11 times"):
+        with pytest.raises(ValueError, match=r"are not \(nodes, steps, 2\)"):
             save_positions(path, replace(trace, positions=cut(trace.positions)))
         assert not path.exists()
 

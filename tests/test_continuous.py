@@ -7,6 +7,7 @@ sampled positions are held bit for bit to ``oracles.sample_legs_per_step``.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,11 +51,7 @@ def build_trace(area, legs_per_node, time_step=1.0, steps=None):
     times = np.arange(steps) * time_step
     positions = np.stack([sample_legs_per_step(legs, times) for legs in legs_per_node])
     return ContinuousTrace(
-        area=area,
-        time_step=time_step,
-        times=times,
-        positions=positions,
-        legs=tuple(legs_per_node),
+        area=area, time_step=time_step, positions=positions, legs=tuple(legs_per_node)
     )
 
 
@@ -192,6 +189,28 @@ class TestSimulate:
         monkeypatch.setattr(continuous, "MAX_LEGS", legs - 1)
         with pytest.raises(ConfigurationError, match=f"limit of {legs - 1} legs"):
             simulate_continuous(area, 3, 500.0, 100.0, seed=4)
+
+    def test_sampling_memory_is_bounded_per_sample(self):
+        # the positions take 16 bytes a sample and the times 8; the
+        # interpolation's temporaries live one block at a time (all at once
+        # they took about 114 bytes a sample)
+        samples = 2 * 10**6
+        area = ContinuousAreaSpec(1000, 1000, min_speed=1, max_speed=2)
+        tracemalloc.start()
+        try:
+            trace = simulate_continuous(area, 1, samples - 1, 1.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.step_count == samples
+        assert peak / samples < 40
+
+    def test_blocks_do_not_change_positions(self, monkeypatch):
+        area = ContinuousAreaSpec(300, 200, min_speed=2, max_speed=8, pause_time=1.0)
+        whole = simulate_continuous(area, 2, 100.0, 0.25, seed=5).positions
+        monkeypatch.setattr(continuous, "_BLOCK_SAMPLES", 7)
+        blocked = simulate_continuous(area, 2, 100.0, 0.25, seed=5).positions
+        assert whole.tobytes() == blocked.tobytes()
 
     @given(
         st.floats(1.0, 1000.0),

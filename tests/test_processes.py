@@ -158,26 +158,23 @@ class TestWaypointMeasures:
     HALVES = {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
     @pytest.mark.parametrize(
-        "kind, transition, initial, error",
+        "transition, initial, error",
         [
-            ("iid-uniform", (HALVES, HALVES), None, "iid-uniform takes no transition matrix"),
-            ("brownian", None, None, "unknown waypoint process kind 'brownian'"),
-            ("markov", None, (Fraction(1, 2),) * 2, "needs matrix and initial"),
-            ("markov", (HALVES,), (Fraction(1, 2),) * 2, "transition matrix must be 2x2"),
-            ("markov", (HALVES, HALVES), (Fraction(1),), "initial distribution must have 2"),
+            ((HALVES, HALVES), None, "needs matrix and initial"),
+            (None, (Fraction(1, 2),) * 2, "needs matrix and initial"),
+            ((HALVES,), (Fraction(1, 2),) * 2, "transition matrix must be 2x2"),
+            ((HALVES, HALVES), (Fraction(1),), "initial distribution must have 2"),
             (
-                "markov",
                 (dict(reversed(HALVES.items())), HALVES),
                 (Fraction(1, 2),) * 2,
                 "ascending ids below 2",
             ),
         ],
-        ids=["iid-with-matrix", "unknown-kind", "no-matrix", "short-matrix", "short-initial",
-             "descending-row"],
+        ids=["no-initial", "no-matrix", "short-matrix", "short-initial", "descending-row"],
     )
-    def test_spec_built_directly_is_validated(self, kind, transition, initial, error):
+    def test_spec_built_directly_is_validated(self, transition, initial, error):
         with pytest.raises(ConfigurationError, match=error):
-            WaypointProcessSpec(GridSpec(1, 2), kind, transition, initial)
+            WaypointProcessSpec(GridSpec(1, 2), transition, initial)
 
     def test_lazy_walk_rows(self):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(2, 2), stay=Fraction(1, 2))
@@ -362,7 +359,6 @@ class TestOutputMixing:
         # both events pin index 1 to the same path: joint 1/4 vs 1/2 * 1/4
         check = check_output_mixing(alpha, w, [ds[0]], [sd[0], ds[0]], shift=1)
         assert not check.premise_met
-        assert check.decoupling_threshold == 2
         assert check.discrepancy == Fraction(1, 8)
 
     def test_conflicting_overlap_gives_zero_joint(self, row_three):

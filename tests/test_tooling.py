@@ -1,6 +1,7 @@
 """Source checks that stand in for a linter and for a traced benchmark run.
 
-No module of the package imports a name it never uses, and every function
+No module of the package imports a name it never uses, no module but
+``geometry`` does cell-id arithmetic with a grid's width, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")`` still
 exists, so deleting API cannot silently break a traced benchmark run, and a
 tiny continuous run traced through those targets counts the legs it built,
@@ -82,6 +83,24 @@ def test_no_unused_imports(module):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert unused == {}
+
+
+# arithmetic of a cell id with the grid's width: `% width`, `// width`,
+# `* width`, `*= width`, `width +` or `width *`
+WIDTH_ARITHMETIC = re.compile(r"(%|//|\*=?)\s*[\w.]*width\b|width\s*(\+|\*)")
+
+
+def test_cell_layout_is_stated_once():
+    # the row-major cell layout lives in GridSpec: other modules convert
+    # through GridSpec.xy and GridSpec.ids
+    sites = [
+        f"{module.name}:{number}: {line.strip()}"
+        for module in PACKAGE
+        if module.name != "geometry.py"
+        for number, line in enumerate(module.read_text().splitlines(), start=1)
+        if WIDTH_ARITHMETIC.search(line)
+    ]
+    assert sites == []
 
 
 def test_benchmark_targets_resolve():
