@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,10 +29,11 @@ from .processes import _seed_sequence
 
 _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 
-# Most samples (nodes × samples per node) one run may hold; the positions
-# take 16 bytes a sample, 1.6 GB at the limit, the sample times 8 bytes a
-# step, and io.save_positions also holds every node's text until the file is
-# written, about 29 bytes a sample, 2.9 GB at the limit.
+# Most samples (nodes × samples per node) one run may hold. A run stores only
+# its legs; the first read of ContinuousTrace.positions allocates 16 bytes a
+# sample, 1.6 GB at the limit, and the sample times 8 bytes a step. Then
+# io.save_positions holds every node's text until the file is written, about
+# 29 bytes a sample, 2.9 GB at the limit.
 MAX_SAMPLES = 10**8
 
 # Samples interpolated at once: the interpolation's temporaries, about 120
@@ -84,26 +86,35 @@ class ContinuousAreaSpec:
 
 @dataclass(frozen=True, eq=False)
 class ContinuousTrace:
-    """Sampled positions of all nodes plus the legs that produced them."""
+    """A continuous run: each node's legs, sampled every ``time_step`` for ``step_count`` steps.
+
+    ``positions`` are sampled from the legs on first access and kept;
+    ``discretize``, ``mean_speeds`` and the ns-2 export read only the legs.
+    """
 
     area: ContinuousAreaSpec
     time_step: float
-    positions: np.ndarray  # (nodes, steps, 2)
+    step_count: int
     legs: tuple[np.ndarray, ...]  # per node, a (legs, 7) leg table
 
     @property
     def node_count(self) -> int:
-        return int(self.positions.shape[0])
-
-    @property
-    def step_count(self) -> int:
-        return int(self.positions.shape[1])
+        return len(self.legs)
 
     @property
     def times(self) -> np.ndarray:
         """Sample k's time, ``k * time_step``; a huge step overflows to ``inf``."""
         with np.errstate(over="ignore"):
             return np.arange(self.step_count) * self.time_step
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Every node's ``(x, y)`` at ``times``, a ``(nodes, steps, 2)`` array."""
+        times = self.times
+        out = np.empty((self.node_count, self.step_count, 2))
+        for legs, node_out in zip(self.legs, out):
+            _sample_legs(legs, times, node_out)
+        return out
 
 
 def _interpolate(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -127,21 +138,17 @@ def _interpolate(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_legs(
-    legs: np.ndarray, times: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Positions on a leg table at ascending ``times``, written to ``out`` if given.
+def _sample_legs(legs: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+    """Write the positions on a leg table at ascending ``times`` to ``out``.
 
     A time at a leg's end belongs to that leg, and times past the last leg
     clamp to it. The times are interpolated ``_BLOCK_SAMPLES`` at a time.
     """
     ends = legs[:, START] + legs[:, DURATION]
-    out = np.empty((len(times), 2)) if out is None else out
     for lo in range(0, len(times), _BLOCK_SAMPLES):
         block = times[lo : lo + _BLOCK_SAMPLES]
         idx = np.searchsorted(ends, block, side="left")
         out[lo : lo + _BLOCK_SAMPLES] = _interpolate(legs[np.minimum(idx, len(legs) - 1)], block)
-    return out
 
 
 def simulate_continuous(
@@ -151,12 +158,13 @@ def simulate_continuous(
     time_step: float,
     seed,
 ) -> ContinuousTrace:
-    """Simulate ``node_count`` independent walkers for ``duration`` time units.
+    """Draw the legs of ``node_count`` independent walkers for ``duration`` time units.
 
-    Sampling happens at 0, dt, 2*dt, ... up to and including the last multiple
-    of dt that is <= duration. Waypoints (and the initial position) are
-    uniform over the rectangle; each trip's speed is uniform over the
-    configured range; every arrival is followed by the configured pause.
+    The run samples at 0, dt, 2*dt, ... up to and including the last
+    multiple of dt that is <= duration, once its ``positions`` are read.
+    Waypoints (and the initial position) are uniform over the rectangle;
+    each trip's speed is uniform over the configured range; every arrival
+    is followed by the configured pause.
     Runs of more than ``MAX_SAMPLES`` samples in all are refused with
     :class:`ConfigurationError` before anything is allocated, and runs that
     build more than ``MAX_LEGS`` legs in all as soon as they pass the limit.
@@ -175,12 +183,9 @@ def simulate_continuous(
             f"{node_count} node(s) x {ratio + 1:.6g} samples each exceeds the "
             f"limit of {MAX_SAMPLES} samples per run"
         )
-    steps = math.floor(ratio) + 1
-    times = np.arange(steps) * time_step
-    all_positions = np.empty((node_count, steps, 2))
     all_legs: list[np.ndarray] = []
     built = 0  # legs of the nodes already simulated
-    for node_id, child in enumerate(root.spawn(node_count)):
+    for child in root.spawn(node_count):
         rng = np.random.default_rng(child)
         x = rng.uniform(0.0, area.width)
         y = rng.uniform(0.0, area.height)
@@ -202,12 +207,8 @@ def simulate_continuous(
                     f"{node_count} node(s) exceed the limit of {MAX_LEGS} legs per run"
                 )
         built += len(legs)
-        table = np.array(legs)
-        _sample_legs(table, times, all_positions[node_id])
-        all_legs.append(table)
-    return ContinuousTrace(
-        area=area, time_step=time_step, positions=all_positions, legs=tuple(all_legs)
-    )
+        all_legs.append(np.array(legs))
+    return ContinuousTrace(area, time_step, math.floor(ratio) + 1, tuple(all_legs))
 
 
 def mean_speeds(trace: ContinuousTrace) -> tuple[float, float]:
@@ -336,7 +337,8 @@ def traffic_proxy(
     In each sampling interval a flow delivers ``bitrate * dt`` when sender
     and receiver are within ``reach`` (finite, >= 0) of each other, and
     nothing otherwise (no queueing, no relaying). ``bitrate`` (finite,
-    >= 0) may be a per-step array — e.g. a ramp — or a single flat number.
+    >= 0) may be a per-step array — e.g. a ramp — or a single flat number;
+    an array of any other shape is refused.
     """
     if not flows:
         raise ConfigurationError("traffic proxy needs at least one flow")
@@ -346,7 +348,12 @@ def traffic_proxy(
         if a == b:
             raise ConfigurationError(f"flow ({a}, {b}) sends to itself")
     steps = trace.step_count
-    rate = np.broadcast_to(np.asarray(bitrate, dtype=np.float64), (steps,))
+    rate = np.asarray(bitrate, dtype=np.float64)
+    if rate.ndim and rate.shape != (steps,):
+        raise ConfigurationError(
+            f"bitrate must be one number or one value per step ({steps}), got shape {rate.shape}"
+        )
+    rate = np.broadcast_to(rate, (steps,))
     if not (np.isfinite(rate) & (rate >= 0)).all():
         raise ConfigurationError("bitrate must be finite and >= 0")
     if not (math.isfinite(reach) and reach >= 0):

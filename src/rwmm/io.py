@@ -346,15 +346,13 @@ def save_positions(
 
     Rows are filled from one ``,time,%.9g,%.9g`` template per step, shared
     by every node, with the node's positions; the times are the trace's
-    ``k * time_step``. A trace with no samples, with positions not shaped
-    ``(nodes, steps, 2)``, with a time step that is not finite and
-    positive, or with a non-finite time or position, is refused with
-    ``ValueError`` before the file is opened, since the loader could not
-    read it back.
+    ``k * time_step``. A trace with no samples, with a time step that is
+    not finite and positive, or with a non-finite time or position, is
+    refused with ``ValueError`` before the file is opened, since the loader
+    could not read it back. The positions are sampled from the legs only
+    once the time step and the times have passed.
     """
-    if trace.positions.ndim != 3 or trace.positions.shape[2] != 2:
-        raise ValueError(f"positions of shape {trace.positions.shape} are not (nodes, steps, 2)")
-    if trace.positions.size == 0:
+    if not trace.node_count * trace.step_count:
         raise ValueError("cannot write an empty position trace")
     if not 0 < trace.time_step < math.inf:
         raise ValueError(f"time step must be finite and > 0, got {trace.time_step}")
@@ -468,15 +466,7 @@ def parse_ns2(text: str) -> Ns2Script:
             continue
         m = _NS2_MOVE.match(line)
         if m:
-            moves.append(
-                (
-                    float(m.group(1)),
-                    int(m.group(2)),
-                    float(m.group(3)),
-                    float(m.group(4)),
-                    float(m.group(5)),
-                )
-            )
+            moves.append((float(m.group(1)), int(m.group(2)), *map(float, m.group(3, 4, 5))))
             continue
         raise ConfigurationError(f"unrecognized movement line {lineno}: {raw!r}")
     positions = {

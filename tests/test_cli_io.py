@@ -16,7 +16,16 @@ from hypothesis.extra.numpy import arrays
 from rwmm import continuous
 from rwmm.cli import main
 from rwmm.config import load_continuous_config, load_discrete_config
-from rwmm.continuous import ContinuousAreaSpec, ContinuousTrace, simulate_continuous
+from rwmm.continuous import (
+    START,
+    X0,
+    X1,
+    Y0,
+    Y1,
+    ContinuousAreaSpec,
+    ContinuousTrace,
+    simulate_continuous,
+)
 from rwmm.errors import ConfigurationError, VerificationError
 from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
@@ -43,6 +52,20 @@ def position_columns(draw):
         draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         draw(arrays(np.float64, (nodes, steps, 2), elements=finite)),
     )
+
+
+def held_trace(time_step: float, positions: np.ndarray) -> ContinuousTrace:
+    """A trace at ``positions``: each node holds still at each sample time.
+
+    Every sample is one zero-duration leg at its time, and sampling gives
+    such a leg's point exactly.
+    """
+    nodes, steps, _ = positions.shape
+    area = ContinuousAreaSpec(1, 1, 1, 1)
+    legs = np.zeros((nodes, steps, 7))
+    legs[..., START] = ContinuousTrace(area, time_step, steps, ()).times
+    legs[..., [X0, Y0]] = legs[..., [X1, Y1]] = positions
+    return ContinuousTrace(area, time_step, steps, tuple(legs))
 
 
 def printed(values: np.ndarray) -> np.ndarray:
@@ -112,6 +135,8 @@ time_step = 0.5
 nodes = 3
 pause_time = 2
 """
+# sha256 of its ns-2 script at seed 11
+PINNED_NS2_SHA256 = "97c632dbec694b6c516b57655a442fa765544393326c69dbf9beee27cf73587d"
 
 
 class TestConfigParsing:
@@ -499,8 +524,9 @@ class TestTraceFiles:
         # up to 12 nodes, so node ids reach two digits; any finite float, with
         # the pinned positions and times 2e-05 and 1e9 in %.9g's exponent form
         time_step, positions = columns
-        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, positions, ())
+        trace = held_trace(time_step, positions)
         assume(np.isfinite(trace.times).all())  # else refused, as the next test checks
+        assert trace.positions.tobytes() == positions.tobytes()
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "c.trace"
             save_positions(path, trace)
@@ -521,7 +547,7 @@ class TestTraceFiles:
         # writes is on the loader's time grid; it refuses only times that
         # overflow to inf
         time_step, positions = columns
-        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, positions, ())
+        trace = held_trace(time_step, positions)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "c.trace"
             if not np.isfinite(trace.times).all():
@@ -774,34 +800,14 @@ class TestTraceFiles:
             save_positions(path, replace(trace, time_step=time_step))
         assert not path.exists()
 
-    @pytest.mark.parametrize(
-        "nodes, steps", [(slice(0), slice(None)), (slice(None), slice(0))], ids=["nodes", "steps"]
-    )
-    def test_positions_writer_refuses_empty_trace(self, tmp_path, nodes, steps):
+    @pytest.mark.parametrize("empty", [{"legs": ()}, {"step_count": 0}], ids=["nodes", "steps"])
+    def test_positions_writer_refuses_empty_trace(self, tmp_path, empty):
         from dataclasses import replace
 
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
-        empty = replace(trace, positions=trace.positions[nodes, steps])
         path = tmp_path / "c.trace"
         with pytest.raises(ValueError, match="cannot write an empty position trace"):
-            save_positions(path, empty)
-        assert not path.exists()
-
-    @pytest.mark.parametrize(
-        "cut",
-        [
-            lambda p: p[..., :1],  # x only
-            lambda p: p[:, :, 0],  # no coordinate axis
-        ],
-        ids=["one-coordinate", "two-dimensional"],
-    )
-    def test_positions_writer_refuses_misshapen_positions(self, tmp_path, cut):
-        from dataclasses import replace
-
-        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
-        path = tmp_path / "c.trace"
-        with pytest.raises(ValueError, match=r"are not \(nodes, steps, 2\)"):
-            save_positions(path, replace(trace, positions=cut(trace.positions)))
+            save_positions(path, replace(trace, **empty))
         assert not path.exists()
 
     @pytest.mark.parametrize("column", [0, 1, 2])  # node id, time, x
@@ -1075,9 +1081,21 @@ class TestCli:
         assert sha256(positions.read_bytes()).hexdigest() == (
             "400b83be15e72893defed9d8481dfeddbb57f5b619a331355f56ad7882eb2490"
         )
-        assert sha256(script.read_bytes()).hexdigest() == (
-            "97c632dbec694b6c516b57655a442fa765544393326c69dbf9beee27cf73587d"
-        )
+        assert sha256(script.read_bytes()).hexdigest() == PINNED_NS2_SHA256
+
+    def test_export_samples_no_positions(self, tmp_path, monkeypatch):
+        # an ns-2 script is the legs, so export never samples them
+        def refuse(*args):
+            raise AssertionError("export sampled positions")
+
+        monkeypatch.setattr(continuous, "_sample_legs", refuse)
+        cfg = tmp_path / "pinned.cfg"
+        cfg.write_text(PINNED_CFG)
+        script = tmp_path / "m.tcl"
+        assert main(
+            ["export", "--config", str(cfg), "--seed", "11", "--format", "ns2", "--out", str(script)]
+        ) == 0
+        assert sha256(script.read_bytes()).hexdigest() == PINNED_NS2_SHA256
 
     @pytest.mark.parametrize(
         "config, digest",

@@ -44,15 +44,18 @@ def table(*rows):
 
 
 def build_trace(area, legs_per_node, time_step=1.0, steps=None):
-    """Assemble a ContinuousTrace from explicit leg tables (positions resampled)."""
+    """Assemble a ContinuousTrace from explicit leg tables."""
     duration = max((legs[:, START] + legs[:, DURATION]).max() for legs in legs_per_node)
     if steps is None:
         steps = int(math.floor(duration / time_step)) + 1
-    times = np.arange(steps) * time_step
-    positions = np.stack([sample_legs_per_step(legs, times) for legs in legs_per_node])
-    return ContinuousTrace(
-        area=area, time_step=time_step, positions=positions, legs=tuple(legs_per_node)
-    )
+    return ContinuousTrace(area, time_step, steps, tuple(legs_per_node))
+
+
+def sampled(legs, times):
+    """The positions ``_sample_legs`` writes for a leg table at ``times``."""
+    out = np.empty((len(times), 2))
+    _sample_legs(legs, times, out)
+    return out
 
 
 class TestAreaSpec:
@@ -86,13 +89,13 @@ class TestLeg:
 
     def test_position_interpolates(self):
         leg = table((1.0, 2.0, 0, 0, 4, 2, 2.5))
-        positions = _sample_legs(leg, np.array([1.0, 2.0, 3.0, 99.0])).tolist()
+        positions = sampled(leg, np.array([1.0, 2.0, 3.0, 99.0])).tolist()
         assert positions[:3] == [[0, 0], [2, 1], [4, 2]]
         assert positions[3] == [4, 2]  # clamped
 
     def test_zero_duration(self):
         leg = table((0, 0, 1, 1, 1, 1, 0))
-        assert _sample_legs(leg, np.array([0.0])).tolist() == [[1, 1]]
+        assert sampled(leg, np.array([0.0])).tolist() == [[1, 1]]
 
 
 class TestSimulate:
@@ -191,14 +194,15 @@ class TestSimulate:
             simulate_continuous(area, 3, 500.0, 100.0, seed=4)
 
     def test_sampling_memory_is_bounded_per_sample(self):
-        # the positions take 16 bytes a sample and the times 8; the
-        # interpolation's temporaries live one block at a time (all at once
-        # they took about 114 bytes a sample)
+        # the positions, sampled on first access, take 16 bytes a sample and
+        # the times 8; the interpolation's temporaries live one block at a
+        # time (all at once they took about 114 bytes a sample)
         samples = 2 * 10**6
         area = ContinuousAreaSpec(1000, 1000, min_speed=1, max_speed=2)
         tracemalloc.start()
         try:
             trace = simulate_continuous(area, 1, samples - 1, 1.0, seed=1)
+            assert trace.positions.shape == (1, samples, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -241,7 +245,7 @@ class TestSampleLegs:
         times = np.array(times, dtype=float)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. a divide by a zero duration
-            got = _sample_legs(legs, times)
+            got = sampled(legs, times)
         assert np.array_equal(got, sample_legs_per_step(legs, times))
         return got.tolist()
 
@@ -483,6 +487,14 @@ class TestTrafficProxy:
         # NaN would deliver nothing with no error, and inf would give a NaN ratio
         with pytest.raises(ConfigurationError, match="bitrate must be finite"):
             traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=bitrate, reach=2.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 11)], ids=["short", "per-node"])
+    def test_bitrate_not_one_per_step_rejected(self, shape):
+        # numpy would raise a bare "could not be broadcast" ValueError
+        trace = simulate_continuous(self.AREA, 2, 10.0, 1.0, seed=0)
+        assert trace.step_count == 11
+        with pytest.raises(ConfigurationError, match=r"one value per step \(11\)"):
+            traffic_proxy(trace, flows=[(0, 1)], bitrate=np.ones(shape), reach=2.0)
 
     def test_zero_reach_needs_coincident_nodes(self):
         report = traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=4.0, reach=0.0)

@@ -2,10 +2,12 @@
 
 No module of the package imports a name it never uses, no module but
 ``geometry`` does cell-id arithmetic with a grid's width, and every function
-that ``perfbench/layers.py`` names in a ``Target(module, "attr")`` still
-exists, so deleting API cannot silently break a traced benchmark run, and a
-tiny continuous run traced through those targets counts the legs it built,
-so a change of representation cannot break the benchmark's hooks. Every
+that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
+``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
+``alphabet.<name>`` either reads still exists, so deleting API cannot
+silently turn benchmark steps into failed operations, and a tiny continuous
+run traced through those targets counts the legs it built, so a change of
+representation cannot break the benchmark's hooks. Every
 name in ``rwmm.__all__`` resolves, the README's python quick start runs,
 every ``rwmm`` command in the README's code blocks parses, and each README
 config loads and sets every key of its config class, so the documented API,
@@ -32,6 +34,7 @@ from rwmm.config import (
     load_discrete_config,
 )
 from rwmm.continuous import simulate_continuous
+from rwmm.geometry import GridSpec, build_alphabet
 
 ROOT = FilePath(__file__).parents[1]
 PACKAGE = sorted((ROOT / "src" / "rwmm").glob("*.py"))
@@ -103,8 +106,28 @@ def test_cell_layout_is_stated_once():
     assert sites == []
 
 
+def _rwmm_modules(tree: ast.Module) -> dict[str, str]:
+    """Each name that a ``from rwmm import`` binds, with the module it names."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rwmm"
+        for alias in node.names
+    }
+
+
+def _attribute_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """``(name, attr)`` for each ``name.attr`` in the tree."""
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+
+
 def test_benchmark_targets_resolve():
     tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    workload = ast.parse((ROOT / "perfbench" / "workload.py").read_text())
     targets = [
         (node.args[0].id, node.args[1].value)
         for node in ast.walk(tree)
@@ -118,6 +141,19 @@ def test_benchmark_targets_resolve():
         for module, attr in targets
         if not callable(getattr(importlib.import_module(f"rwmm.{module}"), attr, None))
     ]
+    modules = _rwmm_modules(workload)
+    reads = _attribute_reads(workload)
+    read = {(modules[name], attr) for name, attr in reads if name in modules}
+    assert {("io", "parse_ns2"), ("cli", "main")} <= read
+    missing += [
+        f"{module}.{attr}"
+        for module, attr in read
+        if not hasattr(importlib.import_module(f"rwmm.{module}"), attr)
+    ]
+    alphabet = build_alphabet(GridSpec(2, 2), [1])
+    names = {attr for name, attr in reads | _attribute_reads(tree) if name == "alphabet"}
+    assert {"all_paths", "family_id_set", "max_path_length"} <= names
+    missing += [f"PathAlphabet.{name}" for name in names if not hasattr(alphabet, name)]
     assert missing == []
 
 
