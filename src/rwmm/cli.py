@@ -22,13 +22,8 @@ from . import analysis, io
 from .config import load_continuous_config, load_discrete_config
 from .continuous import simulate_continuous
 from .errors import CapacityError, ConfigurationError, VerificationError
-from .geometry import build_alphabet
-from .processes import (
-    channel_total_mass,
-    check_channel_stationarity,
-    check_output_mixing,
-    uniform_prefix,
-)
+from .geometry import Cell, build_alphabet
+from .processes import channel_total_mass, check_channel_stationarity, check_output_mixing
 from .simulate import simulate_joint
 
 EXIT_OK = 0
@@ -82,7 +77,10 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
     prefix_len = max(horizon + 2, 6)
     failures = 0
     for k in range(args.prefixes):
-        prefix = uniform_prefix(grid, prefix_len, rng)
+        # the draw of processes.uniform_prefix, kept as ids for the events below
+        ids = rng.integers(0, grid.size, size=prefix_len)
+        x, y = grid.xy(ids)
+        prefix = tuple(map(Cell, x.tolist(), y.tolist()))
         gap = check_channel_stationarity(alphabet, prefix, horizon)
         mass = channel_total_mass(alphabet, prefix, horizon)
         ok = gap == 0 and mass == 1
@@ -94,7 +92,6 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
             failures += 1
         # decoupling at and beyond the second event's span, with the first
         # path of each family: first[i] is the first id of prefix[i] -> prefix[i+1]
-        ids = np.array([grid.cell_id(cell) for cell in prefix])
         first = alphabet.family_ranges(ids[:-1], ids[1:])[0].tolist()
         event_b = first[:2]
         span = len(event_b)

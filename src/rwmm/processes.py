@@ -232,47 +232,50 @@ def _waypoint_ids_prob(spec: WaypointProcessSpec, start: int, ids: Sequence[int]
     return prob
 
 
-def _family(alphabet: PathAlphabet, w_from: Cell, w_to: Cell) -> range:
-    """The path ids of the family of one waypoint pair.
+def _families(alphabet: PathAlphabet, waypoints: Sequence[Cell], pairs: int) -> list[range]:
+    """The path family of each of the first ``pairs`` waypoint pairs, as id ranges.
 
-    Ids are ``source * M + member``, so two waypoint pairs' families are
-    disjoint id ranges.
+    The prefix becomes cell ids once and one
+    :meth:`~rwmm.geometry.PathAlphabet.family_ranges` call reads every
+    family. Ids are ``source * M + member``, so the families of two
+    different waypoint pairs are disjoint id ranges. Raises ``ValueError``
+    when the prefix has fewer than ``pairs + 1`` waypoints, and, as
+    :meth:`~rwmm.geometry.GridSpec.cell_id` does, for a waypoint outside
+    the grid.
     """
+    if len(waypoints) < pairs + 1:
+        raise ValueError(f"need at least {pairs + 1} waypoints, got {len(waypoints)}")
     grid = alphabet.grid
-    first, size = alphabet.family_ranges(grid.cell_id(w_from), grid.cell_id(w_to))
-    return range(int(first), int(first + size))
-
-
-def _channel_factor(alphabet: PathAlphabet, family: range, path_id: int) -> Fraction:
-    """Channel probability of ``path_id`` on a coordinate drawn from ``family``."""
-    if path_id in family:
-        return Fraction(1, len(family))
-    alphabet.endpoints([path_id])  # raises for an id that names no path
-    return Fraction(0)
+    waypoints = waypoints[: pairs + 1]
+    outside = next((cell for cell in waypoints if not grid.contains(cell)), None)
+    if outside is not None:
+        grid.cell_id(outside)  # raises, naming the cell
+    ids = grid.ids(
+        np.array([cell.x for cell in waypoints], dtype=np.int64),
+        np.array([cell.y for cell in waypoints], dtype=np.int64),
+    )
+    first, sizes = alphabet.family_ranges(ids[:-1], ids[1:])
+    return [range(f, f + size) for f, size in zip(first.tolist(), sizes.tolist())]
 
 
 def _constrained_channel_prob(
     alphabet: PathAlphabet,
-    waypoints: Sequence[Cell],
+    families: Sequence[range],
     constraints: dict[int, int],
 ) -> Fraction:
     """Channel probability of an event fixing path symbols at given indices.
 
-    The channel draws each path coordinate independently and uniformly from
-    the family of its waypoint pair, so the event probability is the product
-    of per-index factors; unconstrained indices contribute 1.
+    The channel draws path coordinate i independently and uniformly from
+    ``families[i]`` (:func:`_families`), so the event probability is the
+    product of ``1 / |families[i]|`` over the constrained indices, and 0
+    when a fixed path lies outside its family. Only such a path id is
+    validated.
     """
-    prob = Fraction(1)
     for index, path_id in sorted(constraints.items()):
-        if index + 1 >= len(waypoints):
-            raise ValueError(
-                f"waypoint prefix of length {len(waypoints)} too short for path index {index}"
-            )
-        family = _family(alphabet, waypoints[index], waypoints[index + 1])
-        prob *= _channel_factor(alphabet, family, path_id)
-        if not prob:
+        if path_id not in families[index]:
+            alphabet.endpoints([path_id])  # raises for an id that names no path
             return Fraction(0)
-    return prob
+    return Fraction(1, math.prod(len(families[index]) for index in constraints))
 
 
 def channel_cylinder_prob(
@@ -287,8 +290,9 @@ def channel_cylinder_prob(
     family, and exactly 0 otherwise. The waypoint prefix must cover index
     ``event.end + 1``.
     """
+    families = _families(alphabet, waypoints, event.end + 1)
     constraints = {event.start + k: pid for k, pid in enumerate(event.symbols)}
-    return _constrained_channel_prob(alphabet, waypoints, constraints)
+    return _constrained_channel_prob(alphabet, families, constraints)
 
 
 def _stationarity_gap(pairs: Sequence[tuple[range, range]]) -> Fraction:
@@ -296,7 +300,7 @@ def _stationarity_gap(pairs: Sequence[tuple[range, range]]) -> Fraction:
 
     ``pairs[i] = (A_i, B_i)`` are two families, with ``a_i = 1/|A_i|`` on
     ``A_i`` and 0 off it (``b_i`` alike). Two families are equal or disjoint
-    id ranges (:func:`_family`). If every ``A_i`` is ``B_i`` the measures
+    id ranges (:func:`_families`). If every ``A_i`` is ``B_i`` the measures
     agree and the gap is 0. Otherwise every tuple inside all ``A_i`` lies
     outside some ``B_i`` and gives ``prod 1/|A_i|``, B alike, and the gap is
     the larger of the two.
@@ -323,14 +327,10 @@ def check_channel_stationarity(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if len(waypoints) < horizon + 2:
-        raise ValueError(f"need at least {horizon + 2} waypoints, got {len(waypoints)}")
-    shifted = waypoints[1:]
-    pairs = [
-        (_family(alphabet, *shifted[i : i + 2]), _family(alphabet, *waypoints[i + 1 : i + 3]))
-        for i in range(horizon)
-    ]
-    return _stationarity_gap(pairs)
+    # coordinate i of the shifted input waypoints[1:] reads pair i + 1, as
+    # does coordinate i + 1 of the original, which the shift preimage fixes
+    families = _families(alphabet, waypoints, horizon + 1)[1:]
+    return _stationarity_gap([(family, family) for family in families])
 
 
 class MixingCheck(NamedTuple):
@@ -359,12 +359,13 @@ def check_output_mixing(
         raise ValueError(f"shift must be >= 0, got {shift}")
     a = {shift + i: pid for i, pid in enumerate(event_a)}
     b = dict(enumerate(event_b))
+    families = _families(alphabet, waypoints, max([*a, *b], default=-1) + 1)
     if any(b.get(i, pid) != pid for i, pid in a.items()):
         joint = Fraction(0)
     else:
-        joint = _constrained_channel_prob(alphabet, waypoints, {**b, **a})
-    split = _constrained_channel_prob(alphabet, waypoints, a) * _constrained_channel_prob(
-        alphabet, waypoints, b
+        joint = _constrained_channel_prob(alphabet, families, {**b, **a})
+    split = _constrained_channel_prob(alphabet, families, a) * _constrained_channel_prob(
+        alphabet, families, b
     )
     return MixingCheck(discrepancy=abs(joint - split), premise_met=shift >= len(event_b))
 
@@ -377,17 +378,15 @@ def channel_total_mass(
     """Sum of the channel measure over all admissible length-``horizon`` cylinders.
 
     The coordinates are independent, so the sum is the product over
-    coordinates of the summed factors of each family: O(horizon × family
-    size), nothing enumerated. A correctly normalized channel returns 1.
+    coordinates of each family's summed factors: ``|F|`` members of
+    probability ``1/|F|``. O(horizon), nothing enumerated. A correctly
+    normalized channel returns 1.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if len(waypoints) < horizon + 1:
-        raise ValueError(f"need at least {horizon + 1} waypoints, got {len(waypoints)}")
     total = Fraction(1)
-    for w_from, w_to in zip(waypoints[:horizon], waypoints[1 : horizon + 1]):
-        family = _family(alphabet, w_from, w_to)
-        total *= sum((_channel_factor(alphabet, family, pid) for pid in family), Fraction(0))
+    for family in _families(alphabet, waypoints, horizon):
+        total *= len(family) * Fraction(1, len(family))
     return total
 
 

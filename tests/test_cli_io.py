@@ -944,8 +944,8 @@ class TestCli:
 
     @pytest.mark.parametrize("horizon", ["2", "3"])
     def test_verify_channel_output_pinned(self, tmp_path, capsys, horizon):
-        # digest of the output of the enumerating checks; both horizons draw
-        # the same six-waypoint prefixes and print the same lines
+        # digest of the output of the per-coordinate closed-form checks; both
+        # horizons draw the same six-waypoint prefixes and print the same lines
         cfg = tmp_path / "walk.cfg"
         cfg.write_text(WALK_CFG)
         argv = ["verify-channel", "--config", str(cfg), "--seed", "7", "--horizon", horizon]

@@ -8,9 +8,11 @@ disjoint family ranges where the gap is nonzero, and the stationarity check
 against a full enumeration of the path-symbol space on an instance small
 enough to brute-force. The closed-form path-cylinder probability is checked
 against ``oracles.marginal_path_prob``, which sums the channel over every
-waypoint prefix.
+waypoint prefix. Each channel function, and ``verify-channel``, is held to a
+fixed number of family lookups whatever its horizon.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -20,8 +22,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from rwmm.cli import main
 from rwmm.errors import ConfigurationError
-from rwmm.geometry import Cell, GridSpec, build_alphabet
+from rwmm.geometry import Cell, GridSpec, PathAlphabet, build_alphabet
 from rwmm.processes import (
     CylinderEvent,
     WaypointProcessSpec,
@@ -370,6 +373,73 @@ class TestOutputMixing:
         # events disagree at index 1 -> joint is 0, product is positive
         check = check_output_mixing(alpha, w, [ds[0]], [sd[0], ds[1]], shift=1)
         assert check.discrepancy == Fraction(1, 2) * Fraction(1, 4)
+
+
+class TestChannelPrefixes:
+    """Each channel function reads its waypoint prefix's families in one lookup."""
+
+    @staticmethod
+    def calls(alpha, w, first, horizon):
+        """Each public channel function on the prefix ``w``, its events ``horizon`` paths long.
+
+        The events fix ``first[i]`` at path index i.
+        """
+        return [
+            lambda: channel_cylinder_prob(alpha, w, CylinderEvent(0, tuple(first[:horizon]))),
+            lambda: check_channel_stationarity(alpha, w, horizon),
+            lambda: check_output_mixing(
+                alpha, w, first[horizon : 2 * horizon], first[:horizon], horizon
+            ),
+            lambda: channel_total_mass(alpha, w, horizon),
+        ]
+
+    @pytest.mark.parametrize("horizon", [1, 50])
+    def test_one_family_lookup_at_any_horizon(self, tmp_path, monkeypatch, capsys, horizon):
+        grid = GridSpec(3, 3)
+        alpha = build_alphabet(grid, (Fraction(1), Fraction(2)))
+        w = uniform_prefix(grid, 2 * horizon + 2, np.random.default_rng(8))
+        ids = np.array([grid.cell_id(cell) for cell in w])
+        first = alpha.family_ranges(ids[:-1], ids[1:])[0].tolist()
+        lookups = []
+        family_ranges = PathAlphabet.family_ranges
+
+        def counted(self, sources, dests):
+            lookups.append(sources)
+            return family_ranges(self, sources, dests)
+
+        monkeypatch.setattr(PathAlphabet, "family_ranges", counted)
+        results, counts = [], []
+        for call in self.calls(alpha, w, first, horizon):
+            lookups.clear()
+            results.append(call())
+            counts.append(len(lookups))
+        assert counts == [1, 1, 1, 1]
+        assert results[0] > 0
+        assert results[1:] == [0, (0, True), 1]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "grid_width = 3\ngrid_height = 3\nspeeds = 1, 2\nhorizon = 10\nnodes = 1\n"
+            "waypoints = iid-uniform\n"
+        )
+        lookups.clear()
+        argv = ["verify-channel", "--config", str(cfg), "--horizon", str(horizon)]
+        assert main(argv + ["--prefixes", "4"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        # per prefix: stationarity, mass, three decoupling shifts and the
+        # command's own first path of each family
+        assert len(lookups) == 4 * 6
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_waypoint_outside_grid_is_named(self, row_three, index):
+        grid, alpha = row_three
+        w = [Cell(0, 0), Cell(0, 1), Cell(0, 2), Cell(0, 1), Cell(0, 0)]
+        w[index] = Cell(0, 3)
+        with pytest.raises(ValueError) as refused:
+            grid.cell_id(w[index])
+        assert str(Cell(0, 3)) in str(refused.value)
+        for call in self.calls(alpha, w, [0] * 4, 2):
+            with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+                call()
 
 
 class TestPathProcess:

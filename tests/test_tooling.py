@@ -6,9 +6,9 @@ that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
 ``alphabet.<name>`` either reads still exists, so deleting API cannot
 silently turn benchmark steps into failed operations, and a tiny continuous
-run traced through those targets counts the legs it built, so a change of
-representation cannot break the benchmark's hooks. Every
-name in ``rwmm.__all__`` resolves, the README's python quick start runs,
+run and a ``verify-channel`` run traced through those targets count the legs
+and the cylinders they handled, so a change of representation cannot break
+the benchmark's hooks. Every name in ``rwmm.__all__`` resolves, the README's python quick start runs,
 every ``rwmm`` command in the README's code blocks parses, and each README
 config loads and sets every key of its config class, so the documented API,
 CLI and configs cannot drift from the code. The checks read the files and
@@ -179,6 +179,23 @@ def test_traced_continuous_run_counts_legs(tmp_path, monkeypatch):
     assert metrics["continuous.simulate_continuous.legs"]["value"] == 2 * sum(map(len, trace.legs))
     assert metrics["continuous.simulate_continuous.samples"]["value"] == 2 * 2 * 61
     assert metrics["io.export_ns2.bytes"]["value"] == (tmp_path / "m.tcl").stat().st_size
+
+
+def test_traced_verify_channel_counts_cylinders(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    workload = importlib.import_module("workload")
+    config = tmp_path / "walk.cfg"
+    config.write_text(workload.WORKLOADS["walk-exact"].config)
+    argv = ["verify-channel", "--config", str(config), "--seed", "7", "--horizon", "3"]
+    tracer = layers.tracer()
+    with tracer.active("run"):
+        assert cli.main(argv + ["--prefixes", "5"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    metrics = layers.per_layer_metrics(tracer)
+    # the hooks read the prefixes that the checks were given
+    assert metrics["processes.check_channel_stationarity.cylinders"]["value"] > 0
+    assert metrics["processes.channel_total_mass.cylinders"]["value"] > 0
 
 
 def test_public_names_resolve():
