@@ -33,7 +33,8 @@ _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 # its legs; the first read of ContinuousTrace.positions allocates 16 bytes a
 # sample, 1.6 GB at the limit, and the sample times 8 bytes a step. Then
 # io.save_positions holds every node's text until the file is written, about
-# 29 bytes a sample, 2.9 GB at the limit.
+# 30 bytes a sample, 3 GB at the limit; its traced peak, with the times and a
+# few MB of block temporaries, was 36 to 44 bytes a sample.
 MAX_SAMPLES = 10**8
 
 # Samples interpolated at once: the interpolation's temporaries, about 120
@@ -42,9 +43,13 @@ _BLOCK_SAMPLES = 2**16
 
 # Most legs (over all nodes) one run may build, however few its samples. A
 # built leg is one 56-byte table row, 280 MB at the limit; the node being
-# simulated also holds its legs as tuples, about 220 bytes a leg, until its
-# table is built, so a one-node run peaks near 1.4 GB at the limit.
+# drawn also holds its legs as block tables until they are joined, so a
+# one-node run's traced peak is 113 bytes a leg, about 570 MB at the limit.
 MAX_LEGS = 5 * 10**6
+
+# Trips drawn at once for a node: at most one block's legs, about 115 KB, are
+# drawn past a node's last leg or past MAX_LEGS.
+_BLOCK_TRIPS = 2**10
 
 # The columns of a leg table.
 START, DURATION, X0, Y0, X1, Y1, SPEED = range(7)
@@ -167,7 +172,8 @@ def simulate_continuous(
     is followed by the configured pause.
     Runs of more than ``MAX_SAMPLES`` samples in all are refused with
     :class:`ConfigurationError` before anything is allocated, and runs that
-    build more than ``MAX_LEGS`` legs in all as soon as they pass the limit.
+    build more than ``MAX_LEGS`` legs in all once the block of trips that
+    passes the limit is drawn.
     """
     if node_count < 1:
         raise ConfigurationError(f"node count must be >= 1, got {node_count}")
@@ -186,29 +192,64 @@ def simulate_continuous(
     all_legs: list[np.ndarray] = []
     built = 0  # legs of the nodes already simulated
     for child in root.spawn(node_count):
-        rng = np.random.default_rng(child)
-        x = rng.uniform(0.0, area.width)
-        y = rng.uniform(0.0, area.height)
-        clock = 0.0
-        legs: list[tuple[float, ...]] = []  # rows of the leg table
-        while clock <= duration:
-            nx = rng.uniform(0.0, area.width)
-            ny = rng.uniform(0.0, area.height)
-            speed = rng.uniform(area.min_speed, area.max_speed)
-            travel = math.hypot(nx - x, ny - y) / speed
-            legs.append((clock, travel, x, y, nx, ny, speed))
-            clock += travel
-            if area.pause_time > 0 and clock <= duration:
-                legs.append((clock, area.pause_time, nx, ny, nx, ny, 0.0))
-                clock += area.pause_time
-            x, y = nx, ny
-            if built + len(legs) > MAX_LEGS:
-                raise ConfigurationError(
-                    f"{node_count} node(s) exceed the limit of {MAX_LEGS} legs per run"
-                )
+        legs = _draw_legs(np.random.default_rng(child), area, duration, MAX_LEGS - built)
+        if legs is None:
+            raise ConfigurationError(
+                f"{node_count} node(s) exceed the limit of {MAX_LEGS} legs per run"
+            )
         built += len(legs)
-        all_legs.append(np.array(legs))
+        all_legs.append(legs)
     return ContinuousTrace(area, time_step, math.floor(ratio) + 1, tuple(all_legs))
+
+
+def _draw_legs(
+    rng: np.random.Generator, area: ContinuousAreaSpec, duration: float, budget: int
+) -> np.ndarray | None:
+    """One node's leg table, up to and including the first leg that ends past ``duration``.
+
+    The start point is drawn first, then each trip's waypoint and speed,
+    ``_BLOCK_TRIPS`` trips at a time: one ``uniform`` call of shape
+    ``(trips, 3)`` yields the stream that three scalar calls a trip would.
+    A travel time is ``math.hypot`` of the displacement over the speed,
+    and every arrival is followed by the pause, if any. Leg starts are a
+    running sum from 0, added in leg order. Trips drawn past the last leg
+    are dropped. Returns ``None`` as soon as the table passes ``budget``
+    legs.
+    """
+    low = (0.0, 0.0, area.min_speed)
+    high = (area.width, area.height, area.max_speed)
+    here = np.array([rng.uniform(0.0, area.width), rng.uniform(0.0, area.height)])
+    per_trip = 2 if area.pause_time > 0 else 1
+    clock, count = 0.0, 0
+    blocks: list[np.ndarray] = []
+    while True:
+        draws = rng.uniform(low, high, size=(_BLOCK_TRIPS, 3))
+        to, speed = draws[:, :2], draws[:, 2]
+        start = np.vstack((here, to[:-1]))
+        trips = np.empty((_BLOCK_TRIPS, per_trip, 7))
+        travel = trips[:, 0]
+        travel[:, DURATION] = list(map(math.hypot, *(to - start).T.tolist()))
+        travel[:, DURATION] /= speed
+        travel[:, _FROM], travel[:, _TO], travel[:, SPEED] = start, to, speed
+        if per_trip == 2:
+            pause = trips[:, 1]
+            pause[:, DURATION] = area.pause_time
+            pause[:, _FROM] = pause[:, _TO] = to
+            pause[:, SPEED] = 0.0
+        legs = trips.reshape(-1, 7)
+        # ends[i + 1] is leg i's end: the clock, then each duration added in turn
+        ends = np.cumsum(np.concatenate(([clock], legs[:, DURATION])))
+        legs[:, START] = ends[:-1]
+        past = np.flatnonzero(ends[1:] > duration)
+        if past.size:
+            legs = legs[: past[0] + 1]
+        count += len(legs)
+        if count > budget:
+            return None
+        blocks.append(legs)
+        if past.size:
+            return np.concatenate(blocks)
+        clock, here = ends[-1], to[-1]
 
 
 def mean_speeds(trace: ContinuousTrace) -> tuple[float, float]:

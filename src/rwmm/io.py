@@ -14,11 +14,11 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from hashlib import sha256
-from itertools import count
+from itertools import chain, count
 from pathlib import Path as FsPath
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,35 +37,139 @@ def _format_float(value: float) -> str:
     return format(float(value), ".9g")
 
 
+@cache
+def _digit_words() -> np.ndarray:
+    """The 4-byte words that ``_value_words`` spells numbers with, as one uint32 table.
+
+    The table holds, in turn, each 4-digit group ``0000`` .. ``9999`` in
+    full (at 0), with its leading zeros NUL (``_LEAD``), with its
+    leading zeros NUL but a lone ``0`` kept (``_LEAD_ZERO``), and with its
+    trailing zeros NUL (``_TRAIL``); then ``,`` NUL NUL and one digit, NUL
+    for 0 (``_COMMA_DIGIT``); then four NUL and NUL NUL NUL ``.``
+    (``_DOT``). The words are built from bytes and only ever copied, never
+    computed with, so they spell the same text on any byte order. The
+    table is built on first use, so a command that writes no positions
+    never builds it, and is read-only, since every caller shares it.
+    """
+    words = np.zeros((_DOT + 2, 4), np.uint8)
+    full, lead, lead_zero, trail = words[:_COMMA_DIGIT].reshape(4, _GROUP, 4)
+    # int16 temporaries of 80 KB each: the table costs little memory to build
+    group = np.arange(_GROUP, dtype=np.int16)[:, None]
+    places = np.array([1000, 100, 10, 1], np.int16)
+    full[:] = group // places % 10 + ord("0")
+    np.copyto(lead, full, where=group >= places)
+    lead_zero[:] = lead
+    lead_zero[0, 3] = ord("0")
+    np.copyto(trail, full, where=group % (10 * places) != 0)
+    comma_digit = words[_COMMA_DIGIT:_DOT]
+    comma_digit[:, 0] = ord(",")
+    comma_digit[1:, 3] = full[1:10, 3]
+    words[_DOT + 1, 3] = ord(".")
+    table = words.view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+# offsets of the groups of _digit_words()
+_GROUP = 10**4
+_LEAD, _LEAD_ZERO, _TRAIL = (k * _GROUP for k in (1, 2, 3))
+_COMMA_DIGIT = 4 * _GROUP
+_DOT = _COMMA_DIGIT + 10
+# indexed by e + 5 for e = floor(log10 v) clamped to [-5, 9]: 10**(8 - e) and
+# 10**(4 + e) for e in [-4, 8], the exponents a value in [1e-4, 1e9) has
+_SCALE = np.array([1.0, *(float(10 ** (8 - e)) for e in range(-4, 9)), 1.0])
+_FRACTION_SCALE = np.array([1.0, *(float(10 ** (4 + e)) for e in range(-4, 9)), 1.0])
+_NEWLINE_WORD = np.frombuffer(b"\0\0\0\n", np.uint32)
+_BLOCK_ROWS = 2**13  # position rows built at once: their words and temporaries take a few MB
+
+
+def _value_words(values: np.ndarray) -> np.ndarray:
+    """Each value as ``,`` and its ``format(v, ".9g")`` text, in 7 NUL-padded words.
+
+    Returns a uint32 array of shape ``(7, *values.shape)``: word ``j`` of
+    every value in row ``j``, so that deleting the NUL bytes of the
+    value-major words leaves the text. A value v in [1e-4, 1e9) has the
+    exponent e = floor(log10 v), and its 9 significant digits are
+    N = rint(v * 10**(8 - e)), since 10**(8 - e) is exact and the product
+    is off by less than 1.2e-7. The digits are split into a whole part
+    of three 4-digit groups, the first of one digit, and a fraction of
+    three, looked up in ``_digit_words()`` with the whole part's leading
+    zeros and the fraction's trailing zeros NUL, and the ``.`` NUL if the
+    fraction is 0. Every other value goes through ``format`` into its 28
+    bytes: 0, negatives, values that print in exponent form, non-finite
+    values, a product within 1e-6 of a .5 tie (where its error could flip
+    the rounding), and an N outside [1e8, 1e9) (where log10 was off by one
+    or the rounding carried into a tenth digit).
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # e + 5, with e clamped to [-5, 9]: fmax takes -5 over the nan of a negative
+        k = np.fmin(np.fmax(np.floor(np.log10(v)), -5), 9).astype(np.intp) + 5
+        scale = _SCALE.take(k)
+        exact = v * scale
+        n = np.rint(exact)
+        fast = np.abs(exact - n) < 0.5 - 1e-6
+        fast &= (n >= 1e8) & (n < 1e9)
+    n[~fast] = 1e8  # any in-range N: these slots are overwritten below
+    # n = whole * scale + part, and the fraction's 12 digits are
+    # part * 10**(12 - (8 - e)); every value below is an integer under 2**53,
+    # and each quotient of two of them is floored exactly. The index rows are
+    # filled in place: built from separate temporaries and np.stack, they
+    # raised the continuous benchmark's peak RSS by 1 to 8 MB in 4 of 14 runs.
+    whole = n / scale
+    np.floor(whole, out=whole)
+    fraction = n - whole * scale
+    fraction *= _FRACTION_SCALE.take(k)
+    index = np.empty((7, v.size))
+    top = np.floor(whole / 1e8)  # the whole part's digit above 1e8
+    np.add(top, _COMMA_DIGIT, out=index[0])
+    low = whole - top * 1e8
+    middle = np.floor(low / _GROUP)
+    np.multiply(top == 0, _LEAD, out=index[1])
+    index[1] += middle
+    np.multiply(whole < _GROUP, _LEAD_ZERO, out=index[2])
+    index[2] += low
+    index[2] -= middle * _GROUP
+    np.add(fraction != 0, _DOT, out=index[3])
+    first = np.floor(fraction / 1e8)
+    rest = fraction - first * 1e8
+    second = np.floor(rest / _GROUP)
+    third = rest - second * _GROUP
+    np.multiply(rest == 0, _TRAIL, out=index[4])
+    index[4] += first
+    np.multiply(third == 0, _TRAIL, out=index[5])
+    index[5] += second
+    np.add(third, _TRAIL, out=index[6])
+    words = _digit_words().take(index.astype(np.intp))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([f",{value:.9g}" for value in v[slow].tolist()], dtype="S28")
+        words[:, slow] = text.view(np.uint32).reshape(-1, 7).T
+    return words.reshape(7, *np.shape(values))
+
+
+def _nonblank(words: np.ndarray) -> np.ndarray:
+    """The rows of ``_value_words`` output that hold a byte other than NUL in some value."""
+    return words[words.reshape(len(words), -1).any(axis=1)]
+
+
 def _write_trace(
-    path: FsPath | str,
-    header: dict[str, str],
-    columns: str,
-    rows: list[str],
-    node_count: int,
-    node_values: Callable[[int], tuple],
+    path: FsPath | str, header: dict[str, str], columns: str, body: Iterable[bytes]
 ) -> None:
     """Write the ``#`` header, ending with the body's digest, then the body.
 
-    The body is the ``columns`` line, then each node's rows: the per-step
-    row templates, shared by every node, joined by the node's id and filled
-    by a single ``%`` with ``node_values(node)``. The parts are hashed and
-    written one by one, so no joined copy of the body is ever built.
+    The body is the ``columns`` line, then the parts of ``body`` in turn.
+    The parts are hashed and written one by one, so no joined copy of the
+    body is ever built.
     """
-    # one string per node, its values made by one call (not a generator, which
-    # would hold the last node's values), so each node's values and row strings
-    # are freed before the next node's are built: that keeps the peak memory down
-    parts = [f"{columns}\n"]
-    for node in range(node_count):
-        head = str(node)
-        parts.append((head + head.join(rows)) % node_values(node))
+    parts = [f"{columns}\n".encode(), *body]
     digest = sha256()
     for part in parts:
-        digest.update(part.encode())
+        digest.update(part)
     lines = [f"# {FORMAT_TAG}", *(f"# {key}: {value}" for key, value in header.items())]
     lines.append(f"# body: {digest.hexdigest()}")
-    with FsPath(path).open("w") as out:
-        out.write("\n".join(lines) + "\n")
+    with FsPath(path).open("wb") as out:
+        out.write(("\n".join(lines) + "\n").encode())
         out.writelines(parts)
 
 
@@ -269,9 +373,10 @@ def save_locations(
 ) -> None:
     """Write a grid location trace (single node or joint) as node,step,x,y rows.
 
-    Rows are filled from one ``,step,%s`` template per step and one ``x,y``
-    label (with its newline) per cell that occurs, both shared by every
-    node. A trace with no samples or with a cell id outside the grid is
+    Each node's rows are the ``,step,%s`` templates, one per step and
+    shared by every node, joined by the node's id, filled by one ``%`` with
+    one ``x,y`` label (with its newline) per cell that occurs, and encoded
+    to bytes. A trace with no samples or with a cell id outside the grid is
     refused with ``ValueError`` before the file is opened, since the loader
     could not read it back.
     """
@@ -300,10 +405,12 @@ def save_locations(
         "config": config_digest or "none",
     }
 
-    def cells(node: int) -> tuple[str, ...]:
-        return tuple(map(labels.__getitem__, joint.ids[node].tolist()))
+    def node_rows(node: int) -> bytes:
+        head = str(node)
+        cells = tuple(map(labels.__getitem__, joint.ids[node].tolist()))
+        return ((head + head.join(rows)) % cells).encode()
 
-    _write_trace(path, header, "node,step,x,y", rows, joint.node_count, cells)
+    _write_trace(path, header, "node,step,x,y", map(node_rows, range(joint.node_count)))
 
 
 def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
@@ -344,13 +451,20 @@ def save_positions(
 ) -> None:
     """Write sampled continuous positions as node,time,x,y rows (%.9g).
 
-    Rows are filled from one ``,time,%.9g,%.9g`` template per step, shared
-    by every node, with the node's positions; the times are the trace's
-    ``k * time_step``. A trace with no samples, with a time step that is
-    not finite and positive, or with a non-finite time or position, is
-    refused with ``ValueError`` before the file is opened, since the loader
-    could not read it back. The positions are sampled from the legs only
-    once the time step and the times have passed.
+    Every number is written as ``format(value, ".9g")`` spells it; the
+    times are the trace's ``k * time_step``. The rows are built as uint32
+    words, a block of steps of every node at once, ``_BLOCK_ROWS`` rows a
+    block (or one step, if there are more nodes): a row is the node's id,
+    the words ``_value_words`` spells each number in (a block's times are
+    spelled once for every node, and a word that is NUL in every row of
+    the block is left out) and a newline. The words are padded with NUL
+    bytes, which one ``bytes.translate`` per node and block deletes; they
+    are built from bytes and only copied, so the text is the same on any
+    byte order. A trace with no samples, with a time step that is not
+    finite and positive, or with a non-finite time or position, is refused
+    with ``ValueError`` before the file is opened, since the loader could
+    not read it back. The positions are sampled from the legs only once the
+    time step and the times have passed.
     """
     if not trace.node_count * trace.step_count:
         raise ValueError("cannot write an empty position trace")
@@ -359,7 +473,6 @@ def save_positions(
     times = trace.times
     if not (np.isfinite(times).all() and np.isfinite(trace.positions).all()):
         raise ValueError("cannot write non-finite times or positions")
-    rows = [f",{_format_float(t)},%.9g,%.9g\n" for t in times.tolist()]
     header = {
         "kind": KIND_POSITIONS,
         "area": f"{_format_float(trace.area.width)}x{_format_float(trace.area.height)}",
@@ -367,11 +480,26 @@ def save_positions(
         "seed": "none" if seed is None else str(seed),
         "config": config_digest or "none",
     }
-
-    def positions(node: int) -> tuple[float, ...]:
-        return tuple(trace.positions[node].ravel().tolist())
-
-    _write_trace(path, header, "node,time,x,y", rows, trace.node_count, positions)
+    nodes = trace.node_count
+    # each node's id, right-aligned in as many words as the longest takes
+    size = -(-len(str(nodes - 1)) // 4) * 4
+    heads = b"".join(str(node).encode().rjust(size, b"\0") for node in range(nodes))
+    heads = np.frombuffer(heads, np.uint32).reshape(nodes, 1, -1)
+    bodies: list[list[bytes]] = [[] for _ in range(nodes)]  # each node's blocks
+    steps = max(1, _BLOCK_ROWS // nodes)  # a block holds these steps of every node
+    for lo in range(0, trace.step_count, steps):
+        stamps = _nonblank(_value_words(times[lo : lo + steps]))
+        words = _value_words(trace.positions[:, lo : lo + steps])
+        xy = [np.moveaxis(_nonblank(words[..., axis]), 0, -1) for axis in (0, 1)]
+        columns = (heads, stamps.T, *xy, _NEWLINE_WORD)  # each broadcast to (nodes, steps, n)
+        rows = np.empty((nodes, stamps.shape[1], sum(c.shape[-1] for c in columns)), np.uint32)
+        at = 0
+        for column in columns:
+            rows[..., at : at + column.shape[-1]] = column
+            at += column.shape[-1]
+        for node_rows, body in zip(rows, bodies):
+            body.append(node_rows.tobytes().translate(None, b"\0"))
+    _write_trace(path, header, "node,time,x,y", chain.from_iterable(bodies))
 
 
 def load_positions(

@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Twelve deliberately separate routes from first principles:
+Thirteen deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -25,6 +25,9 @@ Twelve deliberately separate routes from first principles:
   solved exactly with GTH elimination over ``Fraction``, giving the
   stationary cell-occupancy distribution that long-run simulated frequencies
   must approach;
+* a per-trip leg drawer that draws each trip's waypoint and speed with
+  three scalar ``uniform`` calls and appends its legs one by one, to check
+  the block draws of ``rwmm.continuous.simulate_continuous``;
 * a per-sample resampler of continuous legs, one scalar interpolation on a
   leg-table row per sample time, to check the vectorized interpolation in
   ``rwmm.continuous``;
@@ -41,7 +44,7 @@ Twelve deliberately separate routes from first principles:
   ``rwmm.io.save_locations``;
 * a per-row formatter of position trace bodies, one f-string per
   ``(node, step)`` with each float formatted on its own, to check the
-  shared row templates of ``rwmm.io.save_positions``;
+  digit-table rows of ``rwmm.io.save_positions``;
 * a location trace body reader built on ``np.loadtxt``, followed by the
   layout checks written out one by one, to check the block parser of
   ``rwmm.io.load_locations``.
@@ -384,6 +387,36 @@ def stationary_cell_distribution(
         cid = grid.cell_id(cell)
         out[cid] = out.get(cid, Fraction(0)) + weight
     return out
+
+
+def draw_legs_per_trip(area, node_count: int, duration: float, seed) -> list[np.ndarray]:
+    """Each node's leg table, drawn trip by trip with scalar draws.
+
+    A node draws its start point, then per trip a waypoint and a speed; the
+    trip takes ``math.hypot`` of the displacement over the speed, and is
+    followed by the pause if ``area.pause_time > 0``. The node stops after
+    the first leg that ends past ``duration``.
+    """
+    tables = []
+    for child in np.random.SeedSequence(seed).spawn(node_count):
+        rng = np.random.default_rng(child)
+        x = rng.uniform(0.0, area.width)
+        y = rng.uniform(0.0, area.height)
+        clock = 0.0
+        legs = []
+        while clock <= duration:
+            nx = rng.uniform(0.0, area.width)
+            ny = rng.uniform(0.0, area.height)
+            speed = rng.uniform(area.min_speed, area.max_speed)
+            travel = math.hypot(nx - x, ny - y) / speed
+            legs.append((clock, travel, x, y, nx, ny, speed))
+            clock += travel
+            if area.pause_time > 0 and clock <= duration:
+                legs.append((clock, area.pause_time, nx, ny, nx, ny, 0.0))
+                clock += area.pause_time
+            x, y = nx, ny
+        tables.append(np.array(legs))
+    return tables
 
 
 def position_on_leg(row, t: float) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Config parsing, trace file, and command-line behavior tests."""
 
+import math
 import pathlib
 import re
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rwmm import continuous
+from rwmm import io as trace_io
 from rwmm.cli import main
 from rwmm.config import load_continuous_config, load_discrete_config
 from rwmm.continuous import (
@@ -30,6 +32,7 @@ from rwmm.errors import ConfigurationError, VerificationError
 from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
     _BLOCK_BYTES,
+    _value_words,
     export_csv_report,
     export_ns2,
     load_locations,
@@ -91,6 +94,28 @@ def location_traces(draw, max_cells=50_000, max_rows=3000):
     steps = draw(st.integers(1, max(1, max_rows // nodes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return JointTrace(grid, rng.integers(0, grid.size, (nodes, steps)))
+
+
+def value_text(values) -> bytes:
+    """The text ``_value_words`` spells for ``values``, value after value."""
+    return _value_words(np.asarray(values, dtype=np.float64)).T.tobytes().translate(None, b"\0")
+
+
+def formatted(values) -> bytes:
+    """``,`` and ``format(v, ".9g")`` for each value, value after value."""
+    return "".join(f",{format(v, '.9g')}" for v in values).encode()
+
+
+def exact_ties(exponent: int) -> list[float]:
+    """Floats v = N + 1/2 units of the 9th significant digit, N in [1e8, 1e9).
+
+    ``v * 10**(8 - exponent)`` is ``N + 1/2`` exactly when
+    ``v = m * 2**(exponent - 9)`` with ``m = (2N + 1) / 5**(8 - exponent)``
+    an odd integer: each such m below 2**53 gives one.
+    """
+    five = 5 ** (8 - exponent)
+    odd = range(-(-(2 * 10**8 + 1) // five) | 1, (2 * 10**9 - 1) // five + 1, 2)
+    return [math.ldexp(m, exponent - 9) for m in odd[:: max(1, len(odd) // 200)]]
 
 
 DISCRETE_CFG = """\
@@ -537,6 +562,42 @@ class TestTraceFiles:
         assert body == expected
         assert lines[split - 1] == f"# body: {sha256(expected).hexdigest()}\n".encode()
 
+    @pytest.mark.parametrize(
+        "nodes, steps, block", [(3, 20, 1), (3, 20, 3), (3, 20, 2**13), (10001, 1, 2**13)]
+    )
+    def test_positions_body_across_blocks_matches_per_row_oracle(
+        self, tmp_path, monkeypatch, nodes, steps, block
+    ):
+        # rows cut into blocks, times from 2.5e-5 (in exponent form) on, and
+        # node ids of one to five digits: one NUL-padded word or two
+        rng = np.random.default_rng(3)
+        shape = (nodes, steps, 2)
+        values = [rng.uniform(0, 1000, shape), 10 ** rng.uniform(-6, 10, shape)]
+        trace = held_trace(2.5e-5, np.where(rng.random(shape) < 0.5, *values))
+        monkeypatch.setattr(trace_io, "_BLOCK_ROWS", block)
+        path = tmp_path / "c.trace"
+        save_positions(path, trace)
+        body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
+        assert body == per_row_position_body(trace).encode()
+
+    def test_positions_writer_memory_per_sample(self, tmp_path):
+        # every node's text is held until the body's digest is written,
+        # about 30 bytes a sample, and the times 8 bytes a step; the rows are
+        # built a block at a time (40 bytes a sample measured here, 117 when
+        # each node's values were formatted as Python floats)
+        area = ContinuousAreaSpec(1000, 1000, 1, 20, 5)
+        trace = simulate_continuous(area, 2, 5 * 10**5 - 1, 1.0, seed=1)
+        samples = trace.positions.shape[0] * trace.positions.shape[1]
+        path = tmp_path / "c.trace"
+        tracemalloc.start()
+        try:
+            save_positions(path, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples == 10**6
+        assert peak / samples < 48
+
     @given(position_columns())
     @example((5e-324, PINNED_POSITIONS))
     @example((2.2e-308, PINNED_POSITIONS))
@@ -829,6 +890,60 @@ class TestTraceFiles:
         save_locations(path, LocationTrace(grid, np.array([0, 1])))
         with pytest.raises(ConfigurationError):
             load_positions(path)
+
+
+class TestValueWords:
+    """``io._value_words`` against ``format(v, ".9g")``, value by value."""
+
+    @pytest.mark.parametrize("exponent", range(-4, 9))
+    def test_exact_ties_round_half_even(self, exponent):
+        ties = exact_ties(exponent)
+        assert ties
+        for v in ties:
+            scaled = Fraction(v) * Fraction(10) ** (8 - exponent)
+            assert scaled.denominator == 2 and 10**8 <= scaled < 10**9
+        assert value_text(ties) == formatted(ties)
+
+    @pytest.mark.parametrize("exponent", range(-4, 9))
+    def test_near_ties(self, exponent):
+        # a tie's float neighbours, and the floats nearest decimal ties: their
+        # exact products lie off the tie, but a product may round onto it
+        ties = exact_ties(exponent)
+        near = [float(np.nextafter(v, toward)) for v in ties for toward in (0, np.inf)]
+        digits = np.random.default_rng(exponent + 4).integers(10**8, 10**9, 2000)
+        near += [float(f"{n}5e{exponent - 9}") for n in digits.tolist()]
+        assert value_text(near) == formatted(near)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{k}") for k in range(-8, 12)]
+        values = [n for p in powers for n in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))]
+        values = [float(v) for v in values]
+        assert value_text(values) == formatted(values)
+
+    def test_edges_and_the_format_path(self):
+        values = [
+            1e-4, 999999999.5, 1e9, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+            -1.5, -123.456789, -1e-5, 1e300, -1.7976931348623157e308, 9.9999999995,
+            99999999.95, 0.00099999999995,
+        ]
+        assert value_text(values) == formatted(values)
+
+    def test_shape_follows_the_values(self):
+        values = np.arange(6.0).reshape(3, 2) + 0.25
+        words = _value_words(values)
+        assert words.shape == (7, 3, 2) and words.dtype == np.uint32
+        assert value_text(values[:, 1]) == formatted([1.25, 3.25, 5.25])
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate(
+            [rng.uniform(0, 1000, 10**5), 10 ** rng.uniform(-6, 10, 10**5)]
+        ).tolist()
+        assert value_text(values) == formatted(values)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_any_finite_float(self, values):
+        assert value_text(values) == formatted(values)
 
 
 class TestNs2:

@@ -2,8 +2,9 @@
 
 Discretization and traffic expectations are asserted on hand-built legs and
 position arrays where every number can be checked on paper; the simulator
-itself is tested for shape, determinism, and structural invariants, and its
-sampled positions are held bit for bit to ``oracles.sample_legs_per_step``.
+itself is tested for shape, determinism, and structural invariants, its leg
+tables are held bit for bit to ``oracles.draw_legs_per_trip`` and its
+sampled positions to ``oracles.sample_legs_per_step``.
 """
 
 import math
@@ -15,7 +16,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import discretize_per_sample, encode_paths, sample_legs_per_step
+from oracles import (
+    discretize_per_sample,
+    draw_legs_per_trip,
+    encode_paths,
+    sample_legs_per_step,
+)
 from rwmm import continuous
 from rwmm.continuous import (
     DURATION,
@@ -192,6 +198,84 @@ class TestSimulate:
         monkeypatch.setattr(continuous, "MAX_LEGS", legs - 1)
         with pytest.raises(ConfigurationError, match=f"limit of {legs - 1} legs"):
             simulate_continuous(area, 3, 500.0, 100.0, seed=4)
+
+    @given(
+        st.floats(0.5, 1000.0),
+        st.floats(0.5, 1000.0),
+        st.floats(0.1, 20.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(300.0, 1e4)),
+        st.floats(1e-3, 300.0),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_legs_equal_per_trip_oracle(
+        self, width, height, min_speed, spread, pause, duration, nodes, seed
+    ):
+        # spread 0 is a fixed speed; pause 0 leaves out pause legs, and a
+        # pause over 300 outlasts every run
+        area = ContinuousAreaSpec(width, height, min_speed, min_speed + spread, pause)
+        trace = simulate_continuous(area, nodes, duration, 1.0, seed)
+        expected = draw_legs_per_trip(area, nodes, duration, seed)
+        assert [legs.tobytes() for legs in trace.legs] == [legs.tobytes() for legs in expected]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 2**10])
+    def test_runs_ending_on_either_leg_equal_oracle(self, monkeypatch, block):
+        # a pause of 20 against trips of about 30 ends some runs on a pause
+        # and some on a trip, whatever trip of its block the run ends on
+        monkeypatch.setattr(continuous, "_BLOCK_TRIPS", block)
+        area = ContinuousAreaSpec(300, 200, 2, 8, pause_time=20.0)
+        ends_on_pause = set()
+        for seed in range(10):
+            trace = simulate_continuous(area, 2, 300.0, 1.0, seed)
+            expected = draw_legs_per_trip(area, 2, 300.0, seed)
+            assert [legs.tobytes() for legs in trace.legs] == [l.tobytes() for l in expected]
+            ends_on_pause |= {bool(legs[-1, SPEED] == 0) for legs in trace.legs}
+        assert ends_on_pause == {True, False}
+
+    @pytest.mark.parametrize(
+        "area, duration, legs",
+        [
+            # a trip of a few hundred time units ends a run of 1e-6
+            (ContinuousAreaSpec(1000, 1000, 1, 1, pause_time=1.0), 1e-6, 1),
+            # a trip of under 0.015, then a pause longer than the run
+            (ContinuousAreaSpec(1, 1, 100, 100, pause_time=50.0), 10.0, 2),
+        ],
+        ids=["one-trip", "pause-past-the-run"],
+    )
+    def test_short_runs_equal_oracle(self, area, duration, legs):
+        trace = simulate_continuous(area, 3, duration, duration, seed=8)
+        assert [len(table) for table in trace.legs] == [legs] * 3
+        expected = draw_legs_per_trip(area, 3, duration, seed=8)
+        assert [table.tobytes() for table in trace.legs] == [t.tobytes() for t in expected]
+
+    def test_drawing_memory_is_bounded_per_leg(self):
+        # a node's legs are held as block tables and then joined, 56 bytes
+        # a leg each (113 bytes a leg measured); as tuples they took 264
+        area = ContinuousAreaSpec(10, 10, 100, 100, pause_time=0.01)
+        tracemalloc.start()
+        try:
+            trace = simulate_continuous(area, 1, 5000.0, 1000.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        legs = len(trace.legs[0])
+        assert legs > 10**5
+        assert peak / legs < 130
+
+    def test_leg_limit_refused_within_one_block(self, monkeypatch):
+        # the run would draw about 10**6 legs, over 100 MB; it stops one
+        # block past the limit
+        monkeypatch.setattr(continuous, "MAX_LEGS", 1000)
+        area = ContinuousAreaSpec(10, 10, 100, 100, pause_time=0.01)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="limit of 1000 legs"):
+                simulate_continuous(area, 1, 3e4, 1e3, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sampling_memory_is_bounded_per_sample(self):
         # the positions, sampled on first access, take 16 bytes a sample and
