@@ -3,11 +3,12 @@
 Subcommands: ``simulate-discrete``, ``simulate-continuous``,
 ``verify-channel``, ``analyze``, ``export``. Every run is a pure function of
 config file + seed; outputs are byte-identical across repeats. Exit codes:
-0 success, 2 bad configuration or arguments (including a continuous run
-past its sample or leg limit), 3 the path-alphabet build would digitize
-more than the enumeration cap's worth of paths, (2W-1)(2H-1)·|speeds|
-(the build is the only step that enumerates; ``verify-channel`` works at
-any horizon), 4 a verification check failed.
+0 success, 2 bad configuration or arguments (including a run past its
+sample or leg limit), 3 the path-alphabet build would digitize more than
+the enumeration cap's worth of paths, (2W-1)(2H-1)·|speeds| (the build is
+the only step that enumerates; ``verify-channel`` works at any horizon
+whose prefixes fit in ``simulate.MAX_SAMPLES``), 4 a verification check
+failed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, io
+from . import analysis, io, simulate
 from .config import load_continuous_config, load_discrete_config
 from .continuous import simulate_continuous
 from .errors import CapacityError, ConfigurationError, VerificationError
@@ -68,13 +69,18 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--horizon and --prefixes must be >= 1, got {args.horizon} and {args.prefixes}"
         )
+    horizon = args.horizon
+    # long enough for the stationarity window and the largest decoupling shift
+    prefix_len = max(horizon + 2, 6)
+    if prefix_len > simulate.MAX_SAMPLES:
+        raise ConfigurationError(
+            f"--horizon {horizon} needs prefixes of {prefix_len} waypoints, over the "
+            f"limit of {simulate.MAX_SAMPLES} samples per run"
+        )
     cfg = load_discrete_config(_read_config(args.config))
     grid = cfg.grid()
     alphabet = build_alphabet(grid, cfg.speeds)
     rng = np.random.default_rng(args.seed)
-    horizon = args.horizon
-    # long enough for the stationarity window and the largest decoupling shift
-    prefix_len = max(horizon + 2, 6)
     failures = 0
     for k in range(args.prefixes):
         # the draw of processes.uniform_prefix, kept as ids for the events below

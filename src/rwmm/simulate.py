@@ -24,7 +24,9 @@ from .processes import (
 )
 
 # Most location samples (nodes × horizon) one run may hold; the location ids
-# alone take 8 bytes a sample, 0.8 GB at the limit.
+# alone take 8 bytes a sample, 0.8 GB at the limit, and io.save_locations
+# also holds every node's text, about 14 bytes a sample, and the steps,
+# 8 bytes a step, until the file is written.
 MAX_SAMPLES = 10**8
 
 

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rwmm import continuous
+from rwmm import continuous, simulate
 from rwmm import io as trace_io
 from rwmm.cli import main
 from rwmm.config import load_continuous_config, load_discrete_config
@@ -399,6 +399,31 @@ class TestTraceFiles:
         assert lines[split - 1] == f"# body: {sha256(expected).hexdigest()}\n".encode()
 
     @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(10, 10), GridSpec(1000, 100), GridSpec(10**5, 1000)],
+        ids=["1-word-labels", "2-word-labels", "3-word-labels"],
+    )
+    @pytest.mark.parametrize(
+        "nodes, steps, block",
+        [(3, 10_050, 1), (3, 10_050, 3), (3, 10_050, 2**13), (10001, 3, 2**13)],
+    )
+    def test_locations_body_across_blocks_matches_per_row_oracle(
+        self, tmp_path, monkeypatch, grid, nodes, steps, block
+    ):
+        # rows cut into blocks, steps of one to five digits, node ids of one
+        # to five digits, and cells whose ,x,y labels take one word (,0,0)
+        # to three (,99999,999)
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, grid.size, (nodes, steps))
+        ids[rng.random(ids.shape) < 0.5] = 0
+        joint = JointTrace(grid, ids)
+        monkeypatch.setattr(trace_io, "_BLOCK_ROWS", block)
+        path = tmp_path / "t.trace"
+        save_locations(path, joint)
+        body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
+        assert body == per_row_location_body(joint).encode()
+
+    @pytest.mark.parametrize(
         "ids, error",
         [
             ([[0, -1, 2]], "cell id -1 outside"),
@@ -428,6 +453,22 @@ class TestTraceFiles:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert path.read_text().endswith("\nnode,step,x,y\n0,0,1999,1999\n")
+
+    def test_locations_writer_memory_per_sample(self, tmp_path):
+        # every node's text is held until the body's digest is written,
+        # about 14 bytes a sample, and the steps 8 bytes a step; the rows are
+        # built a block at a time (19 bytes a sample measured here, 58 when
+        # each node's rows were filled into per-step % templates)
+        grid = GridSpec(10, 10)
+        joint = JointTrace(grid, np.random.default_rng(1).integers(0, grid.size, (2, 5 * 10**5)))
+        path = tmp_path / "t.trace"
+        tracemalloc.start()
+        try:
+            save_locations(path, joint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / joint.ids.size < 32
 
     def test_positions_text(self, tmp_path):
         from rwmm.continuous import ContinuousAreaSpec
@@ -475,10 +516,10 @@ class TestTraceFiles:
             (53, "1,50,0,0", "node 1 is missing steps"),  # a step past the end
             (99, "0,50,0,0", "must be node-major"),  # a node 0 row among node 1's
             (99, "0,0,0,0", "must be node-major"),  # node 0's step 0 again, at the end
-            (53, "1,-3,0,0", "node 1 is missing steps"),
-            (5, "0,5,-1,0", r"cell \(-1, 0\) outside GridSpec"),
+            (53, "1,-3,0,0", "malformed location trace row 54: b'1,-3,0,0'"),
+            (5, "0,5,-1,0", "malformed location trace row 6: b'0,5,-1,0'"),
             (5, "0,5,1,2", r"cell \(1, 2\) outside GridSpec"),  # x in range, y not
-            (53, "-1,3,0,0", "negative node id -1"),
+            (53, "-1,3,0,0", "malformed location trace row 54: b'-1,3,0,0'"),
             (53, "1,3,0", "malformed location trace row"),
             (53, "1,3,0,x", "malformed location trace row"),
             (53, "", "malformed location trace row 54: b''"),  # a blank line
@@ -928,6 +969,14 @@ class TestValueWords:
         ]
         assert value_text(values) == formatted(values)
 
+    def test_integers_spelled_as_str(self):
+        # a location trace's steps are its stamps: 0, each power of ten and
+        # its neighbours, and a sample of steps a run may hold
+        edges = [0] + [10**k + d for k in range(9) for d in (-1, 0, 1)]
+        drawn = np.random.default_rng(7).integers(0, simulate.MAX_SAMPLES, 10**5).tolist()
+        values = edges + drawn
+        assert value_text(values) == "".join(f",{v}" for v in values).encode()
+
     def test_shape_follows_the_values(self):
         values = np.arange(6.0).reshape(3, 2) + 0.25
         words = _value_words(values)
@@ -1079,6 +1128,29 @@ class TestCli:
         monkeypatch.setenv("RWMM_ENUM_CAP", "5")
         assert main(["verify-channel", "--config", str(d), flag, value]) == 2
         assert "--horizon and --prefixes must be >= 1" in capsys.readouterr().err
+
+    def test_verify_channel_refuses_prefix_past_sample_limit(self, tmp_path, capsys, monkeypatch):
+        # a prefix of 1e13 waypoints died in numpy with _ArrayMemoryError; a
+        # cap this low refuses the alphabet (exit 3), so exit 2 shows that
+        # the horizon is refused before the alphabet is built
+        d, _ = self.write_cfgs(tmp_path)
+        monkeypatch.setenv("RWMM_ENUM_CAP", "5")
+        assert main(["verify-channel", "--config", str(d), "--horizon", "10000000000000"]) == 2
+        assert (
+            "--horizon 10000000000000 needs prefixes of 10000000000002 waypoints, "
+            "over the limit of 100000000 samples per run"
+        ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon, code", [("18", 0), ("19", 2)])
+    def test_verify_channel_sample_limit_is_exact(
+        self, tmp_path, capsys, monkeypatch, horizon, code
+    ):
+        # a prefix holds horizon + 2 waypoints: 20 fit a limit of 20, 21 do not
+        d, _ = self.write_cfgs(tmp_path)
+        monkeypatch.setattr(simulate, "MAX_SAMPLES", 20)
+        argv = ["verify-channel", "--config", str(d), "--horizon", horizon, "--prefixes", "1"]
+        assert main(argv) == code
+        assert ("over the limit of 20 samples" in capsys.readouterr().err) == bool(code)
 
     def test_verify_channel_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         d, _ = self.write_cfgs(tmp_path)
