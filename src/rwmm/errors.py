@@ -24,8 +24,11 @@ def enumeration_cap() -> int:
     Only the path-alphabet build enumerates: it fails loudly with
     :class:`CapacityError`, before digitizing anything, when the paths it
     would digitize, one per displacement and speed, (2W-1)(2H-1)·|speeds|,
-    exceed this many. The exact channel and path-process measures are
-    closed forms and never consult the cap.
+    exceed this many. It raises the same error, whatever the cap, for a
+    speed whose integer arithmetic could pass 2^62, the int64 range of its
+    numpy digitizer (see :func:`~rwmm.geometry.build_alphabet`). The exact
+    channel and path-process measures are closed forms and never consult
+    the cap.
     """
     raw = os.environ.get(ENUMERATION_CAP_ENV)
     if raw is None:

@@ -12,18 +12,21 @@ source cell and a displacement member (see :class:`PathAlphabet`).
 
 All sampling arithmetic is in integers. At speed ``p/q`` a trip of
 displacement ``(dx, dy)`` covers ``sqrt(S) / q`` with ``S = q^2 (dx^2 + dy^2)``,
-so it takes ``ceil(sqrt(S / p^2))`` steps. Sample ``k`` lies ``a / sqrt(S)``
-half-cells from the source along an axis of span ``d``, with ``a = 2kpd``,
-and rounds to ``ceil(a / sqrt(S)) // 2``: the nearest cell, half-integer ties
-toward the smaller coordinate. ``math.isqrt`` gives both ceilings in closed
-form, deterministically on every platform.
+so it takes ``ceil(sqrt(S / p^2)) = isqrt((S - 1) // p^2) + 1`` steps. Sample
+``k`` lies ``a / sqrt(S)`` half-cells from the source along an axis of span
+``d``, with ``a = 2kpd``, and rounds to ``ceil(a / sqrt(S)) // 2``: the nearest
+cell, half-integer ties toward the smaller coordinate. The build computes both
+for every displacement and speed at once, in int64 numpy arrays, and takes
+every ``isqrt`` exactly, with no float: ``isqrt(m)`` is
+``searchsorted(squares, m, side="right") - 1`` over the squares ``0, 1, 4,
+...`` up to the longest path's length or twice the grid's larger span, which is
+deterministic on every platform.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +37,6 @@ import numpy as np
 from .errors import CapacityError, ConfigurationError, enumeration_cap
 
 SpeedLike = Union[Fraction, int, str]
-
-# cells of one path as (dx, dy) offsets from its source
-Offsets = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -132,41 +132,57 @@ def normalize_speeds(speeds: Iterable[SpeedLike]) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def _ceil_sqrt(n: int, d: int) -> int:
-    """Exact ``ceil(sqrt(n / d))`` for integers ``n > 0`` and ``d > 0``."""
-    return math.isqrt((n - 1) // d) + 1
+# emitted cells the build digitizes per block: the block's temporaries, about
+# ten int64 arrays this long, stay near 330 KB beside the tables
+_BLOCK_CELLS = 1 << 12
 
 
-def _nearest(a: int, b: int) -> int:
-    """Nearest integer to ``a / (2 * sqrt(b))``, ties to the smaller one.
+def _isqrt(values: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Exact ``isqrt`` of each of ``values``, integers in ``[0, squares[-1])``."""
+    return np.searchsorted(squares, values, side="right") - 1
 
-    That is ``ceil(a / sqrt(b)) // 2``: the smallest n with ``2n + 1 >= a / sqrt(b)``.
+
+def _nearest(a: np.ndarray, scaled: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Nearest integer to each ``a / (2 sqrt(scaled))``, ties to the smaller one.
+
+    That is ``ceil(a / sqrt(scaled)) // 2``, where the ceiling is
+    ``isqrt((a^2 - 1) // scaled) + 1`` for ``a > 0`` and ``-isqrt(a^2 // scaled)``
+    otherwise. ``scaled`` must be positive.
     """
-    return (_ceil_sqrt(a * a, b) if a > 0 else -math.isqrt(a * a // b)) // 2
+    positive = a > 0
+    square = a * a
+    square -= positive
+    root = _isqrt(square // scaled, squares)
+    return np.where(positive, root + 1, -root) // 2
 
 
-def _displacement_family(dx: int, dy: int, speeds: tuple[Fraction, ...]) -> tuple[Offsets, ...]:
-    """Distinct digitized paths of the trip from (0, 0) to (dx, dy).
+def _members(steps: np.ndarray, speeds: int, ranks) -> np.ndarray:
+    """Candidate ids of the distinct paths, in member order.
 
-    Every speed contributes one path; a zero displacement yields the single
-    pause path. Paths are ordered by (length, cell sequence). The trip from
-    any source is this family translated: rounding ``source + offset`` with
-    an integer source commutes with translation, which keeps the order.
+    Member order is by displacement, then by (length, cells). ``steps``
+    holds each candidate's length, with candidate ``c`` the displacement
+    ``c // speeds`` at its ``c % speeds``-th fastest speed, so a
+    displacement's lengths never fall: only a tie, candidates of one
+    displacement and one length, needs its cells compared. The ties of each
+    length are sorted by ``ranks(group, length)``, their samples ranked in
+    cell order, and a repeated path is dropped.
     """
-    if dx == 0 and dy == 0:
-        return (((0, 0), (0, 0)),)
-    distinct: dict[Offsets, None] = {}
-    for speed in speeds:
-        p, q = speed.numerator, speed.denominator
-        # at speed p/q the trip covers sqrt(dx^2 + dy^2) = sqrt(scaled) / q
-        scaled = q * q * (dx * dx + dy * dy)
-        steps = _ceil_sqrt(scaled, p * p)
-        cells = [(0, 0)]
-        for k in range(1, steps):
-            cells.append((_nearest(2 * k * p * dx, scaled), _nearest(2 * k * p * dy, scaled)))
-        cells.append((dx, dy))
-        distinct.setdefault(tuple(cells))
-    return tuple(sorted(distinct, key=lambda cells: (len(cells), cells)))
+    # edge c: candidates c - 1 and c tie
+    edge = np.zeros(len(steps) + 1, dtype=bool)
+    edge[1:-1] = (steps[1:] == steps[:-1]) & (np.arange(1, len(steps)) % speeds != 0)
+    ties = np.flatnonzero(edge[:-1] | edge[1:])
+    # member slot -> candidate; the slots of a tie go to its paths in cell order
+    slot = np.arange(len(steps))
+    kept = np.ones(len(steps), dtype=bool)
+    for length in sorted(set(steps[ties].tolist())):
+        group = ties[steps[ties] == length]  # by displacement, as ``ties`` is
+        disp = group // speeds
+        key = ranks(group, length)
+        order = np.lexsort((*key.T[::-1], disp))
+        key = key[order]
+        slot[group] = group[order]
+        kept[group[1:]] = (disp[1:] != disp[:-1]) | (key[1:] != key[:-1]).any(axis=1)
+    return slot[kept]
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -235,34 +251,83 @@ class PathAlphabet:
     """
 
     def __init__(self, grid: GridSpec, speeds: tuple[Fraction, ...]):
-        """Digitize every displacement of the grid at the normalized ``speeds``."""
+        """Digitize every displacement of the grid at the normalized ``speeds``.
+
+        The build relies on the ascending, distinct speeds that
+        :func:`normalize_speeds` gives. A candidate is one displacement's path
+        at one speed: candidate ``c`` is displacement ``c // |speeds|`` at the
+        ``c % |speeds|``-th fastest speed. :func:`_members` picks the distinct
+        ones in member order; then every member's emitted cells are digitized
+        into their table, about ``_BLOCK_CELLS`` cells at a time.
+        """
         self.grid = grid
         width, height = grid.width, grid.height
-        # machine integers, so that the build holds one copy of each table
-        sizes = array("q")
-        lengths = array("q")
-        emits = array("q")  # emitted cells as offsets ox + oy * width from the source
-        for dy in range(1 - height, height):
-            for dx in range(1 - width, width):
-                members = _displacement_family(dx, dy, speeds)
-                sizes.append(len(members))
-                for cells in members:
-                    lengths.append(len(cells) - 1)
-                    emits.extend([ox + oy * width for ox, oy in cells[:-1]])
+        count = (2 * width - 1) * (2 * height - 1)
         # per displacement, in (dy, dx) order
-        self._family_sizes = np.frombuffer(sizes, dtype=np.int64)
+        dy, dx = np.divmod(np.arange(count, dtype=np.int64), 2 * width - 1)
+        dx -= width - 1
+        dy -= height - 1
+        norm = dx * dx + dy * dy
+        # per speed, fastest first
+        p = np.array([v.numerator for v in reversed(speeds)], dtype=np.int64)
+        q2 = np.array([v.denominator**2 for v in reversed(speeds)], dtype=np.int64)
+        # a step count is at most the slowest speed's longest, and a sample's
+        # isqrt(a^2 // S) is below 2|d|, as a < 2 sqrt(S) |d|
+        slowest = speeds[0]
+        reach = slowest.denominator**2 * ((width - 1) ** 2 + (height - 1) ** 2)
+        longest = math.isqrt(max(reach - 1, 0) // slowest.numerator**2) + 1
+        squares = np.arange(max(longest, 2 * max(width, height) - 2) + 1, dtype=np.int64) ** 2
+        # per candidate
+        steps = _isqrt(np.maximum(norm[:, None] * q2 - 1, 0) // (p * p), squares).ravel() + 1
+
+        def trips(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Per candidate: ``2p * dx`` and ``2p * dy``, each ``a`` per unit of k, and S."""
+            disp, speed = np.divmod(candidates, len(speeds))
+            two_p = 2 * p[speed]
+            # the pause samples only a = 0, which any positive S rounds to 0
+            return dx[disp] * two_p, dy[disp] * two_p, np.maximum(norm[disp] * q2[speed], 1)
+
+        def cells(k, ax, ay, scaled) -> tuple[np.ndarray, np.ndarray]:
+            """Offsets ``(ox, oy)`` of samples ``k`` of the trips, broadcast together."""
+            return _nearest(k * ax, scaled, squares), _nearest(k * ay, scaled, squares)
+
+        def ranks(group: np.ndarray, length: int) -> np.ndarray:
+            """Samples 1 .. length - 1 of each candidate, ranked in (ox, oy) tuple order."""
+            ox, oy = cells(np.arange(1, length), *(t[:, None] for t in trips(group)))
+            return ox * (2 * height - 1) + oy
+
+        members = _members(steps, len(speeds), ranks)
+        # per displacement
+        self._family_sizes = np.bincount(members // len(speeds), minlength=count)
         self._family_starts = _exclusive_cumsum(self._family_sizes)
-        dy, dx = np.divmod(np.arange(len(sizes), dtype=np.int64), 2 * width - 1)
-        # per member
-        self._lengths = np.frombuffer(lengths, dtype=np.int64)
-        self._dx = np.repeat(dx - (width - 1), self._family_sizes)
-        self._dy = np.repeat(dy - (height - 1), self._family_sizes)
+        # per member; to keep the build's peak low, ``steps`` is dropped
+        # before the emitted cells are filled, and ``members`` before the
+        # member displacements are made
+        self._lengths = steps[members]
+        del steps
         self._emit_starts = _exclusive_cumsum(self._lengths)
-        self._emits = np.frombuffer(emits, dtype=np.int64)
+        # emitted cells, samples k = 0 .. length - 1, as offsets ox + oy * width
+        self._emits = np.empty(int(self._lengths.sum()), dtype=np.int64)
+        # a block starts at the member that holds each multiple of _BLOCK_CELLS
+        marks = np.arange(0, len(self._emits), _BLOCK_CELLS)
+        firsts = np.searchsorted(self._emit_starts, marks, side="right") - 1
+        bounds = [*dict.fromkeys(firsts.tolist()), len(members)]
+        for first, last in zip(bounds[:-1], bounds[1:]):
+            sizes = self._lengths[first:last]
+            start = int(self._emit_starts[first])
+            k = np.arange(int(sizes.sum()), dtype=np.int64)
+            k -= np.repeat(self._emit_starts[first:last] - start, sizes)
+            ox, oy = cells(k, *(np.repeat(t, sizes) for t in trips(members[first:last])))
+            block = self._emits[start : start + len(k)]
+            np.multiply(oy, width, out=block)
+            block += ox
+        del members
+        self._dx = np.repeat(dx, self._family_sizes)
+        self._dy = np.repeat(dy, self._family_sizes)
         self.max_path_length = int(self._lengths.max())
         # a member is a path from each of the (W - |dx|)(H - |dy|) sources it fits
-        fits = (width - np.abs(self._dx)) * (height - np.abs(self._dy))
-        self._path_count = int(fits.sum())
+        fits = (width - np.abs(dx)) * (height - np.abs(dy))
+        self._path_count = int((fits * self._family_sizes).sum())
 
     @property
     def all_paths(self) -> Mapping[int, Path]:
@@ -336,7 +401,12 @@ def build_alphabet(grid: GridSpec, speeds: Iterable[SpeedLike]) -> PathAlphabet:
     The build digitizes each of the (2W-1)(2H-1) displacements once per
     speed, so it raises :class:`CapacityError`, before digitizing anything,
     when that many digitized paths, ``(2W-1)(2H-1) * |speeds|``, exceed the
-    cap (:func:`~rwmm.errors.enumeration_cap`).
+    cap (:func:`~rwmm.errors.enumeration_cap`). It also raises it for a
+    speed ``p/q`` whose arithmetic could leave int64: ``p^2``, or
+    ``4 q^2 R D^2``, with ``R`` the largest ``dx^2 + dy^2`` and ``D`` the
+    largest ``|dx|`` or ``|dy|`` (both at least 1), past ``2^62``. That
+    bounds every ``S = q^2 (dx^2 + dy^2)`` and every sample's
+    ``a^2 < 4 S d^2``.
     """
     speed_set = normalize_speeds(speeds)
     limit = enumeration_cap()
@@ -347,4 +417,13 @@ def build_alphabet(grid: GridSpec, speeds: Iterable[SpeedLike]) -> PathAlphabet:
             f"path enumeration bound {bound} (= {spans[0]}x{spans[1]} displacements x "
             f"{len(speed_set)} speeds) exceeds cap {limit}"
         )
+    reach = max((grid.width - 1) ** 2 + (grid.height - 1) ** 2, 1)
+    span = max(grid.width, grid.height, 2) - 1
+    for speed in speed_set:
+        p, q = speed.numerator, speed.denominator
+        if max(p * p, 4 * q * q * reach * span * span) > 2**62:
+            raise CapacityError(
+                f"speed {speed} on a {grid.width}x{grid.height} grid needs integers "
+                f"past 2^62, the digitizer's int64 range"
+            )
     return PathAlphabet(grid, speed_set)

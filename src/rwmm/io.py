@@ -449,7 +449,7 @@ def load_locations(path: FsPath | str) -> tuple[JointTrace, dict[str, str]]:
             f"node {np.argmax(misplaced)} is missing steps or holds them out of order "
             f"(its rows must read steps 0 .. {steps - 1} in turn)"
         )
-    outside = (x < 0) | (x >= grid.width) | (y < 0) | (y >= grid.height)
+    outside = (x >= grid.width) | (y >= grid.height)  # the parser reads digits only
     if outside.any():
         row = np.argmax(outside)
         raise ConfigurationError(f"cell ({x[row]}, {y[row]}) outside {grid}")

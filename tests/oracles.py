@@ -1,15 +1,19 @@
 """Independent reference computations used to freeze expected test values.
 
-Thirteen deliberately separate routes from first principles:
+Fourteen deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
+* a scalar integer digitizer, one ``math.isqrt`` call per sample and one
+  Python loop per displacement and speed, whose displacement families and
+  tables are the vectorized build's of ``rwmm.geometry.build_alphabet``
+  computed the slow way, to check that build table by table (the symbolic
+  route above checks the library's families directly);
 * a per-pair path alphabet that digitizes every ordered cell pair on its
-  own, translating the digitized displacement to the pair, and interns the
-  paths one by one, with its own pair-major ids, to check the
-  displacement-keyed tables and id ranges of
-  ``rwmm.geometry.build_alphabet`` (the digitizer itself is checked by the
-  symbolic route above);
+  own with the scalar digitizer, translating the digitized displacement to
+  the pair, and interns the paths one by one, with its own pair-major ids,
+  to check the displacement-keyed tables and id ranges of
+  ``rwmm.geometry.build_alphabet``;
 * a dense lazy-walk matrix whose neighbors are the cells at Manhattan
   distance 1, to check the sparse rows of
   ``rwmm.processes.WaypointProcessSpec.lazy_walk``;
@@ -66,7 +70,6 @@ from rwmm.geometry import (
     GridSpec,
     Path,
     PathAlphabet,
-    _displacement_family,
     normalize_speeds,
 )
 from rwmm.errors import ConfigurationError
@@ -102,6 +105,64 @@ def _round_half_down(value: sp.Expr) -> int:
     return int(f) + (1 if frac > sp.Rational(1, 2) else 0)
 
 
+def _ceil_sqrt(n: int, d: int) -> int:
+    """Exact ``ceil(sqrt(n / d))`` for integers ``n > 0`` and ``d > 0``."""
+    return math.isqrt((n - 1) // d) + 1
+
+
+def _nearest(a: int, b: int) -> int:
+    """Nearest integer to ``a / (2 * sqrt(b))``, ties to the smaller one.
+
+    That is ``ceil(a / sqrt(b)) // 2``: the smallest n with ``2n + 1 >= a / sqrt(b)``.
+    """
+    return (_ceil_sqrt(a * a, b) if a > 0 else -math.isqrt(a * a // b)) // 2
+
+
+def displacement_family(dx: int, dy: int, speeds) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Distinct digitized paths of the trip from (0, 0) to (dx, dy), sample by sample.
+
+    Every speed contributes one path, as ``(ox, oy)`` offsets; a zero
+    displacement yields the single pause path. Paths are ordered by
+    (length, cell sequence).
+    """
+    if dx == 0 and dy == 0:
+        return (((0, 0), (0, 0)),)
+    distinct = {}
+    for speed in normalize_speeds(speeds):
+        p, q = speed.numerator, speed.denominator
+        # at speed p/q the trip covers sqrt(dx^2 + dy^2) = sqrt(scaled) / q
+        scaled = q * q * (dx * dx + dy * dy)
+        steps = _ceil_sqrt(scaled, p * p)
+        cells = [(0, 0)]
+        for k in range(1, steps):
+            cells.append((_nearest(2 * k * p * dx, scaled), _nearest(2 * k * p * dy, scaled)))
+        cells.append((dx, dy))
+        distinct.setdefault(tuple(cells))
+    return tuple(sorted(distinct, key=lambda cells: (len(cells), cells)))
+
+
+def scalar_alphabet_tables(grid: GridSpec, speeds) -> SimpleNamespace:
+    """``PathAlphabet``'s family sizes, member lengths and emitted offsets, built
+    one displacement at a time by :func:`displacement_family`.
+
+    Displacements run in ``(dy, dx)`` order; a member's emitted cells are
+    all its cells but the last, as offsets ``ox + oy * width``.
+    """
+    sizes, lengths, emits = [], [], []
+    for dy in range(1 - grid.height, grid.height):
+        for dx in range(1 - grid.width, grid.width):
+            members = displacement_family(dx, dy, speeds)
+            sizes.append(len(members))
+            for cells in members:
+                lengths.append(len(cells) - 1)
+                emits.extend(ox + oy * grid.width for ox, oy in cells[:-1])
+    return SimpleNamespace(
+        family_sizes=np.array(sizes, dtype=np.int64),
+        lengths=np.array(lengths, dtype=np.int64),
+        emits=np.array(emits, dtype=np.int64),
+    )
+
+
 def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
     """Path-alphabet tables built pair by pair, with no displacement sharing.
 
@@ -123,7 +184,7 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
             distinct = {
                 Path(tuple(Cell(src.x + ox, src.y + oy) for ox, oy in offsets))
                 for v in speed_set
-                for offsets in _displacement_family(dst.x - src.x, dst.y - src.y, (v,))
+                for offsets in displacement_family(dst.x - src.x, dst.y - src.y, (v,))
             }
             family = sorted(distinct, key=lambda p: (p.length, [(c.x, c.y) for c in p.cells]))
             offsets.append(len(members))

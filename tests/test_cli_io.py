@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -1349,6 +1350,18 @@ class TestCli:
         monkeypatch.setenv("RWMM_ENUM_CAP", "5")
         assert main(["verify-channel", "--config", str(d)]) == 3
         assert "capacity exceeded" in capsys.readouterr().err
+
+    def test_speed_past_int64_exit_code(self, tmp_path, capsys):
+        # a 2x2 grid at speed 1/10^12 samples about 1.4e12 cells a trip, and its
+        # sample arithmetic needs integers past 2^62: refused before any table
+        d = tmp_path / "d.cfg"
+        d.write_text("grid_width = 2\ngrid_height = 2\nspeeds = 1/1000000000000\nhorizon = 10\n")
+        out = tmp_path / "out.trace"
+        started = time.perf_counter()
+        assert main(["simulate-discrete", "--config", str(d), "--seed", "1", "--out", str(out)]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert "1/1000000000000 on a 2x2 grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verification_exit_code_on_tampered_trace(self, tmp_path, capsys):
         d, _ = self.write_cfgs(tmp_path)

@@ -14,7 +14,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwmm.errors import CapacityError, ConfigurationError
@@ -26,7 +26,7 @@ from rwmm.geometry import (
     normalize_speeds,
 )
 
-from oracles import per_pair_alphabet, sympy_digitize
+from oracles import per_pair_alphabet, scalar_alphabet_tables, sympy_digitize
 
 
 def numpy_tables(alphabet):
@@ -406,13 +406,66 @@ class TestDigitizerProperties:
         assert family_cells(grid, source, dest, (speed,)) == [expected]
 
 
+# the build's speeds: the fine speeds, and slow ones whose paths run long
+build_speeds_st = st.one_of(fine_speeds_st, st.sampled_from([Fraction(1, 10), Fraction(1, 7)]))
+# speeds that put samples of the perfect-square displacements (3, 4), (6, 8)
+# and (5, 12) exactly on a cell border, the tie cases of the rounding rule
+SQUARE_TIE_SPEEDS = (Fraction(5, 4), Fraction(5, 2), Fraction(3, 2), Fraction(1, 10))
+LONG_SQUARE_TIE_SPEEDS = (Fraction(13, 6), Fraction(13, 4), Fraction(13, 2), Fraction(1, 10))
+
+
+class TestVectorizedBuild:
+    """The build's tables against the scalar digitizer, one sample at a time."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.lists(build_speeds_st, min_size=1, max_size=4),
+    )
+    # each grid holds its displacements in all four sign quadrants, and
+    # 13x6 holds (12, 5), whose ties fall on the other axis
+    @example(7, 9, SQUARE_TIE_SPEEDS)
+    @example(9, 7, SQUARE_TIE_SPEEDS)
+    @example(6, 13, LONG_SQUARE_TIE_SPEEDS)
+    @example(13, 6, LONG_SQUARE_TIE_SPEEDS)
+    def test_tables_equal_scalar_oracle(self, width, height, speeds):
+        grid = GridSpec(width, height)
+        alpha = build_alphabet(grid, speeds)
+        oracle = scalar_alphabet_tables(grid, speeds)
+        for table, expected in [
+            (alpha._family_sizes, oracle.family_sizes),
+            (alpha._lengths, oracle.lengths),
+            (alpha._emits, oracle.emits),
+        ]:
+            assert table.dtype == np.int64
+            assert np.array_equal(table, expected)
+
+    def test_refuses_speed_past_int64(self):
+        # 10x10: 4 q^2 R D^2 <= 2^62 admits q up to 9,373,458; q is taken far
+        # past that, where an unguarded build fails at once, not after GBs
+        with pytest.raises(CapacityError, match="1/10000000000 on a 10x10 grid"):
+            build_alphabet(GridSpec(10, 10), (1, Fraction(1, 10**10)))
+        with pytest.raises(CapacityError, match="2147483649 on a 1x1 grid"):
+            build_alphabet(GridSpec(1, 1), (2**31 + 1,))
+        # a numerator of 2^31 is the largest admitted: every trip takes one step
+        alpha = build_alphabet(GridSpec(3, 1), (2**31,))
+        assert alpha.max_path_length == 1
+
+
 def test_digitizer_source_has_no_float_arithmetic():
-    # the digitizer decides every rounding in integers: no math.sqrt, no float
+    # the digitizer decides every rounding in integers: no math.sqrt, no
+    # float, no true division and no numpy float, rounding or log routine
     source = FilePath(__file__).parents[1] / "src" / "rwmm" / "geometry.py"
-    offending = [
-        node.lineno
-        for node in ast.walk(ast.parse(source.read_text()))
-        if (isinstance(node, ast.Attribute) and node.attr == "sqrt")
-        or (isinstance(node, ast.Name) and node.id in ("float", "sqrt"))
-    ]
+
+    def floating(node) -> bool:
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.Div)
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("sqrt", "rint", "floor", "ceil") or node.attr.startswith(
+                ("float", "log")
+            )
+        return isinstance(node, ast.Name) and node.id in ("float", "sqrt")
+
+    offending = [node.lineno for node in ast.walk(ast.parse(source.read_text())) if floating(node)]
     assert offending == []
