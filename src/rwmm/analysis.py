@@ -140,37 +140,46 @@ class ConvergenceReport:
     converged: bool
 
 
-def _geometric_checkpoints(total: int, count: int) -> np.ndarray:
+def _geometric_checkpoints(total: int) -> np.ndarray:
+    """Up to ``DEFAULT_CHECKPOINT_COUNT`` distinct sample counts, total // 100 up to total."""
     if total < 1:
         raise ValueError("need at least one sample")
-    count = min(count, total)
-    raw = np.unique(
-        np.rint(np.geomspace(max(1, total // 100), total, num=count)).astype(np.int64)
-    )
-    if raw[-1] != total:
-        raw = np.append(raw, total)
-    return raw
+    num = min(DEFAULT_CHECKPOINT_COUNT, total)
+    raw = np.rint(np.geomspace(max(1, total // 100), total, num=num)).astype(np.int64)
+    # geomspace ends on ``total`` and its rounding ascends: only neighbours repeat
+    return raw[np.append(True, raw[1:] != raw[:-1])]
 
 
-def _convergence_from_running(
-    running_mean: np.ndarray, tolerance: float | None
-) -> ConvergenceReport:
-    total = len(running_mean)
+def _settle(sums: np.ndarray, checkpoints: np.ndarray, tolerance: float | None = None):
+    """The convergence rule, applied to running sums at the checkpoints.
+
+    ``sums[i]`` sums the first ``checkpoints[i]`` values, with any trailing
+    shape for several observables at once. Returns the partial averages, the
+    tail, each Cauchy width (max minus min of the last ``tail`` partial
+    averages), the tolerance (3/sqrt(n) by default, n the last checkpoint)
+    and the verdicts ``width <= tolerance``.
+    """
     if tolerance is None:
-        tolerance = 3.0 / math.sqrt(total)
-    checkpoints = _geometric_checkpoints(total, DEFAULT_CHECKPOINT_COUNT)
-    partials = running_mean[checkpoints - 1]
-    tail = min(DEFAULT_TAIL, len(partials))
-    tail_values = partials[-tail:]
-    width = float(tail_values.max() - tail_values.min())
+        tolerance = 3.0 / math.sqrt(checkpoints[-1])
+    partials = sums / checkpoints.reshape(-1, *(1,) * (sums.ndim - 1))
+    tail = min(DEFAULT_TAIL, len(checkpoints))
+    widths = partials[-tail:].max(axis=0) - partials[-tail:].min(axis=0)
+    return partials, tail, widths, float(tolerance), widths <= tolerance
+
+
+def _birkhoff_report(values: np.ndarray, tolerance: float | None) -> ConvergenceReport:
+    checkpoints = _geometric_checkpoints(len(values))
+    partials, tail, width, tolerance, converged = _settle(
+        np.cumsum(values)[checkpoints - 1], checkpoints, tolerance
+    )
     return ConvergenceReport(
         checkpoints=checkpoints,
         partial_averages=partials,
-        final_value=float(running_mean[-1]),
-        cauchy_width=width,
+        final_value=float(partials[-1]),
+        cauchy_width=float(width),
         tail=tail,
-        tolerance=float(tolerance),
-        converged=bool(width <= tolerance),
+        tolerance=tolerance,
+        converged=bool(converged),
     )
 
 
@@ -187,8 +196,7 @@ def time_average(
     values = np.asarray(observable.values(trace), dtype=np.float64)
     if len(values) == 0:
         raise ValueError("trace too short for this observable's window")
-    running = np.cumsum(values) / np.arange(1, len(values) + 1)
-    return _convergence_from_running(running, tolerance)
+    return _birkhoff_report(values, tolerance)
 
 
 @dataclass(frozen=True)
@@ -215,27 +223,21 @@ def cell_time_averages(trace: JointTrace) -> CellAverages:
     as the running mean ``time_average`` reads at that checkpoint.
     """
     steps, size = len(trace), trace.grid.size
-    checkpoints = _geometric_checkpoints(steps, DEFAULT_CHECKPOINT_COUNT)
-    starts = np.concatenate(([0], checkpoints[:-1]))
-    tail = min(DEFAULT_TAIL, len(checkpoints))
+    checkpoints = _geometric_checkpoints(steps)
     shape = (trace.node_count, size)
     visits = np.empty(shape, dtype=np.int64)
     widths = np.empty(shape, dtype=np.float64)
+    converged = np.empty(shape, dtype=bool)
     for node, ids in enumerate(trace.ids):
-        counts = np.stack(
-            [
-                np.bincount(ids[a:b], minlength=size)
-                for a, b in zip(starts.tolist(), checkpoints.tolist())
-            ]
-        ).cumsum(axis=0)
-        tail_values = counts[-tail:] / checkpoints[-tail:, None]
-        widths[node] = tail_values.max(axis=0) - tail_values.min(axis=0)
+        segments = np.split(ids, checkpoints[:-1])
+        counts = np.cumsum([np.bincount(s, minlength=size) for s in segments], axis=0)
+        _, _, widths[node], _, converged[node] = _settle(counts, checkpoints)
         visits[node] = counts[-1]
     return CellAverages(
         visits=visits,
         final_values=visits / steps,
         cauchy_widths=widths,
-        converged=widths <= 3.0 / math.sqrt(steps),
+        converged=converged,
     )
 
 
@@ -265,9 +267,7 @@ def cesaro_measure(
                 raise ValueError("all runs must produce traces of equal length")
             total += values
     assert total is not None
-    frequency = total / len(seeds)
-    running = np.cumsum(frequency) / np.arange(1, len(frequency) + 1)
-    return _convergence_from_running(running, tolerance)
+    return _birkhoff_report(total / len(seeds), tolerance)
 
 
 @dataclass(frozen=True)

@@ -257,8 +257,8 @@ class PathAlphabet:
         :func:`normalize_speeds` gives. A candidate is one displacement's path
         at one speed: candidate ``c`` is displacement ``c // |speeds|`` at the
         ``c % |speeds|``-th fastest speed. :func:`_members` picks the distinct
-        ones in member order; then every member's emitted cells are digitized
-        into their table, about ``_BLOCK_CELLS`` cells at a time.
+        ones in member order; then the emitted cells are digitized into their
+        table ``_BLOCK_CELLS`` at a time, a long member across several blocks.
         """
         self.grid = grid
         width, height = grid.width, grid.height
@@ -308,17 +308,17 @@ class PathAlphabet:
         self._emit_starts = _exclusive_cumsum(self._lengths)
         # emitted cells, samples k = 0 .. length - 1, as offsets ox + oy * width
         self._emits = np.empty(int(self._lengths.sum()), dtype=np.int64)
-        # a block starts at the member that holds each multiple of _BLOCK_CELLS
-        marks = np.arange(0, len(self._emits), _BLOCK_CELLS)
-        firsts = np.searchsorted(self._emit_starts, marks, side="right") - 1
-        bounds = [*dict.fromkeys(firsts.tolist()), len(members)]
-        for first, last in zip(bounds[:-1], bounds[1:]):
-            sizes = self._lengths[first:last]
-            start = int(self._emit_starts[first])
-            k = np.arange(int(sizes.sum()), dtype=np.int64)
-            k -= np.repeat(self._emit_starts[first:last] - start, sizes)
+        # block [start, start + _BLOCK_CELLS) holds parts of members first .. last - 1
+        starts = np.arange(0, len(self._emits), _BLOCK_CELLS)
+        firsts = np.searchsorted(self._emit_starts, starts, side="right") - 1
+        lasts = np.searchsorted(self._emit_starts, starts + _BLOCK_CELLS)
+        for start, first, last in zip(starts.tolist(), firsts.tolist(), lasts.tolist()):
+            block = self._emits[start : start + _BLOCK_CELLS]
+            offsets = self._emit_starts[first:last]
+            ends = np.minimum(offsets + self._lengths[first:last], start + len(block))
+            sizes = ends - np.maximum(offsets, start)
+            k = np.arange(start, start + len(block), dtype=np.int64) - np.repeat(offsets, sizes)
             ox, oy = cells(k, *(np.repeat(t, sizes) for t in trips(members[first:last])))
-            block = self._emits[start : start + len(k)]
             np.multiply(oy, width, out=block)
             block += ox
         del members

@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Fourteen deliberately separate routes from first principles:
+Fifteen deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -51,7 +51,10 @@ Fourteen deliberately separate routes from first principles:
   digit-table rows of ``rwmm.io.save_positions``;
 * a location trace body reader built on ``np.loadtxt``, followed by the
   layout checks written out one by one, to check the block parser of
-  ``rwmm.io.load_locations``.
+  ``rwmm.io.load_locations``;
+* the convergence checkpoints as first written, rounded ``geomspace``
+  counts made distinct and sorted by ``np.unique`` with ``total`` appended
+  when missing, to check ``rwmm.analysis._geometric_checkpoints``.
 """
 
 from __future__ import annotations
@@ -616,3 +619,14 @@ def loadtxt_location_ids(body: bytes, grid: GridSpec) -> np.ndarray:
         if not (0 <= x[row] < grid.width and 0 <= y[row] < grid.height):
             raise ConfigurationError(f"cell ({x[row]}, {y[row]}) outside {grid}")
     return (data[:, 3] * grid.width + data[:, 2]).reshape(nodes, steps)
+
+
+def unique_geometric_checkpoints(total: int, count: int = 20) -> np.ndarray:
+    """``count`` rounded geometric sample counts from ``total // 100`` to ``total``, distinct."""
+    count = min(count, total)
+    raw = np.unique(
+        np.rint(np.geomspace(max(1, total // 100), total, num=count)).astype(np.int64)
+    )
+    if raw[-1] != total:
+        raw = np.append(raw, total)
+    return raw

@@ -1,6 +1,7 @@
 """Observable and diagnostic tests, mostly on hand-built traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from rwmm.analysis import (
     ergodicity_check,
     location_histogram,
     time_average,
+    _geometric_checkpoints,
 )
 from rwmm.geometry import Cell, GridSpec, build_alphabet
 from rwmm.location import JointTrace, LocationTrace
 from rwmm.processes import WaypointProcessSpec
 from rwmm.simulate import simulate_node
+
+from oracles import unique_geometric_checkpoints
 
 GRID2 = GridSpec(2, 1)
 
@@ -145,6 +149,29 @@ class TestTimeAverage:
         ind = CylinderIndicator(GRID2, (Cell(0, 0),) * 5)
         with pytest.raises(ValueError):
             time_average(ind, make_trace([0, 0]))
+
+    def test_memory_per_sample(self):
+        # the values and their running sums, 16 bytes a sample; dividing a
+        # full-length running mean to read its checkpoints took 24
+        grid = GridSpec(10, 10)
+        rng = np.random.default_rng(3)
+        trace = LocationTrace(grid, rng.integers(0, grid.size, 10**6))
+        observable = TableObservable(grid, rng.random(grid.size))
+        tracemalloc.start()
+        try:
+            time_average(observable, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace) < 20
+
+    def test_checkpoints_match_unique_formula(self):
+        # the rounded geomspace ascends, so dropping equal neighbours gives
+        # what np.unique gave, and reports on long traces keep their bytes
+        rng = np.random.default_rng(4)
+        totals = [*range(1, 10**5 + 1), *rng.integers(10**5, 10**8, 500).tolist(), 10**8]
+        for total in totals:
+            assert np.array_equal(_geometric_checkpoints(total), unique_geometric_checkpoints(total))
 
 
 class TestCesaro:

@@ -7,6 +7,7 @@ and an exhaustive sweep against the symbolic reference in ``oracles.py``
 
 import ast
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -440,6 +441,25 @@ class TestVectorizedBuild:
         ]:
             assert table.dtype == np.int64
             assert np.array_equal(table, expected)
+
+    def test_members_longer_than_a_block(self):
+        # 3x3 at speed 1/2000: the diagonal members run 5657 samples, more
+        # than one block, so the build digitizes them across block edges
+        grid = GridSpec(3, 3)
+        alpha = build_alphabet(grid, (Fraction(1, 2000),))
+        assert alpha.max_path_length > 1 << 12
+        assert np.array_equal(alpha._emits, scalar_alphabet_tables(grid, (Fraction(1, 2000),)).emits)
+
+    def test_build_memory_follows_the_block(self):
+        # members up to 56,569 samples: digitized whole, one member at a
+        # time, the build peaked about 6 MB above its emitted-cell table
+        tracemalloc.start()
+        try:
+            alpha = build_alphabet(GridSpec(3, 3), (Fraction(1, 20000),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - alpha._emits.nbytes < 2 * 2**20
 
     def test_refuses_speed_past_int64(self):
         # 10x10: 4 q^2 R D^2 <= 2^62 admits q up to 9,373,458; q is taken far

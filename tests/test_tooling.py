@@ -12,15 +12,19 @@ and the cylinders they handled, so a change of representation cannot break
 the benchmark's hooks. Every name in ``rwmm.__all__`` resolves, the README's python quick start runs,
 every ``rwmm`` command in the README's code blocks parses, and each README
 config loads and sets every key of its config class, so the documented API,
-CLI and configs cannot drift from the code. The checks read the files and
+CLI and configs cannot drift from the code. A fresh interpreter runs
+``analyze`` without importing ``numpy.ma``. The checks read the files and
 edit nothing.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path as FilePath
 
 import pytest
@@ -229,6 +233,28 @@ def test_traced_verify_channel_counts_cylinders(tmp_path, monkeypatch, capsys):
     # the hooks read the prefixes that the checks were given
     assert metrics["processes.check_channel_stationarity.cylinders"]["value"] > 0
     assert metrics["processes.channel_total_mass.cylinders"]["value"] > 0
+
+
+def test_analyze_does_not_import_numpy_ma(tmp_path):
+    # the first np.unique call in a process imports numpy.ma, 10-20 ms of
+    # every analyze run
+    config = tmp_path / "d.cfg"
+    config.write_text("grid_width = 3\ngrid_height = 3\nspeeds = 1, 2\nhorizon = 200\nnodes = 2\n")
+    trace = tmp_path / "t.txt"
+    common = ["--config", str(config), "--seed", "1"]
+    assert cli.main(["simulate-discrete", *common, "--out", str(trace)]) == 0
+    argv = ["analyze", "--trace", str(trace), *common[:2], "--out", str(tmp_path / "r.csv")]
+    code = (
+        "import sys\nfrom rwmm import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "r.csv").exists()
 
 
 def test_public_names_resolve():
