@@ -39,7 +39,7 @@ def _format_float(value: float) -> str:
 
 @cache
 def _digit_words() -> np.ndarray:
-    """The 4-byte words that ``_value_words`` spells numbers with, as one uint32 table.
+    """The 4-byte words that numbers are spelled with, as one uint32 table.
 
     The table holds, in turn, each 4-digit group ``0000`` .. ``9999`` in
     full (at 0), with its leading zeros NUL (``_LEAD``), with its
@@ -121,15 +121,7 @@ def _value_words(values: np.ndarray) -> np.ndarray:
     fraction = n - whole * scale
     fraction *= _FRACTION_SCALE.take(k)
     index = np.empty((7, v.size))
-    top = np.floor(whole / 1e8)  # the whole part's digit above 1e8
-    np.add(top, _COMMA_DIGIT, out=index[0])
-    low = whole - top * 1e8
-    middle = np.floor(low / _GROUP)
-    np.multiply(top == 0, _LEAD, out=index[1])
-    index[1] += middle
-    np.multiply(whole < _GROUP, _LEAD_ZERO, out=index[2])
-    index[2] += low
-    index[2] -= middle * _GROUP
+    _whole_index(whole.astype(np.int64), index)
     np.add(fraction != 0, _DOT, out=index[3])
     first = np.floor(fraction / 1e8)
     rest = fraction - first * 1e8
@@ -148,6 +140,41 @@ def _value_words(values: np.ndarray) -> np.ndarray:
     return words.reshape(7, *np.shape(values))
 
 
+def _whole_index(whole: np.ndarray, index: np.ndarray) -> None:
+    """Fill ``index[:3]`` with the ``_digit_words()`` offsets of ``,`` and each of ``whole``.
+
+    ``whole`` is an integer array of values in [0, 1e9), whose words both
+    ``_value_words`` and ``_stamp_words`` take from here. Row 0 is ``,``
+    and the digit above 1e8, NUL if it is 0; rows 1 and 2 are the two
+    4-digit groups below it, with the leading zeros of the number NUL and
+    a lone ``0`` kept.
+    """
+    top = whole // 10**8
+    np.add(top, _COMMA_DIGIT, out=index[0])
+    low = whole - top * 10**8
+    middle = low // _GROUP
+    np.multiply(top == 0, _LEAD, out=index[1])
+    index[1] += middle
+    np.multiply(whole < _GROUP, _LEAD_ZERO, out=index[2])
+    index[2] += low
+    index[2] -= middle * _GROUP
+
+
+def _stamp_words(stamps: np.ndarray) -> np.ndarray:
+    """The rows of words that spell ``stamps``, less any row that is NUL in every stamp.
+
+    Integer stamps, which must lie in [0, 1e9), are spelled by the three
+    whole-part rows of ``_whole_index`` alone, as ``str`` spells them,
+    with no log10, scaling, rounding or fraction pass; float stamps go
+    through ``_value_words``.
+    """
+    if stamps.dtype.kind != "i":
+        return _nonblank(_value_words(stamps))
+    index = np.empty((3, stamps.size), np.intp)
+    _whole_index(stamps, index)
+    return _nonblank(_digit_words().take(index))
+
+
 def _nonblank(words: np.ndarray) -> np.ndarray:
     """The rows of ``_value_words`` output that hold a byte other than NUL in some value."""
     return words[words.reshape(len(words), -1).any(axis=1)]
@@ -160,35 +187,52 @@ def _text_words(texts: list[str]) -> np.ndarray:
 
 
 def _node_major_rows(
-    stamps: np.ndarray, nodes: int, values: Callable[[slice], Sequence[np.ndarray]]
+    stamps: np.ndarray, nodes: int, values: Callable[[slice, slice], Sequence[np.ndarray]]
 ) -> Iterator[bytes]:
     """Every node's rows, node-major, as parts of a trace body.
 
-    The rows are built as uint32 words, a block of steps of every node at
-    once, ``_BLOCK_ROWS`` rows a block (or one step, if there are more
-    nodes): a row is the node's id, the words ``_value_words`` spells the
-    step's stamp in (a block's stamps are spelled once for every node, and
-    a word that is NUL in every stamp of the block is left out), the word
-    columns ``values(block)`` gives for the block's steps, each broadcast
-    to ``(nodes, steps, words)``, and a newline. The words are padded with
-    NUL bytes, which one ``bytes.translate`` per node and block deletes;
-    they are built from bytes and only copied, so the text is the same on
-    any byte order.
+    The rows are built as uint32 words, about ``_BLOCK_ROWS`` rows a block:
+    every step of as many nodes as fit, if a node's steps fit in a block,
+    and else a run of steps of every node, or of ``_BLOCK_ROWS`` // w nodes
+    at a time, where w, the steps a block holds, is never below
+    √``_BLOCK_ROWS``. A row is the node's id, the words ``_stamp_words``
+    spells the step's stamp in (a block's stamps are spelled once for all
+    its nodes), the word columns ``values(nodes, steps)`` gives for the
+    block's nodes and steps, each broadcast to ``(nodes, steps, words)``,
+    and a newline. The words are padded with NUL bytes, which one
+    ``bytes.translate`` deletes: one per block if it holds every step of
+    its nodes, since it is node-major already, and else one per node and
+    block. The words are built from bytes and only copied, so the text is
+    the same on any byte order.
     """
-    heads = _text_words([str(node) for node in range(nodes)])[:, None]
-    bodies: list[list[bytes]] = [[] for _ in range(nodes)]  # each node's blocks
-    steps = max(1, _BLOCK_ROWS // nodes)  # a block holds these steps of every node
-    for lo in range(0, len(stamps), steps):
-        block = slice(lo, lo + steps)
-        spelled = _nonblank(_value_words(stamps[block]))
-        columns = (heads, spelled.T, *values(block), _NEWLINE_WORD)
-        rows = np.empty((nodes, spelled.shape[1], sum(c.shape[-1] for c in columns)), np.uint32)
-        at = 0
-        for column in columns:
-            rows[..., at : at + column.shape[-1]] = column
-            at += column.shape[-1]
-        for node_rows, body in zip(rows, bodies):
-            body.append(node_rows.tobytes().translate(None, b"\0"))
+    steps = len(stamps)
+    if steps <= _BLOCK_ROWS:
+        block_steps = steps
+    else:
+        block_steps = max(_BLOCK_ROWS // nodes, math.isqrt(_BLOCK_ROWS))
+    group = _BLOCK_ROWS // block_steps  # the nodes a block holds
+    # numpy casts an integer to bytes as str spells it, with no str per node
+    size = -(-len(str(nodes - 1)) // 4) * 4
+    heads = np.arange(nodes).astype(f"S{size}").view(np.uint32).reshape(nodes, 1, -1)
+    bodies: list[list[bytes]] = [[] for _ in range(1 if block_steps == steps else nodes)]
+    for lo in range(0, steps, block_steps):
+        block = slice(lo, lo + block_steps)
+        spelled = _stamp_words(stamps[block])
+        for first in range(0, nodes, group):
+            members = slice(first, first + group)
+            head = heads[members]
+            columns = (head, spelled.T, *values(members, block), _NEWLINE_WORD)
+            shape = (len(head), spelled.shape[1], sum(c.shape[-1] for c in columns))
+            rows = np.empty(shape, np.uint32)
+            at = 0
+            for column in columns:
+                rows[..., at : at + column.shape[-1]] = column
+                at += column.shape[-1]
+            if block_steps == steps:
+                bodies[0].append(rows.tobytes().translate(None, b"\0"))
+            else:
+                for node_rows, body in zip(rows, bodies[members]):
+                    body.append(node_rows.tobytes().translate(None, b"\0"))
     return chain.from_iterable(bodies)
 
 
@@ -393,11 +437,15 @@ def save_locations(
 
     The rows come from ``_node_major_rows``, stamped with the steps, and
     their value column is each sample's cell as ``,x,y``: one row of
-    NUL-padded words per cell that occurs in the trace, found by
-    ``searchsorted`` over the occurring cells, so a short trace on a large
-    grid builds few. A trace with no samples or with a cell id outside the
-    grid is refused with ``ValueError`` before the file is opened, since
-    the loader could not read it back.
+    NUL-padded words per cell that occurs in the trace. If the span of the
+    ids, greatest less least plus one, is no larger than the sample count,
+    the rows go in a table indexed by id less the least id, the occurring
+    ids found by one ``bincount``, and a block's labels are one gather from
+    it. A sparser trace finds them by ``searchsorted`` over its sorted
+    occurring cells, so a short trace on a large grid builds few rows and
+    no table the size of the grid. A trace with no samples or with a cell
+    id outside the grid is refused with ``ValueError`` before the file is
+    opened, since the loader could not read it back.
     """
     if isinstance(trace, LocationTrace):
         joint = JointTrace(trace.grid, trace.ids[None, :])
@@ -409,10 +457,23 @@ def save_locations(
     outside = (joint.ids < 0) | (joint.ids >= grid.size)
     if outside.any():
         raise ValueError(f"cell id {joint.ids[outside][0]} outside {grid}")
-    # the ids sorted, then deduplicated: np.unique took 5x as long on 4 x 10^5 ids of 100 cells
-    occurring = np.sort(joint.ids, axis=None)
-    occurring = occurring[np.concatenate(([True], occurring[1:] != occurring[:-1]))]
+    ids = joint.ids
+    low = int(ids.min())
+    span = int(ids.max()) - low + 1
+    dense = span <= ids.size
+    if dense:
+        # a label row for every id from the least to the greatest, filled
+        # for those that occur, so one gather a block finds every label
+        occurring = np.flatnonzero(np.bincount((ids - low).ravel(), minlength=span)) + low
+    else:
+        # sorted, then deduplicated: np.unique took 5x as long on 4 x 10^5 ids of 100 cells
+        occurring = np.sort(ids, axis=None)
+        occurring = occurring[np.concatenate(([True], occurring[1:] != occurring[:-1]))]
     labels = _text_words([f",{x},{y}" for x, y in zip(*(a.tolist() for a in grid.xy(occurring)))])
+    if dense:
+        table = np.zeros((span, labels.shape[1]), np.uint32)
+        table[occurring - low] = labels
+        labels = table
     header = {
         "kind": KIND_LOCATIONS,
         "grid": f"{grid.width}x{grid.height}",
@@ -420,8 +481,9 @@ def save_locations(
         "config": config_digest or "none",
     }
 
-    def cells(block: slice) -> list[np.ndarray]:
-        return [labels[np.searchsorted(occurring, joint.ids[:, block])]]
+    def cells(members: slice, block: slice) -> list[np.ndarray]:
+        cell = ids[members, block]
+        return [labels[cell - low if dense else np.searchsorted(occurring, cell)]]
 
     rows = _node_major_rows(np.arange(len(joint)), joint.node_count, cells)
     _write_trace(path, header, "node,step,x,y", rows)
@@ -490,8 +552,8 @@ def save_positions(
         "config": config_digest or "none",
     }
 
-    def xy(block: slice) -> list[np.ndarray]:
-        words = _value_words(trace.positions[:, block])
+    def xy(members: slice, block: slice) -> list[np.ndarray]:
+        words = _value_words(trace.positions[members, block])
         return [np.moveaxis(_nonblank(words[..., axis]), 0, -1) for axis in (0, 1)]
 
     rows = _node_major_rows(times, trace.node_count, xy)

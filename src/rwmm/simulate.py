@@ -26,13 +26,22 @@ from .processes import (
 # Most location samples (nodes × horizon) one run may hold; the location ids
 # alone take 8 bytes a sample, 0.8 GB at the limit, and io.save_locations
 # also holds every node's text, about 14 bytes a sample, and the steps,
-# 8 bytes a step, until the file is written.
+# 8 bytes a step, until the file is written. A node's waypoints take 8 bytes
+# a step while it is drawn; its paths, the covering ones and less than one
+# block of _PATH_BLOCK more, 8 bytes a path.
 MAX_SAMPLES = 10**8
+# waypoint pairs whose paths are drawn at once
+_PATH_BLOCK = 2**15
 
 
 @dataclass(frozen=True, eq=False)
 class NodeRun:
-    """Everything one node produced in a run, all layers aligned."""
+    """Everything one node produced in a run, all layers aligned.
+
+    ``paths`` are the paths that cover the run's horizon, the last of which
+    may reach past it, and ``waypoints`` the waypoints they join, one more
+    than the paths.
+    """
 
     waypoints: WaypointTrace
     paths: PathTrace
@@ -56,11 +65,15 @@ def simulate_node(
     """Simulate one node for ``horizon`` location steps.
 
     Draws ``horizon + 1`` waypoints — every path emits at least one location
-    sample, so ``horizon`` paths always cover the horizon — but encodes only
-    the paths that cover the horizon, then trims the encoded stream to
-    exactly ``horizon`` samples. ``paths`` keeps every drawn path. A horizon
-    over ``MAX_SAMPLES`` is refused with :class:`ConfigurationError` before
-    any draw.
+    sample, so ``horizon`` paths always cover the horizon — then draws their
+    paths ``_PATH_BLOCK`` waypoint pairs at a time, from one generator, and
+    stops at the first block whose path lengths reach the horizon. A
+    generator gives the same values from one ``integers`` call with array
+    bounds as from consecutive calls over its parts, so the paths are those
+    one draw over every pair would give. Only the covering paths are kept
+    and encoded, and the encoded stream is trimmed to exactly ``horizon``
+    samples. A horizon over ``MAX_SAMPLES`` is refused with
+    :class:`ConfigurationError` before any draw.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -68,10 +81,21 @@ def simulate_node(
     root = _seed_sequence(seed)
     wp_seed, path_seed = root.spawn(2)
     waypoints = sample_waypoints(spec, horizon + 1, np.random.default_rng(wp_seed))
-    paths = sample_paths(alphabet, waypoints, np.random.default_rng(path_seed))
-    covering = int(np.searchsorted(np.cumsum(paths.lengths), horizon)) + 1
-    locations = encode_sequence(PathTrace(alphabet, paths.ids[:covering])).prefix(horizon)
-    return NodeRun(waypoints=waypoints, paths=paths, locations=locations)
+    rng = np.random.default_rng(path_seed)
+    blocks, covered = [], 0
+    for lo in range(0, horizon, _PATH_BLOCK):
+        pairs = WaypointTrace(waypoints.grid, waypoints.ids[lo : lo + _PATH_BLOCK + 1])
+        block = sample_paths(alphabet, pairs, rng)
+        ends = np.cumsum(block.lengths) + covered
+        covering = int(np.searchsorted(ends, horizon)) + 1  # past the block if not reached
+        blocks.append(block.ids[:covering])
+        if covering <= len(block):
+            break
+        covered = int(ends[-1])
+    paths = PathTrace(alphabet, np.concatenate(blocks))
+    locations = encode_sequence(paths).prefix(horizon)
+    joined = WaypointTrace(waypoints.grid, waypoints.ids[: len(paths) + 1])
+    return NodeRun(waypoints=joined, paths=paths, locations=locations)
 
 
 def simulate_joint(

@@ -33,6 +33,7 @@ from rwmm.errors import ConfigurationError, VerificationError
 from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
     _BLOCK_BYTES,
+    _stamp_words,
     _value_words,
     export_csv_report,
     export_ns2,
@@ -470,6 +471,77 @@ class TestTraceFiles:
         finally:
             tracemalloc.stop()
         assert peak / joint.ids.size < 32
+
+    @pytest.mark.parametrize(
+        "nodes, steps, block",
+        [(7, 40, 16), (7, 16, 16), (40, 3, 16), (5, 17, 16), (3, 50, 4)],
+        ids=["node-groups", "whole-nodes", "many-whole-nodes", "steps-past-a-block", "2-steps"],
+    )
+    def test_locations_blocks_of_rows_match_per_row_oracle(
+        self, tmp_path, monkeypatch, nodes, steps, block
+    ):
+        # blocks of every step of some nodes, of some steps of every node,
+        # and of some steps of a group of nodes
+        grid = GridSpec(12, 11)
+        ids = np.random.default_rng(nodes).integers(0, grid.size, (nodes, steps))
+        joint = JointTrace(grid, ids)
+        monkeypatch.setattr(trace_io, "_BLOCK_ROWS", block)
+        path = tmp_path / "t.trace"
+        save_locations(path, joint)
+        body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
+        assert body == per_row_location_body(joint).encode()
+
+    def test_locations_writer_memory_many_nodes(self, tmp_path):
+        # a block holds every step of as many nodes as fit and is translated
+        # once: with one step a block, one translate and one bytes part per
+        # node and step, this peaked at 89 bytes a sample
+        grid = GridSpec(10, 10)
+        joint = JointTrace(grid, np.random.default_rng(2).integers(0, grid.size, (10_001, 3)))
+        path = tmp_path / "t.trace"
+        tracemalloc.start()
+        try:
+            save_locations(path, joint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / joint.ids.size < 40
+        body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
+        assert body == per_row_location_body(joint).encode()
+
+    def test_locations_sparse_cells_keep_the_sorted_lookup(self, tmp_path):
+        # two opposite corners span 4e6 ids, more than the samples, so no
+        # label table the size of that span is built
+        grid = GridSpec(2000, 2000)
+        ids = np.tile([0, grid.size - 1], (2, 3))
+        path = tmp_path / "t.trace"
+        tracemalloc.start()
+        try:
+            save_locations(path, JointTrace(grid, ids))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
+        assert body == per_row_location_body(JointTrace(grid, ids)).encode()
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[[3, 6], [4, 5]], [[7, 9, 7, 9]], [[0, 99, 50, 50] * 25]],
+        ids=["span-equals-samples", "gaps", "whole-grid"],
+    )
+    def test_locations_dense_cells_use_the_label_table(self, tmp_path, monkeypatch, ids):
+        # an id span no larger than the sample count is looked up by one
+        # gather from a table indexed by id minus the least id
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense trace was looked up by searchsorted")
+
+        joint = JointTrace(GridSpec(10, 10), np.array(ids, dtype=np.int64))
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        path = tmp_path / "t.trace"
+        save_locations(path, joint)
+        monkeypatch.undo()
+        body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
+        assert body == per_row_location_body(joint).encode()
 
     def test_positions_text(self, tmp_path):
         from rwmm.continuous import ContinuousAreaSpec
@@ -977,6 +1049,18 @@ class TestValueWords:
         drawn = np.random.default_rng(7).integers(0, simulate.MAX_SAMPLES, 10**5).tolist()
         values = edges + drawn
         assert value_text(values) == "".join(f",{v}" for v in values).encode()
+
+    def test_integer_stamps_spelled_as_str(self):
+        # a location trace's steps are spelled by the whole-part words alone:
+        # every step to 10^5, each power of ten and the number below it, the
+        # top of the speller's domain, and a sample of steps a run may hold
+        edges = [v for k in range(1, 10) for v in (10**k - 1, 10**k)][:-1]
+        drawn = np.random.default_rng(8).integers(0, simulate.MAX_SAMPLES, 10**4).tolist()
+        for values in (list(range(10**5 + 1)), edges, drawn):
+            stamps = np.array(values, dtype=np.int64)
+            text = _stamp_words(stamps).T.tobytes().translate(None, b"\0")
+            assert text == "".join(f",{v}" for v in values).encode()
+            assert text == value_text(values)
 
     def test_shape_follows_the_values(self):
         values = np.arange(6.0).reshape(3, 2) + 0.25

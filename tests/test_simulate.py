@@ -1,9 +1,15 @@
-"""Seeded simulation tests: the covering-prefix encoder, the sample limit and
-the refusal of a waypoint spec and an alphabet on different grids.
+"""Seeded simulation tests: the covering-prefix encoder, the blocked path
+draws, the sample limit and the refusal of a waypoint spec and an alphabet on
+different grids.
 
-``simulate_node`` encodes only the paths that cover its horizon; its
-locations are checked against a concatenation of every drawn path's cells.
+``simulate_node`` draws and encodes only the paths that cover its horizon;
+its locations are checked against a concatenation of those paths' cells, and
+its paths against the first paths of one draw over every waypoint pair,
+which rests on numpy's generator drawing the same integers from one call as
+from consecutive calls over its parts.
 """
+
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -33,13 +39,57 @@ def test_locations_match_concatenated_paths(kind, seed):
     exact_hits = 0
     for horizon in range(1, 61):
         run = simulate_node(SPECS[kind], ALPHABET, horizon, seed)
-        # every drawn path is kept, whether or not the horizon reaches it
-        assert len(run.paths) == horizon
+        # the paths cover the horizon with none to spare
+        lengths = run.paths.lengths
+        assert lengths[:-1].sum() < horizon <= lengths.sum()
         expected = concatenated_locations(ALPHABET, run.paths.ids, horizon)
         assert [run.locations.cell(i) for i in range(len(run.locations))] == expected
         exact_hits += horizon in np.cumsum(run.paths.lengths)
     # some horizon ends exactly where a path does
     assert exact_hits > 0
+
+
+# cut points after odd and even counts of 30 draws
+@pytest.mark.parametrize("cuts", [(1,), (2,), (3, 10), (7, 20, 21), (16, 29)])
+@settings(max_examples=25)
+@given(
+    st.integers(0, 2**63 - 1),
+    st.lists(st.integers(1, 60) | st.integers(1, 2**40), min_size=30, max_size=30),
+)
+def test_split_integer_draws_equal_one_draw(cuts, seed, bounds):
+    # an array of bounds, as sample_paths draws, and one scalar bound
+    bounds = np.array(bounds)
+    spans = list(pairwise((0, *cuts, len(bounds))))
+    whole = np.random.default_rng(seed).integers(0, bounds)
+    rng = np.random.default_rng(seed)
+    parts = [rng.integers(0, bounds[lo:hi]) for lo, hi in spans]
+    assert np.array_equal(np.concatenate(parts), whole)
+    high = int(bounds[0])
+    whole = np.random.default_rng(seed).integers(0, high, len(bounds))
+    rng = np.random.default_rng(seed)
+    parts = [rng.integers(0, high, hi - lo) for lo, hi in spans]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(sorted(SPECS)), st.integers(0, 2**32 - 1))
+def test_blocked_paths_are_the_first_of_one_draw(kind, seed):
+    blocks = 0
+    for horizon in range(1, 61):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_PATH_BLOCK", 3)
+            run = simulate_node(SPECS[kind], ALPHABET, horizon, seed)
+        wp_seed, path_seed = np.random.SeedSequence(seed).spawn(2)
+        waypoints = sample_waypoints(SPECS[kind], horizon + 1, np.random.default_rng(wp_seed))
+        full = sample_paths(ALPHABET, waypoints, np.random.default_rng(path_seed))
+        count = len(run.paths)
+        assert np.array_equal(run.paths.ids, full.ids[:count])
+        assert np.array_equal(run.waypoints.ids, waypoints.ids[: count + 1])
+        lengths = run.paths.lengths
+        assert lengths[:-1].sum() < horizon <= lengths.sum()
+        blocks = max(blocks, -(-count // 3))
+    # some horizon needs several blocks
+    assert blocks > 2
 
 
 def _refuse_draws(monkeypatch):
