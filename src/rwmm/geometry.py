@@ -15,12 +15,12 @@ displacement ``(dx, dy)`` covers ``sqrt(S) / q`` with ``S = q^2 (dx^2 + dy^2)``,
 so it takes ``ceil(sqrt(S / p^2)) = isqrt((S - 1) // p^2) + 1`` steps. Sample
 ``k`` lies ``a / sqrt(S)`` half-cells from the source along an axis of span
 ``d``, with ``a = 2kpd``, and rounds to ``ceil(a / sqrt(S)) // 2``: the nearest
-cell, half-integer ties toward the smaller coordinate. The build computes both
-for every displacement and speed at once, in int64 numpy arrays, and takes
-every ``isqrt`` exactly, with no float: ``isqrt(m)`` is
-``searchsorted(squares, m, side="right") - 1`` over the squares ``0, 1, 4,
-...`` up to the longest path's length or twice the grid's larger span, which is
-deterministic on every platform.
+cell, half-integer ties toward the smaller coordinate. The build computes
+every step count at once, and the alphabet digitizes samples when they are
+asked for, both in int64 numpy arrays, with every ``isqrt`` exact and no
+float: ``isqrt(m)`` is ``searchsorted(squares, m, side="right")`` over the
+squares ``1, 4, 9, ...`` up to the longest path's length (step counts) or
+twice the grid's larger span (samples), which is deterministic everywhere.
 """
 
 from __future__ import annotations
@@ -132,14 +132,9 @@ def normalize_speeds(speeds: Iterable[SpeedLike]) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-# emitted cells the build digitizes per block: the block's temporaries, about
-# ten int64 arrays this long, stay near 330 KB beside the tables
-_BLOCK_CELLS = 1 << 12
-
-
 def _isqrt(values: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """Exact ``isqrt`` of each of ``values``, integers in ``[0, squares[-1])``."""
-    return np.searchsorted(squares, values, side="right") - 1
+    """Exact ``isqrt`` of values below ``(len(squares) + 1)^2``; ``squares`` is 1, 4, 9, ..."""
+    return np.searchsorted(squares, values, side="right")
 
 
 def _nearest(a: np.ndarray, scaled: np.ndarray, squares: np.ndarray) -> np.ndarray:
@@ -147,13 +142,16 @@ def _nearest(a: np.ndarray, scaled: np.ndarray, squares: np.ndarray) -> np.ndarr
 
     That is ``ceil(a / sqrt(scaled)) // 2``, where the ceiling is
     ``isqrt((a^2 - 1) // scaled) + 1`` for ``a > 0`` and ``-isqrt(a^2 // scaled)``
-    otherwise. ``scaled`` must be positive.
+    otherwise. ``scaled`` must be positive, and ``a`` is overwritten.
     """
     positive = a > 0
-    square = a * a
-    square -= positive
-    root = _isqrt(square // scaled, squares)
-    return np.where(positive, root + 1, -root) // 2
+    a *= a
+    a -= positive
+    a //= scaled
+    root = _isqrt(a, squares)
+    root += positive
+    np.negative(root, out=root, where=~positive)
+    return np.floor_divide(root, 2, out=root)
 
 
 def _members(steps: np.ndarray, speeds: int, ranks) -> np.ndarray:
@@ -246,8 +244,8 @@ class PathAlphabet:
     grid            : the underlying grid (waypoint alphabet equals its cells)
     max_path_length : largest path length over the whole alphabet
 
-    The numpy tables hold O((2W-1)(2H-1)·|speeds|) members and their
-    emissions, never one entry per cell pair or per path.
+    The numpy tables hold the length, displacement and speed of each of the
+    O((2W-1)(2H-1)·|speeds|) members, and nothing per cell pair, path or cell.
     """
 
     def __init__(self, grid: GridSpec, speeds: tuple[Fraction, ...]):
@@ -257,8 +255,8 @@ class PathAlphabet:
         :func:`normalize_speeds` gives. A candidate is one displacement's path
         at one speed: candidate ``c`` is displacement ``c // |speeds|`` at the
         ``c % |speeds|``-th fastest speed. :func:`_members` picks the distinct
-        ones in member order; then the emitted cells are digitized into their
-        table ``_BLOCK_CELLS`` at a time, a long member across several blocks.
+        ones in member order, and each member keeps its candidate's
+        displacement and speed, from which :meth:`emitted_cells` digitizes.
         """
         self.grid = grid
         width, height = grid.width, grid.height
@@ -267,67 +265,51 @@ class PathAlphabet:
         dy, dx = np.divmod(np.arange(count, dtype=np.int64), 2 * width - 1)
         dx -= width - 1
         dy -= height - 1
-        norm = dx * dx + dy * dy
         # per speed, fastest first
-        p = np.array([v.numerator for v in reversed(speeds)], dtype=np.int64)
-        q2 = np.array([v.denominator**2 for v in reversed(speeds)], dtype=np.int64)
-        # a step count is at most the slowest speed's longest, and a sample's
-        # isqrt(a^2 // S) is below 2|d|, as a < 2 sqrt(S) |d|
+        self._p = np.array([v.numerator for v in reversed(speeds)], dtype=np.int64)
+        self._q2 = np.array([v.denominator**2 for v in reversed(speeds)], dtype=np.int64)
+        # a sample's isqrt(a^2 // S) is below 2|d|, as a < 2 sqrt(S) |d|
+        self._squares = np.arange(1, 2 * max(width, height), dtype=np.int64) ** 2
+        # a step count is at most the slowest speed's longest; its squares
+        # serve the step counts alone and are dropped with the build
         slowest = speeds[0]
         reach = slowest.denominator**2 * ((width - 1) ** 2 + (height - 1) ** 2)
         longest = math.isqrt(max(reach - 1, 0) // slowest.numerator**2) + 1
-        squares = np.arange(max(longest, 2 * max(width, height) - 2) + 1, dtype=np.int64) ** 2
+        squares = np.arange(1, longest + 1, dtype=np.int64) ** 2
         # per candidate
-        steps = _isqrt(np.maximum(norm[:, None] * q2 - 1, 0) // (p * p), squares).ravel() + 1
-
-        def trips(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Per candidate: ``2p * dx`` and ``2p * dy``, each ``a`` per unit of k, and S."""
-            disp, speed = np.divmod(candidates, len(speeds))
-            two_p = 2 * p[speed]
-            # the pause samples only a = 0, which any positive S rounds to 0
-            return dx[disp] * two_p, dy[disp] * two_p, np.maximum(norm[disp] * q2[speed], 1)
-
-        def cells(k, ax, ay, scaled) -> tuple[np.ndarray, np.ndarray]:
-            """Offsets ``(ox, oy)`` of samples ``k`` of the trips, broadcast together."""
-            return _nearest(k * ax, scaled, squares), _nearest(k * ay, scaled, squares)
+        scaled = (dx * dx + dy * dy)[:, None] * self._q2
+        steps = _isqrt(np.maximum(scaled - 1, 0) // (self._p**2), squares).ravel() + 1
+        del scaled, squares
 
         def ranks(group: np.ndarray, length: int) -> np.ndarray:
             """Samples 1 .. length - 1 of each candidate, ranked in (ox, oy) tuple order."""
-            ox, oy = cells(np.arange(1, length), *(t[:, None] for t in trips(group)))
+            disp, speed = np.divmod(group, len(speeds))
+            trips = self._trips(dx[disp], dy[disp], speed)
+            ox, oy = self._offsets(np.arange(1, length), *(t[:, None] for t in trips))
             return ox * (2 * height - 1) + oy
 
         members = _members(steps, len(speeds), ranks)
-        # per displacement
-        self._family_sizes = np.bincount(members // len(speeds), minlength=count)
-        self._family_starts = _exclusive_cumsum(self._family_sizes)
-        # per member; to keep the build's peak low, ``steps`` is dropped
-        # before the emitted cells are filled, and ``members`` before the
-        # member displacements are made
+        # per member
         self._lengths = steps[members]
-        del steps
-        self._emit_starts = _exclusive_cumsum(self._lengths)
-        # emitted cells, samples k = 0 .. length - 1, as offsets ox + oy * width
-        self._emits = np.empty(int(self._lengths.sum()), dtype=np.int64)
-        # block [start, start + _BLOCK_CELLS) holds parts of members first .. last - 1
-        starts = np.arange(0, len(self._emits), _BLOCK_CELLS)
-        firsts = np.searchsorted(self._emit_starts, starts, side="right") - 1
-        lasts = np.searchsorted(self._emit_starts, starts + _BLOCK_CELLS)
-        for start, first, last in zip(starts.tolist(), firsts.tolist(), lasts.tolist()):
-            block = self._emits[start : start + _BLOCK_CELLS]
-            offsets = self._emit_starts[first:last]
-            ends = np.minimum(offsets + self._lengths[first:last], start + len(block))
-            sizes = ends - np.maximum(offsets, start)
-            k = np.arange(start, start + len(block), dtype=np.int64) - np.repeat(offsets, sizes)
-            ox, oy = cells(k, *(np.repeat(t, sizes) for t in trips(members[first:last])))
-            np.multiply(oy, width, out=block)
-            block += ox
-        del members
-        self._dx = np.repeat(dx, self._family_sizes)
-        self._dy = np.repeat(dy, self._family_sizes)
+        disp, self._speeds = np.divmod(members, len(speeds))
+        self._dx, self._dy = dx[disp], dy[disp]
+        # per displacement
+        self._family_sizes = np.bincount(disp, minlength=count)
+        self._family_starts = _exclusive_cumsum(self._family_sizes)
         self.max_path_length = int(self._lengths.max())
         # a member is a path from each of the (W - |dx|)(H - |dy|) sources it fits
         fits = (width - np.abs(dx)) * (height - np.abs(dy))
         self._path_count = int((fits * self._family_sizes).sum())
+
+    def _trips(self, dx, dy, speed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``2p * dx``, ``2p * dy`` (``a`` per unit of k) and S of each trip at its speed index."""
+        two_p = 2 * self._p[speed]
+        # the pause samples only a = 0, which any positive S rounds to 0
+        return dx * two_p, dy * two_p, np.maximum((dx * dx + dy * dy) * self._q2[speed], 1)
+
+    def _offsets(self, k, ax, ay, scaled) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets ``(ox, oy)`` of samples ``k`` of the trips, broadcast together."""
+        return _nearest(k * ax, scaled, self._squares), _nearest(k * ay, scaled, self._squares)
 
     @property
     def all_paths(self) -> Mapping[int, Path]:
@@ -378,14 +360,28 @@ class PathAlphabet:
     def emitted_cells(self, ids) -> np.ndarray:
         """The emitted cells (all but the last) of each path id, concatenated.
 
-        Ids are not validated.
+        Each distinct member among the ids is digitized once, into a table
+        that every id's cells are gathered from. Ids are not validated.
         """
         sources, members = np.divmod(np.asarray(ids, dtype=np.int64), len(self._lengths))
+        marked = np.zeros(len(self._lengths), dtype=bool)
+        marked[members] = True
+        distinct = np.flatnonzero(marked)
+        sizes = self._lengths[distinct]
+        offsets = _exclusive_cumsum(sizes)
+        # the distinct members' samples k = 0 .. length - 1, as offsets ox + oy * width
+        k = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(offsets, sizes)
+        trips = self._trips(self._dx[distinct], self._dy[distinct], self._speeds[distinct])
+        ox, table = self._offsets(k, *(np.repeat(t, sizes) for t in trips))
+        table *= self.grid.width
+        table += ox
+        starts = np.zeros(len(self._lengths), dtype=np.int64)
+        starts[distinct] = offsets
         lengths = self._lengths[members]
-        # emission k of the concatenation is member emission k - (block start - emit start)
+        # emission k of the concatenation is member emission k - (block start - table start)
         index = np.arange(int(lengths.sum()), dtype=np.int64)
-        index -= np.repeat(np.cumsum(lengths) - lengths - self._emit_starts[members], lengths)
-        cells = self._emits[index]
+        index -= np.repeat(np.cumsum(lengths) - lengths - starts[members], lengths)
+        cells = table[index]
         cells += np.repeat(sources, lengths)
         return cells
 

@@ -28,7 +28,9 @@ from .processes import (
 # also holds every node's text, about 14 bytes a sample, and the steps,
 # 8 bytes a step, until the file is written. A node's waypoints take 8 bytes
 # a step while it is drawn; its paths, the covering ones and less than one
-# block of _PATH_BLOCK more, 8 bytes a path.
+# block of _PATH_BLOCK more, 8 bytes a path. Encoding them digitizes each
+# distinct member once, with temporaries of up to about 50 bytes a sample
+# when few paths share a member.
 MAX_SAMPLES = 10**8
 # waypoint pairs whose paths are drawn at once
 _PATH_BLOCK = 2**15

@@ -8,7 +8,8 @@ Fifteen deliberately separate routes from first principles:
   Python loop per displacement and speed, whose displacement families and
   tables are the vectorized build's of ``rwmm.geometry.build_alphabet``
   computed the slow way, to check that build table by table (the symbolic
-  route above checks the library's families directly);
+  route above checks the library's families directly), and whose cells of
+  each path id, id after id, check ``PathAlphabet.emitted_cells``;
 * a per-pair path alphabet that digitizes every ordered cell pair on its
   own with the scalar digitizer, translating the digitized displacement to
   the pair, and interns the paths one by one, with its own pair-major ids,
@@ -164,6 +165,23 @@ def scalar_alphabet_tables(grid: GridSpec, speeds) -> SimpleNamespace:
         lengths=np.array(lengths, dtype=np.int64),
         emits=np.array(emits, dtype=np.int64),
     )
+
+
+def scalar_emitted_cells(alphabet: PathAlphabet, speeds, ids) -> list[int]:
+    """The emitted cell ids of each path id, id after id, by :func:`displacement_family`.
+
+    Only the id's endpoints and its family's first id are read from the
+    alphabet: the id's member is its offset in the family's id range.
+    """
+    grid = alphabet.grid
+    cells = []
+    for pid in ids:
+        (source,), (dest,) = alphabet.endpoints([pid])
+        first, _ = alphabet.family_ranges(source, dest)
+        (sx, sy), (tx, ty) = grid.xy(int(source)), grid.xy(int(dest))
+        member = displacement_family(tx - sx, ty - sy, speeds)[pid - int(first)]
+        cells.extend((sy + oy) * grid.width + sx + ox for ox, oy in member[:-1])
+    return cells
 
 
 def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:

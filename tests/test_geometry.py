@@ -27,7 +27,12 @@ from rwmm.geometry import (
     normalize_speeds,
 )
 
-from oracles import per_pair_alphabet, scalar_alphabet_tables, sympy_digitize
+from oracles import (
+    per_pair_alphabet,
+    scalar_alphabet_tables,
+    scalar_emitted_cells,
+    sympy_digitize,
+)
 
 
 def numpy_tables(alphabet):
@@ -430,6 +435,8 @@ class TestVectorizedBuild:
     @example(9, 7, SQUARE_TIE_SPEEDS)
     @example(6, 13, LONG_SQUARE_TIE_SPEEDS)
     @example(13, 6, LONG_SQUARE_TIE_SPEEDS)
+    # the diagonal members run 5657 samples
+    @example(3, 3, (Fraction(1, 2000),))
     def test_tables_equal_scalar_oracle(self, width, height, speeds):
         grid = GridSpec(width, height)
         alpha = build_alphabet(grid, speeds)
@@ -437,29 +444,62 @@ class TestVectorizedBuild:
         for table, expected in [
             (alpha._family_sizes, oracle.family_sizes),
             (alpha._lengths, oracle.lengths),
-            (alpha._emits, oracle.emits),
         ]:
             assert table.dtype == np.int64
             assert np.array_equal(table, expected)
+        # every member once, in member order, from a source where it fits
+        dy, dx = np.divmod(np.arange((2 * width - 1) * (2 * height - 1)), 2 * width - 1)
+        dx -= width - 1
+        dy -= height - 1
+        sources = grid.ids(np.maximum(-dx, 0), np.maximum(-dy, 0))
+        firsts, sizes = alpha.family_ranges(sources, sources + grid.ids(dx, dy))
+        ids = np.concatenate([np.arange(f, f + n) for f, n in zip(firsts, sizes)])
+        emitted = alpha.emitted_cells(ids)
+        assert emitted.dtype == np.int64
+        assert np.array_equal(
+            emitted - np.repeat(np.repeat(sources, sizes), alpha.lengths(ids)), oracle.emits
+        )
 
-    def test_members_longer_than_a_block(self):
-        # 3x3 at speed 1/2000: the diagonal members run 5657 samples, more
-        # than one block, so the build digitizes them across block edges
-        grid = GridSpec(3, 3)
-        alpha = build_alphabet(grid, (Fraction(1, 2000),))
-        assert alpha.max_path_length > 1 << 12
-        assert np.array_equal(alpha._emits, scalar_alphabet_tables(grid, (Fraction(1, 2000),)).emits)
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.lists(build_speeds_st, min_size=1, max_size=3),
+        st.data(),
+    )
+    def test_emitted_cells_equal_per_id_oracle(self, width, height, speeds, data):
+        grid = GridSpec(width, height)
+        alpha = _alphabet(grid, normalize_speeds(speeds))
+        assert alpha.emitted_cells([]).tolist() == []
+        drawn = data.draw(st.lists(st.sampled_from(list(alpha.all_paths)), max_size=12))
+        # each drawn member again, from a source where it fits, then all
+        # shuffled with the drawn ids repeated
+        moved = []
+        for pid in drawn:
+            (source,), (dest,) = alpha.endpoints([pid])
+            first, _ = alpha.family_ranges(source, dest)
+            (sx, sy), (tx, ty) = grid.xy(int(source)), grid.xy(int(dest))
+            x = data.draw(st.integers(max(0, sx - tx), width - 1 - max(0, tx - sx)))
+            y = data.draw(st.integers(max(0, sy - ty), height - 1 - max(0, ty - sy)))
+            moved_source = grid.ids(x, y)
+            moved_first, _ = alpha.family_ranges(moved_source, moved_source + dest - source)
+            moved.append(int(moved_first) + pid - int(first))
+        ids = data.draw(st.permutations(drawn + moved + drawn))
+        emitted = alpha.emitted_cells(np.array(ids, dtype=np.int64))
+        assert emitted.dtype == np.int64
+        assert emitted.tolist() == scalar_emitted_cells(alpha, speeds, ids)
 
-    def test_build_memory_follows_the_block(self):
-        # members up to 56,569 samples: digitized whole, one member at a
-        # time, the build peaked about 6 MB above its emitted-cell table
+    def test_slow_speed_holds_nothing_per_sample(self):
+        # paths of up to 2,828,428 samples: the alphabet keeps per member its
+        # length, displacement and speed, and no square past 2 * span
         tracemalloc.start()
         try:
-            alpha = build_alphabet(GridSpec(3, 3), (Fraction(1, 20000),))
-            _, peak = tracemalloc.get_traced_memory()
+            alpha = build_alphabet(GridSpec(3, 3), (Fraction(1, 1000000),))
+            held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - alpha._emits.nbytes < 2 * 2**20
+        assert alpha.max_path_length == 2_828_428
+        assert held < 2**20
 
     def test_refuses_speed_past_int64(self):
         # 10x10: 4 q^2 R D^2 <= 2^62 admits q up to 9,373,458; q is taken far
