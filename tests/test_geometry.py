@@ -420,6 +420,22 @@ SQUARE_TIE_SPEEDS = (Fraction(5, 4), Fraction(5, 2), Fraction(3, 2), Fraction(1,
 LONG_SQUARE_TIE_SPEEDS = (Fraction(13, 6), Fraction(13, 4), Fraction(13, 2), Fraction(1, 10))
 
 
+def member_emits(alpha):
+    """Every member's emitted cells once, in member order, each digitized from
+    a source where it fits and given relative to that source."""
+    grid = alpha.grid
+    width, height = grid.width, grid.height
+    dy, dx = np.divmod(np.arange((2 * width - 1) * (2 * height - 1)), 2 * width - 1)
+    dx -= width - 1
+    dy -= height - 1
+    sources = grid.ids(np.maximum(-dx, 0), np.maximum(-dy, 0))
+    firsts, sizes = alpha.family_ranges(sources, sources + grid.ids(dx, dy))
+    ids = np.concatenate([np.arange(f, f + n) for f, n in zip(firsts, sizes)])
+    emitted = alpha.emitted_cells(ids)
+    assert emitted.dtype == np.int64
+    return emitted - np.repeat(np.repeat(sources, sizes), alpha.lengths(ids))
+
+
 class TestVectorizedBuild:
     """The build's tables against the scalar digitizer, one sample at a time."""
 
@@ -435,8 +451,6 @@ class TestVectorizedBuild:
     @example(9, 7, SQUARE_TIE_SPEEDS)
     @example(6, 13, LONG_SQUARE_TIE_SPEEDS)
     @example(13, 6, LONG_SQUARE_TIE_SPEEDS)
-    # the diagonal members run 5657 samples
-    @example(3, 3, (Fraction(1, 2000),))
     def test_tables_equal_scalar_oracle(self, width, height, speeds):
         grid = GridSpec(width, height)
         alpha = build_alphabet(grid, speeds)
@@ -447,17 +461,16 @@ class TestVectorizedBuild:
         ]:
             assert table.dtype == np.int64
             assert np.array_equal(table, expected)
-        # every member once, in member order, from a source where it fits
-        dy, dx = np.divmod(np.arange((2 * width - 1) * (2 * height - 1)), 2 * width - 1)
-        dx -= width - 1
-        dy -= height - 1
-        sources = grid.ids(np.maximum(-dx, 0), np.maximum(-dy, 0))
-        firsts, sizes = alpha.family_ranges(sources, sources + grid.ids(dx, dy))
-        ids = np.concatenate([np.arange(f, f + n) for f, n in zip(firsts, sizes)])
-        emitted = alpha.emitted_cells(ids)
-        assert emitted.dtype == np.int64
+        assert np.array_equal(member_emits(alpha), oracle.emits)
+
+    def test_members_longer_than_a_block(self):
+        # 3x3 at speed 1/2000: the diagonal members run 5657 samples, more
+        # than 2**12, and are digitized whole
+        grid = GridSpec(3, 3)
+        alpha = build_alphabet(grid, (Fraction(1, 2000),))
+        assert alpha.max_path_length > 1 << 12
         assert np.array_equal(
-            emitted - np.repeat(np.repeat(sources, sizes), alpha.lengths(ids)), oracle.emits
+            member_emits(alpha), scalar_alphabet_tables(grid, (Fraction(1, 2000),)).emits
         )
 
     @settings(max_examples=60)
