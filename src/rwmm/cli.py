@@ -98,7 +98,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
             failures += 1
         # decoupling at and beyond the second event's span, with the first
         # path of each family: first[i] is the first id of prefix[i] -> prefix[i+1]
-        first = alphabet.family_ranges(ids[:-1], ids[1:])[0].tolist()
+        first = alphabet.walk_family_ranges(ids)[0].tolist()
         event_b = first[:2]
         span = len(event_b)
         for shift in range(span, span + 3):

@@ -236,8 +236,8 @@ class PathAlphabet:
     family of ``(source, dest)`` is one contiguous id range, and an id whose
     member's displacement leaves the grid from its source names no path.
     Only this class knows that format: callers go through
-    :meth:`family_ranges`, :meth:`lengths`, :meth:`endpoints`,
-    :meth:`emitted_cells` and :attr:`all_paths`.
+    :meth:`family_ranges`, :meth:`walk_family_ranges`, :meth:`lengths`,
+    :meth:`endpoints`, :meth:`emitted_cells` and :attr:`all_paths`.
 
     Attributes
     ----------
@@ -321,10 +321,23 @@ class PathAlphabet:
 
         ``sources`` and ``dests`` are cell ids, as ints or integer arrays.
         """
-        width, height = self.grid.width, self.grid.height
         sx, sy = self.grid.xy(sources)
         tx, ty = self.grid.xy(dests)
-        disp = (ty - sy + height - 1) * (2 * width - 1) + (tx - sx + width - 1)
+        return self._family_ranges(sources, tx - sx, ty - sy)
+
+    def walk_family_ranges(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`family_ranges` of each consecutive pair of the cell id array ``ids``.
+
+        Each id is split into ``(x, y)`` once, and each pair's displacement
+        is read from the coordinate differences.
+        """
+        x, y = self.grid.xy(ids)
+        return self._family_ranges(ids[:-1], x[1:] - x[:-1], y[1:] - y[:-1])
+
+    def _family_ranges(self, sources, dx, dy) -> tuple[np.ndarray, np.ndarray]:
+        """First path id and size of the family of each trip ``(dx, dy)`` from ``sources``."""
+        width, height = self.grid.width, self.grid.height
+        disp = (dy + height - 1) * (2 * width - 1) + (dx + width - 1)
         return sources * len(self._lengths) + self._family_starts[disp], self._family_sizes[disp]
 
     def _decode(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -81,6 +81,16 @@ def _check_irreducible_aperiodic(adjacency: Sequence[Iterable[int]]) -> None:
         raise ConfigurationError("markov waypoint chain must be aperiodic")
 
 
+class SuccessorTable(NamedTuple):
+    """A markov chain's exact sampling table: see :attr:`WaypointProcessSpec.sampling_table`."""
+
+    denominator: int
+    cuts: np.ndarray  # int64, ascending
+    successor: list[list[int]]
+    start: list[int]
+    start_sums: list[int]
+
+
 @dataclass(frozen=True)
 class WaypointProcessSpec:
     """Distribution of the per-node waypoint sequence over a grid's cells.
@@ -118,26 +128,51 @@ class WaypointProcessSpec:
         _check_irreducible_aperiodic(self.transition)
 
     @cached_property
-    def sampling_rows(self) -> tuple[int, list[list[int]], list[list[int]]]:
-        """Integer sampling tables ``(D, succ, cum)`` of a markov chain.
+    def sampling_table(self) -> SuccessorTable:
+        """Exact integer sampling table of a markov chain, built once per spec.
 
+        Every waypoint takes one integer ``u`` uniform on ``[0, D)``, where
         ``D`` is the lcm of the denominators of the initial distribution and
-        every transition row. Rows 0..n-1 are the transition rows and row n
-        the initial distribution, so a walk from state n begins with the
-        initial draw. Row ``r`` keeps its nonzero entries in ``succ[r]`` and
-        the running sums of their weights ``p·D``, the full total left off,
-        in ``cum[r]``: a draw ``u`` uniform on ``[0, D)`` then selects
-        ``succ[r][bisect_right(cum[r], u)]`` with probability exactly ``p``.
-        Built once per spec.
+        every transition row; it must be below 2^63
+        (:class:`ConfigurationError` otherwise). A row gives its successors,
+        ids ascending, consecutive runs of ``p·D`` draws. ``cuts`` is the
+        sorted union of every transition row's run boundaries inside
+        ``(0, D)``. It splits ``[0, D)`` into ``B = len(cuts) + 1`` buckets,
+        bucket ``b`` being ``[cuts[b - 1], cuts[b])`` with 0 and ``D`` at the
+        ends, and no row has a boundary inside a bucket, so state ``s`` moves
+        to ``successor[s][b]`` on every draw in bucket ``b``, each successor
+        with probability exactly ``p``. The table holds n·B entries. A lazy
+        walk's rows take a few shapes, so its B stays small whatever n: at
+        most 11 on grids from 1x2 to 100x100. The initial distribution is
+        left out of ``cuts``, where its boundaries would make B grow with n
+        (404 on 20x20 at stay 1/2): the first waypoint is
+        ``start[bisect_right(start_sums, u)]``, over its support and run
+        boundaries.
         """
         assert self.transition is not None and self.initial is not None
-        rows = [*self.transition, {j: p for j, p in enumerate(self.initial) if p}]
+        start = {j: p for j, p in enumerate(self.initial) if p}
+        rows = (*self.transition, start)
         denominator = math.lcm(*(p.denominator for row in rows for p in row.values()))
-        cum = [
-            list(itertools.accumulate(int(p * denominator) for p in row.values()))[:-1]
-            for row in rows
+        if denominator >= 2**63:
+            raise ConfigurationError(
+                f"markov waypoint sampling needs a common denominator below 2^63, "
+                f"this chain's is {denominator}"
+            )
+
+        def boundaries(row: dict[int, Fraction]) -> list[int]:
+            weights = (p.numerator * (denominator // p.denominator) for p in row.values())
+            return list(itertools.accumulate(weights))[:-1]
+
+        bounds = [boundaries(row) for row in self.transition]
+        cuts = sorted(set(itertools.chain.from_iterable(bounds)))
+        lows = [0, *cuts]
+        successor = [
+            [targets[bisect_right(row_bounds, low)] for low in lows]
+            for targets, row_bounds in zip(map(list, self.transition), bounds)
         ]
-        return denominator, [list(row) for row in rows], cum
+        return SuccessorTable(
+            denominator, np.array(cuts, dtype=np.int64), successor, list(start), boundaries(start)
+        )
 
     @classmethod
     def iid_uniform(cls, grid: GridSpec) -> "WaypointProcessSpec":
@@ -236,7 +271,7 @@ def _families(alphabet: PathAlphabet, waypoints: Sequence[Cell], pairs: int) -> 
     """The path family of each of the first ``pairs`` waypoint pairs, as id ranges.
 
     The prefix becomes cell ids once and one
-    :meth:`~rwmm.geometry.PathAlphabet.family_ranges` call reads every
+    :meth:`~rwmm.geometry.PathAlphabet.walk_family_ranges` call reads every
     family. Ids are ``source * M + member``, so the families of two
     different waypoint pairs are disjoint id ranges. Raises ``ValueError``
     when the prefix has fewer than ``pairs + 1`` waypoints, and, as
@@ -254,7 +289,7 @@ def _families(alphabet: PathAlphabet, waypoints: Sequence[Cell], pairs: int) -> 
         np.array([cell.x for cell in waypoints], dtype=np.int64),
         np.array([cell.y for cell in waypoints], dtype=np.int64),
     )
-    first, sizes = alphabet.family_ranges(ids[:-1], ids[1:])
+    first, sizes = alphabet.walk_family_ranges(ids)
     return [range(f, f + size) for f, size in zip(first.tolist(), sizes.tolist())]
 
 
@@ -467,11 +502,9 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _walk(
-    succ: list[list[int]], cum: list[list[int]], state: int, draws: list[int]
-) -> list[int]:
-    """The states visited from ``state`` when draw k selects step k's successor."""
-    return [state := succ[state][bisect_right(cum[state], u)] for u in draws]
+# waypoints a markov walk draws at once: the block's draws, buckets and
+# states are its only temporaries
+_WALK_BLOCK = 2**16
 
 
 def sample_waypoints(
@@ -481,27 +514,32 @@ def sample_waypoints(
 ) -> WaypointTrace:
     """Draw a reproducible waypoint sequence of ``count`` symbols.
 
-    Markov waypoints are drawn exactly from the spec's ``Fraction`` rows:
-    each step draws an integer uniform on ``[0, D)`` for the common
-    denominator ``D`` of the initial distribution and all rows, which must
-    be below 2^63 (:class:`ConfigurationError` otherwise).
+    Markov waypoints are drawn exactly through the spec's
+    :attr:`~WaypointProcessSpec.sampling_table`, each from one integer
+    uniform on ``[0, D)`` (:class:`ConfigurationError` for ``D >= 2^63``).
+    The first waypoint bisects the initial distribution. The others come
+    ``_WALK_BLOCK`` at a time: one ``searchsorted`` over ``cuts`` turns a
+    block's draws into buckets, and each step is one lookup
+    ``successor[state][bucket]``, written into the preallocated ids. A
+    generator gives the same integers from one call as from consecutive
+    calls over its parts, so the waypoints do not depend on the block size.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = _rng(seed)
-    n = spec.grid.size
     if spec.transition is None:
-        ids = rng.integers(0, n, size=count, dtype=np.int64)
+        ids = rng.integers(0, spec.grid.size, size=count, dtype=np.int64)
         return WaypointTrace(spec.grid, ids)
-    denominator, succ, cum = spec.sampling_rows
-    if denominator >= 2**63:
-        raise ConfigurationError(
-            f"markov waypoint sampling needs a common denominator below 2^63, "
-            f"this chain's is {denominator}"
-        )
-    draws = rng.integers(0, denominator, size=count, dtype=np.int64).tolist()
-    states = _walk(succ, cum, n, draws)
-    return WaypointTrace(spec.grid, np.array(states, dtype=np.int64))
+    table = spec.sampling_table
+    ids = np.empty(count, dtype=np.int64)
+    (first,) = rng.integers(0, table.denominator, size=1, dtype=np.int64).tolist()
+    state = ids[0] = table.start[bisect_right(table.start_sums, first)]
+    successor = table.successor
+    for lo in range(1, count, _WALK_BLOCK):
+        draws = rng.integers(0, table.denominator, min(_WALK_BLOCK, count - lo), np.int64)
+        buckets = np.searchsorted(table.cuts, draws, side="right").tolist()
+        ids[lo : lo + len(buckets)] = [state := successor[state][b] for b in buckets]
+    return WaypointTrace(spec.grid, ids)
 
 
 def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLike) -> PathTrace:
@@ -515,7 +553,7 @@ def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLik
     if len(waypoints) < 2:
         raise ValueError("need at least two waypoints to sample a path")
     rng = _rng(seed)
-    first, sizes = alphabet.family_ranges(waypoints.ids[:-1], waypoints.ids[1:])
+    first, sizes = alphabet.walk_family_ranges(waypoints.ids)
     path_ids = first + rng.integers(0, sizes)
     return PathTrace(alphabet, path_ids)
 

@@ -27,7 +27,9 @@ from .processes import (
 # alone take 8 bytes a sample, 0.8 GB at the limit, and io.save_locations
 # also holds every node's text, about 14 bytes a sample, and the steps,
 # 8 bytes a step, until the file is written. A node's waypoints take 8 bytes
-# a step while it is drawn; its paths, the covering ones and less than one
+# a step while it is drawn, and a Markov walk about 2 MB more, one block of
+# processes._WALK_BLOCK draws (10 bytes a step traced at 10^6 steps), beside
+# its spec's successor table; its paths, the covering ones and less than one
 # block of _PATH_BLOCK more, 8 bytes a path. Encoding them digitizes each
 # distinct member once, with temporaries of up to about 50 bytes a sample
 # when few paths share a member.

@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Fifteen deliberately separate routes from first principles:
+Sixteen deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -18,6 +18,10 @@ Fifteen deliberately separate routes from first principles:
 * a dense lazy-walk matrix whose neighbors are the cells at Manhattan
   distance 1, to check the sparse rows of
   ``rwmm.processes.WaypointProcessSpec.lazy_walk``;
+* a markov waypoint walk that bisects one row's running sums a step, its
+  rows built from the spec's ``Fraction``s and its draws taken in one call,
+  to check the blocked successor-table walk of
+  ``rwmm.processes.sample_waypoints``;
 * a forward sum over waypoint states that marginalizes the path channel over
   every waypoint prefix, to check the closed form of
   ``rwmm.processes.path_process_prob`` (it never reads a path's endpoints);
@@ -63,6 +67,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -272,6 +277,29 @@ def dense_markov_distribution(spec: WaypointProcessSpec, index: int) -> list[Fra
     for _ in range(index):
         dist = [sum((dist[i] * step[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
     return dist
+
+
+def bisect_walk(spec: WaypointProcessSpec, count: int, seed) -> list[int]:
+    """``count`` waypoints of a markov spec, one bisection a step.
+
+    The initial distribution and the transition rows get integer weights
+    ``p·D`` over their common denominator ``D``, and ``count`` draws
+    uniform on ``[0, D)`` come from one ``integers`` call. Draw k selects
+    step k's state from the row of the state before it, the initial row
+    first, by bisecting the row's running sums.
+    """
+    assert spec.transition is not None and spec.initial is not None
+    rows = [*spec.transition, {j: p for j, p in enumerate(spec.initial) if p}]
+    denominator = math.lcm(*(p.denominator for row in rows for p in row.values()))
+    succ = [list(row) for row in rows]
+    cum = [
+        list(itertools.accumulate(int(p * denominator) for p in row.values()))[:-1]
+        for row in rows
+    ]
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, denominator, size=count, dtype=np.int64).tolist()
+    state = len(spec.transition)
+    return [state := succ[state][bisect_right(cum[state], u)] for u in draws]
 
 
 def marginal_path_prob(

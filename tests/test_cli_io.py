@@ -1138,6 +1138,22 @@ class TestCsvReport:
             export_csv_report(tmp_path / "r.csv", ("a", "b"), [(1,)])
 
 
+# (waypoints, trace sha256, grid width, grid height) of the pinned
+# simulate-discrete traces
+DISCRETE_TRACE_PINS = [
+    ("iid-uniform", "5e67589c66cefff7dc9d097b129338c9daf1cc17f05ddd31949a16bcacb3dabe", 12, 11),
+    ("lazy-walk", "2651b912b9ea14ffbd60f4d1d09e5b121c468c68de4602a95c65deafda446f0d", 12, 11),
+    ("lazy-walk:1/3", "3b67e2ca8d4772977798fe07b892671a6854a6916b8d513dd919a31b481e0dc0", 12, 11),
+    (
+        "lazy-walk:12345/99991",
+        "0e70f0d6e5a2658c116739f62ce3cc5ecf2103727247a78c87e775ea2b717c11",
+        12,
+        11,
+    ),
+    ("lazy-walk", "4f68546c8d299f05556b4e0926094b66629ba5012f3e44a17dcd25f65a4bff30", 1, 40),
+]
+
+
 class TestCli:
     def write_cfgs(self, tmp_path):
         d = tmp_path / "d.cfg"
@@ -1399,19 +1415,22 @@ class TestCli:
         assert sha256(report.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "waypoints, digest",
-        [
-            ("iid-uniform", "5e67589c66cefff7dc9d097b129338c9daf1cc17f05ddd31949a16bcacb3dabe"),
-            ("lazy-walk", "2651b912b9ea14ffbd60f4d1d09e5b121c468c68de4602a95c65deafda446f0d"),
+        "waypoints, digest, width, height",
+        DISCRETE_TRACE_PINS,
+        ids=[
+            f"{waypoints}-{digest}" + ("" if (width, height) == (12, 11) else f"-{width}x{height}")
+            for waypoints, digest, width, height in DISCRETE_TRACE_PINS
         ],
     )
-    def test_simulate_discrete_trace_pinned(self, tmp_path, waypoints, digest):
+    def test_simulate_discrete_trace_pinned(self, tmp_path, waypoints, digest, width, height):
         # digests of traces written by the per-row writer from every drawn
         # path's encoding; 11 nodes on a 12-wide grid give two-digit node ids
-        # and coordinates
+        # and coordinates. The lazy walks pin the Markov sampler's draws at
+        # three stay probabilities and on a strip, whose end cells have one
+        # neighbor
         cfg = tmp_path / "d.cfg"
         cfg.write_text(
-            "grid_width = 12\ngrid_height = 11\nspeeds = 1, 3/2, 2\n"
+            f"grid_width = {width}\ngrid_height = {height}\nspeeds = 1, 3/2, 2\n"
             f"horizon = 1500\nnodes = 11\nwaypoints = {waypoints}\n"
         )
         trace = tmp_path / "t.trace"

@@ -342,6 +342,17 @@ class TestAlphabetTables:
         assert np.array_equal(alpha.emitted_cells(ids), np.concatenate(emitted))
         assert alpha.max_path_length == oracle.max_path_length
 
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    def test_walk_families_are_each_pairs_family(self, width, height, data):
+        grid = GridSpec(width, height)
+        alpha = _alphabet(grid, (Fraction(1), Fraction(3, 2)))
+        ids = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=12))
+        first, sizes = alpha.walk_family_ranges(np.array(ids, dtype=np.int64))
+        assert [list(range(f, f + n)) for f, n in zip(first.tolist(), sizes.tolist())] == [
+            sorted(alpha.family_id_set(grid.cell_at(a), grid.cell_at(b)))
+            for a, b in zip(ids, ids[1:])
+        ]
+
     def test_all_paths_is_a_read_only_view(self):
         grid = GridSpec(3, 2)
         alpha = build_alphabet(grid, (1, 2))

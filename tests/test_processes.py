@@ -9,19 +9,26 @@ against a full enumeration of the path-symbol space on an instance small
 enough to brute-force. The closed-form path-cylinder probability is checked
 against ``oracles.marginal_path_prob``, which sums the channel over every
 waypoint prefix. Each channel function, and ``verify-channel``, is held to a
-fixed number of family lookups whatever its horizon.
+fixed number of family lookups whatever its horizon. The blocked Markov
+sampler is checked against ``oracles.bisect_walk``, draw for draw, and its
+successor table bucket by bucket.
 """
 
+import ast
 import re
+import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rwmm import processes
 from rwmm.cli import main
 from rwmm.errors import ConfigurationError
 from rwmm.geometry import Cell, GridSpec, PathAlphabet, build_alphabet
@@ -30,7 +37,6 @@ from rwmm.processes import (
     WaypointProcessSpec,
     _markov_distribution_at,
     _stationarity_gap,
-    _walk,
     channel_cylinder_prob,
     channel_total_mass,
     check_channel_stationarity,
@@ -43,6 +49,7 @@ from rwmm.processes import (
 )
 
 from oracles import (
+    bisect_walk,
     dense_lazy_walk,
     dense_markov_distribution,
     dense_transition,
@@ -399,15 +406,16 @@ class TestChannelPrefixes:
         alpha = build_alphabet(grid, (Fraction(1), Fraction(2)))
         w = uniform_prefix(grid, 2 * horizon + 2, np.random.default_rng(8))
         ids = np.array([grid.cell_id(cell) for cell in w])
-        first = alpha.family_ranges(ids[:-1], ids[1:])[0].tolist()
+        first = alpha.walk_family_ranges(ids)[0].tolist()
         lookups = []
-        family_ranges = PathAlphabet.family_ranges
+        # the lookup behind family_ranges and walk_family_ranges
+        family_ranges = PathAlphabet._family_ranges
 
-        def counted(self, sources, dests):
+        def counted(self, sources, dx, dy):
             lookups.append(sources)
-            return family_ranges(self, sources, dests)
+            return family_ranges(self, sources, dx, dy)
 
-        monkeypatch.setattr(PathAlphabet, "family_ranges", counted)
+        monkeypatch.setattr(PathAlphabet, "_family_ranges", counted)
         results, counts = [], []
         for call in self.calls(alpha, w, first, horizon):
             lookups.clear()
@@ -592,6 +600,45 @@ class TestPathProcess:
         )
 
 
+def _three_state_chain(weights, initial):
+    # the cycle 0 -> 1 -> 2 -> 0 and the self loop at 0 make every such
+    # chain irreducible and aperiodic; other entries may be zero
+    weights = list(weights)
+    for i, j in ((0, 0), (0, 1), (1, 2), (2, 0)):
+        weights[3 * i + j] += 1
+    rows = [
+        [Fraction(w, sum(weights[3 * i : 3 * i + 3])) for w in weights[3 * i : 3 * i + 3]]
+        for i in range(3)
+    ]
+    return WaypointProcessSpec.markov(
+        GridSpec(1, 3), rows, [Fraction(w, sum(initial)) for w in initial]
+    )
+
+
+def _two_state_chain(p):
+    return WaypointProcessSpec.markov(GridSpec(1, 2), [[p, 1 - p], [1 - p, p]], [p, 1 - p])
+
+
+STAYS = st.integers(2, 30).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+)
+MARKOV_SPECS = st.one_of(
+    st.builds(
+        _three_state_chain,
+        st.lists(st.integers(0, 3), min_size=9, max_size=9),
+        st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+    ),
+    st.builds(
+        lambda width, height, stay: WaypointProcessSpec.lazy_walk(GridSpec(width, height), stay),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        STAYS,
+    ),
+    # the largest common denominator the sampler admits
+    st.just(_two_state_chain(Fraction(1, 2**63 - 1))),
+)
+
+
 class TestMarkovDistribution:
     @pytest.mark.parametrize("start", range(7))
     def test_lazy_walk_equals_matrix_power(self, start):
@@ -603,17 +650,7 @@ class TestMarkovDistribution:
         st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
     )
     def test_random_chain_equals_matrix_power(self, weights, initial):
-        # the cycle 0 -> 1 -> 2 -> 0 and the self loop at 0 make every such
-        # chain irreducible and aperiodic; other entries may be zero
-        for i, j in ((0, 0), (0, 1), (1, 2), (2, 0)):
-            weights[3 * i + j] += 1
-        rows = [
-            [Fraction(w, sum(weights[3 * i : 3 * i + 3])) for w in weights[3 * i : 3 * i + 3]]
-            for i in range(3)
-        ]
-        spec = WaypointProcessSpec.markov(
-            GridSpec(1, 3), rows, [Fraction(w, sum(initial)) for w in initial]
-        )
+        spec = _three_state_chain(weights, initial)
         for start in range(7):
             assert _markov_distribution_at(spec, start) == dense_markov_distribution(spec, start)
 
@@ -674,8 +711,16 @@ GAP_WALKS = [((6, 6), Fraction(1, 2)), ((10, 10), Fraction(1, 3))]
 
 
 def _rows(spec):
-    """The spec's distributions in the sampler's row order: transitions, then initial."""
+    """The spec's distributions in the table's row order: transitions, then initial."""
     return [*dense_transition(spec), list(spec.initial)]
+
+
+def _table_moves(table, state, draws):
+    """The state the table picks from ``state`` on each draw; state n is the first waypoint's."""
+    if state == len(table.successor):
+        return [table.start[bisect_right(table.start_sums, u)] for u in draws]
+    buckets = np.searchsorted(table.cuts, draws, side="right")
+    return [table.successor[state][b] for b in buckets.tolist()]
 
 
 class TestExactMarkovSampler:
@@ -689,20 +734,73 @@ class TestExactMarkovSampler:
             if np.cumsum([float(p) for p in row])[-1] <= 1 - 2**-53
         ]
         assert gap_rows
-        denominator, succ, cum = spec.sampling_rows
+        table = spec.sampling_table
         for state, row in enumerate(_rows(spec)):
-            (top,) = _walk(succ, cum, state, [denominator - 1])
+            (top,) = _table_moves(table, state, [table.denominator - 1])
             assert row[top] > 0
 
     @pytest.mark.parametrize("size,stay", GAP_WALKS)
     def test_every_draw_counts_exactly(self, size, stay):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(*size), stay)
-        denominator, succ, cum = spec.sampling_rows
+        table = spec.sampling_table
+        draws = np.arange(table.denominator, dtype=np.int64)
         for state, row in enumerate(_rows(spec)):
-            counts = Counter(
-                _walk(succ, cum, state, [u])[0] for u in range(denominator)
-            )
-            assert [counts[j] for j in range(len(row))] == [p * denominator for p in row]
+            counts = Counter(_table_moves(table, state, draws))
+            assert [counts[j] for j in range(len(row))] == [p * table.denominator for p in row]
+
+    @settings(max_examples=60)
+    @given(MARKOV_SPECS, st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**32))
+    def test_sampler_equals_bisect_walk(self, spec, count, block, seed):
+        # small blocks, so that walks cross block edges
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(processes, "_WALK_BLOCK", block)
+            ids = sample_waypoints(spec, count, seed).ids
+        assert ids.dtype == np.int64
+        assert ids.tolist() == bisect_walk(spec, count, seed)
+
+    @pytest.mark.parametrize("count", [2**17, 2**20])
+    def test_walk_memory_is_its_ids_and_one_block(self, count):
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(100, 100))
+        spec.sampling_table  # built once per spec, not per walk
+        tracemalloc.start()
+        try:
+            sample_waypoints(spec, count, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8-byte ids, and one block's draws, buckets and states: about
+        # 32 bytes a block step
+        assert peak <= 8 * count + 40 * processes._WALK_BLOCK
+
+    def test_sampler_source_has_no_float_arithmetic(self):
+        # exactness rests on integer buckets: the table build and the walk
+        # use no float, no true division and no numpy float, rounding or
+        # log routine
+        source = FilePath(processes.__file__).read_text()
+        functions = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("sampling_table", "sample_waypoints")
+        ]
+        assert len(functions) == 2
+
+        def floating(node) -> bool:
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                return isinstance(node.op, ast.Div)
+            if isinstance(node, ast.Attribute):
+                return node.attr in (
+                    "sqrt", "rint", "round", "around", "floor", "ceil", "trunc", "fix"
+                ) or node.attr.startswith(("float", "log"))
+            return isinstance(node, ast.Name) and node.id in ("float", "round", "sqrt")
+
+        offending = [
+            node.lineno
+            for function in functions
+            for node in ast.walk(function)
+            if floating(node)
+        ]
+        assert offending == []
 
     def test_first_waypoint_drawn_from_initial(self):
         half, third = Fraction(1, 2), Fraction(1, 3)
@@ -715,16 +813,9 @@ class TestExactMarkovSampler:
 
     def test_tables_built_once_per_spec(self):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(3, 3))
-        assert spec.sampling_rows is spec.sampling_rows
+        assert spec.sampling_table is spec.sampling_table
 
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 5),
-        st.integers(2, 30).flatmap(
-            lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
-        ),
-        st.integers(0, 2**32),
-    )
+    @given(st.integers(1, 5), st.integers(1, 5), STAYS, st.integers(0, 2**32))
     def test_lazy_walk_moves_only_along_the_matrix(self, width, height, stay, seed):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(width, height), stay)
         ids = sample_waypoints(spec, 300, seed).ids.tolist()
@@ -732,14 +823,9 @@ class TestExactMarkovSampler:
         assert all(spec.transition[a][b] > 0 for a, b in zip(ids, ids[1:]))
 
     def test_denominator_limit(self):
-        grid = GridSpec(1, 2)
-
-        def chain(p):
-            return WaypointProcessSpec.markov(grid, [[p, 1 - p], [1 - p, p]], [p, 1 - p])
-
-        largest = chain(Fraction(1, 2**63 - 1))
+        largest = _two_state_chain(Fraction(1, 2**63 - 1))
         assert len(sample_waypoints(largest, 50, seed=1)) == 50
-        too_large = chain(Fraction(1, 2**63))
+        too_large = _two_state_chain(Fraction(1, 2**63))
         assert waypoint_cylinder_prob(too_large, CylinderEvent(0, (A, B))) == Fraction(
             2**63 - 1, 2**126
         )

@@ -55,19 +55,20 @@ def test_locations_match_concatenated_paths(kind, seed):
 @given(
     st.integers(0, 2**63 - 1),
     st.lists(st.integers(1, 60) | st.integers(1, 2**40), min_size=30, max_size=30),
+    st.integers(1, 60) | st.integers(1, 2**32) | st.integers(1, 2**63 - 1),
 )
-def test_split_integer_draws_equal_one_draw(cuts, seed, bounds):
-    # an array of bounds, as sample_paths draws, and one scalar bound
+def test_split_integer_draws_equal_one_draw(cuts, seed, bounds, high):
+    # an array of bounds, as sample_paths draws, and one int64 scalar bound
+    # below 2^63, as sample_waypoints draws
     bounds = np.array(bounds)
     spans = list(pairwise((0, *cuts, len(bounds))))
     whole = np.random.default_rng(seed).integers(0, bounds)
     rng = np.random.default_rng(seed)
     parts = [rng.integers(0, bounds[lo:hi]) for lo, hi in spans]
     assert np.array_equal(np.concatenate(parts), whole)
-    high = int(bounds[0])
-    whole = np.random.default_rng(seed).integers(0, high, len(bounds))
+    whole = np.random.default_rng(seed).integers(0, high, len(bounds), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    parts = [rng.integers(0, high, hi - lo) for lo, hi in spans]
+    parts = [rng.integers(0, high, hi - lo, dtype=np.int64) for lo, hi in spans]
     assert np.array_equal(np.concatenate(parts), whole)
 
 
