@@ -32,9 +32,9 @@ _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 # Most samples (nodes × samples per node) one run may hold. A run stores only
 # its legs; the first read of ContinuousTrace.positions allocates 16 bytes a
 # sample, 1.6 GB at the limit, and the sample times 8 bytes a step. Then
-# io.save_positions holds every node's text until the file is written, about
-# 30 bytes a sample, 3 GB at the limit; its traced peak, with the times and a
-# few MB of block temporaries, was 36 to 44 bytes a sample.
+# io.save_positions writes one block of rows at a time and holds beside it
+# the times' words, at most 28 bytes a step; its traced peak, with the times,
+# was 10 to 13 bytes a sample at 10 and 2 nodes.
 MAX_SAMPLES = 10**8
 
 # Samples interpolated at once: the interpolation's temporaries, about 120

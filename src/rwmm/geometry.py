@@ -69,8 +69,8 @@ class GridSpec:
 
     def xy(self, ids):
         """The ``(x, y)`` of each cell id, as ints or arrays like ``ids``; unchecked."""
-        y, x = divmod(ids, self.width)
-        return x, y
+        y = ids // self.width
+        return ids - y * self.width, y  # one division: np.divmod took 2.5x as long
 
     def ids(self, x, y) -> np.ndarray:
         """The int64 cell id of each ``(x, y)``, ints or integer arrays; unchecked."""

@@ -80,7 +80,7 @@ _DOT = _COMMA_DIGIT + 10
 _SCALE = np.array([1.0, *(float(10 ** (8 - e)) for e in range(-4, 9)), 1.0])
 _FRACTION_SCALE = np.array([1.0, *(float(10 ** (4 + e)) for e in range(-4, 9)), 1.0])
 _NEWLINE_WORD = np.frombuffer(b"\0\0\0\n", np.uint32)
-_BLOCK_ROWS = 2**13  # trace rows built at once: their words and temporaries take a few MB
+_BLOCK_ROWS = 2**12  # trace rows built at once: their words and temporaries take about 1 MB
 
 
 def _value_words(values: np.ndarray) -> np.ndarray:
@@ -189,51 +189,40 @@ def _text_words(texts: list[str]) -> np.ndarray:
 def _node_major_rows(
     stamps: np.ndarray, nodes: int, values: Callable[[slice, slice], Sequence[np.ndarray]]
 ) -> Iterator[bytes]:
-    """Every node's rows, node-major, as parts of a trace body.
+    """Every node's rows, node-major, as parts of a trace body in body order.
 
-    The rows are built as uint32 words, about ``_BLOCK_ROWS`` rows a block:
-    every step of as many nodes as fit, if a node's steps fit in a block,
-    and else a run of steps of every node, or of ``_BLOCK_ROWS`` // w nodes
-    at a time, where w, the steps a block holds, is never below
-    √``_BLOCK_ROWS``. A row is the node's id, the words ``_stamp_words``
-    spells the step's stamp in (a block's stamps are spelled once for all
-    its nodes), the word columns ``values(nodes, steps)`` gives for the
-    block's nodes and steps, each broadcast to ``(nodes, steps, words)``,
-    and a newline. The words are padded with NUL bytes, which one
-    ``bytes.translate`` deletes: one per block if it holds every step of
-    its nodes, since it is node-major already, and else one per node and
-    block. The words are built from bytes and only copied, so the text is
-    the same on any byte order.
+    The rows are built as uint32 words, a block at a time: every step of
+    ``_BLOCK_ROWS`` // steps whole nodes if a node's steps fit in a block,
+    and else ``_BLOCK_ROWS`` steps of one node. A row is the node's id, the
+    words ``_stamp_words`` spells the step's stamp in, and the word columns
+    ``values(nodes, steps)`` gives for the block's nodes and steps, each
+    broadcast to ``(nodes, steps, words)``; the last column ends the row
+    with its newline. The stamps are spelled once per run of
+    ``_BLOCK_ROWS`` steps and kept for every node. The words are padded
+    with NUL bytes, which one ``bytes.translate`` a block deletes. The
+    words are built from bytes and only copied, so the text is the same on
+    any byte order.
     """
     steps = len(stamps)
-    if steps <= _BLOCK_ROWS:
-        block_steps = steps
-    else:
-        block_steps = max(_BLOCK_ROWS // nodes, math.isqrt(_BLOCK_ROWS))
-    group = _BLOCK_ROWS // block_steps  # the nodes a block holds
+    block_steps = min(steps, _BLOCK_ROWS)  # the steps a block holds
+    runs = range(0, steps, block_steps)
+    spelled = [_stamp_words(stamps[lo : lo + block_steps]).T for lo in runs]
     # numpy casts an integer to bytes as str spells it, with no str per node
     size = -(-len(str(nodes - 1)) // 4) * 4
     heads = np.arange(nodes).astype(f"S{size}").view(np.uint32).reshape(nodes, 1, -1)
-    bodies: list[list[bytes]] = [[] for _ in range(1 if block_steps == steps else nodes)]
-    for lo in range(0, steps, block_steps):
-        block = slice(lo, lo + block_steps)
-        spelled = _stamp_words(stamps[block])
-        for first in range(0, nodes, group):
-            members = slice(first, first + group)
-            head = heads[members]
-            columns = (head, spelled.T, *values(members, block), _NEWLINE_WORD)
-            shape = (len(head), spelled.shape[1], sum(c.shape[-1] for c in columns))
+    group = _BLOCK_ROWS // block_steps  # the nodes a block holds
+    for first in range(0, nodes, group):
+        members = slice(first, first + group)
+        head = heads[members]
+        for lo, stamp in zip(runs, spelled):
+            columns = (head, stamp, *values(members, slice(lo, lo + block_steps)))
+            shape = (len(head), len(stamp), sum(c.shape[-1] for c in columns))
             rows = np.empty(shape, np.uint32)
             at = 0
             for column in columns:
                 rows[..., at : at + column.shape[-1]] = column
                 at += column.shape[-1]
-            if block_steps == steps:
-                bodies[0].append(rows.tobytes().translate(None, b"\0"))
-            else:
-                for node_rows, body in zip(rows, bodies[members]):
-                    body.append(node_rows.tobytes().translate(None, b"\0"))
-    return chain.from_iterable(bodies)
+            yield rows.tobytes().translate(None, b"\0")
 
 
 def _write_trace(
@@ -241,19 +230,30 @@ def _write_trace(
 ) -> None:
     """Write the ``#`` header, ending with the body's digest, then the body.
 
-    The body is the ``columns`` line, then the parts of ``body`` in turn.
-    The parts are hashed and written one by one, so no joined copy of the
-    body is ever built.
+    The body is the ``columns`` line, then the parts of ``body`` in turn,
+    each hashed and written as it arrives, so no more of the body than one
+    part is held. The header goes first with 64 zeros for the digest and is
+    rewritten in place once the body is written: a hex sha256 always has
+    64 digits, so the header keeps its length. A write stopped partway
+    leaves the zeros, which the loaders refuse as a digest mismatch. A path
+    that cannot seek, such as a pipe, is refused with
+    :class:`ConfigurationError` before a byte is written.
     """
-    parts = [f"{columns}\n".encode(), *body]
-    digest = sha256()
-    for part in parts:
-        digest.update(part)
     lines = [f"# {FORMAT_TAG}", *(f"# {key}: {value}" for key, value in header.items())]
-    lines.append(f"# body: {digest.hexdigest()}")
+    head = "".join(f"{line}\n" for line in lines) + "# body: "
+    digest = sha256()
     with FsPath(path).open("wb") as out:
-        out.write(("\n".join(lines) + "\n").encode())
-        out.writelines(parts)
+        if not out.seekable():
+            raise ConfigurationError(
+                f"cannot write a trace to {path}: it cannot seek, and the body digest "
+                "in the header is written after the body"
+            )
+        out.write(f"{head}{'0' * 64}\n".encode())
+        for part in chain([f"{columns}\n".encode()], body):
+            digest.update(part)
+            out.write(part)
+        out.seek(0)
+        out.write(f"{head}{digest.hexdigest()}\n".encode())
 
 
 @contextmanager
@@ -436,16 +436,13 @@ def save_locations(
     """Write a grid location trace (single node or joint) as node,step,x,y rows.
 
     The rows come from ``_node_major_rows``, stamped with the steps, and
-    their value column is each sample's cell as ``,x,y``: one row of
-    NUL-padded words per cell that occurs in the trace. If the span of the
-    ids, greatest less least plus one, is no larger than the sample count,
-    the rows go in a table indexed by id less the least id, the occurring
-    ids found by one ``bincount``, and a block's labels are one gather from
-    it. A sparser trace finds them by ``searchsorted`` over its sorted
-    occurring cells, so a short trace on a large grid builds few rows and
-    no table the size of the grid. A trace with no samples or with a cell
-    id outside the grid is refused with ``ValueError`` before the file is
-    opened, since the loader could not read it back.
+    their value columns are each sample's cell as ``,x`` and ``,y`` with the
+    row's newline: gathers, through ``GridSpec.xy``, from two tables of
+    NUL-padded words, one row per grid column and one per grid row, so the
+    tables grow with the grid's sides, not with its cells or the trace. A
+    trace with no samples or with a cell id outside the grid is refused
+    with ``ValueError`` before the file is opened, since the loader could
+    not read it back.
     """
     if isinstance(trace, LocationTrace):
         joint = JointTrace(trace.grid, trace.ids[None, :])
@@ -458,22 +455,8 @@ def save_locations(
     if outside.any():
         raise ValueError(f"cell id {joint.ids[outside][0]} outside {grid}")
     ids = joint.ids
-    low = int(ids.min())
-    span = int(ids.max()) - low + 1
-    dense = span <= ids.size
-    if dense:
-        # a label row for every id from the least to the greatest, filled
-        # for those that occur, so one gather a block finds every label
-        occurring = np.flatnonzero(np.bincount((ids - low).ravel(), minlength=span)) + low
-    else:
-        # sorted, then deduplicated: np.unique took 5x as long on 4 x 10^5 ids of 100 cells
-        occurring = np.sort(ids, axis=None)
-        occurring = occurring[np.concatenate(([True], occurring[1:] != occurring[:-1]))]
-    labels = _text_words([f",{x},{y}" for x, y in zip(*(a.tolist() for a in grid.xy(occurring)))])
-    if dense:
-        table = np.zeros((span, labels.shape[1]), np.uint32)
-        table[occurring - low] = labels
-        labels = table
+    x_labels = _text_words([f",{x}" for x in range(grid.width)])
+    y_labels = _text_words([f",{y}\n" for y in range(grid.height)])
     header = {
         "kind": KIND_LOCATIONS,
         "grid": f"{grid.width}x{grid.height}",
@@ -482,8 +465,8 @@ def save_locations(
     }
 
     def cells(members: slice, block: slice) -> list[np.ndarray]:
-        cell = ids[members, block]
-        return [labels[cell - low if dense else np.searchsorted(occurring, cell)]]
+        x, y = grid.xy(ids[members, block])
+        return [x_labels.take(x, axis=0), y_labels.take(y, axis=0)]
 
     rows = _node_major_rows(np.arange(len(joint)), joint.node_count, cells)
     _write_trace(path, header, "node,step,x,y", rows)
@@ -531,7 +514,7 @@ def save_positions(
     times are the trace's ``k * time_step``. The rows come from
     ``_node_major_rows``, stamped with the times, and their value columns
     are the words ``_value_words`` spells x and y in, a word that is NUL in
-    every value of the block left out. A trace with no samples, with a time
+    every value of the block left out, and the row's newline. A trace with no samples, with a time
     step that is not finite and positive, or with a non-finite time or
     position, is refused with ``ValueError`` before the file is opened,
     since the loader could not read it back. The positions are sampled
@@ -554,7 +537,8 @@ def save_positions(
 
     def xy(members: slice, block: slice) -> list[np.ndarray]:
         words = _value_words(trace.positions[members, block])
-        return [np.moveaxis(_nonblank(words[..., axis]), 0, -1) for axis in (0, 1)]
+        x, y = (np.moveaxis(_nonblank(words[..., axis]), 0, -1) for axis in (0, 1))
+        return [x, y, _NEWLINE_WORD]
 
     rows = _node_major_rows(times, trace.node_count, xy)
     _write_trace(path, header, "node,time,x,y", rows)

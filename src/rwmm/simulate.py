@@ -24,9 +24,10 @@ from .processes import (
 )
 
 # Most location samples (nodes × horizon) one run may hold; the location ids
-# alone take 8 bytes a sample, 0.8 GB at the limit, and io.save_locations
-# also holds every node's text, about 14 bytes a sample, and the steps,
-# 8 bytes a step, until the file is written. A node's waypoints take 8 bytes
+# alone take 8 bytes a sample, 0.8 GB at the limit. io.save_locations writes
+# one block of rows at a time and holds beside it the steps, 8 bytes a step,
+# and their words, at most 12 bytes a step (a traced peak of 7 and 11 bytes a
+# sample at 4 and 2 nodes, 21 at one node). A node's waypoints take 8 bytes
 # a step while it is drawn, and a Markov walk about 2 MB more, one block of
 # processes._WALK_BLOCK draws (10 bytes a step traced at 10^6 steps), beside
 # its spec's successor table; its paths, the covering ones and less than one

@@ -1,6 +1,7 @@
 """Config parsing, trace file, and command-line behavior tests."""
 
 import math
+import os
 import pathlib
 import re
 import tempfile
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from hashlib import sha256
+from itertools import count
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -457,10 +459,11 @@ class TestTraceFiles:
         assert path.read_text().endswith("\nnode,step,x,y\n0,0,1999,1999\n")
 
     def test_locations_writer_memory_per_sample(self, tmp_path):
-        # every node's text is held until the body's digest is written,
-        # about 14 bytes a sample, and the steps 8 bytes a step; the rows are
-        # built a block at a time (19 bytes a sample measured here, 58 when
-        # each node's rows were filled into per-step % templates)
+        # each block's text is hashed and written as it is built, so the
+        # peak is the steps (8 bytes a step), their words kept for every node
+        # and one block (11.4 bytes a sample measured here; 18 when every
+        # node's text was held for a leading digest, 58 when each node's rows
+        # were filled into per-step % templates)
         grid = GridSpec(10, 10)
         joint = JointTrace(grid, np.random.default_rng(1).integers(0, grid.size, (2, 5 * 10**5)))
         path = tmp_path / "t.trace"
@@ -470,7 +473,7 @@ class TestTraceFiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / joint.ids.size < 32
+        assert peak / joint.ids.size < 13
 
     @pytest.mark.parametrize(
         "nodes, steps, block",
@@ -480,8 +483,9 @@ class TestTraceFiles:
     def test_locations_blocks_of_rows_match_per_row_oracle(
         self, tmp_path, monkeypatch, nodes, steps, block
     ):
-        # blocks of every step of some nodes, of some steps of every node,
-        # and of some steps of a group of nodes
+        # blocks of every step of several nodes (many-whole-nodes), of every
+        # step of one node (whole-nodes), and of a run of one node's steps,
+        # each node's last run shorter (node-groups, steps-past-a-block, 2-steps)
         grid = GridSpec(12, 11)
         ids = np.random.default_rng(nodes).integers(0, grid.size, (nodes, steps))
         joint = JointTrace(grid, ids)
@@ -493,8 +497,9 @@ class TestTraceFiles:
 
     def test_locations_writer_memory_many_nodes(self, tmp_path):
         # a block holds every step of as many nodes as fit and is translated
-        # once: with one step a block, one translate and one bytes part per
-        # node and step, this peaked at 89 bytes a sample
+        # once (16.4 bytes a sample measured here; 30 when every node's text
+        # was held for a leading digest, 89 with one translate and one bytes
+        # part per node and step)
         grid = GridSpec(10, 10)
         joint = JointTrace(grid, np.random.default_rng(2).integers(0, grid.size, (10_001, 3)))
         path = tmp_path / "t.trace"
@@ -504,13 +509,13 @@ class TestTraceFiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / joint.ids.size < 40
+        assert peak / joint.ids.size < 19
         body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
         assert body == per_row_location_body(joint).encode()
 
     def test_locations_sparse_cells_keep_the_sorted_lookup(self, tmp_path):
-        # two opposite corners span 4e6 ids, more than the samples, so no
-        # label table the size of that span is built
+        # two opposite corners span 4e6 ids, but the labels are tables of
+        # the grid's 2000 columns and 2000 rows, none the size of that span
         grid = GridSpec(2000, 2000)
         ids = np.tile([0, grid.size - 1], (2, 3))
         path = tmp_path / "t.trace"
@@ -530,8 +535,8 @@ class TestTraceFiles:
         ids=["span-equals-samples", "gaps", "whole-grid"],
     )
     def test_locations_dense_cells_use_the_label_table(self, tmp_path, monkeypatch, ids):
-        # an id span no larger than the sample count is looked up by one
-        # gather from a table indexed by id minus the least id
+        # every label is a gather from the per-column ,x and per-row ,y\n
+        # tables, whatever the span of the ids: no sorted lookup
         def refuse(*args, **kwargs):
             raise AssertionError("a dense trace was looked up by searchsorted")
 
@@ -695,10 +700,11 @@ class TestTraceFiles:
         assert body == per_row_position_body(trace).encode()
 
     def test_positions_writer_memory_per_sample(self, tmp_path):
-        # every node's text is held until the body's digest is written,
-        # about 30 bytes a sample, and the times 8 bytes a step; the rows are
-        # built a block at a time (40 bytes a sample measured here, 117 when
-        # each node's values were formatted as Python floats)
+        # each block's text is hashed and written as it is built, so the
+        # peak is the times (8 bytes a step), their words kept for every node
+        # and one block (12.5 bytes a sample measured here; 39 when every
+        # node's text was held for a leading digest, 117 when each node's
+        # values were formatted as Python floats)
         area = ContinuousAreaSpec(1000, 1000, 1, 20, 5)
         trace = simulate_continuous(area, 2, 5 * 10**5 - 1, 1.0, seed=1)
         samples = trace.positions.shape[0] * trace.positions.shape[1]
@@ -710,7 +716,7 @@ class TestTraceFiles:
         finally:
             tracemalloc.stop()
         assert samples == 10**6
-        assert peak / samples < 48
+        assert peak / samples < 15
 
     @given(position_columns())
     @example((5e-324, PINNED_POSITIONS))
@@ -1004,6 +1010,63 @@ class TestTraceFiles:
         save_locations(path, LocationTrace(grid, np.array([0, 1])))
         with pytest.raises(ConfigurationError):
             load_positions(path)
+
+    @staticmethod
+    def _write_locations(path):
+        save_locations(path, JointTrace(GridSpec(3, 2), np.arange(24).reshape(2, 12) % 6))
+
+    @staticmethod
+    def _write_positions(path):
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 11, 0.5, seed=3)
+        save_positions(path, trace)
+
+    @pytest.mark.parametrize(
+        "write", [_write_locations, _write_positions], ids=["locations", "positions"]
+    )
+    def test_writer_refuses_a_path_that_cannot_seek(self, write):
+        # the body digest is written into the header after the body, so a
+        # pipe could only ever carry a header with an unfinished digest
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as reader:
+            try:
+                with pytest.raises(ConfigurationError, match="cannot seek"):
+                    write(f"/dev/fd/{write_end}")
+            finally:
+                os.close(write_end)
+            assert reader.read() == b""  # not a byte was written
+
+    @pytest.mark.parametrize(
+        "write, load",
+        [(_write_locations, load_locations), (_write_positions, load_positions)],
+        ids=["locations", "positions"],
+    )
+    def test_stopped_write_never_loads(self, tmp_path, monkeypatch, write, load):
+        # blocks of 4 rows, and the second block's build raises: the file
+        # holds the header, with 64 zeros for its digest, and the first block
+        build = trace_io._node_major_rows
+
+        def stopping(stamps, nodes, values):
+            blocks = count()
+
+            def stop_second(members, steps):
+                if next(blocks) == 1:
+                    raise RuntimeError("stopped")
+                return values(members, steps)
+
+            return build(stamps, nodes, stop_second)
+
+        monkeypatch.setattr(trace_io, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(trace_io, "_node_major_rows", stopping)
+        path = tmp_path / "t.trace"
+        with pytest.raises(RuntimeError, match="stopped"):
+            write(path)
+        assert path.is_file()
+        header, _, body = path.read_bytes().partition(b"# body: " + b"0" * 64 + b"\n")
+        assert header and body.count(b"\n") == 1 + 4  # the column line and one block
+        with pytest.raises(VerificationError, match="digest mismatch"):
+            load(path)
+        if load is load_locations:
+            assert main(["analyze", "--trace", str(path), "--out", str(tmp_path / "r.csv")]) == 4
 
 
 class TestValueWords:
