@@ -14,6 +14,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -40,7 +41,25 @@ def _read_config(path: str) -> str:
     return p.read_text()
 
 
+def _check_out_is_not_stdout(path: str) -> None:
+    """Refuse a trace path that names the file stdout writes to.
+
+    The trace writer opens its own file description, so the command's
+    closing line, printed through stdout, would land over the header.
+    """
+    try:
+        out, stdout = os.stat(path), os.fstat(1)
+    except OSError:  # no such path yet, or stdout closed
+        return
+    if (out.st_dev, out.st_ino) == (stdout.st_dev, stdout.st_ino):
+        raise ConfigurationError(
+            f"--out {path} is the file stdout writes to, and the command's output "
+            "would overwrite the trace"
+        )
+
+
 def _cmd_simulate_discrete(args: argparse.Namespace) -> int:
+    _check_out_is_not_stdout(args.out)
     text = _read_config(args.config)
     cfg = load_discrete_config(text)
     alphabet = build_alphabet(cfg.grid(), cfg.speeds)
@@ -53,6 +72,7 @@ def _cmd_simulate_discrete(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_continuous(args: argparse.Namespace) -> int:
+    _check_out_is_not_stdout(args.out)
     cfg = load_continuous_config(_read_config(args.config))
     trace = simulate_continuous(
         cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed

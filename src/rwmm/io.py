@@ -187,7 +187,7 @@ def _text_words(texts: list[str]) -> np.ndarray:
 
 
 def _node_major_rows(
-    stamps: np.ndarray, nodes: int, values: Callable[[slice, slice], Sequence[np.ndarray]]
+    stamps: np.ndarray | range, nodes: int, values: Callable[[slice, slice], Sequence[np.ndarray]]
 ) -> Iterator[bytes]:
     """Every node's rows, node-major, as parts of a trace body in body order.
 
@@ -197,8 +197,10 @@ def _node_major_rows(
     words ``_stamp_words`` spells the step's stamp in, and the word columns
     ``values(nodes, steps)`` gives for the block's nodes and steps, each
     broadcast to ``(nodes, steps, words)``; the last column ends the row
-    with its newline. The stamps are spelled once per run of
-    ``_BLOCK_ROWS`` steps and kept for every node. The words are padded
+    with its newline. The stamps, an array or a ``range`` of integers,
+    are spelled once per run of ``_BLOCK_ROWS`` steps: each run as its
+    block is built when one group of nodes holds every node, and else all
+    up front from one array, kept for every group. The words are padded
     with NUL bytes, which one ``bytes.translate`` a block deletes. The
     words are built from bytes and only copied, so the text is the same on
     any byte order.
@@ -206,11 +208,21 @@ def _node_major_rows(
     steps = len(stamps)
     block_steps = min(steps, _BLOCK_ROWS)  # the steps a block holds
     runs = range(0, steps, block_steps)
-    spelled = [_stamp_words(stamps[lo : lo + block_steps]).T for lo in runs]
+    group = _BLOCK_ROWS // block_steps  # the nodes a block holds
+
+    def array(part: np.ndarray | range) -> np.ndarray:
+        return np.arange(part.start, part.stop) if isinstance(part, range) else part
+
+    if nodes <= group:
+        spelled = (_stamp_words(array(stamps[lo : lo + block_steps])).T for lo in runs)
+    else:
+        # from one array: per-run aranges here left the walk-exact benchmark's
+        # peak RSS 1.1 MB higher, through the allocator's history
+        whole = array(stamps)
+        spelled = [_stamp_words(whole[lo : lo + block_steps]).T for lo in runs]
     # numpy casts an integer to bytes as str spells it, with no str per node
     size = -(-len(str(nodes - 1)) // 4) * 4
     heads = np.arange(nodes).astype(f"S{size}").view(np.uint32).reshape(nodes, 1, -1)
-    group = _BLOCK_ROWS // block_steps  # the nodes a block holds
     for first in range(0, nodes, group):
         members = slice(first, first + group)
         head = heads[members]
@@ -468,7 +480,7 @@ def save_locations(
         x, y = grid.xy(ids[members, block])
         return [x_labels.take(x, axis=0), y_labels.take(y, axis=0)]
 
-    rows = _node_major_rows(np.arange(len(joint)), joint.node_count, cells)
+    rows = _node_major_rows(range(len(joint)), joint.node_count, cells)
     _write_trace(path, header, "node,step,x,y", rows)
 
 

@@ -81,12 +81,20 @@ def _check_irreducible_aperiodic(adjacency: Sequence[Iterable[int]]) -> None:
         raise ConfigurationError("markov waypoint chain must be aperiodic")
 
 
+# entries of a markov chain's bucket table and of its pair table at most: a
+# table over the bound is left out and the walk takes its slower route
+_TABLE_ENTRIES = 2**16
+
+
 class SuccessorTable(NamedTuple):
     """A markov chain's exact sampling table: see :attr:`WaypointProcessSpec.sampling_table`."""
 
     denominator: int
     cuts: np.ndarray  # int64, ascending
-    successor: list[list[int]]
+    bucket_of: np.ndarray | None  # int32, the bucket of every draw in [0, D)
+    successor: np.ndarray  # int64, n x B
+    steps: list[list[int]]  # successor, as lists
+    pairs: list[list[int]]  # the state two steps on, n x B², as lists; [] if too large
     start: list[int]
     start_sums: list[int]
 
@@ -148,6 +156,16 @@ class WaypointProcessSpec:
         (404 on 20x20 at stay 1/2): the first waypoint is
         ``start[bisect_right(start_sums, u)]``, over its support and run
         boundaries.
+
+        Two more tables make the walk cheaper, each kept only when it has at
+        most ``_TABLE_ENTRIES`` (2^16) entries. ``bucket_of[u]`` is the
+        bucket of draw ``u``, one int32 per draw in ``[0, D)``: 30,000
+        entries on a 100x100 lazy walk at stay 1/2, whose D at stay 1/3
+        (90,000) is over the bound. ``pairs[s][b0·B + b1]`` is the state two
+        steps on from ``s`` through buckets ``b0`` then ``b1``, ``successor``
+        gathered through itself: n·B² entries, 40,000 on a 20x20 lazy walk
+        and over the bound from 21x21 at stay 1/2. ``steps`` and ``pairs``
+        are nested lists, which the walk's Python loops index fastest.
         """
         assert self.transition is not None and self.initial is not None
         start = {j: p for j, p in enumerate(self.initial) if p}
@@ -164,14 +182,21 @@ class WaypointProcessSpec:
             return list(itertools.accumulate(weights))[:-1]
 
         bounds = [boundaries(row) for row in self.transition]
-        cuts = sorted(set(itertools.chain.from_iterable(bounds)))
-        lows = [0, *cuts]
-        successor = [
+        cuts = np.array(sorted(set(itertools.chain.from_iterable(bounds))), dtype=np.int64)
+        lows = [0, *cuts.tolist()]
+        steps = [
             [targets[bisect_right(row_bounds, low)] for low in lows]
             for targets, row_bounds in zip(map(list, self.transition), bounds)
         ]
+        successor = np.array(steps, dtype=np.int64)
+        bucket_of = None
+        if denominator <= _TABLE_ENTRIES:
+            bucket_of = np.searchsorted(cuts, np.arange(denominator), side="right").astype(np.int32)
+        pairs = []
+        if successor.size * len(lows) <= _TABLE_ENTRIES:
+            pairs = successor[successor].reshape(len(steps), -1).tolist()
         return SuccessorTable(
-            denominator, np.array(cuts, dtype=np.int64), successor, list(start), boundaries(start)
+            denominator, cuts, bucket_of, successor, steps, pairs, list(start), boundaries(start)
         )
 
     @classmethod
@@ -502,8 +527,8 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-# waypoints a markov walk draws at once: the block's draws, buckets and
-# states are its only temporaries
+# waypoints a markov walk draws at once: the block's draws, buckets, pair
+# keys and states are its only temporaries
 _WALK_BLOCK = 2**16
 
 
@@ -518,11 +543,16 @@ def sample_waypoints(
     :attr:`~WaypointProcessSpec.sampling_table`, each from one integer
     uniform on ``[0, D)`` (:class:`ConfigurationError` for ``D >= 2^63``).
     The first waypoint bisects the initial distribution. The others come
-    ``_WALK_BLOCK`` at a time: one ``searchsorted`` over ``cuts`` turns a
-    block's draws into buckets, and each step is one lookup
-    ``successor[state][bucket]``, written into the preallocated ids. A
-    generator gives the same integers from one call as from consecutive
-    calls over its parts, so the waypoints do not depend on the block size.
+    ``_WALK_BLOCK`` at a time. One ``take`` from ``bucket_of`` turns a
+    block's draws into buckets, or, for a table with no ``bucket_of``, one
+    ``searchsorted`` over ``cuts``. The walk then takes two steps a Python
+    iteration: it follows ``pairs`` over each pair of buckets and writes
+    the second state of the pair, and one gather from ``successor`` fills
+    in the first states from the states before them. A block's odd last
+    step, and every step of a table with no ``pairs``, follows ``steps``
+    one step an iteration. A generator gives the same integers from one
+    call as from consecutive calls over its parts, so the waypoints do not
+    depend on the block size.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -534,11 +564,21 @@ def sample_waypoints(
     ids = np.empty(count, dtype=np.int64)
     (first,) = rng.integers(0, table.denominator, size=1, dtype=np.int64).tolist()
     state = ids[0] = table.start[bisect_right(table.start_sums, first)]
-    successor = table.successor
+    successor, steps, pairs = table.successor, table.steps, table.pairs
+    bucket_count = len(table.cuts) + 1
     for lo in range(1, count, _WALK_BLOCK):
         draws = rng.integers(0, table.denominator, min(_WALK_BLOCK, count - lo), np.int64)
-        buckets = np.searchsorted(table.cuts, draws, side="right").tolist()
-        ids[lo : lo + len(buckets)] = [state := successor[state][b] for b in buckets]
+        if table.bucket_of is None:
+            buckets = np.searchsorted(table.cuts, draws, side="right")
+        else:
+            buckets = table.bucket_of.take(draws)
+        paired = len(buckets) & -2 if pairs else 0  # the block's steps taken two at a time
+        mid, hi = lo + paired, lo + len(buckets)
+        b0, b1 = buckets[:paired:2], buckets[1:paired:2]
+        keys = (b0 * bucket_count + b1).tolist()
+        ids[lo + 1 : mid : 2] = [state := pairs[state][k] for k in keys]
+        ids[lo:mid:2] = successor.take(ids[lo - 1 : mid - 1 : 2] * bucket_count + b0)
+        ids[mid:hi] = [state := steps[state][b] for b in buckets[paired:].tolist()]
     return WaypointTrace(spec.grid, ids)
 
 

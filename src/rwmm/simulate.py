@@ -25,12 +25,15 @@ from .processes import (
 
 # Most location samples (nodes × horizon) one run may hold; the location ids
 # alone take 8 bytes a sample, 0.8 GB at the limit. io.save_locations writes
-# one block of rows at a time and holds beside it the steps, 8 bytes a step,
-# and their words, at most 12 bytes a step (a traced peak of 7 and 11 bytes a
-# sample at 4 and 2 nodes, 21 at one node). A node's waypoints take 8 bytes
-# a step while it is drawn, and a Markov walk about 2 MB more, one block of
-# processes._WALK_BLOCK draws (10 bytes a step traced at 10^6 steps), beside
-# its spec's successor table; its paths, the covering ones and less than one
+# one block of rows at a time and, when a block holds fewer than every node,
+# holds beside it the steps, 8 bytes a step, and their words, at most 12
+# bytes a step (a traced peak of 7 and 11 bytes a sample at 4 and 2 nodes;
+# 2 at one node, whose steps are spelled a block at a time). A node's
+# waypoints take 8 bytes a step while it is drawn, and a Markov walk under
+# 2 MB more, one block of processes._WALK_BLOCK draws, buckets, pair keys and
+# states (10 bytes a step traced at 10^6 steps), beside its spec's successor,
+# bucket and pair tables, each of the last two at most
+# processes._TABLE_ENTRIES entries; its paths, the covering ones and less than one
 # block of _PATH_BLOCK more, 8 bytes a path. Encoding them digitizes each
 # distinct member once, with temporaries of up to about 50 bytes a sample
 # when few paths share a member.

@@ -4,6 +4,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -475,17 +477,38 @@ class TestTraceFiles:
             tracemalloc.stop()
         assert peak / joint.ids.size < 13
 
+    def test_locations_writer_memory_one_node(self, tmp_path):
+        # one node's steps are spelled a run at a time as their blocks are
+        # built, and never held as an array (2.0 bytes a sample measured
+        # here; 21.2 with every run's words and the steps held up front)
+        grid = GridSpec(10, 10)
+        joint = JointTrace(grid, np.random.default_rng(3).integers(0, grid.size, (1, 2 * 10**6)))
+        path = tmp_path / "t.trace"
+        tracemalloc.start()
+        try:
+            save_locations(path, joint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / joint.ids.size <= 8
+        assert np.array_equal(load_locations(path)[0].ids, joint.ids)
+
     @pytest.mark.parametrize(
         "nodes, steps, block",
-        [(7, 40, 16), (7, 16, 16), (40, 3, 16), (5, 17, 16), (3, 50, 4)],
-        ids=["node-groups", "whole-nodes", "many-whole-nodes", "steps-past-a-block", "2-steps"],
+        [(7, 40, 16), (7, 16, 16), (40, 3, 16), (5, 17, 16), (3, 50, 4), (1, 40, 16), (3, 5, 16)],
+        ids=[
+            "node-groups", "whole-nodes", "many-whole-nodes", "steps-past-a-block", "2-steps",
+            "one-node", "one-group",
+        ],
     )
     def test_locations_blocks_of_rows_match_per_row_oracle(
         self, tmp_path, monkeypatch, nodes, steps, block
     ):
         # blocks of every step of several nodes (many-whole-nodes), of every
         # step of one node (whole-nodes), and of a run of one node's steps,
-        # each node's last run shorter (node-groups, steps-past-a-block, 2-steps)
+        # each node's last run shorter (node-groups, steps-past-a-block, 2-steps);
+        # stamps spelled as their blocks are built when one group holds every
+        # node (one-node, one-group)
         grid = GridSpec(12, 11)
         ids = np.random.default_rng(nodes).integers(0, grid.size, (nodes, steps))
         joint = JointTrace(grid, ids)
@@ -1243,6 +1266,26 @@ class TestCli:
         lines = report.read_text().splitlines()
         assert lines[0] == "node,x,y,visits,frequency,cauchy_width,converged"
         assert len(lines) == 1 + 2 * 9  # 2 nodes x 9 cells
+
+    @pytest.mark.parametrize("command", ["simulate-discrete", "simulate-continuous"])
+    def test_simulate_refuses_out_that_is_stdout(self, tmp_path, command):
+        # with stdout redirected to a file, --out /dev/stdout names that
+        # file: the trace writer and the closing "wrote" line would both
+        # write it from offset 0, the line over the header
+        d, c = self.write_cfgs(tmp_path)
+        config = d if command == "simulate-discrete" else c
+        paths = [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-m", "rwmm.cli", command, "--config", str(config)]
+        target = tmp_path / "f"
+        with target.open("wb") as stdout:
+            run = subprocess.run(
+                [*argv, "--seed", "1", "--out", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+            )
+        assert run.returncode == 2, run.stderr
+        assert "is the file stdout writes to" in run.stderr
+        assert target.read_bytes() == b""
 
     def test_byte_identical_reruns(self, tmp_path):
         d, c = self.write_cfgs(tmp_path)

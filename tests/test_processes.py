@@ -25,7 +25,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rwmm import processes
@@ -723,6 +723,16 @@ def _table_moves(table, state, draws):
     return [table.successor[state][b] for b in buckets.tolist()]
 
 
+# a spec taking each route of the walk, with whether its table keeps
+# bucket_of and pairs
+WALK_ROUTES = {
+    "pairs": (WaypointProcessSpec.lazy_walk(GridSpec(6, 6)), True, True),
+    "searchsorted": (_two_state_chain(Fraction(1, 2**63 - 1)), False, True),
+    # n·B² = 1600 · 10² is over processes._TABLE_ENTRIES
+    "one-step": (WaypointProcessSpec.lazy_walk(GridSpec(40, 40)), True, False),
+}
+
+
 class TestExactMarkovSampler:
     @pytest.mark.parametrize("size,stay", GAP_WALKS)
     def test_top_draw_stays_in_support(self, size, stay):
@@ -748,8 +758,22 @@ class TestExactMarkovSampler:
             counts = Counter(_table_moves(table, state, draws))
             assert [counts[j] for j in range(len(row))] == [p * table.denominator for p in row]
 
+    @pytest.mark.parametrize(
+        "spec, bucket_of, pairs", list(WALK_ROUTES.values()), ids=list(WALK_ROUTES)
+    )
+    def test_walk_routes(self, spec, bucket_of, pairs):
+        table = spec.sampling_table
+        assert (table.bucket_of is not None, bool(table.pairs)) == (bucket_of, pairs)
+
     @settings(max_examples=60)
     @given(MARKOV_SPECS, st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**32))
+    # every route of the walk (WALK_ROUTES): pairs over even blocks with an
+    # odd last block, over odd blocks, searchsorted buckets, one step a time
+    @example(WALK_ROUTES["pairs"][0], 40, 6, 1)
+    @example(WALK_ROUTES["pairs"][0], 40, 7, 2)
+    @example(WALK_ROUTES["searchsorted"][0], 40, 4, 3)
+    @example(WALK_ROUTES["searchsorted"][0], 40, 5, 4)
+    @example(WALK_ROUTES["one-step"][0], 40, 6, 5)
     def test_sampler_equals_bisect_walk(self, spec, count, block, seed):
         # small blocks, so that walks cross block edges
         with pytest.MonkeyPatch.context() as patch:
@@ -758,9 +782,33 @@ class TestExactMarkovSampler:
         assert ids.dtype == np.int64
         assert ids.tolist() == bisect_walk(spec, count, seed)
 
-    @pytest.mark.parametrize("count", [2**17, 2**20])
-    def test_walk_memory_is_its_ids_and_one_block(self, count):
-        spec = WaypointProcessSpec.lazy_walk(GridSpec(100, 100))
+    @pytest.mark.parametrize(
+        "chain, entries, pairs",
+        [
+            (lambda: WaypointProcessSpec.lazy_walk(GridSpec(3, 3), Fraction(1, 3)), 0, False),
+            # D = 20 is over the bound and n·B² = 2 · 3² is within it
+            (lambda: _two_state_chain(Fraction(1, 20)), 18, True),
+        ],
+        ids=["one-step", "pairs"],
+    )
+    def test_searchsorted_route_on_draws_at_cuts(self, monkeypatch, chain, entries, pairs):
+        # a small D, so that many draws equal a cut: searchsorted must put
+        # each in the bucket above the cut, as bucket_of does
+        monkeypatch.setattr(processes, "_TABLE_ENTRIES", entries)
+        spec = chain()
+        table = spec.sampling_table
+        assert (table.bucket_of is None, bool(table.pairs)) == (True, pairs)
+        assert sample_waypoints(spec, 2000, 7).ids.tolist() == bisect_walk(spec, 2000, 7)
+
+    @pytest.mark.parametrize(
+        "side, count",
+        [(100, 2**17), (100, 2**20), (20, 2**17), (20, 2**20)],
+        ids=["131072", "1048576", "20x20-131072", "20x20-1048576"],
+    )
+    def test_walk_memory_is_its_ids_and_one_block(self, side, count):
+        # one step an iteration on 100x100, whose table has no pairs, two
+        # on 20x20
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(side, side))
         spec.sampling_table  # built once per spec, not per walk
         tracemalloc.start()
         try:
@@ -768,22 +816,29 @@ class TestExactMarkovSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 8-byte ids, and one block's draws, buckets and states: about
-        # 32 bytes a block step
+        # the 8-byte ids, and one block's draws, buckets, pair keys and
+        # states: 25 to 29 bytes a block step
         assert peak <= 8 * count + 40 * processes._WALK_BLOCK
 
     def test_sampler_source_has_no_float_arithmetic(self):
-        # exactness rests on integer buckets: the table build and the walk
-        # use no float, no true division and no numpy float, rounding or
-        # log routine
+        # exactness rests on integer buckets: the table build, the walk and
+        # every function of the module they name use no float, no true
+        # division and no numpy float, rounding or log routine
         source = FilePath(processes.__file__).read_text()
-        functions = [
-            node
+        defined = {
+            node.name: node
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.FunctionDef)
-            and node.name in ("sampling_table", "sample_waypoints")
-        ]
-        assert len(functions) == 2
+        }
+        reached = ["sampling_table", "sample_waypoints"]
+        for name in reached:  # grows as it is read
+            named = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(defined[name])
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            reached.extend(sorted(named & defined.keys() - set(reached)))
+        assert {"boundaries", "_rng"} <= set(reached)
 
         def floating(node) -> bool:
             if isinstance(node, (ast.BinOp, ast.AugAssign)):
@@ -796,8 +851,8 @@ class TestExactMarkovSampler:
 
         offending = [
             node.lineno
-            for function in functions
-            for node in ast.walk(function)
+            for name in reached
+            for node in ast.walk(defined[name])
             if floating(node)
         ]
         assert offending == []
