@@ -34,11 +34,12 @@ _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 # sample, 1.6 GB at the limit, and the sample times 8 bytes a step. Then
 # io.save_positions writes one block of rows at a time and holds beside it
 # the times' words, at most 28 bytes a step; its traced peak, with the times,
-# was 10 to 13 bytes a sample at 10 and 2 nodes.
+# was 10 to 13 bytes a sample at 10 and 2 nodes. Sampling one node's 2·10^6
+# samples peaked at 25 bytes a sample traced, with the positions and times.
 MAX_SAMPLES = 10**8
 
-# Samples interpolated at once: the interpolation's temporaries, about 120
-# bytes a sample, are bounded by this block (about 8 MB), not by the run.
+# Samples interpolated at once: the interpolation's temporaries, about 25
+# bytes a sample, are bounded by this block (about 1.6 MB), not by the run.
 _BLOCK_SAMPLES = 2**16
 
 # Most legs (over all nodes) one run may build, however few its samples. A
@@ -122,38 +123,61 @@ class ContinuousTrace:
         return out
 
 
-def _interpolate(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Position on leg ``rows[i]`` at ``times[i]``, clamped to the leg.
+def _interpolate(
+    legs: np.ndarray, counts: np.ndarray, times: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the position on leg ``i`` at each of its ``counts[i]`` times to ``out``.
 
-    A zero-duration leg gives its end point. The float operations and their
-    order are those of the scalar ``x0 + a * (x1 - x0)`` with
-    ``a = min(max((t - start) / duration, 0.0), 1.0)``, vectorized.
+    ``times`` and ``out`` hold leg 0's samples, then leg 1's, and so on. A
+    position is clamped to its leg, and a zero-duration leg gives its end
+    point. The float operations and their order are those of the scalar
+    ``x0 + a * (x1 - x0)`` with ``a = min(max((t - start) / duration, 0.0),
+    1.0)``, vectorized: the columns the formula reads are expanded to one
+    value a sample with ``np.repeat``, and ``x1 - x0`` is taken once a leg,
+    the same IEEE subtraction as once a sample. The end point is read only
+    for the samples of zero-duration legs.
     """
-    span = rows[:, DURATION]
+    span = legs[:, DURATION]
     still = span == 0
     # in place, so that few per-sample temporaries are alive at once
-    a = times - rows[:, START]
-    np.divide(a, span, out=a, where=~still)
+    a = times - np.repeat(legs[:, START], counts)
+    # a still leg's a is not used; a subnormal duration overflows a to inf,
+    # which clamps to 1 as the scalar division's inf does
+    with np.errstate(over="ignore"):
+        a /= np.repeat(np.where(still, 1.0, span), counts)
     np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
-    p0, p1 = rows[:, _FROM], rows[:, _TO]
-    out = p1 - p0
-    out *= a[:, None]
-    out += p0  # x0 + a * (x1 - x0): IEEE + and * are exactly commutative
-    out[still] = p1[still]
-    return out
+    # one coordinate at a time: numpy loops over a contiguous column faster
+    # than over the two coordinates of each row
+    for xy, (x0, x1) in enumerate(((X0, X1), (Y0, Y1))):
+        p = np.repeat(legs[:, x1] - legs[:, x0], counts)
+        p *= a
+        p += np.repeat(legs[:, x0], counts)  # x0 + a * (x1 - x0): IEEE + and * commute exactly
+        out[:, xy] = p
+    if still.any():
+        out[np.repeat(still, counts)] = np.repeat(legs[still][:, _TO], counts[still], axis=0)
 
 
 def _sample_legs(legs: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     """Write the positions on a leg table at ascending ``times`` to ``out``.
 
-    A time at a leg's end belongs to that leg, and times past the last leg
-    clamp to it. The times are interpolated ``_BLOCK_SAMPLES`` at a time.
+    A time at a leg's end belongs to that leg, times before the first leg
+    go to it, and times past the last leg clamp to it. The leg ends must
+    not decrease. They are merged with the times once: ``bounds[i]`` counts
+    the times at or before leg ``i``'s end, so leg ``i`` takes times
+    ``bounds[i - 1]`` (0 for the first leg) to ``bounds[i] - 1``. The
+    times are then interpolated ``_BLOCK_SAMPLES`` at a time.
     """
-    ends = legs[:, START] + legs[:, DURATION]
-    for lo in range(0, len(times), _BLOCK_SAMPLES):
-        block = times[lo : lo + _BLOCK_SAMPLES]
-        idx = np.searchsorted(ends, block, side="left")
-        out[lo : lo + _BLOCK_SAMPLES] = _interpolate(legs[np.minimum(idx, len(legs) - 1)], block)
+    n = len(times)
+    bounds = np.searchsorted(times, legs[:, START] + legs[:, DURATION], side="right")
+    bounds[-1] = n  # the last leg also takes every later time
+    for lo in range(0, n, _BLOCK_SAMPLES):
+        hi = min(lo + _BLOCK_SAMPLES, n)
+        # the legs of the block's first and last samples, and those between
+        first, last = np.searchsorted(bounds, (lo, hi - 1), side="right").tolist()
+        ends = bounds[first : last + 1].copy()
+        ends[-1] = hi
+        counts = np.diff(ends, prepend=lo)
+        _interpolate(legs[first : last + 1], counts, times[lo:hi], out[lo:hi])
 
 
 def simulate_continuous(
@@ -326,12 +350,12 @@ def discretize(
     first = np.cumsum(counts) - counts  # each leg's first sample
     # sample k of a leg is at start + k * dt; the first is the leg's start
     # point, and every sample of a pause is its end point
-    rows = np.repeat(legs, counts, axis=0)
-    k = np.arange(len(rows)) - np.repeat(first, counts)
-    points = _interpolate(rows, rows[:, START] + k * dt)
+    k = np.arange(int(total)) - np.repeat(first, counts)
+    points = np.empty((len(k), 2))
+    _interpolate(legs, counts, np.repeat(legs[:, START], counts) + k * dt, points)
     points[first] = legs[:, _FROM]
-    pause = rows[:, SPEED] == 0.0
-    points[pause] = rows[pause, _TO]
+    pause = legs[:, SPEED] == 0.0
+    points[np.repeat(pause, counts)] = np.repeat(legs[pause][:, _TO], counts[pause], axis=0)
     xy = _containing_cells(grid, points, cell_w)
     cells = list(map(Cell, *xy.T.tolist()))
     ends = map(Cell, *_containing_cells(grid, legs[:, _TO], cell_w).T.tolist())

@@ -194,7 +194,11 @@ class WaypointProcessSpec:
             bucket_of = np.searchsorted(cuts, np.arange(denominator), side="right").astype(np.int32)
         pairs = []
         if successor.size * len(lows) <= _TABLE_ENTRIES:
-            pairs = successor[successor].reshape(len(steps), -1).tolist()
+            # the rows of steps, joined: every entry is an int that steps
+            # already holds, where ndarray.tolist() made one per entry
+            pairs = [
+                list(itertools.chain.from_iterable(map(steps.__getitem__, row))) for row in steps
+            ]
         return SuccessorTable(
             denominator, cuts, bucket_of, successor, steps, pairs, list(start), boundaries(start)
         )

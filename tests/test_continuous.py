@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -62,6 +62,29 @@ def sampled(legs, times):
     out = np.empty((len(times), 2))
     _sample_legs(legs, times, out)
     return out
+
+
+# a few instants that several legs start or end at, so that zero-duration
+# legs pile up on one end and samples land exactly on leg ends
+INSTANTS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+
+
+@st.composite
+def legs_and_times(draw):
+    """A leg table with ends that do not decrease, and ascending times around it."""
+    leg = st.tuples(
+        st.one_of(INSTANTS, st.floats(-1.0, 5.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        *[st.floats(-100.0, 100.0)] * 4,
+        st.floats(0.0, 20.0),
+    )
+    legs = table(*draw(st.lists(leg, min_size=1, max_size=8)))
+    ends = legs[:, START] + legs[:, DURATION]  # as the sampler adds them
+    legs = legs[np.argsort(ends, kind="stable")]
+    # times before the first start, past the last end, at ends and between
+    # them, none on a regular grid
+    time = st.one_of(INSTANTS, st.sampled_from(sorted(ends)), st.floats(-3.0, 12.0))
+    return legs, sorted(draw(st.lists(time, max_size=40)))
 
 
 class TestAreaSpec:
@@ -367,6 +390,16 @@ class TestSampleLegs:
             [0, 0], [2, 1], [4, 2], [4, 2], [4, 2]
         ]
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @given(legs_and_times())
+    # a subnormal duration overflows (t - start) / duration to inf, clamped to 1
+    @example((table((0.0, 5e-324, 3.0, 3.0, 0.1, 0.2, 1.0)), [0.5]))
+    def test_drawn_legs_equal_oracle_across_blocks(self, block, drawn):
+        legs, times = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(continuous, "_BLOCK_SAMPLES", block)
+            self.sample(legs, times)
+
 
 class TestMeanSpeeds:
     def test_slow_trips_drag_the_time_weighted_mean(self):
@@ -496,6 +529,35 @@ class TestDiscretize:
         for node in range(2):
             paths, locations = discretize(trace, grid, node_id=node, time_step=dt)
             expected_paths, expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, dt)
+            assert paths == expected_paths
+            assert locations.ids.tolist() == expected_ids
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.floats(1.0, 50.0),
+        st.floats(0.5, 10.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+        st.floats(0.2, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_runs_equal_per_sample_oracle(
+        self, columns, rows, cell, min_speed, spread, pause, scale, seed
+    ):
+        # an area of columns x rows square cells; spread 0 is a fixed speed
+        # and pause 0 leaves out pause legs
+        area = ContinuousAreaSpec(
+            columns * cell, rows * cell, min_speed, min_speed + spread, pause
+        )
+        trace = simulate_continuous(area, 2, 80, 0.5, seed)
+        grid = GridSpec(columns, rows)
+        dt = trace.time_step * scale
+        for node in range(2):
+            paths, locations = discretize(trace, grid, node_id=node, time_step=dt)
+            expected_paths, expected_ids = discretize_per_sample(
+                trace.legs[node], grid, area.width / columns, dt
+            )
             assert paths == expected_paths
             assert locations.ids.tolist() == expected_ids
 

@@ -820,6 +820,22 @@ class TestExactMarkovSampler:
         # states: 25 to 29 bytes a block step
         assert peak <= 8 * count + 40 * processes._WALK_BLOCK
 
+    def test_pairs_hold_one_pointer_an_entry(self):
+        # the 40,000 entries of a 20x20 walk's pairs are the ints of steps,
+        # about 9 bytes an entry with the lists; a new int per entry, as
+        # ndarray.tolist() makes above 256, took 20
+        spec = WaypointProcessSpec.lazy_walk(GridSpec(20, 20))
+        tracemalloc.start()
+        try:
+            pairs = spec.sampling_table.pairs
+            del spec  # what is still traced is held by pairs
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = sum(map(len, pairs))
+        assert entries == 40_000
+        assert held / entries < 11
+
     def test_sampler_source_has_no_float_arithmetic(self):
         # exactness rests on integer buckets: the table build, the walk and
         # every function of the module they name use no float, no true

@@ -2,7 +2,8 @@
 
 No module of the package imports a name it never uses, no module but
 ``geometry`` does cell-id arithmetic with a grid's width, no module takes
-``hypot`` from numpy, and every function
+``hypot`` from numpy, ``continuous`` writes a leg's position formula in
+one function, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
 ``alphabet.<name>`` either reads still exists, so deleting API cannot
@@ -109,6 +110,78 @@ def test_cell_layout_is_stated_once():
         if WIDTH_ARITHMETIC.search(line)
     ]
     assert sites == []
+
+
+# the columns of a leg table's start and end points
+START_POINT, END_POINT = {"X0", "Y0", "_FROM"}, {"X1", "Y1", "_TO"}
+
+
+def _leg_displacements(tree: ast.Module) -> list[str]:
+    """The functions that subtract a leg's start point from its end point.
+
+    An operand counts as a point when it names a point column, itself or
+    through a name that the function binds, by assignment or in a loop, to
+    an expression that does.
+    """
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        bound: dict[str, set[str]] = {}  # name -> the point columns it stands for
+
+        def columns(node: ast.AST) -> set[str]:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            via = set().union(*(bound.get(name, ()) for name in names))
+            return (names | via) & (START_POINT | END_POINT)
+
+        bindings = []  # (target, value)
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                bindings += [(target, node.value) for target in node.targets]
+            elif isinstance(node, ast.For):
+                bindings.append((node.target, node.iter))
+        for _ in bindings:  # enough rounds for a name to reach the last binding
+            for target, value in bindings:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        bound[name.id] = bound.get(name.id, set()) | columns(value)
+        if any(
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and columns(node.left) & END_POINT
+            and columns(node.right) & START_POINT
+            for node in ast.walk(function)
+        ):
+            found.append(function.name)
+    return found
+
+
+def test_position_formula_is_stated_once():
+    # x0 + a * (x1 - x0) lives in _interpolate, which the sampler and
+    # discretize share, so that their positions cannot drift apart
+    source = (ROOT / "src" / "rwmm" / "continuous.py").read_text()
+    assert _leg_displacements(ast.parse(source)) == ["_interpolate"]
+
+
+def test_leg_displacement_is_found():
+    # the columns subtracted directly, through unpacked names, and through
+    # loop names
+    source = """
+def direct(legs):
+    return legs[:, X1] - legs[:, X0]
+
+def unpacked(rows):
+    p0, p1 = rows[:, _FROM], rows[:, _TO]
+    out = p1 - p0
+
+def looped(legs):
+    for x0, x1 in ((X0, X1), (Y0, Y1)):
+        p = legs[:, x1] - legs[:, x0]
+
+def backwards(legs):
+    return legs[:, X0] - legs[:, X1] + legs[:, Y1]
+"""
+    assert _leg_displacements(ast.parse(source)) == ["direct", "unpacked", "looped"]
 
 
 def _numpy_hypot_sites(tree: ast.Module) -> list[int]:
