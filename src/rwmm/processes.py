@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -28,8 +28,8 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 class CylinderEvent:
     """The event fixing a sequence's symbols on indices start..start+len-1.
 
-    Symbols are cells for waypoint or location events and path ids (keys of
-    a :class:`~rwmm.geometry.PathAlphabet`'s ``all_paths``) for path events.
+    Symbols are cells for waypoint or location events and path ids of a
+    :class:`~rwmm.geometry.PathAlphabet` for path events.
     """
 
     start: int
@@ -47,37 +47,52 @@ class CylinderEvent:
         return self.start + len(self.symbols) - 1
 
 
-def _bfs_depths(adjacency: Sequence[Iterable[int]]) -> list[int]:
-    """Breadth-first depth of each state from state 0; -1 for a state not reached."""
-    depth = [-1] * len(adjacency)
+def _check_denominator(denominator: int) -> int:
+    """``denominator``, refused unless one int64 draw reaches every value below it."""
+    if denominator < 2**63:
+        return denominator
+    raise ConfigurationError(
+        f"markov waypoint sampling needs a common denominator below 2^63, "
+        f"this chain's is {denominator}"
+    )
+
+
+def _running_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each entry's int64 running sum along its CSR row; past 2^63 - 1 a positive one wraps < 0."""
+    running = np.cumsum(weights)
+    return running - (running - weights)[np.repeat(indptr[:-1], np.diff(indptr))]
+
+
+def _bfs_depths(indptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of each state from state 0 along CSR rows; -1 for a state not reached."""
+    sizes = np.diff(indptr)
+    depth, slot = np.full(len(sizes), -1, dtype=np.int64), np.empty(len(sizes), dtype=np.int64)
     depth[0] = 0
-    queue = [0]
-    for u in queue:  # grows as it is read: states in BFS order
-        for v in adjacency[u]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                queue.append(v)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:  # a level gathers all its states' rows at once
+        counts = sizes[frontier]
+        ends = np.cumsum(counts)
+        reached = targets[np.arange(ends[-1]) + np.repeat(indptr[frontier] + counts - ends, counts)]
+        reached = reached[depth[reached] < 0]
+        depth[reached] = depth[frontier[0]] + 1
+        slot[reached] = places = np.arange(len(reached))  # one place a state stays: no sort
+        frontier = reached[slot[reached] == places]
     return depth
 
 
-def _check_irreducible_aperiodic(adjacency: Sequence[Iterable[int]]) -> None:
+def _check_irreducible_aperiodic(indptr: np.ndarray, targets: np.ndarray) -> None:
     """Refuse a chain whose transition digraph is not strongly connected, or is periodic.
 
-    One forward BFS gives the depths, one pass over the edges builds the
-    reverse graph, and a reverse BFS checks that every state reaches state 0.
-    For a strongly connected digraph the period is the gcd over all edges of
-    ``depth[u] + 1 - depth[v]``, with depths from any BFS tree.
+    BFS along the rows and the reversed rows finds whether state 0 reaches and is reached by
+    all; the period is the gcd over edges ``u -> v`` of ``depth[u] + 1 - depth[v]``.
     """
-    depth = _bfs_depths(adjacency)
-    reverse: list[list[int]] = [[] for _ in adjacency]
-    period = 0
-    for u, outs in enumerate(adjacency):
-        for v in outs:
-            reverse[v].append(u)
-            period = math.gcd(period, depth[u] + 1 - depth[v])
-    if min(depth) < 0 or min(_bfs_depths(reverse)) < 0:
+    sources = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    order = np.argsort(targets, kind="stable")
+    depth = _bfs_depths(indptr, targets)
+    reverse = np.searchsorted(targets[order], np.arange(len(indptr))), sources[order]
+    if depth.min() < 0 or _bfs_depths(*reverse).min() < 0:
         raise ConfigurationError("markov waypoint chain must be irreducible")
-    if period != 1:
+    if np.gcd.reduce(depth[sources] + 1 - depth[targets]) != 1:
         raise ConfigurationError("markov waypoint chain must be aperiodic")
 
 
@@ -99,132 +114,122 @@ class SuccessorTable(NamedTuple):
     start_sums: list[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaypointProcessSpec:
     """Distribution of the per-node waypoint sequence over a grid's cells.
 
-    Without ``transition`` rows every waypoint is drawn independently with
-    probability 1/|cells| (iid uniform). With them the spec is an exact
-    Markov chain started from ``initial``, a dense tuple of n ``Fraction``s;
-    ``transition[i]`` maps each successor of state ``i``, ids ascending, to
-    its positive ``Fraction`` probability. The chain must be irreducible and
-    aperiodic so that long-run time averages over the induced movement exist
-    and are seed-independent.
+    Without a ``denominator`` every waypoint is iid uniform over the cells.
+    With one it is an exact Markov chain of int64 weights over that common
+    denominator ``D < 2^63``: the n ``initial`` weights, nonnegative, and the
+    CSR transition rows, row ``i`` being entries ``indptr[i]:indptr[i + 1]``
+    of ``targets``, ids ascending, and of ``weights``, positive; each sums
+    to ``D``. The chain must be irreducible and aperiodic so that long-run
+    time averages exist and are seed-independent.
     """
 
     grid: GridSpec
-    transition: tuple[dict[int, Fraction], ...] | None = None
-    initial: tuple[Fraction, ...] | None = None
+    denominator: int | None = None
+    initial: np.ndarray | None = None
+    indptr: np.ndarray | None = None
+    targets: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if (self.transition is None) != (self.initial is None):
+        arrays = (self.initial, self.indptr, self.targets, self.weights)
+        if len({value is None for value in (self.denominator, *arrays)}) == 2:  # some, not all
             raise ConfigurationError("markov waypoint process needs matrix and initial")
-        if self.transition is None:
+        if self.denominator is None:
             return
-        n = self.grid.size
-        if len(self.transition) != n:
+        if any(not isinstance(a, np.ndarray) or a.dtype != np.int64 or a.ndim != 1 for a in arrays):
+            raise ConfigurationError("markov waypoint process needs 1-D int64 arrays")
+        denominator, n = _check_denominator(self.denominator), self.grid.size
+        initial, indptr, targets, weights = arrays
+        if len(indptr) != n + 1 or indptr[0] or (np.diff(indptr) < 0).any() or (
+            not len(targets) == len(weights) == indptr[-1]
+        ):
             raise ConfigurationError(f"transition matrix must be {n}x{n}")
-        if len(self.initial) != n:
+        if len(initial) != n:
             raise ConfigurationError(f"initial distribution must have {n} entries")
-        for row in self.transition:
-            if list(row) != sorted(row) or not all(0 <= j < n for j in row):
-                raise ConfigurationError(f"transition rows must list ascending ids below {n}")
-            if any(p <= 0 for p in row.values()) or sum(row.values()) != 1:
-                raise ConfigurationError("transition rows must be positive and sum to 1")
-        if any(p < 0 for p in self.initial) or sum(self.initial) != 1:
+        keys = np.repeat(np.arange(n), np.diff(indptr)) * n + targets  # rise as ids rise in rows
+        if (targets < 0).any() or (targets >= n).any() or (np.diff(keys) <= 0).any():
+            raise ConfigurationError(f"transition rows must list ascending ids below {n}")
+        running = _running_sums(indptr, weights)
+        if not np.diff(indptr).all() or (weights <= 0).any() or (running <= 0).any() or (
+            running[indptr[1:] - 1] != denominator
+        ).any():
+            raise ConfigurationError("transition rows must be positive and sum to 1")
+        # a running sum of nonnegative entries turns negative only where it wraps
+        if (np.minimum(initial, np.cumsum(initial)) < 0).any() or initial.sum() != denominator:
             raise ConfigurationError("initial distribution must be nonnegative and sum to 1")
-        _check_irreducible_aperiodic(self.transition)
+        _check_irreducible_aperiodic(indptr, targets)
 
     @cached_property
     def sampling_table(self) -> SuccessorTable:
         """Exact integer sampling table of a markov chain, built once per spec.
 
-        Every waypoint takes one integer ``u`` uniform on ``[0, D)``, where
-        ``D`` is the lcm of the denominators of the initial distribution and
-        every transition row; it must be below 2^63
-        (:class:`ConfigurationError` otherwise). A row gives its successors,
-        ids ascending, consecutive runs of ``p·D`` draws. ``cuts`` is the
-        sorted union of every transition row's run boundaries inside
-        ``(0, D)``. It splits ``[0, D)`` into ``B = len(cuts) + 1`` buckets,
-        bucket ``b`` being ``[cuts[b - 1], cuts[b])`` with 0 and ``D`` at the
-        ends, and no row has a boundary inside a bucket, so state ``s`` moves
-        to ``successor[s][b]`` on every draw in bucket ``b``, each successor
-        with probability exactly ``p``. The table holds n·B entries. A lazy
-        walk's rows take a few shapes, so its B stays small whatever n: at
-        most 11 on grids from 1x2 to 100x100. The initial distribution is
-        left out of ``cuts``, where its boundaries would make B grow with n
-        (404 on 20x20 at stay 1/2): the first waypoint is
-        ``start[bisect_right(start_sums, u)]``, over its support and run
-        boundaries.
-
-        Two more tables make the walk cheaper, each kept only when it has at
-        most ``_TABLE_ENTRIES`` (2^16) entries. ``bucket_of[u]`` is the
-        bucket of draw ``u``, one int32 per draw in ``[0, D)``: 30,000
-        entries on a 100x100 lazy walk at stay 1/2, whose D at stay 1/3
-        (90,000) is over the bound. ``pairs[s][b0·B + b1]`` is the state two
-        steps on from ``s`` through buckets ``b0`` then ``b1``, ``successor``
-        gathered through itself: n·B² entries, 40,000 on a 20x20 lazy walk
-        and over the bound from 21x21 at stay 1/2. ``steps`` and ``pairs``
-        are nested lists, which the walk's Python loops index fastest.
+        Every waypoint takes one integer ``u`` uniform on ``[0, D)``; a row
+        gives its successors consecutive runs of ``weight`` draws, ending at
+        its running sums. ``cuts``, the transition rows' run ends inside
+        ``(0, D)``, split ``[0, D)`` into ``B = len(cuts) + 1`` buckets, so
+        state ``s`` moves to ``successor[s][b]`` on every draw in bucket ``b``
+        (B <= 11 on lazy walks up to 100x100). The first waypoint is
+        ``start[bisect_right(start_sums, u)]``: the initial run ends would make
+        B grow with n. The walk indexes ``bucket_of[u]``, the bucket of draw
+        ``u``, and nested lists sharing one int per state: ``steps`` and
+        ``pairs[s][b0·B + b1]``, two steps on. ``bucket_of`` and ``pairs`` are
+        kept only with at most ``_TABLE_ENTRIES`` (2^16) entries, D and n·B²:
+        30,000 and 40,000 on 100x100 and 20x20 lazy walks at stay 1/2.
         """
-        assert self.transition is not None and self.initial is not None
-        start = {j: p for j, p in enumerate(self.initial) if p}
-        rows = (*self.transition, start)
-        denominator = math.lcm(*(p.denominator for row in rows for p in row.values()))
-        if denominator >= 2**63:
-            raise ConfigurationError(
-                f"markov waypoint sampling needs a common denominator below 2^63, "
-                f"this chain's is {denominator}"
-            )
-
-        def boundaries(row: dict[int, Fraction]) -> list[int]:
-            weights = (p.numerator * (denominator // p.denominator) for p in row.values())
-            return list(itertools.accumulate(weights))[:-1]
-
-        bounds = [boundaries(row) for row in self.transition]
-        cuts = np.array(sorted(set(itertools.chain.from_iterable(bounds))), dtype=np.int64)
-        lows = [0, *cuts.tolist()]
-        steps = [
-            [targets[bisect_right(row_bounds, low)] for low in lows]
-            for targets, row_bounds in zip(map(list, self.transition), bounds)
-        ]
-        successor = np.array(steps, dtype=np.int64)
+        denominator = self.denominator
+        running = _running_sums(self.indptr, self.weights)
+        ends = np.sort(running[running < denominator])
+        cuts = ends[np.diff(ends, prepend=0) > 0]  # distinct, as every run end is positive
+        first = np.searchsorted(cuts, running - self.weights, side="right")  # a run's first bucket
+        buckets = np.searchsorted(cuts, running) + 1 - first  # and how many it spans
+        successor = np.repeat(self.targets, buckets).reshape(len(self.initial), -1)
+        steps = np.arange(len(successor)).astype(object)[successor].tolist()
         bucket_of = None
         if denominator <= _TABLE_ENTRIES:
             bucket_of = np.searchsorted(cuts, np.arange(denominator), side="right").astype(np.int32)
         pairs = []
-        if successor.size * len(lows) <= _TABLE_ENTRIES:
-            # the rows of steps, joined: every entry is an int that steps
-            # already holds, where ndarray.tolist() made one per entry
-            pairs = [
+        if successor.size * (len(cuts) + 1) <= _TABLE_ENTRIES:
+            pairs = [  # the rows of steps, joined, with no new int per entry
                 list(itertools.chain.from_iterable(map(steps.__getitem__, row))) for row in steps
             ]
-        return SuccessorTable(
-            denominator, cuts, bucket_of, successor, steps, pairs, list(start), boundaries(start)
-        )
+        start = np.flatnonzero(self.initial).tolist()
+        sums = np.cumsum(self.initial[start])[:-1].tolist()
+        return SuccessorTable(denominator, cuts, bucket_of, successor, steps, pairs, start, sums)
 
     @classmethod
     def iid_uniform(cls, grid: GridSpec) -> "WaypointProcessSpec":
         return cls(grid=grid)
 
     @classmethod
+    def _from_padded_rows(cls, grid: GridSpec, denominator: int, initial, targets, weights):
+        """A chain from n rows of one width, ``targets`` ascending along each; zero weights drop."""
+        kept = weights != 0
+        indptr = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
+        return cls(grid, denominator, initial, indptr, targets[kept], weights[kept])
+
+    @classmethod
     def markov(
-        cls,
-        grid: GridSpec,
-        transition: Sequence[Sequence],
-        initial: Sequence,
+        cls, grid: GridSpec, transition: Sequence[Sequence], initial: Sequence
     ) -> "WaypointProcessSpec":
-        """A chain from a dense n×n transition matrix, stored as sparse rows."""
+        """A chain from a dense n×n transition matrix: ``p`` becomes ``p·D``, D the lcm."""
         n = grid.size
         if len(transition) != n or any(len(row) != n for row in transition):
             raise ConfigurationError(f"transition matrix must be {n}x{n}")
-        return cls(
-            grid=grid,
-            transition=tuple(
-                {j: p for j, p in enumerate(map(Fraction, row)) if p} for row in transition
-            ),
-            initial=tuple(Fraction(v) for v in initial),
-        )
+        matrix = [Fraction(p) for row in transition for p in row]
+        start = [Fraction(v) for v in initial]
+        if not all(0 <= p <= 1 for p in matrix):  # so that every p·D is an int64
+            raise ConfigurationError("transition rows must be positive and sum to 1")
+        if not all(0 <= p <= 1 for p in start):
+            raise ConfigurationError("initial distribution must be nonnegative and sum to 1")
+        denominator = _check_denominator(math.lcm(*(p.denominator for p in (*matrix, *start))))
+        scaled = [p.numerator * denominator // p.denominator for p in (*matrix, *start)]
+        weights, initial = np.split(np.array(scaled, dtype=np.int64), [n * n])
+        targets = np.broadcast_to(np.arange(n), (n, n))
+        return cls._from_padded_rows(grid, denominator, initial, targets, weights.reshape(n, n))
 
     @classmethod
     def lazy_walk(cls, grid: GridSpec, stay: Fraction = Fraction(1, 2)) -> "WaypointProcessSpec":
@@ -233,7 +238,7 @@ class WaypointProcessSpec:
         Stays put with probability ``stay`` and otherwise moves to a uniformly
         chosen in-grid 4-neighbor. Irreducible for every grid; the self loop
         makes it aperiodic (so ``stay`` must be positive on grids with more
-        than one cell).
+        than one cell). ``D`` is the least that makes every weight an int.
         """
         stay = Fraction(stay)
         if not 0 <= stay < 1:
@@ -241,36 +246,33 @@ class WaypointProcessSpec:
         n = grid.size
         if n == 1:
             return cls.markov(grid, [[Fraction(1)]], [Fraction(1)])
-        rows = []
-        for cell in grid.cells():
-            neighbors = [
-                grid.cell_id(Cell(cell.x + dx, cell.y + dy))
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                if grid.contains(Cell(cell.x + dx, cell.y + dy))
-            ]
-            row = dict.fromkeys(neighbors, (1 - stay) / len(neighbors))
-            if stay:
-                row[grid.cell_id(cell)] = stay
-            rows.append(dict(sorted(row.items())))
-        return cls(grid=grid, transition=tuple(rows), initial=(Fraction(1, n),) * n)
+        a, q = stay.numerator, stay.denominator
+        moves = np.array([(1, -1, 0, 0, 0), (0, 0, 1, -1, 0)])  # dx, dy; the last one stays
+        dx, dy = moves[:, np.argsort(grid.ids(*moves))]  # in the order of the targets' ids
+        moving = (dx != 0) | (dy != 0)
+        x, y = grid.xy(np.arange(n))
+        to_x, to_y = x[:, None] + dx, y[:, None] + dy
+        inside = (to_x >= 0) & (to_x < grid.width) & (to_y >= 0) & (to_y < grid.height)
+        degree = (inside & moving).sum(axis=1)
+        degrees = np.flatnonzero(np.bincount(degree)).tolist()
+        # each of k moves takes (q - a)·D / (q·k) for stay = a/q
+        lcm = math.lcm(n, q, *(q * k // math.gcd(q - a, q * k) for k in degrees))
+        denominator = _check_denominator(lcm)
+        share = np.zeros(5, dtype=np.int64)  # by degree
+        share[degrees] = [(q - a) * denominator // (q * k) for k in degrees]
+        weights = np.where(moving, share[degree][:, None], a * denominator // q) * inside
+        initial = np.full(n, denominator // n, dtype=np.int64)
+        return cls._from_padded_rows(grid, denominator, initial, grid.ids(to_x, to_y), weights)
 
 
-def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> list[Fraction]:
-    """Exact symbol distribution at a given time index (initial @ P^index).
-
-    Each step pushes every state's mass only along its row's nonzero
-    successors, so a step costs O(nonzero entries) rather than O(n²).
-    """
-    assert spec.transition is not None and spec.initial is not None
-    dist = list(spec.initial)
+def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> np.ndarray:
+    """initial @ P^index as Python ints over D^(index + 1), each step O(entries), not O(n²)."""
+    masses = spec.initial.astype(object)
     for _ in range(index):
-        nxt = [Fraction(0)] * len(dist)
-        for mass, row in zip(dist, spec.transition):
-            if mass:
-                for j, p in row.items():
-                    nxt[j] += mass * p
-        dist = nxt
-    return dist
+        pushed = np.repeat(masses, np.diff(spec.indptr)) * spec.weights  # object: Python ints
+        masses = np.zeros(len(masses), dtype=object)
+        np.add.at(masses, spec.targets, pushed)
+    return masses
 
 
 def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> Fraction:
@@ -285,15 +287,14 @@ def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> F
 
 def _waypoint_ids_prob(spec: WaypointProcessSpec, start: int, ids: Sequence[int]) -> Fraction:
     """Probability that the waypoints from index ``start`` are the cell ids ``ids``."""
-    if spec.transition is None:
+    if spec.denominator is None:
         return Fraction(1, spec.grid.size ** len(ids))
-    dist = _markov_distribution_at(spec, start)
-    prob = dist[ids[0]]
+    mass = _markov_distribution_at(spec, start)[ids[0]]  # over D^(start + 1), and D more each move
     for a, b in zip(ids, ids[1:]):
-        if not prob:
-            return Fraction(0)
-        prob *= spec.transition[a].get(b, 0)
-    return prob
+        lo, hi = spec.indptr[a : a + 2].tolist()
+        row = spec.targets[lo:hi].tolist()
+        mass *= int(spec.weights[lo + row.index(b)]) if b in row else 0
+    return Fraction(mass, spec.denominator ** (start + len(ids)))
 
 
 def _families(alphabet: PathAlphabet, waypoints: Sequence[Cell], pairs: int) -> list[range]:
@@ -545,23 +546,22 @@ def sample_waypoints(
 
     Markov waypoints are drawn exactly through the spec's
     :attr:`~WaypointProcessSpec.sampling_table`, each from one integer
-    uniform on ``[0, D)`` (:class:`ConfigurationError` for ``D >= 2^63``).
-    The first waypoint bisects the initial distribution. The others come
-    ``_WALK_BLOCK`` at a time. One ``take`` from ``bucket_of`` turns a
-    block's draws into buckets, or, for a table with no ``bucket_of``, one
-    ``searchsorted`` over ``cuts``. The walk then takes two steps a Python
-    iteration: it follows ``pairs`` over each pair of buckets and writes
-    the second state of the pair, and one gather from ``successor`` fills
-    in the first states from the states before them. A block's odd last
-    step, and every step of a table with no ``pairs``, follows ``steps``
-    one step an iteration. A generator gives the same integers from one
-    call as from consecutive calls over its parts, so the waypoints do not
-    depend on the block size.
+    uniform on ``[0, D)``. The first waypoint bisects the initial
+    distribution. The others come ``_WALK_BLOCK`` at a time. One ``take``
+    from ``bucket_of`` turns a block's draws into buckets, or, for a table
+    with no ``bucket_of``, one ``searchsorted`` over ``cuts``. The walk
+    then takes two steps a Python iteration: it follows ``pairs`` over each
+    pair of buckets and writes the second state of the pair, and one gather
+    from ``successor`` fills in the first states from the states before
+    them. A block's odd last step, and every step of a table with no
+    ``pairs``, follows ``steps`` one step an iteration. A generator gives
+    the same integers from one call as from consecutive calls over its
+    parts, so the waypoints do not depend on the block size.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = _rng(seed)
-    if spec.transition is None:
+    if spec.denominator is None:
         ids = rng.integers(0, spec.grid.size, size=count, dtype=np.int64)
         return WaypointTrace(spec.grid, ids)
     table = spec.sampling_table

@@ -16,10 +16,11 @@ Sixteen deliberately separate routes from first principles:
   to check the displacement-keyed tables and id ranges of
   ``rwmm.geometry.build_alphabet``;
 * a dense lazy-walk matrix whose neighbors are the cells at Manhattan
-  distance 1, to check the sparse rows of
+  distance 1, to check the integer rows of
   ``rwmm.processes.WaypointProcessSpec.lazy_walk``;
 * a markov waypoint walk that bisects one row's running sums a step, its
-  rows built from the spec's ``Fraction``s and its draws taken in one call,
+  rows rebuilt from the spec's probabilities over their own lcm and its
+  draws taken in one call,
   to check the blocked successor-table walk of
   ``rwmm.processes.sample_waypoints``;
 * a forward sum over waypoint states that marginalizes the path channel over
@@ -242,10 +243,21 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
 
 
 def dense_transition(spec: WaypointProcessSpec) -> list[list[Fraction]]:
-    """A markov spec's sparse transition rows expanded to an n×n matrix."""
-    assert spec.transition is not None
+    """A markov spec's integer rows over its denominator expanded to an n×n matrix."""
+    assert spec.denominator is not None
     n = spec.grid.size
-    return [[row.get(j, Fraction(0)) for j in range(n)] for row in spec.transition]
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    bounds = spec.indptr.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for j, weight in zip(spec.targets[lo:hi].tolist(), spec.weights[lo:hi].tolist()):
+            matrix[i][j] = Fraction(weight, spec.denominator)
+    return matrix
+
+
+def dense_initial(spec: WaypointProcessSpec) -> list[Fraction]:
+    """A markov spec's initial weights over its denominator, as probabilities."""
+    assert spec.denominator is not None
+    return [Fraction(weight, spec.denominator) for weight in spec.initial.tolist()]
 
 
 def dense_lazy_walk(grid: GridSpec, stay: Fraction) -> list[list[Fraction]]:
@@ -270,10 +282,9 @@ def dense_lazy_walk(grid: GridSpec, stay: Fraction) -> list[list[Fraction]]:
 
 def dense_markov_distribution(spec: WaypointProcessSpec, index: int) -> list[Fraction]:
     """Markov waypoint distribution at ``index``: the initial row times P^index."""
-    assert spec.initial is not None
     n = spec.grid.size
     step = dense_transition(spec)
-    dist = list(spec.initial)
+    dist = dense_initial(spec)
     for _ in range(index):
         dist = [sum((dist[i] * step[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
     return dist
@@ -282,14 +293,15 @@ def dense_markov_distribution(spec: WaypointProcessSpec, index: int) -> list[Fra
 def bisect_walk(spec: WaypointProcessSpec, count: int, seed) -> list[int]:
     """``count`` waypoints of a markov spec, one bisection a step.
 
-    The initial distribution and the transition rows get integer weights
-    ``p·D`` over their common denominator ``D``, and ``count`` draws
+    The initial distribution and the transition rows, as the ``Fraction``s
+    of :func:`dense_initial` and :func:`dense_transition`, get integer
+    weights ``p·D`` over their common denominator ``D``, and ``count`` draws
     uniform on ``[0, D)`` come from one ``integers`` call. Draw k selects
     step k's state from the row of the state before it, the initial row
     first, by bisecting the row's running sums.
     """
-    assert spec.transition is not None and spec.initial is not None
-    rows = [*spec.transition, {j: p for j, p in enumerate(spec.initial) if p}]
+    dense = [*dense_transition(spec), dense_initial(spec)]
+    rows = [{j: p for j, p in enumerate(row) if p} for row in dense]
     denominator = math.lcm(*(p.denominator for row in rows for p in row.values()))
     succ = [list(row) for row in rows]
     cum = [
@@ -298,7 +310,7 @@ def bisect_walk(spec: WaypointProcessSpec, count: int, seed) -> list[int]:
     ]
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, denominator, size=count, dtype=np.int64).tolist()
-    state = len(spec.transition)
+    state = len(rows) - 1
     return [state := succ[state][bisect_right(cum[state], u)] for u in draws]
 
 
@@ -324,13 +336,12 @@ def marginal_path_prob(
         frozenset(tables.family_members[start : start + size].tolist())
         for start, size in zip(tables.family_offsets.tolist(), tables.family_sizes.tolist())
     ]
-    if spec.transition is None:
+    if spec.denominator is None:
         step = [[Fraction(1, n)] * n for _ in range(n)]
         weights = [Fraction(1, n)] * n
     else:
-        assert spec.initial is not None
         step = dense_transition(spec)
-        weights = list(spec.initial)
+        weights = dense_initial(spec)
     fixed = {event.start + k: pid for k, pid in enumerate(event.symbols)}
     for index in range(span - 1):
         nxt = [Fraction(0)] * n
@@ -460,7 +471,7 @@ def build_location_chain(
             states.append((pid, off))
     rows: list[dict[int, Fraction]] = []
     n_cells = grid.size
-    step = None if spec.transition is None else dense_transition(spec)
+    step = None if spec.denominator is None else dense_transition(spec)
     for pid, off in states:
         path = alphabet.all_paths[pid]
         if off + 1 < path.length:

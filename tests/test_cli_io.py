@@ -193,8 +193,9 @@ class TestConfigParsing:
         assert cfg.waypoints == "lazy-walk"
         assert cfg.stay == Fraction(1, 3)
         spec = cfg.waypoint_spec()
-        assert spec.transition is not None
-        assert spec.transition[0][0] == Fraction(1, 3)
+        assert spec.denominator is not None
+        assert spec.targets[0] == 0  # cell 0's first successor is itself
+        assert Fraction(int(spec.weights[0]), spec.denominator) == Fraction(1, 3)
 
     def test_fractional_speeds(self):
         cfg = load_discrete_config(

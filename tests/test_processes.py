@@ -15,6 +15,7 @@ successor table bucket by bucket.
 """
 
 import ast
+import math
 import re
 import tracemalloc
 from bisect import bisect_right
@@ -50,6 +51,7 @@ from rwmm.processes import (
 
 from oracles import (
     bisect_walk,
+    dense_initial,
     dense_lazy_walk,
     dense_markov_distribution,
     dense_transition,
@@ -138,6 +140,11 @@ class TestWaypointMeasures:
             )  # initial must sum to 1
         with pytest.raises(ConfigurationError, match="must be 2x2"):
             WaypointProcessSpec.markov(grid, [[Fraction(1, 2), Fraction(1, 2)], [1]], [1, 0])
+        # entries outside [0, 1], whose weights p·D would pass int64
+        with pytest.raises(ConfigurationError, match="rows must be positive"):
+            WaypointProcessSpec.markov(grid, [[10**19, 1 - 10**19], [0, 1]], [1, 0])
+        with pytest.raises(ConfigurationError, match="initial distribution must be"):
+            WaypointProcessSpec.markov(grid, [[0, 1], [1, 0]], [10**19, 1 - 10**19])
 
     @given(
         st.integers(1, 4).flatmap(
@@ -165,30 +172,65 @@ class TestWaypointMeasures:
             with pytest.raises(ConfigurationError, match=error):
                 WaypointProcessSpec.markov(GridSpec(1, n), rows, [Fraction(1, n)] * n)
 
-    HALVES = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    # two states that each move to either with weight 1 of 2
+    HALVES = dict(denominator=2, initial=[1, 1], indptr=[0, 2, 4], targets=[0, 1, 0, 1],
+                  weights=[1, 1, 1, 1])
 
     @pytest.mark.parametrize(
-        "transition, initial, error",
+        "changes, error",
         [
-            ((HALVES, HALVES), None, "needs matrix and initial"),
-            (None, (Fraction(1, 2),) * 2, "needs matrix and initial"),
-            ((HALVES,), (Fraction(1, 2),) * 2, "transition matrix must be 2x2"),
-            ((HALVES, HALVES), (Fraction(1),), "initial distribution must have 2"),
-            (
-                (dict(reversed(HALVES.items())), HALVES),
-                (Fraction(1, 2),) * 2,
-                "ascending ids below 2",
-            ),
+            ({"initial": None}, "needs matrix and initial"),
+            ({"indptr": None, "targets": None, "weights": None}, "needs matrix and initial"),
+            ({"indptr": [0, 2], "targets": [0, 1], "weights": [1, 1]}, "must be 2x2"),
+            ({"initial": [2]}, "initial distribution must have 2"),
+            ({"targets": [1, 0, 0, 1]}, "ascending ids below 2"),
+            ({"targets": [0, 2, 0, 1]}, "ascending ids below 2"),
+            ({"weights": [1, 2, 1, 1]}, "rows must be positive and sum to 1"),
+            ({"weights": [0, 2, 1, 1]}, "rows must be positive"),
+            ({"indptr": [0, 0, 2], "targets": [0, 1], "weights": [1, 1]}, "rows must be positive"),
+            ({"initial": [1, 2]}, "initial distribution must be nonnegative and sum to 1"),
+            ({"initial": [3, -1]}, "initial distribution must be nonnegative"),
+            ({"denominator": 2**63}, r"denominator below 2\^63"),
+            ({"weights": np.array([1, 1, 1, 1], dtype=np.int32)}, "1-D int64 arrays"),
+            ({"initial": [[1, 1]]}, "1-D int64 arrays"),
         ],
-        ids=["no-initial", "no-matrix", "short-matrix", "short-initial", "descending-row"],
+        ids=[
+            "no-initial", "no-matrix", "short-matrix", "short-initial", "descending-row",
+            "id-outside", "row-sum", "zero-weight", "empty-row", "initial-sum",
+            "negative-initial", "denominator", "int32-weights", "2-d-initial",
+        ],
     )
-    def test_spec_built_directly_is_validated(self, transition, initial, error):
+    def test_spec_built_directly_is_validated(self, changes, error):
+        fields = {
+            name: value if value is None or name == "denominator" else np.array(value)
+            for name, value in {**self.HALVES, **changes}.items()
+        }
         with pytest.raises(ConfigurationError, match=error):
-            WaypointProcessSpec(GridSpec(1, 2), transition, initial)
+            WaypointProcessSpec(GridSpec(1, 2), **fields)
+
+    def test_row_sum_that_wraps_is_refused(self):
+        # 2 * (2^63 - 1) + 3 = 2^64 + 1 is D = 1 modulo 2^64: an int64 sum
+        # of the row reads 1, but its running sum turns negative where it wraps
+        top = 2**63 - 1
+        with pytest.raises(ConfigurationError, match="rows must be positive and sum to 1"):
+            WaypointProcessSpec(
+                GridSpec(1, 3),
+                denominator=1,
+                initial=np.array([1, 0, 0]),
+                indptr=np.array([0, 3, 4, 5]),
+                targets=np.array([0, 1, 2, 0, 0]),
+                weights=np.array([top, top, 3, 1, 1]),
+            )
 
     def test_lazy_walk_rows(self):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(2, 2), stay=Fraction(1, 2))
-        assert spec.transition is not None
+        # every cell stays with 2 of D = 4 and moves to its two neighbors
+        # with 1 each, and starts with 1
+        assert spec.denominator == 4
+        assert spec.initial.tolist() == [1, 1, 1, 1]
+        assert spec.indptr.tolist() == [0, 3, 6, 9, 12]
+        assert spec.targets.tolist() == [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3]
+        assert spec.weights.tolist() == [2, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 2]
         corner = dense_transition(spec)[0]  # (0,0): neighbors (1,0) and (0,1)
         assert corner[0] == Fraction(1, 2)
         assert corner[1] == Fraction(1, 4)
@@ -205,10 +247,29 @@ class TestWaypointMeasures:
     def test_lazy_walk_rows_match_dense_oracle(self, width, height, stay):
         grid = GridSpec(width, height)
         spec = WaypointProcessSpec.lazy_walk(grid, stay)
-        assert dense_transition(spec) == dense_lazy_walk(grid, stay)
-        for row in spec.transition:
-            assert list(row) == sorted(row)
-            assert all(p > 0 for p in row.values())
+        dense = dense_lazy_walk(grid, stay)
+        assert dense_transition(spec) == dense
+        assert dense_initial(spec) == [Fraction(1, grid.size)] * grid.size
+        # the least common denominator, as every draw's bucket depends on it
+        lcm = math.lcm(grid.size, *(p.denominator for row in dense for p in row))
+        assert spec.denominator == lcm
+        for row in np.split(spec.targets, spec.indptr[1:-1]):
+            assert (np.diff(row) > 0).all()
+        assert (spec.weights > 0).all()
+
+    def test_lazy_walk_memory_is_its_integer_rows(self):
+        # indptr and initial, and about five targets and weights a cell, all
+        # int64: about 95 bytes a cell; a dict of Fractions per cell held 444
+        grid = GridSpec(100, 100)
+        WaypointProcessSpec.lazy_walk(GridSpec(2, 2))  # first calls' one-off allocations
+        tracemalloc.start()
+        try:
+            spec = WaypointProcessSpec.lazy_walk(grid, Fraction(1, 3))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert spec.denominator is not None
+        assert held <= 150 * grid.size
 
 
 class TestChannelMeasures:
@@ -600,18 +661,20 @@ class TestPathProcess:
         )
 
 
-def _three_state_chain(weights, initial):
-    # the cycle 0 -> 1 -> 2 -> 0 and the self loop at 0 make every such
-    # chain irreducible and aperiodic; other entries may be zero
+def _cycle_chain(weights, initial):
+    # n = len(initial) states; the cycle 0 -> 1 -> ... -> n - 1 -> 0 and the
+    # self loop at 0 make every such chain irreducible and aperiodic; other
+    # entries of the n x n weights may be zero
+    n = len(initial)
     weights = list(weights)
-    for i, j in ((0, 0), (0, 1), (1, 2), (2, 0)):
-        weights[3 * i + j] += 1
+    for i, j in ((0, 0), *((i, (i + 1) % n) for i in range(n))):
+        weights[n * i + j] += 1
     rows = [
-        [Fraction(w, sum(weights[3 * i : 3 * i + 3])) for w in weights[3 * i : 3 * i + 3]]
-        for i in range(3)
+        [Fraction(w, sum(weights[n * i : n * i + n])) for w in weights[n * i : n * i + n]]
+        for i in range(n)
     ]
     return WaypointProcessSpec.markov(
-        GridSpec(1, 3), rows, [Fraction(w, sum(initial)) for w in initial]
+        GridSpec(1, n), rows, [Fraction(w, sum(initial)) for w in initial]
     )
 
 
@@ -623,10 +686,13 @@ STAYS = st.integers(2, 30).flatmap(
     lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
 )
 MARKOV_SPECS = st.one_of(
-    st.builds(
-        _three_state_chain,
-        st.lists(st.integers(0, 3), min_size=9, max_size=9),
-        st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+    # random chains on 1 to 5 states, built from their dense matrices
+    st.integers(1, 5).flatmap(
+        lambda n: st.builds(
+            _cycle_chain,
+            st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+        )
     ),
     st.builds(
         lambda width, height, stay: WaypointProcessSpec.lazy_walk(GridSpec(width, height), stay),
@@ -639,20 +705,26 @@ MARKOV_SPECS = st.one_of(
 )
 
 
+def _distribution_at(spec, index):
+    """The library's integer masses at ``index``, over ``D^(index + 1)``, as probabilities."""
+    scale = spec.denominator ** (index + 1)
+    return [Fraction(mass, scale) for mass in _markov_distribution_at(spec, index)]
+
+
 class TestMarkovDistribution:
     @pytest.mark.parametrize("start", range(7))
     def test_lazy_walk_equals_matrix_power(self, start):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(3, 3), Fraction(1, 3))
-        assert _markov_distribution_at(spec, start) == dense_markov_distribution(spec, start)
+        assert _distribution_at(spec, start) == dense_markov_distribution(spec, start)
 
     @given(
         st.lists(st.integers(0, 3), min_size=9, max_size=9),
         st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
     )
     def test_random_chain_equals_matrix_power(self, weights, initial):
-        spec = _three_state_chain(weights, initial)
+        spec = _cycle_chain(weights, initial)
         for start in range(7):
-            assert _markov_distribution_at(spec, start) == dense_markov_distribution(spec, start)
+            assert _distribution_at(spec, start) == dense_markov_distribution(spec, start)
 
 
 class TestSamplers:
@@ -712,7 +784,7 @@ GAP_WALKS = [((6, 6), Fraction(1, 2)), ((10, 10), Fraction(1, 3))]
 
 def _rows(spec):
     """The spec's distributions in the table's row order: transitions, then initial."""
-    return [*dense_transition(spec), list(spec.initial)]
+    return [*dense_transition(spec), dense_initial(spec)]
 
 
 def _table_moves(table, state, draws):
@@ -840,13 +912,19 @@ class TestExactMarkovSampler:
         # exactness rests on integer buckets: the table build, the walk and
         # every function of the module they name use no float, no true
         # division and no numpy float, rounding or log routine
-        source = FilePath(processes.__file__).read_text()
-        defined = {
-            node.name: node
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.FunctionDef)
-        }
-        reached = ["sampling_table", "sample_waypoints"]
+        # the spec's builders and checks decide which cells are reachable,
+        # so they are held to the same rule
+        tree = ast.parse(FilePath(processes.__file__).read_text())
+        spec_class = next(
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "WaypointProcessSpec"
+        )
+        defined = {}
+        for root in (tree, spec_class):  # the spec's methods over others of their name
+            defined.update(
+                (node.name, node) for node in ast.walk(root) if isinstance(node, ast.FunctionDef)
+            )
+        reached = ["lazy_walk", "markov", "__post_init__", "sampling_table", "sample_waypoints"]
         for name in reached:  # grows as it is read
             named = {
                 node.id if isinstance(node, ast.Name) else node.attr
@@ -854,7 +932,14 @@ class TestExactMarkovSampler:
                 if isinstance(node, (ast.Name, ast.Attribute))
             }
             reached.extend(sorted(named & defined.keys() - set(reached)))
-        assert {"boundaries", "_rng"} <= set(reached)
+        assert {
+            "_bfs_depths",
+            "_check_denominator",
+            "_check_irreducible_aperiodic",
+            "_from_padded_rows",
+            "_rng",
+            "_running_sums",
+        } <= set(reached)
 
         def floating(node) -> bool:
             if isinstance(node, (ast.BinOp, ast.AugAssign)):
@@ -890,15 +975,15 @@ class TestExactMarkovSampler:
     def test_lazy_walk_moves_only_along_the_matrix(self, width, height, stay, seed):
         spec = WaypointProcessSpec.lazy_walk(GridSpec(width, height), stay)
         ids = sample_waypoints(spec, 300, seed).ids.tolist()
+        dense = dense_transition(spec)
         assert spec.initial[ids[0]] > 0
-        assert all(spec.transition[a][b] > 0 for a, b in zip(ids, ids[1:]))
+        assert all(dense[a][b] > 0 for a, b in zip(ids, ids[1:]))
 
     def test_denominator_limit(self):
         largest = _two_state_chain(Fraction(1, 2**63 - 1))
         assert len(sample_waypoints(largest, 50, seed=1)) == 50
-        too_large = _two_state_chain(Fraction(1, 2**63))
-        assert waypoint_cylinder_prob(too_large, CylinderEvent(0, (A, B))) == Fraction(
-            2**63 - 1, 2**126
-        )
+        # a chain no int64 draw can sample is refused when it is built
         with pytest.raises(ConfigurationError, match=f"denominator .*{2**63}"):
-            sample_waypoints(too_large, 50, seed=1)
+            _two_state_chain(Fraction(1, 2**63))
+        with pytest.raises(ConfigurationError, match=f"denominator .*{2 * 10**19}"):
+            WaypointProcessSpec.lazy_walk(GridSpec(2, 2), Fraction(1, 10**19))
