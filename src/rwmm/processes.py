@@ -86,14 +86,53 @@ def _check_irreducible_aperiodic(indptr: np.ndarray, targets: np.ndarray) -> Non
     BFS along the rows and the reversed rows finds whether state 0 reaches and is reached by
     all; the period is the gcd over edges ``u -> v`` of ``depth[u] + 1 - depth[v]``.
     """
-    sources = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    order = np.argsort(targets, kind="stable")
     depth = _bfs_depths(indptr, targets)
-    reverse = np.searchsorted(targets[order], np.arange(len(indptr))), sources[order]
-    if depth.min() < 0 or _bfs_depths(*reverse).min() < 0:
+    if depth.min() < 0 or _bfs_depths(*_reversed_rows(indptr, targets)).min() < 0:
         raise ConfigurationError("markov waypoint chain must be irreducible")
-    if np.gcd.reduce(depth[sources] + 1 - depth[targets]) != 1:
+    if np.gcd.reduce(np.repeat(depth + 1, np.diff(indptr)) - depth[targets]) != 1:
         raise ConfigurationError("markov waypoint chain must be aperiodic")
+
+
+def _reversed_rows(indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of the reversed digraph: row ``v`` lists the sources of edges into ``v``."""
+    order = np.argsort(targets, kind="stable")
+    sources = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[order]
+    return np.searchsorted(targets[order], np.arange(len(indptr))), sources
+
+
+def _from_padded_rows(targets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """CSR ``indptr``, ``targets``, ``weights`` of n rows of one width, ids ascending along each.
+
+    Entries of zero weight drop.
+    """
+    kept = weights != 0
+    return np.concatenate(([0], np.cumsum(kept.sum(axis=1)))), targets[kept], weights[kept]
+
+
+def _lazy_walk_rows(grid: GridSpec, stay: Fraction) -> tuple:
+    """``D``, ``initial`` and the CSR rows of the lazy walk at ``stay`` on a grid of 2+ cells.
+
+    The rows are built n x 5, one entry per move, and only their compressed
+    form is returned, so the padded arrays are freed before the spec's checks.
+    """
+    n = grid.size
+    a, q = stay.numerator, stay.denominator
+    moves = np.array([(1, -1, 0, 0, 0), (0, 0, 1, -1, 0)])  # dx, dy; the last one stays
+    dx, dy = moves[:, np.argsort(grid.ids(*moves))]  # in the order of the targets' ids
+    moving = (dx != 0) | (dy != 0)
+    x, y = grid.xy(np.arange(n))
+    to_x, to_y = x[:, None] + dx, y[:, None] + dy
+    inside = (to_x >= 0) & (to_x < grid.width) & (to_y >= 0) & (to_y < grid.height)
+    degree = (inside & moving).sum(axis=1)
+    degrees = np.flatnonzero(np.bincount(degree)).tolist()
+    # each of k moves takes (q - a)·D / (q·k) for stay = a/q
+    lcm = math.lcm(n, q, *(q * k // math.gcd(q - a, q * k) for k in degrees))
+    denominator = _check_denominator(lcm)
+    share = np.zeros(5, dtype=np.int64)  # by degree
+    share[degrees] = [(q - a) * denominator // (q * k) for k in degrees]
+    weights = np.where(moving, share[degree][:, None], a * denominator // q) * inside
+    initial = np.full(n, denominator // n, dtype=np.int64)
+    return denominator, initial, *_from_padded_rows(grid.ids(to_x, to_y), weights)
 
 
 # entries of a markov chain's bucket table and of its pair table at most: a
@@ -161,6 +200,7 @@ class WaypointProcessSpec:
         # a running sum of nonnegative entries turns negative only where it wraps
         if (np.minimum(initial, np.cumsum(initial)) < 0).any() or initial.sum() != denominator:
             raise ConfigurationError("initial distribution must be nonnegative and sum to 1")
+        del keys, running  # an int64 an edge each: freed before the digraph check makes its own
         _check_irreducible_aperiodic(indptr, targets)
 
     @cached_property
@@ -205,13 +245,6 @@ class WaypointProcessSpec:
         return cls(grid=grid)
 
     @classmethod
-    def _from_padded_rows(cls, grid: GridSpec, denominator: int, initial, targets, weights):
-        """A chain from n rows of one width, ``targets`` ascending along each; zero weights drop."""
-        kept = weights != 0
-        indptr = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
-        return cls(grid, denominator, initial, indptr, targets[kept], weights[kept])
-
-    @classmethod
     def markov(
         cls, grid: GridSpec, transition: Sequence[Sequence], initial: Sequence
     ) -> "WaypointProcessSpec":
@@ -229,7 +262,7 @@ class WaypointProcessSpec:
         scaled = [p.numerator * denominator // p.denominator for p in (*matrix, *start)]
         weights, initial = np.split(np.array(scaled, dtype=np.int64), [n * n])
         targets = np.broadcast_to(np.arange(n), (n, n))
-        return cls._from_padded_rows(grid, denominator, initial, targets, weights.reshape(n, n))
+        return cls(grid, denominator, initial, *_from_padded_rows(targets, weights.reshape(n, n)))
 
     @classmethod
     def lazy_walk(cls, grid: GridSpec, stay: Fraction = Fraction(1, 2)) -> "WaypointProcessSpec":
@@ -243,26 +276,9 @@ class WaypointProcessSpec:
         stay = Fraction(stay)
         if not 0 <= stay < 1:
             raise ConfigurationError(f"stay probability must be in [0, 1), got {stay}")
-        n = grid.size
-        if n == 1:
+        if grid.size == 1:
             return cls.markov(grid, [[Fraction(1)]], [Fraction(1)])
-        a, q = stay.numerator, stay.denominator
-        moves = np.array([(1, -1, 0, 0, 0), (0, 0, 1, -1, 0)])  # dx, dy; the last one stays
-        dx, dy = moves[:, np.argsort(grid.ids(*moves))]  # in the order of the targets' ids
-        moving = (dx != 0) | (dy != 0)
-        x, y = grid.xy(np.arange(n))
-        to_x, to_y = x[:, None] + dx, y[:, None] + dy
-        inside = (to_x >= 0) & (to_x < grid.width) & (to_y >= 0) & (to_y < grid.height)
-        degree = (inside & moving).sum(axis=1)
-        degrees = np.flatnonzero(np.bincount(degree)).tolist()
-        # each of k moves takes (q - a)·D / (q·k) for stay = a/q
-        lcm = math.lcm(n, q, *(q * k // math.gcd(q - a, q * k) for k in degrees))
-        denominator = _check_denominator(lcm)
-        share = np.zeros(5, dtype=np.int64)  # by degree
-        share[degrees] = [(q - a) * denominator // (q * k) for k in degrees]
-        weights = np.where(moving, share[degree][:, None], a * denominator // q) * inside
-        initial = np.full(n, denominator // n, dtype=np.int64)
-        return cls._from_padded_rows(grid, denominator, initial, grid.ids(to_x, to_y), weights)
+        return cls(grid, *_lazy_walk_rows(grid, stay))
 
 
 def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> np.ndarray:

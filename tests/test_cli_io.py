@@ -36,7 +36,6 @@ from rwmm.continuous import (
 from rwmm.errors import ConfigurationError, VerificationError
 from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
-    _BLOCK_BYTES,
     _stamp_words,
     _value_words,
     export_csv_report,
@@ -494,6 +493,24 @@ class TestTraceFiles:
         assert peak / joint.ids.size <= 8
         assert np.array_equal(load_locations(path)[0].ids, joint.ids)
 
+    def test_locations_loader_memory_per_sample(self, tmp_path):
+        # the peak is the loaded values, bounded up front by the body's size
+        # (23.8 bytes a sample here, of pages mostly never touched), the int64
+        # ids and one block's parser temporaries (33.0 bytes a sample measured
+        # here with 256 KiB blocks; 60.0 with 1 MiB blocks)
+        grid = GridSpec(10, 10)
+        joint = JointTrace(grid, np.random.default_rng(1).integers(0, grid.size, (4, 10**5)))
+        path = tmp_path / "t.trace"
+        save_locations(path, joint)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_locations(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.ids, joint.ids)
+        assert peak / joint.ids.size < 40
+
     @pytest.mark.parametrize(
         "nodes, steps, block",
         [(7, 40, 16), (7, 16, 16), (40, 3, 16), (5, 17, 16), (3, 50, 4), (1, 40, 16), (3, 5, 16)],
@@ -870,15 +887,23 @@ class TestTraceFiles:
                 return
         assert np.array_equal(loaded.ids, loadtxt_location_ids(body, joint.grid))
 
-    def test_locations_row_across_block_boundary(self, tmp_path):
-        # 2 nodes x 60,000 steps on 100x100 give a body of about 1.5 MiB
+    @pytest.mark.parametrize("block", [64, 4_099, None], ids=["64", "4099", "real"])
+    def test_locations_row_across_block_boundary(self, tmp_path, monkeypatch, block):
+        # 2 nodes x 60,000 steps on 100x100 give a body of about 1.5 MiB, read
+        # in blocks of the real size or of a small one that cuts rows at
+        # thousands of places
+        real = trace_io._BLOCK_BYTES
+        size = block or real
+        monkeypatch.setattr(trace_io, "_BLOCK_BYTES", size)
         grid = GridSpec(100, 100)
         ids = np.random.default_rng(3).integers(0, grid.size, (2, 60_000))
         path = tmp_path / "t.trace"
         save_locations(path, JointTrace(grid, ids))
         data = path.read_bytes()
         first = data.index(b"node,step,x,y\n") + len(b"node,step,x,y\n")
-        boundary = first + _BLOCK_BYTES  # where the first read block ends
+        assert data[first + real - 1 : first + real + 1].isdigit()  # the real one cuts a row
+        # where a read block ends, the first such place at or past the real one
+        boundary = first + -(-real // size) * size
         assert data[boundary - 1 : boundary + 1].isdigit()  # inside a row
         loaded, _ = load_locations(path)
         assert np.array_equal(loaded.ids, ids)

@@ -271,6 +271,21 @@ class TestWaypointMeasures:
         assert spec.denominator is not None
         assert held <= 150 * grid.size
 
+    def test_lazy_walk_peak_is_a_few_times_its_rows(self):
+        # the padded n x 5 rows are freed before the spec's checks run, and
+        # the reversed rows before the gcd: 300x300 at stay 1/3 peaks at 3.1
+        # times the 8.6 MB the spec holds (6.1 with the padded rows alive
+        # through the checks and the reversed rows through the gcd)
+        WaypointProcessSpec.lazy_walk(GridSpec(2, 2))  # first calls' one-off allocations
+        tracemalloc.start()
+        try:
+            spec = WaypointProcessSpec.lazy_walk(GridSpec(300, 300), Fraction(1, 3))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.denominator is not None
+        assert peak / held < 4
+
 
 class TestChannelMeasures:
     def test_product_of_family_sizes(self):
@@ -937,6 +952,8 @@ class TestExactMarkovSampler:
             "_check_denominator",
             "_check_irreducible_aperiodic",
             "_from_padded_rows",
+            "_lazy_walk_rows",
+            "_reversed_rows",
             "_rng",
             "_running_sums",
         } <= set(reached)
