@@ -42,10 +42,11 @@ def _read_config(path: str) -> str:
 
 
 def _check_out_is_not_stdout(path: str) -> None:
-    """Refuse a trace path that names the file stdout writes to.
+    """Refuse an output path that names the file stdout writes to.
 
-    The trace writer opens its own file description, so the command's
-    closing line, printed through stdout, would land over the header.
+    The writers open their own file description, so the command's closing
+    line, printed through stdout, would land over the file's start, or,
+    through a pipe, after its end.
     """
     try:
         out, stdout = os.stat(path), os.fstat(1)
@@ -177,6 +178,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    _check_out_is_not_stdout(args.out)
     cfg = load_continuous_config(_read_config(args.config))
     trace = simulate_continuous(
         cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed

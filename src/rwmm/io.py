@@ -4,7 +4,10 @@ All writers are deterministic: same inputs, byte-identical output (no
 timestamps, fixed float formats). Trace files carry a header of ``#`` lines —
 format version, trace kind, seed, the digest of the generating config, and a
 digest of the body — followed by a CSV body. Loaders recompute the body
-digest and refuse silently corrupted files.
+digest and refuse silently corrupted files. Trace bodies and the ns-2
+movement script are spelled from one table of 4-byte digit words, a block
+of rows at a time, and written as each block is built; the script, which
+has no digest, is never sought, so it may go to a pipe.
 """
 
 from __future__ import annotations
@@ -50,12 +53,13 @@ def _digit_words() -> np.ndarray:
     leading zeros NUL but a lone ``0`` kept (``_LEAD_ZERO``), and with its
     trailing zeros NUL (``_TRAIL``); then ``,`` NUL NUL and one digit, NUL
     for 0 (``_COMMA_DIGIT``); then four NUL and NUL NUL NUL ``.``
-    (``_DOT``). The words are built from bytes and only ever copied, never
-    computed with, so they spell the same text on any byte order. The
+    (``_DOT``); then NUL, ``.`` and each 2-digit group ``00`` .. ``99``
+    (``_DOT_PAIR``). The words are built from bytes and only ever copied,
+    never computed with, so they spell the same text on any byte order. The
     table is built on first use, so a command that writes no trace never
     builds it, and is read-only, since every caller shares it.
     """
-    words = np.zeros((_DOT + 2, 4), np.uint8)
+    words = np.zeros((_DOT_PAIR + 100, 4), np.uint8)
     full, lead, lead_zero, trail = words[:_COMMA_DIGIT].reshape(4, _GROUP, 4)
     # int16 temporaries of 80 KB each: the table costs little memory to build
     group = np.arange(_GROUP, dtype=np.int16)[:, None]
@@ -69,6 +73,9 @@ def _digit_words() -> np.ndarray:
     comma_digit[:, 0] = ord(",")
     comma_digit[1:, 3] = full[1:10, 3]
     words[_DOT + 1, 3] = ord(".")
+    dot_pair = words[_DOT_PAIR:]
+    dot_pair[:, 1] = ord(".")
+    dot_pair[:, 2:] = full[:100, 2:]
     table = words.view(np.uint32).ravel()
     table.flags.writeable = False
     return table
@@ -79,12 +86,19 @@ _GROUP = 10**4
 _LEAD, _LEAD_ZERO, _TRAIL = (k * _GROUP for k in (1, 2, 3))
 _COMMA_DIGIT = 4 * _GROUP
 _DOT = _COMMA_DIGIT + 10
+_DOT_PAIR = _DOT + 2
 # indexed by e + 5 for e = floor(log10 v) clamped to [-5, 9]: 10**(8 - e) and
 # 10**(4 + e) for e in [-4, 8], the exponents a value in [1e-4, 1e9) has
 _SCALE = np.array([1.0, *(float(10 ** (8 - e)) for e in range(-4, 9)), 1.0])
 _FRACTION_SCALE = np.array([1.0, *(float(10 ** (4 + e)) for e in range(-4, 9)), 1.0])
 _NEWLINE_WORD = np.frombuffer(b"\0\0\0\n", np.uint32)
-_BLOCK_ROWS = 2**12  # trace rows built at once: their words and temporaries take about 1 MB
+# the fixed words of an ns-2 setdest line
+_NS_AT = np.frombuffer(b"$ns_ at ", np.uint32)
+_SPACE_WORD = np.frombuffer(b"\0\0\0 ", np.uint32)
+_QUOTE_NEWLINE = np.frombuffer(b'\0\0"\n', np.uint32)
+# trace rows or ns-2 setdest lines built at once: their words and temporaries
+# take about 1 MB for trace rows and 2.6 MB for setdest lines
+_BLOCK_ROWS = 2**12
 
 
 def _value_words(values: np.ndarray) -> np.ndarray:
@@ -164,6 +178,51 @@ def _whole_index(whole: np.ndarray, index: np.ndarray) -> None:
     index[2] -= middle * _GROUP
 
 
+def _fixed_words(values: np.ndarray) -> np.ndarray:
+    """Each value's ``format(v, ".6f")`` text as NUL-padded words, shape ``(*values.shape, w)``.
+
+    A value v whose sign bit is clear, and whose n = rint(v * 10**6) is
+    below 10**14, is spelled from ``_digit_words()`` in 4 words: the whole
+    part's two 4-digit groups, its leading zeros NUL and a lone ``0``
+    kept, then ``.`` and the first two fraction digits, then the last
+    four. The product is off from the exact one by at most
+    v * 10**6 * 2**-53, so n is taken only where the product lies more
+    than twice that inside its rounding interval, and there rounds as the
+    exact product does. Every other value goes through ``format``: −0.0
+    and negatives, n of 10**14 and above, non-finite values and products
+    that close to a .5 tie; the slots are then ``w`` words wide, as wide
+    as the longest such text, and else ``w`` is 4.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = v * 1e6
+        n = np.rint(scaled)
+        fast = np.abs(scaled - n) < 0.5 - scaled * 2**-52
+        fast &= n < 1e14
+    fast &= ~np.signbit(v)
+    n[~fast] = 0  # any n in range: these slots are overwritten below
+    whole = n / 1e6
+    np.floor(whole, out=whole)
+    fraction = n - whole * 1e6
+    index = np.empty((v.size, 4))
+    np.floor(whole / _GROUP, out=index[:, 0])
+    np.multiply(whole < _GROUP, _LEAD_ZERO, out=index[:, 1])
+    index[:, 1] += whole
+    index[:, 1] -= index[:, 0] * _GROUP
+    index[:, 0] += _LEAD
+    np.floor(fraction / _GROUP, out=index[:, 2])
+    np.subtract(fraction, index[:, 2] * _GROUP, out=index[:, 3])
+    index[:, 2] += _DOT_PAIR
+    words = _digit_words().take(index.astype(np.intp))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [format(value, ".6f") for value in v[slow].tolist()]
+        slot = max(4, -(-max(map(len, texts)) // 4))  # words
+        words = np.pad(words, [(0, 0), (0, slot - 4)])
+        words[slow] = np.array(texts, f"S{4 * slot}").view(np.uint32).reshape(slow.size, slot)
+    return words.reshape(*np.shape(values), -1)
+
+
 def _stamp_words(stamps: np.ndarray) -> np.ndarray:
     """The rows of words that spell ``stamps``, less any row that is NUL in every stamp.
 
@@ -204,10 +263,10 @@ def _node_major_rows(
     with its newline. The stamps, an array or a ``range`` of integers,
     are spelled once per run of ``_BLOCK_ROWS`` steps: each run as its
     block is built when one group of nodes holds every node, and else all
-    up front from one array, kept for every group. The words are padded
-    with NUL bytes, which one ``bytes.translate`` a block deletes. The
-    words are built from bytes and only copied, so the text is the same on
-    any byte order.
+    up front from one array, kept for every group. ``_joined_rows`` lays
+    the columns side by side and deletes their NUL padding, once a block.
+    The words are built from bytes and only copied, so the text is the
+    same on any byte order.
     """
     steps = len(stamps)
     block_steps = min(steps, _BLOCK_ROWS)  # the steps a block holds
@@ -231,14 +290,23 @@ def _node_major_rows(
         members = slice(first, first + group)
         head = heads[members]
         for lo, stamp in zip(runs, spelled):
-            columns = (head, stamp, *values(members, slice(lo, lo + block_steps)))
-            shape = (len(head), len(stamp), sum(c.shape[-1] for c in columns))
-            rows = np.empty(shape, np.uint32)
-            at = 0
-            for column in columns:
-                rows[..., at : at + column.shape[-1]] = column
-                at += column.shape[-1]
-            yield rows.tobytes().translate(None, b"\0")
+            yield _joined_rows([head, stamp, *values(members, slice(lo, lo + block_steps))])
+
+
+def _joined_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """The text of rows whose words are ``columns`` side by side, NUL bytes deleted.
+
+    Each column holds its words on its last axis, and its other axes
+    broadcast to the rows' shape, so a column of one row of words is the
+    same in every row.
+    """
+    shape = np.broadcast_shapes(*(column.shape[:-1] for column in columns))
+    rows = np.empty((*shape, sum(column.shape[-1] for column in columns)), np.uint32)
+    at = 0
+    for column in columns:
+        rows[..., at : at + column.shape[-1]] = column
+        at += column.shape[-1]
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _write_trace(
@@ -353,6 +421,8 @@ def _node_layout(node: np.ndarray, kind: str) -> tuple[int, int]:
 # byte - ord("0") as uint8: a digit reads 0 .. 9, and every other byte wraps above 9
 _COMMA, _NEWLINE = ((ord(c) - ord("0")) % 256 for c in ",\n")
 _ROW_MARKS = np.array([_COMMA, _COMMA, _COMMA, _NEWLINE], dtype=np.uint8)
+# the longest row: four 9-digit fields, three commas and the newline
+_MAX_ROW_BYTES = 4 * 9 + 3 + 1
 # one row per digit place: a (1,) array, not a scalar, keeps the product
 # of uint8 digits and a place value int32 under any numpy casting rules
 _PLACE_VALUES = 10 ** np.arange(9, dtype=np.int32).reshape(9, 1)
@@ -421,8 +491,10 @@ def _read_location_rows(body: BinaryIO) -> np.ndarray:
     """The ``(4, rows)`` int32 values of a location body's rows, read in blocks.
 
     Each block of about ``_BLOCK_BYTES`` is cut at its last newline; the
-    rest starts the next block. Every row, the last included, must end in
-    a newline.
+    rest starts the next block, and a block with no newline is carried on
+    whole. Every row, the last included, must end in a newline, and a rest
+    of ``_MAX_ROW_BYTES`` or more with no newline is refused at once as a
+    malformed row, so no rest is carried and copied without bound.
     """
     # every row holds at least 8 bytes, so the body's size bounds the row
     # count; the pages past the rows read are never touched
@@ -432,14 +504,18 @@ def _read_location_rows(body: BinaryIO) -> np.ndarray:
         block = rest + chunk
         cut = block.rfind(b"\n") + 1
         rest = block[cut:]
-        if not cut:
-            break
-        parsed = _parse_location_rows(block[:cut], rows)
-        values[:, rows : rows + parsed.shape[1]] = parsed
-        rows += parsed.shape[1]
+        if cut:
+            parsed = _parse_location_rows(block[:cut], rows)
+            values[:, rows : rows + parsed.shape[1]] = parsed
+            rows += parsed.shape[1]
+        if len(rest) >= _MAX_ROW_BYTES:
+            raise ConfigurationError(
+                f"malformed location trace row {rows + 1}: {rest[:_MAX_ROW_BYTES]!r}.. is "
+                f"longer than a row can be ({_MAX_ROW_BYTES} bytes with its newline)"
+            )
     if rest:
         raise ConfigurationError(
-            f"malformed location trace row {rows + 1}: {rest[:40]!r} does not end in a newline"
+            f"malformed location trace row {rows + 1}: {rest!r} does not end in a newline"
         )
     return values[:, :rows]
 
@@ -609,21 +685,57 @@ def export_ns2(path: FsPath | str, trace: ContinuousTrace) -> None:
     """Write an ns-2 movement script (initial X_/Y_/Z_, then setdest lines).
 
     Pause legs produce no command — the node simply has no pending
-    destination until the next travel leg's start time. All numbers use
-    %.6f, matching the classic generator's output.
+    destination until the next travel leg's start time. All numbers read
+    as ``%.6f`` spells them, matching the classic generator's output, and
+    are spelled by ``_fixed_words``. Every node's ``X_``, ``Y_`` and
+    ``Z_`` lines come first, then every node's setdest lines in turn, in
+    blocks of ``_BLOCK_ROWS`` lines built as columns of words and written
+    as each is built, so no more of the script than one block is held.
+    The file is written in order and never sought, so ``path`` may be a
+    pipe.
     """
-    out: list[str] = []
+    nodes = trace.node_count
+    setdest = _text_words([f' "$node_({node}) setdest ' for node in range(nodes)])
+    with FsPath(path).open("wb") as out:
+        for first in range(0, nodes, _BLOCK_ROWS):
+            group = range(first, min(first + _BLOCK_ROWS, nodes))
+            heads = [f"$node_({node}) set {axis}_ " for node in group for axis in "XYZ"]
+            start = np.zeros((len(group), 3))  # each node's first x, y and z
+            start[:, :2] = [trace.legs[node][0, [X0, Y0]] for node in group]
+            words = _fixed_words(start.ravel())
+            out.write(_joined_rows([_text_words(heads), words, _NEWLINE_WORD]))
+        for ids, moves in _travel_blocks(trace):
+            numbers = _fixed_words(moves)
+            columns = [
+                _NS_AT, numbers[:, 0], setdest.take(ids, axis=0), numbers[:, 1],
+                _SPACE_WORD, numbers[:, 2], _SPACE_WORD, numbers[:, 3], _QUOTE_NEWLINE,
+            ]
+            out.write(_joined_rows(columns))
+
+
+def _travel_blocks(trace: ContinuousTrace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every travel leg's node and its start, end point and speed, ``_BLOCK_ROWS`` legs a block.
+
+    The legs come node-major, each node's in leg order, gathered into one
+    pair of arrays that every block reuses: a block is spent once the
+    next is asked for.
+    """
+    ids = np.empty(_BLOCK_ROWS, np.intp)
+    moves = np.empty((_BLOCK_ROWS, 4))
+    filled = 0
     for node, legs in enumerate(trace.legs):
-        out.append(f"$node_({node}) set X_ {legs[0, X0]:.6f}")
-        out.append(f"$node_({node}) set Y_ {legs[0, Y0]:.6f}")
-        out.append(f"$node_({node}) set Z_ 0.000000")
-    for node, legs in enumerate(trace.legs):
-        moves = legs[legs[:, SPEED] != 0.0][:, [START, X1, Y1, SPEED]]
-        out.extend(
-            f'$ns_ at {start:.6f} "$node_({node}) setdest {x:.6f} {y:.6f} {speed:.6f}"'
-            for start, x, y, speed in moves.tolist()
-        )
-    FsPath(path).write_text("\n".join(out) + "\n")
+        travel = np.flatnonzero(legs[:, SPEED] != 0.0)
+        while travel.size:
+            part, travel = travel[: _BLOCK_ROWS - filled], travel[_BLOCK_ROWS - filled :]
+            rows = slice(filled, filled + part.size)
+            ids[rows] = node
+            moves[rows] = legs[part[:, None], [START, X1, Y1, SPEED]]
+            filled += part.size
+            if filled == _BLOCK_ROWS:
+                yield ids, moves
+                filled = 0
+    if filled:
+        yield ids[:filled], moves[:filled]
 
 
 _NUM = r"(-?\d+(?:\.\d+)?)"

@@ -1,6 +1,6 @@
 """Independent reference computations used to freeze expected test values.
 
-Sixteen deliberately separate routes from first principles:
+Seventeen deliberately separate routes from first principles:
 
 * a symbolic digitizer built on sympy's exact radicals, to check the
   integer-arithmetic digitizer in ``rwmm.geometry``;
@@ -55,6 +55,9 @@ Sixteen deliberately separate routes from first principles:
 * a per-row formatter of position trace bodies, one f-string per
   ``(node, step)`` with each float formatted on its own, to check the
   digit-table rows of ``rwmm.io.save_positions``;
+* a per-line writer of ns-2 movement scripts, one f-string per line with
+  each number formatted ``%.6f`` on its own and one join at the end, to
+  check the digit-table blocks of ``rwmm.io.export_ns2``;
 * a location trace body reader built on ``np.loadtxt``, followed by the
   layout checks written out one by one, to check the block parser of
   ``rwmm.io.load_locations``;
@@ -75,6 +78,7 @@ from types import SimpleNamespace
 import numpy as np
 import sympy as sp
 
+from rwmm.continuous import SPEED, START, X0, X1, Y0, Y1
 from rwmm.geometry import (
     Cell,
     GridSpec,
@@ -632,6 +636,22 @@ def per_row_position_body(trace) -> str:
         for t, (x, y) in zip(trace.times.tolist(), trace.positions[node].tolist())
     )
     return "node,time,x,y\n" + "".join(rows)
+
+
+def per_line_ns2_script(trace) -> str:
+    """An ns-2 movement script: every node's X_, Y_ and Z_ lines, then its setdest lines."""
+    lines = []
+    for node, legs in enumerate(trace.legs):
+        lines.append(f"$node_({node}) set X_ {legs[0, X0]:.6f}")
+        lines.append(f"$node_({node}) set Y_ {legs[0, Y0]:.6f}")
+        lines.append(f"$node_({node}) set Z_ 0.000000")
+    for node, legs in enumerate(trace.legs):
+        moves = legs[legs[:, SPEED] != 0.0][:, [START, X1, Y1, SPEED]]
+        lines.extend(
+            f'$ns_ at {start:.6f} "$node_({node}) setdest {x:.6f} {y:.6f} {speed:.6f}"'
+            for start, x, y, speed in moves.tolist()
+        )
+    return "\n".join(lines) + "\n"
 
 
 def loadtxt_location_ids(body: bytes, grid: GridSpec) -> np.ndarray:

@@ -36,6 +36,7 @@ from rwmm.continuous import (
 from rwmm.errors import ConfigurationError, VerificationError
 from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
+    _fixed_words,
     _stamp_words,
     _value_words,
     export_csv_report,
@@ -48,7 +49,12 @@ from rwmm.io import (
 )
 from rwmm.location import JointTrace, LocationTrace
 
-from oracles import loadtxt_location_ids, per_row_location_body, per_row_position_body
+from oracles import (
+    loadtxt_location_ids,
+    per_line_ns2_script,
+    per_row_location_body,
+    per_row_position_body,
+)
 
 
 @st.composite
@@ -109,6 +115,17 @@ def value_text(values) -> bytes:
 def formatted(values) -> bytes:
     """``,`` and ``format(v, ".9g")`` for each value, value after value."""
     return "".join(f",{format(v, '.9g')}" for v in values).encode()
+
+
+def fixed_texts(values) -> list[bytes]:
+    """The text ``_fixed_words`` spells for each of ``values``."""
+    words = _fixed_words(np.asarray(values, dtype=np.float64))
+    return [slot.tobytes().translate(None, b"\0") for slot in words]
+
+
+def fixed_formatted(values) -> list[bytes]:
+    """``format(v, ".6f")`` for each of ``values``."""
+    return [format(v, ".6f").encode() for v in values]
 
 
 def exact_ties(exponent: int) -> list[float]:
@@ -920,6 +937,44 @@ class TestTraceFiles:
         with pytest.raises(ConfigurationError, match=error):
             load_locations(path)
 
+    def test_locations_rows_longer_than_a_block(self, tmp_path, monkeypatch):
+        # in 8-byte blocks a row spans two or three of them, and a block
+        # with no newline is carried on until a later one ends its row
+        monkeypatch.setattr(trace_io, "_BLOCK_BYTES", 8)
+        grid = GridSpec(100, 100)
+        ids = np.random.default_rng(4).integers(0, grid.size, (2, 300))
+        ids[0, 0] = grid.size - 1  # the first row is 0,0,99,99
+        path = tmp_path / "t.trace"
+        save_locations(path, JointTrace(grid, ids))
+        loaded, _ = load_locations(path)
+        assert np.array_equal(loaded.ids, ids)
+        x, y = grid.xy(ids[1, -1])
+        path.write_text(resign(path.read_text().removesuffix("\n")))
+        error = f"malformed location trace row 600: b'1,299,{x},{y}' does not end in a newline"
+        with pytest.raises(ConfigurationError, match=error):
+            load_locations(path)
+
+    def test_locations_refuse_a_row_longer_than_any_row_at_once(self, tmp_path, monkeypatch):
+        # no valid row has 40 bytes before its newline, so such a rest is
+        # refused as it is read, and not carried on block after block
+        monkeypatch.setattr(trace_io, "_BLOCK_BYTES", 8)
+        path = self._edited_locations(tmp_path, lambda rows: rows.insert(5, "0,5," + "1" * 50))
+        error = r"malformed location trace row 6: b'0,5,1111.* longer than a row can be"
+        with pytest.raises(ConfigurationError, match=error):
+            load_locations(path)
+
+    def test_locations_longest_row_is_read_across_blocks(self, tmp_path, monkeypatch):
+        # four 9-digit fields, three commas and the newline: 40 bytes, the
+        # longest row, carried on through five 8-byte blocks
+        monkeypatch.setattr(trace_io, "_BLOCK_BYTES", 8)
+        row = b"999999999,999999999,999999999,999999999\n"
+        assert len(row) == 40
+        path = tmp_path / "rows"
+        path.write_bytes(b"0,0,0,0\n" + row + b"7,8,9,10\n")
+        with path.open("rb") as body:
+            values = trace_io._read_location_rows(body)
+        assert values.T.tolist() == [[0, 0, 0, 0], [999999999] * 4, [7, 8, 9, 10]]
+
     def _positions(self, tmp_path):
         from rwmm.continuous import ContinuousAreaSpec
 
@@ -1192,6 +1247,56 @@ class TestValueWords:
         assert value_text(values) == formatted(values)
 
 
+class TestFixedWords:
+    """``io._fixed_words`` against ``format(v, ".6f")``, value by value."""
+
+    def test_exact_binary_ties_round_half_even(self):
+        # an odd multiple of 1/128 times 10**6 is an odd multiple of 1/2
+        assert fixed_texts([0.0078125, 1000.0234375]) == [b"0.007812", b"1000.023438"]
+        odd = np.random.default_rng(1).integers(0, 64 * 10**8, 2000) * 2 + 1
+        ties = (odd / 128).tolist()
+        assert all((Fraction(v) * 10**6).denominator == 2 for v in ties)
+        assert fixed_texts(ties) == fixed_formatted(ties)
+
+    def test_near_ties(self):
+        # the binary ties' float neighbours, and the floats nearest decimal
+        # ties k + 1/2 millionths, whose products may round onto the tie
+        odd = np.random.default_rng(2).integers(0, 64 * 10**8, 2000) * 2 + 1
+        ties = odd / 128
+        near = [float(np.nextafter(v, toward)) for v in ties for toward in (0, np.inf)]
+        for top in (10**3, 10**8, 10**11, 10**14):
+            k = np.random.default_rng(top).integers(0, top, 2000)
+            near += [float(f"{n}5e-7") for n in k.tolist()]
+        assert fixed_texts(near) == fixed_formatted(near)
+
+    def test_edges_and_the_format_path(self):
+        around = [1e8, 99999999.9999995, 99999999.999999, 1e4, 1.0, 5e-7]
+        values = [float(n) for v in around for n in (np.nextafter(v, 0), v, np.nextafter(v, 2e8))]
+        values += [
+            0.0, -0.0, -1e-9, -1.5, -123.4567895, 5e-324, 2.2250738585072014e-308, 1e300,
+            -1.7976931348623157e308, 4.5e15, 2.0**53, math.nan, math.inf, -math.inf,
+        ]
+        assert fixed_texts(values) == fixed_formatted(values)
+        assert fixed_texts([-0.0, 0.0]) == [b"-0.000000", b"0.000000"]
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate(
+            [rng.uniform(0, 1000, 10**5), 10 ** rng.uniform(-8, 16, 10**5)]
+        ).tolist()
+        assert fixed_texts(values) == fixed_formatted(values)
+
+    def test_slots_widen_to_the_longest_format_text(self):
+        words = _fixed_words(np.array([[1.5, 2.25], [1e20, 3.0]]))
+        assert words.shape == (2, 2, 7) and words.dtype == np.uint32  # 28 bytes of 1e20
+        assert _fixed_words(np.array([1.5, math.nan])).shape == (2, 4)
+        assert fixed_texts([1.5, 2.25, 1e20, 3.0]) == fixed_formatted([1.5, 2.25, 1e20, 3.0])
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_any_finite_float(self, values):
+        assert fixed_texts(values) == fixed_formatted(values)
+
+
 class TestNs2:
     def test_round_trip(self, tmp_path):
         from rwmm.continuous import SPEED, START, X0, X1, Y0, ContinuousAreaSpec
@@ -1217,6 +1322,59 @@ class TestNs2:
                 assert t == pytest.approx(leg[START], abs=1e-6)
                 assert x == pytest.approx(leg[X1], abs=1e-6)
                 assert speed == pytest.approx(leg[SPEED], abs=1e-6)
+
+    @pytest.mark.parametrize("nodes", [1, 3, 1000])
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "real"])
+    def test_script_matches_per_line_oracle(self, tmp_path, monkeypatch, nodes, block):
+        # blocks of one line, of three (cutting nodes' setdest lines and
+        # grouping nodes' X_/Y_/Z_ lines) and of the real size
+        from rwmm.continuous import ContinuousAreaSpec
+
+        if block:
+            monkeypatch.setattr(trace_io, "_BLOCK_ROWS", block)
+        area = ContinuousAreaSpec(300, 300, 1, 5, pause_time=1.0)
+        trace = simulate_continuous(area, nodes, 400 if nodes < 1000 else 20, 1.0, seed=nodes)
+        path = tmp_path / "m.tcl"
+        export_ns2(path, trace)
+        assert path.read_bytes() == per_line_ns2_script(trace).encode()
+
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "real"])
+    def test_script_of_any_numbers_matches_per_line_oracle(self, tmp_path, monkeypatch, block):
+        # legs no simulator draws: numbers only format can spell, in the
+        # same blocks as numbers the tables spell
+        if block:
+            monkeypatch.setattr(trace_io, "_BLOCK_ROWS", block)
+        rows = [
+            [0.0, 1.0, -0.0, 1e300, 2.5, -1.5, 1.0],
+            [1.0, 1.0, 0.0, 0.0, 99999999.9999995, 0.0078125, 0.0],
+            [2.0, 1.0, 0.0, 0.0, math.nan, -math.inf, 1e-7],
+            [3.0, 1.0, 0.0, 0.0, 12.25, 1e8, 3.5],
+        ]
+        legs = np.array(rows)
+        trace = ContinuousTrace(ContinuousAreaSpec(10, 10, 1, 2), 1.0, 4, (legs, legs[::-1].copy()))
+        path = tmp_path / "m.tcl"
+        export_ns2(path, trace)
+        assert path.read_bytes() == per_line_ns2_script(trace).encode()
+
+    def test_writer_memory_per_move(self, tmp_path):
+        # one block of lines and its word columns is held at a time: 23.0
+        # bytes a move measured here; 279 when every line was held as a str
+        # until one join
+        from rwmm.continuous import SPEED, ContinuousAreaSpec
+
+        area = ContinuousAreaSpec(1000, 1000, 1, 20, pause_time=5)
+        trace = simulate_continuous(area, 10, 10**6, 1.0, seed=1)
+        moves = sum(int((legs[:, SPEED] != 0).sum()) for legs in trace.legs)
+        assert moves >= 10**5
+        path = tmp_path / "m.tcl"
+        tracemalloc.start()
+        try:
+            export_ns2(path, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / moves < 30
+        assert path.read_bytes() == per_line_ns2_script(trace).encode()
 
     @pytest.mark.parametrize(
         "line",
@@ -1293,25 +1451,28 @@ class TestCli:
         assert lines[0] == "node,x,y,visits,frequency,cauchy_width,converged"
         assert len(lines) == 1 + 2 * 9  # 2 nodes x 9 cells
 
-    @pytest.mark.parametrize("command", ["simulate-discrete", "simulate-continuous"])
+    @pytest.mark.parametrize("command", ["simulate-discrete", "simulate-continuous", "export"])
     def test_simulate_refuses_out_that_is_stdout(self, tmp_path, command):
         # with stdout redirected to a file, --out /dev/stdout names that
-        # file: the trace writer and the closing "wrote" line would both
-        # write it from offset 0, the line over the header
+        # file: the writer and the command's closing line would both write
+        # it from offset 0, the line over the header or the script's start;
+        # through a pipe, the line would follow the output
         d, c = self.write_cfgs(tmp_path)
         config = d if command == "simulate-discrete" else c
         paths = [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         argv = [sys.executable, "-m", "rwmm.cli", command, "--config", str(config)]
+        argv += ["--seed", "1", "--out", "/dev/stdout"]
         target = tmp_path / "f"
         with target.open("wb") as stdout:
-            run = subprocess.run(
-                [*argv, "--seed", "1", "--out", "/dev/stdout"],
-                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
-            )
+            run = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
         assert run.returncode == 2, run.stderr
         assert "is the file stdout writes to" in run.stderr
         assert target.read_bytes() == b""
+        piped = subprocess.run(argv, capture_output=True, env=env, text=True)
+        assert piped.returncode == 2, piped.stderr
+        assert "is the file stdout writes to" in piped.stderr
+        assert piped.stdout == ""
 
     def test_byte_identical_reruns(self, tmp_path):
         d, c = self.write_cfgs(tmp_path)
@@ -1516,6 +1677,24 @@ class TestCli:
             ["export", "--config", str(cfg), "--seed", "11", "--format", "ns2", "--out", str(script)]
         ) == 0
         assert sha256(script.read_bytes()).hexdigest() == PINNED_NS2_SHA256
+
+    def test_export_to_a_pipe_writes_the_pinned_script(self, tmp_path, capsys):
+        # the script is written in order and never sought, so a pipe
+        # carries the bytes a file holds; they fit in the pipe's buffer
+        cfg = tmp_path / "pinned.cfg"
+        cfg.write_text(PINNED_CFG)
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as reader:
+            try:
+                code = main(
+                    ["export", "--config", str(cfg), "--seed", "11", "--out", f"/dev/fd/{write_end}"]
+                )
+            finally:
+                os.close(write_end)
+            script = reader.read()
+        assert code == 0
+        assert sha256(script).hexdigest() == PINNED_NS2_SHA256
+        assert "exported ns2 movement for 3 node(s)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "config, digest",

@@ -3,7 +3,8 @@
 No module of the package imports a name it never uses, no module but
 ``geometry`` does cell-id arithmetic with a grid's width, no module takes
 ``hypot`` from numpy, ``continuous`` writes a leg's position formula in
-one function, and every function
+one function, ``io`` spells a number with the ``.6f`` format spec in one
+function, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
 ``alphabet.<name>`` either reads still exists, so deleting API cannot
@@ -161,6 +162,68 @@ def test_position_formula_is_stated_once():
     # discretize share, so that their positions cannot drift apart
     source = (ROOT / "src" / "rwmm" / "continuous.py").read_text()
     assert _leg_displacements(ast.parse(source)) == ["_interpolate"]
+
+
+def _fixed_format_sites(tree: ast.Module) -> list[str]:
+    """The functions, in source order, with a string holding the ``.6f`` format spec.
+
+    A ``format`` spec, an f-string's spec and a ``%`` template all count;
+    docstrings do not. Code outside every function counts as ``<module>``.
+    """
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and ".6f" in child.value
+                and id(child) not in docstrings
+            ):
+                found.append(owner)
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+            visit(child, child.name if isinstance(child, functions) else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_fixed_format_is_stated_once():
+    # the ns-2 script's numbers are spelled by _fixed_words from the digit
+    # tables, and format only spells what the tables cannot: a per-line or
+    # per-value formatter cannot creep back beside it
+    source = (ROOT / "src" / "rwmm" / "io.py").read_text()
+    assert _fixed_format_sites(ast.parse(source)) == ["_fixed_words"]
+
+
+def test_fixed_format_is_found():
+    # a format spec, an f-string's spec, a % template and a str.format
+    # template, nested or at module level; docstrings are not code
+    source = '''
+"""Numbers read as %.6f spells them."""
+HEADER = "%.6f" % 1.0
+
+def spec(v):
+    """Spelled as format(v, ".6f")."""
+    return format(v, ".6f")
+
+def lines(rows):
+    def line(x, y):
+        return f"{x:.6f} {y}"
+    return [line(*row) for row in rows]
+
+def method(v):
+    return "{:.6f}".format(v)
+'''
+    assert _fixed_format_sites(ast.parse(source)) == ["<module>", "spec", "line", "method"]
 
 
 def test_leg_displacement_is_found():
