@@ -41,12 +41,13 @@ def _read_config(path: str) -> str:
     return p.read_text()
 
 
-def _check_out_is_not_stdout(path: str) -> None:
+def _check_out_is_not_stdout(path: str, written: str) -> None:
     """Refuse an output path that names the file stdout writes to.
 
     The writers open their own file description, so the command's closing
     line, printed through stdout, would land over the file's start, or,
-    through a pipe, after its end.
+    through a pipe, after its end. ``written`` names what the command
+    writes there, for the message.
     """
     try:
         out, stdout = os.stat(path), os.fstat(1)
@@ -55,12 +56,12 @@ def _check_out_is_not_stdout(path: str) -> None:
     if (out.st_dev, out.st_ino) == (stdout.st_dev, stdout.st_ino):
         raise ConfigurationError(
             f"--out {path} is the file stdout writes to, and the command's output "
-            "would overwrite the trace"
+            f"would overwrite the {written}"
         )
 
 
 def _cmd_simulate_discrete(args: argparse.Namespace) -> int:
-    _check_out_is_not_stdout(args.out)
+    _check_out_is_not_stdout(args.out, "trace")
     text = _read_config(args.config)
     cfg = load_discrete_config(text)
     alphabet = build_alphabet(cfg.grid(), cfg.speeds)
@@ -73,7 +74,7 @@ def _cmd_simulate_discrete(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_continuous(args: argparse.Namespace) -> int:
-    _check_out_is_not_stdout(args.out)
+    _check_out_is_not_stdout(args.out, "trace")
     cfg = load_continuous_config(_read_config(args.config))
     trace = simulate_continuous(
         cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed
@@ -137,6 +138,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _check_out_is_not_stdout(args.out, "report")
     if not Path(args.trace).is_file():
         raise ConfigurationError(f"trace file not found: {args.trace}")
     trace, header = io.load_locations(args.trace)
@@ -178,7 +180,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    _check_out_is_not_stdout(args.out)
+    _check_out_is_not_stdout(args.out, "script")
     cfg = load_continuous_config(_read_config(args.config))
     trace = simulate_continuous(
         cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed

@@ -7,7 +7,10 @@ digest of the body — followed by a CSV body. Loaders recompute the body
 digest and refuse silently corrupted files. Trace bodies and the ns-2
 movement script are spelled from one table of 4-byte digit words, a block
 of rows at a time, and written as each block is built; the script, which
-has no digest, is never sought, so it may go to a pipe.
+has no digest, is never sought, so it may go to a pipe. A trace number's
+comma and dot share words with its digits, so a position row of the
+continuous benchmark takes 10.7 words on average for its 29.4 bytes, and
+a location row from step 10^4 on takes 5.
 """
 
 from __future__ import annotations
@@ -49,18 +52,22 @@ def _digit_words() -> np.ndarray:
     """The 4-byte words that numbers are spelled with, as one uint32 table.
 
     The table holds, in turn, each 4-digit group ``0000`` .. ``9999`` in
-    full (at 0), with its leading zeros NUL (``_LEAD``), with its
-    leading zeros NUL but a lone ``0`` kept (``_LEAD_ZERO``), and with its
-    trailing zeros NUL (``_TRAIL``); then ``,`` NUL NUL and one digit, NUL
-    for 0 (``_COMMA_DIGIT``); then four NUL and NUL NUL NUL ``.``
-    (``_DOT``); then NUL, ``.`` and each 2-digit group ``00`` .. ``99``
-    (``_DOT_PAIR``). The words are built from bytes and only ever copied,
-    never computed with, so they spell the same text on any byte order. The
-    table is built on first use, so a command that writes no trace never
-    builds it, and is read-only, since every caller shares it.
+    full (at 0), with its leading zeros NUL (``_LEAD``), with its leading
+    zeros NUL but a lone ``0`` kept (``_LEAD_ZERO``), and with its trailing
+    zeros NUL (``_TRAIL``); then ``,`` glued to each 3-digit group ``0`` ..
+    ``999`` with its leading zeros NUL, 0 spelled ``,`` alone
+    (``_COMMA_LEAD``) or ``,0`` (``_COMMA_LEAD_ZERO``); then ``.`` glued
+    to each 3-digit group in full (``_DOT_FULL``) and with its trailing
+    zeros NUL, 0 spelled four NUL (``_DOT_TRAIL``); then NUL, ``.`` and
+    each 2-digit group ``00`` .. ``99`` (``_DOT_PAIR``). A word of four
+    NUL, such as ``_BLANK``, spells nothing. The words are built from bytes
+    and only ever copied, never computed with, so they spell the same text
+    on any byte order. The table is built on first use, so a command that
+    writes no trace never builds it, and is read-only, since every caller
+    shares it.
     """
     words = np.zeros((_DOT_PAIR + 100, 4), np.uint8)
-    full, lead, lead_zero, trail = words[:_COMMA_DIGIT].reshape(4, _GROUP, 4)
+    full, lead, lead_zero, trail = words[:_COMMA_LEAD].reshape(4, _GROUP, 4)
     # int16 temporaries of 80 KB each: the table costs little memory to build
     group = np.arange(_GROUP, dtype=np.int16)[:, None]
     places = np.array([1000, 100, 10, 1], np.int16)
@@ -69,10 +76,16 @@ def _digit_words() -> np.ndarray:
     lead_zero[:] = lead
     lead_zero[0, 3] = ord("0")
     np.copyto(trail, full, where=group % (10 * places) != 0)
-    comma_digit = words[_COMMA_DIGIT:_DOT]
-    comma_digit[:, 0] = ord(",")
-    comma_digit[1:, 3] = full[1:10, 3]
-    words[_DOT + 1, 3] = ord(".")
+    comma_lead, comma_lead_zero, dot_full, dot_trail = words[_COMMA_LEAD:_DOT_PAIR].reshape(
+        4, 1000, 4
+    )
+    comma_lead[:] = lead[:1000]
+    comma_lead_zero[:] = lead_zero[:1000]
+    comma_lead[:, 0] = comma_lead_zero[:, 0] = ord(",")
+    dot_full[:, 0] = ord(".")
+    dot_full[:, 1:] = full[:1000, 1:]
+    dot_trail[1:, 0] = ord(".")
+    dot_trail[:, 1:] = trail[::10, :3]
     dot_pair = words[_DOT_PAIR:]
     dot_pair[:, 1] = ord(".")
     dot_pair[:, 2:] = full[:100, 2:]
@@ -84,9 +97,17 @@ def _digit_words() -> np.ndarray:
 # offsets of the groups of _digit_words()
 _GROUP = 10**4
 _LEAD, _LEAD_ZERO, _TRAIL = (k * _GROUP for k in (1, 2, 3))
-_COMMA_DIGIT = 4 * _GROUP
-_DOT = _COMMA_DIGIT + 10
-_DOT_PAIR = _DOT + 2
+_COMMA_LEAD = 4 * _GROUP
+_COMMA_LEAD_ZERO, _DOT_FULL, _DOT_TRAIL, _DOT_PAIR = (_COMMA_LEAD + k * 1000 for k in (1, 2, 3, 4))
+_BLANK = _TRAIL
+# the offsets the three words of a whole part below 1e9 add to its groups,
+# one row a word and one column a class: below 1000, below 1e7, and above
+_WHOLE_OFFSETS = np.array(
+    [[_BLANK, _BLANK, _COMMA_LEAD], [_BLANK, _COMMA_LEAD, 0], [_COMMA_LEAD_ZERO, 0, 0]]
+)
+# the offset of each word of _value_index where it spells nothing; the third
+# word spells the last digit of the whole part
+_VALUE_BLANKS = np.array([_BLANK, _BLANK, -1, _DOT_TRAIL, _BLANK, _BLANK, _BLANK])[:, None, None]
 # indexed by e + 5 for e = floor(log10 v) clamped to [-5, 9]: 10**(8 - e) and
 # 10**(4 + e) for e in [-4, 8], the exponents a value in [1e-4, 1e9) has
 _SCALE = np.array([1.0, *(float(10 ** (8 - e)) for e in range(-4, 9)), 1.0])
@@ -101,81 +122,160 @@ _QUOTE_NEWLINE = np.frombuffer(b'\0\0"\n', np.uint32)
 _BLOCK_ROWS = 2**12
 
 
+def _value_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_digit_words()`` offsets of ``,`` and each value's ``format(v, ".9g")`` text.
+
+    Returns an int64 array of shape ``(7, values.size)``, word ``j`` of
+    every value in row ``j``, and the flat positions of the values whose
+    text the words do not spell, which go through ``_format_float``. A
+    value v in [1e-4, 1e9) has the exponent e = floor(log10 v), and its 9
+    significant digits are N = rint(v * 10**(8 - e)), since 10**(8 - e)
+    is exact. N is taken only where the float product lies less than 0.5
+    from it. This strict test is exact: every product with N in [1e8, 1e9)
+    is below 2**52, where each k + 1/2 is a float, and round-to-nearest is
+    monotone, so it cannot carry the exact product across k + 1/2; a
+    product that lands on k + 1/2 goes to ``format``. N splits into a
+    whole part below 1e9 and a fraction of 12 digits, each cast once to
+    int64, and every offset is computed from them in int64: the whole part
+    takes the three words of ``_whole_index``, and the fraction ``.`` and
+    its first three digits, then four, four and one, its trailing zeros
+    NUL, and the ``.`` NUL too if the fraction is 0. Every other value,
+    whose words are the ``_whole_index`` words of 0, goes through
+    ``format``: 0, negatives, values that print in exponent form,
+    non-finite values, ties, and an N outside [1e8, 1e9) (where log10 was
+    off by one or the rounding carried into a tenth digit).
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # e + 5, with e clamped to [-5, 9]: fmax takes 0 over the nan of a
+        # negative, and the cast truncates a number that is not negative
+        k = np.log10(v)
+        k += 5
+        np.fmax(k, 0, out=k)
+        np.fmin(k, 14, out=k)
+        k = k.astype(np.intp)
+        scale = _SCALE.take(k)
+        exact = v * scale
+        n = np.rint(exact)
+        fast = np.abs(exact - n) < 0.5
+        fast &= (n >= 1e8) & (n < 1e9)
+    slow = np.flatnonzero(~fast)
+    n[slow] = 0
+    # n = whole * scale + part, and the fraction's 12 digits are
+    # part * 10**(12 - (8 - e)): every value here is an integer below
+    # 2**53, and each quotient of two of them is floored exactly
+    parts = np.empty((2, v.size))
+    whole, fraction = parts
+    np.divide(n, scale, out=whole)
+    np.floor(whole, out=whole)
+    np.multiply(whole, scale, out=fraction)
+    np.subtract(n, fraction, out=fraction)
+    fraction *= _FRACTION_SCALE.take(k)
+    whole, fraction = parts.astype(np.int64)
+    index = np.empty((7, v.size), np.int64)
+    _whole_index(whole, index)
+    # the fraction's digits 1-3, 4-7, 8-11 and 12, and what follows each
+    first = fraction // 10**9
+    fraction -= first * 10**9
+    second = fraction // 10**5
+    rest = fraction - second * 10**5
+    third = rest // 10
+    last = rest - third * 10
+    np.multiply(fraction == 0, _DOT_TRAIL - _DOT_FULL, out=index[3])
+    index[3] += first
+    index[3] += _DOT_FULL
+    np.multiply(rest == 0, _TRAIL, out=index[4])
+    index[4] += second
+    np.multiply(last == 0, _TRAIL, out=index[5])
+    index[5] += third
+    np.multiply(last, 1000, out=index[6])
+    index[6] += _TRAIL
+    return index, slow
+
+
+def _whole_index(whole: np.ndarray, index: np.ndarray) -> int:
+    """Fill ``index[:3]`` with the ``_digit_words()`` offsets of ``,`` and each of ``whole``.
+
+    ``whole`` is an int64 array of values in [0, 1e9), whose words both
+    ``_value_index`` and ``_stamp_words`` take from here. The comma is
+    glued to the leading digit group when it has room: a number below 1000
+    is one word, ``,`` and its digits; below 1e7 it is ``,`` and the 0 to
+    3 digits above the last four, then those four; from 1e7 on it is ``,``
+    and the digit above 1e8, NUL if it is 0, then two 4-digit groups. The
+    words a number does not need are NUL. Returns how many of the first
+    words are NUL in every number: 2 where all are below 1000, 1 where all
+    are below 1e7, and else 0.
+    """
+    largest = whole.max(initial=0)
+    if largest < 1000:
+        index[:2] = _BLANK
+        np.add(whole, _COMMA_LEAD_ZERO, out=index[2])
+        return 2
+    top = whole // 10**8
+    high = whole // _GROUP
+    kind = np.add(whole >= 1000, whole >= 10**7, dtype=np.intp)
+    _WHOLE_OFFSETS.take(kind, axis=1, out=index[:3], mode="clip")
+    index[0] += top
+    index[1] += high
+    index[1] -= top * _GROUP
+    index[2] += whole
+    index[2] -= high * _GROUP
+    return 1 if largest < 10**7 else 0
+
+
 def _value_words(values: np.ndarray) -> np.ndarray:
     """Each value as ``,`` and its ``format(v, ".9g")`` text, in 7 NUL-padded words.
 
     Returns a uint32 array of shape ``(7, *values.shape)``: word ``j`` of
     every value in row ``j``, so that deleting the NUL bytes of the
-    value-major words leaves the text. A value v in [1e-4, 1e9) has the
-    exponent e = floor(log10 v), and its 9 significant digits are
-    N = rint(v * 10**(8 - e)), since 10**(8 - e) is exact and the product
-    is off by less than 1.2e-7. The digits are split into a whole part
-    of three 4-digit groups, the first of one digit, and a fraction of
-    three, looked up in ``_digit_words()`` with the whole part's leading
-    zeros and the fraction's trailing zeros NUL, and the ``.`` NUL if the
-    fraction is 0. Every other value goes through ``format`` into its 28
-    bytes: 0, negatives, values that print in exponent form, non-finite
-    values, a product within 1e-6 of a .5 tie (where its error could flip
-    the rounding), and an N outside [1e8, 1e9) (where log10 was off by one
-    or the rounding carried into a tenth digit).
+    value-major words leaves the text. The words are those of
+    ``_value_index``, and a value it does not spell has its ``format``
+    text in the 28 bytes of its 7 words.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # e + 5, with e clamped to [-5, 9]: fmax takes -5 over the nan of a negative
-        k = np.fmin(np.fmax(np.floor(np.log10(v)), -5), 9).astype(np.intp) + 5
-        scale = _SCALE.take(k)
-        exact = v * scale
-        n = np.rint(exact)
-        fast = np.abs(exact - n) < 0.5 - 1e-6
-        fast &= (n >= 1e8) & (n < 1e9)
-    n[~fast] = 1e8  # any in-range N: these slots are overwritten below
-    # n = whole * scale + part, and the fraction's 12 digits are
-    # part * 10**(12 - (8 - e)); every value below is an integer under 2**53,
-    # and each quotient of two of them is floored exactly. The index rows are
-    # filled in place: built from separate temporaries and np.stack, they
-    # raised the continuous benchmark's peak RSS by 1 to 8 MB in 4 of 14 runs.
-    whole = n / scale
-    np.floor(whole, out=whole)
-    fraction = n - whole * scale
-    fraction *= _FRACTION_SCALE.take(k)
-    index = np.empty((7, v.size))
-    _whole_index(whole.astype(np.int64), index)
-    np.add(fraction != 0, _DOT, out=index[3])
-    first = np.floor(fraction / 1e8)
-    rest = fraction - first * 1e8
-    second = np.floor(rest / _GROUP)
-    third = rest - second * _GROUP
-    np.multiply(rest == 0, _TRAIL, out=index[4])
-    index[4] += first
-    np.multiply(third == 0, _TRAIL, out=index[5])
-    index[5] += second
-    np.add(third, _TRAIL, out=index[6])
-    words = _digit_words().take(index.astype(np.intp))
-    slow = np.flatnonzero(~fast)
+    v = np.asarray(values, dtype=np.float64)
+    index, slow = _value_index(v)
+    words = _digit_words().take(index)
     if slow.size:
-        text = np.array([f",{value:.9g}" for value in v[slow].tolist()], dtype="S28")
-        words[:, slow] = text.view(np.uint32).reshape(-1, 7).T
-    return words.reshape(7, *np.shape(values))
+        texts = np.array(_format_texts(v.ravel()[slow]), dtype="S28")
+        words[:, slow] = texts.view(np.uint32).reshape(-1, 7).T
+    return words.reshape(7, *v.shape)
 
 
-def _whole_index(whole: np.ndarray, index: np.ndarray) -> None:
-    """Fill ``index[:3]`` with the ``_digit_words()`` offsets of ``,`` and each of ``whole``.
+def _format_texts(values: np.ndarray) -> list[str]:
+    """``,`` and ``_format_float``'s text of each value."""
+    return [f",{_format_float(value)}" for value in values.tolist()]
 
-    ``whole`` is an integer array of values in [0, 1e9), whose words both
-    ``_value_words`` and ``_stamp_words`` take from here. Row 0 is ``,``
-    and the digit above 1e8, NUL if it is 0; rows 1 and 2 are the two
-    4-digit groups below it, with the leading zeros of the number NUL and
-    a lone ``0`` kept.
+
+def _value_columns(values: np.ndarray) -> list[np.ndarray]:
+    """The word columns that spell ``values``, shape ``(nodes, steps, columns)``.
+
+    Returns one ``(nodes, steps, words)`` uint32 array a column, spelled
+    as ``_value_words`` spells it, less each word that is NUL in every
+    value of the column: a word whose offset from ``_value_index`` is its
+    NUL one in every value is never gathered. A value spelled by
+    ``format`` has its text in its slot, and its column keeps as many
+    words as the longest such text takes.
     """
-    top = whole // 10**8
-    np.add(top, _COMMA_DIGIT, out=index[0])
-    low = whole - top * 10**8
-    middle = low // _GROUP
-    np.multiply(top == 0, _LEAD, out=index[1])
-    index[1] += middle
-    np.multiply(whole < _GROUP, _LEAD_ZERO, out=index[2])
-    index[2] += low
-    index[2] -= middle * _GROUP
+    columns = np.moveaxis(values, -1, 0)  # each column's values side by side
+    index, slow = _value_index(columns)
+    count, size = len(columns), columns[0].size
+    index = index.reshape(7, count, size)
+    kept = (index != _VALUE_BLANKS).any(axis=2)
+    spelled = []
+    for c, column in enumerate(columns):
+        own = slow[slow // size == c] - c * size
+        keep = kept[:, c]
+        if own.size:
+            texts = _format_texts(column.ravel()[own])
+            spare = -(-max(map(len, texts)) // 4) - keep.sum()  # words beyond those kept
+            keep = keep.copy()
+            keep[np.flatnonzero(~keep)[: max(spare, 0)]] = True
+        words = _digit_words().take(index[keep, c])
+        if own.size:
+            slots = np.array(texts, f"S{4 * len(words)}").view(np.uint32)
+            words[:, own] = slots.reshape(own.size, -1).T
+        spelled.append(words.reshape(-1, *column.shape).transpose(1, 2, 0))
+    return spelled
 
 
 def _fixed_words(values: np.ndarray) -> np.ndarray:
@@ -185,35 +285,39 @@ def _fixed_words(values: np.ndarray) -> np.ndarray:
     below 10**14, is spelled from ``_digit_words()`` in 4 words: the whole
     part's two 4-digit groups, its leading zeros NUL and a lone ``0``
     kept, then ``.`` and the first two fraction digits, then the last
-    four. The product is off from the exact one by at most
-    v * 10**6 * 2**-53, so n is taken only where the product lies more
-    than twice that inside its rounding interval, and there rounds as the
-    exact product does. Every other value goes through ``format``: −0.0
-    and negatives, n of 10**14 and above, non-finite values and products
-    that close to a .5 tie; the slots are then ``w`` words wide, as wide
-    as the longest such text, and else ``w`` is 4.
+    four. n is taken only where the float product lies less than 0.5 from
+    it. This strict test is exact: every such product is below 2**52,
+    where each k + 1/2 is a float, and round-to-nearest is monotone, so it
+    cannot carry the exact product across k + 1/2; a product that lands
+    on k + 1/2 goes to ``format``. Every other value goes through
+    ``format``: −0.0 and negatives, n of 10**14 and above, non-finite
+    values and ties; the slots are then ``w`` words wide, as wide as the
+    longest such text, and else ``w`` is 4.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = v * 1e6
         n = np.rint(scaled)
-        fast = np.abs(scaled - n) < 0.5 - scaled * 2**-52
+        fast = np.abs(scaled - n) < 0.5
         fast &= n < 1e14
     fast &= ~np.signbit(v)
     n[~fast] = 0  # any n in range: these slots are overwritten below
-    whole = n / 1e6
+    parts = np.empty((2, v.size))
+    whole, fraction = parts
+    np.divide(n, 1e6, out=whole)
     np.floor(whole, out=whole)
-    fraction = n - whole * 1e6
-    index = np.empty((v.size, 4))
-    np.floor(whole / _GROUP, out=index[:, 0])
+    np.multiply(whole, 1e6, out=fraction)
+    np.subtract(n, fraction, out=fraction)
+    whole, fraction = parts.astype(np.int64)
+    high, low = whole // _GROUP, fraction // _GROUP
+    index = np.empty((v.size, 4), np.int64)  # a value's 4 offsets side by side
+    np.add(high, _LEAD, out=index[:, 0])
     np.multiply(whole < _GROUP, _LEAD_ZERO, out=index[:, 1])
     index[:, 1] += whole
-    index[:, 1] -= index[:, 0] * _GROUP
-    index[:, 0] += _LEAD
-    np.floor(fraction / _GROUP, out=index[:, 2])
-    np.subtract(fraction, index[:, 2] * _GROUP, out=index[:, 3])
-    index[:, 2] += _DOT_PAIR
-    words = _digit_words().take(index.astype(np.intp))
+    index[:, 1] -= high * _GROUP
+    np.add(low, _DOT_PAIR, out=index[:, 2])
+    np.subtract(fraction, low * _GROUP, out=index[:, 3])
+    words = _digit_words().take(index)
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = [format(value, ".6f") for value in v[slow].tolist()]
@@ -226,21 +330,16 @@ def _fixed_words(values: np.ndarray) -> np.ndarray:
 def _stamp_words(stamps: np.ndarray) -> np.ndarray:
     """The rows of words that spell ``stamps``, less any row that is NUL in every stamp.
 
-    Integer stamps, which must lie in [0, 1e9), are spelled by the three
-    whole-part rows of ``_whole_index`` alone, as ``str`` spells them,
+    Integer stamps, which must lie in [0, 1e9), are spelled by the
+    whole-part words of ``_whole_index`` alone, as ``str`` spells them,
     with no log10, scaling, rounding or fraction pass; float stamps go
-    through ``_value_words``.
+    through ``_value_columns``.
     """
     if stamps.dtype.kind != "i":
-        return _nonblank(_value_words(stamps))
-    index = np.empty((3, stamps.size), np.intp)
-    _whole_index(stamps, index)
-    return _nonblank(_digit_words().take(index))
-
-
-def _nonblank(words: np.ndarray) -> np.ndarray:
-    """The rows of ``_value_words`` output that hold a byte other than NUL in some value."""
-    return words[words.reshape(len(words), -1).any(axis=1)]
+        return _value_columns(stamps[None, :, None])[0][0].T
+    index = np.empty((3, stamps.size), np.int64)
+    blank = _whole_index(stamps, index)
+    return _digit_words().take(index[blank:])
 
 
 def _text_words(texts: list[str]) -> np.ndarray:
@@ -606,12 +705,13 @@ def save_positions(
     Every number is written as ``format(value, ".9g")`` spells it; the
     times are the trace's ``k * time_step``. The rows come from
     ``_node_major_rows``, stamped with the times, and their value columns
-    are the words ``_value_words`` spells x and y in, a word that is NUL in
-    every value of the block left out, and the row's newline. A trace with no samples, with a time
-    step that is not finite and positive, or with a non-finite time or
-    position, is refused with ``ValueError`` before the file is opened,
-    since the loader could not read it back. The positions are sampled
-    from the legs only once the time step and the times have passed.
+    are the words ``_value_columns`` spells x and y in, a word that is NUL
+    in every value of the block left out, and the row's newline. A trace
+    with no samples, with a time step that is not finite and positive, or
+    with a non-finite time or position, is refused with ``ValueError``
+    before the file is opened, since the loader could not read it back.
+    The positions are sampled from the legs only once the time step and
+    the times have passed.
     """
     if not trace.node_count * trace.step_count:
         raise ValueError("cannot write an empty position trace")
@@ -629,9 +729,7 @@ def save_positions(
     }
 
     def xy(members: slice, block: slice) -> list[np.ndarray]:
-        words = _value_words(trace.positions[members, block])
-        x, y = (np.moveaxis(_nonblank(words[..., axis]), 0, -1) for axis in (0, 1))
-        return [x, y, _NEWLINE_WORD]
+        return [*_value_columns(trace.positions[members, block]), _NEWLINE_WORD]
 
     rows = _node_major_rows(times, trace.node_count, xy)
     _write_trace(path, header, "node,time,x,y", rows)

@@ -480,9 +480,10 @@ class TestTraceFiles:
     def test_locations_writer_memory_per_sample(self, tmp_path):
         # each block's text is hashed and written as it is built, so the
         # peak is the steps (8 bytes a step), their words kept for every node
-        # and one block (11.4 bytes a sample measured here; 18 when every
-        # node's text was held for a leading digest, 58 when each node's rows
-        # were filled into per-step % templates)
+        # and one block (9.4 bytes a sample measured here, 11.4 when a step
+        # from 10^4 took 3 words, 18 when every node's text was held for a
+        # leading digest, 58 when each node's rows were filled into per-step
+        # % templates)
         grid = GridSpec(10, 10)
         joint = JointTrace(grid, np.random.default_rng(1).integers(0, grid.size, (2, 5 * 10**5)))
         path = tmp_path / "t.trace"
@@ -555,9 +556,10 @@ class TestTraceFiles:
 
     def test_locations_writer_memory_many_nodes(self, tmp_path):
         # a block holds every step of as many nodes as fit and is translated
-        # once (16.4 bytes a sample measured here; 30 when every node's text
-        # was held for a leading digest, 89 with one translate and one bytes
-        # part per node and step)
+        # once (14.8 bytes a sample measured here, 16.4 when a step took a
+        # word for its comma, 30 when every node's text was held for a
+        # leading digest, 89 with one translate and one bytes part per node
+        # and step)
         grid = GridSpec(10, 10)
         joint = JointTrace(grid, np.random.default_rng(2).integers(0, grid.size, (10_001, 3)))
         path = tmp_path / "t.trace"
@@ -757,12 +759,58 @@ class TestTraceFiles:
         body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
         assert body == per_row_position_body(trace).encode()
 
+    @pytest.mark.parametrize(
+        "whole, odd",
+        [(False, 0.000123456789), (False, -12.5), (True, -1.7976931348623157e308)],
+        ids=["twelfth-digit", "negative", "format-text-wider-than-column"],
+    )
+    def test_positions_block_with_one_odd_value_matches_per_row_oracle(
+        self, tmp_path, whole, odd
+    ):
+        # one block of positions in [0, 1000) and one value that needs a word
+        # no other value in its column needs: the 12th fraction digit of a
+        # value below 1e-3, or the format text of a negative value, which
+        # among whole numbers, one word each, needs four more
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(0, 1000, (3, 40, 2))
+        if whole:
+            positions = np.floor(positions) + 1
+        positions[1, 17, 1] = odd
+        trace = held_trace(0.25, positions)
+        path = tmp_path / "c.trace"
+        save_positions(path, trace)
+        body = path.read_bytes().split(b"# body: ", 1)[1].split(b"\n", 1)[1]
+        assert body == per_row_position_body(trace).encode()
+        assert f",{format(odd, '.9g')}\n".encode() in body
+
+    def test_positions_words_per_row(self, monkeypatch):
+        # node 0's first block of the continuous benchmark's trace at seed 1:
+        # the node id, its time below 4096 (",ddd", or "," and 4 digits),
+        # x and y in [0, 1000) (",ddd" and 2 or 3 fraction words each) and
+        # the newline; 14.8 words on average when "," and "." took a word each
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+        workload = __import__("workload")
+        cfg = load_continuous_config(workload.WORKLOADS["continuous"].config)
+        trace = simulate_continuous(cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, seed=1)
+        join = trace_io._joined_rows
+        widths = []
+
+        def recorded(columns):
+            widths.append(sum(column.shape[-1] for column in columns))
+            return join(columns)
+
+        monkeypatch.setattr(trace_io, "_joined_rows", recorded)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_positions(pathlib.Path(tmp) / "c.trace", trace)
+        assert widths[0] <= 10
+
     def test_positions_writer_memory_per_sample(self, tmp_path):
         # each block's text is hashed and written as it is built, so the
         # peak is the times (8 bytes a step), their words kept for every node
-        # and one block (12.5 bytes a sample measured here; 39 when every
-        # node's text was held for a leading digest, 117 when each node's
-        # values were formatted as Python floats)
+        # and one block (9.7 bytes a sample measured here, 12.5 when the comma
+        # and the dot took a word each, 39 when every node's text was held
+        # for a leading digest, 117 when each node's values were formatted
+        # as Python floats)
         area = ContinuousAreaSpec(1000, 1000, 1, 20, 5)
         trace = simulate_continuous(area, 2, 5 * 10**5 - 1, 1.0, seed=1)
         samples = trace.positions.shape[0] * trace.positions.shape[1]
@@ -1229,6 +1277,49 @@ class TestValueWords:
             assert text == "".join(f",{v}" for v in values).encode()
             assert text == value_text(values)
 
+    # the whole parts where the comma and the leading digit groups change
+    # words: one word below 1000, ",ddd" and a full group from 1e4 to 1e7,
+    # "," alone from 1000 and from 1e7, and the digit above 1e8
+    WHOLE_SEAMS = [0, 999, 1000, 9999, 10**4, 10**7 - 1, 10**7, 10**8, 999_999_999]
+
+    def test_whole_part_seams(self):
+        # each seam with every fraction its 9 significant digits leave room
+        # for, from none to the most, all spelled by words; and one digit
+        # more, which rounds, up across the seam above where it is all 9s
+        exact, rounded = [], []
+        for whole in self.WHOLE_SEAMS[1:]:
+            room = 9 - len(str(whole))
+            exact += [float(f"{whole}.{'7' * digits}") for digits in range(room + 1)]
+            exact += [float(f"{whole}.{'0' * (room - 1)}1")] if room else []
+            rounded += [float(f"{whole}.{digit * (room + 1)}") for digit in "19"]
+        assert value_text(exact) == formatted(exact)
+        assert trace_io._value_index(np.array(exact))[1].size == 0
+        assert value_text(rounded) == formatted(rounded)
+        # as the largest stamp of a run, whose words then take up as few
+        # leading words as that stamp needs, and all in one run
+        for run in [[0, whole // 2, whole] for whole in self.WHOLE_SEAMS] + [self.WHOLE_SEAMS]:
+            text = _stamp_words(np.array(run, dtype=np.int64)).T.tobytes().translate(None, b"\0")
+            assert text == "".join(f",{v}" for v in run).encode()
+            assert text == value_text(run)
+
+    @pytest.mark.parametrize("whole", [0, 7, 42, 999])
+    def test_fraction_seams(self, whole):
+        # fractions of 0 to 12 digits, the first three glued to the ".", then
+        # 4, 4 and 1: every length, with zeros before a last digit and with
+        # the trailing zeros of each group; the whole part leaves room for
+        # 9 - len(str(whole)) of them, or 9 after the zeros that lead 0's
+        significant = 9 - len(str(whole)) if whole else 9
+        texts = []
+        for length in range(13):
+            for fraction in ("1" * length, "0" * (length - 1) + "5", "9" + "0" * (length - 1)):
+                digits = fraction.lstrip("0") if whole == 0 else fraction
+                if fraction and len(digits.rstrip("0")) <= significant:
+                    texts.append(f"{whole}.{fraction}")
+        values = [float(text) for text in texts if float(text) >= 1e-4]
+        assert len(values) > 20
+        assert value_text(values) == formatted(values)
+        assert trace_io._value_index(np.array(values))[1].size == 0  # all spelled by words
+
     def test_shape_follows_the_values(self):
         values = np.arange(6.0).reshape(3, 2) + 0.25
         words = _value_words(values)
@@ -1451,23 +1542,35 @@ class TestCli:
         assert lines[0] == "node,x,y,visits,frequency,cauchy_width,converged"
         assert len(lines) == 1 + 2 * 9  # 2 nodes x 9 cells
 
-    @pytest.mark.parametrize("command", ["simulate-discrete", "simulate-continuous", "export"])
+    @pytest.mark.parametrize(
+        "command", ["simulate-discrete", "simulate-continuous", "export", "analyze"]
+    )
     def test_simulate_refuses_out_that_is_stdout(self, tmp_path, command):
         # with stdout redirected to a file, --out /dev/stdout names that
         # file: the writer and the command's closing line would both write
-        # it from offset 0, the line over the header or the script's start;
-        # through a pipe, the line would follow the output
+        # it from offset 0, the line over the header, the script's start or
+        # the report's column line; through a pipe, the line would follow
+        # the output
         d, c = self.write_cfgs(tmp_path)
-        config = d if command == "simulate-discrete" else c
         paths = [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        argv = [sys.executable, "-m", "rwmm.cli", command, "--config", str(config)]
-        argv += ["--seed", "1", "--out", "/dev/stdout"]
+        argv = [sys.executable, "-m", "rwmm.cli", command]
+        if command == "analyze":
+            trace = tmp_path / "t.trace"
+            simulate = ["simulate-discrete", "--config", str(d), "--seed", "1", "--out", str(trace)]
+            assert main(simulate) == 0
+            argv += ["--trace", str(trace), "--config", str(d)]
+        else:
+            config = d if command == "simulate-discrete" else c
+            argv += ["--config", str(config), "--seed", "1"]
+        argv += ["--out", "/dev/stdout"]
+        written = {"export": "script", "analyze": "report"}.get(command, "trace")
         target = tmp_path / "f"
         with target.open("wb") as stdout:
             run = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
         assert run.returncode == 2, run.stderr
-        assert "is the file stdout writes to" in run.stderr
+        message = f"is the file stdout writes to, and the command's output would overwrite the {written}"
+        assert message in run.stderr
         assert target.read_bytes() == b""
         piped = subprocess.run(argv, capture_output=True, env=env, text=True)
         assert piped.returncode == 2, piped.stderr

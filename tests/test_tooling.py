@@ -164,8 +164,8 @@ def test_position_formula_is_stated_once():
     assert _leg_displacements(ast.parse(source)) == ["_interpolate"]
 
 
-def _fixed_format_sites(tree: ast.Module) -> list[str]:
-    """The functions, in source order, with a string holding the ``.6f`` format spec.
+def _format_spec_sites(tree: ast.Module, spec: str) -> list[str]:
+    """The functions, in source order, with a string holding the format spec ``spec``.
 
     A ``format`` spec, an f-string's spec and a ``%`` template all count;
     docstrings do not. Code outside every function counts as ``<module>``.
@@ -185,7 +185,7 @@ def _fixed_format_sites(tree: ast.Module) -> list[str]:
             if (
                 isinstance(child, ast.Constant)
                 and isinstance(child.value, str)
-                and ".6f" in child.value
+                and spec in child.value
                 and id(child) not in docstrings
             ):
                 found.append(owner)
@@ -201,7 +201,15 @@ def test_fixed_format_is_stated_once():
     # tables, and format only spells what the tables cannot: a per-line or
     # per-value formatter cannot creep back beside it
     source = (ROOT / "src" / "rwmm" / "io.py").read_text()
-    assert _fixed_format_sites(ast.parse(source)) == ["_fixed_words"]
+    assert _format_spec_sites(ast.parse(source), ".6f") == ["_fixed_words"]
+
+
+def test_trace_format_is_stated_once():
+    # trace and report numbers read as %.9g spells them: _format_float is
+    # the one place that spells it, and the trace speller's format
+    # fallback goes through it, so a second spelling cannot drift apart
+    source = (ROOT / "src" / "rwmm" / "io.py").read_text()
+    assert _format_spec_sites(ast.parse(source), ".9g") == ["_format_float"]
 
 
 def test_fixed_format_is_found():
@@ -223,7 +231,7 @@ def lines(rows):
 def method(v):
     return "{:.6f}".format(v)
 '''
-    assert _fixed_format_sites(ast.parse(source)) == ["<module>", "spec", "line", "method"]
+    assert _format_spec_sites(ast.parse(source), ".6f") == ["<module>", "spec", "line", "method"]
 
 
 def test_leg_displacement_is_found():
