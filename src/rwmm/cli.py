@@ -4,11 +4,11 @@ Subcommands: ``simulate-discrete``, ``simulate-continuous``,
 ``verify-channel``, ``analyze``, ``export``. Every run is a pure function of
 config file + seed; outputs are byte-identical across repeats. Exit codes:
 0 success, 2 bad configuration or arguments (including a run past its
-sample or leg limit), 3 the path-alphabet build would digitize more than
-the enumeration cap's worth of paths, (2W-1)(2H-1)·|speeds| (the build is
-the only step that enumerates; ``verify-channel`` works at any horizon
-whose prefixes fit in ``simulate.MAX_SAMPLES``), 4 a verification check
-failed.
+sample or leg limit, and a file that cannot be read or written), 3 the
+path-alphabet build would digitize more than the enumeration cap's worth
+of paths, (2W-1)(2H-1)·|speeds| (the build is the only step that
+enumerates; ``verify-channel`` works at any horizon whose prefixes fit in
+``simulate.MAX_SAMPLES``), 4 a verification check failed.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ EXIT_VERIFICATION = 4
 
 
 def _read_config(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
-    return p.read_text()
+    try:  # a missing file or a directory raises OSError, which main() reports
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from None
 
 
 def _check_out_is_not_stdout(path: str, written: str) -> None:
@@ -260,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except OSError as exc:  # its text names the path, as open() raises it
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,12 +29,12 @@ from .processes import _seed_sequence
 _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 
 # Most samples (nodes × samples per node) one run may hold. A run stores only
-# its legs; the first read of ContinuousTrace.positions allocates 16 bytes a
-# sample, 1.6 GB at the limit, and the sample times 8 bytes a step. Then
-# io.save_positions writes one block of rows at a time and holds beside it
-# the times' words, at most 28 bytes a step; its traced peak, with the times,
-# was 10 to 13 bytes a sample at 10 and 2 nodes. Sampling one node's 2·10^6
-# samples peaked at 25 bytes a sample traced, with the positions and times.
+# its legs. io.save_positions samples one node, or one block's nodes, at a
+# time, 16 bytes a sample, beside the sample times twice (8 bytes a step
+# each) and their words, at most 28 bytes a step; its traced peak was 22
+# bytes a sample at 2 nodes × 5·10^5 steps and 4.9 at 10 × 2·10^5. Sampling
+# one node's 2·10^6 samples peaked at 25 bytes a sample traced, with the
+# positions and times.
 MAX_SAMPLES = 10**8
 
 # Samples interpolated at once: the interpolation's temporaries, about 25
@@ -94,7 +93,7 @@ class ContinuousAreaSpec:
 class ContinuousTrace:
     """A continuous run: each node's legs, sampled every ``time_step`` for ``step_count`` steps.
 
-    ``positions`` are sampled from the legs on first access and kept;
+    The legs are all a run stores: ``positions`` samples them at each call;
     ``discretize``, ``mean_speeds`` and the ns-2 export read only the legs.
     """
 
@@ -113,13 +112,12 @@ class ContinuousTrace:
         with np.errstate(over="ignore"):
             return np.arange(self.step_count) * self.time_step
 
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Every node's ``(x, y)`` at ``times``, a ``(nodes, steps, 2)`` array."""
+    def positions(self, nodes: Sequence[int]) -> np.ndarray:
+        """The ``(len(nodes), steps, 2)`` positions of ``nodes``, one ``_sample_legs`` call each."""
         times = self.times
-        out = np.empty((self.node_count, self.step_count, 2))
-        for legs, node_out in zip(self.legs, out):
-            _sample_legs(legs, times, node_out)
+        out = np.empty((len(nodes), self.step_count, 2))
+        for node, node_out in zip(nodes, out):
+            _sample_legs(self.legs[node], times, node_out)
         return out
 
 
@@ -190,7 +188,7 @@ def simulate_continuous(
     """Draw the legs of ``node_count`` independent walkers for ``duration`` time units.
 
     The run samples at 0, dt, 2*dt, ... up to and including the last
-    multiple of dt that is <= duration, once its ``positions`` are read.
+    multiple of dt that is <= duration, when its ``positions`` are read.
     Waypoints (and the initial position) are uniform over the rectangle;
     each trip's speed is uniform over the configured range; every arrival
     is followed by the configured pause.
@@ -403,7 +401,7 @@ def traffic_proxy(
     and receiver are within ``reach`` (finite, >= 0) of each other, and
     nothing otherwise (no queueing, no relaying). ``bitrate`` (finite,
     >= 0) may be a per-step array — e.g. a ramp — or a single flat number;
-    an array of any other shape is refused.
+    an array of any other shape is refused. Each node a flow names is sampled once.
     """
     if not flows:
         raise ConfigurationError("traffic proxy needs at least one flow")
@@ -424,9 +422,11 @@ def traffic_proxy(
     if not (math.isfinite(reach) and reach >= 0):
         raise ConfigurationError(f"reach must be a finite number >= 0, got {reach}")
     dt = trace.time_step
+    named = sorted({node for flow in flows for node in flow})
+    positions = dict(zip(named, trace.positions(named)))
     connected = np.zeros(steps)
     for a, b in flows:
-        delta = trace.positions[a] - trace.positions[b]
+        delta = positions[a] - positions[b]
         dist2 = (delta**2).sum(axis=1)
         connected += dist2 <= reach * reach
     offered = rate * dt * len(flows)

@@ -223,38 +223,17 @@ def _whole_index(whole: np.ndarray, index: np.ndarray) -> int:
     return 1 if largest < 10**7 else 0
 
 
-def _value_words(values: np.ndarray) -> np.ndarray:
-    """Each value as ``,`` and its ``format(v, ".9g")`` text, in 7 NUL-padded words.
-
-    Returns a uint32 array of shape ``(7, *values.shape)``: word ``j`` of
-    every value in row ``j``, so that deleting the NUL bytes of the
-    value-major words leaves the text. The words are those of
-    ``_value_index``, and a value it does not spell has its ``format``
-    text in the 28 bytes of its 7 words.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    index, slow = _value_index(v)
-    words = _digit_words().take(index)
-    if slow.size:
-        texts = np.array(_format_texts(v.ravel()[slow]), dtype="S28")
-        words[:, slow] = texts.view(np.uint32).reshape(-1, 7).T
-    return words.reshape(7, *v.shape)
-
-
-def _format_texts(values: np.ndarray) -> list[str]:
-    """``,`` and ``_format_float``'s text of each value."""
-    return [f",{_format_float(value)}" for value in values.tolist()]
-
-
 def _value_columns(values: np.ndarray) -> list[np.ndarray]:
     """The word columns that spell ``values``, shape ``(nodes, steps, columns)``.
 
-    Returns one ``(nodes, steps, words)`` uint32 array a column, spelled
-    as ``_value_words`` spells it, less each word that is NUL in every
-    value of the column: a word whose offset from ``_value_index`` is its
-    NUL one in every value is never gathered. A value spelled by
-    ``format`` has its text in its slot, and its column keeps as many
-    words as the longest such text takes.
+    Returns one ``(nodes, steps, words)`` uint32 array a column: each value
+    as ``,`` and its ``format(v, ".9g")`` text in NUL-padded words, so that
+    deleting the NUL bytes of a value's words leaves the text. The words
+    are those of ``_value_index``, less each word that is NUL in every
+    value of the column: a word whose offset is its NUL one in every value
+    is never gathered. A value that ``_value_index`` does not spell has
+    ``,`` and its ``_format_float`` text in its slot, and its column keeps
+    as many words as the longest such text takes.
     """
     columns = np.moveaxis(values, -1, 0)  # each column's values side by side
     index, slow = _value_index(columns)
@@ -266,7 +245,7 @@ def _value_columns(values: np.ndarray) -> list[np.ndarray]:
         own = slow[slow // size == c] - c * size
         keep = kept[:, c]
         if own.size:
-            texts = _format_texts(column.ravel()[own])
+            texts = [f",{_format_float(value)}" for value in column.ravel()[own].tolist()]
             spare = -(-max(map(len, texts)) // 4) - keep.sum()  # words beyond those kept
             keep = keep.copy()
             keep[np.flatnonzero(~keep)[: max(spare, 0)]] = True
@@ -349,23 +328,24 @@ def _text_words(texts: list[str]) -> np.ndarray:
 
 
 def _node_major_rows(
-    stamps: np.ndarray | range, nodes: int, values: Callable[[slice, slice], Sequence[np.ndarray]]
+    stamps: np.ndarray | range, nodes: int, values: Callable[[slice], np.ndarray],
+    spell: Callable[[np.ndarray], list[np.ndarray]],
 ) -> Iterator[bytes]:
     """Every node's rows, node-major, as parts of a trace body in body order.
 
     The rows are built as uint32 words, a block at a time: every step of
     ``_BLOCK_ROWS`` // steps whole nodes if a node's steps fit in a block,
-    and else ``_BLOCK_ROWS`` steps of one node. A row is the node's id, the
-    words ``_stamp_words`` spells the step's stamp in, and the word columns
-    ``values(nodes, steps)`` gives for the block's nodes and steps, each
-    broadcast to ``(nodes, steps, words)``; the last column ends the row
-    with its newline. The stamps, an array or a ``range`` of integers,
-    are spelled once per run of ``_BLOCK_ROWS`` steps: each run as its
-    block is built when one group of nodes holds every node, and else all
-    up front from one array, kept for every group. ``_joined_rows`` lays
-    the columns side by side and deletes their NUL padding, once a block.
-    The words are built from bytes and only copied, so the text is the
-    same on any byte order.
+    and else ``_BLOCK_ROWS`` steps of one node. ``values(nodes)`` gives the
+    values of that group of nodes once, a row a node. A row is the node's
+    id, the words ``_stamp_words`` spells the step's stamp in, and the word
+    columns ``spell(block)`` gives for the block's values, each broadcast
+    to ``(nodes, steps, words)``; the last column ends the row with its
+    newline. The stamps, an array or a ``range`` of integers, are spelled
+    once per run of ``_BLOCK_ROWS`` steps: each run as its block is built
+    when one group holds every node, and else all up front from one array,
+    kept for every group. ``_joined_rows`` lays the columns side by side
+    and deletes their NUL padding, once a block. The words are built from
+    bytes and only copied, so the text is the same on any byte order.
     """
     steps = len(stamps)
     block_steps = min(steps, _BLOCK_ROWS)  # the steps a block holds
@@ -387,9 +367,10 @@ def _node_major_rows(
     heads = np.arange(nodes).astype(f"S{size}").view(np.uint32).reshape(nodes, 1, -1)
     for first in range(0, nodes, group):
         members = slice(first, first + group)
-        head = heads[members]
+        head, own = heads[members], values(members)
         for lo, stamp in zip(runs, spelled):
-            yield _joined_rows([head, stamp, *values(members, slice(lo, lo + block_steps))])
+            yield _joined_rows([head, stamp, *spell(own[:, lo : lo + block_steps])])
+        del own  # else the next group's values are made while these are held
 
 
 def _joined_rows(columns: Sequence[np.ndarray]) -> bytes:
@@ -656,11 +637,11 @@ def save_locations(
         "config": config_digest or "none",
     }
 
-    def cells(members: slice, block: slice) -> list[np.ndarray]:
-        x, y = grid.xy(ids[members, block])
+    def cells(block: np.ndarray) -> list[np.ndarray]:
+        x, y = grid.xy(block)
         return [x_labels.take(x, axis=0), y_labels.take(y, axis=0)]
 
-    rows = _node_major_rows(range(len(joint)), joint.node_count, cells)
+    rows = _node_major_rows(range(len(joint)), joint.node_count, ids.__getitem__, cells)
     _write_trace(path, header, "node,step,x,y", rows)
 
 
@@ -704,21 +685,36 @@ def save_positions(
 
     Every number is written as ``format(value, ".9g")`` spells it; the
     times are the trace's ``k * time_step``. The rows come from
-    ``_node_major_rows``, stamped with the times, and their value columns
-    are the words ``_value_columns`` spells x and y in, a word that is NUL
-    in every value of the block left out, and the row's newline. A trace
-    with no samples, with a time step that is not finite and positive, or
-    with a non-finite time or position, is refused with ``ValueError``
-    before the file is opened, since the loader could not read it back.
-    The positions are sampled from the legs only once the time step and
-    the times have passed.
+    ``_node_major_rows``, stamped with the times; each of its groups of
+    nodes is sampled by ``ContinuousTrace.positions`` when it is reached,
+    and kept no longer. A row's value columns are the words
+    ``_value_columns`` spells x and y in, a word that is NUL in every value
+    of the block left out, and the row's newline. A trace with no samples
+    or a node with no legs, with a time step that is not finite and
+    positive, or with a non-finite time or position, is refused with
+    ``ValueError`` before the file is opened: the loader could not read it.
+
+    Positions are checked on the legs: every leg column, ``X0 + (X1 - X0)``
+    and ``Y0 + (Y1 - Y0)`` must be finite. A sample is a zero-duration
+    leg's end point, or ``x0 + a * d`` with ``d = x1 - x0`` and
+    ``a = (t - start) / duration`` clamped to [0, 1], never NaN as t, start
+    and duration are finite. Rounding is monotone, so ``a * d`` lies between
+    0 and d, and ``x0 + a * d`` between x0 and ``x0 + d``: it is finite. The
+    check may refuse a value no sample reads: a speed, or a leg no sample
+    falls in, as a run's last leg may start after its last sample.
     """
-    if not trace.node_count * trace.step_count:
+    if not trace.node_count * trace.step_count or not all(map(len, trace.legs)):
         raise ValueError("cannot write an empty position trace")
     if not 0 < trace.time_step < math.inf:
         raise ValueError(f"time step must be finite and > 0, got {trace.time_step}")
+
+    def finite(legs: np.ndarray) -> bool:
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = legs[:, [X0, Y0]] + (legs[:, [X1, Y1]] - legs[:, [X0, Y0]])
+        return bool(np.isfinite(legs).all() and np.isfinite(end).all())
+
     times = trace.times
-    if not (np.isfinite(times).all() and np.isfinite(trace.positions).all()):
+    if not (np.isfinite(times).all() and all(map(finite, trace.legs))):
         raise ValueError("cannot write non-finite times or positions")
     header = {
         "kind": KIND_POSITIONS,
@@ -727,11 +723,12 @@ def save_positions(
         "seed": "none" if seed is None else str(seed),
         "config": config_digest or "none",
     }
+    nodes = range(trace.node_count)
 
-    def xy(members: slice, block: slice) -> list[np.ndarray]:
-        return [*_value_columns(trace.positions[members, block]), _NEWLINE_WORD]
+    def xy(block: np.ndarray) -> list[np.ndarray]:
+        return [*_value_columns(block), _NEWLINE_WORD]
 
-    rows = _node_major_rows(times, trace.node_count, xy)
+    rows = _node_major_rows(times, len(nodes), lambda group: trace.positions(nodes[group]), xy)
     _write_trace(path, header, "node,time,x,y", rows)
 
 

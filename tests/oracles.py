@@ -632,8 +632,8 @@ def per_row_position_body(trace) -> str:
     """A position trace body: the column line, then one row per (node, step)."""
     rows = (
         f"{node},{format(t, '.9g')},{format(x, '.9g')},{format(y, '.9g')}\n"
-        for node in range(trace.positions.shape[0])
-        for t, (x, y) in zip(trace.times.tolist(), trace.positions[node].tolist())
+        for node in range(trace.node_count)
+        for t, (x, y) in zip(trace.times.tolist(), trace.positions([node])[0].tolist())
     )
     return "node,time,x,y\n" + "".join(rows)
 

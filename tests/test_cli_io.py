@@ -24,6 +24,7 @@ from rwmm import io as trace_io
 from rwmm.cli import main
 from rwmm.config import load_continuous_config, load_discrete_config
 from rwmm.continuous import (
+    DURATION,
     START,
     X0,
     X1,
@@ -38,7 +39,7 @@ from rwmm.geometry import Cell, GridSpec
 from rwmm.io import (
     _fixed_words,
     _stamp_words,
-    _value_words,
+    _value_columns,
     export_csv_report,
     export_ns2,
     load_locations,
@@ -108,8 +109,9 @@ def location_traces(draw, max_cells=50_000, max_rows=3000):
 
 
 def value_text(values) -> bytes:
-    """The text ``_value_words`` spells for ``values``, value after value."""
-    return _value_words(np.asarray(values, dtype=np.float64)).T.tobytes().translate(None, b"\0")
+    """The text ``_value_columns`` spells for ``values``, value after value."""
+    (words,) = _value_columns(np.asarray(values, dtype=np.float64)[None, :, None])
+    return words.tobytes().translate(None, b"\0")
 
 
 def formatted(values) -> bytes:
@@ -386,7 +388,7 @@ class TestTraceFiles:
         times, positions, header = load_positions(path)
         assert header["kind"] == "continuous-positions"
         assert np.allclose(times, trace.times)
-        assert np.allclose(positions, trace.positions, atol=1e-6)
+        assert np.allclose(positions, trace.positions(range(2)), atol=1e-6)
 
     def test_locations_text(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -622,7 +624,7 @@ class TestTraceFiles:
         assert body == ["node,time,x,y"] + [
             f"{node},{g(t)},{g(x)},{g(y)}"
             for node in range(2)
-            for t, (x, y) in zip(trace.times, trace.positions[node])
+            for t, (x, y) in zip(trace.times, trace.positions([node])[0])
         ]
 
     def test_late_out_of_grid_cell_named(self, tmp_path):
@@ -730,7 +732,7 @@ class TestTraceFiles:
         time_step, positions = columns
         trace = held_trace(time_step, positions)
         assume(np.isfinite(trace.times).all())  # else refused, as the next test checks
-        assert trace.positions.tobytes() == positions.tobytes()
+        assert trace.positions(range(trace.node_count)).tobytes() == positions.tobytes()
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "c.trace"
             save_positions(path, trace)
@@ -805,15 +807,17 @@ class TestTraceFiles:
         assert widths[0] <= 10
 
     def test_positions_writer_memory_per_sample(self, tmp_path):
-        # each block's text is hashed and written as it is built, so the
-        # peak is the times (8 bytes a step), their words kept for every node
-        # and one block (9.7 bytes a sample measured here, 12.5 when the comma
-        # and the dot took a word each, 39 when every node's text was held
-        # for a leading digest, 117 when each node's values were formatted
-        # as Python floats)
+        # the writer samples one node at a time from the legs and writes each
+        # block's text as it is built, so the peak is one node's positions
+        # (16 bytes a step), two copies of the times (8 each), their words
+        # and one block: 22.0 bytes a sample measured here, where sampling
+        # every node first and then writing peaked at 25.9 (9.7 for the
+        # writing alone, 12.5 when the comma and the dot took a word each,
+        # 39 when every node's text was held for a leading digest, 117 when
+        # each node's values were formatted as Python floats)
         area = ContinuousAreaSpec(1000, 1000, 1, 20, 5)
         trace = simulate_continuous(area, 2, 5 * 10**5 - 1, 1.0, seed=1)
-        samples = trace.positions.shape[0] * trace.positions.shape[1]
+        samples = trace.node_count * trace.step_count
         path = tmp_path / "c.trace"
         tracemalloc.start()
         try:
@@ -822,7 +826,67 @@ class TestTraceFiles:
         finally:
             tracemalloc.stop()
         assert samples == 10**6
-        assert peak / samples < 15
+        assert peak / samples < 25
+
+    def test_positions_writer_holds_one_node_of_ten(self, tmp_path):
+        # 10 nodes x 2e5 steps: beside one node's positions, the writer holds
+        # the times twice (8 bytes a step each, and 8 more while the second
+        # is made) and their words (8), and a block's words and sampling
+        # temporaries, under 3 MB; 9.8 MB measured here, where sampling every
+        # node first peaked at 37.6 MB
+        area = ContinuousAreaSpec(1000, 1000, 1, 20, 5)
+        steps = 2 * 10**5
+        trace = simulate_continuous(area, 10, steps - 1, 1.0, seed=1)
+        node_positions = 16 * steps
+        bound = node_positions + 40 * steps + 3 * 2**20
+        assert bound < 10 * node_positions
+        tracemalloc.start()
+        try:
+            save_positions(tmp_path / "c.trace", trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_writers_keep_nothing_on_the_trace(self, tmp_path):
+        # a trace is its legs: nothing the writers or the traffic proxy
+        # sample is stored on it
+        trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2, 1), 3, 20, 0.5, seed=3)
+        fields = set(vars(trace))
+        assert fields == {"area", "time_step", "step_count", "legs"}
+        save_positions(tmp_path / "c.trace", trace)
+        export_ns2(tmp_path / "m.tcl", trace)
+        continuous.traffic_proxy(trace, [(0, 2)], bitrate=1.0, reach=10.0)
+        assert set(vars(trace)) == fields
+
+    @given(
+        st.lists(st.tuples(st.floats(0, 5), *[st.floats()] * 5), min_size=1, max_size=6),
+        st.integers(1, 8),
+        st.floats(min_value=0.0, exclude_min=True, max_value=4.0),
+    )
+    @example([(1.0, 0.0, 1.7976931348623157e308, 0.0, 0.0, 1.0)], 2, 0.5)
+    @example([(1.0, -1e308, 0.0, 1e308, 0.0, 1.0)], 2, 0.5)
+    @example([(1.0, 0.0, 0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, math.nan, 0.0, 1.0)], 1, 0.5)
+    def test_legs_rule_implies_finite_positions(self, rows, steps, time_step):
+        # one node's chained legs, (duration, x0, y0, x1, y1, speed) each,
+        # starts summed from 0 as the simulator sums them: if the writer
+        # accepts the legs, every sampled position is finite; if it refuses
+        # them, no file is left. The last example's NaN is in a leg that
+        # no sample reads, and is refused all the same
+        legs = np.zeros((len(rows), 7))
+        legs[:, DURATION:] = rows
+        legs[1:, START] = np.cumsum(legs[:-1, DURATION])
+        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, steps, (legs,))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "c.trace"
+            try:
+                save_positions(path, trace)
+            except ValueError as exc:
+                assert "non-finite times or positions" in str(exc)
+                assert not path.exists()
+            else:
+                assert np.isfinite(trace.positions([0])).all()
+                assert path.is_file()
 
     @given(position_columns())
     @example((5e-324, PINNED_POSITIONS))
@@ -1101,21 +1165,24 @@ class TestTraceFiles:
             load_positions(path)
 
     @pytest.mark.parametrize(
-        "field, index",
-        [("times", None), ("positions", (1, 4, 0)), ("positions", (0, 2, 1))],
-        ids=["time", "x", "y"],
+        "node, column", [(None, None), (1, X1), (0, Y0)], ids=["time", "x", "y"]
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_positions_writer_refuses_non_finite_values(self, tmp_path, field, index, value):
+    def test_positions_writer_refuses_non_finite_values(self, tmp_path, node, column, value):
         from dataclasses import replace
 
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
-        if field == "times":
+        if node is None:
             # times are k * time_step, so whatever the value, the only
             # non-finite time is one that overflows: 2 * 1e308 is inf
             trace = replace(trace, time_step=1e308)
         else:
-            trace.positions[index] = value
+            # a coordinate of the first leg, which sample 0 reads
+            legs = [table.copy() for table in trace.legs]
+            legs[node][0, column] = value
+            trace = replace(trace, legs=tuple(legs))
+            with np.errstate(invalid="ignore"):  # inf - inf, or inf * 0
+                assert not np.isfinite(trace.positions([node])[0, 0]).all()
         path = tmp_path / "c.trace"
         with pytest.raises(ValueError, match="non-finite times or positions"):
             save_positions(path, trace)
@@ -1133,7 +1200,11 @@ class TestTraceFiles:
             save_positions(path, replace(trace, time_step=time_step))
         assert not path.exists()
 
-    @pytest.mark.parametrize("empty", [{"legs": ()}, {"step_count": 0}], ids=["nodes", "steps"])
+    @pytest.mark.parametrize(
+        "empty",
+        [{"legs": ()}, {"step_count": 0}, {"legs": (np.zeros((0, 7)),) * 2}],
+        ids=["nodes", "steps", "legs"],
+    )
     def test_positions_writer_refuses_empty_trace(self, tmp_path, empty):
         from dataclasses import replace
 
@@ -1197,15 +1268,15 @@ class TestTraceFiles:
         # holds the header, with 64 zeros for its digest, and the first block
         build = trace_io._node_major_rows
 
-        def stopping(stamps, nodes, values):
+        def stopping(stamps, nodes, values, spell):
             blocks = count()
 
-            def stop_second(members, steps):
+            def stop_second(block):
                 if next(blocks) == 1:
                     raise RuntimeError("stopped")
-                return values(members, steps)
+                return spell(block)
 
-            return build(stamps, nodes, stop_second)
+            return build(stamps, nodes, values, stop_second)
 
         monkeypatch.setattr(trace_io, "_BLOCK_ROWS", 4)
         monkeypatch.setattr(trace_io, "_node_major_rows", stopping)
@@ -1222,7 +1293,7 @@ class TestTraceFiles:
 
 
 class TestValueWords:
-    """``io._value_words`` against ``format(v, ".9g")``, value by value."""
+    """``io._value_columns`` against ``format(v, ".9g")``, value by value."""
 
     @pytest.mark.parametrize("exponent", range(-4, 9))
     def test_exact_ties_round_half_even(self, exponent):
@@ -1321,10 +1392,13 @@ class TestValueWords:
         assert trace_io._value_index(np.array(values))[1].size == 0  # all spelled by words
 
     def test_shape_follows_the_values(self):
-        values = np.arange(6.0).reshape(3, 2) + 0.25
-        words = _value_words(values)
-        assert words.shape == (7, 3, 2) and words.dtype == np.uint32
-        assert value_text(values[:, 1]) == formatted([1.25, 3.25, 5.25])
+        values = np.arange(6.0).reshape(1, 3, 2) + 0.25
+        columns = _value_columns(values)
+        assert len(columns) == 2
+        for column in columns:
+            assert column.shape[:2] == (1, 3) and column.dtype == np.uint32
+        assert columns[1].tobytes().translate(None, b"\0") == formatted([1.25, 3.25, 5.25])
+        assert value_text(values[0, :, 1]) == formatted([1.25, 3.25, 5.25])
 
     def test_random_magnitudes(self):
         rng = np.random.default_rng(5)
@@ -1576,6 +1650,48 @@ class TestCli:
         assert piped.returncode == 2, piped.stderr
         assert "is the file stdout writes to" in piped.stderr
         assert piped.stdout == ""
+
+    FILE_FAULTS = [
+        *[
+            (command, fault)
+            for command in ("simulate-discrete", "simulate-continuous", "analyze", "export")
+            for fault in ("missing-directory", "directory")
+        ],
+        ("simulate-discrete", "config-not-utf-8"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, fault", FILE_FAULTS, ids=[f"{command}-{fault}" for command, fault in FILE_FAULTS]
+    )
+    def test_file_errors_exit_2(self, tmp_path, capsys, command, fault):
+        # an --out under a missing directory or naming a directory, and a
+        # config that is not UTF-8 text, end in one line that names the
+        # path and exit 2, not a traceback, and leave no file behind
+        d, c = self.write_cfgs(tmp_path)
+        argv = [command]
+        if command == "analyze":
+            trace = tmp_path / "t.trace"
+            simulate = ["simulate-discrete", "--config", str(d), "--seed", "1", "--out", str(trace)]
+            assert main(simulate) == 0
+            argv += ["--trace", str(trace)]
+        else:
+            argv += ["--config", str(d if command == "simulate-discrete" else c), "--seed", "1"]
+        out = tmp_path / "out"
+        named = out
+        if fault == "missing-directory":
+            out = named = tmp_path / "missing" / "out"
+        elif fault == "directory":
+            out.mkdir()
+        else:
+            d.write_bytes(DISCRETE_CFG.encode() + b"# \xff\n")
+            named = d
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(named) in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_byte_identical_reruns(self, tmp_path):
         d, c = self.write_cfgs(tmp_path)

@@ -132,20 +132,22 @@ class TestSimulate:
 
     def test_shapes_and_bounds(self):
         trace = simulate_continuous(self.AREA, 4, duration=60, time_step=0.5, seed=1)
-        assert trace.positions.shape == (4, 121, 2)
+        positions = trace.positions(range(4))
+        assert positions.shape == (4, 121, 2)
         assert trace.times[0] == 0
         assert trace.times[-1] == pytest.approx(60)
-        assert (trace.positions[..., 0] >= 0).all()
-        assert (trace.positions[..., 0] <= 300).all()
-        assert (trace.positions[..., 1] >= 0).all()
-        assert (trace.positions[..., 1] <= 200).all()
+        assert (positions[..., 0] >= 0).all()
+        assert (positions[..., 0] <= 300).all()
+        assert (positions[..., 1] >= 0).all()
+        assert (positions[..., 1] <= 200).all()
 
     def test_deterministic(self):
         a = simulate_continuous(self.AREA, 3, 30, 0.25, seed=5)
         b = simulate_continuous(self.AREA, 3, 30, 0.25, seed=5)
         c = simulate_continuous(self.AREA, 3, 30, 0.25, seed=6)
-        assert np.array_equal(a.positions, b.positions)
-        assert not np.array_equal(a.positions, c.positions)
+        nodes = range(3)
+        assert np.array_equal(a.positions(nodes), b.positions(nodes))
+        assert not np.array_equal(a.positions(nodes), c.positions(nodes))
 
     def test_legs_cover_duration_and_chain(self):
         trace = simulate_continuous(self.AREA, 2, 40, 1.0, seed=2)
@@ -207,7 +209,7 @@ class TestSimulate:
         monkeypatch.setattr(continuous, "MAX_SAMPLES", 20)
         if allowed:
             trace = simulate_continuous(self.AREA, nodes, duration, 1.0, seed=0)
-            assert trace.positions.shape[:2] == (nodes, 10)
+            assert trace.positions(range(nodes)).shape[:2] == (nodes, 10)
         else:
             with pytest.raises(ConfigurationError, match="limit of 20"):
                 simulate_continuous(self.AREA, nodes, duration, 1.0, seed=0)
@@ -301,15 +303,15 @@ class TestSimulate:
         assert peak < 2**20
 
     def test_sampling_memory_is_bounded_per_sample(self):
-        # the positions, sampled on first access, take 16 bytes a sample and
-        # the times 8; the interpolation's temporaries live one block at a
-        # time (all at once they took about 114 bytes a sample)
+        # the positions a node is sampled to take 16 bytes a sample and the
+        # times 8; the interpolation's temporaries live one block at a time
+        # (all at once they took about 114 bytes a sample)
         samples = 2 * 10**6
         area = ContinuousAreaSpec(1000, 1000, min_speed=1, max_speed=2)
         tracemalloc.start()
         try:
             trace = simulate_continuous(area, 1, samples - 1, 1.0, seed=1)
-            assert trace.positions.shape == (1, samples, 2)
+            assert trace.positions([0]).shape == (1, samples, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -318,10 +320,10 @@ class TestSimulate:
 
     def test_blocks_do_not_change_positions(self, monkeypatch):
         area = ContinuousAreaSpec(300, 200, min_speed=2, max_speed=8, pause_time=1.0)
-        whole = simulate_continuous(area, 2, 100.0, 0.25, seed=5).positions
+        trace = simulate_continuous(area, 2, 100.0, 0.25, seed=5)
+        whole = trace.positions(range(2))
         monkeypatch.setattr(continuous, "_BLOCK_SAMPLES", 7)
-        blocked = simulate_continuous(area, 2, 100.0, 0.25, seed=5).positions
-        assert whole.tobytes() == blocked.tobytes()
+        assert trace.positions(range(2)).tobytes() == whole.tobytes()
 
     @given(
         st.floats(1.0, 1000.0),
@@ -341,7 +343,7 @@ class TestSimulate:
         area = ContinuousAreaSpec(width, height, min_speed, min_speed + spread, pause)
         trace = simulate_continuous(area, nodes, duration, time_step, seed)
         expected = np.stack([sample_legs_per_step(legs, trace.times) for legs in trace.legs])
-        assert np.array_equal(trace.positions, expected)
+        assert np.array_equal(trace.positions(range(nodes)), expected)
 
 
 class TestSampleLegs:
