@@ -24,8 +24,13 @@ from . import analysis, io, simulate
 from .config import load_continuous_config, load_discrete_config
 from .continuous import simulate_continuous
 from .errors import CapacityError, ConfigurationError, VerificationError
-from .geometry import Cell, build_alphabet
-from .processes import channel_total_mass, check_channel_stationarity, check_output_mixing
+from .geometry import build_alphabet
+from .processes import (
+    channel_total_mass,
+    check_channel_stationarity,
+    check_output_mixing,
+    uniform_prefix,
+)
 from .simulate import simulate_joint
 
 EXIT_OK = 0
@@ -105,10 +110,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     failures = 0
     for k in range(args.prefixes):
-        # the draw of processes.uniform_prefix, kept as ids for the events below
-        ids = rng.integers(0, grid.size, size=prefix_len)
-        x, y = grid.xy(ids)
-        prefix = tuple(map(Cell, x.tolist(), y.tolist()))
+        prefix = uniform_prefix(grid, prefix_len, rng)
         gap = check_channel_stationarity(alphabet, prefix, horizon)
         mass = channel_total_mass(alphabet, prefix, horizon)
         ok = gap == 0 and mass == 1
@@ -120,7 +122,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
             failures += 1
         # decoupling at and beyond the second event's span, with the first
         # path of each family: first[i] is the first id of prefix[i] -> prefix[i+1]
-        first = alphabet.walk_family_ranges(ids)[0].tolist()
+        first = alphabet.walk_family_ranges(prefix)[0].tolist()
         event_b = first[:2]
         span = len(event_b)
         for shift in range(span, span + 3):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Cell, GridSpec, Path
+from .geometry import GridSpec, Path
 from .location import LocationTrace
 from .processes import _seed_sequence
 
@@ -95,12 +95,19 @@ class ContinuousTrace:
 
     The legs are all a run stores: ``positions`` samples them at each call;
     ``discretize``, ``mean_speeds`` and the ns-2 export read only the legs.
+    A leg table that is empty or not 7 columns wide is refused with
+    ``ValueError`` when the trace is made, so no reader meets one.
     """
 
     area: ContinuousAreaSpec
     time_step: float
     step_count: int
     legs: tuple[np.ndarray, ...]  # per node, a (legs, 7) leg table
+
+    def __post_init__(self) -> None:
+        for node, legs in enumerate(self.legs):
+            if legs.ndim != 2 or legs.shape[1] != 7 or not len(legs):
+                raise ValueError(f"node {node}'s leg table has shape {legs.shape}, not (n >= 1, 7)")
 
     @property
     def node_count(self) -> int:
@@ -295,13 +302,13 @@ def mean_speeds(trace: ContinuousTrace) -> tuple[float, float]:
 
 
 def _containing_cells(grid: GridSpec, points: np.ndarray, cell_size: float) -> np.ndarray:
-    """The ``(x, y)`` cell of each point of an ``(n, 2)`` array, as int64 columns."""
+    """The int64 id of the cell of each point of an ``(n, 2)`` array."""
     # Cell i covers the half-open [i*cell_size, (i+1)*cell_size), so a point
     # on a boundary goes to the larger index; points past the area's edges
     # are clamped into the first or last cell.
     index = np.floor(points / cell_size)
     np.clip(index, 0, [grid.width - 1, grid.height - 1], out=index)
-    return index.astype(np.int64)
+    return grid.ids(*index.astype(np.int64).T)
 
 
 def discretize(
@@ -354,16 +361,16 @@ def discretize(
     points[first] = legs[:, _FROM]
     pause = legs[:, SPEED] == 0.0
     points[np.repeat(pause, counts)] = np.repeat(legs[pause][:, _TO], counts[pause], axis=0)
-    xy = _containing_cells(grid, points, cell_w)
-    cells = list(map(Cell, *xy.T.tolist()))
-    ends = map(Cell, *_containing_cells(grid, legs[:, _TO], cell_w).T.tolist())
+    ids = _containing_cells(grid, points, cell_w)
+    cells = ids.tolist()
+    ends = _containing_cells(grid, legs[:, _TO], cell_w).tolist()
     paths: list[Path] = []
     for lo, count, end, speed in zip(first.tolist(), counts.tolist(), ends, legs[:, SPEED]):
         if speed == 0.0:  # pause: one pause path per sample interval
             paths.extend([Path((end, end))] * count)
         else:
             paths.append(Path((*cells[lo : lo + count], end)))
-    return paths, LocationTrace(grid, grid.ids(xy[:, 0], xy[:, 1]))
+    return paths, LocationTrace(grid, ids)
 
 
 @dataclass(frozen=True)

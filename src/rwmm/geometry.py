@@ -84,9 +84,24 @@ class GridSpec:
         return int(self.ids(cell.x, cell.y))
 
     def cell_at(self, cell_id: int) -> Cell:
-        if not 0 <= cell_id < self.size:
-            raise ValueError(f"cell id {cell_id} outside grid of size {self.size}")
-        return Cell(*self.xy(cell_id))
+        return Cell(*self.xy(int(self.check_ids(cell_id))))
+
+    def check_ids(self, ids) -> np.ndarray:
+        """``ids``, an int or a sequence or array of them, as int64 cell ids of this grid.
+
+        Raises ``ValueError`` naming the first entry that is not an integer
+        (a float, string or other object is refused, never cast) or, failing
+        that, the first id outside the grid.
+        """
+        array = np.asarray(ids)
+        if array.dtype.kind not in "iu":  # an object array of huge ints reaches the range test
+            bad = [v for v in array.ravel().tolist() if not isinstance(v, int)]
+            if bad:
+                raise ValueError(f"cell id {bad[0]!r} is not an integer")
+        outside = (array < 0) | (array >= self.size)
+        if outside.any():
+            raise ValueError(f"cell id {array[outside].flat[0]} outside grid of size {self.size}")
+        return array.astype(np.int64, copy=False)
 
     def cells(self) -> Iterator[Cell]:
         """All cells in id order."""
@@ -97,13 +112,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Path:
-    """A digitized trip: ``length + 1`` cells from source to destination.
+    """A digitized trip: ``length + 1`` cell ids from source to destination.
 
     ``cells[0]`` is the source waypoint and ``cells[-1]`` the destination;
     the trip takes ``length >= 1`` time steps.
     """
 
-    cells: tuple[Cell, ...]
+    cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.cells) < 2:
@@ -114,11 +129,11 @@ class Path:
         return len(self.cells) - 1
 
     @property
-    def source(self) -> Cell:
+    def source(self) -> int:
         return self.cells[0]
 
     @property
-    def dest(self) -> Cell:
+    def dest(self) -> int:
         return self.cells[-1]
 
 
@@ -214,7 +229,7 @@ class _PathMapping(Mapping):
         except (TypeError, ValueError, OverflowError):
             raise KeyError(key) from None
         cells = alphabet.emitted_cells(ids).tolist() + dests.tolist()
-        return Path(tuple(map(alphabet.grid.cell_at, cells)))
+        return Path(tuple(cells))
 
     def __contains__(self, key) -> bool:
         try:
@@ -398,9 +413,9 @@ class PathAlphabet:
         cells += np.repeat(sources, lengths)
         return cells
 
-    def family_id_set(self, source: Cell, dest: Cell) -> frozenset[int]:
-        """Member path ids of one family, as a set."""
-        first, size = self.family_ranges(self.grid.cell_id(source), self.grid.cell_id(dest))
+    def family_id_set(self, source: int, dest: int) -> frozenset[int]:
+        """Member path ids of the family of the cell ids ``(source, dest)``, as a set."""
+        first, size = self.family_ranges(*self.grid.check_ids([source, dest]))
         return frozenset(range(int(first), int(first + size)))
 
 

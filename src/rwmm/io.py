@@ -613,9 +613,9 @@ def save_locations(
     row's newline: gathers, through ``GridSpec.xy``, from two tables of
     NUL-padded words, one row per grid column and one per grid row, so the
     tables grow with the grid's sides, not with its cells or the trace. A
-    trace with no samples or with a cell id outside the grid is refused
-    with ``ValueError`` before the file is opened, since the loader could
-    not read it back.
+    trace with no samples, or with an id that ``GridSpec.check_ids``
+    refuses, is refused with ``ValueError`` before the file is opened,
+    since the loader could not read it back.
     """
     if isinstance(trace, LocationTrace):
         joint = JointTrace(trace.grid, trace.ids[None, :])
@@ -624,10 +624,7 @@ def save_locations(
     grid = joint.grid
     if joint.ids.size == 0:
         raise ValueError("cannot write an empty location trace")
-    outside = (joint.ids < 0) | (joint.ids >= grid.size)
-    if outside.any():
-        raise ValueError(f"cell id {joint.ids[outside][0]} outside {grid}")
-    ids = joint.ids
+    ids = grid.check_ids(joint.ids)
     x_labels = _text_words([f",{x}" for x in range(grid.width)])
     y_labels = _text_words([f",{y}\n" for y in range(grid.height)])
     header = {
@@ -689,10 +686,11 @@ def save_positions(
     nodes is sampled by ``ContinuousTrace.positions`` when it is reached,
     and kept no longer. A row's value columns are the words
     ``_value_columns`` spells x and y in, a word that is NUL in every value
-    of the block left out, and the row's newline. A trace with no samples
-    or a node with no legs, with a time step that is not finite and
-    positive, or with a non-finite time or position, is refused with
-    ``ValueError`` before the file is opened: the loader could not read it.
+    of the block left out, and the row's newline. A trace with no samples,
+    with a time step that is not finite and positive, or with a non-finite
+    time or position, is refused with ``ValueError`` before the file is
+    opened: the loader could not read it. (A leg table with no legs is
+    refused when the trace is made.)
 
     Positions are checked on the legs: every leg column, ``X0 + (X1 - X0)``
     and ``Y0 + (Y1 - Y0)`` must be finite. A sample is a zero-duration
@@ -703,7 +701,7 @@ def save_positions(
     check may refuse a value no sample reads: a speed, or a leg no sample
     falls in, as a run's last leg may start after its last sample.
     """
-    if not trace.node_count * trace.step_count or not all(map(len, trace.legs)):
+    if not trace.node_count * trace.step_count:
         raise ValueError("cannot write an empty position trace")
     if not 0 < trace.time_step < math.inf:
         raise ValueError(f"time step must be finite and > 0, got {trace.time_step}")

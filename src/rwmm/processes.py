@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Cell, GridSpec, PathAlphabet
+from .geometry import GridSpec, PathAlphabet
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
@@ -28,12 +28,13 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 class CylinderEvent:
     """The event fixing a sequence's symbols on indices start..start+len-1.
 
-    Symbols are cells for waypoint or location events and path ids of a
-    :class:`~rwmm.geometry.PathAlphabet` for path events.
+    Symbols are ints: cell ids of a :class:`~rwmm.geometry.GridSpec` for
+    waypoint events and path ids of a :class:`~rwmm.geometry.PathAlphabet`
+    for path events.
     """
 
     start: int
-    symbols: tuple
+    symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.start < 0:
@@ -292,17 +293,8 @@ def _markov_distribution_at(spec: WaypointProcessSpec, index: int) -> np.ndarray
 
 
 def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> Fraction:
-    """Exact probability that the waypoint sequence matches the cylinder."""
-    ids = []
-    for sym in event.symbols:
-        if not isinstance(sym, Cell):
-            raise ValueError(f"waypoint cylinder symbols must be cells, got {sym!r}")
-        ids.append(spec.grid.cell_id(sym))
-    return _waypoint_ids_prob(spec, event.start, ids)
-
-
-def _waypoint_ids_prob(spec: WaypointProcessSpec, start: int, ids: Sequence[int]) -> Fraction:
-    """Probability that the waypoints from index ``start`` are the cell ids ``ids``."""
+    """Exact probability that the waypoint sequence matches the cylinder of cell ids."""
+    start, ids = event.start, spec.grid.check_ids(event.symbols).tolist()
     if spec.denominator is None:
         return Fraction(1, spec.grid.size ** len(ids))
     mass = _markov_distribution_at(spec, start)[ids[0]]  # over D^(start + 1), and D more each move
@@ -313,28 +305,19 @@ def _waypoint_ids_prob(spec: WaypointProcessSpec, start: int, ids: Sequence[int]
     return Fraction(mass, spec.denominator ** (start + len(ids)))
 
 
-def _families(alphabet: PathAlphabet, waypoints: Sequence[Cell], pairs: int) -> list[range]:
-    """The path family of each of the first ``pairs`` waypoint pairs, as id ranges.
+def _families(alphabet: PathAlphabet, waypoints: Sequence[int], pairs: int) -> list[range]:
+    """The path family of each of the first ``pairs`` pairs of waypoint cell ids, as id ranges.
 
-    The prefix becomes cell ids once and one
-    :meth:`~rwmm.geometry.PathAlphabet.walk_family_ranges` call reads every
-    family. Ids are ``source * M + member``, so the families of two
+    One :meth:`~rwmm.geometry.PathAlphabet.walk_family_ranges` call reads
+    every family. Ids are ``source * M + member``, so the families of two
     different waypoint pairs are disjoint id ranges. Raises ``ValueError``
     when the prefix has fewer than ``pairs + 1`` waypoints, and, as
-    :meth:`~rwmm.geometry.GridSpec.cell_id` does, for a waypoint outside
-    the grid.
+    :meth:`~rwmm.geometry.GridSpec.check_ids` does, for one of them that is
+    not a cell id of the grid.
     """
     if len(waypoints) < pairs + 1:
         raise ValueError(f"need at least {pairs + 1} waypoints, got {len(waypoints)}")
-    grid = alphabet.grid
-    waypoints = waypoints[: pairs + 1]
-    outside = next((cell for cell in waypoints if not grid.contains(cell)), None)
-    if outside is not None:
-        grid.cell_id(outside)  # raises, naming the cell
-    ids = grid.ids(
-        np.array([cell.x for cell in waypoints], dtype=np.int64),
-        np.array([cell.y for cell in waypoints], dtype=np.int64),
-    )
+    ids = alphabet.grid.check_ids(waypoints[: pairs + 1])
     first, sizes = alphabet.walk_family_ranges(ids)
     return [range(f, f + size) for f, size in zip(first.tolist(), sizes.tolist())]
 
@@ -361,7 +344,7 @@ def _constrained_channel_prob(
 
 def channel_cylinder_prob(
     alphabet: PathAlphabet,
-    waypoints: Sequence[Cell],
+    waypoints: Sequence[int],
     event: CylinderEvent,
 ) -> Fraction:
     """Exact conditional probability of a path cylinder given the waypoints.
@@ -376,42 +359,25 @@ def channel_cylinder_prob(
     return _constrained_channel_prob(alphabet, families, constraints)
 
 
-def _stationarity_gap(pairs: Sequence[tuple[range, range]]) -> Fraction:
-    """Max over path tuples of ``|prod a_i(p_i) - prod b_i(p_i)|``.
-
-    ``pairs[i] = (A_i, B_i)`` are two families, with ``a_i = 1/|A_i|`` on
-    ``A_i`` and 0 off it (``b_i`` alike). Two families are equal or disjoint
-    id ranges (:func:`_families`). If every ``A_i`` is ``B_i`` the measures
-    agree and the gap is 0. Otherwise every tuple inside all ``A_i`` lies
-    outside some ``B_i`` and gives ``prod 1/|A_i|``, B alike, and the gap is
-    the larger of the two.
-    """
-    if all(side_a == side_b for side_a, side_b in pairs):
-        return Fraction(0)
-    sizes_a = math.prod(len(side_a) for side_a, _ in pairs)
-    sizes_b = math.prod(len(side_b) for _, side_b in pairs)
-    return Fraction(1, min(sizes_a, sizes_b))
-
-
 def check_channel_stationarity(
     alphabet: PathAlphabet,
-    waypoints: Sequence[Cell],
+    waypoints: Sequence[int],
     horizon: int,
 ) -> Fraction:
     """Max over length-``horizon`` path cylinders of the stationarity gap.
 
     Compares the shifted-input channel measure of ``[p_0..p_{n-1}]`` with the
     original channel measure of the shift preimage (the same symbols fixed at
-    indices 1..n). Both are products of per-coordinate factors, so the
-    maximum follows from the two families at each coordinate
-    (:func:`_stationarity_gap`): O(horizon), nothing enumerated.
+    indices 1..n). Both are products of per-coordinate factors, and
+    coordinate i of the shifted input ``waypoints[1:]`` reads the same
+    waypoint pair, so the same family, as coordinate i + 1 of the original:
+    the two measures are equal and the gap is 0 once :func:`_families` has
+    validated the prefix of ``horizon + 2`` waypoint cell ids.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    # coordinate i of the shifted input waypoints[1:] reads pair i + 1, as
-    # does coordinate i + 1 of the original, which the shift preimage fixes
-    families = _families(alphabet, waypoints, horizon + 1)[1:]
-    return _stationarity_gap([(family, family) for family in families])
+    _families(alphabet, waypoints, horizon + 1)
+    return Fraction(0)
 
 
 class MixingCheck(NamedTuple):
@@ -423,7 +389,7 @@ class MixingCheck(NamedTuple):
 
 def check_output_mixing(
     alphabet: PathAlphabet,
-    waypoints: Sequence[Cell],
+    waypoints: Sequence[int],
     event_a: Sequence[int],
     event_b: Sequence[int],
     shift: int,
@@ -453,22 +419,22 @@ def check_output_mixing(
 
 def channel_total_mass(
     alphabet: PathAlphabet,
-    waypoints: Sequence[Cell],
+    waypoints: Sequence[int],
     horizon: int,
 ) -> Fraction:
     """Sum of the channel measure over all admissible length-``horizon`` cylinders.
 
     The coordinates are independent, so the sum is the product over
     coordinates of each family's summed factors: ``|F|`` members of
-    probability ``1/|F|``. O(horizon), nothing enumerated. A correctly
-    normalized channel returns 1.
+    probability ``1/|F|``, 1 for every family. So the mass is 1 once
+    :func:`_families` has validated the prefix of ``horizon + 1`` waypoint
+    cell ids; every family is nonempty, as it holds the pair's path at the
+    fastest speed.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    total = Fraction(1)
-    for family in _families(alphabet, waypoints, horizon):
-        total *= len(family) * Fraction(1, len(family))
-    return total
+    _families(alphabet, waypoints, horizon)
+    return Fraction(1)
 
 
 def path_process_prob(
@@ -504,7 +470,8 @@ def path_process_prob(
     sources, dests = alphabet.endpoints(event.symbols)
     if (dests[:-1] != sources[1:]).any():
         return Fraction(0)
-    prob = _waypoint_ids_prob(spec, event.start, [int(sources[0]), *dests.tolist()])
+    waypoints = CylinderEvent(event.start, (int(sources[0]), *dests.tolist()))
+    prob = waypoint_cylinder_prob(spec, waypoints)
     for size in alphabet.family_ranges(sources, dests)[1].tolist():
         prob /= size
     return prob
@@ -618,7 +585,6 @@ def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLik
     return PathTrace(alphabet, path_ids)
 
 
-def uniform_prefix(grid: GridSpec, length: int, rng: np.random.Generator) -> tuple[Cell, ...]:
-    """A uniformly random waypoint prefix, for quantifying over channel inputs."""
-    ids = rng.integers(0, grid.size, size=length)
-    return tuple(grid.cell_at(int(i)) for i in ids)
+def uniform_prefix(grid: GridSpec, length: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random int64 prefix of waypoint cell ids, for quantifying over channel inputs."""
+    return rng.integers(0, grid.size, size=length)

@@ -12,9 +12,9 @@ Seventeen deliberately separate routes from first principles:
   each path id, id after id, check ``PathAlphabet.emitted_cells``;
 * a per-pair path alphabet that digitizes every ordered cell pair on its
   own with the scalar digitizer, translating the digitized displacement to
-  the pair, and interns the paths one by one, with its own pair-major ids,
-  to check the displacement-keyed tables and id ranges of
-  ``rwmm.geometry.build_alphabet``;
+  the pair, and interns the paths one by one, with its own pair-major ids
+  and its own cell ids ``x + y * width``, to check the displacement-keyed
+  tables, id ranges and ``Path`` values of ``rwmm.geometry.build_alphabet``;
 * a dense lazy-walk matrix whose neighbors are the cells at Manhattan
   distance 1, to check the integer rows of
   ``rwmm.processes.WaypointProcessSpec.lazy_walk``;
@@ -28,9 +28,9 @@ Seventeen deliberately separate routes from first principles:
   ``rwmm.processes.path_process_prob`` (it never reads a path's endpoints);
 * cylinder-by-cylinder enumerations of the channel's stationarity gap and
   total mass over products of path families, each cylinder's probability
-  taken from the family id sets here, to check the per-coordinate closed
-  forms of ``rwmm.processes.check_channel_stationarity`` and
-  ``channel_total_mass``;
+  taken from the family id sets here, to check the closed forms of
+  ``rwmm.processes.check_channel_stationarity`` (0) and
+  ``channel_total_mass`` (1) on prefixes of waypoint cell ids;
 * an explicit finite Markov chain on (path, within-path offset) states,
   solved exactly with GTH elimination over ``Fraction``, giving the
   stationary cell-occupancy distribution that long-run simulated frequencies
@@ -200,7 +200,8 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
     Every ordered cell pair, in pair-id order, is digitized at each speed on
     its own: the pair's displacement is digitized from the origin and
     translated to the pair's source. The distinct paths are sorted by
-    (length, cells) here and interned in that order. Returns
+    (length, cells), cells as ``(x, y)``, here, and interned in that order
+    as cell ids ``x + y * width``. Returns
     the path tuple, ``max_path_length``, the per-pair member ids
     (``family_members`` flattened, located by ``family_offsets`` and
     ``family_sizes``) and the per-path tables.
@@ -213,21 +214,22 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
     for src in grid.cells():
         for dst in grid.cells():
             distinct = {
-                Path(tuple(Cell(src.x + ox, src.y + oy) for ox, oy in offsets))
+                tuple(Cell(src.x + ox, src.y + oy) for ox, oy in offsets)
                 for v in speed_set
                 for offsets in displacement_family(dst.x - src.x, dst.y - src.y, (v,))
             }
-            family = sorted(distinct, key=lambda p: (p.length, [(c.x, c.y) for c in p.cells]))
+            family = sorted(distinct, key=lambda cells: (len(cells), cells))
             offsets.append(len(members))
             sizes.append(len(family))
-            for path in family:
+            for cells in family:
+                path = Path(tuple(c.y * grid.width + c.x for c in cells))
                 members.append(index.setdefault(path, len(index)))
     paths = tuple(index)
     emit_offsets: list[int] = []
     emit_cells: list[int] = []
     for path in paths:
         emit_offsets.append(len(emit_cells))
-        emit_cells.extend(grid.cell_id(c) for c in path.cells[:-1])
+        emit_cells.extend(path.cells[:-1])
 
     def table(values) -> np.ndarray:
         return np.array(values, dtype=np.int64)
@@ -239,8 +241,8 @@ def per_pair_alphabet(grid: GridSpec, speeds) -> SimpleNamespace:
         family_offsets=table(offsets),
         family_members=table(members),
         path_lengths=table([p.length for p in paths]),
-        path_sources=table([grid.cell_id(p.source) for p in paths]),
-        path_dests=table([grid.cell_id(p.dest) for p in paths]),
+        path_sources=table([p.source for p in paths]),
+        path_dests=table([p.dest for p in paths]),
         emit_offsets=table(emit_offsets),
         emit_cells=table(emit_cells),
     )
@@ -483,11 +485,11 @@ def build_location_chain(
             continue
         here = path.dest
         row: dict[int, Fraction] = {}
-        for nxt in grid.cells():
+        for nxt in range(n_cells):
             if step is None:
                 w_prob = Fraction(1, n_cells)
             else:
-                w_prob = step[grid.cell_id(here)][grid.cell_id(nxt)]
+                w_prob = step[here][nxt]
             if not w_prob:
                 continue
             members = sorted(alphabet.family_id_set(here, nxt))
@@ -506,10 +508,8 @@ def stationary_cell_distribution(
     states, rows = build_location_chain(spec, alphabet)
     pi = gth_stationary(rows, len(states))
     out: dict[int, Fraction] = {}
-    grid = alphabet.grid
     for weight, (pid, off) in zip(pi, states):
-        cell = alphabet.all_paths[pid].cells[off]
-        cid = grid.cell_id(cell)
+        cid = alphabet.all_paths[pid].cells[off]
         out[cid] = out.get(cid, Fraction(0)) + weight
     return out
 
@@ -582,14 +582,14 @@ def discretize_per_sample(legs, grid: GridSpec, cell_size: float, dt: float):
     its start point's cell, the cells of samples 1 and on, then its end
     point's cell. A pause becomes one ``(end, end)`` path per sample. A
     point's cell is ``floor(coordinate / cell_size)`` clamped into the
-    grid. Returns the paths and the cell ids of every path's cells but its
-    last.
+    grid, and its id ``x + y * width``. Returns the paths and the cell ids
+    of every path's cells but its last.
     """
 
-    def containing(x: float, y: float) -> Cell:
+    def containing(x: float, y: float) -> int:
         cx = min(max(math.floor(x / cell_size), 0), grid.width - 1)
         cy = min(max(math.floor(y / cell_size), 0), grid.height - 1)
-        return Cell(cx, cy)
+        return cx + cy * grid.width
 
     paths = []
     for row in np.asarray(legs, dtype=float).tolist():
@@ -603,16 +603,15 @@ def discretize_per_sample(legs, grid: GridSpec, cell_size: float, dt: float):
         for k in range(1, samples):
             cells.append(containing(*position_on_leg(row, start + k * dt)))
         paths.append(Path((*cells, end)))
-    ids = [cell.y * grid.width + cell.x for cell in encode_paths(paths)]
-    return paths, ids
+    return paths, encode_paths(paths)
 
 
-def encode_paths(paths) -> list[Cell]:
+def encode_paths(paths) -> list[int]:
     """Every cell of each path but its last, path after path."""
     return [cell for path in paths for cell in path.cells[:-1]]
 
 
-def concatenated_locations(alphabet: PathAlphabet, path_ids, horizon: int) -> list[Cell]:
+def concatenated_locations(alphabet: PathAlphabet, path_ids, horizon: int) -> list[int]:
     """The first ``horizon`` cells of the listed paths' encoding."""
     return encode_paths(alphabet.all_paths[int(pid)] for pid in path_ids)[:horizon]
 

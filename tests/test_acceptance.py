@@ -123,7 +123,7 @@ def test_criterion_02_output_mixing(capsys):
         # two-path instance where both events pin the same overlapping symbol
         g13 = GridSpec(1, 3)
         a13 = build_alphabet(g13, (Fraction(1), Fraction(2)))
-        s, d = Cell(0, 0), Cell(0, 2)
+        s, d = 0, 2  # cells (0, 0) and (0, 2)
         w = [s, d, s, d, s]
         sd = sorted(a13.family_id_set(s, d))
         ds = sorted(a13.family_id_set(d, s))

@@ -1201,9 +1201,7 @@ class TestTraceFiles:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "empty",
-        [{"legs": ()}, {"step_count": 0}, {"legs": (np.zeros((0, 7)),) * 2}],
-        ids=["nodes", "steps", "legs"],
+        "empty", [{"legs": ()}, {"step_count": 0}], ids=["nodes", "steps"]
     )
     def test_positions_writer_refuses_empty_trace(self, tmp_path, empty):
         from dataclasses import replace
@@ -1212,6 +1210,27 @@ class TestTraceFiles:
         path = tmp_path / "c.trace"
         with pytest.raises(ValueError, match="cannot write an empty position trace"):
             save_positions(path, replace(trace, **empty))
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "legs", [np.zeros((0, 7)), np.zeros((3, 6))], ids=["empty", "six-columns"]
+    )
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda trace, path: trace.positions([1]),
+            lambda trace, path: continuous.traffic_proxy(trace, [(0, 1)], 1.0, 1.0),
+            export_ns2,
+            save_positions,
+        ],
+        ids=["positions", "traffic_proxy", "export_ns2", "save_positions"],
+    )
+    def test_bad_leg_table_is_refused_before_any_reader(self, tmp_path, reader, legs):
+        # a reader once met such a table and raised a bare IndexError
+        good = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 1, 5, 0.5, seed=3).legs[0]
+        path = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"node 1's leg table has shape"):
+            reader(ContinuousTrace(ContinuousAreaSpec(50, 50, 1, 2), 0.5, 11, (good, legs)), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("column", [0, 1, 2])  # node id, time, x

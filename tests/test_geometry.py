@@ -45,13 +45,15 @@ def _alphabet(grid, speeds):
 
 
 def family(grid, source, dest, speeds):
-    """The paths of one (source, dest) family, read from the alphabet's id range."""
+    """The paths of the family of the cells (source, dest), read from the alphabet's id range."""
     alpha = _alphabet(grid, normalize_speeds(speeds))
-    return [alpha.all_paths[i] for i in sorted(alpha.family_id_set(source, dest))]
+    members = alpha.family_id_set(grid.cell_id(source), grid.cell_id(dest))
+    return [alpha.all_paths[i] for i in sorted(members)]
 
 
 def family_cells(grid, source, dest, speeds):
-    return [p.cells for p in family(grid, source, dest, speeds)]
+    """Each path of the family as its tuple of cells."""
+    return [tuple(map(grid.cell_at, p.cells)) for p in family(grid, source, dest, speeds)]
 
 
 class TestGridSpec:
@@ -137,7 +139,7 @@ class TestDigitization:
     def test_pause_is_a_single_unit_path(self):
         fam = family(GridSpec(3, 3), Cell(1, 1), Cell(1, 1), (Fraction(1),))
         assert len(fam) == 1
-        assert fam[0].cells == (Cell(1, 1), Cell(1, 1))
+        assert fam[0].cells == (4, 4)  # the id of cell (1, 1)
         assert fam[0].length == 1
 
     def test_step_count_bounds(self):
@@ -182,14 +184,14 @@ class TestDigitization:
 
 class TestPath:
     def test_length_and_endpoints(self):
-        p = Path((Cell(0, 0), Cell(1, 0), Cell(2, 0)))
+        p = Path((0, 1, 2))
         assert p.length == 2
-        assert p.source == Cell(0, 0)
-        assert p.dest == Cell(2, 0)
+        assert p.source == 0
+        assert p.dest == 2
 
     def test_rejects_single_cell(self):
         with pytest.raises(ValueError):
-            Path((Cell(0, 0),))
+            Path((0,))
 
 
 class TestAlphabet:
@@ -205,12 +207,10 @@ class TestAlphabet:
         for pid, path in alpha.all_paths.items():
             assert alpha.lengths([pid]).tolist() == [path.length]
             sources, dests = alpha.endpoints([pid])
-            assert sources.tolist() == [grid.cell_id(path.source)]
-            assert dests.tolist() == [grid.cell_id(path.dest)]
+            assert sources.tolist() == [path.source]
+            assert dests.tolist() == [path.dest]
             emitted = alpha.emitted_cells([pid])
-            assert [grid.cell_at(int(c)) for c in emitted] == list(
-                path.cells[: path.length]
-            )
+            assert emitted.tolist() == list(path.cells[: path.length])
 
     def test_families_partition_and_match_enumeration(self):
         grid = GridSpec(3, 2)
@@ -218,8 +218,10 @@ class TestAlphabet:
         alpha = build_alphabet(grid, speeds)
         seen = set()
         for source, dest in product(grid.cells(), repeat=2):
-            members = alpha.family_id_set(source, dest)
-            digitized = {Path(tuple(sympy_digitize(source, dest, v))) for v in speeds}
+            members = alpha.family_id_set(grid.cell_id(source), grid.cell_id(dest))
+            digitized = {
+                Path(tuple(map(grid.cell_id, sympy_digitize(source, dest, v)))) for v in speeds
+            }
             assert {alpha.all_paths[i] for i in members} == digitized
             assert seen.isdisjoint(members)
             seen |= members
@@ -256,8 +258,9 @@ class TestAlphabet:
         alpha = build_alphabet(grid, speeds)
         source, dest = Cell(24, 0), Cell(0, 24)
         corner = {tuple(sympy_digitize(source, dest, v)) for v in speeds}
-        members = sorted(alpha.family_id_set(source, dest))
-        assert [alpha.all_paths[pid].cells for pid in members] == sorted(
+        members = sorted(alpha.family_id_set(grid.cell_id(source), grid.cell_id(dest)))
+        cells = [tuple(map(grid.cell_at, alpha.all_paths[pid].cells)) for pid in members]
+        assert cells == sorted(
             corner, key=lambda cells: (len(cells), cells)
         )
         monkeypatch.setenv("RWMM_ENUM_CAP", "7202")
@@ -320,7 +323,7 @@ class TestAlphabetTables:
         alpha = build_alphabet(grid, speeds)
         oracle = per_pair_alphabet(grid, speeds)
         # every pair's family, member by member, in the oracle's order
-        for pair, (source, dest) in enumerate(product(grid.cells(), repeat=2)):
+        for pair, (source, dest) in enumerate(product(range(grid.size), repeat=2)):
             ids = sorted(alpha.family_id_set(source, dest))
             assert ids == list(range(ids[0], ids[0] + len(ids)))  # contiguous
             start, size = oracle.family_offsets[pair], oracle.family_sizes[pair]
@@ -349,7 +352,7 @@ class TestAlphabetTables:
         ids = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=12))
         first, sizes = alpha.walk_family_ranges(np.array(ids, dtype=np.int64))
         assert [list(range(f, f + n)) for f, n in zip(first.tolist(), sizes.tolist())] == [
-            sorted(alpha.family_id_set(grid.cell_at(a), grid.cell_at(b)))
+            sorted(alpha.family_id_set(a, b))
             for a, b in zip(ids, ids[1:])
         ]
 

@@ -2,14 +2,17 @@
 
 Expected probabilities were worked out by hand from the defining products
 (waypoint marginals times per-pair uniform path choices) before being frozen
-here. The per-coordinate stationarity gap and total mass are checked against
-the cylinder-by-cylinder enumerations in ``oracles``, on real alphabets and on
-disjoint family ranges where the gap is nonzero, and the stationarity check
-against a full enumeration of the path-symbol space on an instance small
-enough to brute-force. The closed-form path-cylinder probability is checked
-against ``oracles.marginal_path_prob``, which sums the channel over every
-waypoint prefix. Each channel function, and ``verify-channel``, is held to a
-fixed number of family lookups whatever its horizon. The blocked Markov
+here. The closed-form stationarity gap (0) and total mass (1) are checked
+against the cylinder-by-cylinder enumerations in ``oracles`` on real
+alphabets, the gap enumeration itself on disjoint family ranges where the gap
+is nonzero, and the stationarity check against a full enumeration of the
+path-symbol space on an instance small enough to brute-force. The
+closed-form path-cylinder probability is checked against
+``oracles.marginal_path_prob``, which sums the channel over every waypoint
+prefix. Each channel function, and ``verify-channel``, is held to a fixed
+number of family lookups whatever its horizon, and every entry point that
+takes cell ids refuses a float, a string, a ``Cell`` or an id outside the
+grid before any lookup. The blocked Markov
 sampler is checked against ``oracles.bisect_walk``, draw for draw, and its
 successor table bucket by bucket.
 """
@@ -37,7 +40,6 @@ from rwmm.processes import (
     CylinderEvent,
     WaypointProcessSpec,
     _markov_distribution_at,
-    _stationarity_gap,
     channel_cylinder_prob,
     channel_total_mass,
     check_channel_stationarity,
@@ -62,7 +64,7 @@ from oracles import (
     per_pair_alphabet,
 )
 
-A, B = Cell(0, 0), Cell(0, 1)
+A, B = 0, 1  # the cell ids of (0, 0) and (0, 1) on a grid one cell wide
 
 
 def oracle_prob(spec, alpha, speeds, event, span):
@@ -291,7 +293,7 @@ class TestChannelMeasures:
     def test_product_of_family_sizes(self):
         grid = GridSpec(4, 1)
         alpha = build_alphabet(grid, (Fraction(1), Fraction(3, 2), Fraction(3)))
-        w = [Cell(1, 0), Cell(3, 0), Cell(1, 0), Cell(0, 0)]
+        w = [1, 3, 1, 0]
         first = sorted(alpha.family_id_set(w[0], w[1]))
         second = sorted(alpha.family_id_set(w[1], w[2]))
         assert (len(first), len(second)) == (2, 3)
@@ -378,23 +380,7 @@ class TestChannelClosedForms:
         ],
     )
     def test_gap_on_fixed_families(self, pairs, gap):
-        assert _stationarity_gap(pairs) == gap
         assert enumerated_product_gap(_sets(pairs)) == gap
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_gap_equals_enumeration_on_unequal_families(self, coordinates):
-        # at each coordinate the two families are one range or two disjoint ones
-        pairs = [
-            (range(0, size_a), range(0, size_a) if same else range(size_a, size_a + size_b))
-            for size_a, size_b, same in coordinates
-        ]
-        assert _stationarity_gap(pairs) == enumerated_product_gap(_sets(pairs))
 
     @given(
         st.integers(1, 3),
@@ -406,20 +392,11 @@ class TestChannelClosedForms:
     def test_checks_equal_enumeration(self, width, height, halves, horizon, rnd):
         grid = GridSpec(width, height)
         alpha = build_alphabet(grid, tuple(Fraction(h, 2) for h in sorted(halves)))
-        cells = list(grid.cells())
-        w = [rnd.choice(cells) for _ in range(horizon + 2)]
+        w = [rnd.choice(range(grid.size)) for _ in range(horizon + 2)]
         assert check_channel_stationarity(alpha, w, horizon) == enumerated_stationarity_gap(
             alpha, w, horizon
         )
         assert channel_total_mass(alpha, w, horizon) == enumerated_total_mass(alpha, w, horizon)
-        # families of two unrelated prefixes: real, unequal id sets
-        v = [rnd.choice(cells) for _ in range(horizon + 1)]
-        def family(a, b):
-            first, size = alpha.family_ranges(grid.cell_id(a), grid.cell_id(b))
-            return range(int(first), int(first + size))
-
-        pairs = [(family(w[i], w[i + 1]), family(v[i], v[i + 1])) for i in range(horizon)]
-        assert _stationarity_gap(pairs) == enumerated_product_gap(_sets(pairs))
 
 
 class TestOutputMixing:
@@ -438,7 +415,7 @@ class TestOutputMixing:
 
     def test_nonzero_below_event_span(self, row_three):
         grid, alpha = row_three
-        s, d = Cell(0, 0), Cell(0, 2)
+        s, d = 0, 2  # cells (0, 0) and (0, 2)
         w = [s, d, s, d, s]
         sd = sorted(alpha.family_id_set(s, d))
         ds = sorted(alpha.family_id_set(d, s))
@@ -449,7 +426,7 @@ class TestOutputMixing:
 
     def test_conflicting_overlap_gives_zero_joint(self, row_three):
         grid, alpha = row_three
-        s, d = Cell(0, 0), Cell(0, 2)
+        s, d = 0, 2  # cells (0, 0) and (0, 2)
         w = [s, d, s, d, s]
         sd = sorted(alpha.family_id_set(s, d))
         ds = sorted(alpha.family_id_set(d, s))
@@ -481,8 +458,7 @@ class TestChannelPrefixes:
         grid = GridSpec(3, 3)
         alpha = build_alphabet(grid, (Fraction(1), Fraction(2)))
         w = uniform_prefix(grid, 2 * horizon + 2, np.random.default_rng(8))
-        ids = np.array([grid.cell_id(cell) for cell in w])
-        first = alpha.walk_family_ranges(ids)[0].tolist()
+        first = alpha.walk_family_ranges(w)[0].tolist()
         lookups = []
         # the lookup behind family_ranges and walk_family_ranges
         family_ranges = PathAlphabet._family_ranges
@@ -516,14 +492,56 @@ class TestChannelPrefixes:
     @pytest.mark.parametrize("index", [0, 2])
     def test_waypoint_outside_grid_is_named(self, row_three, index):
         grid, alpha = row_three
-        w = [Cell(0, 0), Cell(0, 1), Cell(0, 2), Cell(0, 1), Cell(0, 0)]
-        w[index] = Cell(0, 3)
+        w = [0, 1, 2, 1, 0]
+        w[index] = 3
         with pytest.raises(ValueError) as refused:
-            grid.cell_id(w[index])
-        assert str(Cell(0, 3)) in str(refused.value)
+            grid.check_ids(w[index])
+        assert "cell id 3 outside" in str(refused.value)
         for call in self.calls(alpha, w, [0] * 4, 2):
             with pytest.raises(ValueError, match=re.escape(str(refused.value))):
                 call()
+
+
+GRID3 = GridSpec(3, 3)
+# a float (an integral one too), a string, a Cell, or an int outside GRID3
+NOT_CELL_IDS = st.one_of(
+    st.floats(),
+    st.text(max_size=3),
+    st.builds(Cell, st.integers(0, 2), st.integers(0, 2)),
+    st.integers(max_value=-1),
+    st.integers(min_value=GRID3.size),
+)
+
+
+class TestCellIdInputs:
+    """Every entry point that takes cell ids refuses anything else before a lookup."""
+
+    @given(NOT_CELL_IDS, st.integers(0, 2))
+    def test_refused_before_any_lookup(self, bad, index):
+        alpha = build_alphabet(GRID3, (Fraction(1),))
+        spec = WaypointProcessSpec.lazy_walk(GRID3)
+        w = [0, 1, 4, 5]
+        w[index] = bad
+        calls = [
+            lambda: GRID3.cell_at(bad),
+            lambda: alpha.family_id_set(bad, 0),
+            lambda: alpha.family_id_set(0, bad),
+            lambda: waypoint_cylinder_prob(spec, CylinderEvent(0, tuple(w))),
+            lambda: channel_cylinder_prob(alpha, w, CylinderEvent(0, (0, 0))),
+            lambda: check_channel_stationarity(alpha, w, 2),
+            lambda: check_output_mixing(alpha, w, [0], [0, 0], 1),
+            lambda: channel_total_mass(alpha, w, 2),
+        ]
+
+        def lookup(*args):
+            raise AssertionError("looked up before the ids were checked")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PathAlphabet, "_family_ranges", lookup)
+            patch.setattr(processes, "_markov_distribution_at", lookup)
+            for call in calls:
+                with pytest.raises(ValueError, match="cell id"):
+                    call()
 
 
 class TestPathProcess:
@@ -545,7 +563,7 @@ class TestPathProcess:
     def test_halved_by_family_size(self, row_three):
         grid, alpha = row_three
         spec = WaypointProcessSpec.iid_uniform(grid)
-        s, d = Cell(0, 0), Cell(0, 2)
+        s, d = 0, 2  # cells (0, 0) and (0, 2)
         direct = next(
             pid for pid in alpha.family_id_set(s, d) if alpha.all_paths[pid].length == 1
         )
@@ -567,7 +585,7 @@ class TestPathProcess:
         speeds = (Fraction(1), Fraction(3, 2))
         alpha = build_alphabet(grid, speeds)
         spec = WaypointProcessSpec.iid_uniform(grid)
-        s, d = Cell(0, 2), Cell(0, 0)
+        s, d = 2, 0  # cells (0, 2) and (0, 0)
         down, up = min(alpha.family_id_set(s, d)), min(alpha.family_id_set(d, s))
         # each trip's two waypoints have probability 1/9; its family has 2 or 1 paths
         for event, value in [
@@ -596,7 +614,7 @@ class TestPathProcess:
         speeds = (Fraction(1), Fraction(2))
         alpha = build_alphabet(grid, speeds)
         spec = WaypointProcessSpec.lazy_walk(grid)
-        a, b, c = Cell(1, 1), Cell(1, 2), Cell(2, 2)
+        a, b, c = map(grid.cell_id, (Cell(1, 1), Cell(1, 2), Cell(2, 2)))
         first = min(alpha.family_id_set(a, b))
         second = min(alpha.family_id_set(b, c))
         event = CylinderEvent(5, (first, second))
@@ -655,7 +673,7 @@ class TestPathProcess:
             spec = WaypointProcessSpec.lazy_walk(grid, stay)
         else:
             spec = WaypointProcessSpec.iid_uniform(grid)
-        cells = list(grid.cells())
+        cells = range(grid.size)
         length = rnd.randint(1, 3)
 
         def member(a, b):
@@ -790,7 +808,8 @@ class TestSamplers:
         rng = np.random.default_rng(0)
         prefix = uniform_prefix(grid, 50, rng)
         assert len(prefix) == 50
-        assert all(grid.contains(c) for c in prefix)
+        assert prefix.dtype == np.int64
+        assert ((prefix >= 0) & (prefix < grid.size)).all()
 
 
 # the lazy walks whose float cumulative rows end short of 1 (see below)

@@ -1,22 +1,25 @@
 """Source checks that stand in for a linter and for a traced benchmark run.
 
 No module of the package imports a name it never uses, no module but
-``geometry`` does cell-id arithmetic with a grid's width, no module takes
+``geometry`` does cell-id arithmetic with a grid's width, ``processes``,
+``cli`` and ``continuous`` do not import ``Cell``, no module takes
 ``hypot`` from numpy, ``continuous`` writes a leg's position formula in
 one function, ``io`` spells a number with the ``.6f`` format spec in one
 function, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
 ``alphabet.<name>`` either reads still exists, so deleting API cannot
-silently turn benchmark steps into failed operations, and a tiny continuous
+silently turn benchmark steps into failed operations, a tiny continuous
 run and a ``verify-channel`` run traced through those targets count the legs
-and the cylinders they handled, so a change of representation cannot break
-the benchmark's hooks. Every name in ``rwmm.__all__`` resolves, the README's python quick start runs,
-every ``rwmm`` command in the README's code blocks parses, and each README
-config loads and sets every key of its config class, so the documented API,
-CLI and configs cannot drift from the code. A fresh interpreter runs
-``analyze`` without importing ``numpy.ma``. The checks read the files and
-edit nothing.
+and the cylinders they handled, and the benchmark's closed form of a path
+cylinder equals ``path_process_prob`` on ``walk-exact`` events, so a change
+of representation cannot break the benchmark's hooks or its exact step.
+Every name in ``rwmm.__all__`` resolves, the README's python quick start
+runs, every ``rwmm`` command in the README's code blocks parses, and each
+README config loads and sets every key of its config class, so the
+documented API, CLI and configs cannot drift from the code. A fresh
+interpreter runs ``analyze`` without importing ``numpy.ma``. The checks read
+the files and edit nothing.
 """
 
 import ast
@@ -28,11 +31,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path as FilePath
+from types import SimpleNamespace
 
 import pytest
 
 import rwmm
-from rwmm import cli
+from rwmm import cli, processes
 from rwmm.cli import build_parser
 from rwmm.config import (
     ContinuousConfig,
@@ -98,6 +102,13 @@ def test_no_unused_imports(module):
 # arithmetic of a cell id with the grid's width: `% width`, `// width`,
 # `* width`, `*= width`, `width +` or `width *`
 WIDTH_ARITHMETIC = re.compile(r"(%|//|\*=?)\s*[\w.]*width\b|width\s*(\+|\*)")
+
+
+@pytest.mark.parametrize("name", ["processes", "cli", "continuous"])
+def test_cells_are_ids_below_the_api(name):
+    # a Cell is what a user names; these modules take and pass cell ids
+    tree = ast.parse((ROOT / "src" / "rwmm" / f"{name}.py").read_text())
+    assert "Cell" not in _imported(tree)
 
 
 def test_cell_layout_is_stated_once():
@@ -377,6 +388,22 @@ def test_traced_verify_channel_counts_cylinders(tmp_path, monkeypatch, capsys):
     # the hooks read the prefixes that the checks were given
     assert metrics["processes.check_channel_stationarity.cylinders"]["value"] > 0
     assert metrics["processes.channel_total_mass.cylinders"]["value"] > 0
+
+
+def test_benchmark_closed_form_equals_path_process_prob(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workload = importlib.import_module("workload")
+    work = workload.WORKLOADS["walk-exact"]
+    cfg = load_discrete_config(work.config)
+    alphabet = build_alphabet(cfg.grid(), cfg.speeds)
+    spec = cfg.waypoint_spec()
+    # sample_events reads a run's seed and its workload's event count
+    chained = workload.sample_events(SimpleNamespace(seed=5, workload=work), spec, alphabet)
+    # the same pairs reversed, from index 2: most no longer chain
+    events = chained + [processes.CylinderEvent(2, e.symbols[::-1]) for e in chained]
+    values = [processes.path_process_prob(spec, alphabet, event) for event in events]
+    assert values == [workload.closed_form_prob(spec, alphabet, event) for event in events]
+    assert all(values[: len(chained)]) and 0 in values[len(chained) :]
 
 
 def test_analyze_does_not_import_numpy_ma(tmp_path):
