@@ -46,48 +46,52 @@ def _read_config(path: str) -> str:
         raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from None
 
 
-def _check_out_is_not_stdout(path: str, written: str) -> None:
-    """Refuse an output path that names the file stdout writes to.
+def _check_out(args: argparse.Namespace, written: str, *inputs: str) -> None:
+    """Refuse an ``--out`` that is, by device and inode, stdout's file or a file the command reads.
 
     The writers open their own file description, so the command's closing
     line, printed through stdout, would land over the file's start, or,
-    through a pipe, after its end. ``written`` names what the command
-    writes there, for the message.
+    through a pipe, after its end; an input opened to write is truncated.
+    ``inputs`` names the options read, ``written`` what is written.
     """
     try:
-        out, stdout = os.stat(path), os.fstat(1)
-    except OSError:  # no such path yet, or stdout closed
+        out = os.stat(args.out)
+    except OSError:  # no such path yet
         return
-    if (out.st_dev, out.st_ino) == (stdout.st_dev, stdout.st_ino):
-        raise ConfigurationError(
-            f"--out {path} is the file stdout writes to, and the command's output "
-            f"would overwrite the {written}"
-        )
+    for name in ("stdout", *inputs):
+        file = 1 if name == "stdout" else getattr(args, name)
+        try:
+            same = file is not None and os.path.samestat(os.stat(file), out)
+        except OSError:  # stdout closed, or an input missing: its reader reports that
+            continue
+        if same and name == "stdout":
+            raise ConfigurationError(
+                f"--out {args.out} is the file stdout writes to, and the command's output "
+                f"would overwrite the {written}"
+            )
+        if same:
+            raise ConfigurationError(
+                f"--out {args.out} is the --{name} file, which the {written} would overwrite"
+            )
 
 
 def _cmd_simulate_discrete(args: argparse.Namespace) -> int:
-    _check_out_is_not_stdout(args.out, "trace")
+    _check_out(args, "trace", "config")
     text = _read_config(args.config)
     cfg = load_discrete_config(text)
     alphabet = build_alphabet(cfg.grid(), cfg.speeds)
-    trace = simulate_joint(
-        cfg.waypoint_spec(), alphabet, cfg.horizon, cfg.nodes, args.seed
-    )
+    trace = simulate_joint(cfg.waypoint_spec(), alphabet, cfg.horizon, cfg.nodes, args.seed)
     io.save_locations(args.out, trace, seed=args.seed, config_digest=cfg.digest)
     print(f"wrote {cfg.nodes} node(s) x {cfg.horizon} steps to {args.out}")
     return EXIT_OK
 
 
 def _cmd_simulate_continuous(args: argparse.Namespace) -> int:
-    _check_out_is_not_stdout(args.out, "trace")
+    _check_out(args, "trace", "config")
     cfg = load_continuous_config(_read_config(args.config))
-    trace = simulate_continuous(
-        cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed
-    )
+    trace = simulate_continuous(cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed)
     io.save_positions(args.out, trace, seed=args.seed, config_digest=cfg.digest)
-    print(
-        f"wrote {cfg.nodes} node(s) x {trace.step_count} samples to {args.out}"
-    )
+    print(f"wrote {cfg.nodes} node(s) x {trace.step_count} samples to {args.out}")
     return EXIT_OK
 
 
@@ -122,7 +126,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
             failures += 1
         # decoupling at and beyond the second event's span, with the first
         # path of each family: first[i] is the first id of prefix[i] -> prefix[i+1]
-        first = alphabet.walk_family_ranges(prefix)[0].tolist()
+        first = alphabet.family_ranges(prefix[:-1], prefix[1:])[0].tolist()
         event_b = first[:2]
         span = len(event_b)
         for shift in range(span, span + 3):
@@ -140,7 +144,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _check_out_is_not_stdout(args.out, "report")
+    _check_out(args, "report", "trace", "config")
     if not Path(args.trace).is_file():
         raise ConfigurationError(f"trace file not found: {args.trace}")
     trace, header = io.load_locations(args.trace)
@@ -182,11 +186,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    _check_out_is_not_stdout(args.out, "script")
+    _check_out(args, "script", "config")
     cfg = load_continuous_config(_read_config(args.config))
-    trace = simulate_continuous(
-        cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed
-    )
+    trace = simulate_continuous(cfg.area(), cfg.nodes, cfg.duration, cfg.time_step, args.seed)
     io.export_ns2(args.out, trace)
     print(f"exported {args.format} movement for {cfg.nodes} node(s) to {args.out}")
     return EXIT_OK

@@ -26,7 +26,6 @@ twice the grid's larger span (samples), which is deterministic everywhere.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +44,28 @@ class Cell:
 
     x: int
     y: int
+
+
+def integer_ids(ids, kind: str) -> np.ndarray:
+    """``ids``, an int or a sequence or array of them, as an integer array, never cast.
+
+    Raises ``ValueError`` naming the first ``kind`` id that is not an int (a float or a string).
+    """
+    array = np.asarray(ids)
+    if array.dtype.kind not in "iu":  # an object array of huge ints passes, uncast
+        bad = [v for v in array.ravel().tolist() if not isinstance(v, int)]
+        if bad:
+            raise ValueError(f"{kind} id {bad[0]!r} is not an integer")
+    return array
+
+
+def _ids_below(bound: int, ids, kind: str, within: str) -> np.ndarray:
+    """:func:`integer_ids` in ``[0, bound)``, tested uncast, as int64; ``within`` names the set."""
+    array = integer_ids(ids, kind)
+    outside = (array < 0) | (array >= bound)
+    if outside.any():
+        raise ValueError(f"{kind} id {array[outside].flat[0]} outside {within}")
+    return array.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -87,21 +108,8 @@ class GridSpec:
         return Cell(*self.xy(int(self.check_ids(cell_id))))
 
     def check_ids(self, ids) -> np.ndarray:
-        """``ids``, an int or a sequence or array of them, as int64 cell ids of this grid.
-
-        Raises ``ValueError`` naming the first entry that is not an integer
-        (a float, string or other object is refused, never cast) or, failing
-        that, the first id outside the grid.
-        """
-        array = np.asarray(ids)
-        if array.dtype.kind not in "iu":  # an object array of huge ints reaches the range test
-            bad = [v for v in array.ravel().tolist() if not isinstance(v, int)]
-            if bad:
-                raise ValueError(f"cell id {bad[0]!r} is not an integer")
-        outside = (array < 0) | (array >= self.size)
-        if outside.any():
-            raise ValueError(f"cell id {array[outside].flat[0]} outside grid of size {self.size}")
-        return array.astype(np.int64, copy=False)
+        """``ids``, an int or a sequence or array of them, as int64 cell ids; else ValueError."""
+        return _ids_below(self.size, ids, "cell", f"grid of size {self.size}")
 
     def cells(self) -> Iterator[Cell]:
         """All cells in id order."""
@@ -224,19 +232,12 @@ class _PathMapping(Mapping):
     def __getitem__(self, key) -> Path:
         alphabet = self._alphabet
         try:
-            ids = [operator.index(key)]
-            _, dests = alphabet.endpoints(ids)
-        except (TypeError, ValueError, OverflowError):
+            _, dest = alphabet.endpoints(key)
+        except ValueError:
             raise KeyError(key) from None
-        cells = alphabet.emitted_cells(ids).tolist() + dests.tolist()
-        return Path(tuple(cells))
-
-    def __contains__(self, key) -> bool:
-        try:
-            ids = np.array([operator.index(key)], dtype=np.int64)
-        except (TypeError, OverflowError):
-            return False
-        return bool(self._alphabet._decode(ids)[2][0])
+        if dest.ndim:  # a sequence of ids is no key
+            raise KeyError(key)
+        return Path((*alphabet.emitted_cells([key]).tolist(), int(dest)))
 
 
 class PathAlphabet:
@@ -251,8 +252,11 @@ class PathAlphabet:
     family of ``(source, dest)`` is one contiguous id range, and an id whose
     member's displacement leaves the grid from its source names no path.
     Only this class knows that format: callers go through
-    :meth:`family_ranges`, :meth:`walk_family_ranges`, :meth:`lengths`,
-    :meth:`endpoints`, :meth:`emitted_cells` and :attr:`all_paths`.
+    :meth:`family_ranges`, the one family lookup, and :meth:`lengths`,
+    :meth:`endpoints`, :meth:`emitted_cells` and :attr:`all_paths`. A path
+    id is an int: :meth:`endpoints` and :attr:`all_paths` refuse a float
+    (an integral one too), a string, a negative id and an id that names no
+    path, as the channel measures of :mod:`rwmm.processes` do.
 
     Attributes
     ----------
@@ -334,51 +338,41 @@ class PathAlphabet:
     def family_ranges(self, sources, dests) -> tuple[np.ndarray, np.ndarray]:
         """First path id and size of the family of each ``(source, dest)`` pair.
 
-        ``sources`` and ``dests`` are cell ids, as ints or integer arrays.
+        ``sources`` and ``dests`` are cell ids, as ints or integer arrays, and
+        are not written to; a walk's are ``ids[:-1]`` and ``ids[1:]``. With
+        ``dy = dests // W - sources // W`` and ``dx = dests - sources - dy·W``,
+        the family ``(dy + H - 1)(2W - 1) + dx + W - 1`` is
+        ``dy·(W - 1) + dests - sources`` plus a constant.
         """
-        sx, sy = self.grid.xy(sources)
-        tx, ty = self.grid.xy(dests)
-        return self._family_ranges(sources, tx - sx, ty - sy)
-
-    def walk_family_ranges(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`family_ranges` of each consecutive pair of the cell id array ``ids``.
-
-        Each id is split into ``(x, y)`` once, and each pair's displacement
-        is read from the coordinate differences.
-        """
-        x, y = self.grid.xy(ids)
-        return self._family_ranges(ids[:-1], x[1:] - x[:-1], y[1:] - y[:-1])
-
-    def _family_ranges(self, sources, dx, dy) -> tuple[np.ndarray, np.ndarray]:
-        """First path id and size of the family of each trip ``(dx, dy)`` from ``sources``."""
         width, height = self.grid.width, self.grid.height
-        disp = (dy + height - 1) * (2 * width - 1) + (dx + width - 1)
+        disp = dests // width
+        disp -= sources // width
+        disp *= width - 1
+        disp += dests
+        disp -= sources
+        disp += (height - 1) * (2 * width - 1) + width - 1
         return sources * len(self._lengths) + self._family_starts[disp], self._family_sizes[disp]
 
     def _decode(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Source cell id, destination cell id and validity of each path id."""
+        """Source, destination and whether it is a cell, of each path id in ``[0, size·M)``."""
         grid = self.grid
         sources, members = np.divmod(ids, len(self._lengths))
         x, y = grid.xy(sources)
         x += self._dx[members]
         y += self._dy[members]
-        valid = (
-            (sources >= 0) & (sources < grid.size)
-            & (x >= 0) & (x < grid.width) & (y >= 0) & (y < grid.height)
-        )
-        return sources, grid.ids(x, y), valid
+        return sources, grid.ids(x, y), (x >= 0) & (x < grid.width) & (y >= 0) & (y < grid.height)
 
     def endpoints(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination cell ids of each path id.
 
-        Raises ``ValueError`` for an id that names no path.
+        Raises ``ValueError`` as :func:`integer_ids` does, and for an id that
+        names no path.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        within = f"alphabet of {self._path_count} paths"
+        ids = _ids_below(self.grid.size * len(self._lengths), ids, "path", within)
         sources, dests, valid = self._decode(ids)
         if not valid.all():
-            raise ValueError(
-                f"path id {ids[~valid].flat[0]} outside alphabet of {self._path_count} paths"
-            )
+            raise ValueError(f"path id {ids[~valid].flat[0]} outside {within}")
         return sources, dests
 
     def lengths(self, ids) -> np.ndarray:

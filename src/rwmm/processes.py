@@ -12,14 +12,14 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import GridSpec, PathAlphabet
+from .geometry import GridSpec, PathAlphabet, integer_ids
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
@@ -37,8 +37,8 @@ class CylinderEvent:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"cylinder start index must be >= 0, got {self.start}")
+        if not isinstance(self.start, int) or self.start < 0:  # refused, never cast
+            raise ValueError(f"cylinder start index must be an int >= 0, got {self.start!r}")
         if not self.symbols:
             raise ValueError("cylinder events need at least one symbol")
 
@@ -305,20 +305,24 @@ def waypoint_cylinder_prob(spec: WaypointProcessSpec, event: CylinderEvent) -> F
     return Fraction(mass, spec.denominator ** (start + len(ids)))
 
 
-def _families(alphabet: PathAlphabet, waypoints: Sequence[int], pairs: int) -> list[range]:
-    """The path family of each of the first ``pairs`` pairs of waypoint cell ids, as id ranges.
+def _prefix(grid: GridSpec, waypoints: Sequence[int], pairs: int) -> np.ndarray:
+    """The first ``pairs + 1`` waypoints as :meth:`~rwmm.geometry.GridSpec.check_ids` gives them.
 
-    One :meth:`~rwmm.geometry.PathAlphabet.walk_family_ranges` call reads
-    every family. Ids are ``source * M + member``, so the families of two
-    different waypoint pairs are disjoint id ranges. Raises ``ValueError``
-    when the prefix has fewer than ``pairs + 1`` waypoints, and, as
-    :meth:`~rwmm.geometry.GridSpec.check_ids` does, for one of them that is
-    not a cell id of the grid.
+    Raises ``ValueError`` when there are fewer, or as ``check_ids`` does.
     """
     if len(waypoints) < pairs + 1:
         raise ValueError(f"need at least {pairs + 1} waypoints, got {len(waypoints)}")
-    ids = alphabet.grid.check_ids(waypoints[: pairs + 1])
-    first, sizes = alphabet.walk_family_ranges(ids)
+    return grid.check_ids(waypoints[: pairs + 1])
+
+
+def _families(alphabet: PathAlphabet, waypoints: Sequence[int], pairs: int) -> list[range]:
+    """The path family of each of the first ``pairs`` pairs of waypoint cell ids, as id ranges.
+
+    One :meth:`~rwmm.geometry.PathAlphabet.family_ranges` call on the
+    :func:`_prefix` reads every family; those of different pairs are disjoint.
+    """
+    ids = _prefix(alphabet.grid, waypoints, pairs)
+    first, sizes = alphabet.family_ranges(ids[:-1], ids[1:])
     return [range(f, f + size) for f, size in zip(first.tolist(), sizes.tolist())]
 
 
@@ -332,13 +336,13 @@ def _constrained_channel_prob(
     The channel draws path coordinate i independently and uniformly from
     ``families[i]`` (:func:`_families`), so the event probability is the
     product of ``1 / |families[i]|`` over the constrained indices, and 0
-    when a fixed path lies outside its family. Only such a path id is
-    validated.
+    when a fixed path lies outside its family. The path ids are ints; one
+    inside its family names a path, so only those outside are validated.
     """
-    for index, path_id in sorted(constraints.items()):
-        if path_id not in families[index]:
-            alphabet.endpoints([path_id])  # raises for an id that names no path
-            return Fraction(0)
+    outside = [pid for index, pid in constraints.items() if pid not in families[index]]
+    if outside:
+        alphabet.endpoints(outside)  # raises for an id that names no path
+        return Fraction(0)
     return Fraction(1, math.prod(len(families[index]) for index in constraints))
 
 
@@ -352,10 +356,12 @@ def channel_cylinder_prob(
     The value is the product over constrained indices i of
     ``1 / |family(w_i, w_i+1)|`` when every fixed path belongs to its
     family, and exactly 0 otherwise. The waypoint prefix must cover index
-    ``event.end + 1``.
+    ``event.end + 1``. Raises ``ValueError`` for a path id that is not an
+    int, before any lookup, and for one that names no path.
     """
+    symbols = integer_ids(event.symbols, "path").tolist()
     families = _families(alphabet, waypoints, event.end + 1)
-    constraints = {event.start + k: pid for k, pid in enumerate(event.symbols)}
+    constraints = dict(enumerate(symbols, event.start))
     return _constrained_channel_prob(alphabet, families, constraints)
 
 
@@ -371,12 +377,12 @@ def check_channel_stationarity(
     indices 1..n). Both are products of per-coordinate factors, and
     coordinate i of the shifted input ``waypoints[1:]`` reads the same
     waypoint pair, so the same family, as coordinate i + 1 of the original:
-    the two measures are equal and the gap is 0 once :func:`_families` has
-    validated the prefix of ``horizon + 2`` waypoint cell ids.
+    the two measures are equal and the gap is 0 once :func:`_prefix` has
+    checked the ``horizon + 2`` waypoint cell ids. No family is looked up.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    _families(alphabet, waypoints, horizon + 1)
+    _prefix(alphabet.grid, waypoints, horizon + 1)
     return Fraction(0)
 
 
@@ -400,21 +406,17 @@ def check_output_mixing(
     then shifted. For ``shift >= len(event_b)`` the constrained index sets
     are disjoint and the product measure factorizes, so the gap is exactly 0;
     smaller shifts are still evaluated but flagged as not meeting that
-    premise.
+    premise. Path ids are refused as in :func:`channel_cylinder_prob`.
     """
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
-    a = {shift + i: pid for i, pid in enumerate(event_a)}
-    b = dict(enumerate(event_b))
+    ids = integer_ids([*event_a, *event_b], "path").tolist()
+    a = dict(enumerate(ids[: len(event_a)], shift))
+    b = dict(enumerate(ids[len(event_a) :]))
     families = _families(alphabet, waypoints, max([*a, *b], default=-1) + 1)
-    if any(b.get(i, pid) != pid for i, pid in a.items()):
-        joint = Fraction(0)
-    else:
-        joint = _constrained_channel_prob(alphabet, families, {**b, **a})
-    split = _constrained_channel_prob(alphabet, families, a) * _constrained_channel_prob(
-        alphabet, families, b
-    )
-    return MixingCheck(discrepancy=abs(joint - split), premise_met=shift >= len(event_b))
+    prob = partial(_constrained_channel_prob, alphabet, families)
+    joint = Fraction(0) if any(b.get(i, pid) != pid for i, pid in a.items()) else prob({**b, **a})
+    return MixingCheck(abs(joint - prob(a) * prob(b)), premise_met=shift >= len(event_b))
 
 
 def channel_total_mass(
@@ -427,13 +429,13 @@ def channel_total_mass(
     The coordinates are independent, so the sum is the product over
     coordinates of each family's summed factors: ``|F|`` members of
     probability ``1/|F|``, 1 for every family. So the mass is 1 once
-    :func:`_families` has validated the prefix of ``horizon + 1`` waypoint
-    cell ids; every family is nonempty, as it holds the pair's path at the
-    fastest speed.
+    :func:`_prefix` has checked the ``horizon + 1`` waypoint cell ids; every
+    family is nonempty, as it holds the pair's path at the fastest speed.
+    No family is looked up.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    _families(alphabet, waypoints, horizon)
+    _prefix(alphabet.grid, waypoints, horizon)
     return Fraction(1)
 
 
@@ -456,7 +458,7 @@ def path_process_prob(
     marginal at ``event.start``.
 
     Raises ``ValueError`` when the spec and the alphabet use different
-    grids, when a path id names no path of the alphabet, or when
+    grids, when a path id is not an int or names no path, or when
     ``horizon`` (the waypoint prefix length marginalized over) is shorter
     than the ``event.end + 2`` waypoints the event needs; a longer
     ``horizon`` gives the same value, since the extra coordinates integrate
@@ -580,7 +582,7 @@ def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLik
     if len(waypoints) < 2:
         raise ValueError("need at least two waypoints to sample a path")
     rng = _rng(seed)
-    first, sizes = alphabet.walk_family_ranges(waypoints.ids)
+    first, sizes = alphabet.family_ranges(waypoints.ids[:-1], waypoints.ids[1:])
     path_ids = first + rng.integers(0, sizes)
     return PathTrace(alphabet, path_ids)
 

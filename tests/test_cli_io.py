@@ -1670,6 +1670,39 @@ class TestCli:
         assert "is the file stdout writes to" in piped.stderr
         assert piped.stdout == ""
 
+    OUT_INPUTS = [
+        ("simulate-discrete", "--config"),
+        ("simulate-continuous", "--config"),
+        ("export", "--config"),
+        ("analyze", "--trace"),
+        ("analyze", "--config"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, option", OUT_INPUTS, ids=[f"{command}{option}" for command, option in OUT_INPUTS]
+    )
+    def test_out_may_not_name_an_input(self, tmp_path, capsys, command, option):
+        # opening --out to write would truncate the input before it is read:
+        # the trace or config was replaced by the command's output, exit 0
+        d, c = self.write_cfgs(tmp_path)
+        trace = tmp_path / "t.trace"
+        simulate = ["simulate-discrete", "--config", str(d), "--seed", "1", "--out", str(trace)]
+        assert main(simulate) == 0
+        if command == "analyze":
+            inputs = {"--trace": trace, "--config": d}
+        else:
+            inputs = {"--config": d if command == "simulate-discrete" else c, "--seed": "1"}
+        argv = [command, *(str(word) for pair in inputs.items() for word in pair)]
+        target = inputs[option]
+        before = target.read_bytes()
+        os.link(target, tmp_path / "link")
+        # the same path, another spelling of it and a hard link are one file
+        for out in (target, tmp_path / "." / target.name, tmp_path / "link"):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 2
+            assert f"is the {option} file, which the" in capsys.readouterr().err
+            assert target.read_bytes() == before
+
     FILE_FAULTS = [
         *[
             (command, fault)

@@ -350,7 +350,11 @@ class TestAlphabetTables:
         grid = GridSpec(width, height)
         alpha = _alphabet(grid, (Fraction(1), Fraction(3, 2)))
         ids = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=12))
-        first, sizes = alpha.walk_family_ranges(np.array(ids, dtype=np.int64))
+        walk = np.array(ids, dtype=np.int64)
+        first, sizes = alpha.family_ranges(walk[:-1], walk[1:])
+        assert np.array_equal(walk, ids)  # the lookup writes into neither input
+        pairs = [alpha.family_ranges(a, b) for a, b in zip(ids, ids[1:])]  # Python ints
+        assert [(int(f), int(n)) for f, n in pairs] == list(zip(first.tolist(), sizes.tolist()))
         assert [list(range(f, f + n)) for f, n in zip(first.tolist(), sizes.tolist())] == [
             sorted(alpha.family_id_set(a, b))
             for a, b in zip(ids, ids[1:])

@@ -10,9 +10,10 @@ path-symbol space on an instance small enough to brute-force. The
 closed-form path-cylinder probability is checked against
 ``oracles.marginal_path_prob``, which sums the channel over every waypoint
 prefix. Each channel function, and ``verify-channel``, is held to a fixed
-number of family lookups whatever its horizon, and every entry point that
-takes cell ids refuses a float, a string, a ``Cell`` or an id outside the
-grid before any lookup. The blocked Markov
+number of family lookups whatever its horizon (none for the closed forms),
+every entry point that takes cell ids refuses a float, a string, a ``Cell``
+or an id outside the grid before any lookup, and every one that takes path
+ids refuses a float, a string, or an int that names no path. The blocked Markov
 sampler is checked against ``oracles.bisect_walk``, draw for draw, and its
 successor table bucket by bucket.
 """
@@ -98,6 +99,14 @@ class TestCylinderEvent:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             CylinderEvent(-1, (A,))
+
+    @pytest.mark.parametrize("start", [0.5, 1.0, "1", np.int64(1)])
+    def test_rejects_start_that_is_not_an_int(self, start):
+        # a float start once gave 1/9 on an iid 3x3 grid and a bare
+        # TypeError on a lazy walk; a numpy int would make the walk's
+        # D^(start + 1) an int64 power
+        with pytest.raises(ValueError, match="start index must be an int"):
+            CylinderEvent(start, (A,))
 
 
 class TestWaypointMeasures:
@@ -436,7 +445,7 @@ class TestOutputMixing:
 
 
 class TestChannelPrefixes:
-    """Each channel function reads its waypoint prefix's families in one lookup."""
+    """Each channel function reads its waypoint prefix's families in one lookup, or none."""
 
     @staticmethod
     def calls(alpha, w, first, horizon):
@@ -458,22 +467,22 @@ class TestChannelPrefixes:
         grid = GridSpec(3, 3)
         alpha = build_alphabet(grid, (Fraction(1), Fraction(2)))
         w = uniform_prefix(grid, 2 * horizon + 2, np.random.default_rng(8))
-        first = alpha.walk_family_ranges(w)[0].tolist()
+        first = alpha.family_ranges(w[:-1], w[1:])[0].tolist()
         lookups = []
-        # the lookup behind family_ranges and walk_family_ranges
-        family_ranges = PathAlphabet._family_ranges
+        family_ranges = PathAlphabet.family_ranges
 
-        def counted(self, sources, dx, dy):
+        def counted(self, sources, dests):
             lookups.append(sources)
-            return family_ranges(self, sources, dx, dy)
+            return family_ranges(self, sources, dests)
 
-        monkeypatch.setattr(PathAlphabet, "_family_ranges", counted)
+        monkeypatch.setattr(PathAlphabet, "family_ranges", counted)
         results, counts = [], []
         for call in self.calls(alpha, w, first, horizon):
             lookups.clear()
             results.append(call())
             counts.append(len(lookups))
-        assert counts == [1, 1, 1, 1]
+        # the closed forms, stationarity and mass, look up nothing
+        assert counts == [1, 0, 1, 0]
         assert results[0] > 0
         assert results[1:] == [0, (0, True), 1]
         cfg = tmp_path / "c.cfg"
@@ -485,9 +494,9 @@ class TestChannelPrefixes:
         argv = ["verify-channel", "--config", str(cfg), "--horizon", str(horizon)]
         assert main(argv + ["--prefixes", "4"]) == 0
         assert "all checks passed" in capsys.readouterr().out
-        # per prefix: stationarity, mass, three decoupling shifts and the
-        # command's own first path of each family
-        assert len(lookups) == 4 * 6
+        # per prefix: three decoupling shifts and the command's own first
+        # path of each family
+        assert len(lookups) == 4 * 4
 
     @pytest.mark.parametrize("index", [0, 2])
     def test_waypoint_outside_grid_is_named(self, row_three, index):
@@ -511,6 +520,60 @@ NOT_CELL_IDS = st.one_of(
     st.integers(max_value=-1),
     st.integers(min_value=GRID3.size),
 )
+
+
+ROW3 = GridSpec(1, 3)
+# speeds 1 and 2 on ROW3 give ids 0 .. 20, of which 3-6, 9-11 and 14-17 name
+# paths: a float (an integral one too), a numeric string, a negative id or
+# an id past the last path names none
+NOT_PATH_IDS = st.one_of(
+    st.floats(),
+    st.integers(0, 20).map(float),
+    st.integers(0, 20).map(str),
+    st.integers(max_value=-1),
+    st.integers(min_value=18),
+)
+
+
+class TestPathIdInputs:
+    """Every entry point that takes path ids refuses anything but an int that names a path."""
+
+    @given(NOT_PATH_IDS)
+    @example(4.5)  # path_process_prob read it as path 4: 1/9
+    @example(4.0)  # channel_cylinder_prob on (0, 1, 2) found it in path 4's family: 1
+    @example("4")  # endpoints parsed it
+    @example(12)  # inside the id range, but its member leaves the grid
+    def test_refused(self, bad):
+        alpha = build_alphabet(ROW3, (Fraction(1), Fraction(2)))
+        spec = WaypointProcessSpec.iid_uniform(ROW3)
+        w = [0, 1, 2, 1]
+        calls = [
+            lambda: alpha.endpoints([bad]),
+            lambda: alpha.endpoints(bad),
+            lambda: path_process_prob(spec, alpha, CylinderEvent(0, (bad,))),
+            lambda: path_process_prob(spec, alpha, CylinderEvent(0, (4, bad))),
+            lambda: channel_cylinder_prob(alpha, w, CylinderEvent(0, (bad,))),
+            lambda: channel_cylinder_prob(alpha, w, CylinderEvent(0, (3, bad))),
+            lambda: check_output_mixing(alpha, w, [bad], [4], 1),
+            lambda: check_output_mixing(alpha, w, [4], [bad], 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="path id"):
+                call()
+        with pytest.raises(KeyError):
+            alpha.all_paths[bad]
+        assert bad not in alpha.all_paths
+
+    def test_ids_that_name_paths_are_kept(self):
+        alpha = build_alphabet(ROW3, (Fraction(1), Fraction(2)))
+        ids = [3, 4, 5, 6, 9, 10, 11, 14, 15, 16, 17]
+        assert list(alpha.all_paths) == ids
+        assert all(p in alpha.all_paths for p in [*ids, np.int64(4), np.uint8(4)])
+        assert [p in alpha.all_paths for p in ([4], (4,), np.array([4]))] == [False] * 3
+        # path 4 is the hop 0 -> 1, the one path of its family
+        w = [0, 1, 2, 1]
+        assert channel_cylinder_prob(alpha, w, CylinderEvent(0, (np.int64(4),))) == 1
+        assert check_output_mixing(alpha, w, [np.int64(4)], [4], 0).discrepancy == 0
 
 
 class TestCellIdInputs:
@@ -537,7 +600,7 @@ class TestCellIdInputs:
             raise AssertionError("looked up before the ids were checked")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(PathAlphabet, "_family_ranges", lookup)
+            patch.setattr(PathAlphabet, "family_ranges", lookup)
             patch.setattr(processes, "_markov_distribution_at", lookup)
             for call in calls:
                 with pytest.raises(ValueError, match="cell id"):

@@ -18,10 +18,13 @@ Every name in ``rwmm.__all__`` resolves, the README's python quick start
 runs, every ``rwmm`` command in the README's code blocks parses, and each
 README config loads and sets every key of its config class, so the
 documented API, CLI and configs cannot drift from the code. A fresh
-interpreter runs ``analyze`` without importing ``numpy.ma``. The checks read
-the files and edit nothing.
+interpreter runs ``analyze`` without importing ``numpy.ma``. Every command
+with ``--out`` refuses an ``--out`` that names one of its input files, so
+a new command cannot skip the out-check. The checks read the files and edit
+nothing.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -426,6 +429,43 @@ def test_analyze_does_not_import_numpy_ma(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "r.csv").exists()
+
+
+def _out_commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand of ``cli.build_parser()`` that takes ``--out``, by name."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: parser
+        for name, parser in commands.choices.items()
+        if "--out" in parser._option_string_actions
+    }
+
+
+def test_every_out_refuses_its_inputs(tmp_path, capsys):
+    # an option that takes a plain string, other than --out, names a file the
+    # command reads; the out-check must refuse it as --out before anything is
+    # opened, so the inputs' bytes, which no loader would take, are kept
+    commands = _out_commands()
+    assert sorted(commands) == ["analyze", "export", "simulate-continuous", "simulate-discrete"]
+    for name, parser in commands.items():
+        argv, inputs = [name], []
+        for action in parser._actions:
+            option = action.option_strings[-1] if action.option_strings else None
+            if option in (None, "--help", "--out"):
+                continue
+            if action.type is None and action.choices is None:
+                path = tmp_path / f"{name}{option}"
+                path.write_bytes(b"not a loadable file\n")
+                argv += [option, str(path)]
+                inputs.append((option, path))
+            elif action.required:
+                argv += [option, str(action.choices[0] if action.choices else 1)]
+        assert inputs, name
+        for option, path in inputs:
+            capsys.readouterr()
+            assert cli.main(argv + ["--out", str(path)]) == 2, (name, option)
+            assert f"is the {option} file" in capsys.readouterr().err, (name, option)
+            assert path.read_bytes() == b"not a loadable file\n"
 
 
 def test_public_names_resolve():
