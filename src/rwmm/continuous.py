@@ -10,7 +10,8 @@ A node's legs are one ``(legs, 7)`` float64 table, one row per leg in the
 order the node drives them, with the columns ``START``, ``DURATION``, ``X0``,
 ``Y0``, ``X1``, ``Y1`` and ``SPEED``: the leg runs from ``(X0, Y0)`` at time
 ``START`` to ``(X1, Y1)`` at ``START + DURATION``. A pause is a row with
-speed 0 whose end point is its start point.
+speed 0 whose end point is its start point. Legs must not overlap in time,
+and their values and end points must be finite (see ``ContinuousTrace``).
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
 
 # Most samples (nodes × samples per node) one run may hold. A run stores only
 # its legs. io.save_positions samples one node, or one block's nodes, at a
-# time, 16 bytes a sample, beside the sample times twice (8 bytes a step
-# each) and their words, at most 28 bytes a step; its traced peak was 22
-# bytes a sample at 2 nodes × 5·10^5 steps and 4.9 at 10 × 2·10^5. Sampling
-# one node's 2·10^6 samples peaked at 25 bytes a sample traced, with the
-# positions and times.
+# time (16 bytes a sample) beside the times and their words (at most 20 bytes
+# a step): a traced peak of 18.0 bytes a sample at 2 nodes × 5·10^5 steps and
+# 4.1 at 10 × 2·10^5. Sampling one node's 2·10^6 samples peaked at 25.
 MAX_SAMPLES = 10**8
 
 # Samples interpolated at once: the interpolation's temporaries, about 25
@@ -95,8 +94,18 @@ class ContinuousTrace:
 
     The legs are all a run stores: ``positions`` samples them at each call;
     ``discretize``, ``mean_speeds`` and the ns-2 export read only the legs.
-    A leg table that is empty or not 7 columns wide is refused with
-    ``ValueError`` when the trace is made, so no reader meets one.
+    A run is refused with ``ValueError`` when it is made, so no reader meets
+    one, if it has no nodes or steps, a time step that is not finite and > 0
+    or whose last time ``(step_count - 1) * time_step`` overflows, or a leg
+    table that is empty, not 7 columns wide, or holds a value or an end
+    ``X0 + (X1 - X0)``, ``Y0 + (Y1 - Y0)`` that is not finite, a negative
+    ``DURATION`` or a leg that starts before the one before it ends (gaps
+    are allowed). So the leg ends never decrease, and every sample is
+    finite: a zero-duration leg's end point, or ``x0 + a * d`` with
+    ``d = x1 - x0`` and ``a = (t - start) / duration`` clamped to [0, 1],
+    never NaN as t, start and duration are finite; by monotone rounding
+    ``a * d`` lies between 0 and d, and ``x0 + a * d`` between x0 and
+    ``x0 + d``. A value no sample reads, such as a speed, is refused too.
     """
 
     area: ContinuousAreaSpec
@@ -104,10 +113,25 @@ class ContinuousTrace:
     step_count: int
     legs: tuple[np.ndarray, ...]  # per node, a (legs, 7) leg table
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self) -> None:
+        n, steps, dt = len(self.legs), self.step_count, self.time_step
+        if not (n and steps >= 1 and 0 < dt < math.inf):
+            raise ValueError(f"nodes, steps and a finite time step must be > 0: {n}, {steps}, {dt}")
+        if not math.isfinite((steps - 1) * dt):
+            raise ValueError(f"{steps} steps of {dt} overflow the last sample time")
         for node, legs in enumerate(self.legs):
             if legs.ndim != 2 or legs.shape[1] != 7 or not len(legs):
                 raise ValueError(f"node {node}'s leg table has shape {legs.shape}, not (n >= 1, 7)")
+            ends = [legs[:, X0 + xy] + _displacement(legs, xy) for xy in (0, 1)]
+            for bad, fault in (
+                (~np.isfinite(legs), "holds a value that is not finite"),
+                (~np.isfinite(ends).all(axis=0), "ends at a point that is not finite"),
+                (legs[:, DURATION] < 0, "has a negative duration"),
+                (legs[:-1, START] + legs[:-1, DURATION] > legs[1:, START], "overlaps the next leg"),
+            ):
+                if bad.any():
+                    raise ValueError(f"node {node}'s leg {np.argwhere(bad)[0, 0]} {fault}")
 
     @property
     def node_count(self) -> int:
@@ -115,17 +139,24 @@ class ContinuousTrace:
 
     @property
     def times(self) -> np.ndarray:
-        """Sample k's time, ``k * time_step``; a huge step overflows to ``inf``."""
-        with np.errstate(over="ignore"):
-            return np.arange(self.step_count) * self.time_step
+        """Sample k's time, ``k * time_step``."""
+        return np.arange(self.step_count) * self.time_step
 
     def positions(self, nodes: Sequence[int]) -> np.ndarray:
         """The ``(len(nodes), steps, 2)`` positions of ``nodes``, one ``_sample_legs`` call each."""
-        times = self.times
-        out = np.empty((len(nodes), self.step_count, 2))
+        return self._sample_at(nodes, self.times)
+
+    def _sample_at(self, nodes: Sequence[int], times: np.ndarray) -> np.ndarray:
+        """``positions`` at the run's ``times``, which a caller that holds them passes in."""
+        out = np.empty((len(nodes), len(times), 2))
         for node, node_out in zip(nodes, out):
             _sample_legs(self.legs[node], times, node_out)
         return out
+
+
+def _displacement(legs: np.ndarray, xy: int) -> np.ndarray:
+    """Each leg's ``X1 - X0`` (``xy`` 0) or ``Y1 - Y0`` (``xy`` 1): the formula's subtraction."""
+    return legs[:, X1 + xy] - legs[:, X0 + xy]
 
 
 def _interpolate(
@@ -138,9 +169,9 @@ def _interpolate(
     point. The float operations and their order are those of the scalar
     ``x0 + a * (x1 - x0)`` with ``a = min(max((t - start) / duration, 0.0),
     1.0)``, vectorized: the columns the formula reads are expanded to one
-    value a sample with ``np.repeat``, and ``x1 - x0`` is taken once a leg,
-    the same IEEE subtraction as once a sample. The end point is read only
-    for the samples of zero-duration legs.
+    value a sample with ``np.repeat``, and ``x1 - x0`` is taken once a leg
+    by ``_displacement``, the same IEEE subtraction as once a sample. The
+    end point is read only for the samples of zero-duration legs.
     """
     span = legs[:, DURATION]
     still = span == 0
@@ -153,10 +184,10 @@ def _interpolate(
     np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
     # one coordinate at a time: numpy loops over a contiguous column faster
     # than over the two coordinates of each row
-    for xy, (x0, x1) in enumerate(((X0, X1), (Y0, Y1))):
-        p = np.repeat(legs[:, x1] - legs[:, x0], counts)
+    for xy in (0, 1):
+        p = np.repeat(_displacement(legs, xy), counts)
         p *= a
-        p += np.repeat(legs[:, x0], counts)  # x0 + a * (x1 - x0): IEEE + and * commute exactly
+        p += np.repeat(legs[:, X0 + xy], counts)  # x0 + a * (x1 - x0): IEEE + and * commute exactly
         out[:, xy] = p
     if still.any():
         out[np.repeat(still, counts)] = np.repeat(legs[still][:, _TO], counts[still], axis=0)
@@ -165,12 +196,11 @@ def _interpolate(
 def _sample_legs(legs: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     """Write the positions on a leg table at ascending ``times`` to ``out``.
 
-    A time at a leg's end belongs to that leg, times before the first leg
-    go to it, and times past the last leg clamp to it. The leg ends must
-    not decrease. They are merged with the times once: ``bounds[i]`` counts
-    the times at or before leg ``i``'s end, so leg ``i`` takes times
-    ``bounds[i - 1]`` (0 for the first leg) to ``bounds[i] - 1``. The
-    times are then interpolated ``_BLOCK_SAMPLES`` at a time.
+    A time at a leg's end belongs to that leg, times before the first leg go
+    to it, and times past the last leg clamp to it. The leg ends must not
+    decrease (``ContinuousTrace`` checks). ``bounds[i]`` counts the times at
+    or before leg ``i``'s end; leg ``i`` takes times ``bounds[i - 1]`` (or 0)
+    to ``bounds[i] - 1``, interpolated ``_BLOCK_SAMPLES`` at a time.
     """
     n = len(times)
     bounds = np.searchsorted(times, legs[:, START] + legs[:, DURATION], side="right")
@@ -428,18 +458,19 @@ def traffic_proxy(
         raise ConfigurationError("bitrate must be finite and >= 0")
     if not (math.isfinite(reach) and reach >= 0):
         raise ConfigurationError(f"reach must be a finite number >= 0, got {reach}")
-    dt = trace.time_step
+    dt, times = trace.time_step, trace.times
     named = sorted({node for flow in flows for node in flow})
-    positions = dict(zip(named, trace.positions(named)))
+    positions = dict(zip(named, trace._sample_at(named, times)))
     connected = np.zeros(steps)
-    for a, b in flows:
-        delta = positions[a] - positions[b]
-        dist2 = (delta**2).sum(axis=1)
-        connected += dist2 <= reach * reach
+    with np.errstate(over="ignore"):  # a distance past 1e154 squares to inf
+        for a, b in flows:
+            delta = positions[a] - positions[b]
+            dist2 = (delta**2).sum(axis=1)
+            connected += dist2 <= reach * reach
     offered = rate * dt * len(flows)
     delivered = rate * dt * connected
     return TrafficReport(
-        times=trace.times,
+        times=times,
         offered=offered,
         delivered=delivered,
         connected_fraction=connected / len(flows),

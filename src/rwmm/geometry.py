@@ -53,7 +53,8 @@ def integer_ids(ids, kind: str) -> np.ndarray:
     """
     array = np.asarray(ids)
     if array.dtype.kind not in "iu":  # an object array of huge ints passes, uncast
-        bad = [v for v in array.ravel().tolist() if not isinstance(v, int)]
+        array = np.asarray(ids, dtype=object)  # no entry cast to another's type
+        bad = [v for v in array.ravel().tolist() if not isinstance(v, (int, np.integer))]
         if bad:
             raise ValueError(f"{kind} id {bad[0]!r} is not an integer")
     return array

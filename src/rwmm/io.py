@@ -680,40 +680,14 @@ def save_positions(
 ) -> None:
     """Write sampled continuous positions as node,time,x,y rows (%.9g).
 
-    Every number is written as ``format(value, ".9g")`` spells it; the
-    times are the trace's ``k * time_step``. The rows come from
-    ``_node_major_rows``, stamped with the times; each of its groups of
-    nodes is sampled by ``ContinuousTrace.positions`` when it is reached,
+    Every number is written as ``format(value, ".9g")`` spells it. The rows
+    come from ``_node_major_rows``, stamped with the times ``k * time_step``,
+    made once; each group of nodes is sampled at them when it is reached
     and kept no longer. A row's value columns are the words
-    ``_value_columns`` spells x and y in, a word that is NUL in every value
-    of the block left out, and the row's newline. A trace with no samples,
-    with a time step that is not finite and positive, or with a non-finite
-    time or position, is refused with ``ValueError`` before the file is
-    opened: the loader could not read it. (A leg table with no legs is
-    refused when the trace is made.)
-
-    Positions are checked on the legs: every leg column, ``X0 + (X1 - X0)``
-    and ``Y0 + (Y1 - Y0)`` must be finite. A sample is a zero-duration
-    leg's end point, or ``x0 + a * d`` with ``d = x1 - x0`` and
-    ``a = (t - start) / duration`` clamped to [0, 1], never NaN as t, start
-    and duration are finite. Rounding is monotone, so ``a * d`` lies between
-    0 and d, and ``x0 + a * d`` between x0 and ``x0 + d``: it is finite. The
-    check may refuse a value no sample reads: a speed, or a leg no sample
-    falls in, as a run's last leg may start after its last sample.
+    ``_value_columns`` spells x and y in (a word NUL in every value of the
+    block left out) and the newline. ``ContinuousTrace`` keeps every time
+    and position finite, so the loader reads back every trace this writes.
     """
-    if not trace.node_count * trace.step_count:
-        raise ValueError("cannot write an empty position trace")
-    if not 0 < trace.time_step < math.inf:
-        raise ValueError(f"time step must be finite and > 0, got {trace.time_step}")
-
-    def finite(legs: np.ndarray) -> bool:
-        with np.errstate(over="ignore", invalid="ignore"):
-            end = legs[:, [X0, Y0]] + (legs[:, [X1, Y1]] - legs[:, [X0, Y0]])
-        return bool(np.isfinite(legs).all() and np.isfinite(end).all())
-
-    times = trace.times
-    if not (np.isfinite(times).all() and all(map(finite, trace.legs))):
-        raise ValueError("cannot write non-finite times or positions")
     header = {
         "kind": KIND_POSITIONS,
         "area": f"{_format_float(trace.area.width)}x{_format_float(trace.area.height)}",
@@ -721,12 +695,12 @@ def save_positions(
         "seed": "none" if seed is None else str(seed),
         "config": config_digest or "none",
     }
-    nodes = range(trace.node_count)
+    nodes, times = range(trace.node_count), trace.times
 
     def xy(block: np.ndarray) -> list[np.ndarray]:
         return [*_value_columns(block), _NEWLINE_WORD]
 
-    rows = _node_major_rows(times, len(nodes), lambda group: trace.positions(nodes[group]), xy)
+    rows = _node_major_rows(times, len(nodes), lambda g: trace._sample_at(nodes[g], times), xy)
     _write_trace(path, header, "node,time,x,y", rows)
 
 

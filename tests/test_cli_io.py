@@ -73,14 +73,20 @@ def held_trace(time_step: float, positions: np.ndarray) -> ContinuousTrace:
     """A trace at ``positions``: each node holds still at each sample time.
 
     Every sample is one zero-duration leg at its time, and sampling gives
-    such a leg's point exactly.
+    such a leg's point exactly. A time step whose last time overflows is
+    refused when the trace is made.
     """
     nodes, steps, _ = positions.shape
-    area = ContinuousAreaSpec(1, 1, 1, 1)
     legs = np.zeros((nodes, steps, 7))
-    legs[..., START] = ContinuousTrace(area, time_step, steps, ()).times
+    with np.errstate(over="ignore"):
+        legs[..., START] = np.arange(steps) * time_step
     legs[..., [X0, Y0]] = legs[..., [X1, Y1]] = positions
-    return ContinuousTrace(area, time_step, steps, tuple(legs))
+    return ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, steps, tuple(legs))
+
+
+def overflows(time_step: float, steps: int) -> bool:
+    """Whether the last of ``steps`` sample times ``k * time_step`` is not finite."""
+    return not math.isfinite((steps - 1) * time_step)
 
 
 def printed(values: np.ndarray) -> np.ndarray:
@@ -730,8 +736,8 @@ class TestTraceFiles:
         # up to 12 nodes, so node ids reach two digits; any finite float, with
         # the pinned positions and times 2e-05 and 1e9 in %.9g's exponent form
         time_step, positions = columns
+        assume(not overflows(time_step, positions.shape[1]))  # else refused, as tested below
         trace = held_trace(time_step, positions)
-        assume(np.isfinite(trace.times).all())  # else refused, as the next test checks
         assert trace.positions(range(trace.node_count)).tobytes() == positions.tobytes()
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "c.trace"
@@ -809,12 +815,13 @@ class TestTraceFiles:
     def test_positions_writer_memory_per_sample(self, tmp_path):
         # the writer samples one node at a time from the legs and writes each
         # block's text as it is built, so the peak is one node's positions
-        # (16 bytes a step), two copies of the times (8 each), their words
-        # and one block: 22.0 bytes a sample measured here, where sampling
-        # every node first and then writing peaked at 25.9 (9.7 for the
-        # writing alone, 12.5 when the comma and the dot took a word each,
-        # 39 when every node's text was held for a leading digest, 117 when
-        # each node's values were formatted as Python floats)
+        # (16 bytes a step), the times (8), their words and one block: 18.0
+        # bytes a sample measured here, 22.0 when each node's sampling made
+        # the times again, where sampling every node first and then writing
+        # peaked at 25.9 (9.7 for the writing alone, 12.5 when the comma and
+        # the dot took a word each, 39 when every node's text was held for a
+        # leading digest, 117 when each node's values were formatted as
+        # Python floats)
         area = ContinuousAreaSpec(1000, 1000, 1, 20, 5)
         trace = simulate_continuous(area, 2, 5 * 10**5 - 1, 1.0, seed=1)
         samples = trace.node_count * trace.step_count
@@ -826,19 +833,19 @@ class TestTraceFiles:
         finally:
             tracemalloc.stop()
         assert samples == 10**6
-        assert peak / samples < 25
+        assert peak / samples < 20
 
     def test_positions_writer_holds_one_node_of_ten(self, tmp_path):
         # 10 nodes x 2e5 steps: beside one node's positions, the writer holds
-        # the times twice (8 bytes a step each, and 8 more while the second
-        # is made) and their words (8), and a block's words and sampling
-        # temporaries, under 3 MB; 9.8 MB measured here, where sampling every
-        # node first peaked at 37.6 MB
+        # the times (8 bytes a step) and their words (8), 8 more to spare,
+        # and a block's words and sampling temporaries, under 3 MB; 8.3 MB
+        # measured here, 9.8 when each node's sampling made the times again,
+        # where sampling every node first peaked at 37.6 MB
         area = ContinuousAreaSpec(1000, 1000, 1, 20, 5)
         steps = 2 * 10**5
         trace = simulate_continuous(area, 10, steps - 1, 1.0, seed=1)
         node_positions = 16 * steps
-        bound = node_positions + 40 * steps + 3 * 2**20
+        bound = node_positions + 24 * steps + 3 * 2**20
         assert bound < 10 * node_positions
         tracemalloc.start()
         try:
@@ -869,24 +876,24 @@ class TestTraceFiles:
     @example([(1.0, 0.0, 0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, math.nan, 0.0, 1.0)], 1, 0.5)
     def test_legs_rule_implies_finite_positions(self, rows, steps, time_step):
         # one node's chained legs, (duration, x0, y0, x1, y1, speed) each,
-        # starts summed from 0 as the simulator sums them: if the writer
-        # accepts the legs, every sampled position is finite; if it refuses
-        # them, no file is left. The last example's NaN is in a leg that
-        # no sample reads, and is refused all the same
+        # starts summed from 0 as the simulator sums them: if the trace
+        # accepts the legs, every sampled position is finite and the writer
+        # writes them; if it refuses them, it names a value that is not
+        # finite. The last example's NaN is in a leg that no sample reads,
+        # and is refused all the same
         legs = np.zeros((len(rows), 7))
         legs[:, DURATION:] = rows
         legs[1:, START] = np.cumsum(legs[:-1, DURATION])
-        trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, steps, (legs,))
+        try:
+            trace = ContinuousTrace(ContinuousAreaSpec(1, 1, 1, 1), time_step, steps, (legs,))
+        except ValueError as exc:
+            assert "not finite" in str(exc)
+            return
+        assert np.isfinite(trace.positions([0])).all()
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "c.trace"
-            try:
-                save_positions(path, trace)
-            except ValueError as exc:
-                assert "non-finite times or positions" in str(exc)
-                assert not path.exists()
-            else:
-                assert np.isfinite(trace.positions([0])).all()
-                assert path.is_file()
+            save_positions(path, trace)
+            assert path.is_file()
 
     @given(position_columns())
     @example((5e-324, PINNED_POSITIONS))
@@ -895,16 +902,16 @@ class TestTraceFiles:
     @example((1e300, PINNED_POSITIONS))
     def test_positions_written_are_read_back(self, columns):
         # the writer takes the times from the time step, so every trace it
-        # writes is on the loader's time grid; it refuses only times that
-        # overflow to inf
+        # writes is on the loader's time grid; only times that overflow to
+        # inf are refused, when the trace is made
         time_step, positions = columns
+        if overflows(time_step, positions.shape[1]):
+            with pytest.raises(ValueError, match="overflow the last sample time"):
+                held_trace(time_step, positions)
+            return
         trace = held_trace(time_step, positions)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "c.trace"
-            if not np.isfinite(trace.times).all():
-                with pytest.raises(ValueError, match="non-finite times"):
-                    save_positions(path, trace)
-                return
             save_positions(path, trace)
             times, loaded, header = load_positions(path)
         assert float(header["time-step"]) == float(format(time_step, ".9g"))
@@ -1169,24 +1176,26 @@ class TestTraceFiles:
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_positions_writer_refuses_non_finite_values(self, tmp_path, node, column, value):
+        # no trace the writer is given holds a non-finite time or position:
+        # such a run is refused when it is made, here by replace
         from dataclasses import replace
 
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
         if node is None:
             # times are k * time_step, so whatever the value, the only
             # non-finite time is one that overflows: 2 * 1e308 is inf
-            trace = replace(trace, time_step=1e308)
+            with pytest.raises(ValueError, match="overflow the last sample time"):
+                replace(trace, time_step=1e308)
         else:
             # a coordinate of the first leg, which sample 0 reads
             legs = [table.copy() for table in trace.legs]
             legs[node][0, column] = value
-            trace = replace(trace, legs=tuple(legs))
+            sample = np.empty((1, 2))
             with np.errstate(invalid="ignore"):  # inf - inf, or inf * 0
-                assert not np.isfinite(trace.positions([node])[0, 0]).all()
-        path = tmp_path / "c.trace"
-        with pytest.raises(ValueError, match="non-finite times or positions"):
-            save_positions(path, trace)
-        assert not path.exists()
+                continuous._sample_legs(legs[node], np.zeros(1), sample)
+            assert not np.isfinite(sample).all()
+            with pytest.raises(ValueError, match=f"node {node}'s leg 0 holds a value that is not"):
+                replace(trace, legs=tuple(legs))
 
     @pytest.mark.parametrize("time_step", [np.nan, np.inf, 0.0, -0.5])
     def test_positions_writer_refuses_bad_time_step(self, tmp_path, time_step):
@@ -1194,11 +1203,10 @@ class TestTraceFiles:
 
         from rwmm.continuous import ContinuousAreaSpec
 
+        # refused when the trace is made, so the writer never meets one
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
-        path = tmp_path / "c.trace"
-        with pytest.raises(ValueError, match="time step must be finite and > 0"):
-            save_positions(path, replace(trace, time_step=time_step))
-        assert not path.exists()
+        with pytest.raises(ValueError, match="nodes, steps and a finite time step must be > 0"):
+            replace(trace, time_step=time_step)
 
     @pytest.mark.parametrize(
         "empty", [{"legs": ()}, {"step_count": 0}], ids=["nodes", "steps"]
@@ -1206,11 +1214,10 @@ class TestTraceFiles:
     def test_positions_writer_refuses_empty_trace(self, tmp_path, empty):
         from dataclasses import replace
 
+        # refused when the trace is made, so the writer never meets one
         trace = simulate_continuous(ContinuousAreaSpec(50, 50, 1, 2), 2, 5, 0.5, seed=3)
-        path = tmp_path / "c.trace"
-        with pytest.raises(ValueError, match="cannot write an empty position trace"):
-            save_positions(path, replace(trace, **empty))
-        assert not path.exists()
+        with pytest.raises(ValueError, match="nodes, steps and a finite time step must be > 0"):
+            replace(trace, **empty)
 
     @pytest.mark.parametrize(
         "legs", [np.zeros((0, 7)), np.zeros((3, 6))], ids=["empty", "six-columns"]
@@ -1525,17 +1532,20 @@ class TestNs2:
     @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "real"])
     def test_script_of_any_numbers_matches_per_line_oracle(self, tmp_path, monkeypatch, block):
         # legs no simulator draws: numbers only format can spell, in the
-        # same blocks as numbers the tables spell
+        # same blocks as numbers the tables spell (a trace holds no NaN or
+        # inf; TestFixedWords spells those as format does)
         if block:
             monkeypatch.setattr(trace_io, "_BLOCK_ROWS", block)
         rows = [
             [0.0, 1.0, -0.0, 1e300, 2.5, -1.5, 1.0],
             [1.0, 1.0, 0.0, 0.0, 99999999.9999995, 0.0078125, 0.0],
-            [2.0, 1.0, 0.0, 0.0, math.nan, -math.inf, 1e-7],
+            [2.0, 1.0, 0.0, 0.0, -0.0, -1e300, 1e-7],
             [3.0, 1.0, 0.0, 0.0, 12.25, 1e8, 3.5],
         ]
         legs = np.array(rows)
-        trace = ContinuousTrace(ContinuousAreaSpec(10, 10, 1, 2), 1.0, 4, (legs, legs[::-1].copy()))
+        backwards = legs[::-1].copy()
+        backwards[:, START] = legs[:, START]  # the rows in reverse, driven in time order
+        trace = ContinuousTrace(ContinuousAreaSpec(10, 10, 1, 2), 1.0, 4, (legs, backwards))
         path = tmp_path / "m.tcl"
         export_ns2(path, trace)
         assert path.read_bytes() == per_line_ns2_script(trace).encode()

@@ -8,12 +8,15 @@ sampled positions to ``oracles.sample_legs_per_step``.
 """
 
 import math
+import pathlib
+import re
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -42,6 +45,7 @@ from rwmm.continuous import (
 )
 from rwmm.errors import ConfigurationError
 from rwmm.geometry import Cell, GridSpec
+from rwmm.io import export_ns2, load_positions, save_positions
 
 
 def table(*rows):
@@ -344,6 +348,128 @@ class TestSimulate:
         trace = simulate_continuous(area, nodes, duration, time_step, seed)
         expected = np.stack([sample_legs_per_step(legs, trace.times) for legs in trace.legs])
         assert np.array_equal(trace.positions(range(nodes)), expected)
+
+
+# values no simulator draws: NaN, infinities, the largest floats, -0.0 and a
+# subnormal, beside ordinary ones
+ODD = st.sampled_from([math.nan, math.inf, -math.inf, 1.7976931348623157e308, -1e308, -0.0, 5e-324])
+
+
+@st.composite
+def runs(draw):
+    """The arguments of a ``ContinuousTrace`` of 1-3 nodes, some of which it refuses.
+
+    A node's legs start at a drawn time and each next one a drawn gap after
+    the one before it ends. Then up to two values, any column of any leg,
+    are replaced by an odd value or a negative one, which may overlap two
+    legs. Durations are drawn below 10, speeds below 20 and time steps from
+    0.05, or odd, so that no reader takes more than a few thousand samples.
+    A duration or speed is never one of the largest floats: ``mean_speeds``
+    sums speed times duration and the durations, and the sums overflow.
+    """
+    leg = st.tuples(
+        st.floats(0.0, 2.0),  # the gap before the leg
+        st.floats(0.0, 10.0),
+        *[st.floats(-20.0, 20.0)] * 4,
+        st.floats(0.0, 20.0),
+    )
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        legs = table(*draw(st.lists(leg, min_size=1, max_size=5)))
+        gaps = legs[:, START].copy()
+        legs[0, START] = draw(st.floats(-5.0, 5.0))
+        for i in range(1, len(legs)):
+            legs[i, START] = legs[i - 1, START] + legs[i - 1, DURATION] + gaps[i]
+        tables.append(legs)
+    for _ in range(draw(st.integers(0, 2))):
+        legs = draw(st.sampled_from(tables))
+        row, column = draw(st.integers(0, len(legs) - 1)), draw(st.integers(0, 6))
+        odd = ODD.filter(lambda v: abs(v) < 1e300) if column in (DURATION, SPEED) else ODD
+        legs[row, column] = draw(st.one_of(odd, st.just(-1.0)))
+    # no subnormal step: discretize would take up to MAX_SAMPLES samples
+    odd = st.sampled_from([math.nan, math.inf, -math.inf, 1.7976931348623157e308, 0.0, -1.0])
+    time_step = draw(st.one_of(*[st.floats(0.05, 10.0)] * 6, odd))
+    return time_step, draw(st.integers(1, 30)), tuple(tables)
+
+
+class TestRunRules:
+    """A run is refused when it is made, or every reader gives finite or in-grid output."""
+
+    AREA = ContinuousAreaSpec(10, 10, 1, 2)
+    LEG = (0.0, 2.0, 1.0, 1.0, 5.0, 3.0, 2.0)
+
+    @settings(max_examples=200)
+    @given(runs())
+    @example((0.5, 11, (table((0.0, 2.0, 1.0, 1.0, math.nan, 3.0, 2.0)),)))
+    @example((0.5, 11, ()))
+    @example((0.5, 11, (table((0.0, 2.0, 1.0, 1.0, 5.0, 3.0, 2.0), (1.0, 2.0, 5, 3, 1, 1, 2.0)),)))
+    @example((1e308, 11, (table((0.0, 2.0, 1.0, 1.0, 5.0, 3.0, 2.0)),)))
+    def test_refused_or_read_finite(self, run):
+        time_step, steps, tables = run
+        try:
+            trace = ContinuousTrace(self.AREA, time_step, steps, tables)
+        except ValueError:
+            return
+        nodes = range(trace.node_count)
+        assert np.isfinite(trace.times).all()
+        assert np.isfinite(trace.positions(nodes)).all()
+        if trace.node_count > 1:
+            report = traffic_proxy(trace, [(0, 1)], bitrate=1.0, reach=3.0)
+            for values in (report.times, report.offered, report.delivered):
+                assert np.isfinite(values).all()
+        grid = GridSpec(5, 5)
+        for node in nodes:
+            paths, located = discretize(trace, grid, node)
+            assert ((located.ids >= 0) & (located.ids < grid.size)).all()
+            assert all(0 <= cell < grid.size for path in paths for cell in path.cells)
+        assert all(map(math.isfinite, mean_speeds(trace)))
+        with tempfile.TemporaryDirectory() as tmp:
+            script = pathlib.Path(tmp) / "m.tcl"
+            export_ns2(script, trace)
+            assert not re.search(r"nan|inf", script.read_text())
+            save_positions(pathlib.Path(tmp) / "c.trace", trace)
+            times, positions, _ = load_positions(pathlib.Path(tmp) / "c.trace")
+        assert positions.shape == (trace.node_count, steps, 2)
+
+    @pytest.mark.parametrize(
+        "time_step, steps, tables, error",
+        [
+            (
+                0.5, 11, [table((0.0, 2.0, 1.0, 1.0, math.nan, 3.0, 2.0))],
+                "node 0's leg 0 holds a value that is not finite",
+            ),
+            (0.5, 11, [], "nodes, steps and a finite time step must be > 0: 0, 11, 0.5"),
+            (0.5, 0, [table(LEG)], "nodes, steps and a finite time step must be > 0: 1, 0, 0.5"),
+            (
+                0.5, 11, [table(LEG), table(LEG, (1.0, 2.0, 5.0, 3.0, 1.0, 1.0, 2.0))],
+                "node 1's leg 0 overlaps the next leg",
+            ),
+            (1e308, 11, [table(LEG)], "11 steps of 1e+308 overflow the last sample time"),
+            (
+                0.5, 11, [table((0.0, -1.0, 1.0, 1.0, 1.0, 1.0, 0.0))],
+                "node 0's leg 0 has a negative duration",
+            ),
+            (
+                0.5, 11, [table((0.0, 2.0, -1e308, 0.0, 1e308, 0.0, 2.0))],
+                "node 0's leg 0 ends at a point that is not finite",
+            ),
+        ],
+        ids=[
+            "nan-x1", "no-nodes", "no-steps", "overlap", "huge-step", "negative-duration",
+            "end-overflows",
+        ],
+    )
+    def test_refused_when_made(self, time_step, steps, tables, error):
+        # each once met a reader: the NaN became cell id -9223372036854775788
+        # and "setdest nan", no nodes a bare numpy error in mean_speeds and
+        # export_ns2, the overlap wrong positions and the huge step an inf time
+        with pytest.raises(ValueError, match=re.escape(error)):
+            ContinuousTrace(self.AREA, time_step, steps, tuple(tables))
+
+    def test_gaps_between_legs_are_allowed(self):
+        legs = table(self.LEG, (3.0, 2.0, 5.0, 3.0, 1.0, 1.0, 2.0))
+        trace = ContinuousTrace(self.AREA, 0.5, 11, (legs,))
+        assert trace.positions([0])[0, 5].tolist() == [5.0, 3.0]  # held still in the gap
 
 
 class TestSampleLegs:

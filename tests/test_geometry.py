@@ -7,6 +7,7 @@ and an exhaustive sweep against the symbolic reference in ``oracles.py``
 
 import ast
 import hashlib
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -80,6 +81,57 @@ class TestGridSpec:
     def test_cell_id_rejects_outside(self):
         with pytest.raises(ValueError):
             GridSpec(2, 2).cell_id(Cell(5, 0))
+
+
+# the path ids of speeds 1 and 2 on a 1x3 grid
+ROW3_PATHS = (3, 4, 5, 6, 9, 10, 11, 14, 15, 16, 17)
+
+
+class TestIdEntries:
+    """Cell and path ids name the first entry of the input that is not an int.
+
+    ``np.asarray`` casts every entry of a list to one type, so a float or a
+    string beside ints once made the refusal name an int: ``[1, '4']`` as
+    ``'1'``, ``[1, 2.5]`` as ``1.0``.
+    """
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 8),
+                st.floats(),
+                st.integers(0, 20).map(float),
+                st.integers(0, 20).map(str),
+                st.text(max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    @example([1, "4"], False)
+    @example([1, 2.5], False)
+    @example([0, 3.0], True)
+    @pytest.mark.parametrize("kind", ["cell", "path"])
+    def test_first_entry_that_is_not_an_int_is_named(self, kind, entries, as_tuple):
+        # an int entry is a valid id: cell v of a 3x3 grid, or path v of
+        # ROW3_PATHS on the 1x3 grid
+        if kind == "cell":
+            check = GridSpec(3, 3).check_ids
+        else:
+            check = _alphabet(GridSpec(1, 3), (Fraction(1), Fraction(2))).endpoints
+            entries = [ROW3_PATHS[v] if isinstance(v, int) else v for v in entries]
+        ids = tuple(entries) if as_tuple else entries
+        bad = [v for v in entries if not isinstance(v, int)]
+        if bad:
+            error = f"{kind} id {bad[0]!r} is not an integer"
+            with pytest.raises(ValueError, match=re.escape(error)):
+                check(ids)
+        elif kind == "cell":
+            assert check(ids).tolist() == entries
+        else:
+            sources, _ = check(ids)
+            assert len(sources) == len(entries)
 
 
 class TestNormalizeSpeeds:

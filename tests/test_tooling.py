@@ -3,8 +3,8 @@
 No module of the package imports a name it never uses, no module but
 ``geometry`` does cell-id arithmetic with a grid's width, ``processes``,
 ``cli`` and ``continuous`` do not import ``Cell``, no module takes
-``hypot`` from numpy, ``continuous`` writes a leg's position formula in
-one function, ``io`` spells a number with the ``.6f`` format spec in one
+``hypot`` from numpy, the package subtracts a leg's start point from its
+end point in one function, ``io`` spells a number with the ``.6f`` format spec in one
 function, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
@@ -172,10 +172,16 @@ def _leg_displacements(tree: ast.Module) -> list[str]:
 
 
 def test_position_formula_is_stated_once():
-    # x0 + a * (x1 - x0) lives in _interpolate, which the sampler and
-    # discretize share, so that their positions cannot drift apart
-    source = (ROOT / "src" / "rwmm" / "continuous.py").read_text()
-    assert _leg_displacements(ast.parse(source)) == ["_interpolate"]
+    # x1 - x0 of x0 + a * (x1 - x0) lives in _displacement, which the
+    # interpolation that the sampler and discretize share and the trace's
+    # end-point rule all call, so that they cannot drift apart: no module
+    # of the package restates it
+    sites = [
+        (module.name, function)
+        for module in PACKAGE
+        for function in _leg_displacements(ast.parse(module.read_text()))
+    ]
+    assert sites == [("continuous.py", "_displacement")]
 
 
 def _format_spec_sites(tree: ast.Module, spec: str) -> list[str]:
