@@ -8,7 +8,7 @@ sample or leg limit, and a file that cannot be read or written), 3 the
 path-alphabet build would digitize more than the enumeration cap's worth
 of paths, (2W-1)(2H-1)·|speeds| (the build is the only step that
 enumerates; ``verify-channel`` works at any horizon whose prefixes fit in
-``simulate.MAX_SAMPLES``), 4 a verification check failed.
+``errors.MAX_SAMPLES``), 4 a verification check failed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, io, simulate
+from . import analysis, errors, io
 from .config import load_continuous_config, load_discrete_config
 from .continuous import simulate_continuous
 from .errors import CapacityError, ConfigurationError, VerificationError
@@ -103,10 +103,10 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
     horizon = args.horizon
     # long enough for the stationarity window and the largest decoupling shift
     prefix_len = max(horizon + 2, 6)
-    if prefix_len > simulate.MAX_SAMPLES:
+    if prefix_len > errors.MAX_SAMPLES:
         raise ConfigurationError(
             f"--horizon {horizon} needs prefixes of {prefix_len} waypoints, over the "
-            f"limit of {simulate.MAX_SAMPLES} samples per run"
+            f"limit of {errors.MAX_SAMPLES} samples per run"
         )
     cfg = load_discrete_config(_read_config(args.config))
     grid = cfg.grid()

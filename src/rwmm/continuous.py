@@ -2,9 +2,10 @@
 
 Nodes move in a rectangle: pick a uniform waypoint, pick a uniform speed,
 travel in a straight line, optionally pause, repeat. Positions are sampled on
-a fixed time step. ``discretize`` resamples a continuous run onto a grid so
-the exact-measure machinery can be applied to it, and ``traffic_proxy`` scores
-constant-bitrate delivery over a disk connectivity model.
+a fixed time step. ``discretize`` resamples a continuous run onto a grid's
+cell ids, so that the discrete model's analysis can read the run, and
+``traffic_proxy`` scores constant-bitrate delivery over a disk connectivity
+model.
 
 A node's legs are one ``(legs, 7)`` float64 table, one row per leg in the
 order the node drives them, with the columns ``START``, ``DURATION``, ``X0``,
@@ -22,19 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import ConfigurationError
-from .geometry import GridSpec, Path
+from .geometry import GridSpec
 from .location import LocationTrace
 from .processes import _seed_sequence
 
 _EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
-
-# Most samples (nodes × samples per node) one run may hold. A run stores only
-# its legs. io.save_positions samples one node, or one block's nodes, at a
-# time (16 bytes a sample) beside the times and their words (at most 20 bytes
-# a step): a traced peak of 18.0 bytes a sample at 2 nodes × 5·10^5 steps and
-# 4.1 at 10 × 2·10^5. Sampling one node's 2·10^6 samples peaked at 25.
-MAX_SAMPLES = 10**8
 
 # Samples interpolated at once: the interpolation's temporaries, about 25
 # bytes a sample, are bounded by this block (about 1.6 MB), not by the run.
@@ -95,9 +90,10 @@ class ContinuousTrace:
     The legs are all a run stores: ``positions`` samples them at each call;
     ``discretize``, ``mean_speeds`` and the ns-2 export read only the legs.
     A run is refused with ``ValueError`` when it is made, so no reader meets
-    one, if it has no nodes or steps, a time step that is not finite and > 0
-    or whose last time ``(step_count - 1) * time_step`` overflows, or a leg
-    table that is empty, not 7 columns wide, or holds a value or an end
+    one, if it has no nodes or steps, a step count that is not an int below
+    2**63, a time step that is not finite and > 0 or whose last time
+    ``(step_count - 1) * time_step`` overflows, or a leg table that is
+    empty, not 7 columns wide, or holds a value or an end
     ``X0 + (X1 - X0)``, ``Y0 + (Y1 - Y0)`` that is not finite, a negative
     ``DURATION`` or a leg that starts before the one before it ends (gaps
     are allowed). So the leg ends never decrease, and every sample is
@@ -116,6 +112,8 @@ class ContinuousTrace:
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self) -> None:
         n, steps, dt = len(self.legs), self.step_count, self.time_step
+        if not (isinstance(steps, (int, np.integer)) and steps < 2**63):  # an int64 arange
+            raise ValueError(f"the step count must be an int below 2**63, got {steps!r}")
         if not (n and steps >= 1 and 0 < dt < math.inf):
             raise ValueError(f"nodes, steps and a finite time step must be > 0: {n}, {steps}, {dt}")
         if not math.isfinite((steps - 1) * dt):
@@ -229,7 +227,7 @@ def simulate_continuous(
     Waypoints (and the initial position) are uniform over the rectangle;
     each trip's speed is uniform over the configured range; every arrival
     is followed by the configured pause.
-    Runs of more than ``MAX_SAMPLES`` samples in all are refused with
+    Runs of more than ``errors.MAX_SAMPLES`` samples in all are refused with
     :class:`ConfigurationError` before anything is allocated, and runs that
     build more than ``MAX_LEGS`` legs in all once the block of trips that
     passes the limit is drawn.
@@ -242,11 +240,16 @@ def simulate_continuous(
         )
     root = _seed_sequence(seed)
     ratio = duration / time_step * (1 + _EDGE_NUDGE)
-    # the float test comes first: an overflowed ratio is inf, and floor(inf) raises
-    if ratio >= MAX_SAMPLES or node_count * (math.floor(ratio) + 1) > MAX_SAMPLES:
+    # A run stores only its legs. io.save_positions samples one node, or one
+    # block's nodes, at a time (16 bytes a sample) beside the times and their
+    # words (at most 20 bytes a step): a traced peak of 18.0 bytes a sample at
+    # 2 nodes × 5·10^5 steps and 4.1 at 10 × 2·10^5. Sampling one node's 2·10^6
+    # samples peaked at 25. The float test comes first: an overflowed ratio is
+    # inf, and floor(inf) raises.
+    if ratio >= errors.MAX_SAMPLES or node_count * (math.floor(ratio) + 1) > errors.MAX_SAMPLES:
         raise ConfigurationError(
             f"{node_count} node(s) x {ratio + 1:.6g} samples each exceeds the "
-            f"limit of {MAX_SAMPLES} samples per run"
+            f"limit of {errors.MAX_SAMPLES} samples per run"
         )
     all_legs: list[np.ndarray] = []
     built = 0  # legs of the nodes already simulated
@@ -321,24 +324,22 @@ def mean_speeds(trace: ContinuousTrace) -> tuple[float, float]:
     """
     table = np.concatenate(trace.legs)
     moving = table[:, SPEED] > 0
-    drawn = table[moving, SPEED]
+    drawn, durations = table[moving, SPEED], table[:, DURATION]
     if not drawn.size:
         return 0.0, 0.0
-    # running sums in leg order, as a scalar loop over the legs adds them
-    distance = np.cumsum(drawn * table[moving, DURATION])[-1]
-    elapsed = np.cumsum(table[:, DURATION])[-1]
-    weighted = float(distance / elapsed) if elapsed > 0 else 0.0
-    return float(np.mean(drawn)), weighted
-
-
-def _containing_cells(grid: GridSpec, points: np.ndarray, cell_size: float) -> np.ndarray:
-    """The int64 id of the cell of each point of an ``(n, 2)`` array."""
-    # Cell i covers the half-open [i*cell_size, (i+1)*cell_size), so a point
-    # on a boundary goes to the larger index; points past the area's edges
-    # are clamped into the first or last cell.
-    index = np.floor(points / cell_size)
-    np.clip(index, 0, [grid.width - 1, grid.height - 1], out=index)
-    return grid.ids(*index.astype(np.int64).T)
+    with np.errstate(over="ignore"):
+        mean = np.mean(drawn)
+        # running sums in leg order, as a scalar loop over the legs adds them
+        distance = np.cumsum(drawn * durations[moving])[-1]
+        elapsed = np.cumsum(durations)[-1]
+    if np.isfinite([mean, distance, elapsed]).all():
+        return float(mean), float(distance / elapsed) if elapsed > 0 else 0.0
+    # a sum overflowed: speeds and durations scaled into [0.5, 1) by powers of
+    # two, exactly but for values too small to count; the means scaled back
+    v, d = (math.ldexp(1.0, -math.frexp(x.max())[1]) for x in (drawn, durations))
+    speeds, spans = drawn * v, durations * d
+    weighted = np.cumsum(speeds * spans[moving])[-1] / spans.sum() if elapsed > 0 else 0.0
+    return tuple(float(min(m, speeds.max()) / v) for m in (np.mean(speeds), weighted))
 
 
 def discretize(
@@ -346,18 +347,15 @@ def discretize(
     grid: GridSpec,
     node_id: int = 0,
     time_step: float | None = None,
-) -> tuple[list[Path], LocationTrace]:
-    """Resample one node's continuous run onto grid cells, trip by trip.
+) -> LocationTrace:
+    """One node's run as grid cell ids, every ``time_step`` (the run's own by default).
 
-    Each travel leg becomes a path: the leg sampled every ``time_step`` time
-    units (the trace's own step by default), each sample mapped to the cell
-    containing it, with the final sample tied down to the destination's cell.
-    Pauses become repeated single-step pause paths. The returned location
-    trace is the concatenated encoding of those paths: every cell of each
-    path but its last. A ``node_id`` outside ``[0, node_count)``, a time
-    step that is not finite and > 0, and a run of more than ``MAX_SAMPLES``
-    samples are refused with :class:`ConfigurationError`, the last before
-    any sample is allocated.
+    Sample 0 of a leg is its start point's cell, sample k its point at
+    ``start + k·dt``, and every sample of a pause its point's cell. A
+    ``node_id`` outside ``[0, node_count)``, a time step that is not finite
+    and > 0, and a run of more than ``errors.MAX_SAMPLES`` samples are
+    refused with :class:`ConfigurationError`, the last before any sample is
+    allocated.
     """
     if not 0 <= node_id < trace.node_count:
         raise ConfigurationError(
@@ -376,31 +374,27 @@ def discretize(
     legs = trace.legs[node_id]
     counts = np.maximum(np.ceil(legs[:, DURATION] / dt * (1 - _EDGE_NUDGE)), 1.0)
     total = counts.sum()
-    if total > MAX_SAMPLES:
+    # the returned ids keep 8 bytes a sample; the sampling's temporaries
+    # peak at about 64 bytes a sample (traced at 10^6 samples)
+    if total > errors.MAX_SAMPLES:
         raise ConfigurationError(
             f"node {node_id} at time step {dt} needs {total:.6g} samples, over the "
-            f"limit of {MAX_SAMPLES} samples per run"
+            f"limit of {errors.MAX_SAMPLES} samples per run"
         )
     counts = counts.astype(np.int64)
     first = np.cumsum(counts) - counts  # each leg's first sample
-    # sample k of a leg is at start + k * dt; the first is the leg's start
-    # point, and every sample of a pause is its end point
     k = np.arange(int(total)) - np.repeat(first, counts)
     points = np.empty((len(k), 2))
     _interpolate(legs, counts, np.repeat(legs[:, START], counts) + k * dt, points)
     points[first] = legs[:, _FROM]
     pause = legs[:, SPEED] == 0.0
     points[np.repeat(pause, counts)] = np.repeat(legs[pause][:, _TO], counts[pause], axis=0)
-    ids = _containing_cells(grid, points, cell_w)
-    cells = ids.tolist()
-    ends = _containing_cells(grid, legs[:, _TO], cell_w).tolist()
-    paths: list[Path] = []
-    for lo, count, end, speed in zip(first.tolist(), counts.tolist(), ends, legs[:, SPEED]):
-        if speed == 0.0:  # pause: one pause path per sample interval
-            paths.extend([Path((end, end))] * count)
-        else:
-            paths.append(Path((*cells[lo : lo + count], end)))
-    return paths, LocationTrace(grid, ids)
+    # Cell i covers the half-open [i*cell_w, (i+1)*cell_w), so a point on a
+    # boundary goes to the larger index; points past the area's edges are
+    # clamped into the first or last cell.
+    index = np.floor(points / cell_w)
+    np.clip(index, 0, [grid.width - 1, grid.height - 1], out=index)
+    return LocationTrace(grid, grid.ids(*index.astype(np.int64).T))
 
 
 @dataclass(frozen=True)
@@ -461,12 +455,16 @@ def traffic_proxy(
     dt, times = trace.time_step, trace.times
     named = sorted({node for flow in flows for node in flow})
     positions = dict(zip(named, trace._sample_at(named, times)))
+    # a reach past 1e154 squares to inf, which every distance would pass: then
+    # all are scaled by the power of two that puts the reach in [0.5, 1)
+    scale = 1.0 if math.isfinite(reach * reach) else math.ldexp(1.0, -math.frexp(reach)[1])
+    limit = (reach * scale) * (reach * scale)
     connected = np.zeros(steps)
     with np.errstate(over="ignore"):  # a distance past 1e154 squares to inf
         for a, b in flows:
-            delta = positions[a] - positions[b]
+            delta = (positions[a] - positions[b]) * scale
             dist2 = (delta**2).sum(axis=1)
-            connected += dist2 <= reach * reach
+            connected += dist2 <= limit
     offered = rate * dt * len(flows)
     delivered = rate * dt * connected
     return TrafficReport(

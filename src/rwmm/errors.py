@@ -1,7 +1,8 @@
-"""Error types shared across the toolkit, plus the exact-enumeration cap."""
+"""Error types shared across the toolkit, plus the sample limit and the exact-enumeration cap."""
 
 import os
 
+MAX_SAMPLES = 10**8  # samples (nodes × steps) one run may hold; checks read it when they run
 DEFAULT_ENUMERATION_CAP = 10**6
 ENUMERATION_CAP_ENV = "RWMM_ENUM_CAP"
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import ConfigurationError
 from .geometry import PathAlphabet
 from .location import JointTrace, LocationTrace, encode_sequence, joint_process
@@ -23,21 +24,6 @@ from .processes import (
     sample_waypoints,
 )
 
-# Most location samples (nodes × horizon) one run may hold; the location ids
-# alone take 8 bytes a sample, 0.8 GB at the limit. io.save_locations writes
-# one block of rows at a time and, when a block holds fewer than every node,
-# holds beside it the steps, 8 bytes a step, and their words, at most 12
-# bytes a step (a traced peak of 7 and 11 bytes a sample at 4 and 2 nodes;
-# 2 at one node, whose steps are spelled a block at a time). A node's
-# waypoints take 8 bytes a step while it is drawn, and a Markov walk under
-# 2 MB more, one block of processes._WALK_BLOCK draws, buckets, pair keys and
-# states (10 bytes a step traced at 10^6 steps), beside its spec's successor,
-# bucket and pair tables, each of the last two at most
-# processes._TABLE_ENTRIES entries; its paths, the covering ones and less than one
-# block of _PATH_BLOCK more, 8 bytes a path. Encoding them digitizes each
-# distinct member once, with temporaries of up to about 50 bytes a sample
-# when few paths share a member.
-MAX_SAMPLES = 10**8
 # waypoint pairs whose paths are drawn at once
 _PATH_BLOCK = 2**15
 
@@ -57,10 +43,24 @@ class NodeRun:
 
 
 def _check_samples(node_count: int, horizon: int) -> None:
-    if node_count * horizon > MAX_SAMPLES:
+    # A run may hold errors.MAX_SAMPLES location samples (nodes × horizon); the
+    # location ids alone take 8 bytes a sample, 0.8 GB at the limit.
+    # io.save_locations writes one block of rows at a time and, when a block
+    # holds fewer than every node, holds beside it the steps, 8 bytes a step,
+    # and their words, at most 12 bytes a step (a traced peak of 7 and 11 bytes
+    # a sample at 4 and 2 nodes; 2 at one node, whose steps are spelled a block
+    # at a time). A node's waypoints take 8 bytes a step while it is drawn, and
+    # a Markov walk under 2 MB more, one block of processes._WALK_BLOCK draws,
+    # buckets, pair keys and states (10 bytes a step traced at 10^6 steps),
+    # beside its spec's successor, bucket and pair tables, each of the last two
+    # at most processes._TABLE_ENTRIES entries; its paths, the covering ones
+    # and less than one block of _PATH_BLOCK more, 8 bytes a path. Encoding
+    # them digitizes each distinct member once, with temporaries of up to about
+    # 50 bytes a sample when few paths share a member.
+    if node_count * horizon > errors.MAX_SAMPLES:
         raise ConfigurationError(
             f"{node_count} node(s) x {horizon} steps exceeds the limit of "
-            f"{MAX_SAMPLES} samples per run"
+            f"{errors.MAX_SAMPLES} samples per run"
         )
 
 
@@ -80,7 +80,7 @@ def simulate_node(
     bounds as from consecutive calls over its parts, so the paths are those
     one draw over every pair would give. Only the covering paths are kept
     and encoded, and the encoded stream is trimmed to exactly ``horizon``
-    samples. A horizon over ``MAX_SAMPLES`` is refused with
+    samples. A horizon over ``errors.MAX_SAMPLES`` is refused with
     :class:`ConfigurationError` before any draw.
     """
     if horizon < 1:
@@ -117,7 +117,7 @@ def simulate_joint(
 
     Node i's generators come from the i-th spawn of the root seed sequence,
     so runs are reproducible and nodes are pairwise independent. Runs of
-    more than ``MAX_SAMPLES`` samples in all are refused with
+    more than ``errors.MAX_SAMPLES`` samples in all are refused with
     :class:`ConfigurationError` before any draw.
     """
     if node_count < 1:

@@ -331,7 +331,7 @@ def test_criterion_09_continuous_traffic_and_occupancy(capsys):
         grid = GridSpec(5, 5)
         counts = np.zeros(grid.size)
         for node in range(10):
-            _, locations = discretize(trace2, grid, node_id=node)
+            locations = discretize(trace2, grid, node_id=node)
             counts += location_histogram(locations).counts
         freq = counts / counts.sum()
         center = freq[grid.cell_id(Cell(2, 2))]

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rwmm import continuous, simulate
+from rwmm import continuous, errors
 from rwmm import io as trace_io
 from rwmm.cli import main
 from rwmm.config import load_continuous_config, load_discrete_config
@@ -1358,7 +1358,7 @@ class TestValueWords:
         # a location trace's steps are its stamps: 0, each power of ten and
         # its neighbours, and a sample of steps a run may hold
         edges = [0] + [10**k + d for k in range(9) for d in (-1, 0, 1)]
-        drawn = np.random.default_rng(7).integers(0, simulate.MAX_SAMPLES, 10**5).tolist()
+        drawn = np.random.default_rng(7).integers(0, errors.MAX_SAMPLES, 10**5).tolist()
         values = edges + drawn
         assert value_text(values) == "".join(f",{v}" for v in values).encode()
 
@@ -1367,7 +1367,7 @@ class TestValueWords:
         # every step to 10^5, each power of ten and the number below it, the
         # top of the speller's domain, and a sample of steps a run may hold
         edges = [v for k in range(1, 10) for v in (10**k - 1, 10**k)][:-1]
-        drawn = np.random.default_rng(8).integers(0, simulate.MAX_SAMPLES, 10**4).tolist()
+        drawn = np.random.default_rng(8).integers(0, errors.MAX_SAMPLES, 10**4).tolist()
         for values in (list(range(10**5 + 1)), edges, drawn):
             stamps = np.array(values, dtype=np.int64)
             text = _stamp_words(stamps).T.tobytes().translate(None, b"\0")
@@ -1822,7 +1822,7 @@ class TestCli:
     ):
         # a prefix holds horizon + 2 waypoints: 20 fit a limit of 20, 21 do not
         d, _ = self.write_cfgs(tmp_path)
-        monkeypatch.setattr(simulate, "MAX_SAMPLES", 20)
+        monkeypatch.setattr(errors, "MAX_SAMPLES", 20)
         argv = ["verify-channel", "--config", str(d), "--horizon", horizon, "--prefixes", "1"]
         assert main(argv) == code
         assert ("over the limit of 20 samples" in capsys.readouterr().err) == bool(code)

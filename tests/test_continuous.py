@@ -22,13 +22,11 @@ from hypothesis import strategies as st
 from oracles import (
     discretize_per_sample,
     draw_legs_per_trip,
-    encode_paths,
     sample_legs_per_step,
 )
-from rwmm import continuous
+from rwmm import continuous, errors
 from rwmm.continuous import (
     DURATION,
-    MAX_SAMPLES,
     SPEED,
     START,
     X0,
@@ -191,7 +189,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "duration, time_step",
-        [(1e300, 1e-10), (1e12, 1.0), (1.0, 1e-8), (float(MAX_SAMPLES), 1.0)],
+        [(1e300, 1e-10), (1e12, 1.0), (1.0, 1e-8), (float(errors.MAX_SAMPLES), 1.0)],
     )
     def test_sample_limit_refused_before_allocating(self, monkeypatch, duration, time_step):
         # 1e300 / 1e-10 overflows to inf; the others are finite but too many
@@ -210,7 +208,7 @@ class TestSimulate:
         self, monkeypatch, nodes, duration, allowed
     ):
         # 10 samples per node at duration 9 and step 1, 11 at duration 10
-        monkeypatch.setattr(continuous, "MAX_SAMPLES", 20)
+        monkeypatch.setattr(errors, "MAX_SAMPLES", 20)
         if allowed:
             trace = simulate_continuous(self.AREA, nodes, duration, 1.0, seed=0)
             assert trace.positions(range(nodes)).shape[:2] == (nodes, 10)
@@ -362,10 +360,9 @@ def runs(draw):
     A node's legs start at a drawn time and each next one a drawn gap after
     the one before it ends. Then up to two values, any column of any leg,
     are replaced by an odd value or a negative one, which may overlap two
-    legs. Durations are drawn below 10, speeds below 20 and time steps from
-    0.05, or odd, so that no reader takes more than a few thousand samples.
-    A duration or speed is never one of the largest floats: ``mean_speeds``
-    sums speed times duration and the durations, and the sums overflow.
+    legs. Durations are drawn below 10 or odd but below 1e300, speeds below
+    20 or odd, and time steps from 0.05 or odd, so that no reader takes more
+    than a few thousand samples.
     """
     leg = st.tuples(
         st.floats(0.0, 2.0),  # the gap before the leg
@@ -384,7 +381,7 @@ def runs(draw):
     for _ in range(draw(st.integers(0, 2))):
         legs = draw(st.sampled_from(tables))
         row, column = draw(st.integers(0, len(legs) - 1)), draw(st.integers(0, 6))
-        odd = ODD.filter(lambda v: abs(v) < 1e300) if column in (DURATION, SPEED) else ODD
+        odd = ODD.filter(lambda v: abs(v) < 1e300) if column == DURATION else ODD
         legs[row, column] = draw(st.one_of(odd, st.just(-1.0)))
     # no subnormal step: discretize would take up to MAX_SAMPLES samples
     odd = st.sampled_from([math.nan, math.inf, -math.inf, 1.7976931348623157e308, 0.0, -1.0])
@@ -419,9 +416,8 @@ class TestRunRules:
                 assert np.isfinite(values).all()
         grid = GridSpec(5, 5)
         for node in nodes:
-            paths, located = discretize(trace, grid, node)
+            located = discretize(trace, grid, node)
             assert ((located.ids >= 0) & (located.ids < grid.size)).all()
-            assert all(0 <= cell < grid.size for path in paths for cell in path.cells)
         assert all(map(math.isfinite, mean_speeds(trace)))
         with tempfile.TemporaryDirectory() as tmp:
             script = pathlib.Path(tmp) / "m.tcl"
@@ -453,18 +449,25 @@ class TestRunRules:
                 0.5, 11, [table((0.0, 2.0, -1e308, 0.0, 1e308, 0.0, 2.0))],
                 "node 0's leg 0 ends at a point that is not finite",
             ),
+            (0.5, 2.5, [table(LEG)], "the step count must be an int below 2**63, got 2.5"),
+            (0.5, 10**400, [table(LEG)], "the step count must be an int below 2**63, got 1000"),
         ],
         ids=[
             "nan-x1", "no-nodes", "no-steps", "overlap", "huge-step", "negative-duration",
-            "end-overflows",
+            "end-overflows", "fractional-steps", "steps-past-int64",
         ],
     )
     def test_refused_when_made(self, time_step, steps, tables, error):
         # each once met a reader: the NaN became cell id -9223372036854775788
         # and "setdest nan", no nodes a bare numpy error in mean_speeds and
-        # export_ns2, the overlap wrong positions and the huge step an inf time
+        # export_ns2, the overlap wrong positions, the huge step an inf time,
+        # 2.5 steps 3 sample times and 10**400 steps a bare OverflowError
         with pytest.raises(ValueError, match=re.escape(error)):
             ContinuousTrace(self.AREA, time_step, steps, tuple(tables))
+
+    def test_numpy_integer_step_count_is_accepted(self):
+        trace = ContinuousTrace(self.AREA, 0.5, np.int64(3), (table(self.LEG),))
+        assert trace.times.tolist() == [0.0, 0.5, 1.0]
 
     def test_gaps_between_legs_are_allowed(self):
         legs = table(self.LEG, (3.0, 2.0, 5.0, 3.0, 1.0, 1.0, 2.0))
@@ -559,6 +562,30 @@ class TestMeanSpeeds:
         arithmetic, weighted = mean_speeds(trace)
         assert weighted < arithmetic
 
+    def test_largest_speed_does_not_overflow(self):
+        # speed times duration overflowed: the weighted mean read inf
+        fastest = 1.7976931348623157e308
+        legs = table((0.0, 2.0, 0, 0, 1, 0, fastest), (2.0, 2.0, 1, 0, 3, 0, 1.0))
+        assert mean_speeds(build_trace(ContinuousAreaSpec(10, 10, 1, 3), [legs])) == (
+            fastest / 2,
+            fastest / 2,
+        )
+
+    def test_longest_durations_do_not_overflow(self):
+        # the distance and the elapsed time both overflowed: inf / inf
+        legs = table((0.0, 1e308, 0, 0, 1, 0, 1.0), (1e308, 1e308, 1, 0, 3, 0, 3.0))
+        trace = ContinuousTrace(ContinuousAreaSpec(10, 10, 1, 3), 1.0, 3, (legs,))
+        assert mean_speeds(trace) == (2.0, 2.0)
+
+    def test_equals_leg_by_leg_sums(self):
+        # the running sums of a scalar loop over the legs, bit for bit
+        trace = simulate_continuous(ContinuousAreaSpec(500, 500, 0.5, 10, 2.0), 3, 400, 1.0, 7)
+        distance = elapsed = 0.0
+        for leg in np.concatenate(trace.legs).tolist():
+            distance += leg[SPEED] * leg[DURATION] if leg[SPEED] > 0 else 0.0
+            elapsed += leg[DURATION]
+        assert mean_speeds(trace)[1] == distance / elapsed
+
 
 class TestDiscretize:
     AREA = ContinuousAreaSpec(2, 1, 1, 1)
@@ -566,9 +593,7 @@ class TestDiscretize:
     def test_single_leg_by_hand(self):
         leg = (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0)
         trace = build_trace(self.AREA, [table(leg)], time_step=0.5)
-        paths, locations = discretize(trace, GridSpec(2, 1))
-        assert len(paths) == 1
-        assert paths[0].cells == (0, 0, 1, 1)  # the ids of cells (0, 0) and (1, 0)
+        locations = discretize(trace, GridSpec(2, 1))
         assert [locations.cell(i) for i in range(len(locations))] == [
             Cell(0, 0),
             Cell(0, 0),
@@ -581,20 +606,16 @@ class TestDiscretize:
             (1.5, 1.0, 1.7, 0.3, 1.7, 0.3, 0.0),
         )
         trace = build_trace(self.AREA, [legs], time_step=0.5)
-        paths, locations = discretize(trace, GridSpec(2, 1))
-        assert len(paths) == 3
-        assert paths[1].cells == (1, 1)  # the id of cell (1, 0)
-        assert paths[2].cells == (1, 1)
-        assert len(locations) == 5
+        locations = discretize(trace, GridSpec(2, 1))
+        assert locations.ids.tolist() == [0, 0, 1, 1, 1]  # a pause sample is its point's cell
 
     def test_integer_travel_time_no_extra_step(self):
         # exactly 2 time units at dt = 1 must give 2 samples, not 3
         leg = (0.0, 2.0, 0.0, 0.0, 2.0, 0.0, 1.0)
         area = ContinuousAreaSpec(2, 2, 1, 1)
         trace = build_trace(area, [table(leg)], time_step=1.0)
-        paths, _ = discretize(trace, GridSpec(2, 2))
-        assert paths[0].length == 2
-        assert paths[0].cells == (0, 1, 1)  # the ids of cells (0, 0) and (1, 0)
+        locations = discretize(trace, GridSpec(2, 2))
+        assert locations.ids.tolist() == [0, 1]  # the ids of cells (0, 0) and (1, 0)
 
     def test_grid_must_be_square_cells(self):
         leg = (0.0, 1.0, 0.1, 0.1, 1.5, 0.5, 1.0)
@@ -626,10 +647,9 @@ class TestDiscretize:
             (100.0, 100.0, 1.7, 0.3, 0.2, 0.3, 0.015),
         )
         trace = build_trace(self.AREA, [legs], time_step=1.0)
-        monkeypatch.setattr(continuous, "Path", refuse)
         monkeypatch.setattr(np, "repeat", refuse)
         monkeypatch.setattr(np, "arange", refuse)
-        with pytest.raises(ConfigurationError, match=f"limit of {MAX_SAMPLES} samples"):
+        with pytest.raises(ConfigurationError, match=f"limit of {errors.MAX_SAMPLES} samples"):
             discretize(trace, GridSpec(2, 1), time_step=1e-9)
 
     @pytest.mark.parametrize("limit, allowed", [(5, True), (4, False)])
@@ -640,9 +660,9 @@ class TestDiscretize:
             (1.5, 1.0, 1.7, 0.3, 1.7, 0.3, 0.0),
         )
         trace = build_trace(self.AREA, [legs], time_step=0.5)
-        monkeypatch.setattr(continuous, "MAX_SAMPLES", limit)
+        monkeypatch.setattr(errors, "MAX_SAMPLES", limit)
         if allowed:
-            assert len(discretize(trace, GridSpec(2, 1))[1]) == 5
+            assert len(discretize(trace, GridSpec(2, 1))) == 5
         else:
             with pytest.raises(ConfigurationError, match="needs 5 samples, over the limit of 4"):
                 discretize(trace, GridSpec(2, 1))
@@ -655,9 +675,8 @@ class TestDiscretize:
         grid = GridSpec(5, 5)
         dt = trace.time_step * scale
         for node in range(2):
-            paths, locations = discretize(trace, grid, node_id=node, time_step=dt)
-            expected_paths, expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, dt)
-            assert paths == expected_paths
+            locations = discretize(trace, grid, node_id=node, time_step=dt)
+            _, expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, dt)
             assert locations.ids.tolist() == expected_ids
 
     @given(
@@ -682,11 +701,10 @@ class TestDiscretize:
         grid = GridSpec(columns, rows)
         dt = trace.time_step * scale
         for node in range(2):
-            paths, locations = discretize(trace, grid, node_id=node, time_step=dt)
-            expected_paths, expected_ids = discretize_per_sample(
+            locations = discretize(trace, grid, node_id=node, time_step=dt)
+            _, expected_ids = discretize_per_sample(
                 trace.legs[node], grid, area.width / columns, dt
             )
-            assert paths == expected_paths
             assert locations.ids.tolist() == expected_ids
 
     def test_round_trip_through_simulator(self):
@@ -694,11 +712,25 @@ class TestDiscretize:
         trace = simulate_continuous(area, 2, 50, 0.5, seed=9)
         grid = GridSpec(5, 5)
         for node in range(2):
-            paths, locations = discretize(trace, grid, node_id=node)
-            assert sum(p.length for p in paths) == len(locations)
-            assert locations.ids.tolist() == encode_paths(paths)
-            for p in paths:
-                assert all(0 <= c < grid.size for c in p.cells)
+            locations = discretize(trace, grid, node_id=node)
+            assert ((locations.ids >= 0) & (locations.ids < grid.size)).all()
+            _, expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, 0.5)
+            assert locations.ids.tolist() == expected_ids
+
+    def test_memory_per_sample(self):
+        # the ids take 8 bytes a sample; a Path of cells a leg kept about 42
+        # more, and building them pushed the peak to 85
+        area = ContinuousAreaSpec(1000, 1000, 1, 20, pause_time=5)
+        trace = simulate_continuous(area, 1, 2 * 10**5, 1.0, seed=1)
+        tracemalloc.start()
+        try:
+            locations = discretize(trace, GridSpec(100, 100))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(locations) > 2 * 10**5
+        assert kept / len(locations) <= 9
+        assert peak / len(locations) < 70
 
 
 class TestTrafficProxy:
@@ -769,6 +801,15 @@ class TestTrafficProxy:
         assert trace.step_count == 11
         with pytest.raises(ConfigurationError, match=r"one value per step \(11\)"):
             traffic_proxy(trace, flows=[(0, 1)], bitrate=np.ones(shape), reach=2.0)
+
+    @pytest.mark.parametrize("apart, connected", [(1e300, 0.0), (1e158, 1.0)])
+    def test_reach_whose_square_overflows(self, apart, connected):
+        # reach * reach and the squared distance 1e600 are both inf: the
+        # nodes 1e300 apart read connected at every step
+        legs = [table((0.0, 2.0, 0, 0, 0, 0, 0.0)), table((0.0, 2.0, apart, 0, apart, 0, 0.0))]
+        trace = build_trace(self.AREA, legs, time_step=1.0)
+        report = traffic_proxy(trace, flows=[(0, 1)], bitrate=1.0, reach=1e160)
+        assert report.connected_fraction.tolist() == [connected] * 3
 
     def test_zero_reach_needs_coincident_nodes(self):
         report = traffic_proxy(self.two_node_trace(), flows=[(0, 1)], bitrate=4.0, reach=0.0)

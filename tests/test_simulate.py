@@ -17,7 +17,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwmm import simulate
+from rwmm import errors, simulate
 from rwmm.errors import ConfigurationError
 from rwmm.geometry import GridSpec, build_alphabet
 from rwmm.processes import WaypointProcessSpec, sample_paths, sample_waypoints
@@ -102,7 +102,7 @@ def _refuse_draws(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_node_sample_limit_refused_before_drawing(monkeypatch, kind):
-    monkeypatch.setattr(simulate, "MAX_SAMPLES", 20)
+    monkeypatch.setattr(errors, "MAX_SAMPLES", 20)
     assert len(simulate_node(SPECS[kind], ALPHABET, 20, seed=1).locations) == 20
     _refuse_draws(monkeypatch)
     with pytest.raises(ConfigurationError, match="limit of 20 samples"):
@@ -114,7 +114,7 @@ def test_node_sample_limit_refused_before_drawing(monkeypatch, kind):
     [(1, 20, True), (2, 10, True), (4, 5, True), (2, 11, False), (3, 7, False)],
 )
 def test_joint_sample_limit_counts_nodes_times_horizon(monkeypatch, nodes, horizon, allowed):
-    monkeypatch.setattr(simulate, "MAX_SAMPLES", 20)
+    monkeypatch.setattr(errors, "MAX_SAMPLES", 20)
     if allowed:
         joint = simulate_joint(SPECS["iid"], ALPHABET, horizon, nodes, seed=2)
         assert joint.ids.shape == (nodes, horizon)

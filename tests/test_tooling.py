@@ -3,8 +3,8 @@
 No module of the package imports a name it never uses, no module but
 ``geometry`` does cell-id arithmetic with a grid's width, ``processes``,
 ``cli`` and ``continuous`` do not import ``Cell``, no module takes
-``hypot`` from numpy, the package subtracts a leg's start point from its
-end point in one function, ``io`` spells a number with the ``.6f`` format spec in one
+``hypot`` from numpy, only ``geometry`` calls ``rwmm.geometry.Path``, the
+package subtracts a leg's start point from its end point in one function, ``io`` spells a number with the ``.6f`` format spec in one
 function, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
@@ -305,6 +305,76 @@ def test_travel_times_use_math_hypot(module):
 def test_numpy_hypot_is_found():
     tree = ast.parse("import numpy as np\nfrom numpy import hypot\nd = np.hypot(1, 2)\n")
     assert _numpy_hypot_sites(tree) == [2, 3]
+
+
+def _path_calls(tree: ast.Module, defines: bool = False) -> list[str]:
+    """The functions and methods, in source order, that call ``rwmm.geometry.Path``.
+
+    The class is called by a name that ``from .geometry import Path`` (or
+    ``from rwmm.geometry``) binds, as ``geometry.Path`` through a name that
+    ``from . import geometry`` (or ``from rwmm``) binds, or, in the module
+    that ``defines`` it, by its own name. ``pathlib.Path`` does not count.
+    """
+    names, modules = {"Path"} if defines else set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if source in (".geometry", "rwmm.geometry") and alias.name == "Path":
+                    names.add(alias.asname or alias.name)
+                elif source in (".", "rwmm") and alias.name == "geometry":
+                    modules.add(alias.asname or alias.name)
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                (isinstance(child.func, ast.Name) and child.func.id in names)
+                or (
+                    isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "Path"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in modules
+                )
+            ):
+                found.append(owner)
+            scopes = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            visit(child, f"{owner}.{child.name}".lstrip(".") if isinstance(child, scopes) else owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_geometry_builds_a_path():
+    # the alphabet's id view is the one place that makes a Path: the
+    # continuous bridge emits cell ids, as the discrete model does
+    sites = [
+        (module.name, function)
+        for module in PACKAGE
+        for function in _path_calls(ast.parse(module.read_text()), module.name == "geometry.py")
+    ]
+    assert sites == [("geometry.py", "_PathMapping.__getitem__")]
+
+
+def test_path_calls_are_found():
+    # an imported name, an alias, a module attribute; pathlib's Path and a
+    # Path that is not called do not count
+    source = """
+from pathlib import Path
+from . import geometry as g
+from .geometry import GridSpec, Path as P
+
+def read(name):
+    return Path(name).read_text()
+
+class Bridge:
+    def legs(self, cells):
+        return [P(cells), g.Path(cells)]
+
+def annotated(path: P) -> P:
+    return path
+"""
+    assert _path_calls(ast.parse(source)) == ["Bridge.legs", "Bridge.legs"]
 
 
 def _rwmm_modules(tree: ast.Module) -> dict[str, str]:
