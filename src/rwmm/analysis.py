@@ -15,6 +15,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from . import errors
 from .geometry import Cell, GridSpec
 from .location import JointTrace, LocationTrace
 
@@ -220,9 +221,15 @@ def cell_time_averages(trace: JointTrace) -> CellAverages:
     Counts each segment between consecutive checkpoints with one
     ``bincount`` and sums the segments up. A running sum of 0/1 floats is an
     exact integer below 2**53, so ``count / checkpoint`` has the same bits
-    as the running mean ``time_average`` reads at that checkpoint.
+    as the running mean ``time_average`` reads at that checkpoint. More
+    than ``errors.MAX_SAMPLES`` (node, cell) rows are refused first.
     """
     steps, size = len(trace), trace.grid.size
+    if trace.node_count * size > errors.MAX_SAMPLES:
+        raise errors.ConfigurationError(
+            f"{trace.node_count} node(s) x {size} cells exceeds the limit of "
+            f"{errors.MAX_SAMPLES} (node, cell) rows per report"
+        )
     checkpoints = _geometric_checkpoints(steps)
     shape = (trace.node_count, size)
     visits = np.empty(shape, dtype=np.int64)

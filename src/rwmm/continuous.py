@@ -2,8 +2,8 @@
 
 Nodes move in a rectangle: pick a uniform waypoint, pick a uniform speed,
 travel in a straight line, optionally pause, repeat. Positions are sampled on
-a fixed time step. ``discretize`` resamples a continuous run onto a grid's
-cell ids, so that the discrete model's analysis can read the run, and
+a fixed time step. ``discretize`` maps a node's samples to a grid's cell
+ids, so that the discrete model's analysis can read the run, and
 ``traffic_proxy`` scores constant-bitrate delivery over a disk connectivity
 model.
 
@@ -18,6 +18,8 @@ and their values and end points must be finite (see ``ContinuousTrace``).
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +31,7 @@ from .geometry import GridSpec
 from .location import LocationTrace
 from .processes import _seed_sequence
 
-_EDGE_NUDGE = 1e-12  # keeps integer-multiple travel times from gaining a step
+_EDGE_NUDGE = 1e-12  # keeps a whole number of steps' last sample from rounding away
 
 # Samples interpolated at once: the interpolation's temporaries, about 25
 # bytes a sample, are bounded by this block (about 1.6 MB), not by the run.
@@ -87,8 +89,8 @@ class ContinuousAreaSpec:
 class ContinuousTrace:
     """A continuous run: each node's legs, sampled every ``time_step`` for ``step_count`` steps.
 
-    The legs are all a run stores: ``positions`` samples them at each call;
-    ``discretize``, ``mean_speeds`` and the ns-2 export read only the legs.
+    The legs are all a run stores: ``positions`` and ``discretize`` sample
+    them at each call; ``mean_speeds`` and the ns-2 export read only the legs.
     A run is refused with ``ValueError`` when it is made, so no reader meets
     one, if it has no nodes or steps, a step count that is not an int below
     2**63, a time step that is not finite and > 0 or whose last time
@@ -194,23 +196,23 @@ def _interpolate(
 def _sample_legs(legs: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     """Write the positions on a leg table at ascending ``times`` to ``out``.
 
-    A time at a leg's end belongs to that leg, times before the first leg go
-    to it, and times past the last leg clamp to it. The leg ends must not
-    decrease (``ContinuousTrace`` checks). ``bounds[i]`` counts the times at
-    or before leg ``i``'s end; leg ``i`` takes times ``bounds[i - 1]`` (or 0)
-    to ``bounds[i] - 1``, interpolated ``_BLOCK_SAMPLES`` at a time.
+    A time's leg is the first that ends at or after it, else the last, so
+    times before the first leg go to it and past the last clamp to it; the
+    leg ends must not decrease (``ContinuousTrace`` checks). A block of
+    ``_BLOCK_SAMPLES`` times is interpolated at once over the legs from its
+    first time's to its last's, found by bisection, not by a pass over all.
     """
-    n = len(times)
-    bounds = np.searchsorted(times, legs[:, START] + legs[:, DURATION], side="right")
-    bounds[-1] = n  # the last leg also takes every later time
-    for lo in range(0, n, _BLOCK_SAMPLES):
-        hi = min(lo + _BLOCK_SAMPLES, n)
-        # the legs of the block's first and last samples, and those between
-        first, last = np.searchsorted(bounds, (lo, hi - 1), side="right").tolist()
-        ends = bounds[first : last + 1].copy()
-        ends[-1] = hi
-        counts = np.diff(ends, prepend=lo)
-        _interpolate(legs[first : last + 1], counts, times[lo:hi], out[lo:hi])
+
+    def leg_at(t) -> int:
+        return min(bisect_left(legs, t, key=lambda leg: leg[START] + leg[DURATION]), len(legs) - 1)
+
+    for lo in range(0, len(times), _BLOCK_SAMPLES):
+        block = times[lo : lo + _BLOCK_SAMPLES]
+        span = legs[leg_at(block[0]) : leg_at(block[-1]) + 1]
+        # leg i takes the block's times after leg i - 1's end, up to its own
+        ends = np.searchsorted(block, span[:-1, START] + span[:-1, DURATION], side="right")
+        counts = np.diff(ends, prepend=0, append=len(block))
+        _interpolate(span, counts, block, out[lo : lo + len(block)])
 
 
 def simulate_continuous(
@@ -223,7 +225,8 @@ def simulate_continuous(
     """Draw the legs of ``node_count`` independent walkers for ``duration`` time units.
 
     The run samples at 0, dt, 2*dt, ... up to and including the last
-    multiple of dt that is <= duration, when its ``positions`` are read.
+    multiple of dt that is <= duration (``_EDGE_NUDGE`` only keeps it from
+    rounding away), when its ``positions`` are read.
     Waypoints (and the initial position) are uniform over the rectangle;
     each trip's speed is uniform over the configured range; every arrival
     is followed by the configured pause.
@@ -342,28 +345,19 @@ def mean_speeds(trace: ContinuousTrace) -> tuple[float, float]:
     return tuple(float(min(m, speeds.max()) / v) for m in (np.mean(speeds), weighted))
 
 
-def discretize(
-    trace: ContinuousTrace,
-    grid: GridSpec,
-    node_id: int = 0,
-    time_step: float | None = None,
-) -> LocationTrace:
-    """One node's run as grid cell ids, every ``time_step`` (the run's own by default).
+def discretize(trace: ContinuousTrace, grid: GridSpec, node_id: int = 0) -> LocationTrace:
+    """One node's run as grid cell ids, one at each of the run's sample times.
 
-    Sample 0 of a leg is its start point's cell, sample k its point at
-    ``start + k·dt``, and every sample of a pause its point's cell. A
-    ``node_id`` outside ``[0, node_count)``, a time step that is not finite
-    and > 0, and a run of more than ``errors.MAX_SAMPLES`` samples are
-    refused with :class:`ConfigurationError`, the last before any sample is
-    allocated.
+    Sample k is the cell of ``trace.positions([node_id])[0][k]``, the node's
+    point at ``k * time_step``, sampled ``_BLOCK_SAMPLES`` times at a time. A
+    ``node_id`` outside ``[0, node_count)``, cells that are not square and
+    more than ``errors.MAX_SAMPLES`` steps are refused with
+    :class:`ConfigurationError`, the last before any sample is allocated.
     """
     if not 0 <= node_id < trace.node_count:
         raise ConfigurationError(
             f"node id {node_id} outside [0, {trace.node_count}) for this trace"
         )
-    dt = trace.time_step if time_step is None else time_step
-    if not 0 < dt < math.inf:
-        raise ConfigurationError(f"time step must be finite and > 0, got {dt}")
     cell_w = trace.area.width / grid.width
     cell_h = trace.area.height / grid.height
     if not math.isclose(cell_w, cell_h, rel_tol=1e-9):
@@ -371,30 +365,25 @@ def discretize(
             "grid cells must be square: area/grid aspect ratios differ "
             f"({cell_w} vs {cell_h})"
         )
-    legs = trace.legs[node_id]
-    counts = np.maximum(np.ceil(legs[:, DURATION] / dt * (1 - _EDGE_NUDGE)), 1.0)
-    total = counts.sum()
-    # the returned ids keep 8 bytes a sample; the sampling's temporaries
-    # peak at about 64 bytes a sample (traced at 10^6 samples)
-    if total > errors.MAX_SAMPLES:
+    steps = trace.step_count
+    # the returned ids keep 8 bytes a sample; one block's temporaries, about
+    # 5 MB, add 5.3 a sample to the traced peak at 10^6 samples
+    if steps > errors.MAX_SAMPLES:
         raise ConfigurationError(
-            f"node {node_id} at time step {dt} needs {total:.6g} samples, over the "
-            f"limit of {errors.MAX_SAMPLES} samples per run"
+            f"node {node_id} needs {steps} samples, over the limit of "
+            f"{errors.MAX_SAMPLES} samples per run"
         )
-    counts = counts.astype(np.int64)
-    first = np.cumsum(counts) - counts  # each leg's first sample
-    k = np.arange(int(total)) - np.repeat(first, counts)
-    points = np.empty((len(k), 2))
-    _interpolate(legs, counts, np.repeat(legs[:, START], counts) + k * dt, points)
-    points[first] = legs[:, _FROM]
-    pause = legs[:, SPEED] == 0.0
-    points[np.repeat(pause, counts)] = np.repeat(legs[pause][:, _TO], counts[pause], axis=0)
-    # Cell i covers the half-open [i*cell_w, (i+1)*cell_w), so a point on a
-    # boundary goes to the larger index; points past the area's edges are
-    # clamped into the first or last cell.
-    index = np.floor(points / cell_w)
-    np.clip(index, 0, [grid.width - 1, grid.height - 1], out=index)
-    return LocationTrace(grid, grid.ids(*index.astype(np.int64).T))
+    ids = np.empty(steps, dtype=np.int64)
+    for lo in range(0, steps, _BLOCK_SAMPLES):
+        times = np.arange(lo, min(lo + _BLOCK_SAMPLES, steps)) * trace.time_step
+        points = trace._sample_at([node_id], times)[0]
+        # Cell i covers the half-open [i*cell_w, (i+1)*cell_w), so a point on
+        # a boundary goes to the larger index; points past the area's edges
+        # are clamped into the first or last cell.
+        index = np.floor(points / cell_w)
+        np.clip(index, 0, [grid.width - 1, grid.height - 1], out=index)
+        ids[lo : lo + len(times)] = grid.ids(*index.astype(np.int64).T)
+    return LocationTrace(grid, ids)
 
 
 @dataclass(frozen=True)
@@ -455,10 +444,13 @@ def traffic_proxy(
     dt, times = trace.time_step, trace.times
     named = sorted({node for flow in flows for node in flow})
     positions = dict(zip(named, trace._sample_at(named, times)))
-    # a reach past 1e154 squares to inf, which every distance would pass: then
-    # all are scaled by the power of two that puts the reach in [0.5, 1)
-    scale = 1.0 if math.isfinite(reach * reach) else math.ldexp(1.0, -math.frexp(reach)[1])
-    limit = (reach * scale) * (reach * scale)
+    # a reach whose square is not normal (past 1e154, below 1e-154 or 0) would
+    # pass every distance as inf or 0: all are then scaled to put the reach in
+    # [0.5, 1), or by 2**1023 below 2**-1022, so a nonzero gap squares normal
+    scale, limit = 1.0, reach * reach
+    if not sys.float_info.min <= limit < math.inf:
+        scale = math.ldexp(1.0, min(-math.frexp(reach)[1], 1023) if reach else 1023)
+        limit = (reach * scale) * (reach * scale)
     connected = np.zeros(steps)
     with np.errstate(over="ignore"):  # a distance past 1e154 squares to inf
         for a, b in flows:

@@ -41,14 +41,13 @@ Seventeen deliberately separate routes from first principles:
 * a per-sample resampler of continuous legs, one scalar interpolation on a
   leg-table row per sample time, to check the vectorized interpolation in
   ``rwmm.continuous``;
-* a per-sample discretizer of continuous legs, leg after leg, that maps
-  each sample to its cell on its own, to check the one-pass sampling of
-  ``rwmm.continuous.discretize``;
+* a per-sample discretizer of continuous legs that samples the run's
+  clock with the resampler above and maps each point to its cell on its
+  own, to check the blocked sampling of ``rwmm.continuous.discretize``;
 * a per-path encoder that concatenates every path's cells but its last,
   path after path, to check the vectorized ``rwmm.location.encode_sequence``
-  and the cells ``rwmm.continuous.discretize`` emits, and, over drawn path
-  ids, that ``rwmm.simulate.simulate_node`` encodes only the paths
-  covering its horizon;
+  and, over drawn path ids, that ``rwmm.simulate.simulate_node`` encodes
+  only the paths covering its horizon;
 * a per-row formatter of location trace bodies, one f-string per
   ``(node, step)``, to check the bulk row writer of
   ``rwmm.io.save_locations``;
@@ -573,37 +572,19 @@ def sample_legs_per_step(legs, times) -> np.ndarray:
     return out
 
 
-def discretize_per_sample(legs, grid: GridSpec, cell_size: float, dt: float):
-    """One node's legs resampled onto ``grid`` every ``dt``, sample by sample.
+def discretize_per_sample(legs, grid: GridSpec, cell_size: float, dt: float, steps: int):
+    """One node's cell ids at times ``k * dt`` for k below ``steps``, point by point.
 
-    A leg of duration d takes ``max(1, ceil(d / dt * (1 - 1e-12)))`` samples,
-    sample k at ``start + k * dt``; the 1e-12 keeps a duration that is a
-    whole number of steps from gaining one. A travel leg becomes one path:
-    its start point's cell, the cells of samples 1 and on, then its end
-    point's cell. A pause becomes one ``(end, end)`` path per sample. A
-    point's cell is ``floor(coordinate / cell_size)`` clamped into the
-    grid, and its id ``x + y * width``. Returns the paths and the cell ids
-    of every path's cells but its last.
+    The points are ``sample_legs_per_step`` at those times. A point's cell
+    is ``floor(coordinate / cell_size)`` clamped into the grid, and its id
+    ``x + y * width``.
     """
-
-    def containing(x: float, y: float) -> int:
+    ids = []
+    for x, y in sample_legs_per_step(legs, [k * dt for k in range(steps)]).tolist():
         cx = min(max(math.floor(x / cell_size), 0), grid.width - 1)
         cy = min(max(math.floor(y / cell_size), 0), grid.height - 1)
-        return cx + cy * grid.width
-
-    paths = []
-    for row in np.asarray(legs, dtype=float).tolist():
-        start, duration, x0, y0, x1, y1, speed = row
-        samples = max(1, math.ceil(duration / dt * (1 - 1e-12)))
-        end = containing(x1, y1)
-        if speed == 0:
-            paths.extend(Path((end, end)) for _ in range(samples))
-            continue
-        cells = [containing(x0, y0)]
-        for k in range(1, samples):
-            cells.append(containing(*position_on_leg(row, start + k * dt)))
-        paths.append(Path((*cells, end)))
-    return paths, encode_paths(paths)
+        ids.append(cx + cy * grid.width)
+    return ids
 
 
 def encode_paths(paths) -> list[int]:

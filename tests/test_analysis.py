@@ -23,6 +23,8 @@ from rwmm.analysis import (
     time_average,
     _geometric_checkpoints,
 )
+from rwmm import errors
+from rwmm.errors import ConfigurationError
 from rwmm.geometry import Cell, GridSpec, build_alphabet
 from rwmm.location import JointTrace, LocationTrace
 from rwmm.processes import WaypointProcessSpec
@@ -274,3 +276,14 @@ class TestCellTimeAverages:
                 assert averages.final_values[node, cid] == report.final_value
                 assert averages.cauchy_widths[node, cid] == report.cauchy_width
                 assert averages.converged[node, cid] == report.converged
+
+    @pytest.mark.parametrize("limit, allowed", [(18, True), (17, False)])
+    def test_report_rows_limit(self, monkeypatch, limit, allowed):
+        # 2 nodes x 9 cells are 18 report rows
+        trace = JointTrace(GridSpec(3, 3), np.array([[0, 4, 8], [1, 1, 2]]))
+        monkeypatch.setattr(errors, "MAX_SAMPLES", limit)
+        if allowed:
+            assert cell_time_averages(trace).visits.shape == (2, 9)
+        else:
+            with pytest.raises(ConfigurationError, match="2 node\\(s\\) x 9 cells exceeds"):
+                cell_time_averages(trace)

@@ -1879,6 +1879,29 @@ class TestCli:
         assert "samples per run" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_analyze_refuses_report_past_sample_limit(self, tmp_path, capsys):
+        # a 3-step trace whose header names a 200000x200000 grid: its report
+        # would have 4e10 rows, and numpy once tried to allocate 298 GiB
+        trace = tmp_path / "t.trace"
+        save_locations(trace, JointTrace(GridSpec(2, 2), np.array([[0, 1, 3]])))
+        trace.write_text(trace.read_text().replace("# grid: 2x2\n", "# grid: 200000x200000\n"))
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["analyze", "--trace", str(trace), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: 1 node(s) x 40000000000 cells exceeds the limit of "
+            f"{errors.MAX_SAMPLES} (node, cell) rows per report\n"
+        )
+        assert peak < 2**21
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -598,6 +598,7 @@ class TestDiscretize:
             Cell(0, 0),
             Cell(0, 0),
             Cell(1, 0),
+            Cell(1, 0),
         ]
 
     def test_pause_becomes_pause_paths(self):
@@ -607,15 +608,16 @@ class TestDiscretize:
         )
         trace = build_trace(self.AREA, [legs], time_step=0.5)
         locations = discretize(trace, GridSpec(2, 1))
-        assert locations.ids.tolist() == [0, 0, 1, 1, 1]  # a pause sample is its point's cell
+        assert locations.ids.tolist() == [0, 0, 1, 1, 1, 1]  # a pause sample is its point's cell
 
     def test_integer_travel_time_no_extra_step(self):
-        # exactly 2 time units at dt = 1 must give 2 samples, not 3
+        # exactly 2 time units at dt = 1 are the run's 3 clock samples, the
+        # last at t = 2, and one id each
         leg = (0.0, 2.0, 0.0, 0.0, 2.0, 0.0, 1.0)
         area = ContinuousAreaSpec(2, 2, 1, 1)
         trace = build_trace(area, [table(leg)], time_step=1.0)
         locations = discretize(trace, GridSpec(2, 2))
-        assert locations.ids.tolist() == [0, 1]  # the ids of cells (0, 0) and (1, 0)
+        assert locations.ids.tolist() == [0, 1, 1]  # the ids of cells (0, 0), (1, 0), (1, 0)
 
     def test_grid_must_be_square_cells(self):
         leg = (0.0, 1.0, 0.1, 0.1, 1.5, 0.5, 1.0)
@@ -630,31 +632,21 @@ class TestDiscretize:
         with pytest.raises(ConfigurationError, match=rf"node id {node_id} outside \[0, 2\)"):
             discretize(trace, GridSpec(2, 1), node_id=node_id)
 
-    @pytest.mark.parametrize("time_step", [math.nan, math.inf, 0.0, -0.5])
-    def test_refuses_bad_time_step(self, time_step):
-        leg = (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0)
-        trace = build_trace(self.AREA, [table(leg)], time_step=0.5)
-        with pytest.raises(ConfigurationError, match="time step must be finite and > 0"):
-            discretize(trace, GridSpec(2, 1), time_step=time_step)
-
     def test_sample_limit_refused_before_allocating(self, monkeypatch):
-        # 100 time units at a step of 1e-9 are 1e11 samples a leg
+        # a built run may hold up to 2**63 steps
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the sample limit was checked")
 
-        legs = table(
-            (0.0, 100.0, 1.7, 0.3, 1.7, 0.3, 0.0),
-            (100.0, 100.0, 1.7, 0.3, 0.2, 0.3, 0.015),
-        )
-        trace = build_trace(self.AREA, [legs], time_step=1.0)
-        monkeypatch.setattr(np, "repeat", refuse)
-        monkeypatch.setattr(np, "arange", refuse)
+        leg = (0.0, 100.0, 1.7, 0.3, 0.2, 0.3, 0.015)
+        trace = build_trace(self.AREA, [table(leg)], time_step=1.0, steps=2**62)
+        for name in ("repeat", "arange", "empty"):
+            monkeypatch.setattr(np, name, refuse)
         with pytest.raises(ConfigurationError, match=f"limit of {errors.MAX_SAMPLES} samples"):
-            discretize(trace, GridSpec(2, 1), time_step=1e-9)
+            discretize(trace, GridSpec(2, 1))
 
-    @pytest.mark.parametrize("limit, allowed", [(5, True), (4, False)])
-    def test_sample_limit_counts_every_leg(self, monkeypatch, limit, allowed):
-        # 3 samples of travel and 2 of pause at a step of 0.5
+    @pytest.mark.parametrize("limit, allowed", [(6, True), (5, False)])
+    def test_sample_limit_counts_clock_samples(self, monkeypatch, limit, allowed):
+        # 2.5 time units of travel and pause are 6 clock samples at a step of 0.5
         legs = table(
             (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0),
             (1.5, 1.0, 1.7, 0.3, 1.7, 0.3, 0.0),
@@ -662,21 +654,20 @@ class TestDiscretize:
         trace = build_trace(self.AREA, [legs], time_step=0.5)
         monkeypatch.setattr(errors, "MAX_SAMPLES", limit)
         if allowed:
-            assert len(discretize(trace, GridSpec(2, 1))) == 5
+            assert len(discretize(trace, GridSpec(2, 1))) == 6
         else:
-            with pytest.raises(ConfigurationError, match="needs 5 samples, over the limit of 4"):
+            with pytest.raises(ConfigurationError, match="needs 6 samples, over the limit of 5"):
                 discretize(trace, GridSpec(2, 1))
 
     @pytest.mark.parametrize("pause", [0.0, 3.0], ids=["travel", "pauses"])
-    @pytest.mark.parametrize("scale", [1.0, 1 / 3, 2.5], ids=["dt", "dt/3", "2.5dt"])
-    def test_equals_per_sample_oracle(self, pause, scale):
+    @pytest.mark.parametrize("dt", [0.5, 0.5 / 3, 1.25], ids=["dt", "dt/3", "2.5dt"])
+    def test_equals_per_sample_oracle(self, pause, dt):
         area = ContinuousAreaSpec(100, 100, 1, 5, pause_time=pause)
-        trace = simulate_continuous(area, 2, 80, 0.5, seed=11)
+        trace = simulate_continuous(area, 2, 80, dt, seed=11)
         grid = GridSpec(5, 5)
-        dt = trace.time_step * scale
         for node in range(2):
-            locations = discretize(trace, grid, node_id=node, time_step=dt)
-            _, expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, dt)
+            locations = discretize(trace, grid, node_id=node)
+            expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, dt, trace.step_count)
             assert locations.ids.tolist() == expected_ids
 
     @given(
@@ -686,51 +677,68 @@ class TestDiscretize:
         st.floats(0.5, 10.0),
         st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
         st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
-        st.floats(0.2, 3.0),
+        st.floats(0.1, 1.5),
         st.integers(0, 2**32 - 1),
     )
     def test_drawn_runs_equal_per_sample_oracle(
-        self, columns, rows, cell, min_speed, spread, pause, scale, seed
+        self, columns, rows, cell, min_speed, spread, pause, dt, seed
     ):
         # an area of columns x rows square cells; spread 0 is a fixed speed
         # and pause 0 leaves out pause legs
         area = ContinuousAreaSpec(
             columns * cell, rows * cell, min_speed, min_speed + spread, pause
         )
-        trace = simulate_continuous(area, 2, 80, 0.5, seed)
+        trace = simulate_continuous(area, 2, 80, dt, seed)
         grid = GridSpec(columns, rows)
-        dt = trace.time_step * scale
         for node in range(2):
-            locations = discretize(trace, grid, node_id=node, time_step=dt)
-            _, expected_ids = discretize_per_sample(
-                trace.legs[node], grid, area.width / columns, dt
+            locations = discretize(trace, grid, node_id=node)
+            expected_ids = discretize_per_sample(
+                trace.legs[node], grid, area.width / columns, dt, trace.step_count
             )
             assert locations.ids.tolist() == expected_ids
 
-    def test_round_trip_through_simulator(self):
-        area = ContinuousAreaSpec(100, 100, 1, 5)
-        trace = simulate_continuous(area, 2, 50, 0.5, seed=9)
-        grid = GridSpec(5, 5)
-        for node in range(2):
-            locations = discretize(trace, grid, node_id=node)
-            assert ((locations.ids >= 0) & (locations.ids < grid.size)).all()
-            _, expected_ids = discretize_per_sample(trace.legs[node], grid, 20.0, 0.5)
-            assert locations.ids.tolist() == expected_ids
+    def test_blocks_do_not_change_ids(self, monkeypatch):
+        # at a step of 0.25, blocks of 7 samples start before the first leg,
+        # in the gap between two legs and past the last, and end in a pause
+        # and on a leg; the ids are the floored, clamped positions and the
+        # oracle's
+        legs = table(
+            (0.5, 0.75, 0.2, 0.3, 1.7, 0.3, 2.0),
+            (1.25, 0.35, 1.7, 0.3, 1.7, 0.3, 0.0),
+            (1.8, 1.5, 1.7, 0.3, 0.4, 0.9, 1.0),
+        )
+        drawn = simulate_continuous(ContinuousAreaSpec(100, 100, 1, 5, 3.0), 2, 80, 0.5, seed=11)
+        runs = [
+            (build_trace(self.AREA, [legs], time_step=0.25, steps=20), GridSpec(4, 2)),
+            (drawn, GridSpec(5, 5)),
+        ]
+        whole = [[discretize(t, grid, n).ids for n in range(t.node_count)] for t, grid in runs]
+        monkeypatch.setattr(continuous, "_BLOCK_SAMPLES", 7)
+        for (trace, grid), ids in zip(runs, whole):
+            cell = trace.area.width / grid.width
+            for node, expected in enumerate(ids):
+                assert np.array_equal(discretize(trace, grid, node).ids, expected)
+                index = np.floor(trace.positions([node])[0] / cell)
+                index = np.clip(index, 0, [grid.width - 1, grid.height - 1]).astype(np.int64)
+                assert np.array_equal(grid.ids(*index.T), expected)
+                assert expected.tolist() == discretize_per_sample(
+                    trace.legs[node], grid, cell, trace.time_step, trace.step_count
+                )
 
     def test_memory_per_sample(self):
-        # the ids take 8 bytes a sample; a Path of cells a leg kept about 42
-        # more, and building them pushed the peak to 85
+        # the ids take 8 bytes a sample and one block's temporaries about 5
+        # MB; sampling every leg in one pass peaked at 64 bytes a sample
         area = ContinuousAreaSpec(1000, 1000, 1, 20, pause_time=5)
-        trace = simulate_continuous(area, 1, 2 * 10**5, 1.0, seed=1)
+        trace = simulate_continuous(area, 1, 10**6, 1.0, seed=1)
         tracemalloc.start()
         try:
             locations = discretize(trace, GridSpec(100, 100))
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(locations) > 2 * 10**5
+        assert len(locations) == trace.step_count == 10**6 + 1
         assert kept / len(locations) <= 9
-        assert peak / len(locations) < 70
+        assert peak / len(locations) < 16
 
 
 class TestTrafficProxy:
@@ -809,6 +817,26 @@ class TestTrafficProxy:
         legs = [table((0.0, 2.0, 0, 0, 0, 0, 0.0)), table((0.0, 2.0, apart, 0, apart, 0, 0.0))]
         trace = build_trace(self.AREA, legs, time_step=1.0)
         report = traffic_proxy(trace, flows=[(0, 1)], bitrate=1.0, reach=1e160)
+        assert report.connected_fraction.tolist() == [connected] * 3
+
+    @pytest.mark.parametrize(
+        "apart, reach, connected",
+        [
+            (2e-300, 1e-300, 0.0),
+            (0.5e-300, 1e-300, 1.0),
+            (1e-323, 5e-324, 0.0),
+            (5e-324, 5e-324, 1.0),
+            (2e-300, 0.0, 0.0),
+            (5e-324, 0.0, 0.0),
+            (0.0, 0.0, 1.0),
+        ],
+    )
+    def test_reach_whose_square_underflows(self, apart, reach, connected):
+        # reach * reach and the squared distance 4e-600 are both 0: the nodes
+        # 2e-300 apart read connected at every step, at a reach of 0 too
+        legs = [table((0.0, 2.0, 0, 0, 0, 0, 0.0)), table((0.0, 2.0, apart, 0, apart, 0, 0.0))]
+        trace = build_trace(self.AREA, legs, time_step=1.0)
+        report = traffic_proxy(trace, flows=[(0, 1)], bitrate=1.0, reach=reach)
         assert report.connected_fraction.tolist() == [connected] * 3
 
     def test_zero_reach_needs_coincident_nodes(self):

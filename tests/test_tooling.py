@@ -3,8 +3,8 @@
 No module of the package imports a name it never uses, no module but
 ``geometry`` does cell-id arithmetic with a grid's width, ``processes``,
 ``cli`` and ``continuous`` do not import ``Cell``, no module takes
-``hypot`` from numpy, only ``geometry`` calls ``rwmm.geometry.Path``, the
-package subtracts a leg's start point from its end point in one function, ``io`` spells a number with the ``.6f`` format spec in one
+``hypot`` from numpy, only ``geometry`` calls ``rwmm.geometry.Path``, only
+``_sample_legs`` calls the leg interpolation, the package subtracts a leg's start point from its end point in one function, ``io`` spells a number with the ``.6f`` format spec in one
 function, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
@@ -173,9 +173,8 @@ def _leg_displacements(tree: ast.Module) -> list[str]:
 
 def test_position_formula_is_stated_once():
     # x1 - x0 of x0 + a * (x1 - x0) lives in _displacement, which the
-    # interpolation that the sampler and discretize share and the trace's
-    # end-point rule all call, so that they cannot drift apart: no module
-    # of the package restates it
+    # interpolation and the trace's end-point rule both call, so that they
+    # cannot drift apart: no module of the package restates it
     sites = [
         (module.name, function)
         for module in PACKAGE
@@ -324,19 +323,25 @@ def _path_calls(tree: ast.Module, defines: bool = False) -> list[str]:
                     names.add(alias.asname or alias.name)
                 elif source in (".", "rwmm") and alias.name == "geometry":
                     modules.add(alias.asname or alias.name)
+    return _call_owners(
+        tree,
+        lambda func: (isinstance(func, ast.Name) and func.id in names)
+        or (
+            isinstance(func, ast.Attribute)
+            and func.attr == "Path"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        ),
+    )
+
+
+def _call_owners(tree: ast.Module, calls) -> list[str]:
+    """The functions and methods, in source order, with a call whose callee ``calls`` accepts."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and (
-                (isinstance(child.func, ast.Name) and child.func.id in names)
-                or (
-                    isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "Path"
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id in modules
-                )
-            ):
+            if isinstance(child, ast.Call) and calls(child.func):
                 found.append(owner)
             scopes = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
             visit(child, f"{owner}.{child.name}".lstrip(".") if isinstance(child, scopes) else owner)
@@ -354,6 +359,23 @@ def test_only_geometry_builds_a_path():
         for function in _path_calls(ast.parse(module.read_text()), module.name == "geometry.py")
     ]
     assert sites == [("geometry.py", "_PathMapping.__getitem__")]
+
+
+def test_one_continuous_sampler():
+    # positions, the writers and discretize all sample a leg table through
+    # _sample_legs: no second sampler calls the interpolation with sample
+    # counts of its own
+    def interpolates(func):
+        return (isinstance(func, ast.Name) and func.id == "_interpolate") or (
+            isinstance(func, ast.Attribute) and func.attr == "_interpolate"
+        )
+
+    sites = [
+        (module.name, function)
+        for module in PACKAGE
+        for function in _call_owners(ast.parse(module.read_text()), interpolates)
+    ]
+    assert sites == [("continuous.py", "_sample_legs")]
 
 
 def test_path_calls_are_found():
