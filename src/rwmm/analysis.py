@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from . import errors
-from .geometry import Cell, GridSpec
+from .geometry import Cell, GridSpec, _ids_below
 from .location import JointTrace, LocationTrace
 
 DEFAULT_CHECKPOINT_COUNT = 20
@@ -92,24 +92,24 @@ class PairWithinRange:
 
     def values(self, trace: JointTrace) -> np.ndarray:
         _check_grid(self.grid, trace)
-        for node in (self.node_a, self.node_b):
-            if not 0 <= node < trace.node_count:
-                raise ValueError(f"node id {node} outside [0, {trace.node_count}) for this trace")
-        ax, ay = self.grid.xy(trace.ids[self.node_a])
-        bx, by = self.grid.xy(trace.ids[self.node_b])
+        within = f"[0, {trace.node_count}) for this trace"
+        a, b = _ids_below(trace.node_count, [self.node_a, self.node_b], "node", within)
+        ax, ay = self.grid.xy(trace.ids[a])
+        bx, by = self.grid.xy(trace.ids[b])
         dist2 = (ax - bx) ** 2 + (ay - by) ** 2
         return (dist2 <= self.radius**2).astype(np.float64)
 
 
 @dataclass(frozen=True)
 class TableObservable:
-    """Arbitrary per-cell real payoff, looked up by occupied cell."""
+    """Arbitrary per-cell real payoff, looked up by occupied cell in a read-only copy."""
 
     grid: GridSpec
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64)
+        table = np.array(self.table, dtype=np.float64)
+        table.flags.writeable = False
         if table.shape != (self.grid.size,):
             raise ValueError(
                 f"table must have one entry per cell ({self.grid.size}), got {table.shape}"
@@ -151,34 +151,37 @@ def _geometric_checkpoints(total: int) -> np.ndarray:
     return raw[np.append(True, raw[1:] != raw[:-1])]
 
 
-def _settle(sums: np.ndarray, checkpoints: np.ndarray, tolerance: float | None = None):
-    """The convergence rule, applied to running sums at the checkpoints.
+def _settle(partials: Iterable[np.ndarray], last: int, tolerance: float | None = None):
+    """The convergence rule, applied to the tail's partial averages in order.
 
-    ``sums[i]`` sums the first ``checkpoints[i]`` values, with any trailing
-    shape for several observables at once. Returns the partial averages, the
-    tail, each Cauchy width (max minus min of the last ``tail`` partial
-    averages), the tolerance (3/sqrt(n) by default, n the last checkpoint)
-    and the verdicts ``width <= tolerance``.
+    The tail is the last ``DEFAULT_TAIL`` checkpoints (all, if fewer). Its
+    partial averages, of any one shape for several observables at once, are
+    read one at a time into a running max and min, and none is written to.
+    Returns each Cauchy width (max minus min), the tolerance (3/sqrt(last)
+    by default, ``last`` the last checkpoint) and the verdicts ``width <= tolerance``.
     """
     if tolerance is None:
-        tolerance = 3.0 / math.sqrt(checkpoints[-1])
-    partials = sums / checkpoints.reshape(-1, *(1,) * (sums.ndim - 1))
-    tail = min(DEFAULT_TAIL, len(checkpoints))
-    widths = partials[-tail:].max(axis=0) - partials[-tail:].min(axis=0)
-    return partials, tail, widths, float(tolerance), widths <= tolerance
+        tolerance = 3.0 / math.sqrt(last)
+    partials = iter(partials)
+    high = np.array(next(partials), dtype=np.float64)  # a copy, which ``out=`` may fill
+    low = high.copy()
+    for partial in partials:
+        np.maximum(high, partial, out=high)
+        np.minimum(low, partial, out=low)
+    widths = high - low
+    return widths, float(tolerance), widths <= tolerance
 
 
 def _birkhoff_report(values: np.ndarray, tolerance: float | None) -> ConvergenceReport:
     checkpoints = _geometric_checkpoints(len(values))
-    partials, tail, width, tolerance, converged = _settle(
-        np.cumsum(values)[checkpoints - 1], checkpoints, tolerance
-    )
+    partials = np.cumsum(values)[checkpoints - 1] / checkpoints
+    width, tolerance, converged = _settle(partials[-DEFAULT_TAIL:], checkpoints[-1], tolerance)
     return ConvergenceReport(
         checkpoints=checkpoints,
         partial_averages=partials,
         final_value=float(partials[-1]),
         cauchy_width=float(width),
-        tail=tail,
+        tail=min(DEFAULT_TAIL, len(checkpoints)),
         tolerance=tolerance,
         converged=bool(converged),
     )
@@ -215,14 +218,20 @@ class CellAverages:
     converged: np.ndarray  # cauchy_widths <= 3 / sqrt(steps)
 
 
-def cell_time_averages(trace: JointTrace) -> CellAverages:
-    """Every cell indicator's time average in one pass over each node's ids.
+def _node_counts(ids: np.ndarray, size: int) -> np.ndarray:
+    """The (nodes, size) counts of a (nodes, steps) block of ids: one bincount of node*size + id."""
+    keys = ids + size * np.arange(len(ids)).reshape(-1, 1)
+    return np.bincount(keys.ravel(), minlength=len(ids) * size).reshape(-1, size)
 
-    Counts each segment between consecutive checkpoints with one
-    ``bincount`` and sums the segments up. A running sum of 0/1 floats is an
-    exact integer below 2**53, so ``count / checkpoint`` has the same bits
-    as the running mean ``time_average`` reads at that checkpoint. More
-    than ``errors.MAX_SAMPLES`` (node, cell) rows are refused first.
+
+def cell_time_averages(trace: JointTrace) -> CellAverages:
+    """Every cell indicator's time average, every node counted at once.
+
+    The steps before the tail's first checkpoint are counted as one block,
+    and each tail segment is added to the one count kept of every (node, cell).
+    A running sum of 0/1 floats is an exact integer below 2**53, so
+    ``count / checkpoint`` has the same bits as the running mean ``time_average``
+    reads there. More than ``errors.MAX_SAMPLES`` (node, cell) rows are refused first.
     """
     steps, size = len(trace), trace.grid.size
     if trace.node_count * size > errors.MAX_SAMPLES:
@@ -231,18 +240,19 @@ def cell_time_averages(trace: JointTrace) -> CellAverages:
             f"{errors.MAX_SAMPLES} (node, cell) rows per report"
         )
     checkpoints = _geometric_checkpoints(steps)
-    shape = (trace.node_count, size)
-    visits = np.empty(shape, dtype=np.int64)
-    widths = np.empty(shape, dtype=np.float64)
-    converged = np.empty(shape, dtype=bool)
-    for node, ids in enumerate(trace.ids):
-        segments = np.split(ids, checkpoints[:-1])
-        counts = np.cumsum([np.bincount(s, minlength=size) for s in segments], axis=0)
-        _, _, widths[node], _, converged[node] = _settle(counts, checkpoints)
-        visits[node] = counts[-1]
+    tail = checkpoints[-DEFAULT_TAIL:]
+    counts = _node_counts(trace.ids[:, : tail[0]], size)
+
+    def partials() -> Iterator[np.ndarray]:
+        yield counts / tail[0]
+        for lo, hi in zip(tail[:-1], tail[1:]):
+            np.add(counts, _node_counts(trace.ids[:, lo:hi], size), out=counts)
+            yield counts / hi
+
+    widths, _, converged = _settle(partials(), steps)
     return CellAverages(
-        visits=visits,
-        final_values=visits / steps,
+        visits=counts,
+        final_values=counts / steps,
         cauchy_widths=widths,
         converged=converged,
     )
@@ -338,14 +348,7 @@ class Histogram:
 
 
 def location_histogram(trace: LocationTrace | JointTrace) -> Histogram:
-    """Count how often each cell is occupied over the whole trace."""
-    if isinstance(trace, JointTrace):
-        per_node = np.stack(
-            [
-                np.bincount(trace.ids[i], minlength=trace.grid.size)
-                for i in range(trace.node_count)
-            ]
-        )
-        return Histogram(trace.grid, per_node.sum(axis=0), per_node)
-    counts = np.bincount(trace.ids, minlength=trace.grid.size)
-    return Histogram(trace.grid, counts)
+    """How often each cell is occupied over the whole trace, and by each node of a joint one."""
+    per_node = _node_counts(np.atleast_2d(trace.ids), trace.grid.size)
+    joint = isinstance(trace, JointTrace)
+    return Histogram(trace.grid, per_node.sum(axis=0), per_node if joint else None)

@@ -171,12 +171,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         averages.cauchy_widths,
         averages.converged,
     )
-    rows = zip(*(column.ravel().tolist() for column in columns))
-    io.export_csv_report(
-        args.out,
-        ("node", "x", "y", "visits", "frequency", "cauchy_width", "converged"),
-        rows,
-    )
+    names = ("node", "x", "y", "visits", "frequency", "cauchy_width", "converged")
+    io.export_csv_report(args.out, {n: c.ravel() for n, c in zip(names, columns)})
     steps = len(trace)
     print(
         f"analyzed {trace.node_count} node(s) x {steps} steps; "

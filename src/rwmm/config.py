@@ -22,9 +22,6 @@ from .errors import ConfigurationError
 from .geometry import GridSpec, normalize_speeds
 from .processes import WaypointProcessSpec
 
-DISCRETE = "discrete"
-CONTINUOUS = "continuous"
-
 
 def _digest(entries: dict[str, tuple[str, int]]) -> str:
     canonical = "\n".join(f"{k}={v}" for k, (v, _) in sorted(entries.items()))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import errors
 from .errors import ConfigurationError
-from .geometry import GridSpec
+from .geometry import GridSpec, _ids_below
 from .location import LocationTrace
 from .processes import _seed_sequence
 
@@ -143,8 +143,12 @@ class ContinuousTrace:
         return np.arange(self.step_count) * self.time_step
 
     def positions(self, nodes: Sequence[int]) -> np.ndarray:
-        """The ``(len(nodes), steps, 2)`` positions of ``nodes``, one ``_sample_legs`` call each."""
-        return self._sample_at(nodes, self.times)
+        """The ``(len(nodes), steps, 2)`` positions of ``nodes``, one ``_sample_legs`` call each.
+
+        ``ValueError`` refuses a node id that is not an int in ``[0, node_count)``, or is a bool.
+        """
+        within = f"[0, {self.node_count}) for this run"
+        return self._sample_at(_ids_below(self.node_count, nodes, "node", within), self.times)
 
     def _sample_at(self, nodes: Sequence[int], times: np.ndarray) -> np.ndarray:
         """``positions`` at the run's ``times``, which a caller that holds them passes in."""

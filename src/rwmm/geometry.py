@@ -49,15 +49,16 @@ class Cell:
 def integer_ids(ids, kind: str) -> np.ndarray:
     """``ids``, an int or a sequence or array of them, as an integer array, never cast.
 
-    Raises ``ValueError`` naming the first ``kind`` id that is not an int (a float or a string).
+    Raises ``ValueError`` naming the first ``kind`` id that is not an int (a bool, float or string).
     """
     array = np.asarray(ids)
-    if array.dtype.kind not in "iu":  # an object array of huge ints passes, uncast
-        array = np.asarray(ids, dtype=object)  # no entry cast to another's type
-        bad = [v for v in array.ravel().tolist() if not isinstance(v, (int, np.integer))]
-        if bad:
-            raise ValueError(f"{kind} id {bad[0]!r} is not an integer")
-    return array
+    if isinstance(ids, np.ndarray) and array.dtype.kind in "iu":
+        return array
+    entries = np.asarray(ids, dtype=object)  # no entry cast: [1, True] is an int64 array
+    bad = [v for v in entries.flat if type(v) is bool or not isinstance(v, (int, np.integer))]
+    if bad:
+        raise ValueError(f"{kind} id {bad[0]!r} is not an integer")
+    return array if array.dtype.kind in "iu" else entries  # huge ints pass as objects, uncast
 
 
 def _ids_below(bound: int, ids, kind: str, within: str) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cache, partial
 from hashlib import sha256
 from itertools import chain, count
 from pathlib import Path as FsPath
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -841,19 +841,17 @@ def parse_ns2(text: str) -> Ns2Script:
     return Ns2Script(initial=positions, moves=tuple(moves))
 
 
-def export_csv_report(
-    path: FsPath | str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
-) -> None:
-    """Write a CSV report: floats at %.9g, everything else via str()."""
-    out = [",".join(columns)]
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"row {row!r} does not match columns {columns!r}")
-        out.append(
-            ",".join(
-                _format_float(v) if isinstance(v, float) else str(v) for v in row
-            )
-        )
-    FsPath(path).write_text("\n".join(out) + "\n")
+def export_csv_report(path: FsPath | str, columns: Mapping[str, np.ndarray]) -> None:
+    """Write named 1-D columns as a CSV report, a line at a time: floats at %.9g, others by str().
+
+    A bool reads ``True`` or ``False``. Columns of unequal lengths are refused with ``ValueError``.
+    """
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"report columns have unequal lengths: {lengths}")
+    fields = [
+        map(_format_float if c.dtype.kind == "f" else str, c.tolist()) for c in columns.values()
+    ]
+    with open(path, "w") as out:
+        out.write(",".join(columns) + "\n")
+        out.writelines(",".join(row) + "\n" for row in zip(*fields))

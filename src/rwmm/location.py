@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Cell, GridSpec
+from .geometry import Cell, GridSpec, _ids_below
 from .processes import PathTrace
 
 logger = logging.getLogger(__name__)
@@ -56,9 +56,9 @@ class JointTrace:
         return int(self.ids.shape[1])
 
     def node(self, node_id: int) -> LocationTrace:
-        if not 0 <= node_id < self.node_count:
-            raise ValueError(f"node id {node_id} outside [0, {self.node_count}) for this trace")
-        return LocationTrace(self.grid, self.ids[node_id])
+        within = f"[0, {self.node_count}) for this trace"
+        node = int(_ids_below(self.node_count, node_id, "node", within))
+        return LocationTrace(self.grid, self.ids[node])
 
 
 def encode_sequence(trace: PathTrace) -> LocationTrace:

@@ -58,6 +58,17 @@ class TestObservables:
         table = TableObservable(GRID2, np.array([2.0, -1.0]))
         assert table.values(make_trace([0, 1, 0])).tolist() == [2.0, -1.0, 2.0]
 
+    def test_table_is_a_read_only_copy(self):
+        # the finiteness check holds after construction: the caller's array
+        # is copied, and the copy refuses writes
+        source = np.zeros(2)
+        obs = TableObservable(GRID2, source)
+        source[0] = np.nan
+        assert time_average(obs, make_trace([0, 1])).final_value == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            obs.table[1] = np.inf
+        assert obs.table.tolist() == [0.0, 0.0]
+
     def test_table_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             TableObservable(GRID2, np.array([1.0, np.inf]))
@@ -86,6 +97,14 @@ class TestObservables:
         joint = JointTrace(GridSpec(3, 1), np.array([[0, 0, 0], [1, 2, 0]]))
         obs = PairWithinRange(joint.grid, node_a, node_b, radius=1.0)
         with pytest.raises(ValueError, match=r"outside \[0, 2\) for this trace"):
+            obs.values(joint)
+
+    @pytest.mark.parametrize("node_a, node_b", [(True, 0), (0, np.True_), (1.0, 0)])
+    def test_pair_within_range_refuses_node_that_is_not_an_int(self, node_a, node_b):
+        # True once read node 1's row as a (1, steps) block: a 2-D result
+        joint = JointTrace(GridSpec(3, 1), np.array([[0, 0, 0], [1, 2, 0]]))
+        obs = PairWithinRange(joint.grid, node_a, node_b, radius=1.0)
+        with pytest.raises(ValueError, match="node id .* is not an integer"):
             obs.values(joint)
 
 
@@ -250,7 +269,7 @@ def sticky_joint_traces(draw):
     long stays leave some cells unconverged.
     """
     grid = GridSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    nodes = draw(st.integers(1, 3))
+    nodes = draw(st.integers(1, 8))  # enough rows to offset each node's keys
     steps = draw(
         st.one_of(st.integers(1, 2 * DEFAULT_CHECKPOINT_COUNT), st.integers(1, 600))
     )
@@ -276,6 +295,23 @@ class TestCellTimeAverages:
                 assert averages.final_values[node, cid] == report.final_value
                 assert averages.cauchy_widths[node, cid] == report.cauchy_width
                 assert averages.converged[node, cid] == report.converged
+
+    @pytest.mark.parametrize(
+        "nodes, steps, width", [(1, 300, 1000), (10_000, 100, 10)], ids=["big-grid", "many-nodes"]
+    )
+    def test_traced_peak_per_row(self, nodes, steps, width):
+        # one count of every (node, cell) row is kept, and the tail's partial
+        # averages are read one at a time: no (checkpoints x cells) stack
+        grid = GridSpec(width, width)
+        rng = np.random.default_rng(7)
+        trace = JointTrace(grid, rng.integers(0, grid.size, size=(nodes, steps)))
+        tracemalloc.start()
+        try:
+            cell_time_averages(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (nodes * grid.size) < 64
 
     @pytest.mark.parametrize("limit, allowed", [(18, True), (17, False)])
     def test_report_rows_limit(self, monkeypatch, limit, allowed):

@@ -1589,17 +1589,44 @@ class TestCsvReport:
         path = tmp_path / "r.csv"
         export_csv_report(
             path,
-            ("name", "value", "count"),
-            [("a", 0.123456789123456, 3), ("b", 1e-12, 0)],
+            {
+                "name": np.array(["a", "b"]),
+                "value": np.array([0.123456789123456, 1e-12]),
+                "count": np.array([3, 0]),
+            },
         )
-        text = path.read_text()
-        assert text.splitlines()[0] == "name,value,count"
-        assert "0.123456789" in text
-        assert "1e-12" in text
+        assert path.read_text() == "name,value,count\na,0.123456789,3\nb,1e-12,0\n"
 
-    def test_row_width_checked(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_csv_report(tmp_path / "r.csv", ("a", "b"), [(1,)])
+    def test_unequal_lengths_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            export_csv_report(tmp_path / "r.csv", {"a": np.array([1]), "b": np.array([1, 2])})
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(2**63), 2**63 - 1),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1e-12, 5e-324, 1e-310, 3.0, -7.0, 1e9, math.nan]),
+                    st.floats(),
+                ),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_per_row_oracle(self, rows):
+        # the column writer spells each row as a per-row writer did:
+        # format(v, ".9g") for a float, str() for an int or a bool
+        columns = {
+            "count": np.array([r[0] for r in rows], dtype=np.int64),
+            "value": np.array([r[1] for r in rows], dtype=np.float64),
+            "flag": np.array([r[2] for r in rows], dtype=bool),
+        }
+        expected = "".join(f"{str(c)},{format(v, '.9g')},{str(f)}\n" for c, v, f in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "r.csv"
+            export_csv_report(path, columns)
+            assert path.read_text() == "count,value,flag\n" + expected
 
 
 # (waypoints, trace sha256, grid width, grid height) of the pinned

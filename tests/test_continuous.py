@@ -132,6 +132,20 @@ class TestLeg:
 class TestSimulate:
     AREA = ContinuousAreaSpec(300, 200, min_speed=2, max_speed=8)
 
+    @pytest.mark.parametrize(
+        "nodes, error",
+        [
+            ([-1], r"node id -1 outside \[0, 2\) for this run"),  # once the last node
+            ([2], r"node id 2 outside \[0, 2\) for this run"),  # once a bare IndexError
+            ([True], "node id True is not an integer"),  # once node 1
+            ([0, 1.0], "node id 1.0 is not an integer"),
+        ],
+    )
+    def test_positions_refuses_bad_node(self, nodes, error):
+        trace = simulate_continuous(self.AREA, 2, duration=5, time_step=0.5, seed=1)
+        with pytest.raises(ValueError, match=error):
+            trace.positions(nodes)
+
     def test_shapes_and_bounds(self):
         trace = simulate_continuous(self.AREA, 4, duration=60, time_step=0.5, seed=1)
         positions = trace.positions(range(4))

@@ -133,6 +133,26 @@ class TestIdEntries:
             sources, _ = check(ids)
             assert len(sources) == len(entries)
 
+    @pytest.mark.parametrize(
+        "ids, named",
+        [
+            (True, "True"),
+            (np.True_, "np.True_"),
+            ([True, False], "True"),
+            ([1, True], "True"),  # np.asarray makes this an int array
+            (np.array([False, True]), "False"),
+            (np.array([2, False], dtype=object), "False"),
+        ],
+    )
+    def test_bools_are_refused(self, ids, named):
+        # a bool is a Python int, but 0 or 1 as an id is a cast
+        with pytest.raises(ValueError, match=re.escape(f"cell id {named} is not an integer")):
+            GridSpec(3, 3).check_ids(ids)
+
+    def test_int64_array_is_not_copied(self):
+        ids = np.arange(9)
+        assert GridSpec(3, 3).check_ids(ids) is ids
+
 
 class TestNormalizeSpeeds:
     def test_sorts_and_converts(self):

@@ -157,6 +157,14 @@ class TestJointProcess:
         with pytest.raises(ValueError, match=rf"node id {node} outside \[0, 2\)"):
             joint.node(node)
 
+    @pytest.mark.parametrize("node", [True, np.True_, 1.0])
+    def test_node_refuses_id_that_is_not_an_int(self, node):
+        # True once indexed a (1, 2, steps) block as one node's ids
+        grid = GridSpec(2, 1)
+        joint = joint_process([LocationTrace(grid, np.array([0, 1, 1]))] * 2)
+        with pytest.raises(ValueError, match="node id .* is not an integer"):
+            joint.node(node)
+
     def test_truncates_with_warning(self, caplog):
         grid = GridSpec(2, 1)
         a = LocationTrace(grid, np.array([0, 1, 0, 1]))

@@ -4,7 +4,8 @@ No module of the package imports a name it never uses, no module but
 ``geometry`` does cell-id arithmetic with a grid's width, ``processes``,
 ``cli`` and ``continuous`` do not import ``Cell``, no module takes
 ``hypot`` from numpy, only ``geometry`` calls ``rwmm.geometry.Path``, only
-``_sample_legs`` calls the leg interpolation, the package subtracts a leg's start point from its end point in one function, ``io`` spells a number with the ``.6f`` format spec in one
+``_sample_legs`` calls the leg interpolation, only ``_node_counts`` calls
+``bincount`` in ``analysis``, the package subtracts a leg's start point from its end point in one function, ``io`` spells a number with the ``.6f`` format spec in one
 function, and every function
 that ``perfbench/layers.py`` names in a ``Target(module, "attr")``, every
 ``rwmm`` module attribute that ``perfbench/workload.py`` reads and every
@@ -376,6 +377,16 @@ def test_one_continuous_sampler():
         for function in _call_owners(ast.parse(module.read_text()), interpolates)
     ]
     assert sites == [("continuous.py", "_sample_legs")]
+
+
+def test_one_occupancy_count():
+    # cell_time_averages and location_histogram count every node at once
+    # through one helper: no second bincount counts one node's ids alone
+    def bincount(func):
+        return isinstance(func, ast.Attribute) and func.attr == "bincount"
+
+    tree = ast.parse((ROOT / "src" / "rwmm" / "analysis.py").read_text())
+    assert _call_owners(tree, bincount) == ["_node_counts"]
 
 
 def test_path_calls_are_found():
