@@ -150,6 +150,11 @@ class ContinuousTrace:
         within = f"[0, {self.node_count}) for this run"
         return self._sample_at(_ids_below(self.node_count, nodes, "node", within), self.times)
 
+    def _names_node(self, node) -> bool:
+        """Whether ``node`` is an int in ``[0, node_count)``; a bool of either kind is not."""
+        is_int = isinstance(node, (int, np.integer)) and not isinstance(node, bool)
+        return is_int and 0 <= node < self.node_count
+
     def _sample_at(self, nodes: Sequence[int], times: np.ndarray) -> np.ndarray:
         """``positions`` at the run's ``times``, which a caller that holds them passes in."""
         out = np.empty((len(nodes), len(times), 2))
@@ -354,11 +359,12 @@ def discretize(trace: ContinuousTrace, grid: GridSpec, node_id: int = 0) -> Loca
 
     Sample k is the cell of ``trace.positions([node_id])[0][k]``, the node's
     point at ``k * time_step``, sampled ``_BLOCK_SAMPLES`` times at a time. A
-    ``node_id`` outside ``[0, node_count)``, cells that are not square and
-    more than ``errors.MAX_SAMPLES`` steps are refused with
-    :class:`ConfigurationError`, the last before any sample is allocated.
+    ``node_id`` that is not an int in ``[0, node_count)`` (a bool is not),
+    cells that are not square and more than ``errors.MAX_SAMPLES`` steps
+    are refused with :class:`ConfigurationError`, the last before any
+    sample is allocated.
     """
-    if not 0 <= node_id < trace.node_count:
+    if not trace._names_node(node_id):
         raise ConfigurationError(
             f"node id {node_id} outside [0, {trace.node_count}) for this trace"
         )
@@ -425,12 +431,14 @@ def traffic_proxy(
     and receiver are within ``reach`` (finite, >= 0) of each other, and
     nothing otherwise (no queueing, no relaying). ``bitrate`` (finite,
     >= 0) may be a per-step array — e.g. a ramp — or a single flat number;
-    an array of any other shape is refused. Each node a flow names is sampled once.
+    an array of any other shape is refused, as is a flow that names a node
+    by anything but an int in ``[0, node_count)`` (a bool included) or
+    sends to itself. Each node a flow names is sampled once.
     """
     if not flows:
         raise ConfigurationError("traffic proxy needs at least one flow")
     for a, b in flows:
-        if not (0 <= a < trace.node_count and 0 <= b < trace.node_count):
+        if not (trace._names_node(a) and trace._names_node(b)):
             raise ConfigurationError(f"flow ({a}, {b}) names a missing node")
         if a == b:
             raise ConfigurationError(f"flow ({a}, {b}) sends to itself")

@@ -385,9 +385,14 @@ class PathAlphabet:
         """The emitted cells (all but the last) of each path id, concatenated.
 
         Each distinct member among the ids is digitized once, into a table
-        that every id's cells are gathered from. Ids are not validated.
+        that every id's cells are gathered from. When every path emits one
+        cell, its sample 0, that cell is its source and nothing is
+        digitized. Ids are not validated.
         """
         sources, members = np.divmod(np.asarray(ids, dtype=np.int64), len(self._lengths))
+        lengths = self._lengths[members]
+        if (lengths == 1).all():
+            return sources
         marked = np.zeros(len(self._lengths), dtype=bool)
         marked[members] = True
         distinct = np.flatnonzero(marked)
@@ -401,7 +406,6 @@ class PathAlphabet:
         table += ox
         starts = np.zeros(len(self._lengths), dtype=np.int64)
         starts[distinct] = offsets
-        lengths = self._lengths[members]
         # emission k of the concatenation is member emission k - (block start - table start)
         index = np.arange(int(lengths.sum()), dtype=np.int64)
         index -= np.repeat(np.cumsum(lengths) - lengths - starts[members], lengths)

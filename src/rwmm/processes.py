@@ -565,7 +565,9 @@ def sample_waypoints(
         mid, hi = lo + paired, lo + len(buckets)
         b0, b1 = buckets[:paired:2], buckets[1:paired:2]
         keys = (b0 * bucket_count + b1).tolist()
-        ids[lo + 1 : mid : 2] = [state := pairs[state][k] for k in keys]
+        ids[lo + 1 : mid : 2] = np.fromiter(
+            [state := pairs[state][k] for k in keys], np.int64, len(keys)
+        )
         ids[lo:mid:2] = successor.take(ids[lo - 1 : mid - 1 : 2] * bucket_count + b0)
         ids[mid:hi] = [state := steps[state][b] for b in buckets[paired:].tolist()]
     return WaypointTrace(spec.grid, ids)
@@ -574,8 +576,11 @@ def sample_waypoints(
 def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLike) -> PathTrace:
     """Draw one path per consecutive waypoint pair, uniform within its family.
 
-    Raises ``ValueError`` when the waypoints and the alphabet use different
-    grids, since the waypoint ids would then be read as the wrong cells.
+    Where every family has one member there is no choice, and no
+    ``integers`` call is made: numpy draws nothing for a one-value range, so
+    the generator's stream is the same either way. Raises ``ValueError``
+    when the waypoints and the alphabet use different grids, since the
+    waypoint ids would then be read as the wrong cells.
     """
     if waypoints.grid != alphabet.grid:
         raise ValueError("waypoint process and alphabet use different grids")
@@ -583,8 +588,9 @@ def sample_paths(alphabet: PathAlphabet, waypoints: WaypointTrace, seed: SeedLik
         raise ValueError("need at least two waypoints to sample a path")
     rng = _rng(seed)
     first, sizes = alphabet.family_ranges(waypoints.ids[:-1], waypoints.ids[1:])
-    path_ids = first + rng.integers(0, sizes)
-    return PathTrace(alphabet, path_ids)
+    if sizes.max() == 1:
+        return PathTrace(alphabet, first)
+    return PathTrace(alphabet, first + rng.integers(0, sizes))
 
 
 def uniform_prefix(grid: GridSpec, length: int, rng: np.random.Generator) -> np.ndarray:

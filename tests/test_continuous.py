@@ -646,6 +646,14 @@ class TestDiscretize:
         with pytest.raises(ConfigurationError, match=rf"node id {node_id} outside \[0, 2\)"):
             discretize(trace, GridSpec(2, 1), node_id=node_id)
 
+    @pytest.mark.parametrize("node_id", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_refuses_bool_node(self, node_id):
+        # a bool passes 0 <= node < 2 and would read node 1's cells
+        leg = (0.0, 1.5, 0.2, 0.3, 1.7, 0.3, 1.0)
+        trace = build_trace(self.AREA, [table(leg), table(leg)], time_step=0.5)
+        with pytest.raises(ConfigurationError, match=r"node id True outside \[0, 2\)"):
+            discretize(trace, GridSpec(2, 1), node_id=node_id)
+
     def test_sample_limit_refused_before_allocating(self, monkeypatch):
         # a built run may hold up to 2**63 steps
         def refuse(*args, **kwargs):
@@ -796,6 +804,12 @@ class TestTrafficProxy:
             traffic_proxy(trace, flows=[(0, 7)], bitrate=1.0, reach=1.0)
         with pytest.raises(ConfigurationError):
             traffic_proxy(trace, flows=[(0, 1)], bitrate=-1.0, reach=1.0)
+
+    @pytest.mark.parametrize("flow", [(0, True), (np.True_, 0)], ids=["bool", "numpy-bool"])
+    def test_flow_refuses_bool_node(self, flow):
+        # (0, True) would be scored as the flow (0, 1)
+        with pytest.raises(ConfigurationError, match="names a missing node"):
+            traffic_proxy(self.two_node_trace(), flows=[flow], bitrate=4.0, reach=2.0)
 
     def test_negative_reach_rejected(self):
         # reach * reach would make -2 behave like 2

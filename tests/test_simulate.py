@@ -1,12 +1,15 @@
 """Seeded simulation tests: the covering-prefix encoder, the blocked path
-draws, the sample limit and the refusal of a waypoint spec and an alphabet on
-different grids.
+draws, the joint encode, the sample limit and the refusal of a waypoint spec
+and an alphabet on different grids.
 
 ``simulate_node`` draws and encodes only the paths that cover its horizon;
 its locations are checked against a concatenation of those paths' cells, and
 its paths against the first paths of one draw over every waypoint pair,
 which rests on numpy's generator drawing the same integers from one call as
-from consecutive calls over its parts.
+from consecutive calls over its parts. A draw over bounds of 1 gives zeros
+and takes nothing from the generator, which lets ``sample_paths`` skip it.
+``simulate_joint``, which encodes blocks of nodes at once, is checked
+against a per-node loop of ``simulate_node``.
 """
 
 from itertools import pairwise
@@ -72,6 +75,25 @@ def test_split_integer_draws_equal_one_draw(cuts, seed, bounds, high):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+@settings(max_examples=50)
+@given(
+    st.integers(0, 2**63 - 1),
+    st.lists(st.just(1) | st.integers(2, 60) | st.integers(2, 2**40), min_size=1, max_size=30),
+)
+def test_one_value_bounds_draw_nothing(seed, bounds):
+    # sample_paths makes no integers call where every family has one member
+    bounds = np.array(bounds)
+    drawn = np.random.default_rng(seed).integers(0, bounds)
+    assert not drawn[bounds == 1].any()
+    choices = np.random.default_rng(seed).integers(0, bounds[bounds > 1])
+    assert np.array_equal(drawn[bounds > 1], choices)
+    rng = np.random.default_rng(seed)
+    rng.integers(0, bounds[bounds > 1])  # so that a buffered 32-bit half may be pending
+    state = rng.bit_generator.state
+    assert not rng.integers(0, np.ones_like(bounds)).any()
+    assert rng.bit_generator.state == state
+
+
 @settings(max_examples=20)
 @given(st.sampled_from(sorted(SPECS)), st.integers(0, 2**32 - 1))
 def test_blocked_paths_are_the_first_of_one_draw(kind, seed):
@@ -91,6 +113,68 @@ def test_blocked_paths_are_the_first_of_one_draw(kind, seed):
         blocks = max(blocks, -(-count // 3))
     # some horizon needs several blocks
     assert blocks > 2
+
+
+# every lazy-walk path at speeds >= 1 emits one cell; at speed 1/2 a move emits two
+ALPHABETS = {"fast": ALPHABET, "slow": build_alphabet(GRID, (Fraction(1, 2), Fraction(1)))}
+
+
+def _per_node_loop(spec, alphabet, horizon, nodes, seed) -> np.ndarray:
+    children = np.random.SeedSequence(seed).spawn(nodes)
+    return np.stack([simulate_node(spec, alphabet, horizon, c).locations.ids for c in children])
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 1000])
+@pytest.mark.parametrize("speeds", sorted(ALPHABETS))
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_joint_equals_per_node_loop(kind, speeds, nodes):
+    spec, alphabet = SPECS[kind], ALPHABETS[speeds]
+    for horizon in (1, 9) if nodes == 1000 else (1, 2, 9, 40):
+        joint = simulate_joint(spec, alphabet, horizon, nodes, seed=nodes + horizon)
+        expected = _per_node_loop(spec, alphabet, horizon, nodes, nodes + horizon)
+        assert np.array_equal(joint.ids, expected)
+
+
+@pytest.mark.parametrize("speeds", sorted(ALPHABETS))
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_joint_blocks_equal_per_node_loop(monkeypatch, kind, speeds):
+    spec, alphabet = SPECS[kind], ALPHABETS[speeds]
+    encode, blocks = simulate._encode_block, []
+
+    def spy(alphabet, paths, emitted, out):
+        blocks.append((emitted, out.shape[1], simulate._ENCODE_SAMPLES))
+        encode(alphabet, paths, emitted, out)
+
+    monkeypatch.setattr(simulate, "_encode_block", spy)
+    for budget in range(1, 30):
+        monkeypatch.setattr(simulate, "_ENCODE_SAMPLES", budget)
+        for horizon in (1, 4, 11):
+            joint = simulate_joint(spec, alphabet, horizon, 5, seed=budget)
+            assert np.array_equal(joint.ids, _per_node_loop(spec, alphabet, horizon, 5, budget))
+    # a node joins a block while the block's cells leave room for its horizon
+    for emitted, horizon, budget in blocks:
+        assert len(emitted) == 1 or sum(emitted[:-1]) + horizon <= budget
+    # blocks of several nodes, some ending at the budget, and nodes past it
+    assert any(len(emitted) > 1 and sum(emitted) < budget for emitted, _, budget in blocks)
+    assert any(len(emitted) > 1 and sum(emitted) == budget for emitted, _, budget in blocks)
+    assert any(horizon > budget for _, horizon, budget in blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.fractions(1, 5, max_denominator=7), min_size=1, max_size=4),
+    st.fractions(Fraction(1, 9), Fraction(8, 9), max_denominator=9),
+    st.integers(1, 50),
+    st.integers(0, 2**32 - 1),
+)
+def test_fast_walk_locations_are_its_waypoints(width, height, speeds, stay, horizon, seed):
+    # at speeds >= 1 a walk's every path is one step, so it emits its source
+    grid = GridSpec(width, height)
+    spec = WaypointProcessSpec.lazy_walk(grid, stay)
+    run = simulate_node(spec, build_alphabet(grid, speeds), horizon, seed)
+    assert np.array_equal(run.locations.ids, run.waypoints.ids[:-1])
 
 
 def _refuse_draws(monkeypatch):
